@@ -5,6 +5,12 @@
 // [the tuple] — thus doubling the cost of tuple accesses". Deadlocks are
 // detected with a waits-for graph derived from the live lock tables and
 // resolved by aborting the requester that would close a cycle.
+//
+// The manager knows resources only as comparable values; the hierarchy is
+// the transaction layer's (package txn states it in full): a relation lock
+// covers the relation's partitions, because no transaction holds
+// X(partition) without X(relation). A reader therefore takes S(relation)
+// alone, and what a statement pays here is one Lock per table it names.
 package lock
 
 import (
@@ -56,21 +62,56 @@ type Observer interface {
 }
 
 // Manager is a blocking two-phase lock manager.
+//
+// The uncontended path allocates nothing in steady state: lock-table
+// entries and per-transaction records are recycled through free lists
+// (guarded by mu like everything else), an entry carries its first few
+// holders inline, a transaction's held locks are a slice, and a waiter
+// with its channel exists only for a request that actually queues.
 type Manager struct {
 	mu    sync.Mutex
 	locks map[Resource]*state
-	held  map[TxnID]map[Resource]Mode
-	// waitingOn records the resource each blocked transaction waits for.
-	// The waits-for edges are derived from this plus the live holder and
-	// queue tables on every check, so they can never go stale — a cycle
-	// that forms when lock ownership migrates is still found.
-	waitingOn map[TxnID]Resource
-	obs       Observer
+	txns  map[TxnID]*txnState
+	// Recycled records, at most maxFree of each; a burst beyond that is
+	// left to the collector.
+	freeStates []*state
+	freeTxns   []*txnState
+	grants     uint64
+	obs        Observer
 }
 
+const (
+	// inlineHolders is how many holders a lock-table entry stores without
+	// a separate slice: a relation's writer plus a few pointer readers.
+	inlineHolders = 4
+	maxFree       = 256
+	// maxPooledHeld bounds the held-lock slice a recycled transaction
+	// record keeps, so one wide transaction does not pin its slice forever.
+	maxPooledHeld = 1024
+)
+
+type holder struct {
+	txn  TxnID
+	mode Mode
+}
+
+// state is one lock-table entry. holders starts out backed by inline and
+// spills to the heap, by append, only past inlineHolders.
 type state struct {
-	holders map[TxnID]Mode
+	holders []holder
 	queue   []*waiter
+	inline  [inlineHolders]holder
+}
+
+// txnState is what the manager knows about one transaction: the resources
+// it holds (modes live in the entries' holder lists) and the resource it
+// is blocked on, if any. The waits-for edges are derived from waiting
+// plus the live holder and queue tables on every check, so they can never
+// go stale — a cycle that forms when lock ownership migrates is still
+// found.
+type txnState struct {
+	held    []Resource
+	waiting Resource // nil when not blocked
 }
 
 type waiter struct {
@@ -82,9 +123,8 @@ type waiter struct {
 // NewManager creates an empty lock manager.
 func NewManager() *Manager {
 	return &Manager{
-		locks:     make(map[Resource]*state),
-		held:      make(map[TxnID]map[Resource]Mode),
-		waitingOn: make(map[TxnID]Resource),
+		locks: make(map[Resource]*state),
+		txns:  make(map[TxnID]*txnState),
 	}
 }
 
@@ -102,29 +142,18 @@ func (m *Manager) SetObserver(o Observer) {
 // and requesting Exclusive upgrades when possible.
 func (m *Manager) Lock(txn TxnID, res Resource, mode Mode) error {
 	m.mu.Lock()
-	st := m.locks[res]
-	if st == nil {
-		st = &state{holders: make(map[TxnID]Mode)}
-		m.locks[res] = st
-	}
-	if cur, ok := st.holders[txn]; ok && (cur == Exclusive || cur == mode) {
-		m.mu.Unlock()
-		return nil // already held at sufficient strength
-	}
-	// FIFO fairness: a request may only jump the queue when no one is
-	// queued; otherwise a stream of compatible readers would starve a
-	// queued writer forever.
-	if len(st.queue) == 0 && m.grantable(st, txn, mode) {
-		m.grant(st, txn, res, mode)
+	if m.acquire(txn, res, mode) {
 		m.mu.Unlock()
 		return nil
 	}
 	// Must wait. Record what we wait for, then check whether the wait
 	// closes a cycle in the (dynamically derived) waits-for graph.
 	obs := m.obs // captured under m.mu; callbacks run outside it
-	m.waitingOn[txn] = res
+	ts := m.txnState(txn)
+	ts.waiting = res
 	if m.cyclic(txn, txn, map[TxnID]bool{}) {
-		delete(m.waitingOn, txn)
+		ts.waiting = nil
+		m.dropIfIdle(txn, ts)
 		m.mu.Unlock()
 		if obs != nil {
 			obs.Deadlock()
@@ -132,6 +161,7 @@ func (m *Manager) Lock(txn TxnID, res Resource, mode Mode) error {
 		return ErrDeadlock
 	}
 	w := &waiter{txn: txn, mode: mode, granted: make(chan error, 1)}
+	st := m.locks[res]
 	st.queue = append(st.queue, w)
 	m.mu.Unlock()
 	var start time.Time
@@ -153,29 +183,86 @@ func (m *Manager) Lock(txn TxnID, res Resource, mode Mode) error {
 func (m *Manager) TryLock(txn TxnID, res Resource, mode Mode) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.acquire(txn, res, mode)
+}
+
+// acquire grants res to txn if that needs no waiting: the lock is already
+// held at sufficient strength, or it is compatible with every other
+// holder and nobody is queued. FIFO fairness: a request may only jump the
+// queue when no one is queued; otherwise a stream of compatible readers
+// would starve a queued writer forever.
+func (m *Manager) acquire(txn TxnID, res Resource, mode Mode) bool {
 	st := m.locks[res]
 	if st == nil {
-		st = &state{holders: make(map[TxnID]Mode)}
+		st = m.newState()
 		m.locks[res] = st
-	}
-	if cur, ok := st.holders[txn]; ok && (cur == Exclusive || cur == mode) {
+		m.grant(st, txn, res, mode)
 		return true
 	}
-	// Same fairness rule as Lock: never jump a non-empty queue.
-	if len(st.queue) == 0 && m.grantable(st, txn, mode) {
+	if i := st.holderIndex(txn); i >= 0 && (st.holders[i].mode == Exclusive || st.holders[i].mode == mode) {
+		return true
+	}
+	if len(st.queue) == 0 && st.grantable(txn, mode) {
 		m.grant(st, txn, res, mode)
 		return true
 	}
 	return false
 }
 
-// grantable reports whether txn can hold res in mode right now.
-func (m *Manager) grantable(st *state, txn TxnID, mode Mode) bool {
-	for h, hm := range st.holders {
-		if h == txn {
+func (m *Manager) newState() *state {
+	if n := len(m.freeStates); n > 0 {
+		st := m.freeStates[n-1]
+		m.freeStates = m.freeStates[:n-1]
+		return st
+	}
+	st := &state{}
+	st.holders = st.inline[:0]
+	return st
+}
+
+// txnState returns txn's record, creating it on first use.
+func (m *Manager) txnState(txn TxnID) *txnState {
+	ts := m.txns[txn]
+	if ts == nil {
+		if n := len(m.freeTxns); n > 0 {
+			ts = m.freeTxns[n-1]
+			m.freeTxns = m.freeTxns[:n-1]
+		} else {
+			ts = &txnState{}
+		}
+		m.txns[txn] = ts
+	}
+	return ts
+}
+
+// dropIfIdle forgets a transaction that neither holds nor waits for
+// anything, recycling its record.
+func (m *Manager) dropIfIdle(txn TxnID, ts *txnState) {
+	if len(ts.held) > 0 || ts.waiting != nil {
+		return
+	}
+	delete(m.txns, txn)
+	if len(m.freeTxns) < maxFree && cap(ts.held) <= maxPooledHeld {
+		m.freeTxns = append(m.freeTxns, ts)
+	}
+}
+
+func (st *state) holderIndex(txn TxnID) int {
+	for i := range st.holders {
+		if st.holders[i].txn == txn {
+			return i
+		}
+	}
+	return -1
+}
+
+// grantable reports whether txn can hold the resource in mode right now.
+func (st *state) grantable(txn TxnID, mode Mode) bool {
+	for _, h := range st.holders {
+		if h.txn == txn {
 			continue // upgrade: only other holders conflict
 		}
-		if mode == Exclusive || hm == Exclusive {
+		if mode == Exclusive || h.mode == Exclusive {
 			return false
 		}
 	}
@@ -183,14 +270,15 @@ func (m *Manager) grantable(st *state, txn TxnID, mode Mode) bool {
 }
 
 func (m *Manager) grant(st *state, txn TxnID, res Resource, mode Mode) {
-	st.holders[txn] = mode
-	hm := m.held[txn]
-	if hm == nil {
-		hm = make(map[Resource]Mode)
-		m.held[txn] = hm
+	ts := m.txnState(txn)
+	if i := st.holderIndex(txn); i >= 0 {
+		st.holders[i].mode = mode // upgrade: already in ts.held
+	} else {
+		st.holders = append(st.holders, holder{txn: txn, mode: mode})
+		ts.held = append(ts.held, res)
 	}
-	hm[res] = mode
-	delete(m.waitingOn, txn)
+	ts.waiting = nil
+	m.grants++
 }
 
 // blockers derives the current out-edges of a waiting transaction: the
@@ -198,16 +286,16 @@ func (m *Manager) grant(st *state, txn TxnID, res Resource, mode Mode) {
 // (FIFO hand-off means it waits for them too). For the transaction
 // currently requesting (not yet queued) the whole queue is ahead.
 func (m *Manager) blockers(txn TxnID, fn func(TxnID) bool) bool {
-	res, ok := m.waitingOn[txn]
-	if !ok {
+	ts := m.txns[txn]
+	if ts == nil || ts.waiting == nil {
 		return true
 	}
-	st := m.locks[res]
+	st := m.locks[ts.waiting]
 	if st == nil {
 		return true
 	}
-	for h := range st.holders {
-		if h != txn && !fn(h) {
+	for _, h := range st.holders {
+		if h.txn != txn && !fn(h.txn) {
 			return false
 		}
 	}
@@ -247,7 +335,21 @@ func (m *Manager) cyclic(target, cur TxnID, seen map[TxnID]bool) bool {
 func (m *Manager) Unlock(txn TxnID, res Resource) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.release(txn, res)
+	ts := m.txns[txn]
+	if ts == nil {
+		return
+	}
+	for i, r := range ts.held {
+		if r == res {
+			last := len(ts.held) - 1
+			ts.held[i] = ts.held[last]
+			ts.held[last] = nil
+			ts.held = ts.held[:last]
+			m.release(txn, res)
+			break
+		}
+	}
+	m.dropIfIdle(txn, ts)
 }
 
 // ReleaseAll releases every lock txn holds and removes it from the wait
@@ -255,34 +357,49 @@ func (m *Manager) Unlock(txn TxnID, res Resource) {
 func (m *Manager) ReleaseAll(txn TxnID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for res := range m.held[txn] {
-		m.release(txn, res)
+	ts := m.txns[txn]
+	if ts == nil {
+		return
 	}
-	delete(m.held, txn)
-	delete(m.waitingOn, txn)
+	for i, res := range ts.held {
+		m.release(txn, res)
+		ts.held[i] = nil
+	}
+	ts.held = ts.held[:0]
+	ts.waiting = nil
+	m.dropIfIdle(txn, ts)
 }
 
+// release drops txn from res's holders, hands the lock to the waiters it
+// unblocks, and recycles the entry once nobody holds or awaits it. The
+// caller maintains txn's held list.
 func (m *Manager) release(txn TxnID, res Resource) {
 	st := m.locks[res]
 	if st == nil {
 		return
 	}
-	delete(st.holders, txn)
-	if hm := m.held[txn]; hm != nil {
-		delete(hm, res)
+	if i := st.holderIndex(txn); i >= 0 {
+		last := len(st.holders) - 1
+		st.holders[i] = st.holders[last]
+		st.holders = st.holders[:last]
 	}
 	// Wake queued waiters in order while they are grantable.
 	for len(st.queue) > 0 {
 		w := st.queue[0]
-		if !m.grantable(st, w.txn, w.mode) {
+		if !st.grantable(w.txn, w.mode) {
 			break
 		}
+		st.queue[0] = nil
 		st.queue = st.queue[1:]
 		m.grant(st, w.txn, res, w.mode)
 		w.granted <- nil
 	}
 	if len(st.holders) == 0 && len(st.queue) == 0 {
 		delete(m.locks, res)
+		if len(m.freeStates) < maxFree {
+			st.queue = nil // its backing array was consumed from the front
+			m.freeStates = append(m.freeStates, st)
+		}
 	}
 }
 
@@ -290,14 +407,38 @@ func (m *Manager) release(txn TxnID, res Resource) {
 func (m *Manager) Holds(txn TxnID, res Resource) (Mode, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	mode, ok := m.held[txn][res]
-	return mode, ok
+	if st := m.locks[res]; st != nil {
+		if i := st.holderIndex(txn); i >= 0 {
+			return st.holders[i].mode, true
+		}
+	}
+	return Shared, false
+}
+
+// Stats is a point-in-time view of the lock table.
+type Stats struct {
+	Resources int    // resources currently held or awaited
+	Txns      int    // transactions holding or awaiting a lock
+	Waiting   int    // transactions blocked in Lock
+	Grants    uint64 // locks granted since the manager was created (upgrades included, re-acquisitions not)
+}
+
+// Stats returns the current table sizes and the cumulative grant count.
+func (m *Manager) Stats() Stats {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s := Stats{Resources: len(m.locks), Txns: len(m.txns), Grants: m.grants}
+	for _, ts := range m.txns {
+		if ts.waiting != nil {
+			s.Waiting++
+		}
+	}
+	return s
 }
 
 // String renders a summary for debugging.
 func (m *Manager) String() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	s := m.Stats()
 	return fmt.Sprintf("lock.Manager{resources: %d, txns: %d, waiting: %d}",
-		len(m.locks), len(m.held), len(m.waitingOn))
+		s.Resources, s.Txns, s.Waiting)
 }

@@ -158,3 +158,96 @@ func TestReleaseAllCleansUp(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUncontendedCycleAllocs pins the allocation-free fast path: one
+// relation plus four partitions locked and released — a writer's commit —
+// recycles its lock-table entries and its transaction record.
+func TestUncontendedCycleAllocs(t *testing.T) {
+	m := NewManager()
+	res := []Resource{new(int), new(int), new(int), new(int), new(int)}
+	id := TxnID(0)
+	cycle := func() {
+		id++
+		for _, r := range res {
+			if err := m.Lock(id, r, Exclusive); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.ReleaseAll(id)
+	}
+	cycle() // fill the free lists
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Fatalf("Lock×5 + ReleaseAll allocates %.1f times a cycle, want 0", n)
+	}
+	if s := m.Stats(); s.Resources != 0 || s.Txns != 0 {
+		t.Fatalf("manager not empty after the cycles: %+v", s)
+	}
+}
+
+// TestHoldersSpillPastInline holds one resource shared from more
+// transactions than an entry stores inline, queues a writer behind them,
+// and checks the hand-off and the clean-up.
+func TestHoldersSpillPastInline(t *testing.T) {
+	m := NewManager()
+	const readers = 3 * inlineHolders
+	for id := TxnID(1); id <= readers; id++ {
+		if err := m.Lock(id, "r", Shared); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writer := TxnID(readers + 1)
+	got := make(chan error, 1)
+	go func() { got <- m.Lock(writer, "r", Exclusive) }()
+	for m.Stats().Waiting != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	// FIFO: a reader arriving behind the queued writer must not jump it.
+	if m.TryLock(writer+1, "r", Shared) {
+		t.Fatal("reader jumped a queued writer")
+	}
+	for id := TxnID(1); id <= readers; id++ {
+		if mode, ok := m.Holds(id, "r"); !ok || mode != Shared {
+			t.Fatalf("txn %d: holds=%v mode=%v", id, ok, mode)
+		}
+		select {
+		case err := <-got:
+			t.Fatalf("writer granted beside %d readers (err=%v)", readers-int(id)+1, err)
+		default:
+		}
+		m.ReleaseAll(id)
+	}
+	if err := <-got; err != nil {
+		t.Fatal(err)
+	}
+	if mode, ok := m.Holds(writer, "r"); !ok || mode != Exclusive {
+		t.Fatalf("writer: holds=%v mode=%v", ok, mode)
+	}
+	m.ReleaseAll(writer)
+	if s := m.Stats(); s.Resources != 0 || s.Txns != 0 || s.Waiting != 0 {
+		t.Fatalf("manager not empty: %+v", s)
+	}
+}
+
+// TestStatsCountsGrants: a grant is counted once per lock taken or
+// upgraded, not per request, and a denied request leaves nothing behind.
+func TestStatsCountsGrants(t *testing.T) {
+	m := NewManager()
+	m.Lock(1, "a", Shared)
+	m.Lock(1, "a", Shared)    // re-acquisition: not a grant
+	m.Lock(1, "a", Exclusive) // upgrade
+	m.Lock(1, "b", Exclusive)
+	if m.TryLock(2, "a", Shared) {
+		t.Fatal("shared lock granted against an exclusive holder")
+	}
+	if s := m.Stats(); s.Grants != 3 || s.Resources != 2 || s.Txns != 1 {
+		t.Fatalf("stats = %+v, want 3 grants on 2 resources by 1 txn", s)
+	}
+	m.Unlock(1, "a")
+	if _, ok := m.Holds(1, "a"); ok {
+		t.Fatal("Unlock left the lock held")
+	}
+	m.Unlock(1, "b")
+	if s := m.Stats(); s.Resources != 0 || s.Txns != 0 {
+		t.Fatalf("manager not empty after Unlock: %+v", s)
+	}
+}

@@ -1,8 +1,9 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
-	"math"
+	"strconv"
 	"strings"
 )
 
@@ -89,20 +90,26 @@ func FmtCount(v float64) string {
 	case v < 10_000:
 		// Fractional counts are forecasts; one decimal carries all the
 		// signal an estimate has.
-		if v != math.Trunc(v) {
-			return trimZero(fmt.Sprintf("%.1f", v))
-		}
-		return fmt.Sprintf("%g", v)
+		return scaled(v, "")
 	case v < 1<<20:
-		return trimZero(fmt.Sprintf("%.1f", v/(1<<10))) + "Ki"
+		return scaled(v/(1<<10), "Ki")
 	case v < 1<<30:
-		return trimZero(fmt.Sprintf("%.1f", v/(1<<20))) + "Mi"
+		return scaled(v/(1<<20), "Mi")
 	default:
-		return trimZero(fmt.Sprintf("%.1f", v/(1<<30))) + "Gi"
+		return scaled(v/(1<<30), "Gi")
 	}
 }
 
-func trimZero(s string) string { return strings.TrimSuffix(s, ".0") }
+// scaled renders v to one decimal without a trailing ".0", followed by
+// unit. It formats into a stack buffer, so the result is the only
+// allocation whatever the magnitude — the audit formats a table
+// cardinality on every query.
+func scaled(v float64, unit string) string {
+	var buf [32]byte
+	b := strconv.AppendFloat(buf[:0], v, 'f', 1, 64)
+	b = bytes.TrimSuffix(b, []byte(".0"))
+	return string(append(b, unit...))
+}
 
 // FmtBytes renders a byte count with binary suffixes and a B unit
 // (4096 → "4KiB") for the trace's budget line.
@@ -111,10 +118,10 @@ func FmtBytes(v int64) string {
 	case v < 1<<10:
 		return fmt.Sprintf("%dB", v)
 	case v < 1<<20:
-		return trimZero(fmt.Sprintf("%.1f", float64(v)/(1<<10))) + "KiB"
+		return scaled(float64(v)/(1<<10), "KiB")
 	case v < 1<<30:
-		return trimZero(fmt.Sprintf("%.1f", float64(v)/(1<<20))) + "MiB"
+		return scaled(float64(v)/(1<<20), "MiB")
 	default:
-		return trimZero(fmt.Sprintf("%.1f", float64(v)/(1<<30))) + "GiB"
+		return scaled(float64(v)/(1<<30), "GiB")
 	}
 }

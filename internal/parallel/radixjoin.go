@@ -247,12 +247,12 @@ func (st *pairState) resplitBits(buildRows int, skip uint) uint {
 func (st *pairState) resplitAndJoin(inner, outer []radix.TupleEntry, skip, extra uint, depth int) (int, bool) {
 	cpl := radix.Plan{Bits: []uint{extra}}
 	pr := radix.GetTuplePartitioner()
-	ires, irel := pr.PartitionFrom(inner, cpl, skip, st.spec.Meter)
+	ires, irel := pr.PartitionFrom(inner, cpl, skip, &st.sc.ctr)
 	if len(ires) > 0 && &ires[0] != &inner[0] {
 		copy(inner, ires)
 	}
 	ioffs := append(make([]int, 0, len(irel)), irel...)
-	ores, orel := pr.PartitionFrom(outer, cpl, skip, st.spec.Meter)
+	ores, orel := pr.PartitionFrom(outer, cpl, skip, &st.sc.ctr)
 	if len(ores) > 0 && &ores[0] != &outer[0] {
 		copy(outer, ores)
 	}

@@ -34,6 +34,8 @@ func (m *Manager) PropagateOnce() error {
 }
 
 func (m *Manager) propagatePartition(k PartKey) error {
+	m.imgMu.Lock()
+	defer m.imgMu.Unlock()
 	img, err := m.readDiskImage(k)
 	if err != nil {
 		return err
@@ -48,7 +50,8 @@ func (m *Manager) propagatePartition(k PartKey) error {
 			img.LSN = rec.LSN
 		}
 	}
-	if err := writeFileAtomic(m.imagePath(k), storage.EncodePartition(img)); err != nil {
+	m.encBuf = storage.AppendPartition(m.encBuf[:0], img)
+	if err := writeFileAtomic(m.imagePath(k), m.encBuf); err != nil {
 		return err
 	}
 	m.prune(k, img.LSN)
@@ -104,14 +107,20 @@ func (d *Device) Stop() error {
 }
 
 // readDiskImage reads a partition's disk image, or an empty one if the
-// partition has never been checkpointed.
-func (m *Manager) readDiskImage(k PartKey) (img storage.PartitionImage, err error) {
-	data, rerr := os.ReadFile(m.imagePath(k))
-	if os.IsNotExist(rerr) {
+// partition has never been checkpointed, into the manager's propagation
+// scratch: the image is valid until the next call. The caller holds imgMu.
+func (m *Manager) readDiskImage(k PartKey) (storage.PartitionImage, error) {
+	f, err := os.Open(m.imagePath(k))
+	if os.IsNotExist(err) {
 		return storage.PartitionImage{Relation: k.Rel, PartID: k.Part}, nil
 	}
-	if rerr != nil {
-		return img, rerr
+	if err != nil {
+		return storage.PartitionImage{}, err
 	}
-	return storage.DecodePartition(data)
+	defer f.Close() // read only
+	m.fileBuf.Reset()
+	if _, err := m.fileBuf.ReadFrom(f); err != nil {
+		return storage.PartitionImage{}, err
+	}
+	return m.decoded.Decode(m.fileBuf.Bytes())
 }

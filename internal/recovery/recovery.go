@@ -15,6 +15,7 @@
 package recovery
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -91,6 +92,19 @@ type Manager struct {
 	// reflected in the disk-copy partition images, keyed by partition.
 	cal map[PartKey][]*Record
 	obs Observer
+
+	// imgMu serializes the writers of the disk copy — Checkpoint and
+	// propagation (the log device's, a commit's). Each reads what an image
+	// must contain, writes it and prunes the records it covers as one
+	// step, so of two writers of one image the later one wins whole.
+	imgMu sync.Mutex
+	// Propagation's working memory, under imgMu: the image file as read,
+	// its decoded form, and its new encoding are reused from partition to
+	// partition, so folding one record into an image does not allocate
+	// the image.
+	fileBuf bytes.Buffer
+	decoded storage.ImageScratch
+	encBuf  []byte
 }
 
 // SetObserver wires the metrics observer. Pass nil to disable. May be
@@ -146,12 +160,25 @@ func (m *Manager) Abort(txn uint64) {
 // Commit releases txn's records to the log device: they move from the
 // stable buffer into the change-accumulation log, from which they will be
 // propagated to the disk copy.
+//
+// Accumulation pays while a partition gathers a few changes between
+// rewrites of its image. Once a partition has gathered calPartitionFull
+// records, as many as the image holds tuples, another rewrite is no dearer
+// than the records it absorbs, so the commit folds that partition into
+// the disk copy itself, log device or none. A bulk load, which fills
+// partition after partition faster than any device interval, therefore
+// writes each image once and leaves no more of the log in memory than its
+// last, partly filled partitions; scattered updates accumulate as before.
 func (m *Manager) Commit(txn uint64) {
 	m.mu.Lock()
 	released := len(m.stable[txn])
+	var full []PartKey
 	for _, r := range m.stable[txn] {
 		k := PartKey{Rel: r.Rel, Part: r.Part}
 		m.cal[k] = append(m.cal[k], r)
+		if len(m.cal[k]) == calPartitionFull {
+			full = append(full, k)
+		}
 	}
 	delete(m.stable, txn)
 	obs := m.obs
@@ -159,7 +186,16 @@ func (m *Manager) Commit(txn uint64) {
 	if obs != nil {
 		obs.LogFlush(released)
 	}
+	for _, k := range full {
+		// A disk copy that cannot be written is reported by the device
+		// and by Close; the records stay queued for them.
+		_ = m.propagatePartition(k)
+	}
 }
+
+// calPartitionFull is how many committed records one partition accumulates
+// before a commit folds them into its image: a default partition's worth.
+const calPartitionFull = storage.DefaultSlotsPerPartition
 
 // PendingRecords returns how many committed records await propagation.
 func (m *Manager) PendingRecords() int {
@@ -177,22 +213,34 @@ func (m *Manager) imagePath(k PartKey) string {
 }
 
 // Checkpoint writes every partition of the given relations to the disk
-// copy and prunes change-accumulation records the images now cover.
+// copy and prunes change-accumulation records the images now cover. The
+// caller keeps writers off the relations for the duration (a shared
+// relation lock does): the images are labelled with the LSN read on entry,
+// so they must hold exactly the records up to it.
 func (m *Manager) Checkpoint(rels ...*storage.Relation) error {
 	m.mu.Lock()
 	lsn := m.nextLSN
 	m.mu.Unlock()
 	for _, rel := range rels {
 		for _, p := range rel.Partitions() {
-			p.SetLSN(lsn)
-			img := p.Snapshot()
-			k := PartKey{Rel: rel.Name(), Part: p.ID()}
-			if err := writeFileAtomic(m.imagePath(k), storage.EncodePartition(img)); err != nil {
+			if err := m.checkpointPartition(rel, p, lsn); err != nil {
 				return err
 			}
-			m.prune(k, lsn)
 		}
 	}
+	return nil
+}
+
+func (m *Manager) checkpointPartition(rel *storage.Relation, p *storage.Partition, lsn uint64) error {
+	m.imgMu.Lock()
+	defer m.imgMu.Unlock()
+	p.SetLSN(lsn)
+	k := PartKey{Rel: rel.Name(), Part: p.ID()}
+	m.encBuf = storage.AppendPartition(m.encBuf[:0], p.Snapshot())
+	if err := writeFileAtomic(m.imagePath(k), m.encBuf); err != nil {
+		return err
+	}
+	m.prune(k, lsn)
 	return nil
 }
 
@@ -257,12 +305,23 @@ func (m *Manager) DiskPartitions() ([]PartKey, error) {
 	return out, nil
 }
 
+// writeFileAtomic replaces path with data by renaming a temp file of its
+// own over it, so a reader sees the old image or the new one, never a
+// partial write, and two writers never share a temp file.
 func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
 		return fmt.Errorf("recovery: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(f.Name()) // best effort: the write error is what matters
 		return fmt.Errorf("recovery: %w", err)
 	}
 	return nil

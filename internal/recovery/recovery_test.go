@@ -565,3 +565,76 @@ func TestPropagateIsIdempotent(t *testing.T) {
 	}
 	_ = emp
 }
+
+// TestFullPartitionsAreFoldedAtCommit: a bulk load, with no device to
+// propagate it, leaves in the change-accumulation log only its last,
+// partly filled partitions — a commit folds a partition into the disk
+// copy once it has accumulated an image's worth of records — while
+// scattered updates accumulate as before. Recovery from that disk copy
+// plus the remainder is exact.
+func TestFullPartitionsAreFoldedAtCommit(t *testing.T) {
+	log, err := recovery.NewManager(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Default-sized partitions: schemas() makes four-tuple ones, which
+	// never accumulate an image's worth.
+	newDept := func() *storage.Relation {
+		_, small := schemas(t, storage.NewIDGen())
+		dept, err := storage.NewRelation("dept", small.Schema(), storage.Config{}, storage.NewIDGen())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dept
+	}
+	dept := newDept()
+	tm := txn.NewManager(lock.NewManager(), log)
+	const perTxn, txns = 500, 12
+	var loaded []*storage.Tuple
+	for c := 0; c < txns; c++ {
+		tx := tm.Begin()
+		for i := 0; i < perTxn; i++ {
+			n := c*perTxn + i
+			if err := tx.Insert(dept, []storage.Value{storage.StringValue(fmt.Sprintf("d%d", n)), storage.IntValue(int64(n))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ins, err := tx.Commit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded = append(loaded, ins...)
+		// What stays is less than an image's worth for each partition
+		// the transaction ended in.
+		if n, bound := log.PendingRecords(), perTxn+storage.DefaultSlotsPerPartition; n >= bound {
+			t.Fatalf("after load commit %d: %d records pending, want under %d", c, n, bound)
+		}
+	}
+	before := log.PendingRecords()
+	const updates = 40
+	for i := 0; i < updates; i++ {
+		tx := tm.Begin()
+		if err := tx.Update(dept, loaded[i*(len(loaded)/updates)], 1, storage.IntValue(int64(-i))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := log.PendingRecords() - before; got != updates {
+		t.Fatalf("%d scattered updates left %d records pending: they should accumulate", updates, got)
+	}
+	want := snapshot(dept)
+
+	dept2 := newDept()
+	r := log.NewRestart(dept2)
+	if err := r.LoadRemaining(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshot(dept2); !sameSnapshot(got, want) {
+		t.Fatalf("recovered %d departments, want %d", len(got), len(want))
+	}
+}

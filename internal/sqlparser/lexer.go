@@ -13,6 +13,7 @@ package sqlparser
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"unicode"
 )
 
@@ -38,10 +39,28 @@ type lexer struct {
 	tokens []token
 }
 
-// lex splits src into tokens; keywords stay as idents (the parser matches
-// them case-insensitively).
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+// lexerPool recycles lexers with their token slices across Parse calls.
+// The AST keeps token texts — substrings of the statement — and never the
+// slice, so a slice is free for reuse as soon as its statement is parsed.
+var lexerPool = sync.Pool{New: func() any { return new(lexer) }}
+
+// release drops the references to the statement and returns the lexer to
+// the pool.
+func (l *lexer) release() {
+	clear(l.tokens)
+	l.src = ""
+	lexerPool.Put(l)
+}
+
+// lex splits src into l.tokens; keywords stay as idents (the parser
+// matches them case-insensitively).
+func (l *lexer) lex(src string) error {
+	l.src, l.pos = src, 0
+	// Presize: SQL text runs at four bytes or more a token.
+	if want := len(src)/4 + 4; cap(l.tokens) < want {
+		l.tokens = make([]token, 0, want)
+	}
+	l.tokens = l.tokens[:0]
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
@@ -49,7 +68,7 @@ func lex(src string) ([]token, error) {
 			l.pos++
 		case c == '\'':
 			if err := l.lexString(); err != nil {
-				return nil, err
+				return err
 			}
 		case c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '-':
 			// Line comment.
@@ -58,18 +77,18 @@ func lex(src string) ([]token, error) {
 			}
 		case isDigit(rune(c)) || c == '-':
 			if err := l.lexNumber(); err != nil {
-				return nil, err
+				return err
 			}
 		case isIdentStart(rune(c)):
 			l.lexIdent()
 		default:
 			if err := l.lexPunct(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
 	l.tokens = append(l.tokens, token{kind: tokEOF, pos: l.pos})
-	return l.tokens, nil
+	return nil
 }
 
 func isDigit(r rune) bool      { return r >= '0' && r <= '9' }

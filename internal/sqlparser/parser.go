@@ -8,11 +8,12 @@ import (
 
 // Parse parses one SQL statement.
 func Parse(src string) (Statement, error) {
-	toks, err := lex(src)
-	if err != nil {
+	l := lexerPool.Get().(*lexer)
+	defer l.release()
+	if err := l.lex(src); err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	p := &parser{toks: l.tokens}
 	st, err := p.statement()
 	if err != nil {
 		return nil, err

@@ -63,7 +63,11 @@ const codecMagic = uint32(0x4d4d4442) // "MMDB"
 
 // EncodePartition serializes a partition image.
 func EncodePartition(img PartitionImage) []byte {
-	buf := make([]byte, 0, 64+len(img.Tuples)*32)
+	return AppendPartition(make([]byte, 0, 64+len(img.Tuples)*32), img)
+}
+
+// AppendPartition appends the serialization of img to buf.
+func AppendPartition(buf []byte, img PartitionImage) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, codecMagic)
 	buf = appendString(buf, img.Relation)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(img.PartID))
@@ -90,6 +94,21 @@ func EncodePartition(img PartitionImage) []byte {
 
 // DecodePartition parses a serialized partition image.
 func DecodePartition(data []byte) (PartitionImage, error) {
+	return new(ImageScratch).Decode(data)
+}
+
+// ImageScratch is the memory of one decoded image, for a caller that
+// decodes image after image and is done with each before the next — the
+// log device folding records into the disk copy, which would otherwise
+// allocate a partition's worth of tuples to change one.
+type ImageScratch struct {
+	tuples []TupleImage
+	vals   []ValueImage // every tuple's Vals, back to back
+}
+
+// Decode is DecodePartition into s's memory: the image it returns is
+// valid until the next Decode on s.
+func (s *ImageScratch) Decode(data []byte) (PartitionImage, error) {
 	d := decoder{buf: data}
 	var img PartitionImage
 	if magic := d.uint32(); magic != codecMagic {
@@ -102,11 +121,22 @@ func DecodePartition(data []byte) (PartitionImage, error) {
 	if d.err == nil && n > len(data) { // cheap sanity bound: >= 1 byte/tuple
 		return img, fmt.Errorf("storage: implausible tuple count %d", n)
 	}
-	img.Tuples = make([]TupleImage, 0, n)
+	if cap(s.tuples) < n {
+		s.tuples = make([]TupleImage, 0, n)
+	}
+	img.Tuples, s.vals = s.tuples[:0], s.vals[:0]
 	for i := 0; i < n && d.err == nil; i++ {
 		t := TupleImage{ID: d.uint64()}
 		nf := int(d.uint16())
-		t.Vals = make([]ValueImage, 0, nf)
+		if i == 0 {
+			// Tuples of one relation have one arity: size the arena for
+			// the image now (a value takes at least a byte, so a corrupt
+			// count cannot ask for more than the data is long).
+			if want := min(n*nf, len(data)); cap(s.vals) < want {
+				s.vals = make([]ValueImage, 0, want)
+			}
+		}
+		first := len(s.vals)
 		for f := 0; f < nf && d.err == nil; f++ {
 			v := ValueImage{Type: Type(d.byte())}
 			switch v.Type {
@@ -120,8 +150,12 @@ func DecodePartition(data []byte) (PartitionImage, error) {
 			default:
 				return img, fmt.Errorf("storage: bad value type %d in tuple %d", v.Type, t.ID)
 			}
-			t.Vals = append(t.Vals, v)
+			s.vals = append(s.vals, v)
 		}
+		// Capped, so nothing appends into the next tuple's values. When
+		// s.vals grows mid-image, earlier tuples keep the array they
+		// were cut from, which still holds their values.
+		t.Vals = s.vals[first:len(s.vals):len(s.vals)]
 		img.Tuples = append(img.Tuples, t)
 	}
 	if d.err != nil {

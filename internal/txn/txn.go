@@ -4,6 +4,28 @@
 // before the actual update is done to the database (as in IMS FASTPATH);
 // an abort simply removes the log entries — no undo is ever needed — and a
 // commit applies the updates and releases them to the active log device.
+//
+// Lock protocol. Locks form a two-level hierarchy in which a relation
+// lock covers the relation's partitions:
+//
+//   - A writer (Insert, Update, Delete) takes X(relation) first, then
+//     X(partition) for the tuple it changes. X(relation) is what protects
+//     the structures that span partitions — indices, the slab arenas, the
+//     published snapshot.
+//   - A selection takes S(relation) only (LockRelationShared).
+//   - A pointer read (Read) takes S(partition) only. It touches one tuple
+//     and no index, so it runs beside inserts and beside writers of other
+//     partitions; this is what partition locks are still for.
+//
+// Invariant: no transaction holds X(partition) without X(relation) on the
+// partition's relation. Therefore S(relation) excludes every writer of
+// every partition, and a reader needs one lock per table, not one per
+// partition. Every X(partition) request in this package is preceded by
+// the X(relation) request in the same function, and locks are only
+// released all at once; TestExclusivePartitionImpliesExclusiveRelation
+// enforces it. Writers of one relation therefore serialize; intention
+// modes (IS/IX) that would let them overlap need a relation-level latch
+// around index, slab and snapshot mutation, and are not implemented.
 package txn
 
 import (
@@ -99,7 +121,8 @@ func (t *Txn) ID() uint64 { return t.id }
 
 func (t *Txn) lockID() lock.TxnID { return lock.TxnID(t.id) }
 
-// Read returns the tuple's field values under a shared partition lock.
+// Read returns the tuple's field values under a shared partition lock —
+// no relation lock, so it conflicts only with a writer of this partition.
 func (t *Txn) Read(tp *storage.Tuple) ([]storage.Value, error) {
 	if t.done {
 		return nil, ErrDone
@@ -110,42 +133,40 @@ func (t *Txn) Read(tp *storage.Tuple) ([]storage.Value, error) {
 	return tp.Values(), nil
 }
 
-// LockRelationShared takes a shared lock on the relation plus every
-// partition — the read lock a selection needs. The relation-level lock is
-// what serializes readers against index-mutating writers: indices span
-// partitions, so partition locks alone cannot protect an index traversal.
+// LockRelationShared takes the read lock a selection needs: S(relation),
+// and nothing else. Under the covering hierarchy (see the package comment)
+// it excludes every writer of the relation, so the index traversal and
+// every tuple the selection touches are stable without a lock per
+// partition — the statement's locking cost does not grow with the table.
 func (t *Txn) LockRelationShared(rel *storage.Relation) error {
+	return t.lockRelation(rel, lock.Shared)
+}
+
+// LockRelationExclusive takes X(relation) up front. A transaction that
+// will read and then write the same relation (SQL UPDATE/DELETE … WHERE)
+// calls it before the read: two such transactions that each took
+// S(relation) first would both block upgrading, and one would be the
+// deadlock victim; with the exclusive lock first they serialize.
+func (t *Txn) LockRelationExclusive(rel *storage.Relation) error {
+	return t.lockRelation(rel, lock.Exclusive)
+}
+
+func (t *Txn) lockRelation(rel *storage.Relation, mode lock.Mode) error {
 	if t.done {
 		return ErrDone
 	}
-	if err := t.m.Locks.Lock(t.lockID(), rel, lock.Shared); err != nil {
+	if err := t.m.Locks.Lock(t.lockID(), rel, mode); err != nil {
 		return t.failLock(err)
-	}
-	for _, p := range rel.Partitions() {
-		if err := t.m.Locks.Lock(t.lockID(), p, lock.Shared); err != nil {
-			return t.failLock(err)
-		}
 	}
 	return nil
 }
 
 // TryLockRelationShared is LockRelationShared without blocking: it
-// reports false (releasing nothing — the caller aborts the ephemeral
-// transaction) when any of the locks is not immediately grantable.
-// Statistics exposition uses it to avoid stalling behind writers.
+// reports false (the caller aborts the ephemeral transaction) when
+// S(relation) is not immediately grantable. Statistics exposition uses
+// it to avoid stalling behind writers.
 func (t *Txn) TryLockRelationShared(rel *storage.Relation) bool {
-	if t.done {
-		return false
-	}
-	if !t.m.Locks.TryLock(t.lockID(), rel, lock.Shared) {
-		return false
-	}
-	for _, p := range rel.Partitions() {
-		if !t.m.Locks.TryLock(t.lockID(), p, lock.Shared) {
-			return false
-		}
-	}
-	return true
+	return !t.done && t.m.Locks.TryLock(t.lockID(), rel, lock.Shared)
 }
 
 // Insert buffers an insert. Schema validation happens immediately; the

@@ -1,6 +1,8 @@
 package txn
 
 import (
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -162,4 +164,187 @@ func TestLockOrderingAcrossOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe.Abort()
+}
+
+// newPartitionedRel returns a relation of n rows spread over many small
+// partitions, and its tuples.
+func newPartitionedRel(t *testing.T, name string, n int) (*storage.Relation, []*storage.Tuple) {
+	t.Helper()
+	schema := storage.MustSchema(
+		storage.FieldDef{Name: "k", Type: storage.Int},
+		storage.FieldDef{Name: "s", Type: storage.Str},
+	)
+	rel, err := storage.NewRelation(name, schema, storage.Config{SlotsPerPartition: 4}, storage.NewIDGen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples := make([]*storage.Tuple, n)
+	for i := range tuples {
+		if tuples[i], err = rel.Insert([]storage.Value{storage.IntValue(int64(i)), storage.StringValue("x")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rel, tuples
+}
+
+// TestRelationSharedLockCoversPartitions: a selection's read lock is one
+// lock whatever the partition count, and it still excludes a writer of
+// any partition while leaving pointer reads alone.
+func TestRelationSharedLockCoversPartitions(t *testing.T) {
+	rel, tuples := newPartitionedRel(t, "r", 400)
+	if n := len(rel.Partitions()); n < 100 {
+		t.Fatalf("only %d partitions", n)
+	}
+	locks := lock.NewManager()
+	tm := NewManager(locks, nil)
+	reader := tm.Begin()
+	before := locks.Stats().Grants
+	if err := reader.LockRelationShared(rel); err != nil {
+		t.Fatal(err)
+	}
+	if got := locks.Stats().Grants - before; got != 1 {
+		t.Fatalf("LockRelationShared took %d locks on a %d-partition relation, want 1", got, len(rel.Partitions()))
+	}
+	if probe := tm.Begin(); !probe.TryLockRelationShared(rel) {
+		t.Fatal("second reader refused")
+	} else {
+		probe.Abort()
+	}
+	// A pointer read needs only its partition.
+	ptr := tm.Begin()
+	if _, err := ptr.Read(tuples[7]); err != nil {
+		t.Fatal(err)
+	}
+	ptr.Abort()
+	// A writer of any partition waits for the reader.
+	writer := tm.Begin()
+	got := make(chan error, 1)
+	go func() { got <- writer.Update(rel, tuples[399], 1, storage.StringValue("y")) }()
+	for locks.Stats().Waiting != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	reader.Abort()
+	if err := <-got; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := writer.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if s := locks.Stats(); s.Resources != 0 || s.Txns != 0 {
+		t.Fatalf("locks left behind: %+v", s)
+	}
+}
+
+// TestPointerReadRunsBesideInsert: an insert holds X(relation) only, so a
+// pointer read of an existing tuple, which takes S(partition), is not
+// blocked by it.
+func TestPointerReadRunsBesideInsert(t *testing.T) {
+	rel, tuples := newPartitionedRel(t, "r", 8)
+	tm := NewManager(lock.NewManager(), nil)
+	ins := tm.Begin()
+	if err := ins.Insert(rel, []storage.Value{storage.IntValue(100), storage.NullValue}); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan error, 1)
+	go func() {
+		ptr := tm.Begin()
+		_, err := ptr.Read(tuples[0])
+		ptr.Abort()
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("pointer read blocked behind an insert")
+	}
+	ins.Abort()
+}
+
+// TestExclusivePartitionImpliesExclusiveRelation hammers two relations
+// with every kind of transaction and checks, after every lock the
+// protocol grants, the invariant the covering relation lock rests on: a
+// transaction holding X(partition) holds X(relation). With it,
+// S(relation) alone excludes every writer.
+func TestExclusivePartitionImpliesExclusiveRelation(t *testing.T) {
+	locks := lock.NewManager()
+	tm := NewManager(locks, nil)
+	type target struct {
+		rel    *storage.Relation
+		tuples []*storage.Tuple
+		parts  []*storage.Partition // of tuples; copied, because inserts add partitions
+	}
+	var targets [2]target
+	for i, name := range []string{"a", "b"} {
+		tg := &targets[i]
+		tg.rel, tg.tuples = newPartitionedRel(t, name, 64)
+		tg.parts = append(tg.parts, tg.rel.Partitions()...)
+	}
+	check := func(tx *Txn) {
+		for _, tg := range targets {
+			relMode, relHeld := locks.Holds(tx.lockID(), tg.rel)
+			for _, p := range tg.parts {
+				if mode, ok := locks.Holds(tx.lockID(), p); ok && mode == lock.Exclusive &&
+					!(relHeld && relMode == lock.Exclusive) {
+					t.Errorf("txn %d holds X(partition %d of %s) without X(relation)", tx.ID(), p.ID(), tg.rel.Name())
+				}
+			}
+		}
+	}
+	const workers, rounds = 6, 150
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for r := 0; r < rounds; r++ {
+				tx := tm.Begin()
+				var err error
+				for step := 0; step < 4 && err == nil; step++ {
+					tg := targets[rng.Intn(len(targets))]
+					// Workers update disjoint tuples; nobody deletes, so every
+					// pointer stays live.
+					tp := tg.tuples[(rng.Intn(len(tg.tuples)/workers))*workers+w]
+					switch rng.Intn(5) {
+					case 0:
+						err = tx.Insert(tg.rel, []storage.Value{storage.IntValue(int64(1000 + r)), storage.NullValue})
+					case 1:
+						err = tx.Update(tg.rel, tp, 1, storage.StringValue("y"))
+					case 2:
+						_, err = tx.Read(tp)
+					case 3:
+						err = tx.LockRelationShared(tg.rel)
+					case 4:
+						// Read, then write the same tuple: S(partition) upgrades.
+						if _, err = tx.Read(tp); err == nil {
+							err = tx.Update(tg.rel, tp, 1, storage.StringValue("z"))
+						}
+					}
+					if err == nil {
+						check(tx)
+					}
+				}
+				switch {
+				case err == lock.ErrDeadlock:
+					// failLock already aborted the victim.
+				case err != nil:
+					t.Errorf("worker %d: %v", w, err)
+					tx.Abort()
+				case r%3 == 0:
+					tx.Abort()
+				default:
+					if _, err := tx.Commit(); err != nil {
+						t.Errorf("worker %d: commit: %v", w, err)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if s := locks.Stats(); s.Resources != 0 || s.Txns != 0 || s.Waiting != 0 {
+		t.Fatalf("locks left behind: %+v", s)
+	}
 }

@@ -390,7 +390,10 @@ func (db *Database) Close() error {
 	return nil
 }
 
-// Checkpoint writes every table's partitions to the disk copy.
+// Checkpoint writes every table's partitions to the disk copy. It is safe
+// beside running transactions and the background log device: each table
+// is written under its shared relation lock, one table at a time, so
+// writers of that table wait for its images and no others.
 func (db *Database) Checkpoint() error {
 	if db.log == nil {
 		return fmt.Errorf("mmdb: database opened without durability")
@@ -402,7 +405,21 @@ func (db *Database) Checkpoint() error {
 	}
 	db.mu.RUnlock()
 	sort.Slice(rels, func(i, j int) bool { return rels[i].Name() < rels[j].Name() })
-	return db.log.Checkpoint(rels...)
+	for _, rel := range rels {
+		if err := db.checkpointRelation(rel); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (db *Database) checkpointRelation(rel *storage.Relation) error {
+	reader := db.txns.BeginUntracked()
+	defer reader.Abort() // releases the shared lock
+	if err := reader.LockRelationShared(rel); err != nil {
+		return err
+	}
+	return db.log.Checkpoint(rel)
 }
 
 // CreateTable declares a table. Every relation must be reachable through

@@ -505,7 +505,7 @@ func (q *Query) snapshotShapeOK() bool {
 		return false // the limit pushes an early exit into the selection
 	}
 	if len(q.preds) > 0 {
-		if _, path := q.chooseSelectionPath(); path != plan.PathSequentialScan {
+		if q.chooseSelectionPath().path != plan.PathSequentialScan {
 			return false
 		}
 	}
@@ -660,10 +660,11 @@ func (r *Result) truncate(n int) *Result {
 	return &Result{list: headList(r.list, n), plan: r.plan}
 }
 
-// Run plans and executes the query under shared relation locks, so
-// queries are safe against concurrent transactions. Tables are locked in
-// name order to keep concurrent multi-table queries deadlock-free among
-// themselves.
+// Run plans and executes the query under one shared relation lock per
+// distinct table it names — however many partitions the tables have — so
+// queries are safe against concurrent transactions: every writer holds
+// the table's exclusive relation lock. Tables are locked in name order to
+// keep concurrent multi-table queries deadlock-free among themselves.
 func (q *Query) Run() (*Result, error) {
 	res, _, err := q.execute(false)
 	return res, err
@@ -1434,13 +1435,8 @@ func (q *Query) Explain() (string, error) {
 	if outerExact {
 		lines = append(lines, fmt.Sprintf("access %s: full scan via %s index", t.Name(), t.primary.kind))
 	} else {
-		best, bestPath := q.chooseSelectionPath()
-		p := q.preds[best]
-		note := fmt.Sprintf("access %s: %s on %q", t.Name(), bestPath, p.column)
-		if len(q.preds) > 1 {
-			note += fmt.Sprintf(" + %d residual filter(s)", len(q.preds)-1)
-		}
-		lines = append(lines, note)
+		sp := q.chooseSelectionPath()
+		lines = append(lines, fmt.Sprintf("access %s: %s", t.Name(), sp.describe(q, sp.path.String())))
 	}
 	if len(q.joins) >= 2 {
 		// Multi-join: run the order enumerator on catalog estimates (the
@@ -1494,22 +1490,106 @@ func (q *Query) Explain() (string, error) {
 	return strings.Join(lines, "\n"), nil
 }
 
+// selPlan is the selection's access-path decision. Explain prints it and
+// runSelection executes it, so the planned and the executed path cannot
+// disagree.
+type selPlan struct {
+	pred int // index in q.preds of the predicate served through the index
+	path plan.AccessPath
+	// PathTreeRange only: every range predicate on the indexed column
+	// folded into the one inclusive interval the index is probed with.
+	// A nil bound is open. Strict bounds (<, >) fold like inclusive ones;
+	// the residual filter, which re-checks every predicate, drops the
+	// endpoint.
+	lo, hi *Value
+	folded int  // predicates the interval stands for
+	empty  bool // no key can qualify: lo > hi, or a comparison with NULL
+}
+
 // chooseSelectionPath picks the indexable predicate with the best access
 // path by the §4 preference order; pure planning, no execution.
-func (q *Query) chooseSelectionPath() (int, plan.AccessPath) {
+func (q *Query) chooseSelectionPath() selPlan {
 	t := q.from
-	best, bestPath := -1, plan.PathSequentialScan
+	sp := selPlan{pred: -1, path: plan.PathSequentialScan}
 	for i, p := range q.preds {
 		path := plan.ChooseSelection(plan.SelectionInput{
 			Op:      p.op,
 			HasHash: t.indexOn(p.field, false) != nil,
 			HasTree: t.indexOn(p.field, true) != nil,
 		})
-		if best == -1 || path < bestPath {
-			best, bestPath = i, path
+		if sp.pred == -1 || path < sp.path {
+			sp.pred, sp.path = i, path
 		}
 	}
-	return best, bestPath
+	if sp.path == plan.PathTreeRange {
+		q.foldRange(&sp)
+	}
+	return sp
+}
+
+// foldRange intersects all range predicates on the indexed column:
+// the tightest lower bound from >, >= and the tightest upper bound from
+// <, <=. A bound whose type is not the column's stays a residual
+// predicate (storage.Compare rejects mixed types).
+func (q *Query) foldRange(sp *selPlan) {
+	field := q.preds[sp.pred].field
+	colType := q.from.rel.Schema().Field(field).Type
+	for i := range q.preds {
+		p := &q.preds[i]
+		if p.field != field || p.op == Eq || p.op == Ne {
+			continue
+		}
+		if p.val.IsNull() {
+			sp.folded++
+			sp.empty = true
+			continue
+		}
+		if p.val.Type() != colType {
+			continue
+		}
+		sp.folded++
+		switch p.op {
+		case Gt, Ge:
+			if sp.lo == nil || storage.Compare(p.val, *sp.lo) > 0 {
+				sp.lo = &p.val
+			}
+		case Lt, Le:
+			if sp.hi == nil || storage.Compare(p.val, *sp.hi) < 0 {
+				sp.hi = &p.val
+			}
+		}
+	}
+	if sp.lo != nil && sp.hi != nil && storage.Compare(*sp.lo, *sp.hi) > 0 {
+		sp.empty = true
+	}
+}
+
+// describe renders the decision for plan notes: the access (the planned
+// path's name, or what the executor ran in its place — a parallel or
+// snapshot scan), the column, the folded interval, and how many
+// predicates are left to the residual filter.
+func (sp selPlan) describe(q *Query, access string) string {
+	desc := fmt.Sprintf("%s on %q", access, q.preds[sp.pred].column)
+	served := 1
+	if sp.path == plan.PathTreeRange {
+		served = sp.folded
+		lo, hi := "(-inf", "+inf)"
+		if sp.lo != nil {
+			lo = "[" + sp.lo.String()
+		}
+		if sp.hi != nil {
+			hi = sp.hi.String() + "]"
+		}
+		if sp.empty {
+			desc += " (empty interval)"
+		} else {
+			desc += " " + lo + ", " + hi
+		}
+	}
+	if n := len(q.preds) - served; n > 0 {
+		desc += fmt.Sprintf(" + %d residual filter(s)", n)
+	}
+	return desc
 }
 
 // selExec is the outcome of the selection phase plus the numbers the
@@ -1627,8 +1707,8 @@ func (q *Query) runSelection(m *meter.Counters, pg *obs.Progress, limit int) sel
 			rowsIn:   list.Len(),
 		}
 	}
-	best, bestPath := q.chooseSelectionPath()
-	p := q.preds[best]
+	sp := q.chooseSelectionPath()
+	bestPath, p := sp.path, q.preds[sp.pred]
 	var list *storage.TempList
 	probeKind, probes := "", int64(0)
 	scanWorkers := 0
@@ -1642,15 +1722,12 @@ func (q *Query) runSelection(m *meter.Counters, pg *obs.Progress, limit int) sel
 		list = exec.SelectEqTree(ix.ordered, p.field, p.val, spec)
 		probeKind, probes = ix.kind.String(), 1
 	case plan.PathTreeRange:
-		var lo, hi *Value
-		switch p.op {
-		case Lt, Le:
-			hi = &p.val
-		case Gt, Ge:
-			lo = &p.val
+		if sp.empty {
+			list = storage.MustTempListHint(storage.Descriptor{Sources: []string{t.Name()}}, 0)
+			break
 		}
 		ix := t.indexOn(p.field, true)
-		list = exec.SelectRange(ix.ordered, p.field, lo, hi, spec)
+		list = exec.SelectRange(ix.ordered, p.field, sp.lo, sp.hi, spec)
 		probeKind, probes = ix.kind.String(), 1
 		// Range access is inclusive; strict bounds drop the endpoint below.
 	default:
@@ -1697,17 +1774,14 @@ func (q *Query) runSelection(m *meter.Counters, pg *obs.Progress, limit int) sel
 		out.AppendOne(tp) // selection lists are single-source (arity 1)
 		return true
 	})
-	pathDesc := fmt.Sprintf("%s on %q", bestPath, p.column)
+	access := bestPath.String()
 	if scanWorkers > 1 {
-		pathDesc = fmt.Sprintf("parallel partition scan (%d workers) on %q", scanWorkers, p.column)
+		access = fmt.Sprintf("parallel partition scan (%d workers)", scanWorkers)
 	}
 	if q.snap != nil {
-		pathDesc = fmt.Sprintf("snapshot scan @ epoch %d (%d workers, lock-free) on %q",
-			q.snap.Epoch(), scanWorkers, p.column)
+		access = fmt.Sprintf("snapshot scan @ epoch %d (%d workers, lock-free)", q.snap.Epoch(), scanWorkers)
 	}
-	if len(q.preds) > 1 {
-		pathDesc += fmt.Sprintf(" + %d residual filter(s)", len(q.preds)-1)
-	}
+	pathDesc := sp.describe(q, access)
 	if limit >= 0 {
 		pathDesc += fmt.Sprintf(" (early exit at LIMIT %d)", limit)
 	}

@@ -372,6 +372,25 @@ func (db *Database) execSelect(s *sqlparser.Select) (*ExecResult, error) {
 	return &ExecResult{Result: res, RowsAffected: res.Len(), Plan: res.Plan()}, nil
 }
 
+// selectForWrite starts the transaction of an UPDATE or DELETE and runs
+// its selection inside it. The target's exclusive relation lock is taken
+// before the read: had the selection taken the shared lock first, two
+// concurrent statements on one table would both hold it, both ask to
+// upgrade, and one would come back as a deadlock victim. On error the
+// transaction is already aborted.
+func (db *Database) selectForWrite(t *Table, q *Query) (*Txn, *Result, error) {
+	tx := db.Begin()
+	if err := tx.inner.LockRelationExclusive(t.rel); err != nil {
+		return nil, nil, err
+	}
+	res, err := q.In(tx).Run()
+	if err != nil {
+		tx.Abort()
+		return nil, nil, err
+	}
+	return tx, res, nil
+}
+
 func (db *Database) execUpdate(s *sqlparser.Update) (*ExecResult, error) {
 	t, ok := db.Table(s.Table)
 	if !ok {
@@ -388,10 +407,8 @@ func (db *Database) execUpdate(s *sqlparser.Update) (*ExecResult, error) {
 	// Read and write inside ONE transaction: the selection runs through
 	// the txn's locks, so no other writer can slip between finding the
 	// rows and updating them.
-	tx := db.Begin()
-	res, err := q.In(tx).Run()
+	tx, res, err := db.selectForWrite(t, q)
 	if err != nil {
-		tx.Abort()
 		return nil, err
 	}
 	for i := 0; i < res.Len(); i++ {
@@ -417,10 +434,8 @@ func (db *Database) execDelete(s *sqlparser.Delete) (*ExecResult, error) {
 	}
 	// As in execUpdate: select and delete under the same transaction so
 	// the victim set cannot change between the read and the writes.
-	tx := db.Begin()
-	res, err := q.In(tx).Run()
+	tx, res, err := db.selectForWrite(t, q)
 	if err != nil {
-		tx.Abort()
 		return nil, err
 	}
 	for i := 0; i < res.Len(); i++ {

@@ -1,6 +1,7 @@
 package mmdb
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -119,4 +120,55 @@ func TestConcurrentDeleteExactlyOnce(t *testing.T) {
 	if res.Result.Row(0)[0].Int() != 0 {
 		t.Fatalf("%d rows remain", res.Result.Row(0)[0].Int())
 	}
+}
+
+// TestConcurrentSingleRowDMLNeverDeadlocks is the regression test for the
+// spurious deadlock of concurrent SQL DML on one table: UPDATE and DELETE
+// used to select under the shared relation lock and then upgrade it, so
+// two statements at once both held S, both asked for X, and one came back
+// with lock.ErrDeadlock. They now take the exclusive lock before the
+// selection and serialize: no statement fails, none needs a retry.
+func TestConcurrentSingleRowDMLNeverDeadlocks(t *testing.T) {
+	const workers, perWorker = 8, 200
+	db := dmlDB(t, workers*perWorker)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				id := w*perWorker + i
+				stmt := fmt.Sprintf("UPDATE flip SET bal = %d WHERE id = %d", id+1, id)
+				if id%2 == 1 {
+					stmt = fmt.Sprintf("DELETE FROM flip WHERE id = %d", id)
+				}
+				r, err := db.Exec(stmt)
+				if err != nil {
+					t.Errorf("%s: %v", stmt, err)
+					return
+				}
+				if r.RowsAffected != 1 {
+					t.Errorf("%s: %d rows affected", stmt, r.RowsAffected)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	res, err := db.Query("flip").Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != workers*perWorker/2 {
+		t.Fatalf("%d rows left, want %d", res.Len(), workers*perWorker/2)
+	}
+	for i := 0; i < res.Len(); i++ {
+		id, bal := res.Row(i)[0].Int(), res.Row(i)[1].Int()
+		if id%2 != 0 || bal != id+1 {
+			t.Errorf("row id=%d bal=%d: want an even id with bal = id+1", id, bal)
+		}
+	}
+	if s := db.Stats(); s.Deadlocks != 0 {
+		t.Errorf("%d deadlocks among single-row statements on one table", s.Deadlocks)
+	}
+	assertNoLocks(t, db, "the DML streams")
 }

@@ -42,7 +42,9 @@ func (t *Txn) Read(tp *Tuple) ([]Value, error) {
 	return t.inner.Read(tp)
 }
 
-// LockTableShared takes shared locks on all of a table's partitions.
+// LockTableShared takes the table's shared relation lock — the lock a
+// query takes. It covers every partition: writers hold the exclusive
+// relation lock, so none runs until this transaction ends.
 func (t *Txn) LockTableShared(table *Table) error {
 	return t.inner.LockRelationShared(table.rel)
 }
