@@ -1,0 +1,63 @@
+package mmdb
+
+import "testing"
+
+// Allocation guards of the analytic path: a stage boundary moves chunks,
+// so what a query allocates follows its output, not its input.
+
+// TestWarmDistinctAllocsFollowOutput: SELECT DISTINCT over 200k rows with
+// 20k distinct keys materializes no key vector — the keys-only aggregation
+// run is allocation-free, the projection moves, the intermediates are
+// released — so a warm run stays far below one allocation per fifty input
+// rows (the parent commit allocated ≈2.8 per row).
+func TestWarmDistinctAllocsFollowOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads a 200k-row table")
+	}
+	const rows, keys = 200000, 20000
+	db := openKeyed(t, Options{}, rows, keys)
+	run := func() {
+		res, err := db.Query("a").Select("k").Distinct().Run()
+		if err != nil || res.Len() != keys {
+			t.Fatalf("distinct returned %d rows, %v", res.Len(), err)
+		}
+	}
+	run()
+	run()
+	allocs := testing.AllocsPerRun(5, run)
+	t.Logf("warm SELECT DISTINCT: %.0f allocations over %d rows", allocs, rows)
+	if allocs > rows/50 {
+		t.Errorf("warm SELECT DISTINCT allocates %.0f times over %d rows, ceiling %d", allocs, rows, rows/50)
+	}
+}
+
+// TestFilteredScanAllocsIndependentOfTableSize: a 0.1 %-selective filter
+// runs inside the scan's morsels, so no list of the table's size is ever
+// built: the scan allocates the same on a 10k-row and on a 200k-row table
+// (the parent commit copied the table, a chunk per 256 rows, and then
+// filtered the copy).
+func TestFilteredScanAllocsIndependentOfTableSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads a 200k-row table")
+	}
+	measure := func(rows int) float64 {
+		db := openKeyed(t, Options{}, rows, 1000)
+		run := func() {
+			res, err := db.Query("a").Where("k", Eq, Int(7)).Select("id").Parallel(2).Run()
+			if err != nil || res.Len() != rows/1000 {
+				t.Fatalf("filter kept %d of %d rows, %v", res.Len(), rows, err)
+			}
+		}
+		run()
+		run()
+		return testing.AllocsPerRun(20, run)
+	}
+	small, large := measure(10000), measure(200000)
+	t.Logf("filtered scan: %.0f allocations at 10k rows, %.0f at 200k", small, large)
+	// The slack is for sync.Pool, which drops a pooled chunk now and then
+	// (always, now and then, under the race detector); one chunk per 256
+	// rows of the larger table would be ≈780.
+	if d := large - small; d > 16 || d < -16 {
+		t.Errorf("filtered scan allocates %.0f times at 10k rows and %.0f at 200k", small, large)
+	}
+}

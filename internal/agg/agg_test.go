@@ -245,10 +245,20 @@ func TestWarmGrouperZeroAlloc(t *testing.T) {
 	m := &meter.Counters{}
 	g := agg.Get()
 	defer agg.Put(g)
-	run := func() { g.Run(list, []int{0}, allSpecs, nil, m) }
-	run() // warm the scratch
-	if allocs := testing.AllocsPerRun(10, run); allocs > 0 {
-		t.Fatalf("warm grouper allocates %.0f times per run, want 0", allocs)
+	for _, c := range []struct {
+		name  string
+		keys  []int
+		specs []agg.Spec
+	}{
+		{"grouped", []int{0}, allSpecs},
+		// DISTINCT's run: no spec, every column a key.
+		{"keys-only", []int{0, 1}, nil},
+	} {
+		run := func() { g.Run(list, c.keys, c.specs, nil, m) }
+		run() // warm the scratch
+		if allocs := testing.AllocsPerRun(10, run); allocs > 0 {
+			t.Fatalf("%s: warm grouper allocates %.0f times per run, want 0", c.name, allocs)
+		}
 	}
 }
 

@@ -1,10 +1,13 @@
 package parallel
 
 import (
+	"slices"
+
 	"repro/internal/agg"
 	"repro/internal/exec"
 	"repro/internal/meter"
 	"repro/internal/obs"
+	"repro/internal/radix"
 	"repro/internal/sched"
 	"repro/internal/storage"
 )
@@ -49,6 +52,28 @@ func HashAgg(sq *sched.Query, pg *obs.Progress, g *agg.Grouper, list *storage.Te
 		agg.Put(wg)
 	}
 	return res
+}
+
+// Distinct is §3.4 duplicate elimination as a keys-only run of the
+// aggregation engine: every output column of list is a group key and no
+// aggregate is folded, so the engine's group representatives — the first
+// input row of each distinct key, on the flat, the partitioned and the
+// per-worker-merge shapes alike — are the survivors. Sorted ascending
+// they are exec.ProjectHash's output row for row, and they are emitted as
+// pointer rows: no key is materialized and no relation is built. g, bits
+// and w are HashAgg's.
+func Distinct(sq *sched.Query, pg *obs.Progress, g *agg.Grouper, list *storage.TempList, bits []uint, w int, m *meter.Counters) (*storage.TempList, radix.Stats) {
+	keys := make([]int, len(list.Descriptor().Cols))
+	for i := range keys {
+		keys[i] = i
+	}
+	res := HashAgg(sq, pg, g, list, keys, nil, bits, w, m)
+	slices.Sort(res.Reps)
+	out := storage.MustTempListHint(list.Descriptor(), len(res.Reps))
+	for _, r := range res.Reps {
+		out.Append(list.Row(int(r)))
+	}
+	return out, res.Stats
 }
 
 // TopK returns the first k row ordinals of list in ORDER BY order using

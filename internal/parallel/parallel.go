@@ -20,9 +20,9 @@
 //     sides are range-partitioned on sampled splitters, then each worker
 //     sorts and merge-joins its key range locally — there is no global
 //     sort or merge barrier across workers.
-//   - Duplicate-eliminating projection hash-partitions rows on their
-//     projected key, dedups each partition privately, and restores the
-//     serial first-occurrence order by a final index merge.
+//   - Grouped aggregation folds each worker's row range into a private
+//     flat table and merges the partials at the barrier; duplicate
+//     elimination is the same engine run keys-only (Distinct).
 //
 // Every operator takes an explicit worker count; a count of 1 delegates
 // to the serial exec implementation, byte-for-byte preserving the paper's

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/agg"
 	"repro/internal/exec"
 	"repro/internal/meter"
 	"repro/internal/storage"
@@ -128,11 +129,11 @@ func TestParallelSelectScanMatchesSerial(t *testing.T) {
 // near-unique key distributions alike.
 func TestParallelHashJoinMatchesSerial(t *testing.T) {
 	for _, c := range []struct {
-		name       string
-		n1, n2     int
-		dup        float64
-		sigma      float64
-		workers    int
+		name    string
+		n1, n2  int
+		dup     float64
+		sigma   float64
+		workers int
 	}{
 		{"unique", 4000, 4000, 0, workload.NearUniform, 4},
 		{"dups-skewed", 3000, 3000, 60, workload.Skewed, 4},
@@ -198,37 +199,6 @@ func TestParallelSortMergeJoinMatchesSerial(t *testing.T) {
 				return true
 			})
 		})
-	}
-}
-
-// TestParallelProjectHashIdenticalToSerial: the partitioned distinct must
-// be bit-identical to the serial operator — same surviving rows, same
-// (first-occurrence) order.
-func TestParallelProjectHashIdenticalToSerial(t *testing.T) {
-	for _, dupPct := range []float64{0, 50, 95} {
-		vals := buildValues(t, 5000, dupPct, workload.Skewed, 61)
-		ids := storage.NewIDGen()
-		rel := buildRelation(t, ids, "r", vals)
-		list := storage.MustTempList(storage.Descriptor{
-			Sources: []string{"r"},
-			Cols:    []storage.ColRef{{Source: 0, Field: 0, Name: "val"}},
-		})
-		rel.ScanPhysical(func(tp *storage.Tuple) bool { list.Append(storage.Row{tp}); return true })
-
-		var sm, pm meter.Counters
-		serial := exec.ProjectHash(list, &sm)
-		par := ProjectHash(nil, list, &pm, nil, 4)
-		if par.Len() != serial.Len() {
-			t.Fatalf("dup=%v: parallel kept %d rows, serial %d", dupPct, par.Len(), serial.Len())
-		}
-		for i := 0; i < serial.Len(); i++ {
-			if par.Row(i)[0] != serial.Row(i)[0] {
-				t.Fatalf("dup=%v row %d: parallel output not identical to serial", dupPct, i)
-			}
-		}
-		if pm.HashCalls != sm.HashCalls {
-			t.Fatalf("dup=%v: parallel hashed %d keys, serial %d", dupPct, pm.HashCalls, sm.HashCalls)
-		}
 	}
 }
 
@@ -321,7 +291,9 @@ func TestParallelNilMeterAndEmptyInputs(t *testing.T) {
 	// Empty + nil meter projection.
 	l := storage.MustTempList(storage.Descriptor{Sources: []string{"f"},
 		Cols: []storage.ColRef{{Source: 0, Field: 0, Name: "val"}}})
-	if ProjectHash(nil, l, nil, nil, 4).Len() != 0 {
+	g := agg.Get()
+	defer agg.Put(g)
+	if out, _ := Distinct(nil, nil, g, l, nil, 4, nil); out.Len() != 0 {
 		t.Fatal("projection of empty list not empty")
 	}
 }

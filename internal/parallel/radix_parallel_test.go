@@ -151,79 +151,6 @@ func TestRadixHashJoinDiscard(t *testing.T) {
 	}
 }
 
-// TestRadixProjectHashIdenticalToSerial: the radix distinct must be
-// bit-identical to the serial §3.4 operator — same survivors, same
-// first-occurrence order — across duplicate mixes and pass structures.
-func TestRadixProjectHashIdenticalToSerial(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		dup  float64
-		bits []uint
-	}{
-		{"unique", 0, []uint{4}},
-		{"half-dups", 50, []uint{3, 3}},
-		{"heavy-dups", 95, []uint{6}},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			vals := buildValues(t, 5000, c.dup, workload.Skewed, 97)
-			ids := storage.NewIDGen()
-			rel := buildRelation(t, ids, "r", vals)
-			list := storage.MustTempList(storage.Descriptor{
-				Sources: []string{"r"},
-				Cols:    []storage.ColRef{{Source: 0, Field: 0, Name: "val"}},
-			})
-			rel.ScanPhysical(func(tp *storage.Tuple) bool { list.Append(storage.Row{tp}); return true })
-
-			var sm, pm meter.Counters
-			serial := exec.ProjectHash(list, &sm)
-			par, stats := RadixProjectHash(nil, list, &pm, nil, 4, c.bits)
-			if par.Len() != serial.Len() {
-				t.Fatalf("radix kept %d rows, serial %d", par.Len(), serial.Len())
-			}
-			for i := 0; i < serial.Len(); i++ {
-				if par.Row(i)[0] != serial.Row(i)[0] {
-					t.Fatalf("row %d: radix distinct output not identical to serial", i)
-				}
-			}
-			if pm.HashCalls != sm.HashCalls {
-				t.Fatalf("radix hashed %d keys, serial %d", pm.HashCalls, sm.HashCalls)
-			}
-			if stats.Passes != len(c.bits) || stats.Rows != list.Len() {
-				t.Fatalf("stats = %+v", stats)
-			}
-		})
-	}
-}
-
-// Degenerate distinct inputs: all-equal rows collapse to one survivor
-// through the single hot partition; empty and single-row lists delegate.
-func TestRadixProjectHashDegenerate(t *testing.T) {
-	ids := storage.NewIDGen()
-	vals := make([]int64, 1000)
-	rel := buildRelation(t, ids, "r", vals)
-	list := storage.MustTempList(storage.Descriptor{
-		Sources: []string{"r"},
-		Cols:    []storage.ColRef{{Source: 0, Field: 0, Name: "val"}},
-	})
-	rel.ScanPhysical(func(tp *storage.Tuple) bool { list.Append(storage.Row{tp}); return true })
-	var m meter.Counters
-	out, stats := RadixProjectHash(nil, list, &m, nil, 4, []uint{4, 2})
-	if out.Len() != 1 {
-		t.Fatalf("all-equal distinct kept %d rows, want 1", out.Len())
-	}
-	if out.Row(0)[0] != list.Row(0)[0] {
-		t.Fatal("survivor is not the first occurrence")
-	}
-	if stats.MaxPart != 1000 {
-		t.Fatalf("MaxPart = %d, want hot partition of 1000", stats.MaxPart)
-	}
-
-	emptyList := storage.MustTempList(storage.Descriptor{Sources: []string{"r"}, Cols: []storage.ColRef{{Source: 0, Field: 0, Name: "val"}}})
-	if res, _ := RadixProjectHash(nil, emptyList, nil, nil, 4, []uint{4}); res.Len() != 0 {
-		t.Fatal("empty list distinct not empty")
-	}
-}
-
 // Nil meters must be safe end to end on the radix paths.
 func TestRadixNilMeter(t *testing.T) {
 	vals := buildValues(t, 1000, 30, workload.Moderate, 101)

@@ -418,11 +418,16 @@ func (p *Pool) cancel(s *taskSet) {
 	p.mu.Unlock()
 }
 
-// removeSet drops s from the admission list. Caller holds p.mu.
+// removeSet drops s from the admission list. The vacated tail slot is
+// cleared: a finished set's closure (and the operator scratch it
+// captured) must not stay reachable from an idle pool. Caller holds p.mu.
 func (p *Pool) removeSet(s *taskSet) {
 	for i, x := range p.sets {
 		if x == s {
-			p.sets = append(p.sets[:i], p.sets[i+1:]...)
+			last := len(p.sets) - 1
+			copy(p.sets[i:], p.sets[i+1:])
+			p.sets[last] = nil
+			p.sets = p.sets[:last]
 			if p.rr > i {
 				p.rr--
 			}
@@ -512,10 +517,7 @@ func (w *worker) claim() bool {
 			if s.pending == 0 {
 				close(s.done)
 			}
-			p.sets = append(p.sets[:at], p.sets[at+1:]...)
-			if p.rr > at {
-				p.rr--
-			}
+			p.removeSet(s)
 			i--
 			if len(p.sets) == 0 {
 				break

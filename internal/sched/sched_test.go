@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -332,5 +333,32 @@ func TestGrantGaugeBreaksAdmissionTies(t *testing.T) {
 	nq.SetMemBytes(5) // nil-safe
 	if nq.MemBytes() != 0 {
 		t.Fatal("nil query gauge")
+	}
+}
+
+// TestFinishedSetIsUnreachable: once Run returns and the workers have
+// gone idle, the pool holds no reference to the set's closure — operator
+// scratch a morsel body captured is collectable, not pinned by an idle
+// pool until the next query overwrites the slot.
+func TestFinishedSetIsUnreachable(t *testing.T) {
+	p := NewPool(2)
+	defer p.Stop()
+	q := NewQuery(p, nil, 0)
+	freed := make(chan struct{})
+	func() {
+		scratch := new([1 << 16]byte)
+		runtime.SetFinalizer(scratch, func(*[1 << 16]byte) { close(freed) })
+		q.Run(2, 8, func(i int) { scratch[i]++ })
+	}()
+	deadline := time.After(10 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-deadline:
+			t.Fatal("an idle pool still references the finished set's closure")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }

@@ -24,19 +24,17 @@ const BatchSize = 256
 // arrays through a pool instead of allocating per operator.
 type TupleBatch = []*Tuple
 
-// batchPool recycles BatchSize-capacity tuple-pointer blocks. Stored as
-// *[]*Tuple so Put does not allocate an interface box per call.
-var batchPool = sync.Pool{
-	New: func() any {
-		b := make([]*Tuple, 0, BatchSize)
-		return &b
-	},
-}
+// Pooled blocks travel through their sync.Pool as array pointers: a
+// pointer fits the pool's interface word, so neither Get nor Put
+// allocates (a *[]*Tuple would cost one slice header per Put).
+
+// batchPool recycles BatchSize-capacity tuple-pointer blocks.
+var batchPool = sync.Pool{New: func() any { return new([BatchSize]*Tuple) }}
 
 // GetBatch returns an empty batch with capacity BatchSize from the pool.
 // Release it with PutBatch when the operator finishes.
 func GetBatch() TupleBatch {
-	return (*batchPool.Get().(*[]*Tuple))[:0]
+	return batchPool.Get().(*[BatchSize]*Tuple)[:0]
 }
 
 // PutBatch clears b (so pooled blocks do not pin dead tuples) and returns
@@ -46,34 +44,33 @@ func PutBatch(b TupleBatch) {
 	if cap(b) != BatchSize {
 		return
 	}
-	b = b[:cap(b)]
-	for i := range b {
-		b[i] = nil
-	}
-	b = b[:0]
-	batchPool.Put(&b)
+	a := (*[BatchSize]*Tuple)(b[:BatchSize])
+	clear(a[:])
+	batchPool.Put(a)
 }
 
 // chunkPools recycles TempList arena chunks, one pool per source arity
 // (the overwhelmingly common cases are 1 — selections — and 2 — two-way
 // joins). Each pooled chunk holds ChunkRows rows = ChunkRows*arity tuple
 // pointers. Wider arities fall through to plain allocation.
-var chunkPools [4]sync.Pool
-
-func init() {
-	for a := range chunkPools {
-		arity := a + 1
-		chunkPools[a].New = func() any {
-			c := make([]*Tuple, 0, ChunkRows*arity)
-			return &c
-		}
-	}
+var chunkPools = [4]sync.Pool{
+	{New: func() any { return new([1 * ChunkRows]*Tuple) }},
+	{New: func() any { return new([2 * ChunkRows]*Tuple) }},
+	{New: func() any { return new([3 * ChunkRows]*Tuple) }},
+	{New: func() any { return new([4 * ChunkRows]*Tuple) }},
 }
 
 // getChunk returns an empty full-size chunk for the given arity.
 func getChunk(arity int) []*Tuple {
-	if arity >= 1 && arity <= len(chunkPools) {
-		return (*chunkPools[arity-1].Get().(*[]*Tuple))[:0]
+	switch arity {
+	case 1:
+		return chunkPools[0].Get().(*[1 * ChunkRows]*Tuple)[:0]
+	case 2:
+		return chunkPools[1].Get().(*[2 * ChunkRows]*Tuple)[:0]
+	case 3:
+		return chunkPools[2].Get().(*[3 * ChunkRows]*Tuple)[:0]
+	case 4:
+		return chunkPools[3].Get().(*[4 * ChunkRows]*Tuple)[:0]
 	}
 	return make([]*Tuple, 0, ChunkRows*arity)
 }
@@ -87,9 +84,15 @@ func putChunk(c []*Tuple, arity int) {
 		return
 	}
 	c = c[:cap(c)]
-	for i := range c {
-		c[i] = nil
+	clear(c)
+	switch arity { // the array type is the pool's; see getChunk
+	case 1:
+		chunkPools[0].Put((*[1 * ChunkRows]*Tuple)(c))
+	case 2:
+		chunkPools[1].Put((*[2 * ChunkRows]*Tuple)(c))
+	case 3:
+		chunkPools[2].Put((*[3 * ChunkRows]*Tuple)(c))
+	case 4:
+		chunkPools[3].Put((*[4 * ChunkRows]*Tuple)(c))
 	}
-	c = c[:0]
-	chunkPools[arity-1].Put(&c)
 }

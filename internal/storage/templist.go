@@ -295,11 +295,30 @@ func (l *TempList) Reset() {
 	l.n = 0
 }
 
+// Redescribe moves the list's rows under a new descriptor over the same
+// sources — §2.3's projection, which only ever rewrites the descriptor.
+// It is O(1) and consuming: the returned list takes over the chunk
+// directory (and the frozen row view, if any), and l is left empty, so a
+// later Release or Reset of l returns nothing to the pool.
+func (l *TempList) Redescribe(desc Descriptor) (*TempList, error) {
+	if err := desc.Validate(); err != nil {
+		return nil, err
+	}
+	if len(desc.Sources) != l.arity {
+		return nil, fmt.Errorf("storage: redescribe to %d sources, list has %d", len(desc.Sources), l.arity)
+	}
+	out := &TempList{desc: desc, arity: l.arity, chunks: l.chunks, n: l.n, frozen: l.frozen, flat: l.flat}
+	l.chunks, l.n, l.frozen, l.flat = nil, 0, false, nil
+	return out, nil
+}
+
 // Release recycles the list's arena chunks back to the pool and empties
 // it. The caller asserts that no row views (Row, Rows, Scan callbacks,
 // ScanColumnBatches blocks) are outstanding — the pooled memory will be
-// reused by other lists. Operators release intermediate lists whose rows
-// have been copied onward; a list handed to a caller is never released.
+// reused by other lists. Ownership rule: whoever holds the only reference
+// to a list may move it (Redescribe), have its chunks adopted
+// (MergeListsRecycle) or release it; a list handed to a caller is never
+// released.
 func (l *TempList) Release() {
 	for i, c := range l.chunks {
 		putChunk(c, l.arity)
@@ -352,9 +371,10 @@ func MergeLists(desc Descriptor, parts []*TempList) (*TempList, error) {
 }
 
 // MergeListsRecycle is MergeLists for partials that are private worker
-// scratch: after each partial's rows are copied into the result, its
-// arena chunks are released back to the pool and the partial is emptied.
-// The parts must have no outstanding row views.
+// scratch. A full chunk that lands on a chunk boundary of the result is
+// adopted — it changes owner instead of being copied and pooled; every
+// other chunk is block-copied and goes back to the pool. Each partial is
+// left empty. The parts must have no outstanding row views.
 func MergeListsRecycle(desc Descriptor, parts []*TempList) (*TempList, error) {
 	n := 0
 	for _, p := range parts {
@@ -366,11 +386,24 @@ func MergeListsRecycle(desc Descriptor, parts []*TempList) (*TempList, error) {
 	if err != nil {
 		return nil, err
 	}
+	full := ChunkRows * out.arity
 	for _, p := range parts {
-		if p != nil {
-			out.Absorb(p)
-			p.Release()
+		if p == nil {
+			continue
 		}
+		if p.arity != out.arity {
+			panic(fmt.Sprintf("storage: merge arity %d does not match %d sources", p.arity, out.arity))
+		}
+		for i, c := range p.chunks {
+			if len(c) == full && out.n == len(out.chunks)*ChunkRows {
+				out.chunks = append(out.chunks, c)
+				out.n += ChunkRows
+				p.chunks[i] = nil // adopted: Release below must not pool it
+			} else {
+				out.appendFlat(c)
+			}
+		}
+		p.Release()
 	}
 	return out, nil
 }

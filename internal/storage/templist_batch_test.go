@@ -171,6 +171,89 @@ func TestMergeListsRecycle(t *testing.T) {
 	}
 }
 
+// TestMergeListsRecycleAdoptsAlignedChunks: a full chunk that lands on a
+// chunk boundary of the result changes owner instead of being copied, and
+// an adopted chunk is never also returned to the pool — scribbling over
+// everything the pool hands out afterwards leaves the result intact.
+func TestMergeListsRecycleAdoptsAlignedChunks(t *testing.T) {
+	tuples := batchTestRelation(t, "r", 5*ChunkRows+40)
+	bounds := []int{0, 2 * ChunkRows, 2*ChunkRows + 100, 4*ChunkRows + 100, len(tuples)}
+	parts := make([]*TempList, len(bounds)-1)
+	for i := range parts {
+		parts[i] = MustTempList(singleDesc())
+		parts[i].AppendBatch(tuples[bounds[i]:bounds[i+1]])
+	}
+	first, second, off := &parts[0].chunks[0][0], &parts[0].chunks[1][0], &parts[2].chunks[0][0]
+	out, err := MergeListsRecycle(singleDesc(), parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &out.chunks[0][0] != first || &out.chunks[1][0] != second {
+		t.Fatal("the aligned full chunks of the first part were copied, not adopted")
+	}
+	if &out.chunks[2][0] == off {
+		t.Fatal("a full chunk off the result's chunk boundary was adopted")
+	}
+	for i, p := range parts {
+		if p.Len() != 0 || len(p.chunks) != 0 {
+			t.Fatalf("part %d not emptied", i)
+		}
+	}
+	scribblePool(t, 4*len(out.chunks))
+	checkOrder(t, out, tuples)
+}
+
+// scribblePool draws n single-source chunks from the pool and overwrites
+// them: a live list that shared one of them would lose its rows.
+func scribblePool(t *testing.T, n int) {
+	t.Helper()
+	junk := batchTestRelation(t, "junk", 1)[0]
+	for i := 0; i < n; i++ {
+		c := getChunk(1)[:ChunkRows]
+		for j := range c {
+			c[j] = junk
+		}
+	}
+}
+
+// TestRedescribeMovesInConstantSpace: projection moves the chunk directory
+// — the same few allocations at 1k and at 100k rows — and leaves the
+// source empty, so releasing or resetting it afterwards returns nothing
+// of the new list's to the pool.
+func TestRedescribeMovesInConstantSpace(t *testing.T) {
+	desc := Descriptor{Sources: []string{"r"}, Cols: []ColRef{{Source: 0, Field: 0, Name: "renamed"}}}
+	var allocs [2]float64
+	for i, n := range []int{1000, 100000} {
+		tuples := batchTestRelation(t, "r", n)
+		l := MustTempList(singleDesc())
+		l.AppendBatch(tuples)
+		allocs[i] = testing.AllocsPerRun(10, func() {
+			moved, err := l.Redescribe(desc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l = moved
+		})
+		moved, err := l.Redescribe(desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.Len() != 0 || moved.Descriptor().Cols[0].Name != "renamed" {
+			t.Fatalf("source keeps %d rows; moved list described as %+v", l.Len(), moved.Descriptor())
+		}
+		l.Release()
+		l.Reset()
+		scribblePool(t, 2*len(moved.chunks))
+		checkOrder(t, moved, tuples)
+	}
+	if allocs[0] != allocs[1] || allocs[0] > 4 {
+		t.Fatalf("Redescribe allocates %.0f times at 1k rows and %.0f at 100k", allocs[0], allocs[1])
+	}
+	if _, err := MustTempList(pairDesc()).Redescribe(desc); err == nil {
+		t.Fatal("redescribing a two-source list over one source did not fail")
+	}
+}
+
 func TestScanColumnBatches(t *testing.T) {
 	n := 2*ChunkRows + 31
 	a := batchTestRelation(t, "a", n)

@@ -87,12 +87,11 @@ type Options struct {
 	// ANALYZE. Pooled blocks are physically plan.DefaultBatchSize;
 	// smaller settings simply stop filling blocks early.
 	BatchSize int
-	// JoinMethod selects how hash-based joins (and radix-eligible
-	// DISTINCTs) execute: JoinAuto (default) lets the cost-based
-	// chooser upgrade to the cache-conscious radix paths above the
-	// crossover, JoinChained pins the paper-faithful chained-bucket
-	// algorithms, JoinRadix forces radix whenever legal.
-	// Query.JoinMethod overrides it per query.
+	// JoinMethod selects how hash-based joins execute: JoinAuto
+	// (default) lets the cost-based chooser upgrade to the
+	// cache-conscious radix paths above the crossover, JoinChained pins
+	// the paper-faithful chained-bucket algorithms, JoinRadix forces
+	// radix whenever legal. Query.JoinMethod overrides it per query.
 	JoinMethod JoinStrategy
 	// JoinOrder selects how queries over three or more relations order
 	// their joins: JoinOrderAuto (default) runs the cost-forecasted
@@ -120,10 +119,11 @@ type Options struct {
 	// decisive-prefix width. The zero value uses the plan package
 	// defaults (paper-scale inputs always stay on the §3.1 quicksort).
 	Sort SortConfig
-	// Agg tunes the grouped-aggregation crossover: the input cardinality
-	// below which one flat open-addressing table runs, and the radix
-	// sizing (cache budget, per-group footprint, fan-out caps) used above
-	// it. The zero value uses the plan package defaults.
+	// Agg tunes the crossover of the aggregation engine (GROUP BY, and
+	// DISTINCT as its keys-only run): the input cardinality below which
+	// one flat open-addressing table runs, and the radix sizing (cache
+	// budget, per-group footprint, fan-out caps) used above it. The zero
+	// value uses the plan package defaults.
 	Agg AggConfig
 	// TopK tunes the ORDER BY heap-vs-sort crossover: the rows/k ratio a
 	// bounded heap needs to win, and the cap on the heap size. The zero
@@ -213,7 +213,7 @@ const (
 	// algorithms.
 	JoinAuto JoinStrategy = iota
 	// JoinChained always runs the paper-faithful chained-bucket hash
-	// join (and the serial/partitioned §3.4 DISTINCT).
+	// join.
 	JoinChained
 	// JoinRadix forces the radix paths whenever legal (equijoin
 	// without an early-exit limit), sizing a minimal plan even for
@@ -281,20 +281,20 @@ type TopKConfig = plan.TopKConfig
 // Database is a main-memory database: a set of tables, a partition-level
 // lock manager, and (optionally) the recovery machinery.
 type Database struct {
-	mu     sync.RWMutex
-	opts   Options
-	ids    *storage.IDGen
-	tables map[string]*Table
-	locks  *lock.Manager
-	log    *recovery.Manager
-	txns   *txn.Manager
-	device *recovery.Device
-	obs    *obs.Registry  // nil when Options.DisableMetrics
-	active *obs.ActiveSet // nil when Options.DisableMetrics
-	slow   *obs.SlowLog   // nil unless Options.SlowQueryThreshold > 0
-	sched  *sched.Pool    // nil when Options.PoolWorkers == PoolDisabled
-	ownPool bool          // sched is dedicated (stop it on Close)
-	mem    *mem.Manager   // nil when Options.MemoryBudget == 0
+	mu      sync.RWMutex
+	opts    Options
+	ids     *storage.IDGen
+	tables  map[string]*Table
+	locks   *lock.Manager
+	log     *recovery.Manager
+	txns    *txn.Manager
+	device  *recovery.Device
+	obs     *obs.Registry  // nil when Options.DisableMetrics
+	active  *obs.ActiveSet // nil when Options.DisableMetrics
+	slow    *obs.SlowLog   // nil unless Options.SlowQueryThreshold > 0
+	sched   *sched.Pool    // nil when Options.PoolWorkers == PoolDisabled
+	ownPool bool           // sched is dedicated (stop it on Close)
+	mem     *mem.Manager   // nil when Options.MemoryBudget == 0
 }
 
 // Open creates a database. With Options.Dir set, a previously saved disk

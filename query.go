@@ -56,10 +56,10 @@ type Query struct {
 	groupBy   []string
 	aggs      []qagg
 	orderBy   []qorder
-	limit     int           // -1 = no limit; 0 is a real (empty-result) limit
-	par       int           // requested parallelism; 0 = database default
-	strategy  *JoinStrategy // per-query Options.JoinMethod override
-	sortStrat *SortStrategy // per-query Options.SortMethod override
+	limit     int                // -1 = no limit; 0 is a real (empty-result) limit
+	par       int                // requested parallelism; 0 = database default
+	strategy  *JoinStrategy      // per-query Options.JoinMethod override
+	sortStrat *SortStrategy      // per-query Options.SortMethod override
 	ordStrat  *JoinOrderStrategy // per-query Options.JoinOrder override
 	forced    []string           // ForceJoinOrder relation names
 	prio      int                // scheduler admission tiebreak (Priority)
@@ -516,8 +516,7 @@ func (q *Query) snapshotShapeOK() bool {
 // applies the cost-based chained-vs-radix crossover, JoinChained pins
 // the paper-faithful algorithms, JoinRadix forces the cache-conscious
 // radix paths whenever legal. It affects hash joins that build their
-// own table (an existing hash index is always probed directly) and
-// DISTINCT.
+// own table (an existing hash index is always probed directly).
 func (q *Query) JoinMethod(s JoinStrategy) *Query {
 	q.strategy = &s
 	return q
@@ -652,13 +651,6 @@ func (r *Result) Tuples(i int) []*Tuple { return r.list.Row(i) }
 // without execution use Query.Explain; for per-operator rows, wall time,
 // and §3.1 counters use Query.Analyze.
 func (r *Result) Plan() string { return strings.Join(r.plan, "\n") }
-
-// truncate returns a result holding only the first n rows. Query.Limit
-// supersedes it for queries (the limit is pushed into execution there);
-// it remains for callers that cap an existing result after the fact.
-func (r *Result) truncate(n int) *Result {
-	return &Result{list: headList(r.list, n), plan: r.plan}
-}
 
 // Run plans and executes the query under one shared relation lock per
 // distinct table it names — however many partitions the tables have — so
@@ -1076,6 +1068,10 @@ func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
 	if err := q.sq.Err(); err != nil {
 		return nil, nil, err
 	}
+	if len(q.joins) > 0 {
+		// The join output points at tuples, not at the selection's rows.
+		sel.list.Release()
+	}
 
 	if grouped {
 		// Phase 3 (grouped): aggregation replaces projection — the output
@@ -1177,61 +1173,38 @@ func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
 		}
 		aq.SetPhase(obs.PhaseDistinct)
 		preDistinct := list.Len()
-		distinctWorkers := plan.ChooseWorkers(q.parallelism(), list.Len())
-		distinctPath := "hash duplicate elimination"
-		var dstats radix.Stats
-		if ss := q.sortStrategy(); ss != SortAuto {
-			// An explicit sort strategy switches DISTINCT to the §3.4
-			// Sort Scan on the chosen substrate — the knob that lets the
-			// sort engine be compared end to end. SortAuto keeps the
-			// paper's conclusion: hashing dominates for duplicate
-			// elimination.
-			sm := plan.SortQuick
-			if ss == SortRadix {
-				sm = plan.SortRadixKey
-			}
-			distinctWorkers = 1
-			list = exec.ProjectSort(list, mp, sm)
-			distinctPath = fmt.Sprintf("sort-scan duplicate elimination (%s)", sm)
-			planNotes = append(planNotes, "distinct: "+distinctPath)
-		} else if dbits := q.radixBits(list.Len()); dbits != nil {
-			list, dstats = parallel.RadixProjectHash(q.sq, list, mp, pg, distinctWorkers, dbits)
-			distinctPath = "radix-partitioned hash duplicate elimination"
-			planNotes = append(planNotes, "distinct: "+distinctPath)
-		} else if distinctWorkers > 1 {
-			list = parallel.ProjectHash(q.sq, list, mp, pg, distinctWorkers)
-			planNotes = append(planNotes,
-				fmt.Sprintf("distinct: partitioned hash duplicate elimination (%d workers)", distinctWorkers))
-		} else {
-			list = exec.ProjectHash(list, mp)
-			planNotes = append(planNotes, "distinct: hash duplicate elimination")
+		dr, err := q.runDistinct(list, mp, pg)
+		if err != nil {
+			return nil, nil, err
 		}
+		list = dr.list
+		planNotes = append(planNotes, "distinct: "+dr.path)
 		if collect {
 			total.Add(dupMeter)
-			if dstats.Fanout > 0 {
+			if dr.radix.Fanout > 0 {
 				decisions = append(decisions, obs.Decision{
 					Name:      "radix balance",
-					Chosen:    fmt.Sprintf("%d partitions", dstats.Fanout),
-					Inputs:    "rows=" + obs.FmtCount(float64(dstats.Rows)),
-					Estimate:  float64(dstats.Rows) / float64(dstats.Fanout),
-					Actual:    float64(dstats.MaxPart),
+					Chosen:    fmt.Sprintf("%d partitions", dr.radix.Fanout),
+					Inputs:    "rows=" + obs.FmtCount(float64(dr.radix.Rows)),
+					Estimate:  float64(dr.radix.Rows) / float64(dr.radix.Fanout),
+					Actual:    float64(dr.radix.MaxPart),
 					Unit:      "rows/partition",
 					Threshold: 4.0,
 				})
-				reg.ObserveRadixSkew(dstats.Skew())
+				reg.ObserveRadixSkew(dr.radix.Skew())
 			}
 		}
 		if buildTrace {
 			now := time.Now()
 			node := &obs.TraceNode{
-				Op: "distinct", AccessPath: distinctPath,
+				Op: "distinct", AccessPath: dr.path,
 				RowsIn: preDistinct, RowsOut: list.Len(), Wall: now.Sub(t0), Ops: dupMeter,
-				Workers: distinctWorkers,
+				Workers: dr.workers, GrantBytes: dr.grant,
 			}
-			if dstats.Fanout > 0 {
-				node.RadixPasses = dstats.Passes
-				node.Partitions = dstats.Fanout
-				node.PartitionSkew = dstats.Skew()
+			if dr.radix.Fanout > 0 {
+				node.RadixPasses = dr.radix.Passes
+				node.Partitions = dr.radix.Fanout
+				node.PartitionSkew = dr.radix.Skew()
 			}
 			root.Add(node)
 			t0 = now
@@ -1474,7 +1447,7 @@ func (q *Query) Explain() (string, error) {
 		lines = append(lines, fmt.Sprintf("group %s: %s (input estimated ≤ %d rows)", by, method, outerEst))
 	}
 	if q.distinct {
-		lines = append(lines, "distinct: hash duplicate elimination")
+		lines = append(lines, "distinct: "+q.planDistinct(outerEst).path)
 	}
 	if len(q.orderBy) > 0 {
 		k := 0
@@ -1499,11 +1472,21 @@ type selPlan struct {
 	// PathTreeRange only: every range predicate on the indexed column
 	// folded into the one inclusive interval the index is probed with.
 	// A nil bound is open. Strict bounds (<, >) fold like inclusive ones;
-	// the residual filter, which re-checks every predicate, drops the
-	// endpoint.
+	// the residual filter drops the endpoint.
 	lo, hi *Value
 	folded int  // predicates the interval stands for
 	empty  bool // no key can qualify: lo > hi, or a comparison with NULL
+	// exact is the set of predicates (bit i = q.preds[i]) that hold for
+	// every tuple the index probe returns, so the residual filter skips
+	// them: the Eq a lookup served, and the inclusive bounds of a folded
+	// range.
+	exact uint64
+}
+
+// guarantees reports whether the access path already guarantees
+// predicate i. Predicates past the mask's width are simply re-checked.
+func (sp selPlan) guarantees(i int) bool {
+	return i < 64 && sp.exact&(1<<uint(i)) != 0
 }
 
 // chooseSelectionPath picks the indexable predicate with the best access
@@ -1521,8 +1504,15 @@ func (q *Query) chooseSelectionPath() selPlan {
 			sp.pred, sp.path = i, path
 		}
 	}
-	if sp.path == plan.PathTreeRange {
+	switch sp.path {
+	case plan.PathTreeRange:
 		q.foldRange(&sp)
+	case plan.PathHashLookup, plan.PathTreeLookup:
+		// A lookup matches by equality, so it returns NULL-keyed tuples
+		// for a NULL key, which the predicate (never true on NULL) rejects.
+		if !q.preds[sp.pred].val.IsNull() {
+			sp.exact = 1 << uint(sp.pred)
+		}
 	}
 	return sp
 }
@@ -1534,6 +1524,7 @@ func (q *Query) chooseSelectionPath() selPlan {
 func (q *Query) foldRange(sp *selPlan) {
 	field := q.preds[sp.pred].field
 	colType := q.from.rel.Schema().Field(field).Type
+	var inclusive uint64
 	for i := range q.preds {
 		p := &q.preds[i]
 		if p.field != field || p.op == Eq || p.op == Ne {
@@ -1548,6 +1539,9 @@ func (q *Query) foldRange(sp *selPlan) {
 			continue
 		}
 		sp.folded++
+		if p.op == Ge || p.op == Le {
+			inclusive |= 1 << uint(i)
+		}
 		switch p.op {
 		case Gt, Ge:
 			if sp.lo == nil || storage.Compare(p.val, *sp.lo) > 0 {
@@ -1561,6 +1555,11 @@ func (q *Query) foldRange(sp *selPlan) {
 	}
 	if sp.lo != nil && sp.hi != nil && storage.Compare(*sp.lo, *sp.hi) > 0 {
 		sp.empty = true
+	}
+	if sp.lo != nil {
+		// NULL sorts before every key, so only a lower bound keeps
+		// NULL-keyed tuples — on which no predicate holds — out of the range.
+		sp.exact = inclusive
 	}
 }
 
@@ -1611,108 +1610,41 @@ type selExec struct {
 // limit >= 0 is a pushed-down LIMIT: the selection stops as soon as that
 // many rows qualify (an early exit is inherently sequential, so the
 // parallel scan paths are skipped).
+//
+// A sequential scan evaluates the whole conjunction where the tuples are
+// read — inside the workers' morsels when it runs parallel — so its
+// output is final. An index path's output is final too when the probe
+// already guarantees every predicate (selPlan.exact); only otherwise does
+// a residual pass filter it once into a fresh list and release it.
 func (q *Query) runSelection(m *meter.Counters, pg *obs.Progress, limit int) selExec {
 	t := q.from
 	spec := exec.SelectSpec{RelName: t.Name(), Schema: t.rel.Schema(), Meter: m, Prog: pg, Sched: q.sq}
-	if snap := q.snap; snap != nil && len(q.preds) == 0 {
-		// Lock-free snapshot scan: every tuple read comes from the
-		// epoch-published clone arrays; the live relation is never
-		// touched. The degree is resolved against the snapshot's own row
-		// count (the live counter is being written concurrently), and
-		// workers <= 1 still scans the snapshot, just serially.
-		w := plan.ChooseWorkers(q.parallelism(), snap.Rows())
-		var list *storage.TempList
-		if w <= 1 {
-			// Serial: whole clone-array blocks move into the presized
-			// temp list, the same zero-predicate fast path the locked
-			// serial scan uses.
-			list = storage.MustTempListHint(
-				storage.Descriptor{Sources: []string{t.Name()}}, snap.Rows())
-			buf := storage.GetBatch()
-			parallel.SnapshotSource{Snap: snap}.ScanBatches(buf, func(block storage.TupleBatch) bool {
-				m.AddBatch(1)
-				list.AppendBatch(block)
-				return true
-			})
-			storage.PutBatch(buf)
-		} else {
-			list = parallel.SelectScan(parallel.SnapshotSource{Snap: snap},
-				func(*storage.Tuple) bool { return true }, spec, w)
-		}
-		return selExec{
-			list:     list,
-			pathDesc: fmt.Sprintf("snapshot scan @ epoch %d (%d workers, lock-free)", snap.Epoch(), w),
-			path:     plan.PathSequentialScan,
-			rowsIn:   list.Len(),
-			workers:  w,
-		}
-	}
-	if len(q.preds) == 0 {
-		if limit >= 0 {
-			// LIMIT pushed into the bare scan: append row-at-a-time and cut
-			// the batch stream the moment the limit is reached.
-			hint := limit
-			if c := t.Cardinality(); c < hint {
-				hint = c
-			}
-			list := storage.MustTempListHint(
-				storage.Descriptor{Sources: []string{t.Name()}}, hint)
-			if limit > 0 {
-				buf := storage.GetBatch()
-				exec.ScanBatches(t.scanSource(), buf, func(block storage.TupleBatch) bool {
-					m.AddBatch(1)
-					for _, tp := range block {
-						list.AppendOne(tp)
-						if list.Len() >= limit {
-							return false
-						}
-					}
-					return true
-				})
-				storage.PutBatch(buf)
-			}
-			return selExec{
-				list:     list,
-				pathDesc: fmt.Sprintf("full scan via %s index (early exit at LIMIT %d)", t.primary.kind, limit),
-				path:     plan.PathSequentialScan,
-				rowsIn:   list.Len(),
-			}
-		}
-		if w := plan.ChooseWorkers(q.parallelism(), t.Cardinality()); w > 1 {
-			list := parallel.SelectScan(parallel.RelationSource{Rel: t.rel},
-				func(*storage.Tuple) bool { return true }, spec, w)
-			return selExec{
-				list:     list,
-				pathDesc: fmt.Sprintf("parallel partition scan (%d workers)", w),
-				path:     plan.PathSequentialScan,
-				rowsIn:   list.Len(),
-				workers:  w,
-			}
-		}
-		// Serial full scan: whole pointer blocks move from the primary
-		// index into the (presized) temp list — no per-tuple Row headers.
-		list := storage.MustTempListHint(
-			storage.Descriptor{Sources: []string{t.Name()}}, t.Cardinality())
-		buf := storage.GetBatch()
-		exec.ScanBatches(t.scanSource(), buf, func(block storage.TupleBatch) bool {
-			m.AddBatch(1)
-			list.AppendBatch(block)
-			return true
-		})
-		storage.PutBatch(buf)
-		return selExec{
-			list:     list,
-			pathDesc: fmt.Sprintf("full scan via %s index", t.primary.kind),
-			path:     plan.PathSequentialScan,
-			rowsIn:   list.Len(),
-		}
-	}
 	sp := q.chooseSelectionPath()
-	bestPath, p := sp.path, q.preds[sp.pred]
+	if sp.path == plan.PathSequentialScan {
+		// A snapshot execution holds no lock: the live cardinality is
+		// being written beside it, the snapshot's own row count is not.
+		var rows int
+		if q.snap != nil {
+			rows = q.snap.Rows()
+		} else {
+			rows = t.Cardinality()
+		}
+		list, access, workers := q.runScan(spec, rows, limit)
+		rowsIn := list.Len()
+		if len(q.preds) > 0 {
+			access = sp.describe(q, access)
+			rowsIn = rows
+		}
+		if limit >= 0 {
+			access += fmt.Sprintf(" (early exit at LIMIT %d)", limit)
+		}
+		return selExec{list: list, pathDesc: access, path: sp.path, rowsIn: rowsIn, workers: workers}
+	}
+
+	p := q.preds[sp.pred]
 	var list *storage.TempList
 	probeKind, probes := "", int64(0)
-	scanWorkers := 0
-	switch bestPath {
+	switch sp.path {
 	case plan.PathHashLookup:
 		ix := t.indexOn(p.field, false)
 		list = exec.SelectEqHash(ix.hashed, p.field, p.val, spec)
@@ -1721,7 +1653,7 @@ func (q *Query) runSelection(m *meter.Counters, pg *obs.Progress, limit int) sel
 		ix := t.indexOn(p.field, true)
 		list = exec.SelectEqTree(ix.ordered, p.field, p.val, spec)
 		probeKind, probes = ix.kind.String(), 1
-	case plan.PathTreeRange:
+	default: // plan.PathTreeRange
 		if sp.empty {
 			list = storage.MustTempListHint(storage.Descriptor{Sources: []string{t.Name()}}, 0)
 			break
@@ -1729,74 +1661,156 @@ func (q *Query) runSelection(m *meter.Counters, pg *obs.Progress, limit int) sel
 		ix := t.indexOn(p.field, true)
 		list = exec.SelectRange(ix.ordered, p.field, sp.lo, sp.hi, spec)
 		probeKind, probes = ix.kind.String(), 1
-		// Range access is inclusive; strict bounds drop the endpoint below.
-	default:
-		if snap := q.snap; snap != nil {
-			// Lock-free snapshot scan; the predicates all run as residual
-			// filters below, exactly as the locked scan-all path does.
-			scanWorkers = plan.ChooseWorkers(q.parallelism(), snap.Rows())
-			list = parallel.SelectScan(parallel.SnapshotSource{Snap: snap},
-				func(*storage.Tuple) bool { return true }, spec, scanWorkers)
-		} else if w := plan.ChooseWorkers(q.parallelism(), t.Cardinality()); w > 1 && limit < 0 {
-			scanWorkers = w
-			list = parallel.SelectScan(parallel.RelationSource{Rel: t.rel},
-				func(*storage.Tuple) bool { return true }, spec, w)
-		} else {
-			list = exec.SelectScan(t.scanSource(), func(tp *storage.Tuple) bool { return true }, spec)
-		}
 	}
 	rowsIn := list.Len()
-	if bestPath == plan.PathSequentialScan {
-		rowsIn = t.Cardinality()
-		if q.snap != nil {
-			rowsIn = q.snap.Rows()
-		}
+	residual := false
+	for i := range q.preds {
+		residual = residual || !sp.guarantees(i)
 	}
-	// Residual filter: every predicate re-checked (strict bounds, extra
-	// conjuncts, Ne). A pushed-down limit stops the filter — and with it
-	// the whole selection — once enough rows qualify.
-	hint := list.Len()
-	if limit >= 0 && limit < hint {
-		hint = limit
-	}
-	out := storage.MustTempListHint(list.Descriptor(), hint)
-	list.Scan(func(_ int, row storage.Row) bool {
-		if limit >= 0 && out.Len() >= limit {
-			return false
+	if rowsIn > 0 && (residual || (limit >= 0 && rowsIn > limit)) {
+		// Residual filter: the predicates the probe did not guarantee
+		// (strict bounds, extra conjuncts, Ne). A pushed-down limit stops
+		// the filter — and with it the whole selection — once enough rows
+		// qualify.
+		hint := rowsIn
+		if limit >= 0 && limit < hint {
+			hint = limit
 		}
-		tp := row[0]
-		for _, pr := range q.preds {
-			m.AddCompare(1)
-			if !predHolds(tp, pr) {
-				return true
+		out := storage.MustTempListHint(list.Descriptor(), hint)
+		list.Scan(func(_ int, row storage.Row) bool {
+			if limit >= 0 && out.Len() >= limit {
+				return false
 			}
-		}
-		out.AppendOne(tp) // selection lists are single-source (arity 1)
-		return true
-	})
-	access := bestPath.String()
-	if scanWorkers > 1 {
-		access = fmt.Sprintf("parallel partition scan (%d workers)", scanWorkers)
+			tp := row[0]
+			for i := range q.preds {
+				if sp.guarantees(i) {
+					continue
+				}
+				m.AddCompare(1)
+				if !predHolds(tp, &q.preds[i]) {
+					return true
+				}
+			}
+			out.AppendOne(tp) // selection lists are single-source (arity 1)
+			return true
+		})
+		list.Release()
+		list = out
 	}
-	if q.snap != nil {
-		access = fmt.Sprintf("snapshot scan @ epoch %d (%d workers, lock-free)", q.snap.Epoch(), scanWorkers)
-	}
-	pathDesc := sp.describe(q, access)
+	pathDesc := sp.describe(q, sp.path.String())
 	if limit >= 0 {
 		pathDesc += fmt.Sprintf(" (early exit at LIMIT %d)", limit)
 	}
 	return selExec{
-		list:      out,
+		list:      list,
 		pathDesc:  pathDesc,
-		path:      bestPath,
+		path:      sp.path,
 		rowsIn:    rowsIn,
-		workers:   scanWorkers,
 		probeKind: probeKind,
 		probes:    probes,
 	}
 }
 
-func predHolds(tp *storage.Tuple, p qpred) bool {
+// runScan is the sequential-scan access path over the rows tuples of the
+// from-table or, when the execution reads one, of its lock-free snapshot
+// (every tuple then comes from the epoch-published clone arrays; the live
+// relation is never touched). The conjunction of all predicates runs
+// inside the scan, so no pass over the output follows. It returns the
+// access description and the worker count the trace reports.
+func (q *Query) runScan(spec exec.SelectSpec, rows, limit int) (*storage.TempList, string, int) {
+	t := q.from
+	m := spec.Meter
+	desc := storage.Descriptor{Sources: []string{t.Name()}}
+	pred := q.conjunction()
+	access := plan.PathSequentialScan.String()
+	if pred == nil {
+		access = fmt.Sprintf("full scan via %s index", t.primary.kind)
+	}
+	if limit >= 0 {
+		// LIMIT pushed into the scan: append row-at-a-time and cut the
+		// batch stream the moment the limit is reached.
+		list := storage.MustTempListHint(desc, min(limit, rows))
+		if limit > 0 {
+			buf := storage.GetBatch()
+			exec.ScanBatches(t.scanSource(), buf, func(block storage.TupleBatch) bool {
+				m.AddBatch(1)
+				for _, tp := range block {
+					if pred != nil {
+						m.AddCompare(1)
+						if !pred(tp) {
+							continue
+						}
+					}
+					list.AppendOne(tp)
+					if list.Len() >= limit {
+						return false
+					}
+				}
+				return true
+			})
+			storage.PutBatch(buf)
+		}
+		return list, access, 0
+	}
+
+	var src parallel.Chunked = parallel.RelationSource{Rel: t.rel}
+	serial := t.scanSource()
+	if q.snap != nil {
+		src = parallel.SnapshotSource{Snap: q.snap}
+		serial = src
+	}
+	w := plan.ChooseWorkers(q.parallelism(), rows)
+	workers := 0
+	switch {
+	case q.snap != nil:
+		access = fmt.Sprintf("snapshot scan @ epoch %d (%d workers, lock-free)", q.snap.Epoch(), w)
+		workers = w
+	case w > 1:
+		access = fmt.Sprintf("parallel partition scan (%d workers)", w)
+		workers = w
+	}
+	switch {
+	case w > 1:
+		if pred == nil {
+			pred = func(*storage.Tuple) bool { return true }
+		}
+		return parallel.SelectScan(src, pred, spec, w), access, workers
+	case pred != nil:
+		return exec.SelectScan(serial, pred, spec), access, workers
+	}
+	// Serial full scan: whole pointer blocks move from the primary index
+	// (or the clone arrays) into the presized temp list — no per-tuple
+	// Row headers.
+	list := storage.MustTempListHint(desc, rows)
+	buf := storage.GetBatch()
+	exec.ScanBatches(serial, buf, func(block storage.TupleBatch) bool {
+		m.AddBatch(1)
+		list.AppendBatch(block)
+		return true
+	})
+	storage.PutBatch(buf)
+	return list, access, workers
+}
+
+// conjunction returns the WHERE clause as one tuple predicate, or nil
+// when the query has none. It touches no meter, so scan workers may call
+// it concurrently.
+func (q *Query) conjunction() func(*storage.Tuple) bool {
+	if len(q.preds) == 0 {
+		return nil
+	}
+	preds := q.preds
+	return func(tp *storage.Tuple) bool {
+		for i := range preds {
+			if !predHolds(tp, &preds[i]) {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+func predHolds(tp *storage.Tuple, p *qpred) bool {
 	v := tp.Field(p.field)
 	if v.IsNull() || p.val.IsNull() {
 		return false
@@ -2293,9 +2307,9 @@ func (q *Query) refInto(probeRel, probeField int, rt *Table) bool {
 	return def.Type == storage.Ref && def.ForeignKey == rt.Name()
 }
 
-// project rewrites the temp list's descriptor to the selected columns.
+// project moves the temp list under a descriptor of the selected columns
+// (§2.3: projection is the descriptor); list is left empty.
 func (q *Query) project(list *storage.TempList) (*storage.TempList, error) {
-	desc := list.Descriptor()
 	var cols []storage.ColRef
 	if len(q.cols) == 0 {
 		// All columns of all relations, qualified by scope name (the
@@ -2314,12 +2328,7 @@ func (q *Query) project(list *storage.TempList) (*storage.TempList, error) {
 			cols = append(cols, ref)
 		}
 	}
-	out := storage.MustTempListHint(storage.Descriptor{Sources: desc.Sources, Cols: cols}, list.Len())
-	list.Scan(func(_ int, row storage.Row) bool {
-		out.Append(row)
-		return true
-	})
-	return out, nil
+	return list.Redescribe(storage.Descriptor{Sources: list.Descriptor().Sources, Cols: cols})
 }
 
 // resolveColumn maps "col" or "name.col" (name = a scope name: the
@@ -2390,38 +2399,17 @@ func (q *Query) runGroup(list *storage.TempList, m *meter.Counters, pg *obs.Prog
 		}
 		specs[i] = agg.Spec{Kind: aggKind(a.fn), Col: col, Name: a.name}
 	}
-	work := storage.MustTempListHint(
-		storage.Descriptor{Sources: list.Descriptor().Sources, Cols: wcols}, list.Len())
-	list.Scan(func(_ int, row storage.Row) bool {
-		work.Append(row)
-		return true
-	})
+	work, err := list.Redescribe(storage.Descriptor{Sources: list.Descriptor().Sources, Cols: wcols})
+	if err != nil {
+		return groupExec{}, err
+	}
 	n := work.Len()
-
-	method, bits, aggClamped := plan.BudgetedAggBits(n, q.db.opts.Agg, q.memBudget())
-	if aggClamped {
-		q.noteClamp("agg budget clamp", fmt.Sprintf("bits=%v", bits), bits, q.memBudget(), n)
+	ar, err := q.beginAgg(q.planAgg(n), n)
+	if err != nil {
+		return groupExec{}, err
 	}
-	var grant int64
-	if q.res != nil {
-		// Grant-before-build: reserve the worst-case table footprint
-		// (every input row its own group) before allocating, waiting for
-		// sibling queries to release when the budget is tight. The wait
-		// honors the query's context, so cancellation propagates as an
-		// error instead of a stuck build.
-		grant = radix.TableBytes(n)
-		qctx := q.ctx
-		if qctx == nil {
-			qctx = context.Background()
-		}
-		if err := q.res.Grant(qctx, grant); err != nil {
-			return groupExec{}, err
-		}
-		defer q.res.Release(grant)
-	}
-	workers := plan.ChooseWorkers(q.parallelism(), n)
-	g := agg.Get()
-	res := parallel.HashAgg(q.sq, pg, g, work, gcols, specs, bits, workers, m)
+	defer q.closeAgg(ar)
+	res := parallel.HashAgg(q.sq, pg, ar.g, work, gcols, specs, ar.bits, ar.workers, m)
 	if len(gcols) == 0 && res.Groups() == 0 {
 		// Global aggregation over an empty input still yields one row
 		// (COUNT = 0, the rest NULL), per SQL. The rep row ordinal is never
@@ -2429,15 +2417,10 @@ func (q *Query) runGroup(list *storage.TempList, m *meter.Counters, pg *obs.Prog
 		res = agg.Result{Reps: []int32{0}, Cells: make([]agg.Cell, len(specs))}
 	}
 	out, err := agg.Materialize(work, gcols, specs, res, "agg("+q.from.Name()+")")
-	stats := res.Stats
-	agg.Put(g)
 	if err != nil {
 		return groupExec{}, err
 	}
-	path := method.String()
-	if workers > 1 {
-		path = fmt.Sprintf("parallel partial-agg merge (%d workers)", workers)
-	}
+	work.Release() // every key and aggregate now lives in the output relation
 	detail := "global"
 	if len(q.groupBy) > 0 {
 		detail = "BY " + strings.Join(q.groupBy, ", ")
@@ -2446,9 +2429,132 @@ func (q *Query) runGroup(list *storage.TempList, m *meter.Counters, pg *obs.Prog
 		detail += fmt.Sprintf(" (%d aggregate(s))", len(q.aggs))
 	}
 	return groupExec{
-		list: out, method: method, path: path, detail: detail,
-		rowsIn: n, workers: workers, radix: stats, grant: grant,
+		list: out, method: ar.method, path: ar.path(), detail: detail,
+		rowsIn: n, workers: ar.workers, radix: res.Stats, grant: ar.grant,
 	}, nil
+}
+
+// aggPlan is how the aggregation engine will run over an input: the
+// crossover's shape, its radix plan, and the worker count. GROUP BY and
+// DISTINCT execute it and Explain prints it, so plan and run agree.
+type aggPlan struct {
+	method  plan.AggMethod
+	bits    []uint
+	workers int
+}
+
+// planAgg sizes the engine for n input rows under this execution's share
+// of the memory budget, queueing the audit record when the budget
+// narrowed the radix plan.
+func (q *Query) planAgg(n int) aggPlan {
+	method, bits, clamped := plan.BudgetedAggBits(n, q.db.opts.Agg, q.memBudget())
+	if clamped {
+		q.noteClamp("agg budget clamp", fmt.Sprintf("bits=%v", bits), bits, q.memBudget(), n)
+	}
+	return aggPlan{method: method, bits: bits, workers: plan.ChooseWorkers(q.parallelism(), n)}
+}
+
+// path names what runs: workers > 1 fold per-worker flat tables whatever
+// the crossover picked.
+func (p aggPlan) path() string {
+	if p.workers > 1 {
+		return fmt.Sprintf("parallel partial-agg merge (%d workers)", p.workers)
+	}
+	return p.method.String()
+}
+
+// aggExec is one run of the aggregation engine: its plan, the pooled
+// grouper whose scratch the result aliases, and the memory grant.
+type aggExec struct {
+	aggPlan
+	g     *agg.Grouper
+	grant int64 // bytes granted before the table build (0 = unbudgeted)
+}
+
+// beginAgg readies a planned run over n input rows: it takes the grant
+// and borrows a grouper. closeAgg undoes both once the result is consumed.
+func (q *Query) beginAgg(ap aggPlan, n int) (aggExec, error) {
+	ar := aggExec{aggPlan: ap}
+	if q.res != nil {
+		// Grant-before-build: reserve the worst-case table footprint
+		// (every input row its own group) before allocating, waiting for
+		// sibling queries to release when the budget is tight. The wait
+		// honors the query's context, so cancellation propagates as an
+		// error instead of a stuck build.
+		ar.grant = radix.TableBytes(n)
+		qctx := q.ctx
+		if qctx == nil {
+			qctx = context.Background()
+		}
+		if err := q.res.Grant(qctx, ar.grant); err != nil {
+			return aggExec{}, err
+		}
+	}
+	ar.g = agg.Get()
+	return ar, nil
+}
+
+// closeAgg recycles the run's grouper and returns its grant.
+func (q *Query) closeAgg(ar aggExec) {
+	agg.Put(ar.g)
+	q.res.Release(ar.grant) // nil- and zero-safe
+}
+
+// distinctPlan is how DISTINCT will run over an input. Explain prints
+// path and runDistinct executes the plan, so the two cannot disagree.
+type distinctPlan struct {
+	sortScan bool            // explicit SortMethod: §3.4 Sort Scan on sort
+	sort     plan.SortMethod // meaningful with sortScan
+	agg      aggPlan         // otherwise: keys-only run of the agg engine
+	path     string
+}
+
+// planDistinct picks the duplicate-elimination path for rows input rows.
+// An explicit sort strategy switches DISTINCT to the §3.4 Sort Scan on
+// the chosen substrate — the knob that lets the sort engine be compared
+// end to end. SortAuto keeps the paper's conclusion, hashing dominates:
+// a keys-only run of the aggregation engine.
+func (q *Query) planDistinct(rows int) distinctPlan {
+	if ss := q.sortStrategy(); ss != SortAuto {
+		sm := plan.SortQuick
+		if ss == SortRadix {
+			sm = plan.SortRadixKey
+		}
+		return distinctPlan{sortScan: true, sort: sm,
+			path: fmt.Sprintf("sort-scan duplicate elimination (%s)", sm)}
+	}
+	ap := q.planAgg(rows)
+	return distinctPlan{agg: ap, path: "hash duplicate elimination, keys-only " + ap.path()}
+}
+
+// distinctExec is the outcome of the DISTINCT phase plus the numbers the
+// observability layer reports.
+type distinctExec struct {
+	list    *storage.TempList
+	path    string
+	workers int
+	radix   radix.Stats // partitioning stats (zero unless radix ran)
+	grant   int64
+}
+
+// runDistinct eliminates duplicate rows of list — first occurrences, in
+// input order, on the hash path — and releases it.
+func (q *Query) runDistinct(list *storage.TempList, m *meter.Counters, pg *obs.Progress) (distinctExec, error) {
+	dp := q.planDistinct(list.Len())
+	out := distinctExec{path: dp.path, workers: 1}
+	if dp.sortScan {
+		out.list = exec.ProjectSort(list, m, dp.sort)
+	} else {
+		ar, err := q.beginAgg(dp.agg, list.Len())
+		if err != nil {
+			return distinctExec{}, err
+		}
+		out.list, out.radix = parallel.Distinct(q.sq, pg, ar.g, list, ar.bits, ar.workers, m)
+		out.workers, out.grant = ar.workers, ar.grant
+		q.closeAgg(ar)
+	}
+	list.Release()
+	return out, nil
 }
 
 // orderExec is the outcome of the ORDER BY phase plus the numbers the
@@ -2465,9 +2571,10 @@ type orderExec struct {
 // runOrder executes ORDER BY (+ LIMIT): resolve the key terms against the
 // output descriptor, pick bounded-heap top-k vs full sort
 // (plan.ChooseTopK), and rebuild the list in output order, cut to the
-// limit. The full sort runs on the substrate the sort-method crossover
-// picks (§3.1 quicksort or the normalized-key radix kernel); both shapes
-// produce the identical deterministic order (ordinal tie-break).
+// limit; the input list is released. The full sort runs on the substrate
+// the sort-method crossover picks (§3.1 quicksort or the normalized-key
+// radix kernel); both shapes produce the identical deterministic order
+// (ordinal tie-break).
 func (q *Query) runOrder(list *storage.TempList, m *meter.Counters, pg *obs.Progress) (orderExec, error) {
 	keys, err := q.resolveOrderKeys(list)
 	if err != nil {
@@ -2498,6 +2605,7 @@ func (q *Query) runOrder(list *storage.TempList, m *meter.Counters, pg *obs.Prog
 	for _, r := range rows {
 		out.Append(list.Row(int(r)))
 	}
+	list.Release()
 	return orderExec{
 		list: out, method: method, path: path,
 		detail: "BY " + q.orderByText(), k: k, workers: workers,
@@ -2566,12 +2674,9 @@ func parseOrdinal(s string) (int, bool) {
 	return n, true
 }
 
-// headList copies the first n rows of list into a fresh list with the
-// same descriptor.
+// headList cuts list to its first n rows: they are copied into a fresh
+// exact-fit list and list is released.
 func headList(list *storage.TempList, n int) *storage.TempList {
-	if n > list.Len() {
-		n = list.Len()
-	}
 	out := storage.MustTempListHint(list.Descriptor(), n)
 	list.Scan(func(i int, row storage.Row) bool {
 		if i >= n {
@@ -2580,5 +2685,6 @@ func headList(list *storage.TempList, n int) *storage.TempList {
 		out.Append(row)
 		return true
 	})
+	list.Release()
 	return out
 }

@@ -62,38 +62,47 @@ func TestRadixJoinMatchesChained(t *testing.T) {
 	}
 }
 
-// TestRadixDistinctMatchesChained: the forced radix DISTINCT must keep
-// exactly the rows the serial §3.4 operator keeps, and the trace must
-// attribute the radix path.
-func TestRadixDistinctMatchesChained(t *testing.T) {
+// TestPartitionedDistinctMatchesFlat: past the aggregation crossover the
+// serial keys-only run radix-partitions its input; it must keep exactly
+// the rows the flat table keeps, the trace must attribute the partitioning,
+// and the join-method knob must not fork DISTINCT.
+func TestPartitionedDistinctMatchesFlat(t *testing.T) {
 	const rows = 12000
-	db := openBig(t, Options{}, rows)
-	mk := func(s JoinStrategy) *Query {
-		return db.Query("a").Select("k").Distinct().Parallel(4).JoinMethod(s)
+	flatDB := openBig(t, Options{}, rows)
+	partDB := openBig(t, Options{Agg: AggConfig{MinRows: 1}}, rows)
+	mk := func(db *Database) *Query {
+		return db.Query("a").Select("k").Distinct().Parallel(1)
 	}
-	chained, err := mk(JoinChained).Run()
+	flat, trf, err := mk(flatDB).JoinMethod(JoinRadix).Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	radix, tr, err := mk(JoinRadix).Analyze()
+	part, trp, err := mk(partDB).JoinMethod(JoinChained).Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if radix.Len() != 97 || chained.Len() != 97 {
-		t.Fatalf("distinct kept %d/%d rows, want 97", radix.Len(), chained.Len())
+	if part.Len() != 97 || flat.Len() != 97 {
+		t.Fatalf("distinct kept %d/%d rows, want 97", part.Len(), flat.Len())
 	}
-	sameMultiset(t, "distinct", multiset(t, chained), multiset(t, radix))
-	var dn *TraceNode
-	for _, n := range tr.Root.Children {
-		if n.Op == "distinct" {
-			dn = n
+	sameMultiset(t, "distinct", multiset(t, flat), multiset(t, part))
+	node := func(tr *QueryTrace) *TraceNode {
+		for _, n := range tr.Root.Children {
+			if n.Op == "distinct" {
+				return n
+			}
 		}
+		t.Fatalf("no distinct node:\n%s", tr.Format())
+		return nil
 	}
-	if dn == nil || dn.AccessPath != "radix-partitioned hash duplicate elimination" {
-		t.Fatalf("distinct node = %+v", dn)
+	if fn := node(trf); fn.AccessPath != "hash duplicate elimination, keys-only flat-table hash agg" || fn.Partitions != 0 {
+		t.Fatalf("flat distinct node = %+v", fn)
 	}
-	if dn.Partitions < 4 || dn.RadixPasses < 1 {
-		t.Fatalf("distinct radix stats missing: %+v", dn)
+	pn := node(trp)
+	if pn.AccessPath != "hash duplicate elimination, keys-only radix-partitioned hash agg" {
+		t.Fatalf("partitioned distinct node = %+v", pn)
+	}
+	if pn.Partitions < 4 || pn.RadixPasses < 1 || pn.Ops.RadixPasses == 0 || pn.Ops.Partitions == 0 {
+		t.Fatalf("partitioned distinct stats missing: %+v", pn)
 	}
 }
 

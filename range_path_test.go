@@ -113,7 +113,9 @@ func TestFoldedRangeMatchesSequentialScan(t *testing.T) {
 		{"id >= 7 AND id <= 7", "[7, 7]", fetched(7, 7)},
 		{"id > 7 AND id < 7", "[7, 7]", fetched(7, 7)},
 		{"id >= 190", "[190, +inf)", fetched(190, 1<<40)},
-		{"id < 4", "(-inf, 4]", -1}, // NULL keys sort below every bound
+		{"id < 4", "(-inf, 4]", -1},  // NULL keys sort below every bound
+		{"id <= 4", "(-inf, 4]", -1}, // inclusive, but only a lower bound keeps the NULL keys out
+		{"id >= 20 AND id <= 30", "[20, 30]", fetched(20, 30)},
 		{"id >= 20 AND id < 30 AND v = 3", "[20, 30] + 1 residual filter(s)", fetched(20, 30)},
 		{"id >= 20 AND v != 3 AND id < 30", "[20, 30] + 1 residual filter(s)", fetched(20, 30)},
 		{"id >= 20 AND id < 30 AND id != 25", "[20, 30] + 1 residual filter(s)", fetched(20, 30)},
@@ -160,6 +162,34 @@ func TestFoldedRangeMatchesSequentialScan(t *testing.T) {
 					tc.where, n.RowsIn, n.RowsOut, tc.rowsIn, len(want))
 			}
 		}
+	}
+}
+
+// TestExactAccessPathIsFinal: when the probe guarantees every predicate —
+// an Eq lookup on a non-NULL key, an inclusive range with a lower bound —
+// the selection returns the access-path list itself; a strict bound, an
+// extra conjunct or a NULL key still go through the residual filter. Either
+// way the rows are the sequential scan's.
+func TestExactAccessPathIsFinal(t *testing.T) {
+	db := rangeDB(t, 400)
+	for _, where := range []string{"id = 7", "id = NULL", "id = 7 AND v = 0", "id = 7 AND id = 8", "k = 14", "k = NULL"} {
+		got := keysOf(t, db, "SELECT k FROM ranged WHERE "+where)
+		want := keysOf(t, db, "SELECT k FROM seq WHERE "+where)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("WHERE %s: index path returned %v, sequential scan %v", where, got, want)
+		}
+	}
+	allocs := func(q func() *Query) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if res, err := q().Run(); err != nil || res.Len() != 20 {
+				t.Fatalf("range returned %d rows, %v", res.Len(), err)
+			}
+		})
+	}
+	exact := allocs(func() *Query { return db.Query("ranged").Where("id", Ge, Int(20)).Where("id", Le, Int(30)).Select("k") })
+	strict := allocs(func() *Query { return db.Query("ranged").Where("id", Ge, Int(20)).Where("id", Lt, Int(31)).Select("k") })
+	if exact >= strict {
+		t.Errorf("the inclusive range allocates %.0f times, the strict one %.0f: its list was copied", exact, strict)
 	}
 }
 
