@@ -3,8 +3,13 @@
 // transactions are short, so coarse locks held briefly beat tuple-level
 // locking, whose bookkeeping "would be comparable to the cost of accessing
 // [the tuple] — thus doubling the cost of tuple accesses". Deadlocks are
-// detected with a waits-for graph derived from the live lock tables and
-// resolved by aborting the requester that would close a cycle.
+// detected with a waits-for graph derived from the live lock tables, when
+// a request would close a cycle, and resolved by aborting the youngest
+// transaction on that cycle (the largest TxnID): the requester itself, or
+// a transaction already waiting, whose Lock call then returns ErrDeadlock.
+// The oldest transaction of a cycle is never the victim, so a transaction
+// that retries under a fresh, larger id cannot keep killing the one that
+// is about to finish.
 //
 // The manager knows resources only as comparable values; the hierarchy is
 // the transaction layer's (package txn states it in full): a relation lock
@@ -40,8 +45,9 @@ func (m Mode) String() string {
 // TxnID identifies a transaction.
 type TxnID uint64
 
-// ErrDeadlock is returned to the requester whose wait would complete a
-// cycle in the waits-for graph.
+// ErrDeadlock is returned to the victim of a deadlock: the youngest
+// transaction on a cycle in the waits-for graph, from the Lock call it is
+// making or blocked in. The caller is expected to abort.
 var ErrDeadlock = errors.New("lock: deadlock detected")
 
 // Resource is anything lockable — the engine locks *storage.Relation and
@@ -56,8 +62,8 @@ type Observer interface {
 	// LockWait reports one request that had to queue, with the time it
 	// spent waiting (including requests that ended in an error).
 	LockWait(d time.Duration)
-	// Deadlock reports one request denied because waiting would have
-	// closed a cycle in the waits-for graph.
+	// Deadlock reports one request denied to break a cycle in the
+	// waits-for graph.
 	Deadlock()
 }
 
@@ -137,33 +143,57 @@ func (m *Manager) SetObserver(o Observer) {
 }
 
 // Lock acquires res in the given mode for txn, blocking until granted. It
-// returns ErrDeadlock if waiting would create a cycle; the caller is
-// expected to abort. Re-acquiring a held lock is a no-op; holding Shared
-// and requesting Exclusive upgrades when possible.
+// returns ErrDeadlock if txn is chosen as the victim of a deadlock, at
+// once or while it waits; the caller is expected to abort. Re-acquiring a
+// held lock is a no-op; holding Shared and requesting Exclusive upgrades
+// when possible.
 func (m *Manager) Lock(txn TxnID, res Resource, mode Mode) error {
 	m.mu.Lock()
 	if m.acquire(txn, res, mode) {
 		m.mu.Unlock()
 		return nil
 	}
-	// Must wait. Record what we wait for, then check whether the wait
-	// closes a cycle in the (dynamically derived) waits-for graph.
+	// Must wait. Record what we wait for, then break every cycle the wait
+	// closes in the (dynamically derived) waits-for graph, youngest
+	// transaction first. A victim other than the requester is blocked in
+	// its own Lock call: it is taken out of its queue and woken with the
+	// error, and still holds its locks until its caller aborts, so the
+	// requester queues all the same.
 	obs := m.obs // captured under m.mu; callbacks run outside it
 	ts := m.txnState(txn)
 	ts.waiting = res
-	if m.cyclic(txn, txn, map[TxnID]bool{}) {
-		ts.waiting = nil
-		m.dropIfIdle(txn, ts)
-		m.mu.Unlock()
-		if obs != nil {
+	deadlocks := 0
+	report := func() {
+		for ; obs != nil && deadlocks > 0; deadlocks-- {
 			obs.Deadlock()
 		}
-		return ErrDeadlock
+	}
+	for {
+		victim, ok := m.cycleVictim(txn, txn, map[TxnID]bool{})
+		if !ok {
+			break
+		}
+		deadlocks++
+		if victim == txn {
+			ts.waiting = nil
+			m.dropIfIdle(txn, ts)
+			m.mu.Unlock()
+			report()
+			return ErrDeadlock
+		}
+		m.evict(victim)
+	}
+	if deadlocks > 0 && m.acquire(txn, res, mode) {
+		// The victims were only queued ahead of us.
+		m.mu.Unlock()
+		report()
+		return nil
 	}
 	w := &waiter{txn: txn, mode: mode, granted: make(chan error, 1)}
 	st := m.locks[res]
 	st.queue = append(st.queue, w)
 	m.mu.Unlock()
+	report()
 	var start time.Time
 	if obs != nil {
 		start = time.Now()
@@ -173,6 +203,27 @@ func (m *Manager) Lock(txn TxnID, res Resource, mode Mode) error {
 		obs.LockWait(time.Since(start))
 	}
 	return err
+}
+
+// evict denies the request a blocked transaction is waiting on: its waiter
+// leaves the queue and its Lock call returns ErrDeadlock. Whoever was
+// queued behind it may now be first in line.
+func (m *Manager) evict(txn TxnID) {
+	ts := m.txns[txn]
+	res := ts.waiting
+	st := m.locks[res]
+	for i, w := range st.queue {
+		if w.txn == txn {
+			copy(st.queue[i:], st.queue[i+1:])
+			st.queue[len(st.queue)-1] = nil
+			st.queue = st.queue[:len(st.queue)-1]
+			w.granted <- ErrDeadlock
+			break
+		}
+	}
+	ts.waiting = nil
+	m.dropIfIdle(txn, ts)
+	m.wake(st, res)
 }
 
 // TryLock acquires res in mode only if it is immediately grantable —
@@ -310,10 +361,12 @@ func (m *Manager) blockers(txn TxnID, fn func(TxnID) bool) bool {
 	return true
 }
 
-// cyclic reports whether target is reachable from cur in the derived
-// waits-for graph.
-func (m *Manager) cyclic(target, cur TxnID, seen map[TxnID]bool) bool {
-	found := false
+// cycleVictim reports whether target is reachable from cur in the derived
+// waits-for graph and, if it is, the youngest transaction (largest id) on
+// the path found, cur included. Called with cur == target it finds a cycle
+// through the requester; every other transaction on it is blocked in Lock.
+func (m *Manager) cycleVictim(target, cur TxnID, seen map[TxnID]bool) (TxnID, bool) {
+	victim, found := cur, false
 	m.blockers(cur, func(next TxnID) bool {
 		if next == target {
 			found = true
@@ -321,14 +374,17 @@ func (m *Manager) cyclic(target, cur TxnID, seen map[TxnID]bool) bool {
 		}
 		if !seen[next] {
 			seen[next] = true
-			if m.cyclic(target, next, seen) {
+			if v, ok := m.cycleVictim(target, next, seen); ok {
 				found = true
+				if v > victim {
+					victim = v
+				}
 				return false
 			}
 		}
 		return true
 	})
-	return found
+	return victim, found
 }
 
 // Unlock releases one resource held by txn and wakes eligible waiters.
@@ -370,9 +426,8 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 	m.dropIfIdle(txn, ts)
 }
 
-// release drops txn from res's holders, hands the lock to the waiters it
-// unblocks, and recycles the entry once nobody holds or awaits it. The
-// caller maintains txn's held list.
+// release drops txn from res's holders and hands the lock to the waiters
+// it unblocks. The caller maintains txn's held list.
 func (m *Manager) release(txn TxnID, res Resource) {
 	st := m.locks[res]
 	if st == nil {
@@ -383,7 +438,12 @@ func (m *Manager) release(txn TxnID, res Resource) {
 		st.holders[i] = st.holders[last]
 		st.holders = st.holders[:last]
 	}
-	// Wake queued waiters in order while they are grantable.
+	m.wake(st, res)
+}
+
+// wake hands res to its queued waiters, in order, while they are
+// grantable, and recycles the entry once nobody holds or awaits it.
+func (m *Manager) wake(st *state, res Resource) {
 	for len(st.queue) > 0 {
 		w := st.queue[0]
 		if !st.grantable(w.txn, w.mode) {

@@ -104,6 +104,71 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
+// TestDeadlockVictimIsYoungest: when the older transaction's request closes
+// the cycle, the younger one, already blocked, is the victim. Its Lock call
+// returns ErrDeadlock, the reader queued behind it moves up, and the older
+// transaction is granted once the victim has released.
+func TestDeadlockVictimIsYoungest(t *testing.T) {
+	m := NewManager()
+	m.Lock(1, "a", Shared)
+	m.Lock(5, "b", Exclusive)
+	young := make(chan error, 1)
+	go func() { young <- m.Lock(5, "a", Exclusive) }() // waits for 1
+	waitFor(t, m, 1)
+	behind := make(chan error, 1)
+	go func() { behind <- m.Lock(3, "a", Shared) }() // FIFO: queued behind 5
+	waitFor(t, m, 2)
+	old := make(chan error, 1)
+	go func() { old <- m.Lock(1, "b", Exclusive) }() // closes the cycle 1 -> 5 -> 1
+
+	select {
+	case err := <-young:
+		if err != ErrDeadlock {
+			t.Fatalf("younger transaction got %v, want ErrDeadlock", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("younger transaction was not chosen as the victim")
+	}
+	select {
+	case err := <-behind:
+		if err != nil {
+			t.Fatalf("reader queued behind the victim got %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("reader queued behind the victim was not woken")
+	}
+	select {
+	case err := <-old:
+		t.Fatalf("older transaction returned %v before the victim released", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	m.ReleaseAll(5) // the victim aborts
+	select {
+	case err := <-old:
+		if err != nil {
+			t.Fatalf("older transaction got %v, want the lock", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("older transaction never acquired b after the victim released")
+	}
+	m.ReleaseAll(1)
+	m.ReleaseAll(3)
+	if st := m.Stats(); st.Resources != 0 || st.Txns != 0 {
+		t.Fatalf("lock table not empty afterwards: %+v", st)
+	}
+}
+
+// waitFor blocks until n transactions are blocked in Lock.
+func waitFor(t *testing.T, m *Manager, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); m.Stats().Waiting != n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d transactions waiting, want %d", m.Stats().Waiting, n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 func TestUpgradeDeadlock(t *testing.T) {
 	m := NewManager()
 	m.Lock(1, "p", Shared)

@@ -25,6 +25,13 @@ type Snapshot struct {
 	LockWaitTime time.Duration `json:"lock_wait_nanos"`
 	Deadlocks    int64         `json:"deadlocks"`
 
+	// Snapshot refreshes: how often a snapshot reader found the published
+	// image stale, the time those readers spent on it (waiting for
+	// S(relation) plus republishing), and the clone headers they built.
+	SnapRefreshes      int64         `json:"snapshot_refreshes"`
+	SnapRefreshTime    time.Duration `json:"snapshot_refresh_nanos"`
+	SnapTuplesRecloned int64         `json:"snapshot_tuples_recloned"`
+
 	TxnBegins  int64 `json:"txn_begins"`
 	TxnCommits int64 `json:"txn_commits"`
 	TxnAborts  int64 `json:"txn_aborts"`
@@ -85,26 +92,29 @@ func (r *Registry) Snapshot() Snapshot {
 		gm = &m
 	}
 	return Snapshot{
-		Sched:         sched,
-		Mem:           gm,
-		Queries:       r.queries.Load(),
-		QueriesByPlan: r.planShapes.snapshot(),
-		RowsScanned:   r.rowsScanned.Load(),
-		RowsReturned:  r.rowsReturned.Load(),
-		IndexProbes:   r.indexProbes.snapshot(),
-		LockWaits:     r.lockWaits.Load(),
-		LockWaitTime:  time.Duration(r.lockWaitNanos.Load()),
-		Deadlocks:     r.deadlocks.Load(),
-		TxnBegins:     r.txnBegins.Load(),
-		TxnCommits:    r.txnCommits.Load(),
-		TxnAborts:     r.txnAborts.Load(),
-		LogAppends:    r.logAppends.Load(),
-		LogWords:      r.logWords.Load(),
-		LogFlushes:    r.logFlushes.Load(),
-		Ops:             r.ops.Snapshot(),
-		QueryLatency:    r.queryLatency.Snapshot(),
-		PlanMispredicts: r.planMispredicts.snapshot(),
-		RadixSkew:       r.radixSkew.Snapshot(),
+		Sched:              sched,
+		Mem:                gm,
+		Queries:            r.queries.Load(),
+		QueriesByPlan:      r.planShapes.snapshot(),
+		RowsScanned:        r.rowsScanned.Load(),
+		RowsReturned:       r.rowsReturned.Load(),
+		IndexProbes:        r.indexProbes.snapshot(),
+		LockWaits:          r.lockWaits.Load(),
+		LockWaitTime:       time.Duration(r.lockWaitNanos.Load()),
+		Deadlocks:          r.deadlocks.Load(),
+		SnapRefreshes:      r.snapRefreshes.Load(),
+		SnapRefreshTime:    time.Duration(r.snapRefreshNanos.Load()),
+		SnapTuplesRecloned: r.snapTuplesRecloned.Load(),
+		TxnBegins:          r.txnBegins.Load(),
+		TxnCommits:         r.txnCommits.Load(),
+		TxnAborts:          r.txnAborts.Load(),
+		LogAppends:         r.logAppends.Load(),
+		LogWords:           r.logWords.Load(),
+		LogFlushes:         r.logFlushes.Load(),
+		Ops:                r.ops.Snapshot(),
+		QueryLatency:       r.queryLatency.Snapshot(),
+		PlanMispredicts:    r.planMispredicts.snapshot(),
+		RadixSkew:          r.radixSkew.Snapshot(),
 	}
 }
 
@@ -137,6 +147,7 @@ func (s Snapshot) String() string {
 	}
 	fmt.Fprintf(&b, "transactions      begin=%d commit=%d abort=%d\n", s.TxnBegins, s.TxnCommits, s.TxnAborts)
 	fmt.Fprintf(&b, "locks             waits=%d wait time=%s deadlocks=%d\n", s.LockWaits, s.LockWaitTime, s.Deadlocks)
+	fmt.Fprintf(&b, "snapshots         refreshes=%d refresh time=%s tuples recloned=%d\n", s.SnapRefreshes, s.SnapRefreshTime, s.SnapTuplesRecloned)
 	fmt.Fprintf(&b, "log               appends=%d words=%d flushes=%d\n", s.LogAppends, s.LogWords, s.LogFlushes)
 	fmt.Fprintf(&b, "ops (§3.1)        %s", s.Ops.String())
 	return b.String()
@@ -153,6 +164,9 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	d.LockWaits -= prev.LockWaits
 	d.LockWaitTime -= prev.LockWaitTime
 	d.Deadlocks -= prev.Deadlocks
+	d.SnapRefreshes -= prev.SnapRefreshes
+	d.SnapRefreshTime -= prev.SnapRefreshTime
+	d.SnapTuplesRecloned -= prev.SnapTuplesRecloned
 	d.TxnBegins -= prev.TxnBegins
 	d.TxnCommits -= prev.TxnCommits
 	d.TxnAborts -= prev.TxnAborts
@@ -221,6 +235,9 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	counter("mmdb_lock_waits_total", "Lock requests that had to queue.", s.LockWaits)
 	counter("mmdb_lock_wait_nanoseconds_total", "Total time spent waiting for locks.", int64(s.LockWaitTime))
 	counter("mmdb_deadlocks_total", "Deadlock-victim aborts.", s.Deadlocks)
+	counter("mmdb_snapshot_refreshes_total", "Snapshot scans that found the published snapshot stale and republished it.", s.SnapRefreshes)
+	counter("mmdb_snapshot_refresh_nanoseconds_total", "Total time snapshot readers spent refreshing (lock wait plus build).", int64(s.SnapRefreshTime))
+	counter("mmdb_snapshot_tuples_recloned_total", "Clone headers built by snapshot refreshes.", s.SnapTuplesRecloned)
 	counter("mmdb_txn_begins_total", "Transactions begun.", s.TxnBegins)
 	counter("mmdb_txn_commits_total", "Transactions committed.", s.TxnCommits)
 	counter("mmdb_txn_aborts_total", "Transactions aborted.", s.TxnAborts)

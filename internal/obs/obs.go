@@ -53,6 +53,11 @@ type Registry struct {
 	lockWaitNanos atomic.Int64
 	deadlocks     atomic.Int64
 
+	// Snapshot refreshes paid by readers (query layer).
+	snapRefreshes      atomic.Int64
+	snapRefreshNanos   atomic.Int64
+	snapTuplesRecloned atomic.Int64
+
 	// Transactions (internal/txn).
 	txnBegins  atomic.Int64
 	txnCommits atomic.Int64
@@ -206,6 +211,18 @@ func (r *Registry) LockWait(d time.Duration) {
 	}
 	r.lockWaits.Add(1)
 	r.lockWaitNanos.Add(int64(d))
+}
+
+// SnapshotRefresh records one snapshot refresh a reader paid for: the time
+// it spent (lock wait and build) and the clone headers it built. Safe on a
+// nil receiver.
+func (r *Registry) SnapshotRefresh(s SnapRefresh) {
+	if r == nil {
+		return
+	}
+	r.snapRefreshes.Add(1)
+	r.snapRefreshNanos.Add(int64(s.LockWait + s.Build))
+	r.snapTuplesRecloned.Add(int64(s.Tuples))
 }
 
 // Deadlock records one deadlock-victim abort. Safe on a nil receiver.

@@ -64,8 +64,20 @@ func TestRegistryEngineEvents(t *testing.T) {
 	r.LogAppend(9)
 	r.LogAppend(11)
 	r.LogFlush(2)
+	r.SnapshotRefresh(SnapRefresh{Patched: 2, Tuples: 5, LockWait: time.Millisecond, Build: 2 * time.Millisecond})
+	r.SnapshotRefresh(SnapRefresh{Cloned: 1, Tuples: 256, Build: time.Millisecond})
 
 	s := r.Snapshot()
+	if s.SnapRefreshes != 2 || s.SnapRefreshTime != 4*time.Millisecond || s.SnapTuplesRecloned != 261 {
+		t.Fatalf("snapshot refreshes = %d in %s, %d tuples", s.SnapRefreshes, s.SnapRefreshTime, s.SnapTuplesRecloned)
+	}
+	var prom strings.Builder
+	r.WritePrometheus(&prom)
+	for _, line := range []string{"mmdb_snapshot_refreshes_total 2", "mmdb_snapshot_refresh_nanoseconds_total 4000000", "mmdb_snapshot_tuples_recloned_total 261"} {
+		if !strings.Contains(prom.String(), line) {
+			t.Fatalf("exposition lacks %q", line)
+		}
+	}
 	if s.TxnBegins != 2 || s.TxnCommits != 1 || s.TxnAborts != 1 {
 		t.Fatalf("txn = %d/%d/%d, want 2/1/1", s.TxnBegins, s.TxnCommits, s.TxnAborts)
 	}
@@ -87,6 +99,7 @@ func TestNilRegistry(t *testing.T) {
 	r.RecordQuery("x", 1, 1, time.Second, meter.Counters{Comparisons: 1})
 	r.IndexProbe("T Tree", 1)
 	r.LockWait(time.Second)
+	r.SnapshotRefresh(SnapRefresh{Patched: 1, Tuples: 1, Build: time.Second})
 	r.Deadlock()
 	r.TxnBegin()
 	r.TxnCommit()
@@ -114,6 +127,7 @@ func TestDisabledRegistryAllocs(t *testing.T) {
 		r.RecordQuery("shape", 10, 5, time.Microsecond, ops)
 		r.IndexProbe("T Tree", 1)
 		r.LockWait(time.Microsecond)
+		r.SnapshotRefresh(SnapRefresh{Patched: 1, Tuples: 1, Build: time.Microsecond})
 		r.TxnBegin()
 		r.LogAppend(8)
 	})

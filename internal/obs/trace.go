@@ -41,8 +41,25 @@ type TraceNode struct {
 	Reversed   int
 	Resplits   int
 
+	// Refresh is what a snapshot scan paid before it could start: set only
+	// when it found the published snapshot stale and republished it.
+	Refresh SnapRefresh
+
 	Ops      meter.Counters
 	Children []*TraceNode
+}
+
+// SnapRefresh attributes one snapshot refresh — the one place a snapshot
+// reader can wait. The reader takes S(relation), so LockWait is the time
+// in-flight writers made it wait; Build is the republication itself:
+// Patched partitions had only in-place updates and kept their clone array
+// but for the Tuples that changed, Cloned ones were rebuilt. A reader that
+// lost the race to another refresher reports the wait and builds nothing.
+// The zero value means the snapshot was fresh and no lock was taken.
+type SnapRefresh struct {
+	Patched, Cloned int
+	Tuples          int
+	LockWait, Build time.Duration
 }
 
 // Add appends a child operator and returns it.
@@ -156,6 +173,10 @@ func (n *TraceNode) Line() string {
 	}
 	if n.GrantBytes > 0 || n.Reversed > 0 || n.Resplits > 0 {
 		fmt.Fprintf(&b, "  budget: grant=%s reversed=%d resplit=%d", FmtBytes(n.GrantBytes), n.Reversed, n.Resplits)
+	}
+	if r := n.Refresh; r != (SnapRefresh{}) {
+		fmt.Fprintf(&b, "  refreshed: %d patched + %d cloned partitions, %d tuples, lock wait %s, build %s",
+			r.Patched, r.Cloned, r.Tuples, fmtDur(r.LockWait), fmtDur(r.Build))
 	}
 	if n.Ops.SortPasses > 0 || n.Ops.SortRuns > 0 {
 		// The normalized-key sort kernel ran inside this operator:

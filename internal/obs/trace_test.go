@@ -81,4 +81,11 @@ func TestTraceNodeLine(t *testing.T) {
 	if strings.Contains(line, "[") {
 		t.Fatalf("zero-op node should have no counter block: %q", line)
 	}
+	if strings.Contains(line, "refreshed:") {
+		t.Fatalf("a node that refreshed nothing says it did: %q", line)
+	}
+	n.Refresh = SnapRefresh{Patched: 3, Cloned: 1, Tuples: 260, LockWait: 12 * time.Microsecond, Build: 40 * time.Microsecond}
+	if want := "refreshed: 3 patched + 1 cloned partitions, 260 tuples, lock wait 12µs, build 40µs"; !strings.Contains(n.Line(), want) {
+		t.Fatalf("Line = %q, want it to carry %q", n.Line(), want)
+	}
 }

@@ -309,7 +309,10 @@ func (ld *Loader) TupleByID(id uint64) (*Tuple, bool) {
 }
 
 // Finish resolves all pending Ref fields. Every referenced tuple must have
-// been loaded.
+// been loaded. The swizzle is the one write into an installed field array
+// (everywhere else a change installs a fresh one, see Relation.Update). It
+// is legal only because no snapshot of a relation is published before its
+// load has finished, so no clone shares the array yet.
 func (ld *Loader) Finish() error {
 	for _, p := range ld.pending {
 		target, ok := ld.byID[p.refID]

@@ -40,11 +40,15 @@ type Partition struct {
 	heapUsed int
 	lsn      uint64 // highest log sequence number applied; used by recovery
 	// snapDirty marks that DML touched this partition since the last
-	// snapshot publication, so the next publish must re-clone it instead
-	// of sharing the previous snapshot's array (see snapshot.go). Written
-	// under the engine's exclusive locks, read by the publisher under the
-	// same exclusion.
-	snapDirty bool
+	// snapshot publication, so the next publish cannot share the previous
+	// snapshot's clone array as it is (see snapshot.go). snapReshaped
+	// narrows how: an insert, delete or move changed which tuples the
+	// partition's scan yields, so the array is re-cloned in full; with
+	// only snapDirty set every change was an in-place update and the
+	// array is patched. Written under the engine's exclusive locks, read
+	// and cleared by the publisher under S(relation), which excludes them.
+	snapDirty    bool
+	snapReshaped bool
 }
 
 // ID returns the partition's position within its relation.
@@ -93,7 +97,7 @@ func (p *Partition) place(t *Tuple) {
 	t.slot = slot
 	p.live++
 	p.heapUsed += t.heapBytes()
-	p.snapDirty = true
+	p.snapDirty, p.snapReshaped = true, true
 }
 
 // remove frees the tuple's slot and heap space. The tuple struct itself
@@ -104,7 +108,7 @@ func (p *Partition) remove(t *Tuple) {
 	p.free = append(p.free, t.slot)
 	p.live--
 	p.heapUsed -= t.heapBytes()
-	p.snapDirty = true
+	p.snapDirty, p.snapReshaped = true, true
 }
 
 // Scan visits every live tuple in the partition until fn returns false;
@@ -116,11 +120,15 @@ func (p *Partition) remove(t *Tuple) {
 // for the duration of the scan.
 func (p *Partition) Scan(fn func(*Tuple) bool) bool { return p.scan(fn) }
 
+// visible reports whether the slot holds a tuple a scan yields: not empty,
+// not deleted, not the forwarding stub of a tuple that moved away.
+func visible(t *Tuple) bool { return t != nil && !t.dead && t.forward == nil }
+
 // scan visits every live tuple in the partition (forwarding stubs are
 // skipped: the tuple is visited at its current home).
 func (p *Partition) scan(fn func(*Tuple) bool) bool {
 	for _, t := range p.slots {
-		if t == nil || t.dead || t.forward != nil {
+		if !visible(t) {
 			continue
 		}
 		if !fn(t) {

@@ -39,7 +39,9 @@ type Observer interface {
 	// still carries its old values — the window in which an index can
 	// locate the entry by its current key.
 	TupleUpdating(t *Tuple, f int, v Value)
-	// TupleUpdated fires after the change; old holds the prior field values.
+	// TupleUpdated fires after the change; old is the array of field values
+	// the tuple carried before, which snapshots may still share: read it,
+	// keep it, never write it.
 	TupleUpdated(t *Tuple, old []Value)
 }
 
@@ -65,7 +67,9 @@ type Relation struct {
 	// pointer misses per value — the in-memory analogue of the paper's
 	// per-partition heap space (§2.1). Chunks are fixed once handed out
 	// (append never grows a full chunk), so &chunk[i] stays stable for the
-	// tuple's lifetime, preserving the tuple-pointer contract.
+	// tuple's lifetime, preserving the tuple-pointer contract. The field
+	// array is only the tuple's first version: Update installs a heap
+	// array of its own and leaves the slab's to whoever still reads it.
 	tslab    []Tuple
 	varena   []Value
 	slabRows int // chunk size in tuples, doubling up to slabMaxRows
@@ -75,7 +79,7 @@ type Relation struct {
 
 	// Epoch-based snapshot publication (see snapshot.go): the published
 	// image, the DML sequence number stamping its freshness, and the
-	// mutex serializing publishers.
+	// mutex serializing the readers that publish.
 	snap    atomic.Pointer[Snapshot]
 	snapSeq atomic.Uint64
 	snapMu  sync.Mutex
@@ -227,11 +231,15 @@ func (r *Relation) Delete(t *Tuple) error {
 	return nil
 }
 
-// Update replaces field f of tuple t with v. If a growing variable-length
-// value overflows the partition's heap space, the tuple is moved to a
-// partition with room and a forwarding address is left in its old position
-// (§2.1 footnote 1); existing *Tuple pointers remain valid through
-// Resolve.
+// Update replaces field f of tuple t with v. A tuple's field array is an
+// immutable version: Update installs a fresh array carrying the change and
+// never writes the installed one, so whoever still holds the previous
+// array — a snapshot clone sharing it, an observer's old image — keeps
+// reading the version it saw (§2.4: a commit installs new values, nothing
+// is undone). If a growing variable-length value overflows the partition's
+// heap space, the tuple is moved to a partition with room and a forwarding
+// address is left in its old position (§2.1 footnote 1); existing *Tuple
+// pointers remain valid through Resolve.
 func (r *Relation) Update(t *Tuple, f int, v Value) error {
 	t = t.Resolve()
 	if t == nil || t.dead {
@@ -252,17 +260,19 @@ func (r *Relation) Update(t *Tuple, f int, v Value) error {
 			return fmt.Errorf("update %s: %w", r.name, err)
 		}
 	}
-	old := append([]Value(nil), t.vals...)
 	for _, o := range r.observers {
 		o.TupleUpdating(t, f, v)
 	}
-	delta := v.HeapBytes() - t.vals[f].HeapBytes()
+	old := t.vals
+	delta := v.HeapBytes() - old[f].HeapBytes()
 	if delta > 0 && t.part.heapUsed+delta > t.part.heapCap {
 		r.moveTuple(t, f, v)
 	} else {
+		next := append([]Value(nil), old...)
+		next[f] = v
 		t.part.heapUsed += delta
 		t.part.snapDirty = true
-		t.vals[f] = v
+		t.vals = next
 	}
 	for _, o := range r.observers {
 		o.TupleUpdated(t.Resolve(), old)
@@ -273,7 +283,8 @@ func (r *Relation) Update(t *Tuple, f int, v Value) error {
 
 // moveTuple relocates t (with field f set to v) to a partition with room,
 // leaving a forwarding stub in the old position. The logical tuple keeps
-// its ID.
+// its ID. The moved copy's array is fresh from the slab, so setting the
+// field before the tuple is placed writes nothing anyone else can reach.
 func (r *Relation) moveTuple(t *Tuple, f int, v Value) {
 	moved := r.newTuple(t.id, t.vals)
 	moved.vals[f] = v
@@ -281,7 +292,7 @@ func (r *Relation) moveTuple(t *Tuple, f int, v Value) {
 	// forwarding stub, mirroring the paper's "forwarding address left in
 	// its old position".
 	t.part.heapUsed -= t.heapBytes()
-	t.part.snapDirty = true
+	t.part.snapDirty, t.part.snapReshaped = true, true
 	t.vals = nil
 	t.forward = moved
 	r.placeTuple(moved)

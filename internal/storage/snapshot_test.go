@@ -27,9 +27,6 @@ func TestSnapshotPublishAndFreshness(t *testing.T) {
 	if r.Snapshot() != nil {
 		t.Fatal("snapshot before any publication")
 	}
-	if r.HasSnapshot() {
-		t.Fatal("HasSnapshot before any publication")
-	}
 	r.PublishSnapshot()
 	s := r.Snapshot()
 	if s == nil {
@@ -49,24 +46,15 @@ func TestSnapshotPublishAndFreshness(t *testing.T) {
 	if r.Snapshot() != nil {
 		t.Fatal("stale snapshot handed out after DML")
 	}
-	// RefreshSnapshot republishes because one was published before.
-	r.RefreshSnapshot()
-	if s2 := r.Snapshot(); s2 == nil || s2.Rows() != 41 {
-		t.Fatalf("refresh produced %+v, want 41 rows", s2)
+	if s2 := r.PublishSnapshot(); s2 != r.Snapshot() || s2.Rows() != 41 {
+		t.Fatalf("republication produced %+v, want the fresh 41-row snapshot", s2)
 	}
 }
 
-func TestSnapshotRefreshIsNoOpBeforeFirstPublish(t *testing.T) {
-	r, _ := snapRelation(t, 10)
-	r.RefreshSnapshot()
-	if r.HasSnapshot() {
-		t.Fatal("RefreshSnapshot published on a relation nobody snapshot-scans")
-	}
-}
-
-// TestSnapshotCOWReuse verifies the publisher re-clones only partitions
-// DML touched: untouched partitions share the previous snapshot's clone
-// arrays (same backing array), touched ones get fresh clones.
+// TestSnapshotCOWReuse verifies a refresh costs what changed: untouched
+// partitions share the previous snapshot's clone arrays (same backing
+// array), and a partition that saw one in-place update gets a new array in
+// which only the updated tuple's clone is new.
 func TestSnapshotCOWReuse(t *testing.T) {
 	r, tuples := snapRelation(t, 40) // 5 partitions of 8
 	r.PublishSnapshot()
@@ -80,12 +68,19 @@ func TestSnapshotCOWReuse(t *testing.T) {
 	if err := r.Update(tuples[0], 0, IntValue(-1)); err != nil {
 		t.Fatal(err)
 	}
-	r.PublishSnapshot()
-	next := r.Snapshot()
-	if next == nil {
-		t.Fatal("no snapshot after republication")
+	next, built := r.PublishSnapshotStats()
+	if want := (RefreshStats{Patched: 1, Tuples: 1}); built != want {
+		t.Fatalf("refresh did %+v, want %+v", built, want)
+	}
+	if again, built := r.PublishSnapshotStats(); again != next || built != (RefreshStats{}) {
+		t.Fatalf("publishing a fresh snapshot did %+v", built)
 	}
 	dirtyPart := tuples[0].Partition().ID()
+	for j, c := range next.Part(dirtyPart) {
+		if updated := c.ID() == tuples[0].ID(); updated == (c == prev.Part(dirtyPart)[j]) {
+			t.Fatalf("clone %d of the patched partition: updated=%v but reused=%v", j, updated, !updated)
+		}
+	}
 	for i := 0; i < next.NumParts() && i < prev.NumParts(); i++ {
 		a, b := prev.Part(i), next.Part(i)
 		if len(a) == 0 || len(b) == 0 {
@@ -111,9 +106,9 @@ func TestSnapshotCOWReuse(t *testing.T) {
 	}
 }
 
-// TestSnapshotClonesAreImmutable verifies snapshot tuples are value
-// copies, decoupled from later DML, and marked dead so transactional
-// writes through a snapshot handle fail commit validation.
+// TestSnapshotClonesAreImmutable verifies snapshot tuples keep the values
+// they were published with under later DML, and are marked dead so
+// transactional writes through a snapshot handle fail commit validation.
 func TestSnapshotClonesAreImmutable(t *testing.T) {
 	r, tuples := snapRelation(t, 20)
 	r.PublishSnapshot()

@@ -11,8 +11,9 @@
 //   - A writer (Insert, Update, Delete) takes X(relation) first, then
 //     X(partition) for the tuple it changes. X(relation) is what protects
 //     the structures that span partitions — indices, the slab arenas, the
-//     published snapshot.
-//   - A selection takes S(relation) only (LockRelationShared).
+//     marks the next snapshot publication reads.
+//   - A selection takes S(relation) only (LockRelationShared). So does a
+//     snapshot reader, and only while it republishes a stale snapshot.
 //   - A pointer read (Read) takes S(partition) only. It touches one tuple
 //     and no index, so it runs beside inserts and beside writers of other
 //     partitions; this is what partition locks are still for.
@@ -71,18 +72,25 @@ func NewManager(locks *lock.Manager, log *recovery.Manager) *Manager {
 	return &Manager{Locks: locks, Log: log}
 }
 
-// Begin starts a transaction.
+// Begin starts a transaction. Its first four buffered ops live in the
+// same allocation as the transaction itself; a fifth spills by append.
 func (m *Manager) Begin() *Txn {
 	if m.Obs != nil {
 		m.Obs.TxnBegin()
 	}
-	return &Txn{m: m, id: atomic.AddUint64(&m.next, 1)}
+	w := &struct {
+		Txn
+		ops [4]op
+	}{Txn: Txn{m: m, id: atomic.AddUint64(&m.next, 1)}}
+	w.Txn.ops = w.ops[:0]
+	return &w.Txn
 }
 
 // BeginUntracked starts a transaction that bypasses the observer — for
 // internal ephemeral readers (e.g. the query layer's lock-holding
 // pseudo-transaction) whose begin/abort pairs would distort transaction
-// metrics. Locking and logging behave exactly as in Begin.
+// metrics, and which buffer no ops, so none are set aside for them.
+// Locking and logging behave exactly as in Begin.
 func (m *Manager) BeginUntracked() *Txn {
 	return &Txn{m: m, id: atomic.AddUint64(&m.next, 1), untracked: true}
 }
@@ -320,18 +328,10 @@ func (t *Txn) Commit() ([]*storage.Tuple, error) {
 	if t.m.Log != nil {
 		t.m.Log.Commit(t.id)
 	}
-	// Republish snapshots of the touched relations while this
-	// transaction's exclusive locks still exclude other writers, so
-	// lock-free snapshot readers move from the pre-commit image straight
-	// to the post-commit one. Relations nobody snapshot-scans skip this
-	// (RefreshSnapshot is a nil check for them).
-	var refreshed *storage.Relation
-	for _, o := range t.ops {
-		if o.rel != refreshed {
-			o.rel.RefreshSnapshot()
-			refreshed = o.rel
-		}
-	}
+	// Nothing is published here: the updates above advanced each touched
+	// relation's snapshot epoch and marked its partitions, and the first
+	// snapshot reader of the new epoch pays for the refresh (see
+	// storage/snapshot.go).
 	t.m.Locks.ReleaseAll(t.lockID())
 	if t.m.Obs != nil && !t.untracked {
 		t.m.Obs.TxnCommit()

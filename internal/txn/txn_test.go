@@ -348,3 +348,57 @@ func TestExclusivePartitionImpliesExclusiveRelation(t *testing.T) {
 		t.Fatalf("locks left behind: %+v", s)
 	}
 }
+
+// TestShortWriterAllocs pins what a four-update transaction on a relation
+// nobody logs allocates: the transaction with room for its ops in one
+// object, and one fresh field array per update (storage installs a new
+// version instead of writing the installed one). Nothing for the op list,
+// nothing for the locks, and nothing for readers that may never look.
+func TestShortWriterAllocs(t *testing.T) {
+	rel := newRel(t)
+	tm := NewManager(lock.NewManager(), nil)
+	setup := tm.Begin()
+	for i := int64(0); i < 4; i++ {
+		if err := setup.Insert(rel, []storage.Value{storage.IntValue(i), storage.StringValue("x")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tuples, err := setup.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel.PublishSnapshot() // a published snapshot costs the writer nothing either
+	round := int64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		round++
+		tx := tm.Begin()
+		for _, tp := range tuples {
+			if err := tx.Update(rel, tp, 0, storage.IntValue(round)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := float64(1 + len(tuples)); allocs != want {
+		t.Fatalf("Begin + 4×Update + Commit allocates %.0f times, want %.0f", allocs, want)
+	}
+
+	// A fifth op spills the inline array and still commits in order.
+	tx := tm.Begin()
+	for i := int64(10); i < 15; i++ {
+		if err := tx.Insert(rel, []storage.Value{storage.IntValue(i), storage.NullValue}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ins, err := tx.Commit()
+	if err != nil || len(ins) != 5 {
+		t.Fatalf("five-op transaction committed %d tuples, %v", len(ins), err)
+	}
+	for i, tp := range ins {
+		if got := tp.Field(0).Int(); got != int64(10+i) {
+			t.Fatalf("spilled op %d inserted %d, want %d", i, got, 10+i)
+		}
+	}
+}

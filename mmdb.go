@@ -152,13 +152,15 @@ type Options struct {
 	// workers than cores.
 	PoolWorkers int
 	// DisableSnapshots turns off epoch-based snapshot scans. By default a
-	// read-only query whose access path is a parallel sequential scan
-	// reads a copy-on-write snapshot of the relation published at the
-	// last commit, taking no locks at all — writers never wait for
-	// analytical readers and vice versa. Disabled, every query goes back
-	// to S-locking the relations it reads. Snapshot results are immutable
-	// copies: updating tuples obtained from a snapshot scan fails
-	// validation, so set this if you update through large-scan results.
+	// read-only query whose access path is a full sequential scan reads a
+	// published snapshot of the relation and holds no lock while it
+	// scans. Commits publish nothing: the first such query after a commit
+	// takes S(relation) just long enough to republish what changed, so a
+	// writer waits for a reader's refresh, never for its scan. Disabled,
+	// every query goes back to S-locking the relations it reads for its
+	// whole run. Snapshot rows are immutable images: updating tuples
+	// obtained from a snapshot scan fails validation, so set this if you
+	// update through large-scan results.
 	DisableSnapshots bool
 	// DisableDegreeClamp turns off the active-query degree clamp in
 	// PoolDisabled mode, restoring the original per-query behavior where

@@ -67,7 +67,8 @@ type Query struct {
 	sq        *sched.Query       // per-execution scheduler handle, set by execute
 	res       *mem.Reservation   // per-execution memory reservation; nil = unbudgeted
 	clamp     []obs.Decision     // budget-clamp audits pending for this execution
-	snap      *storage.Snapshot  // lock-free snapshot this execution reads; nil = locked
+	snap      *storage.Snapshot  // snapshot this execution scans with no lock held; nil = locked
+	refresh   obs.SnapRefresh    // what this execution paid to republish a stale snapshot; zero = it was fresh
 	err       error
 	// forceJoin overrides the planner's join choice — a testing hook that
 	// lets trace tests exercise methods the preference ordering would not
@@ -479,22 +480,29 @@ func (q *Query) parallelism() int {
 }
 
 // snapshotMinRows is the smallest table a query will snapshot-scan.
-// Below it the copy overhead and the loss of live tuple handles (clone
-// rows reject writes) outweigh lock-freedom; the bound is intentionally
-// the same row count at which the planner first grants a second scan
-// worker, but holds even at degree 1 so single-core boxes still scan
-// lock-free beside writers.
+// Below it the clone headers and the loss of live tuple handles (clone
+// rows reject writes) outweigh a scan that holds no lock; the bound is
+// intentionally the same row count at which the planner first grants a
+// second scan worker, but holds even at degree 1 so single-core boxes
+// still scan unlocked beside writers.
 const snapshotMinRows = 2 * plan.MinRowsPerWorker
 
-// snapshotShapeOK reports whether this query's shape may read the
-// from-table's published snapshot instead of locking: read-only (not
-// inside a user transaction), single relation, and an access path that
-// is a full sequential scan — index lookups and pushed-down limits keep
-// the locked protocol, because only the full partition scan produces
-// output identical (row for row) to the snapshot's clone arrays. The
-// caller additionally requires a parallel worker grant, so small tables
-// — whose results are routinely fed back into updates — stay on locked
-// scans of live tuples.
+// snapshotAccess names the snapshot scan path, for Explain and for the
+// executed plan alike.
+func snapshotAccess(epoch uint64, workers int) string {
+	return fmt.Sprintf("snapshot scan @ epoch %d (%d workers, no lock held)", epoch, workers)
+}
+
+// snapshotShapeOK reports whether this query's shape may scan the
+// from-table's published snapshot instead of the locked relation:
+// read-only (not inside a user transaction), single relation, and an
+// access path that is a full sequential scan — index lookups and
+// pushed-down limits keep the locked protocol, because only the full
+// partition scan produces output identical (row for row) to the
+// snapshot's clone arrays. The caller additionally requires
+// snapshotMinRows rows, so small tables — whose results are routinely fed
+// back into updates — stay on locked scans of live tuples. Explain asks
+// the same two questions, so it names the path the executor takes.
 func (q *Query) snapshotShapeOK() bool {
 	if q.tx != nil || q.db.opts.DisableSnapshots || len(q.joins) > 0 || q.from == nil {
 		return false
@@ -656,7 +664,10 @@ func (r *Result) Plan() string { return strings.Join(r.plan, "\n") }
 // distinct table it names — however many partitions the tables have — so
 // queries are safe against concurrent transactions: every writer holds
 // the table's exclusive relation lock. Tables are locked in name order to
-// keep concurrent multi-table queries deadlock-free among themselves.
+// keep concurrent multi-table queries deadlock-free among themselves. A
+// snapshot scan holds its one lock only while it republishes a stale
+// snapshot, never while it scans; it sees every commit that returned
+// before Run was called.
 func (q *Query) Run() (*Result, error) {
 	res, _, err := q.execute(false)
 	return res, err
@@ -709,9 +720,8 @@ func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
 	if reader == nil {
 		// Untracked: the ephemeral lock-holder's begin/abort pair is not a
 		// user transaction and would distort txn metrics.
-		ephemeral := &Txn{db: q.db, inner: q.db.txns.BeginUntracked()}
-		defer ephemeral.Abort() // releases the shared locks
-		reader = ephemeral
+		reader = &Txn{db: q.db, inner: q.db.txns.BeginUntracked()}
+		defer reader.Abort() // releases the shared locks
 	}
 	tables := make([]*Table, 0, len(q.rels))
 	for _, r := range q.rels {
@@ -729,30 +739,41 @@ func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
 	sort.Slice(tables, func(i, j int) bool { return tables[i].Name() < tables[j].Name() })
 
 	// Epoch snapshot scans: a read-only single-relation query whose
-	// access path is a full parallel sequential scan reads the published
-	// snapshot with no locks at all, so it can never wait on (or be
-	// waited on by) a writer. SnapshotLatest serves the last publication
-	// even while a writer is mid-commit (every commit republishes before
-	// releasing its locks, so that image is the last committed state —
-	// the reader simply serializes before the in-flight writer). When no
-	// snapshot was ever published the query falls back to the locked
-	// protocol — and publishes a fresh snapshot under the shared lock it
-	// holds anyway, so the next eligible query goes lock-free.
-	q.snap = nil
+	// access path is a full sequential scan reads the published snapshot
+	// and holds no lock while it scans, so it never makes a writer wait
+	// for the length of a query. Writers publish nothing; a commit only
+	// advances the relation's epoch. The reader that finds the snapshot
+	// stale (or never published) pays: it takes S(relation) like any
+	// selection — which waits out in-flight writers, so every commit that
+	// returned before now is in the image — republishes what changed,
+	// releases at once and scans the result.
+	q.snap, q.refresh = nil, obs.SnapRefresh{}
 	snapOK := q.snapshotShapeOK()
 	if snapOK {
-		if s := q.from.rel.SnapshotLatest(); s != nil && s.Rows() >= snapshotMinRows {
+		if s := q.from.rel.Snapshot(); s != nil && s.Rows() >= snapshotMinRows {
 			q.snap = s
 		}
 	}
 	if q.snap == nil {
+		var lockStart time.Time
+		if snapOK {
+			lockStart = time.Now()
+		}
 		for _, t := range tables {
 			if err := reader.inner.LockRelationShared(t.rel); err != nil {
 				return nil, nil, err
 			}
 		}
 		if snapOK && q.from.Cardinality() >= snapshotMinRows {
-			q.from.rel.PublishSnapshot()
+			locked := time.Now()
+			snap, built := q.from.rel.PublishSnapshotStats()
+			reader.Abort() // snapOK: the reader is this query's own, and S(from) is all it holds
+			q.snap = snap
+			q.refresh = obs.SnapRefresh{
+				Patched: built.Patched, Cloned: built.Cloned, Tuples: built.Tuples,
+				LockWait: locked.Sub(lockStart), Build: time.Since(locked),
+			}
+			reg.SnapshotRefresh(q.refresh)
 		}
 	}
 
@@ -873,7 +894,7 @@ func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
 		root.Add(&obs.TraceNode{
 			Op: "select", Detail: q.from.Name(), AccessPath: sel.pathDesc,
 			RowsIn: sel.rowsIn, RowsOut: list.Len(), Wall: now.Sub(t0), Ops: selMeter,
-			Workers: sel.workers,
+			Workers: sel.workers, Refresh: q.refresh,
 		})
 		t0 = now
 	}
@@ -1405,12 +1426,26 @@ func (q *Query) Explain() (string, error) {
 	t := q.from
 	outerEst := t.Cardinality()
 	outerExact := len(q.preds) == 0
+	// The executor's own test decides whether the scan line names the
+	// snapshot path. Explain only reads: the epoch printed is the one a
+	// snapshot published now would carry, and nothing is published or
+	// locked to find it out.
+	scan := ""
+	if q.snapshotShapeOK() && outerEst >= snapshotMinRows {
+		scan = snapshotAccess(t.rel.SnapshotEpoch(), plan.ChooseWorkers(q.parallelism(), outerEst))
+	}
 	if outerExact {
-		lines = append(lines, fmt.Sprintf("access %s: full scan via %s index", t.Name(), t.primary.kind))
+		if scan == "" {
+			scan = fmt.Sprintf("full scan via %s index", t.primary.kind)
+		}
 	} else {
 		sp := q.chooseSelectionPath()
-		lines = append(lines, fmt.Sprintf("access %s: %s", t.Name(), sp.describe(q, sp.path.String())))
+		if scan == "" {
+			scan = sp.path.String()
+		}
+		scan = sp.describe(q, scan)
 	}
+	lines = append(lines, fmt.Sprintf("access %s: %s", t.Name(), scan))
 	if len(q.joins) >= 2 {
 		// Multi-join: run the order enumerator on catalog estimates (the
 		// from-table cardinality is an upper bound once predicates filter
@@ -1712,11 +1747,11 @@ func (q *Query) runSelection(m *meter.Counters, pg *obs.Progress, limit int) sel
 }
 
 // runScan is the sequential-scan access path over the rows tuples of the
-// from-table or, when the execution reads one, of its lock-free snapshot
-// (every tuple then comes from the epoch-published clone arrays; the live
-// relation is never touched). The conjunction of all predicates runs
-// inside the scan, so no pass over the output follows. It returns the
-// access description and the worker count the trace reports.
+// from-table or, when the execution reads one, of its snapshot (every
+// tuple then comes from the epoch-published clone arrays, with no lock
+// held; the live relation is never touched). The conjunction of all
+// predicates runs inside the scan, so no pass over the output follows. It
+// returns the access description and the worker count the trace reports.
 func (q *Query) runScan(spec exec.SelectSpec, rows, limit int) (*storage.TempList, string, int) {
 	t := q.from
 	m := spec.Meter
@@ -1763,7 +1798,7 @@ func (q *Query) runScan(spec exec.SelectSpec, rows, limit int) (*storage.TempLis
 	workers := 0
 	switch {
 	case q.snap != nil:
-		access = fmt.Sprintf("snapshot scan @ epoch %d (%d workers, lock-free)", q.snap.Epoch(), w)
+		access = snapshotAccess(q.snap.Epoch(), w)
 		workers = w
 	case w > 1:
 		access = fmt.Sprintf("parallel partition scan (%d workers)", w)

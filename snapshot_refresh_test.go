@@ -1,0 +1,233 @@
+package mmdb
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// accessLine returns the "access <table>: …" line of a plan text.
+func accessLine(t *testing.T, plan string) string {
+	t.Helper()
+	for _, l := range strings.Split(plan, "\n") {
+		if strings.HasPrefix(l, "access ") {
+			return l
+		}
+	}
+	t.Fatalf("no access line in:\n%s", plan)
+	return ""
+}
+
+// TestExplainNamesExecutedScanPath: Explain decides the snapshot path with
+// the executor's own test, so below and above snapshotMinRows the scan line
+// it prints is the one the executed plan carries — and finding that out
+// takes no lock and publishes nothing.
+func TestExplainNamesExecutedScanPath(t *testing.T) {
+	sizes := []int{1000, 300000}
+	if testing.Short() {
+		sizes = sizes[:1]
+	}
+	for _, rows := range sizes {
+		db, tab, _, _ := openSnapTable(t, Options{}, rows)
+		queries := map[string]func() *Query{
+			"full": func() *Query { return db.Query("m").Select("k").Parallel(2) },
+			"filtered": func() *Query {
+				return db.Query("m").Where("v", Eq, Int(0)).Where("k", Lt, Int(50)).Select("id").Parallel(2)
+			},
+			"grouped": func() *Query { return db.Query("m").GroupBy("k").Agg(AggCount, "").Parallel(2) },
+			"limited": func() *Query { return db.Query("m").Select("k").Limit(10).Parallel(2) },
+		}
+		for name, build := range queries {
+			grants, epoch, published := db.locks.Stats().Grants, tab.rel.SnapshotEpoch(), tab.rel.Snapshot()
+			planned, err := build().Explain()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, e, p := db.locks.Stats().Grants, tab.rel.SnapshotEpoch(), tab.rel.Snapshot(); g != grants || e != epoch || p != published {
+				t.Fatalf("%s @ %d rows: Explain took %d locks, moved the epoch %d -> %d or the snapshot %p -> %p",
+					name, rows, g-grants, epoch, e, published, p)
+			}
+			res, tr, err := build().Analyze()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got := accessLine(t, res.Plan()), accessLine(t, planned)
+			if name == "limited" {
+				want = strings.TrimSuffix(want, " (early exit at LIMIT 10)")
+			}
+			if got != want {
+				t.Errorf("%s @ %d rows: Explain says %q, the executor ran %q", name, rows, got, want)
+			}
+			snapshot := rows >= snapshotMinRows && name != "limited"
+			if strings.Contains(got, "snapshot scan") != snapshot || strings.Contains(tr.Format(), "snapshot scan") != snapshot {
+				t.Errorf("%s @ %d rows: snapshot path = %v, want %v:\n%s\n%s", name, rows, !snapshot, snapshot, planned, tr.Format())
+			}
+		}
+		db.Close()
+	}
+}
+
+// TestSnapshotReadYourCommits: a commit that returned before Run started is
+// in the image a snapshot query reads, however stale the published snapshot
+// was and whatever a second writer is doing to it meanwhile.
+func TestSnapshotReadYourCommits(t *testing.T) {
+	const rows = 12000
+	db, tab, tuples, _ := openSnapTable(t, Options{}, rows)
+	scanAll(t, db)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the second writer owns the upper half and writes negatives
+		defer wg.Done()
+		for r := 0; ; r++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := tab.Update(tuples[rows/2+r%(rows/2)], "v", Int(int64(-1-r))); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	iterations := 1000
+	if testing.Short() {
+		iterations = 100
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 1; i <= iterations; i++ {
+		mine := tuples[rng.Intn(rows/2)]
+		if err := tab.Update(mine, "v", Int(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+		res, err := db.Query("m").Where("v", Eq, Int(int64(i))).Select("id").Parallel(2).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(res.Plan(), "snapshot scan") {
+			t.Fatalf("iteration %d left the snapshot path:\n%s", i, res.Plan())
+		}
+		if res.Len() != 1 || res.Row(0)[0].Int() != mine.Field(0).Int() {
+			t.Fatalf("iteration %d: the query does not see the commit before it: %d rows", i, res.Len())
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestHeldResultSurvivesUpdates: the rows of a snapshot query's Result are
+// clone headers over value arrays nobody writes again, so a Result held
+// through 10,000 later updates and the refreshes between them reads as it
+// did the moment Run returned.
+func TestHeldResultSurvivesUpdates(t *testing.T) {
+	const rows = 12000
+	db, tab, tuples, _ := openSnapTable(t, Options{}, rows)
+	held, err := db.Query("m").Select("id", "k", "v").Parallel(2).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(held.Plan(), "snapshot scan") {
+		t.Fatalf("not a snapshot result:\n%s", held.Plan())
+	}
+	render := func() string {
+		var b strings.Builder
+		for i := 0; i < held.Len(); i++ {
+			fmt.Fprintln(&b, held.Row(i))
+		}
+		return b.String()
+	}
+	want := render()
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 10000; i++ {
+		if err := tab.Update(tuples[rng.Intn(rows)], "v", Int(int64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+		if i%500 == 0 {
+			scanAll(t, db)
+		}
+	}
+	if got := render(); got != want {
+		t.Fatal("a held snapshot Result changed under later updates")
+	}
+}
+
+// TestCommitAllocsIgnoreSnapshots: publication is the reader's to pay, so a
+// commit on a relation with a published — and by then stale — snapshot
+// allocates exactly what it does on one nobody ever snapshot-scanned.
+func TestCommitAllocsIgnoreSnapshots(t *testing.T) {
+	const rows = 100000
+	measure := func(snapshotted bool) float64 {
+		db, tab, tuples, _ := openSnapTable(t, Options{}, rows)
+		defer db.Close()
+		if snapshotted {
+			scanAll(t, db)
+			if tab.rel.Snapshot() == nil {
+				t.Fatal("the scan published no snapshot")
+			}
+		}
+		r := 0
+		return testing.AllocsPerRun(200, func() {
+			r++
+			if err := tab.Update(tuples[r*7919%rows], "v", Int(int64(r))); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	never, snapshotted := measure(false), measure(true)
+	if never != snapshotted {
+		t.Fatalf("a commit allocates %.0f times on a snapshotted relation, %.0f on one never snapshotted", snapshotted, never)
+	}
+}
+
+// TestRefreshAllocsFollowChanges: a refresh after k single-row updates in k
+// partitions allocates the snapshot, its partition directory, and per
+// changed partition one pointer array and one block of clone headers —
+// nothing that grows with the table.
+func TestRefreshAllocsFollowChanges(t *testing.T) {
+	const rows = 100000
+	db, tab, tuples, _ := openSnapTable(t, Options{}, rows)
+	scanAll(t, db)
+	parts := len(tab.rel.Partitions())
+	for _, k := range []int{1, 16, 128} {
+		for i := 0; i < k; i++ {
+			if err := tab.Update(tuples[i*rows/k], "v", Int(int64(k))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, built := tab.rel.PublishSnapshotStats()
+		runtime.ReadMemStats(&after)
+		if built.Patched != k || built.Cloned != 0 || built.Tuples != k {
+			t.Fatalf("k=%d: refresh did %+v", k, built)
+		}
+		allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+		// Directory: a slice header per partition. Per change: a pointer
+		// per slot of its partition (2,304 B in its size class) and the
+		// 64-byte clone header.
+		ceiling := uint64(1024 + 24*parts + k*2560)
+		t.Logf("k=%d: %d allocations, %d B (ceiling %d B; a full clone is %d B)", k, allocs, bytes, ceiling, 72*rows)
+		if allocs > uint64(2+2*k) || bytes > ceiling {
+			t.Errorf("refresh after %d single-row updates: %d allocations, %d B; want at most %d and %d B", k, allocs, bytes, 2+2*k, ceiling)
+		}
+	}
+	// However many tuples of one partition changed, their new headers are
+	// one block: the count does not follow the tuples, only the partitions.
+	for i := 0; i < 100; i++ {
+		if err := tab.Update(tuples[i], "v", Int(-1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, built := tab.rel.PublishSnapshotStats()
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; built.Patched != 1 || built.Tuples != 100 || allocs > 4 {
+		t.Errorf("refresh after 100 updates in one partition: %+v, %d allocations; want 1 patched, 100 tuples, at most 4", built, allocs)
+	}
+}
