@@ -8,7 +8,7 @@
 //	.help                 show help
 //	.tables               list tables
 //	.schema <table>       columns and indexes
-//	.stats                engine metrics snapshot (queries, locks, txns, log, §3.1 ops)
+//	.stats                engine metrics snapshot (queries, locks, txns, log, §3.1 ops, bytes per table)
 //	.analyze <select>     run the statement and print its operator trace
 //	.active               list in-flight queries (phase, rows, worker gauges)
 //	.slow                 dump the slow-query log (enable with -slow <duration>)

@@ -223,7 +223,7 @@ type Grouper struct {
 
 // aggBatch is the width of the vectorized kernel's batches: wide enough to
 // amortize the per-batch column gathers, narrow enough that the gathered
-// buffers (batch × columns × 40-byte values) stay cache-resident.
+// buffers (batch × columns × 24-byte values) stay cache-resident.
 const aggBatch = 1024
 
 var grouperPool = sync.Pool{New: func() any { return new(Grouper) }}

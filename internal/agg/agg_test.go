@@ -3,6 +3,7 @@ package agg_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/agg"
@@ -310,5 +311,13 @@ func TestMaterialize(t *testing.T) {
 	shoe := byDept["shoe"]
 	if shoe[0].Int() != 1 || !shoe[1].IsNull() || !shoe[2].IsNull() {
 		t.Fatalf("shoe row: %v", shoe)
+	}
+}
+
+// A grouper holds one Cell per (group, aggregate) pair, so high-NDV
+// aggregation memory is cells × this size; 24 of it is a storage.Value.
+func TestCellSize(t *testing.T) {
+	if got := reflect.TypeOf(agg.Cell{}).Size(); got > 56 {
+		t.Errorf("Sizeof(agg.Cell) = %d, want at most 56", got)
 	}
 }

@@ -58,21 +58,33 @@ type Snapshot struct {
 	Mem *MemStats `json:"mem,omitempty"`
 
 	// Tables carries the per-relation statistics snapshots the join-order
-	// planner runs on. The registry itself does not track these — the
-	// engine's Database.Stats() fills them in from storage, so they are
-	// present even when metrics are disabled.
+	// planner runs on, and each relation's byte estimate. The registry
+	// itself does not track these — they come from storage through
+	// SetTableSource, and the engine's Database.Stats() fills them in
+	// itself when metrics are disabled.
 	Tables []TableStat `json:"tables,omitempty"`
 }
 
 // TableStat is one relation's sampled statistics (see Snapshot.Tables):
 // the exact row count, per-column distinct-value estimates in schema
-// order, and how many rows the last refresh sampled. Plain data, so obs
+// order, how many rows the last refresh sampled, and the bytes the rows
+// occupied then (headers, field arrays, slot arrays, string payloads, the
+// published snapshot's clones; indices not included). Plain data, so obs
 // carries no storage dependency.
 type TableStat struct {
 	Name        string    `json:"name"`
 	Rows        int       `json:"rows"`
 	NDV         []float64 `json:"ndv,omitempty"`
 	SampledRows int       `json:"sampled_rows,omitempty"`
+	Bytes       int64     `json:"bytes,omitempty"`
+}
+
+// BytesPerRow is the table's storage cost per row, 0 for an empty table.
+func (t TableStat) BytesPerRow() float64 {
+	if t.Rows == 0 {
+		return 0
+	}
+	return float64(t.Bytes) / float64(t.Rows)
 }
 
 // Snapshot copies the registry's current state. Safe on a nil receiver
@@ -91,9 +103,14 @@ func (r *Registry) Snapshot() Snapshot {
 		m := r.memSource()
 		gm = &m
 	}
+	var tables []TableStat
+	if r.tableSource != nil {
+		tables = r.tableSource()
+	}
 	return Snapshot{
 		Sched:              sched,
 		Mem:                gm,
+		Tables:             tables,
 		Queries:            r.queries.Load(),
 		QueriesByPlan:      r.planShapes.snapshot(),
 		RowsScanned:        r.rowsScanned.Load(),
@@ -150,6 +167,9 @@ func (s Snapshot) String() string {
 	fmt.Fprintf(&b, "snapshots         refreshes=%d refresh time=%s tuples recloned=%d\n", s.SnapRefreshes, s.SnapRefreshTime, s.SnapTuplesRecloned)
 	fmt.Fprintf(&b, "log               appends=%d words=%d flushes=%d\n", s.LogAppends, s.LogWords, s.LogFlushes)
 	fmt.Fprintf(&b, "ops (§3.1)        %s", s.Ops.String())
+	for _, t := range s.Tables {
+		fmt.Fprintf(&b, "\ntable %-11s rows=%d bytes=%d (%.0f B/row)", t.Name, t.Rows, t.Bytes, t.BytesPerRow())
+	}
 	return b.String()
 }
 
@@ -278,6 +298,19 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		counter("mmdb_mem_forced_total", "Grants that overcommitted past the budget.", s.Mem.Forced)
 		counter("mmdb_mem_reversals_total", "Radix join build/probe role reversals.", s.Mem.Reversals)
 		counter("mmdb_mem_repartitions_total", "Fat-partition recursive re-splits.", s.Mem.Repartitions)
+	}
+
+	// Storage cost per relation (the paper's third axis, §3.2.2), as of the
+	// relation's last statistics refresh.
+	if len(s.Tables) > 0 {
+		fmt.Fprintf(w, "# HELP mmdb_table_bytes Estimated bytes a table's rows occupy (headers, fields, slots, strings, snapshot clones; indices excluded).\n# TYPE mmdb_table_bytes gauge\n")
+		for _, t := range s.Tables {
+			fmt.Fprintf(w, "mmdb_table_bytes{table=%q} %d\n", t.Name, t.Bytes)
+		}
+		fmt.Fprintf(w, "# HELP mmdb_table_bytes_per_row mmdb_table_bytes over the table's row count.\n# TYPE mmdb_table_bytes_per_row gauge\n")
+		for _, t := range s.Tables {
+			fmt.Fprintf(w, "mmdb_table_bytes_per_row{table=%q} %g\n", t.Name, t.BytesPerRow())
+		}
 	}
 
 	// Histogram in cumulative Prometheus form.

@@ -81,6 +81,10 @@ type Registry struct {
 	// exposition time; same wiring contract as schedSource. Nil when no
 	// memory budget is configured.
 	memSource func() MemStats
+
+	// tableSource supplies the per-relation statistics (row counts, NDV,
+	// bytes) at exposition time; same wiring contract as schedSource.
+	tableSource func() []TableStat
 }
 
 // SchedStats mirrors the morsel scheduler's point-in-time saturation
@@ -124,6 +128,15 @@ func (r *Registry) SetMemSource(fn func() MemStats) {
 		return
 	}
 	r.memSource = fn
+}
+
+// SetTableSource wires the per-relation statistics hook (see
+// tableSource). Safe on a nil receiver.
+func (r *Registry) SetTableSource(fn func() []TableStat) {
+	if r == nil {
+		return
+	}
+	r.tableSource = fn
 }
 
 // NewRegistry creates an enabled registry with the default query-latency

@@ -107,7 +107,8 @@ func TestNilRegistry(t *testing.T) {
 	r.LogAppend(4)
 	r.LogFlush(1)
 	r.Meter().AddCompare(5) // nil SharedCounters tolerates adds
-	if s := r.Snapshot(); s.Queries != 0 || s.Ops != (meter.Counters{}) ||
+	r.SetTableSource(func() []TableStat { return []TableStat{{Name: "t"}} })
+	if s := r.Snapshot(); s.Tables != nil || s.Queries != 0 || s.Ops != (meter.Counters{}) ||
 		s.QueriesByPlan != nil || s.QueryLatency.Count != 0 {
 		t.Fatalf("nil snapshot = %+v, want zero", s)
 	}

@@ -39,7 +39,7 @@ func ImageOf(v Value) ValueImage {
 	case Ref:
 		return ValueImage{Type: Ref, RefID: v.Ref().ID()}
 	case Str:
-		return ValueImage{Type: Str, Str: v.str}
+		return ValueImage{Type: Str, Str: v.Str()}
 	default:
 		return ValueImage{Type: v.typ, Num: v.num}
 	}

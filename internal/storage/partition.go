@@ -1,6 +1,9 @@
 package storage
 
-import "sync/atomic"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // DefaultSlotsPerPartition and DefaultHeapPerPartition size a partition at
 // roughly "one or two disk tracks" (§2.1), the paper's unit of recovery.
@@ -11,7 +14,7 @@ const (
 
 // Config controls partition sizing for a relation.
 type Config struct {
-	SlotsPerPartition int // tuple slots per partition
+	SlotsPerPartition int // tuple slots per partition, at most math.MaxInt32
 	HeapPerPartition  int // heap-space bytes per partition (var-length fields)
 }
 
@@ -19,6 +22,8 @@ func (c Config) withDefaults() Config {
 	if c.SlotsPerPartition <= 0 {
 		c.SlotsPerPartition = DefaultSlotsPerPartition
 	}
+	// A tuple header keeps its slot number in 32 bits.
+	c.SlotsPerPartition = min(c.SlotsPerPartition, math.MaxInt32)
 	if c.HeapPerPartition <= 0 {
 		c.HeapPerPartition = DefaultHeapPerPartition
 	}
@@ -34,7 +39,7 @@ type Partition struct {
 	id       int
 	rel      *Relation
 	slots    []*Tuple
-	free     []int // indexes of reusable slots
+	free     []int32 // indexes of reusable slots
 	live     int
 	heapCap  int
 	heapUsed int
@@ -84,13 +89,13 @@ func (p *Partition) hasRoomFor(heapBytes int) bool {
 
 // place stores a tuple into a free slot. The caller guarantees room.
 func (p *Partition) place(t *Tuple) {
-	var slot int
+	var slot int32
 	if n := len(p.free); n > 0 {
 		slot = p.free[n-1]
 		p.free = p.free[:n-1]
 		p.slots[slot] = t
 	} else {
-		slot = len(p.slots)
+		slot = int32(len(p.slots))
 		p.slots = append(p.slots, t)
 	}
 	t.part = p

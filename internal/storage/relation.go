@@ -125,6 +125,26 @@ func (r *Relation) Cardinality() int { return r.count }
 // recovery manager operate at this granularity.
 func (r *Relation) Partitions() []*Partition { return r.parts }
 
+// storedBytes estimates the memory the relation's rows occupy, from counters
+// alone: every live tuple's header and field array, each partition's slot
+// array, free list and heap space in use (the string payloads, counted
+// once however many values share them), and the clone headers and pointers
+// of the published snapshot, if there is one. Left out: the unused tail of
+// the last slab chunk, slab space deleted or updated rows leave behind, and
+// the indices, which index.Stats prices. Callers hold at least a shared
+// lock on the relation.
+func (r *Relation) storedBytes() int64 {
+	const ptrBytes, slotNoBytes = 8, 4
+	n := int64(r.count) * (tupleHeaderBytes + int64(r.schema.Arity())*valueBytes)
+	for _, p := range r.parts {
+		n += int64(cap(p.slots))*ptrBytes + int64(cap(p.free))*slotNoBytes + int64(p.heapUsed)
+	}
+	if s := r.snap.Load(); s != nil {
+		n += int64(s.rows) * (tupleHeaderBytes + ptrBytes)
+	}
+	return n
+}
+
 // Observe registers an observer for tuple changes.
 func (r *Relation) Observe(o Observer) { r.observers = append(r.observers, o) }
 

@@ -22,6 +22,9 @@ type TableStats struct {
 	NDV []float64
 	// SampledRows is how many tuples the refresh examined.
 	SampledRows int
+	// Bytes estimates the memory the relation held at refresh time (see
+	// storedBytes); Bytes/Rows is the paper's storage cost per row.
+	Bytes int64
 }
 
 // relStats is the cached snapshot plus its invalidation bookkeeping.
@@ -117,7 +120,7 @@ func sampleHit(i, stride int) bool {
 // keep their observed count.
 func (r *Relation) sampleStats() TableStats {
 	arity := r.schema.Arity()
-	st := TableStats{Name: r.name, Rows: r.count, NDV: make([]float64, arity)}
+	st := TableStats{Name: r.name, Rows: r.count, NDV: make([]float64, arity), Bytes: r.storedBytes()}
 	if r.count == 0 {
 		return st
 	}

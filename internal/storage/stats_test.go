@@ -124,3 +124,44 @@ func TestStatsSkipsNulls(t *testing.T) {
 		t.Fatalf("NDV over all-null column = %v, want 0", st.NDV[1])
 	}
 }
+
+// Bytes is arithmetic over counters: live tuples × (header + fields), the
+// partitions' slot arrays and free lists, string payloads once, and the
+// published snapshot's clone headers and pointers.
+func TestBytesFromCounters(t *testing.T) {
+	r := newTestRelation(t, Config{SlotsPerPartition: 64})
+	const rows, strLen = 200, 10
+	var tuples []*Tuple
+	for i := 0; i < rows; i++ {
+		tu, err := r.Insert([]Value{IntValue(int64(i)), StringValue(fmt.Sprintf("%0*d", strLen, i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuples = append(tuples, tu)
+	}
+	rowBytes := tupleHeaderBytes + 2*valueBytes
+	parts := int64(len(r.Partitions()))
+	want := rows*(rowBytes+strLen) + parts*64*8
+	if got := r.storedBytes(); got != want {
+		t.Fatalf("Bytes = %d, want %d", got, want)
+	}
+	if st := r.Stats(); st.Bytes != want {
+		t.Fatalf("Stats().Bytes = %d, want %d", st.Bytes, want)
+	}
+
+	r.PublishSnapshot()
+	want += rows * (tupleHeaderBytes + 8)
+	if got := r.storedBytes(); got != want {
+		t.Fatalf("Bytes with a published snapshot = %d, want %d", got, want)
+	}
+
+	// A delete gives back the row and its payload; its slot number goes
+	// on the partition's free list, 4 bytes a slot of capacity.
+	if err := r.Delete(tuples[0]); err != nil {
+		t.Fatal(err)
+	}
+	want += -(rowBytes + strLen) + 4*int64(cap(r.parts[0].free))
+	if got := r.storedBytes(); got != want {
+		t.Fatalf("Bytes after a delete = %d, want %d", got, want)
+	}
+}

@@ -9,10 +9,13 @@ import "fmt"
 // growing variable-length field overflowing its partition's heap space —
 // moves the tuple and leaves a forwarding address in its old position
 // (footnote 1); Resolve follows that chain.
+//
+// The header is 56 bytes: the slot number and the dead mark share one
+// word (a partition never has 2^31 slots, see Config).
 type Tuple struct {
 	id      uint64
 	part    *Partition
-	slot    int
+	slot    int32
 	dead    bool
 	forward *Tuple
 	vals    []Value

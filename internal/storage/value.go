@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"unsafe"
 )
 
 // Type identifies the runtime type of a Value.
@@ -47,15 +48,33 @@ func (t Type) String() string {
 
 // Value is a single attribute value. The zero Value is Null.
 //
-// Values are small and passed by copy. A Ref value holds a tuple pointer;
-// per §2.2 the MM-DBMS substitutes tuple pointers for foreign-key values,
-// so joins on Ref fields compare pointers rather than data.
+// Values are small (24 bytes) and passed by copy. A Ref value holds a tuple
+// pointer; per §2.2 the MM-DBMS substitutes tuple pointers for foreign-key
+// values, so joins on Ref fields compare pointers rather than data.
+//
+// A string, a tuple pointer and a number never live in one value together,
+// so the two pointer payloads share one word. The single invariant all
+// unsafe code in this file rests on: ptr is the data pointer of a string of
+// length num (nil for the empty string), or a *Tuple, or nil — as typ says
+// — and no arithmetic is ever done on it. It stays an unsafe.Pointer, so
+// the collector traces it like any other pointer and whatever it points
+// into stays reachable through the Value alone.
+//
+// With a data pointer in place of a string, == on two Values would compare
+// string addresses, not contents; the zero-size func array makes the type
+// non-comparable so that mistake does not compile. Use Equal.
 type Value struct {
+	_   [0]func()
+	ptr unsafe.Pointer // Str: string data; Ref: *Tuple
+	num uint64         // Int: int64 bits; Float: IEEE bits; Bool: 0/1; Str: length
 	typ Type
-	num uint64 // Int: int64 bits; Float: IEEE bits; Bool: 0/1
-	str string
-	ref *Tuple
 }
+
+// The two sizes a stored row is made of; storedBytes estimates from them.
+const (
+	valueBytes       = int64(unsafe.Sizeof(Value{}))
+	tupleHeaderBytes = int64(unsafe.Sizeof(Tuple{}))
+)
 
 // NullValue is the Null constant.
 var NullValue = Value{}
@@ -66,8 +85,14 @@ func IntValue(v int64) Value { return Value{typ: Int, num: uint64(v)} }
 // FloatValue returns a Float value.
 func FloatValue(v float64) Value { return Value{typ: Float, num: math.Float64bits(v)} }
 
-// StringValue returns a Str value.
-func StringValue(v string) Value { return Value{typ: Str, str: v} }
+// StringValue returns a Str value. The empty string is stored as a nil
+// pointer: unsafe.StringData("") is unspecified and is never kept.
+func StringValue(v string) Value {
+	if len(v) == 0 {
+		return Value{typ: Str}
+	}
+	return Value{typ: Str, ptr: unsafe.Pointer(unsafe.StringData(v)), num: uint64(len(v))}
+}
 
 // BoolValue returns a Bool value.
 func BoolValue(v bool) Value {
@@ -83,7 +108,7 @@ func RefValue(t *Tuple) Value {
 	if t == nil {
 		return NullValue
 	}
-	return Value{typ: Ref, ref: t}
+	return Value{typ: Ref, ptr: unsafe.Pointer(t)}
 }
 
 // Type returns the value's runtime type.
@@ -107,8 +132,15 @@ func (v Value) Float() float64 {
 // Str returns the string payload. It panics if the value is not a Str.
 func (v Value) Str() string {
 	v.mustBe(Str)
-	return v.str
+	return v.str()
 }
+
+// str reads the string payload back; the caller has checked typ == Str.
+func (v Value) str() string { return unsafe.String((*byte)(v.ptr), int(v.num)) }
+
+// ref reads the tuple pointer back, forwarding stubs not followed; the
+// caller has checked typ == Ref.
+func (v Value) ref() *Tuple { return (*Tuple)(v.ptr) }
 
 // Bool returns the boolean payload. It panics if the value is not a Bool.
 func (v Value) Bool() bool {
@@ -121,14 +153,14 @@ func (v Value) Bool() bool {
 // 1). It panics if the value is not a Ref.
 func (v Value) Ref() *Tuple {
 	v.mustBe(Ref)
-	return v.ref.Resolve()
+	return v.ref().Resolve()
 }
 
 // rawRef returns the referenced tuple without following forwarding
 // pointers; used by the codec so forwarding structure round-trips.
 func (v Value) rawRef() *Tuple {
 	v.mustBe(Ref)
-	return v.ref
+	return v.ref()
 }
 
 func (v Value) mustBe(t Type) {
@@ -139,7 +171,7 @@ func (v Value) mustBe(t Type) {
 
 // typeMismatch is outlined from mustBe so the typed accessors (Int, Float,
 // Str, …) stay inlinable: the panic's fmt call would otherwise push mustBe
-// over the inlining budget and put a real function call — with a 40-byte
+// over the inlining budget and put a real function call — with a 24-byte
 // receiver copy — on every field access in every operator hot loop. The
 // noinline keeps the compiler from folding the panic body back in.
 //
@@ -173,11 +205,11 @@ func Compare(a, b Value) int {
 	case Float:
 		return cmpFloat(math.Float64frombits(a.num), math.Float64frombits(b.num))
 	case Str:
-		return cmpOrdered(a.str, b.str)
+		return cmpOrdered(a.str(), b.str())
 	case Bool:
 		return cmpOrdered(a.num, b.num)
 	case Ref:
-		ra, rb := a.ref.Resolve(), b.ref.Resolve()
+		ra, rb := a.ref().Resolve(), b.ref().Resolve()
 		if ra == rb {
 			return 0
 		}
@@ -218,7 +250,7 @@ func cmpOrdered[T int64 | uint64 | float64 | string](a, b T) int {
 // Equal reports whether two values are equal without panicking on type
 // mismatch (mismatched types are simply unequal). The Int/Int fast path is
 // kept small enough to inline into probe loops — a group-by or join probe
-// on integer keys pays two compares instead of a call with two 40-byte
+// on integer keys pays two compares instead of a call with two 24-byte
 // receiver copies per row.
 func Equal(a, b Value) bool {
 	if a.typ == Int && b.typ == Int {
@@ -239,9 +271,9 @@ func equalSlow(a, b Value) bool {
 	case Null:
 		return true
 	case Ref:
-		return a.ref.Resolve() == b.ref.Resolve()
+		return a.ref().Resolve() == b.ref().Resolve()
 	case Str:
-		return a.str == b.str
+		return a.str() == b.str()
 	case Float:
 		return cmpFloat(math.Float64frombits(a.num), math.Float64frombits(b.num)) == 0
 	default:
@@ -288,13 +320,13 @@ func hashSlow(v Value) uint64 {
 		// hasher costs an interface allocation-shaped call pair per value,
 		// which is pure overhead at one call per row in hash loops.
 		h := uint64(14695981039346656037)
-		for i := 0; i < len(v.str); i++ {
-			h ^= uint64(v.str[i])
+		for s, i := v.str(), 0; i < len(s); i++ {
+			h ^= uint64(s[i])
 			h *= 1099511628211
 		}
 		return h
 	case Ref:
-		return mix64(v.ref.Resolve().ID())
+		return mix64(v.ref().Resolve().ID())
 	case Float:
 		// Normalize -0.0 to +0.0 and all NaN payloads to one NaN so Equal
 		// floats hash equally.
@@ -326,7 +358,7 @@ func mix64(x uint64) uint64 {
 // take no heap space; strings are stored in the heap (§2.1).
 func (v Value) HeapBytes() int {
 	if v.typ == Str {
-		return len(v.str)
+		return int(v.num)
 	}
 	return 0
 }
@@ -341,14 +373,14 @@ func (v Value) String() string {
 	case Float:
 		return strconv.FormatFloat(math.Float64frombits(v.num), 'g', -1, 64)
 	case Str:
-		return v.str
+		return v.str()
 	case Bool:
 		if v.num != 0 {
 			return "true"
 		}
 		return "false"
 	case Ref:
-		r := v.ref.Resolve()
+		r := v.ref().Resolve()
 		return fmt.Sprintf("ref(%d)", r.ID())
 	default:
 		return "?"

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -346,6 +347,54 @@ func TestExclusivePartitionImpliesExclusiveRelation(t *testing.T) {
 	wg.Wait()
 	if s := locks.Stats(); s.Resources != 0 || s.Txns != 0 || s.Waiting != 0 {
 		t.Fatalf("locks left behind: %+v", s)
+	}
+}
+
+// TestUpdateAllocBytes pins the size of the one object an update
+// allocates: the tuple's next version, arity × 24 bytes — 192 for the
+// benchmark's eight-column fact row.
+func TestUpdateAllocBytes(t *testing.T) {
+	fields := make([]storage.FieldDef, 8)
+	vals := make([]storage.Value, len(fields))
+	for i := range fields {
+		fields[i] = storage.FieldDef{Name: string(rune('a' + i)), Type: storage.Int}
+		vals[i] = storage.IntValue(int64(i))
+	}
+	rel, err := storage.NewRelation("fact", storage.MustSchema(fields...), storage.Config{}, storage.NewIDGen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := NewManager(lock.NewManager(), nil)
+	setup := tm.Begin()
+	if err := setup.Insert(rel, vals); err != nil {
+		t.Fatal(err)
+	}
+	tuples, err := setup.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Bytes of a transaction with n updates; the difference between four
+	// and none is the updates' own.
+	txnBytes := func(n int) uint64 {
+		const rounds = 200
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for r := 0; r < rounds; r++ {
+			tx := tm.Begin()
+			for i := 0; i < n; i++ {
+				if err := tx.Update(rel, tuples[0], 1+i, storage.IntValue(int64(r))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		return (m1.TotalAlloc - m0.TotalAlloc) / rounds
+	}
+	if got := (txnBytes(4) - txnBytes(0)) / 4; got != 192 {
+		t.Fatalf("one update of an 8-field tuple allocates %d bytes, want 192", got)
 	}
 }
 

@@ -336,6 +336,7 @@ func Open(opts Options) (*Database, error) {
 			}
 		})
 	}
+	db.obs.SetTableSource(db.tableStats)
 	db.mem = mem.NewManager(opts.MemoryBudget)
 	if db.obs != nil && db.mem != nil {
 		gm := db.mem

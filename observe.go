@@ -30,7 +30,10 @@ type Decision = obs.Decision
 // TableStat is one relation's sampled statistics from Stats().Tables:
 // exact row count plus per-column distinct-value estimates, refreshed
 // lazily as DML accumulates. The join-order planner costs n-way joins
-// from these numbers.
+// from these numbers. Bytes estimates the memory the rows occupied at the
+// same refresh (indices excluded) and BytesPerRow the paper's storage cost
+// per row; the metrics endpoint exports them as mmdb_table_bytes{table}
+// and mmdb_table_bytes_per_row{table}.
 type TableStat = obs.TableStat
 
 // Stats snapshots the engine metrics plus per-relation statistics. With
@@ -38,8 +41,10 @@ type TableStat = obs.TableStat
 // zero Stats, but Tables is still populated — the planner's statistics
 // live in storage, not in the metrics registry.
 func (db *Database) Stats() Stats {
-	s := db.obs.Snapshot()
-	s.Tables = db.tableStats()
+	s := db.obs.Snapshot() // Tables included: Open wired tableStats as the registry's source
+	if db.obs == nil {
+		s.Tables = db.tableStats()
+	}
 	return s
 }
 
