@@ -7,22 +7,19 @@ import (
 	"repro/internal/workload"
 )
 
-// The benchgate pair for the memory-budgeted skew defenses: the same
-// Zipf-skewed radix join under a budget far below its build tables,
-// once with the dynamic-hybrid defenses on and once disabled. Both
-// report the joined row count via b.ReportMetric; every generated key
-// lies inside the probe relation's unique-key domain, so the
-// cardinality equals the build cardinality exactly on every machine
-// and benchgate diffs it exactly — a defense that drops or duplicates
-// rows fails the gate even if it got faster.
+// The memory-budgeted skew defenses under load: a Zipf-skewed radix
+// join under a budget far below its build tables. It reports the joined
+// row count via b.ReportMetric; every generated key lies inside the probe
+// relation's unique-key domain, so the cardinality equals the build
+// cardinality exactly on every machine — a defense that drops or
+// duplicates rows shows even if it got faster.
 
 const skewBenchRows = 60000
 
-func openSkewPair(b *testing.B, noDefense bool) *Database {
+func openSkewJoin(b *testing.B) *Database {
 	b.Helper()
 	db, err := Open(Options{
-		MemoryBudget:       32 << 10,
-		DisableSkewDefense: noDefense,
+		MemoryBudget: 32 << 10,
 		// Radix at any build size: the bench measures the budgeted radix
 		// path, not the crossover.
 		Radix: RadixConfig{MinBuildRows: 1},
@@ -60,8 +57,8 @@ func openSkewPair(b *testing.B, noDefense bool) *Database {
 	return db
 }
 
-func benchSkewJoin(b *testing.B, noDefense bool) {
-	db := openSkewPair(b, noDefense)
+func BenchmarkSkewJoinDefended(b *testing.B) {
+	db := openSkewJoin(b)
 	b.ResetTimer()
 	rows := 0
 	for i := 0; i < b.N; i++ {
@@ -74,7 +71,3 @@ func benchSkewJoin(b *testing.B, noDefense bool) {
 	}
 	b.ReportMetric(float64(rows), "rows")
 }
-
-func BenchmarkSkewJoinDefended(b *testing.B) { benchSkewJoin(b, false) }
-
-func BenchmarkSkewJoinNoDefense(b *testing.B) { benchSkewJoin(b, true) }

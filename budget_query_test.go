@@ -131,32 +131,6 @@ func TestMemoryBudgetSkewDefenseCounters(t *testing.T) {
 	}
 }
 
-// TestMemoryBudgetDisableSkewDefense: the A/B escape hatch must keep
-// results identical while firing zero defenses.
-func TestMemoryBudgetDisableSkewDefense(t *testing.T) {
-	const rows = 6000
-	mk := func(db *Database) *Query {
-		return db.Query("a").Where("id", Gt, Int(-1)).Join("b", "k", "k").
-			Select("a.id", "b.id").Parallel(4).JoinMethod(JoinRadix)
-	}
-	free := openBig(t, Options{}, rows)
-	want, err := mk(free).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := openBig(t, Options{MemoryBudget: 16 << 10, DisableSkewDefense: true}, rows)
-	got, tr, err := mk(off).Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMultiset(t, "nodefense-vs-free", multiset(t, want), multiset(t, got))
-	for _, n := range tr.Root.Children {
-		if n.Op == "join" && (n.Reversed > 0 || n.Resplits > 0) {
-			t.Fatalf("DisableSkewDefense still fired defenses: %+v", n)
-		}
-	}
-}
-
 // TestMemoryBudgetGroupBy: grouped aggregation under a budget smaller
 // than its worst-case table grant must still produce the unbudgeted
 // groups (the grant overcommits as a recorded last resort rather than

@@ -10,43 +10,14 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"time"
 
 	"repro/internal/bench"
-	_ "repro/internal/concbench"      // registers the concurrent-query throughput experiment
-	_ "repro/internal/joinorderbench" // registers the join-ordering experiment
-	_ "repro/internal/obsbench"       // registers the telemetry-overhead experiment
-	_ "repro/internal/skewbench"      // registers the memory-budget skew-defense experiment
 )
-
-// jsonReport is the machine-readable run record the -json flag writes:
-// the environment, and per experiment its series plus the harness's
-// runtime snapshot (wall time, allocations, GC cycles).
-type jsonReport struct {
-	Scale       float64          `json:"scale"`
-	Seed        int64            `json:"seed"`
-	Parallelism int              `json:"parallelism"`
-	GOMAXPROCS  int              `json:"gomaxprocs"`
-	Timestamp   string           `json:"timestamp"`
-	Experiments []jsonExperiment `json:"experiments"`
-}
-
-type jsonExperiment struct {
-	ID       string         `json:"id"`
-	Exhibit  string         `json:"exhibit"`
-	Series   []bench.Series `json:"series"`
-	WallSecs float64        `json:"wall_seconds"`
-	Allocs   uint64         `json:"allocs"`
-	Bytes    uint64         `json:"bytes"`
-	GCs      uint32         `json:"gcs"`
-}
 
 func main() {
 	var (
@@ -55,8 +26,6 @@ func main() {
 		seed       = flag.Int64("seed", 1986, "workload seed")
 		list       = flag.Bool("list", false, "list experiments and exit")
 		csvDir     = flag.String("csv", "", "also write each series as <dir>/<id>.csv for plotting")
-		par        = flag.Int("parallelism", 0, "worker cap for the parallel sweep (0 = GOMAXPROCS)")
-		jsonPath   = flag.String("json", "", "also write the full run (series + runtime stats) as JSON to this file")
 	)
 	flag.Parse()
 
@@ -87,12 +56,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	env := bench.Env{Scale: *scale, Seed: *seed, Parallelism: *par}
-	report := jsonReport{
-		Scale: *scale, Seed: *seed, Parallelism: *par,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-	}
+	env := bench.Env{Scale: *scale, Seed: *seed}
 	fmt.Printf("mmdb-bench: scale=%.3g seed=%d (%d experiments)\n\n", *scale, *seed, len(selected))
 	for _, e := range selected {
 		series, stats := bench.Measure(e, env)
@@ -106,22 +70,6 @@ func main() {
 				}
 			}
 		}
-		report.Experiments = append(report.Experiments, jsonExperiment{
-			ID: e.ID, Exhibit: e.Exhibit, Series: series,
-			WallSecs: stats.Wall.Seconds(),
-			Allocs:   stats.Allocs, Bytes: stats.Bytes, GCs: stats.GCs,
-		})
 		fmt.Printf("  [%s completed: %s]\n\n", e.ID, stats)
-	}
-	if *jsonPath != "" {
-		blob, err := json.MarshalIndent(report, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*jsonPath, append(blob, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
 	}
 }

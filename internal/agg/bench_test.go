@@ -12,10 +12,9 @@ import (
 	"repro/internal/storage"
 )
 
-// Microbenchmarks for the benchgate CI job: the naive map baseline
-// against the flat and radix-partitioned groupers, and the bounded heap
-// against the full sort. allocs/op is the hard regression signal — the
-// warm grouper and the sort kernel must stay zero-alloc per run.
+// Microbenchmarks: the naive map baseline against the flat and
+// radix-partitioned groupers, and the bounded heap against the full
+// sort. TestWarmGrouperZeroAlloc pins the warm grouper's allocations.
 
 const benchRows = 256 << 10
 

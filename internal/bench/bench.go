@@ -26,9 +26,6 @@ type Env struct {
 	Scale float64
 	// Seed drives all workload generation.
 	Seed int64
-	// Parallelism caps the worker sweep of the parallel experiments;
-	// 0 sweeps up to GOMAXPROCS.
-	Parallelism int
 }
 
 // N scales a paper cardinality, with a floor of 16.

@@ -22,18 +22,7 @@ var All = []Experiment{
 	{ID: "ablation-ttree-gap", Exhibit: "Ablation — T Tree occupancy gap", Run: AblationTTreeGap},
 	{ID: "ablation-build", Exhibit: "Ablation — join index build costs", Run: AblationJoinBuild},
 	{ID: "ablation-ptrjoin", Exhibit: "Ablation — pointer vs value foreign keys", Run: AblationPointerJoin},
-	{ID: "parallel", Exhibit: "Extension — partition-parallel operator sweep", Run: ParallelJoinSweep},
-	{ID: "batch", Exhibit: "Extension — tuple-at-a-time vs batch-at-a-time execution", Run: BatchExecution},
-	{ID: "radix", Exhibit: "Extension — chained vs cache-conscious radix hash join", Run: RadixJoinSweep},
-	{ID: "sort", Exhibit: "Extension — comparator vs normalized-key radix sort engine", Run: SortEngineSweep},
-	{ID: "agg", Exhibit: "Extension — grouped aggregation and top-k on the radix substrate", Run: AggTopKSweep},
 }
-
-// Register adds an experiment to All. Experiments that exercise the
-// public Database API live outside this package (the engine's own tests
-// import it, so importing the root here would cycle) and plug in at
-// init time — see internal/obsbench.
-func Register(e Experiment) { All = append(All, e) }
 
 // ByID resolves an experiment.
 func ByID(id string) (Experiment, error) {

@@ -66,11 +66,6 @@ type JoinSpec struct {
 	// smaller. Nil — the unbudgeted state — runs the exact pre-budget
 	// code path.
 	Mem *mem.Reservation
-	// NoDefense disables the reversal/repartition degradation while
-	// keeping budget-clamped planning: every partition pair builds its
-	// forecast side in one table of whatever size it is. It exists for
-	// A/B benchmarking of the defenses and as an escape hatch.
-	NoDefense bool
 }
 
 // emitter materializes (or merely counts) join result rows.

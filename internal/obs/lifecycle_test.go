@@ -16,13 +16,13 @@ func TestDecisionErrRatio(t *testing.T) {
 		ratio               float64
 		mispredict          bool
 	}{
-		{1000, 1000, 2, 1, false},   // exact estimate
-		{1000, 4000, 2, 4, true},    // 4x under-estimate
-		{4000, 1000, 2, 4, true},    // symmetric: 4x over-estimate
+		{1000, 1000, 2, 1, false}, // exact estimate
+		{1000, 4000, 2, 4, true},  // 4x under-estimate
+		{4000, 1000, 2, 4, true},  // symmetric: 4x over-estimate
 		{1000, 1999, 2, 1.999, false},
-		{1000, 0, 2, 0, false},      // never observed → informational
-		{0, 50, 2, 50, true},        // estimate floored at 1 row
-		{1000, 4000, 0, 4, false},   // zero threshold never mispredicts
+		{1000, 0, 2, 0, false},    // never observed → informational
+		{0, 50, 2, 50, true},      // estimate floored at 1 row
+		{1000, 4000, 0, 4, false}, // zero threshold never mispredicts
 	}
 	for i, c := range cases {
 		d := Decision{Estimate: c.est, Actual: c.act, Threshold: c.threshold}
@@ -160,10 +160,10 @@ func TestSlowLogRing(t *testing.T) {
 func TestFloatHistogram(t *testing.T) {
 	var h FloatHistogram
 	h.init(DefaultSkewBounds())
-	h.Observe(1.0)  // le=1.1
-	h.Observe(1.3)  // le=1.5
-	h.Observe(2.0)  // le=2 (inclusive)
-	h.Observe(100)  // overflow
+	h.Observe(1.0) // le=1.1
+	h.Observe(1.3) // le=1.5
+	h.Observe(2.0) // le=2 (inclusive)
+	h.Observe(100) // overflow
 	s := h.Snapshot()
 	if s.Count != 4 {
 		t.Fatalf("count = %d, want 4", s.Count)

@@ -44,8 +44,8 @@ func TestSchedExposition(t *testing.T) {
 	}
 }
 
-// TestSchedExpositionAbsentWithoutSource checks databases without a pool
-// (PoolDisabled) emit no scheduler series at all.
+// TestSchedExpositionAbsentWithoutSource checks a registry with no
+// scheduler source (a bare NewRegistry) emits no scheduler series at all.
 func TestSchedExpositionAbsentWithoutSource(t *testing.T) {
 	r := NewRegistry()
 	if r.Snapshot().Sched != nil {

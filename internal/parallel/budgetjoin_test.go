@@ -135,34 +135,6 @@ func TestBudgetedJoinAllEqualKeys(t *testing.T) {
 	}
 }
 
-// TestBudgetedJoinNoDefense: NoDefense keeps grant accounting off the
-// degradation paths — no reversals, no re-splits, forced overcommits
-// for oversized tables — while results stay correct. This is the A/B
-// baseline the skew bench measures the defenses against.
-func TestBudgetedJoinNoDefense(t *testing.T) {
-	v1 := buildValues(t, 6000, 0, workload.NearUniform, 137)
-	v2 := buildValues(t, 6000, 0, workload.NearUniform, 139)
-	ids := storage.NewIDGen()
-	r1 := buildRelation(t, ids, "r1", v1)
-	r2 := buildRelation(t, ids, "r2", v2)
-	base := exec.JoinSpec{OuterName: "r1", InnerName: "r2", OuterField: 0, InnerField: 0}
-	ref, _ := RadixHashJoin(RelationSource{Rel: r1}, RelationSource{Rel: r2}, base, []uint{2}, 2)
-
-	m := mem.NewManager(8 << 10)
-	r := m.Reserve()
-	defer r.Close()
-	spec := budgetedSpec(r)
-	spec.NoDefense = true
-	got, stats := RadixHashJoin(RelationSource{Rel: r1}, RelationSource{Rel: r2}, spec, []uint{2}, 2)
-	sameResults(t, "nodefense", joinResultSet(t, ref), joinResultSet(t, got))
-	if stats.Reversed != 0 || stats.Repartitions != 0 {
-		t.Fatalf("NoDefense ran defenses: %+v", stats)
-	}
-	if m.Snapshot().Forced == 0 {
-		t.Fatal("NoDefense under a starved budget should force grants")
-	}
-}
-
 // TestBudgetedJoinConcurrentQueries: several budgeted joins race on one
 // small manager (run under -race in CI). Every query must finish with
 // the correct multiset and the manager must drain to zero.

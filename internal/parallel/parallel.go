@@ -55,37 +55,6 @@ func Degree(n int) int {
 	return n
 }
 
-// activeQueries counts queries currently executing with parallel
-// operators enabled. It only matters when the shared scheduler pool is
-// disabled (the compat per-query-goroutine mode): there, N concurrent
-// queries each spawning Degree(0)≈GOMAXPROCS workers oversubscribe the
-// machine N×, so the resolved degree is divided by this count instead.
-// With the pool enabled the pool itself bounds total workers and the
-// clamp is unnecessary.
-var activeQueries atomic.Int32
-
-// EnterQuery registers one active query for the compat-mode degree
-// clamp and returns its release. Callers pair the two around query
-// execution; the count is only consulted by ClampDegree.
-func EnterQuery() (release func()) {
-	activeQueries.Add(1)
-	return func() { activeQueries.Add(-1) }
-}
-
-// ClampDegree divides an already-resolved degree by the number of
-// currently active queries (itself included), floored at one — the
-// compat-mode fix for concurrent queries multiplying GOMAXPROCS. A
-// single active query is unaffected.
-func ClampDegree(n int) int {
-	if active := int(activeQueries.Load()); active > 1 && n > 1 {
-		n /= active
-		if n < 1 {
-			n = 1
-		}
-	}
-	return n
-}
-
 // morselsPerWorker oversubscribes morsels so a slow morsel (skewed
 // partition, cache-cold region) does not stall the whole scan: workers
 // that finish early pull the remaining morsels.
@@ -140,15 +109,14 @@ func putScratch(sc *scratch) {
 
 // run executes n independent morsels at degree w. With a pooled sq the
 // morsels are submitted as one task set to the shared scheduler; without
-// one (nil handle, or the pool disabled) it falls back to per-run worker
-// goroutines pulling from a shared atomic cursor — the compat mode, and
-// the mode the parallel package's own unit tests exercise. Either way
-// each concurrent executor owns pooled private scratch — its
-// meter.Counters for §3.1 operation counts plus reusable tuple batches —
-// so per-worker setup does not allocate, and the counters are folded
-// through a SharedCounters into the returned total. fn must not touch
-// state shared between morsels and must not retain sc's batches past the
-// morsel.
+// one (nil handle) it falls back to per-run worker goroutines pulling
+// from a shared atomic cursor — the mode the parallel package's own unit
+// tests exercise. Either way each concurrent executor owns pooled private
+// scratch — its meter.Counters for §3.1 operation counts plus reusable
+// tuple batches — so per-worker setup does not allocate, and the counters
+// are folded through a SharedCounters into the returned total. fn must
+// not touch state shared between morsels and must not retain sc's
+// batches past the morsel.
 //
 // pg, when non-nil, is the owning query's live Progress: workers raise
 // its saturation gauges, flush sc.rows after every morsel, fold their

@@ -182,12 +182,12 @@ func (st *pairState) joinPair(inner, outer []radix.TupleEntry, skip uint, depth 
 		return st.buildProbe(inner, outer, false)
 	}
 	build, probe, reversed := inner, outer, false
-	if !spec.NoDefense && len(outer) < len(inner) {
+	if len(outer) < len(inner) {
 		build, probe, reversed = outer, inner, true
 	}
 	need := radix.TableBytes(len(build))
 	if !spec.Mem.TryGrant(need) {
-		if !spec.NoDefense && depth < maxResplitDepth && len(build) >= minResplitRows {
+		if depth < maxResplitDepth && len(build) >= minResplitRows {
 			if extra := st.resplitBits(len(build), skip); extra > 0 {
 				if n, ok := st.resplitAndJoin(inner, outer, skip, extra, depth); ok {
 					return n

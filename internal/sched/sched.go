@@ -202,8 +202,7 @@ var (
 )
 
 // Shared returns the process-wide pool, created on first use with
-// GOMAXPROCS workers. Every database opened with the default options
-// schedules onto it, which is the point: one machine, one worker fleet.
+// GOMAXPROCS workers. Every database schedules onto it, which is the point: one machine, one worker fleet.
 func Shared() *Pool {
 	sharedOnce.Do(func() { sharedPool = NewPool(0) })
 	return sharedPool
@@ -239,7 +238,7 @@ func (p *Pool) Resize(n int) {
 }
 
 // Stop terminates every worker (cooperatively, as Resize does) and
-// rejects future submissions. Only dedicated pools are stopped; the
+// rejects future submissions. Only pools from NewPool are stopped; the
 // Shared pool lives as long as the process.
 func (p *Pool) Stop() {
 	p.mu.Lock()
@@ -296,8 +295,8 @@ type Query struct {
 
 // NewQuery returns an admission handle on p. p may be nil: the handle
 // then reports Pooled()==false and carries only ctx/priority, which is
-// how the compat (pool-disabled) path still gets morsel-boundary
-// cancellation.
+// how operators called without a pool (the parallel package's unit
+// tests) still get morsel-boundary cancellation.
 func NewQuery(p *Pool, ctx context.Context, priority int) *Query {
 	return &Query{pool: p, ctx: ctx, prio: priority}
 }

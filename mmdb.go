@@ -139,18 +139,6 @@ type Options struct {
 	// SlowQueryLogSize bounds the slow-query ring; 0 means
 	// obs.DefaultSlowLogSize entries. Oldest entries are overwritten.
 	SlowQueryLogSize int
-	// PoolWorkers selects the morsel scheduler this database's parallel
-	// operators run on. 0 (the default) shares the process-wide
-	// work-stealing pool (sched.Shared, GOMAXPROCS workers) with every
-	// other database in the process — concurrent queries interleave at
-	// morsel granularity instead of oversubscribing the machine with
-	// per-query goroutine fleets. A positive value gives this database a
-	// dedicated pool of that many workers (stopped by Close).
-	// PoolDisabled restores the pre-scheduler behavior: per-query worker
-	// goroutines, with the effective degree clamped by the number of
-	// concurrently active parallel queries so the process never runs more
-	// workers than cores.
-	PoolWorkers int
 	// DisableSnapshots turns off epoch-based snapshot scans. By default a
 	// read-only query whose access path is a full sequential scan reads a
 	// published snapshot of the relation and holds no lock while it
@@ -162,14 +150,6 @@ type Options struct {
 	// obtained from a snapshot scan fails validation, so set this if you
 	// update through large-scan results.
 	DisableSnapshots bool
-	// DisableDegreeClamp turns off the active-query degree clamp in
-	// PoolDisabled mode, restoring the original per-query behavior where
-	// every query resolves its degree independently — N concurrent
-	// queries launch N×degree goroutines. It exists so the concurrency
-	// experiment can measure the unclamped baseline the scheduler
-	// replaced; production configurations should never set it. With the
-	// pool enabled it has no effect (the pool bounds workers itself).
-	DisableDegreeClamp bool
 	// MemoryBudget, in bytes, caps the engine-wide operator scratch
 	// (radix join build tables, aggregation tables) through the
 	// internal/mem grant manager. Every query opens a reservation with a
@@ -185,20 +165,7 @@ type Options struct {
 	// default, disables budgeting entirely: the pre-budget execution
 	// paths run byte-identical.
 	MemoryBudget int64
-	// DisableSkewDefense turns off the dynamic-hybrid degradations
-	// (role reversal and recursive repartitioning) while keeping the
-	// grant accounting and budget-clamped planning of MemoryBudget:
-	// oversized tables are forced through at full size. It exists so the
-	// skew bench can measure the defenses against the thrash they
-	// prevent; production configurations should never set it.
-	DisableSkewDefense bool
 }
-
-// PoolDisabled, given to Options.PoolWorkers, turns the shared morsel
-// scheduler off for this database: parallel operators spawn per-query
-// worker goroutines (the pre-scheduler execution mode), clamped by the
-// count of concurrently active parallel queries.
-const PoolDisabled = -1
 
 // JoinStrategy selects between the paper-faithful chained-bucket hash
 // join and the cache-conscious radix hash join for equijoins that have
@@ -283,20 +250,18 @@ type TopKConfig = plan.TopKConfig
 // Database is a main-memory database: a set of tables, a partition-level
 // lock manager, and (optionally) the recovery machinery.
 type Database struct {
-	mu      sync.RWMutex
-	opts    Options
-	ids     *storage.IDGen
-	tables  map[string]*Table
-	locks   *lock.Manager
-	log     *recovery.Manager
-	txns    *txn.Manager
-	device  *recovery.Device
-	obs     *obs.Registry  // nil when Options.DisableMetrics
-	active  *obs.ActiveSet // nil when Options.DisableMetrics
-	slow    *obs.SlowLog   // nil unless Options.SlowQueryThreshold > 0
-	sched   *sched.Pool    // nil when Options.PoolWorkers == PoolDisabled
-	ownPool bool           // sched is dedicated (stop it on Close)
-	mem     *mem.Manager   // nil when Options.MemoryBudget == 0
+	mu     sync.RWMutex
+	opts   Options
+	ids    *storage.IDGen
+	tables map[string]*Table
+	locks  *lock.Manager
+	log    *recovery.Manager
+	txns   *txn.Manager
+	device *recovery.Device
+	obs    *obs.Registry  // nil when Options.DisableMetrics
+	active *obs.ActiveSet // nil when Options.DisableMetrics
+	slow   *obs.SlowLog   // nil unless Options.SlowQueryThreshold > 0
+	mem    *mem.Manager   // nil when Options.MemoryBudget == 0
 }
 
 // Open creates a database. With Options.Dir set, a previously saved disk
@@ -312,21 +277,8 @@ func Open(opts Options) (*Database, error) {
 		db.obs = obs.NewRegistry()
 		db.locks.SetObserver(db.obs)
 		db.active = obs.NewActiveSet()
-	}
-	if opts.SlowQueryThreshold > 0 {
-		db.slow = obs.NewSlowLog(opts.SlowQueryThreshold, opts.SlowQueryLogSize)
-	}
-	switch {
-	case opts.PoolWorkers > 0:
-		db.sched = sched.NewPool(opts.PoolWorkers)
-		db.ownPool = true
-	case opts.PoolWorkers == 0:
-		db.sched = sched.Shared()
-	}
-	if db.obs != nil && db.sched != nil {
-		pool := db.sched
 		db.obs.SetSchedSource(func() obs.SchedStats {
-			s := pool.SnapshotStats()
+			s := sched.Shared().SnapshotStats()
 			return obs.SchedStats{
 				Workers:    s.Workers,
 				QueueDepth: s.QueueDepth,
@@ -335,6 +287,9 @@ func Open(opts Options) (*Database, error) {
 				Parks:      s.Parks,
 			}
 		})
+	}
+	if opts.SlowQueryThreshold > 0 {
+		db.slow = obs.NewSlowLog(opts.SlowQueryThreshold, opts.SlowQueryLogSize)
 	}
 	db.obs.SetTableSource(db.tableStats)
 	db.mem = mem.NewManager(opts.MemoryBudget)
@@ -373,14 +328,9 @@ func Open(opts Options) (*Database, error) {
 }
 
 // Close stops the background log device, propagating any remaining
-// committed records to the disk copy, and stops a dedicated morsel
-// scheduler pool (the shared process-wide pool is left running).
+// committed records to the disk copy. The shared morsel scheduler is left
+// running for the process's other databases.
 func (db *Database) Close() error {
-	if db.ownPool && db.sched != nil {
-		db.sched.Stop()
-		db.sched = nil
-		db.ownPool = false
-	}
 	if db.device != nil {
 		if err := db.device.Stop(); err != nil {
 			return err

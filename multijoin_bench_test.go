@@ -2,12 +2,10 @@ package mmdb
 
 import "testing"
 
-// The benchgate pair for the multi-join planner: the same worst-first
-// star query under the naive as-written left-deep order and the DP
-// order. Both report the joined row count via b.ReportMetric — the
-// workload is deterministic, so benchgate diffs the cardinality
-// exactly against the checked-in baseline: a plan change that alters
-// what the query returns fails the gate even if it got faster.
+// The multi-join planner's benchmark pair: the same worst-first star
+// query under the naive as-written left-deep order and the DP order.
+// Both report the joined row count via b.ReportMetric; the workload is
+// deterministic, so the two counts must agree.
 
 func worstFirstStarQuery(db *Database) *Query {
 	return db.Query("dima").

@@ -447,7 +447,7 @@ func (q *Query) Parallel(n int) *Query {
 // Priority sets the query's scheduler admission priority. When several
 // queries have morsels pending on the shared pool, idle workers admit
 // the highest-priority query first and round-robin among equals; the
-// default is 0. It has no effect with Options.PoolWorkers == PoolDisabled.
+// default is 0.
 func (q *Query) Priority(p int) *Query {
 	q.prio = p
 	return q
@@ -464,19 +464,11 @@ func (q *Query) WithContext(ctx context.Context) *Query {
 
 // parallelism resolves the query's requested degree of parallelism:
 // the per-query override, else the database default, else GOMAXPROCS.
-// With the morsel scheduler disabled (Options.PoolWorkers ==
-// PoolDisabled) the degree is additionally clamped by the number of
-// concurrently active parallel queries, so the per-query goroutine
-// fleets never oversubscribe the machine in aggregate.
 func (q *Query) parallelism() int {
-	n := q.par
-	if n <= 0 {
-		n = parallel.Degree(q.db.opts.Parallelism)
+	if q.par > 0 {
+		return q.par
 	}
-	if q.db.sched == nil && !q.db.opts.DisableDegreeClamp {
-		n = parallel.ClampDegree(n)
-	}
-	return n
+	return parallel.Degree(q.db.opts.Parallelism)
 }
 
 // snapshotMinRows is the smallest table a query will snapshot-scan.
@@ -778,18 +770,13 @@ func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
 	}
 
 	// Scheduler admission handle for this execution: parallel operators
-	// submit their morsels through it onto the shared (or dedicated)
-	// work-stealing pool. With the pool disabled the handle still carries
-	// the context for morsel-boundary cancellation, and the query counts
-	// toward the degree clamp while it runs.
+	// submit their morsels through it onto the shared work-stealing pool,
+	// and it carries the context for morsel-boundary cancellation.
 	qctx := q.ctx
 	if qctx == nil {
 		qctx = context.Background()
 	}
-	q.sq = sched.NewQuery(q.db.sched, qctx, q.prio)
-	if q.db.sched == nil {
-		defer parallel.EnterQuery()()
-	}
+	q.sq = sched.NewQuery(sched.Shared(), qctx, q.prio)
 	if err := q.sq.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -1959,7 +1946,7 @@ func (q *Query) runJoin(left *storage.TempList, m *meter.Counters, pg *obs.Progr
 		OuterName: q.rels[0].name, InnerName: q.rels[1].name,
 		OuterField: j.leftField, InnerField: j.rightField,
 		Meter: m, Prog: pg, Limit: limit, Sched: q.sq,
-		Mem: q.res, NoDefense: q.db.opts.DisableSkewDefense,
+		Mem: q.res,
 	}
 	out := joinExec{method: choice, rowsIn: outer.Len(), workRows: outer.Len() + innerCard}
 	switch choice {
