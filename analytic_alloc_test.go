@@ -1,6 +1,10 @@
 package mmdb
 
-import "testing"
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+)
 
 // Allocation guards of the analytic path: a stage boundary moves chunks,
 // so what a query allocates follows its output, not its input.
@@ -28,6 +32,70 @@ func TestWarmDistinctAllocsFollowOutput(t *testing.T) {
 	t.Logf("warm SELECT DISTINCT: %.0f allocations over %d rows", allocs, rows)
 	if allocs > rows/50 {
 		t.Errorf("warm SELECT DISTINCT allocates %.0f times over %d rows, ceiling %d", allocs, rows, rows/50)
+	}
+}
+
+// TestWarmGroupBytesPerGroup: a group's output row is its representative
+// row pointer plus one 24-byte value per output column, so a warm GROUP BY
+// with COUNT(*) and SUM allocates ≈75 B a group, all told (the parent
+// commit inserted one stored tuple per group into a throw-away relation:
+// ≈146 B). 250k rows over 125k key values give ≈108k groups, the shape of
+// the benchmark's group_hi.
+func TestWarmGroupBytesPerGroup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads a 250k-row table")
+	}
+	if raceEnabled {
+		t.Skip("the race detector pads heap objects")
+	}
+	const rows = 250000
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tab, err := db.CreateTable("f", []Field{
+		{Name: "id", Type: TypeInt},
+		{Name: "g", Type: TypeInt},
+		{Name: "v", Type: TypeInt},
+	}, "id", TTree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	tx := db.Begin()
+	for i := 0; i < rows; i++ {
+		if err := tx.Insert(tab, Int(int64(i)), Int(int64(rng.Intn(rows/2))), Int(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	groups := 0
+	run := func() {
+		res, err := db.Query("f").GroupBy("g").Agg(AggCount, "*").Agg(AggSum, "v").Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups = res.Len()
+	}
+	run() // publishes the snapshot
+	// The least over several runs, as the benchmark reports it: a run
+	// after the collector emptied the grouper pool pays for refilling it.
+	perGroup := 0.0
+	for i := 0; i < 8; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		if b := float64(after.TotalAlloc-before.TotalAlloc) / float64(groups); i == 0 || b < perGroup {
+			perGroup = b
+		}
+	}
+	t.Logf("warm GROUP BY: %d groups, %.1f B allocated a group", groups, perGroup)
+	if perGroup > 96 {
+		t.Errorf("warm GROUP BY allocates %.1f B a group over %d groups, ceiling 96", perGroup, groups)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package agg implements vectorized grouped aggregation over temporary
 // lists. The paper's workload stops at select/join/project; this operator
-// extends the same §2.3 machinery — tuple-pointer rows in, a synthetic
-// relation of computed rows out — with the cache-conscious shape the radix
+// extends the same §2.3 machinery — tuple-pointer rows in, a temporary list
+// of each group's representative row plus computed key and aggregate
+// columns out (Emit) — with the cache-conscious shape the radix
 // join established: radix-partition the input on the group-key hash
 // (internal/radix), then aggregate each partition through a flat
 // open-addressing table that stays L2-resident. Groups cannot cross hash
@@ -9,8 +10,9 @@
 //
 // All scratch (the hash entries, the probe table, the per-group state
 // cells) lives in a pooled Grouper: a warmed grouper aggregates an input
-// with zero heap allocations. Materializing the output relation is the
-// only allocating step, priced at one tuple per group.
+// with zero heap allocations. Emitting the output is the only allocating
+// step, priced at one row pointer per group (pooled chunks) plus one
+// 24-byte value per output column per group.
 //
 // Aggregate semantics are SQL's: NULL inputs are skipped by every
 // function including COUNT(col); COUNT(*) counts rows; a group whose
@@ -183,10 +185,11 @@ func Final(k Kind, c Cell) storage.Value {
 // Result is a finished aggregation: one entry per distinct group, in the
 // order the operator discovered them (first-occurrence order within each
 // radix partition, partitions in hash order). Reps[g] is the input row
-// that first exhibited group g's key — key values are read back through
-// it, so no key is ever copied. Cells is group-major: group g's state for
-// spec s is Cells[g*len(specs)+s]. The slices alias the Grouper's pooled
-// scratch: consume them (or Materialize) before Put.
+// that first exhibited group g's key — the grouper reads key values back
+// through it, and Emit takes it as the group's output row. Cells is
+// group-major: group g's state for spec s is Cells[g*len(specs)+s]. The
+// slices alias the Grouper's pooled scratch: consume them (or Emit) before
+// Put.
 type Result struct {
 	Reps  []int32
 	Cells []Cell
@@ -845,18 +848,31 @@ func appendValueKey(b []byte, v storage.Value) []byte {
 	return b
 }
 
-// Materialize builds the aggregation's output: a synthetic relation
-// holding one tuple per group (group-key columns first, then one column
-// per aggregate) wrapped in a single-source temp list, so the result
-// flows through Row/RowValues/ORDER BY exactly like any selection. Column
-// types are taken from the data (the first non-null occurrence); a column
-// that never saw a non-null value is declared Int — nulls validate
-// against any declared type.
-func Materialize(list *storage.TempList, groupCols []int, specs []Spec, res Result, name string) (*storage.TempList, error) {
-	desc := list.Descriptor()
+// Emit builds the aggregation's output from the working list it ran over:
+// one row per group — the group's representative input row, taken from
+// work by res.Reps over work's sources — whose columns are all computed:
+// the group keys first, then one per aggregate holding Final of its cell.
+// Nothing is inserted anywhere, and the output names no relation of its
+// own.
+//
+// Keys are copied into their vectors rather than read through the
+// representative tuple: a locked-path result points at live tuples, and
+// a later UPDATE of a key would otherwise drift away from the aggregates
+// computed under it. A held grouped result reads the same forever.
+//
+// Global aggregation (no group columns) over empty input still yields one
+// row, per SQL: COUNT 0, the rest NULL. It has no representative, so its
+// row pointers are nil; no column reads through them.
+func Emit(work *storage.TempList, groupCols []int, specs []Spec, res Result) (*storage.TempList, error) {
+	out := work.Take(res.Reps)
+	groups := res.Groups()
+	if len(groupCols) == 0 && groups == 0 {
+		out.Append(make(storage.Row, out.Arity()))
+		groups = 1
+		res.Cells = make([]Cell, len(specs))
+	}
 	nspec := len(specs)
 	ncols := len(groupCols) + nspec
-	fields := make([]storage.FieldDef, 0, ncols)
 	used := make(map[string]bool, ncols)
 	uniq := func(n string) string {
 		if n == "" {
@@ -870,63 +886,22 @@ func Materialize(list *storage.TempList, groupCols []int, specs []Spec, res Resu
 		used[n] = true
 		return n
 	}
-	for _, c := range groupCols {
-		t := storage.Int
-		for _, rep := range res.Reps {
-			if v := list.Value(int(rep), c); !v.IsNull() {
-				t = v.Type()
-				break
-			}
-		}
-		fields = append(fields, storage.FieldDef{Name: uniq(desc.Cols[c].Name), Type: t})
+	// One slab, cut into one vector per column.
+	slab := make([]storage.Value, ncols*groups)
+	vec := func(i int) []storage.Value { return slab[i*groups : (i+1)*groups : (i+1)*groups] }
+	desc := work.Descriptor()
+	cols := make([]storage.ColRef, 0, ncols)
+	for i, c := range groupCols {
+		v := vec(i)
+		work.GatherColumnRows(c, res.Reps, v)
+		cols = append(cols, out.AddComputed(uniq(desc.Cols[c].Name), v))
 	}
 	for s := range specs {
-		t := storage.Int
-		switch specs[s].Kind {
-		case Count:
-			t = storage.Int
-		case Avg:
-			t = storage.Float
-		default:
-			for gr := 0; gr < res.Groups(); gr++ {
-				if v := Final(specs[s].Kind, res.Cells[gr*nspec+s]); !v.IsNull() {
-					t = v.Type()
-					break
-				}
-			}
+		v := vec(len(groupCols) + s)
+		for g := range v {
+			v[g] = Final(specs[s].Kind, res.Cells[g*nspec+s])
 		}
-		fields = append(fields, storage.FieldDef{Name: uniq(specs[s].Name), Type: t})
+		cols = append(cols, out.AddComputed(uniq(specs[s].Name), v))
 	}
-	schema, err := storage.NewSchema(fields...)
-	if err != nil {
-		return nil, err
-	}
-	rel, err := storage.NewRelation(name, schema, storage.Config{}, storage.NewIDGen())
-	if err != nil {
-		return nil, err
-	}
-	cols := make([]storage.ColRef, ncols)
-	for i, f := range fields {
-		cols[i] = storage.ColRef{Source: 0, Field: i, Name: f.Name}
-	}
-	out, err := storage.NewTempListHint(storage.Descriptor{Sources: []string{name}, Cols: cols}, res.Groups())
-	if err != nil {
-		return nil, err
-	}
-	vals := make([]storage.Value, ncols)
-	for gr := 0; gr < res.Groups(); gr++ {
-		rep := int(res.Reps[gr])
-		for i, c := range groupCols {
-			vals[i] = list.Value(rep, c)
-		}
-		for s := range specs {
-			vals[len(groupCols)+s] = Final(specs[s].Kind, res.Cells[gr*nspec+s])
-		}
-		t, err := rel.Insert(vals)
-		if err != nil {
-			return nil, err
-		}
-		out.AppendOne(t)
-	}
-	return out, nil
+	return out.Redescribe(storage.Descriptor{Sources: desc.Sources, Cols: cols})
 }

@@ -263,57 +263,6 @@ func TestWarmGrouperZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestMaterialize checks the synthetic output relation: group-key columns
-// first, aggregate columns after, duplicate names deduplicated, and the
-// row values equal to the finalized cells.
-func TestMaterialize(t *testing.T) {
-	list := deptSal(t, []struct {
-		dept string
-		sal  *int64
-	}{
-		{"toy", iptr(10)}, {"toy", iptr(30)}, {"shoe", nil},
-	})
-	specs := []agg.Spec{
-		{Kind: agg.Count, Col: -1, Name: "COUNT(*)"},
-		{Kind: agg.Avg, Col: 1, Name: "AVG(sal)"},
-		{Kind: agg.Avg, Col: 1, Name: "AVG(sal)"}, // duplicate name → deduped
-	}
-	m := &meter.Counters{}
-	g := agg.Get()
-	defer agg.Put(g)
-	res := g.Run(list, []int{0}, specs, nil, m)
-	out, err := agg.Materialize(list, []int{0}, specs, res, "agg(r)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	desc := out.Descriptor()
-	names := make([]string, len(desc.Cols))
-	for i, c := range desc.Cols {
-		names[i] = c.Name
-	}
-	want := []string{"dept", "COUNT(*)", "AVG(sal)", "AVG(sal)_2"}
-	if fmt.Sprint(names) != fmt.Sprint(want) {
-		t.Fatalf("columns %v, want %v", names, want)
-	}
-	if out.Len() != 2 {
-		t.Fatalf("rows=%d, want 2", out.Len())
-	}
-	byDept := map[string][]storage.Value{}
-	for i := 0; i < out.Len(); i++ {
-		byDept[out.Value(i, 0).Str()] = []storage.Value{
-			out.Value(i, 1), out.Value(i, 2), out.Value(i, 3),
-		}
-	}
-	toy := byDept["toy"]
-	if toy[0].Int() != 2 || toy[1].Float() != 20 || toy[2].Float() != 20 {
-		t.Fatalf("toy row: %v", toy)
-	}
-	shoe := byDept["shoe"]
-	if shoe[0].Int() != 1 || !shoe[1].IsNull() || !shoe[2].IsNull() {
-		t.Fatalf("shoe row: %v", shoe)
-	}
-}
-
 // A grouper holds one Cell per (group, aggregate) pair, so high-NDV
 // aggregation memory is cells × this size; 24 of it is a storage.Value.
 func TestCellSize(t *testing.T) {

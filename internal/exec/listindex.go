@@ -78,10 +78,10 @@ func (li *ListIndex) ScanAsc(fn func(i int, row storage.Row) bool) {
 // Sorted materializes a new temporary list ordered by the indexed column
 // — an ORDER BY over an intermediate result.
 func (li *ListIndex) Sorted() *storage.TempList {
-	out := storage.MustTempList(li.list.Descriptor())
+	rows := make([]int32, 0, li.tree.Len())
 	li.tree.ScanAsc(func(r int) bool {
-		out.Append(li.list.Row(r))
+		rows = append(rows, int32(r))
 		return true
 	})
-	return out
+	return li.list.Take(rows)
 }

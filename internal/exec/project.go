@@ -93,25 +93,24 @@ func ProjectHash(list *storage.TempList, m *meter.Counters) *storage.TempList {
 // scanning and dropping adjacent equals. The whole list is sorted before
 // any duplicate is discarded, so duplicates do not speed it up (§3.4).
 func ProjectSortScan(list *storage.TempList, m *meter.Counters) *storage.TempList {
-	out := storage.MustTempListHint(list.Descriptor(), list.Len())
 	type keyed struct {
 		key []storage.Value
-		row storage.Row
+		row int32
 	}
 	rows := make([]keyed, list.Len())
-	list.Scan(func(i int, row storage.Row) bool {
-		rows[i] = keyed{key: projectKey(list, i), row: row}
+	for i := range rows {
+		rows[i] = keyed{key: projectKey(list, i), row: int32(i)}
 		m.AddMove(1)
-		return true
-	})
+	}
 	sortutil.SortCutoff(rows, func(a, b keyed) int { return keysCompare(a.key, b.key, m) }, sortutil.DefaultCutoff, m)
+	keep := make([]int32, 0, len(rows))
 	for i := range rows {
 		if i > 0 && KeysEqual(rows[i-1].key, rows[i].key, m) {
 			continue
 		}
-		out.Append(rows[i].row)
+		keep = append(keep, rows[i].row)
 	}
-	return out
+	return list.Take(keep)
 }
 
 // ProjectSort eliminates duplicates by sort-and-scan using the given
@@ -134,10 +133,9 @@ func ProjectSort(list *storage.TempList, m *meter.Counters, method plan.SortMeth
 // composite key once and tie-break equal prefixes with the comparator.
 // The scan-and-drop-adjacent-equals phase is the same as §3.4.
 func ProjectSortScanRadix(list *storage.TempList, m *meter.Counters) *storage.TempList {
-	out := storage.MustTempListHint(list.Descriptor(), list.Len())
 	n := list.Len()
 	if n == 0 {
-		return out
+		return list.Take(nil)
 	}
 	cols := len(list.Descriptor().Cols)
 	s := sortkey.GetRowSorter()
@@ -188,6 +186,7 @@ func ProjectSortScanRadix(list *storage.TempList, m *meter.Counters) *storage.Te
 	// Scan in sorted order, dropping adjacent equals. With decisive
 	// prefixes equal K means equal key; otherwise equal K demands a
 	// value check before dropping.
+	keep := make([]int32, 0, n)
 	for i := range ent {
 		if i > 0 && ent[i].K == ent[i-1].K {
 			if allDecisive {
@@ -205,7 +204,7 @@ func ProjectSortScanRadix(list *storage.TempList, m *meter.Counters) *storage.Te
 				continue
 			}
 		}
-		out.Append(list.Row(int(ent[i].P)))
+		keep = append(keep, ent[i].P)
 	}
-	return out
+	return list.Take(keep)
 }

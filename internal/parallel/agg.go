@@ -59,9 +59,9 @@ func HashAgg(sq *sched.Query, pg *obs.Progress, g *agg.Grouper, list *storage.Te
 // aggregate is folded, so the engine's group representatives — the first
 // input row of each distinct key, on the flat, the partitioned and the
 // per-worker-merge shapes alike — are the survivors. Sorted ascending
-// they are exec.ProjectHash's output row for row, and they are emitted as
-// pointer rows: no key is materialized and no relation is built. g, bits
-// and w are HashAgg's.
+// they are exec.ProjectHash's output row for row, and they are taken from
+// list (TempList.Take, which carries any computed columns along): no key
+// is materialized and no relation is built. g, bits and w are HashAgg's.
 func Distinct(sq *sched.Query, pg *obs.Progress, g *agg.Grouper, list *storage.TempList, bits []uint, w int, m *meter.Counters) (*storage.TempList, radix.Stats) {
 	keys := make([]int, len(list.Descriptor().Cols))
 	for i := range keys {
@@ -69,11 +69,7 @@ func Distinct(sq *sched.Query, pg *obs.Progress, g *agg.Grouper, list *storage.T
 	}
 	res := HashAgg(sq, pg, g, list, keys, nil, bits, w, m)
 	slices.Sort(res.Reps)
-	out := storage.MustTempListHint(list.Descriptor(), len(res.Reps))
-	for _, r := range res.Reps {
-		out.Append(list.Row(int(r)))
-	}
-	return out, res.Stats
+	return list.Take(res.Reps), res.Stats
 }
 
 // TopK returns the first k row ordinals of list in ORDER BY order using

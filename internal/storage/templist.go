@@ -3,12 +3,18 @@ package storage
 import "fmt"
 
 // ColRef names one output column of a temporary list: field Field of the
-// Source-th tuple pointer in each row.
+// Source-th tuple pointer in each row, or — when Source is Computed — the
+// list's Field-th computed column.
 type ColRef struct {
-	Source int    // position within the row's tuple-pointer vector
-	Field  int    // field within that source tuple
+	Source int    // position within the row's tuple-pointer vector, or Computed
+	Field  int    // field within that source tuple, or computed-vector ordinal
 	Name   string // display name
 }
+
+// Computed is the Source of a column no source tuple holds: a value the
+// query computed (a group key or an aggregate), kept in a vector the list
+// owns and indexed by row. See TempList.AddComputed.
+const Computed = -1
 
 // Descriptor is a temporary list's result descriptor (§2.3): it identifies
 // which fields of the source tuples are part of the result, taking the
@@ -19,14 +25,31 @@ type Descriptor struct {
 	Cols    []ColRef
 }
 
-// Validate checks internal consistency.
+// Validate checks internal consistency. A computed column's vector belongs
+// to a list, so whether it exists is checked by the list (validFor).
 func (d Descriptor) Validate() error {
 	if len(d.Sources) == 0 {
 		return fmt.Errorf("storage: descriptor needs at least one source")
 	}
 	for _, c := range d.Cols {
+		if c.Source == Computed {
+			continue
+		}
 		if c.Source < 0 || c.Source >= len(d.Sources) {
 			return fmt.Errorf("storage: column %q references source %d of %d", c.Name, c.Source, len(d.Sources))
+		}
+	}
+	return nil
+}
+
+// validFor is Validate for a list holding ncomp computed vectors.
+func (d Descriptor) validFor(ncomp int) error {
+	if err := d.Validate(); err != nil {
+		return err
+	}
+	for _, c := range d.Cols {
+		if c.Source == Computed && (c.Field < 0 || c.Field >= ncomp) {
+			return fmt.Errorf("storage: computed column %q names vector %d of %d", c.Name, c.Field, ncomp)
 		}
 	}
 	return nil
@@ -68,6 +91,14 @@ const (
 // across appends, and the single-row fast paths (AppendOne, AppendPair)
 // write straight into the current chunk without allocating a Row header.
 //
+// Computed columns: a value no source tuple holds (a group key copied out
+// at aggregation time, an aggregate) lives in a []Value vector the list
+// owns, one value per row, named by a ColRef with Source Computed. Every
+// reader goes through the descriptor, so Value, RowValues and the column
+// gathers read either kind alike. Such a list takes no appends: Take is
+// the only way to build one list from another, and it carries the vectors
+// with their rows.
+//
 // Concurrency contract: a TempList is single-writer. Parallel operators
 // must not share one list across workers — each worker appends to a
 // private list and the lists are combined with MergeLists (or Absorb)
@@ -79,12 +110,13 @@ type TempList struct {
 	chunks [][]*Tuple // all full chunks hold exactly ChunkRows rows; only the last may be partial
 	n      int        // total rows
 	frozen bool
-	flat   []Row // row-header view, materialized by Freeze
+	flat   []Row     // row-header view, materialized by Freeze
+	comp   [][]Value // computed column vectors, each n long; never pooled
 }
 
 // NewTempList creates an empty temporary list with the given descriptor.
 func NewTempList(desc Descriptor) (*TempList, error) {
-	if err := desc.Validate(); err != nil {
+	if err := desc.validFor(0); err != nil {
 		return nil, err
 	}
 	return &TempList{desc: desc, arity: len(desc.Sources)}, nil
@@ -100,6 +132,12 @@ func NewTempListHint(desc Descriptor, hint int) (*TempList, error) {
 	if err != nil {
 		return nil, err
 	}
+	l.presize(hint)
+	return l, nil
+}
+
+// presize sizes an empty list's arena for hint rows (see NewTempListHint).
+func (l *TempList) presize(hint int) {
 	if hint > 0 {
 		nchunks := (hint + ChunkRows - 1) / ChunkRows
 		l.chunks = make([][]*Tuple, 0, nchunks)
@@ -107,7 +145,6 @@ func NewTempListHint(desc Descriptor, hint int) (*TempList, error) {
 			l.chunks = append(l.chunks, make([]*Tuple, 0, hint*l.arity))
 		}
 	}
-	return l, nil
 }
 
 // MustTempList is NewTempList that panics on error; for tests and examples.
@@ -158,14 +195,25 @@ func (l *TempList) room() int {
 	return last + 1
 }
 
-// Append adds a row, copying its tuple pointers into the arena. The row
-// must have one pointer per source; the caller keeps ownership of the
-// slice (it is not retained, so stack-allocated rows never escape).
-// Appending to a frozen list is a programming error and panics.
-func (l *TempList) Append(row Row) {
+// mustAppend panics unless rows may be appended: a frozen list is sealed,
+// and a row appended to a list with computed columns would have no value
+// in its vectors.
+func (l *TempList) mustAppend() {
 	if l.frozen {
 		panic("storage: append to frozen TempList")
 	}
+	if l.comp != nil {
+		panic("storage: append to a TempList with computed columns (build it with Take)")
+	}
+}
+
+// Append adds a row, copying its tuple pointers into the arena. The row
+// must have one pointer per source; the caller keeps ownership of the
+// slice (it is not retained, so stack-allocated rows never escape).
+// Appending to a frozen list, or to one with computed columns, is a
+// programming error and panics.
+func (l *TempList) Append(row Row) {
+	l.mustAppend()
 	if len(row) != l.arity {
 		panic(fmt.Sprintf("storage: row arity %d does not match %d sources", len(row), l.arity))
 	}
@@ -178,9 +226,7 @@ func (l *TempList) Append(row Row) {
 // emit `Append(Row{t})` without the Row header. Panics unless the list
 // has exactly one source.
 func (l *TempList) AppendOne(t *Tuple) {
-	if l.frozen {
-		panic("storage: append to frozen TempList")
-	}
+	l.mustAppend()
 	if l.arity != 1 {
 		panic(fmt.Sprintf("storage: AppendOne on a list with %d sources", l.arity))
 	}
@@ -193,9 +239,7 @@ func (l *TempList) AppendOne(t *Tuple) {
 // `Append(Row{o, i})` without the Row header. Panics unless the list has
 // exactly two sources.
 func (l *TempList) AppendPair(o, i *Tuple) {
-	if l.frozen {
-		panic("storage: append to frozen TempList")
-	}
+	l.mustAppend()
 	if l.arity != 2 {
 		panic(fmt.Sprintf("storage: AppendPair on a list with %d sources", l.arity))
 	}
@@ -208,9 +252,7 @@ func (l *TempList) AppendPair(o, i *Tuple) {
 // the emit path of batched selection. Panics unless the list has exactly
 // one source.
 func (l *TempList) AppendBatch(ts []*Tuple) {
-	if l.frozen {
-		panic("storage: append to frozen TempList")
-	}
+	l.mustAppend()
 	if l.arity != 1 {
 		panic(fmt.Sprintf("storage: AppendBatch on a list with %d sources", l.arity))
 	}
@@ -232,6 +274,54 @@ func (l *TempList) appendFlat(src []*Tuple) {
 		src = src[space:]
 		l.n += space / l.arity
 	}
+}
+
+// Take returns a new list of l's rows rows[0], rows[1], … in that order,
+// under l's descriptor: the one way to reorder, cut or thin out a list
+// (ORDER BY, LIMIT, duplicate elimination, a group's representative).
+// Each row's tuple pointers are copied into fresh arena chunks and every
+// computed vector is gathered by the same ordinals, so a computed value
+// always stays with its row. l is unchanged and still owned by the caller.
+func (l *TempList) Take(rows []int32) *TempList {
+	out := &TempList{desc: l.desc, arity: l.arity, n: len(rows)}
+	out.presize(len(rows))
+	a := l.arity
+	for _, r := range rows {
+		i := int(r)
+		off := (i & chunkMask) * a
+		c := out.room()
+		out.chunks[c] = append(out.chunks[c], l.chunks[i>>chunkShift][off:off+a]...)
+	}
+	if len(l.comp) > 0 {
+		n := len(rows)
+		slab := make([]Value, n*len(l.comp))
+		out.comp = make([][]Value, len(l.comp))
+		for k, src := range l.comp {
+			dst := slab[k*n : (k+1)*n : (k+1)*n]
+			for j, r := range rows {
+				dst[j] = src[r]
+			}
+			out.comp[k] = dst
+		}
+	}
+	return out
+}
+
+// AddComputed gives the list a computed column — vals[i] is row i's value,
+// so len(vals) must be Len() — and returns the ColRef that reads it, for
+// the descriptor the list is next moved under (Redescribe). The list owns
+// vals from then on: Take gathers it, Redescribe carries it and Release
+// drops it; it never comes from or goes to the chunk pool. Once a list
+// has a computed column it takes no appends.
+func (l *TempList) AddComputed(name string, vals []Value) ColRef {
+	if l.frozen {
+		panic("storage: computed column added to frozen TempList")
+	}
+	if len(vals) != l.n {
+		panic(fmt.Sprintf("storage: computed column of %d values for %d rows", len(vals), l.n))
+	}
+	l.comp = append(l.comp, vals)
+	return ColRef{Source: Computed, Field: len(l.comp) - 1, Name: name}
 }
 
 // Row returns row i as a view into the arena (valid until Reset/Release).
@@ -298,27 +388,29 @@ func (l *TempList) Reset() {
 // Redescribe moves the list's rows under a new descriptor over the same
 // sources — §2.3's projection, which only ever rewrites the descriptor.
 // It is O(1) and consuming: the returned list takes over the chunk
-// directory (and the frozen row view, if any), and l is left empty, so a
-// later Release or Reset of l returns nothing to the pool.
+// directory, the computed vectors and the frozen row view, if any, and l
+// is left empty, so a later Release or Reset of l returns nothing to the
+// pool.
 func (l *TempList) Redescribe(desc Descriptor) (*TempList, error) {
-	if err := desc.Validate(); err != nil {
+	if err := desc.validFor(len(l.comp)); err != nil {
 		return nil, err
 	}
 	if len(desc.Sources) != l.arity {
 		return nil, fmt.Errorf("storage: redescribe to %d sources, list has %d", len(desc.Sources), l.arity)
 	}
-	out := &TempList{desc: desc, arity: l.arity, chunks: l.chunks, n: l.n, frozen: l.frozen, flat: l.flat}
-	l.chunks, l.n, l.frozen, l.flat = nil, 0, false, nil
+	out := &TempList{desc: desc, arity: l.arity, chunks: l.chunks, n: l.n, frozen: l.frozen, flat: l.flat, comp: l.comp}
+	l.chunks, l.n, l.frozen, l.flat, l.comp = nil, 0, false, nil, nil
 	return out, nil
 }
 
-// Release recycles the list's arena chunks back to the pool and empties
-// it. The caller asserts that no row views (Row, Rows, Scan callbacks,
-// ScanColumnBatches blocks) are outstanding — the pooled memory will be
-// reused by other lists. Ownership rule: whoever holds the only reference
-// to a list may move it (Redescribe), have its chunks adopted
-// (MergeListsRecycle) or release it; a list handed to a caller is never
-// released.
+// Release recycles the list's arena chunks back to the pool, drops its
+// computed vectors (they are the collector's, never the pool's) and
+// empties it. The caller asserts that no row views (Row, Rows, Scan
+// callbacks, ScanColumnBatches blocks) are outstanding — the pooled
+// memory will be reused by other lists. Ownership rule: whoever holds the
+// only reference to a list may move it (Redescribe), have its chunks
+// adopted (MergeListsRecycle) or release it; a list handed to a caller is
+// never released.
 func (l *TempList) Release() {
 	for i, c := range l.chunks {
 		putChunk(c, l.arity)
@@ -326,21 +418,23 @@ func (l *TempList) Release() {
 	}
 	l.chunks = nil
 	l.flat = nil
+	l.comp = nil
 	l.n = 0
 }
 
 // Absorb appends every row of other (block copies, chunk by chunk). Both
-// lists must have the same source arity; the descriptor columns are taken
-// from l. The per-worker parallel append path builds one private TempList
-// per worker and absorbs them in worker order, so no mutex ever guards an
-// Append.
+// lists must have the same source arity and neither may have computed
+// columns; the descriptor columns are taken from l. The per-worker
+// parallel append path builds one private TempList per worker and absorbs
+// them in worker order, so no mutex ever guards an Append.
 func (l *TempList) Absorb(other *TempList) {
-	if l.frozen {
-		panic("storage: absorb into frozen TempList")
-	}
+	l.mustAppend()
 	if other.arity != l.arity {
 		panic(fmt.Sprintf("storage: absorb arity %d does not match %d sources",
 			other.arity, l.arity))
+	}
+	if other.comp != nil {
+		panic("storage: absorb of a TempList with computed columns")
 	}
 	for _, c := range other.chunks {
 		l.appendFlat(c)
@@ -374,7 +468,8 @@ func MergeLists(desc Descriptor, parts []*TempList) (*TempList, error) {
 // scratch. A full chunk that lands on a chunk boundary of the result is
 // adopted — it changes owner instead of being copied and pooled; every
 // other chunk is block-copied and goes back to the pool. Each partial is
-// left empty. The parts must have no outstanding row views.
+// left empty. The parts must have no outstanding row views and no
+// computed columns.
 func MergeListsRecycle(desc Descriptor, parts []*TempList) (*TempList, error) {
 	n := 0
 	for _, p := range parts {
@@ -393,6 +488,9 @@ func MergeListsRecycle(desc Descriptor, parts []*TempList) (*TempList, error) {
 		}
 		if p.arity != out.arity {
 			panic(fmt.Sprintf("storage: merge arity %d does not match %d sources", p.arity, out.arity))
+		}
+		if p.comp != nil {
+			panic("storage: merge of a TempList with computed columns")
 		}
 		for i, c := range p.chunks {
 			if len(c) == full && out.n == len(out.chunks)*ChunkRows {
@@ -466,10 +564,13 @@ func (l *TempList) ScanColumnBatches(col int, buf TupleBatch, fn func(block []*T
 	}
 }
 
-// Value extracts output column c of row i by dereferencing the relevant
-// tuple pointer.
+// Value extracts output column c of row i: by dereferencing the relevant
+// tuple pointer, or from the column's vector when it is computed.
 func (l *TempList) Value(i, c int) Value {
 	col := l.desc.Cols[c]
+	if col.Source == Computed {
+		return l.comp[col.Field][i]
+	}
 	return l.Row(i)[col.Source].Field(col.Field)
 }
 
@@ -480,6 +581,10 @@ func (l *TempList) Value(i, c int) Value {
 // resolution per value.
 func (l *TempList) GatherColumn(c, lo, hi int, out []Value) {
 	col := l.desc.Cols[c]
+	if col.Source == Computed {
+		copy(out, l.comp[col.Field][lo:hi])
+		return
+	}
 	src, f := col.Source, col.Field
 	a := l.arity
 	j := 0
@@ -504,6 +609,13 @@ func (l *TempList) GatherColumn(c, lo, hi int, out []Value) {
 // GatherColumn for partitioned consumers.
 func (l *TempList) GatherColumnRows(c int, rows []int32, out []Value) {
 	col := l.desc.Cols[c]
+	if col.Source == Computed {
+		vec := l.comp[col.Field]
+		for j, r := range rows {
+			out[j] = vec[r]
+		}
+		return
+	}
 	src, f := col.Source, col.Field
 	a := l.arity
 	for j, r := range rows {
@@ -519,6 +631,10 @@ func (l *TempList) RowValues(i int) []Value {
 	out := make([]Value, len(l.desc.Cols))
 	row := l.Row(i)
 	for c, col := range l.desc.Cols {
+		if col.Source == Computed {
+			out[c] = l.comp[col.Field][i]
+			continue
+		}
 		out[c] = row[col.Source].Field(col.Field)
 	}
 	return out

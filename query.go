@@ -628,7 +628,9 @@ func (q *Query) noteClamp(name, chosen string, bits []uint, budget int64, rows i
 
 // Result is a query result: a temporary list of tuple pointers plus the
 // descriptor naming its output columns. Values are extracted from the
-// source tuples on demand — the result holds no copied data.
+// source tuples on demand — the result holds no copied data — except the
+// columns a grouped query computed (group keys and aggregates), which the
+// list holds as values, one vector per column.
 type Result struct {
 	list *storage.TempList
 	plan []string
@@ -643,7 +645,12 @@ func (r *Result) Columns() []string { return r.list.ColumnNames() }
 // Row materializes row i's output values.
 func (r *Result) Row(i int) []Value { return r.list.RowValues(i) }
 
-// Tuples returns row i's underlying tuple pointers.
+// Tuples returns row i's underlying tuple pointers, one per relation the
+// query reads. For a grouped result they are the group's representative:
+// an input row that carried its key, the first the aggregation saw (on a
+// snapshot scan, that row's snapshot image). The row's values come from the computed columns,
+// not from these tuples, so they do not follow later updates. The single
+// row of a global aggregate over empty input has nil pointers.
 func (r *Result) Tuples(i int) []*Tuple { return r.list.Row(i) }
 
 // Plan describes the executed plan — the choices the planner actually
@@ -2390,8 +2397,9 @@ type groupExec struct {
 // aggregate-input columns into a working list, aggregate it on the shape
 // plan.ChooseAggMethod picked (flat table below the crossover,
 // radix-partitioned above; per-worker partial tables merged at the
-// barrier when the worker chooser grants parallelism), and materialize
-// one output row per group.
+// barrier when the worker chooser grants parallelism), and emit one
+// output row per group: its representative input row, with the keys and
+// aggregates as computed columns (agg.Emit).
 func (q *Query) runGroup(list *storage.TempList, m *meter.Counters, pg *obs.Progress) (groupExec, error) {
 	// Working projection: group columns first, aggregate inputs after, so
 	// the operator addresses both as ordinals of one descriptor.
@@ -2432,17 +2440,11 @@ func (q *Query) runGroup(list *storage.TempList, m *meter.Counters, pg *obs.Prog
 	}
 	defer q.closeAgg(ar)
 	res := parallel.HashAgg(q.sq, pg, ar.g, work, gcols, specs, ar.bits, ar.workers, m)
-	if len(gcols) == 0 && res.Groups() == 0 {
-		// Global aggregation over an empty input still yields one row
-		// (COUNT = 0, the rest NULL), per SQL. The rep row ordinal is never
-		// dereferenced: there are no group-key columns to read through it.
-		res = agg.Result{Reps: []int32{0}, Cells: make([]agg.Cell, len(specs))}
-	}
-	out, err := agg.Materialize(work, gcols, specs, res, "agg("+q.from.Name()+")")
+	out, err := agg.Emit(work, gcols, specs, res)
 	if err != nil {
 		return groupExec{}, err
 	}
-	work.Release() // every key and aggregate now lives in the output relation
+	work.Release() // the output took its representative rows and copied every key and aggregate
 	detail := "global"
 	if len(q.groupBy) > 0 {
 		detail = "BY " + strings.Join(q.groupBy, ", ")
@@ -2623,10 +2625,7 @@ func (q *Query) runOrder(list *storage.TempList, m *meter.Counters, pg *obs.Prog
 		}
 		path = "full sort (" + sm.String() + ")"
 	}
-	out := storage.MustTempListHint(list.Descriptor(), len(rows))
-	for _, r := range rows {
-		out.Append(list.Row(int(r)))
-	}
+	out := list.Take(rows)
 	list.Release()
 	return orderExec{
 		list: out, method: method, path: path,
@@ -2696,17 +2695,14 @@ func parseOrdinal(s string) (int, bool) {
 	return n, true
 }
 
-// headList cuts list to its first n rows: they are copied into a fresh
+// headList cuts list to its first n rows: they are taken into a fresh
 // exact-fit list and list is released.
 func headList(list *storage.TempList, n int) *storage.TempList {
-	out := storage.MustTempListHint(list.Descriptor(), n)
-	list.Scan(func(i int, row storage.Row) bool {
-		if i >= n {
-			return false
-		}
-		out.Append(row)
-		return true
-	})
+	rows := make([]int32, n)
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	out := list.Take(rows)
 	list.Release()
 	return out
 }

@@ -154,6 +154,72 @@ func TestHeldResultSurvivesUpdates(t *testing.T) {
 	if got := render(); got != want {
 		t.Fatal("a held snapshot Result changed under later updates")
 	}
+	heldGroupSurvives(t, db, tab, tuples, true)
+}
+
+// TestHeldGroupedResultSurvivesUpdatesLocked is the locked-path twin of
+// TestHeldResultSurvivesUpdates' grouped half: there a group's
+// representative is the live tuple itself, which the updates rewrite and
+// the deletes remove, and the held Result still reads as it did.
+func TestHeldGroupedResultSurvivesUpdatesLocked(t *testing.T) {
+	db, tab, tuples, _ := openSnapTable(t, Options{DisableSnapshots: true}, 12000)
+	heldGroupSurvives(t, db, tab, tuples, false)
+}
+
+// heldGroupSurvives runs a GROUP BY and holds its Result; then it sets the
+// group key and the aggregated field of every group's representative
+// tuple, deletes every third, and requires the Result to render byte for
+// byte as before. A group's keys and aggregates are values the Result
+// owns, not reads through its representative row.
+func heldGroupSurvives(t *testing.T, db *Database, tab *Table, tuples []*Tuple, snapshot bool) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		if err := tab.Update(tuples[rng.Intn(len(tuples))], "v", Int(int64(rng.Intn(1000)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held, err := db.Query("m").GroupBy("k").Agg(AggCount, "*").Agg(AggSum, "v").Agg(AggMax, "id").Parallel(2).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(held.Plan(), "snapshot scan") != snapshot {
+		t.Fatalf("snapshot path = %v, want %v:\n%s", !snapshot, snapshot, held.Plan())
+	}
+	render := func() string {
+		var b strings.Builder
+		for i := 0; i < held.Len(); i++ {
+			fmt.Fprintln(&b, held.Row(i))
+		}
+		return b.String()
+	}
+	want := render()
+	for i := 0; i < held.Len(); i++ {
+		rep := held.Tuples(i)[0]
+		if !Equal(rep.Field(1), held.Row(i)[0]) {
+			t.Fatalf("group %d: representative tuple has k=%v, the group's key is %v", i, rep.Field(1), held.Row(i)[0])
+		}
+	}
+	for i := 0; i < held.Len(); i++ {
+		// On the snapshot path the representative is the row's image; its
+		// id names the live tuple.
+		live := tuples[held.Tuples(i)[0].Field(0).Int()]
+		if err := tab.Update(live, "k", Int(int64(1000+i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.Update(live, "v", Int(-1)); err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 0 {
+			if err := tab.Delete(live); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	scanAll(t, db)
+	if got := render(); got != want {
+		t.Fatalf("a held grouped Result changed under updates and deletes of its representatives:\n got %s\nwant %s", got, want)
+	}
 }
 
 // TestCommitAllocsIgnoreSnapshots: publication is the reader's to pay, so a
