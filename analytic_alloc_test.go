@@ -129,3 +129,134 @@ func TestFilteredScanAllocsIndependentOfTableSize(t *testing.T) {
 		t.Errorf("filtered scan allocates %.0f times at 10k rows and %.0f at 200k", small, large)
 	}
 }
+
+// TestWarmJoinBytesFollowOutput: a radix join hashes both sides into the
+// pooled partitioners' own entry arrays, so a warm 200k ⋈ 200k join
+// allocates little beyond its output, a 16-byte row of two tuple
+// pointers (the parent commit allocated a fresh 16-byte entry per input
+// row of each side besides: ≈3.2× the output).
+func TestWarmJoinBytesFollowOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads two 200k-row tables")
+	}
+	if raceEnabled {
+		t.Skip("the race detector pads heap objects")
+	}
+	const rows = 200000
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	l, err := db.CreateTable("l", []Field{{Name: "id", Type: TypeInt}, {Name: "k", Type: TypeInt}}, "id", TTree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := db.CreateTable("r", []Field{{Name: "id", Type: TypeInt}}, "id", TTree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	for i := 0; i < rows; i++ {
+		// 7919 is prime to 200k, so k is a permutation of r's ids.
+		if err := tx.Insert(l, Int(int64(i)), Int(int64(i*7919%rows))); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Insert(r, Int(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		res, err := db.Query("l").Join("r", "k", "id").Select("l.id", "r.id").JoinMethod(JoinRadix).Parallel(2).Run()
+		if err != nil || res.Len() != rows {
+			t.Fatalf("join returned %d rows, %v", res.Len(), err)
+		}
+	}
+	run()
+	// The least over several runs, as the benchmark reports it: a run
+	// after the collector emptied the partitioner pool pays for refilling it.
+	least := uint64(0)
+	for i := 0; i < 8; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		if b := after.TotalAlloc - before.TotalAlloc; i == 0 || b < least {
+			least = b
+		}
+	}
+	const output = 16 * rows
+	t.Logf("warm radix join: %d B allocated, %.2f× the output's %d B", least, float64(least)/output, output)
+	if float64(least) > 1.3*output {
+		t.Errorf("warm radix join allocates %d B, over 1.3× the output's %d B", least, output)
+	}
+}
+
+// TestWarmStarAllocsIndependentOfBuildSize: a pipeline stage builds a
+// pooled flat table, so a warm 3-stage star allocates the same whether
+// its dimensions hold 2.5k or 25k rows (the parent commit built
+// chained-bucket stages: two objects per chain node, ≈2 allocations per
+// 4 build rows). The fact side and the output are the same at both sizes.
+func TestWarmStarAllocsIndependentOfBuildSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads 4 tables")
+	}
+	if raceEnabled {
+		t.Skip("the race detector allocates beside the engine")
+	}
+	const factRows = 20000
+	measure := func(dimRows int) float64 {
+		db, err := Open(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		tx := db.Begin()
+		for _, name := range []string{"d1", "d2", "d3"} {
+			d, err := db.CreateTable(name, []Field{{Name: "id", Type: TypeInt}, {Name: "a", Type: TypeInt}}, "id", TTree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < dimRows; i++ {
+				if err := tx.Insert(d, Int(int64(i)), Int(int64(i%7))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		f, err := db.CreateTable("f", []Field{
+			{Name: "id", Type: TypeInt}, {Name: "k1", Type: TypeInt}, {Name: "k2", Type: TypeInt}, {Name: "k3", Type: TypeInt},
+		}, "id", TTree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < factRows; i++ {
+			k := Int(int64(i % 2500)) // every fact row matches once per dimension at both sizes
+			if err := tx.Insert(f, Int(int64(i)), k, k, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			res, err := db.Query("f").Join("d1", "f.k1", "id").Join("d2", "f.k2", "id").Join("d3", "f.k3", "id").
+				Select("f.id", "d1.a", "d2.a", "d3.a").ForceJoinOrder("f", "d1", "d2", "d3").Parallel(2).Run()
+			if err != nil || res.Len() != factRows {
+				t.Fatalf("star returned %d rows, %v", res.Len(), err)
+			}
+		}
+		run()
+		run()
+		return testing.AllocsPerRun(10, run)
+	}
+	small, large := measure(2500), measure(25000)
+	t.Logf("warm 3-stage star: %.0f allocations at 2.5k-row dimensions, %.0f at 25k", small, large)
+	// The slack is for sync.Pool, which drops a pooled table or chunk now
+	// and then; chained-bucket stages would add ≈3×(25k−2.5k)/2 ≈ 34k.
+	if d := large - small; d > 16 || d < -16 {
+		t.Errorf("warm 3-stage star allocates %.0f times at 2.5k-row dimensions and %.0f at 25k", small, large)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/meter"
 	"repro/internal/obs"
+	"repro/internal/radix"
 	"repro/internal/sched"
 	"repro/internal/storage"
 	"repro/internal/tupleindex"
@@ -15,18 +16,37 @@ import (
 // materialized — a stage's output batch feeds the next stage's probe
 // directly, and only the final rows land in a TempList (or are merely
 // counted). Build sides are the one thing that must exist up front, so
-// they are hash tables built (or reused from an existing index) before
-// the stream starts.
+// they are hash tables built before the stream starts: the radix join's
+// flat open-addressing table (radix.Table, drawn from its pool by
+// BuildStageTable), or an existing hash index reused in place through
+// IndexStage. The paper's chained-bucket table (§3.3) stays the
+// reproduction baseline in HashJoin; the pipeline does not build one.
 //
 // The pipeline is reusable: buffers, per-stage match blocks, and probe
 // closures are allocated at construction, so a warm Feed/Flush cycle
 // over a fresh driver allocates nothing.
 
+// StageTable is what a stage probes: every build tuple in the bucket of
+// hash h that match accepts, appended to out. *radix.Table implements it
+// directly; IndexStage adapts an existing hash index.
+type StageTable interface {
+	ProbeAppend(h uint64, match func(*storage.Tuple) bool, out storage.TupleBatch) storage.TupleBatch
+}
+
+// IndexStage lets a stage probe an existing hash index in place — the
+// serial pipeline's reuse of a relation's own index instead of a build.
+type IndexStage struct{ Index tupleindex.Hashed }
+
+// ProbeAppend implements StageTable over the index's batched key search.
+func (s IndexStage) ProbeAppend(h uint64, match func(*storage.Tuple) bool, out storage.TupleBatch) storage.TupleBatch {
+	return index.SearchKeyAppend[*storage.Tuple](s.Index, h, match, out)
+}
+
 // StageSpec describes one join step of a pipeline.
 type StageSpec struct {
 	// Table is the hash table over the build relation's join column
 	// (keyed by storage.Hash of tupleindex.KeyOf). Nil when Deref is set.
-	Table tupleindex.Hashed
+	Table StageTable
 	// BuildField is the join column inside the build relation;
 	// tupleindex.SelfField joins on tuple identity.
 	BuildField int
@@ -243,7 +263,7 @@ func (p *Pipeline) probe(k int, st *pipeStage, row []*storage.Tuple) bool {
 	}
 	st.key = tupleindex.KeyOf(row[st.ProbeSlot], st.ProbeField)
 	p.spec.Meter.AddHash(1)
-	st.matches = index.SearchKeyAppend[*storage.Tuple](st.Table, storage.Hash(st.key), st.match, st.matches[:0])
+	st.matches = st.Table.ProbeAppend(storage.Hash(st.key), st.match, st.matches[:0])
 	for _, m := range st.matches {
 		if !p.bind(k, st, row, m) {
 			return false
@@ -291,29 +311,25 @@ func (p *Pipeline) Clone(out *storage.TempList, m *meter.Counters) *Pipeline {
 	return NewPipeline(spec)
 }
 
-// BuildStageTable builds a chained-bucket hash table over src's field
-// column — the build phase of one pipeline stage, identical to the
-// paper's hash-join build (§3.3.2). m meters the build scan only: the
-// structure itself carries no meter, because the finished table is
-// shared read-only across probe workers and a baked-in counter block
-// would race (probe work is counted by the pipeline's own counters).
-func BuildStageTable(src Source, field, nodeSize int, m *meter.Counters) tupleindex.Hashed {
-	if nodeSize <= 0 {
-		nodeSize = 4
-	}
-	ht := tupleindex.NewChainHash(tupleindex.Options{
-		Field:    field,
-		NodeSize: nodeSize,
-		Capacity: maxInt(src.Len(), 1),
-	})
+// BuildStageTable runs the build phase of one pipeline stage: a flat
+// radix.Table over src's field column, drawn from the table pool and
+// sized for src.Len() entries, so a warm build allocates nothing. The
+// caller owns the table and returns it with radix.PutTable once no
+// pipeline probes it. nodeSize is unused and stays only for existing
+// callers. m meters the build scan only (one batch per scanned block):
+// the finished table is shared read-only across probe workers, and
+// probe work is counted by the pipeline's own counters.
+func BuildStageTable(src Source, field, nodeSize int, m *meter.Counters) *radix.Table {
+	tbl := radix.GetTable()
+	tbl.Reset(src.Len())
 	buf := storage.GetBatch()
 	ScanBatches(src, buf, func(block storage.TupleBatch) bool {
 		m.AddBatch(1)
 		for _, t := range block {
-			ht.Insert(t)
+			tbl.Insert(storage.Hash(tupleindex.KeyOf(t, field)), t)
 		}
 		return true
 	})
 	storage.PutBatch(buf)
-	return ht
+	return tbl
 }

@@ -46,17 +46,18 @@ func RadixHashJoin(outer, inner exec.Source, spec exec.JoinSpec, bits []uint, wo
 		return exec.HashJoin(outerC, innerC, spec), radix.Stats{}
 	}
 
-	// Phase 1 — hash both sides into entry arrays: one storage.Hash per
-	// tuple, reused by every later phase. Chunks are contiguous in source
-	// order, so each worker writes a disjoint range of the entry array.
-	ie := hashEntries(spec.Sched, innerC, ni, spec.InnerField, spec.Meter, spec.Prog, w)
-	oe := hashEntries(spec.Sched, outerC, no, spec.OuterField, spec.Meter, spec.Prog, w)
-
-	// Phase 2 — radix-partition both sides with pooled kernel scratch.
-	// The two partitioners stay live until the probe phase finishes
-	// (their internal buffers may hold the partitioned layouts).
+	// Phase 1 — hash both sides into the pooled partitioners' entry
+	// arrays: one storage.Hash per tuple, reused by every later phase.
+	// Chunks are contiguous in source order, so each worker writes a
+	// disjoint range of the entry array.
+	//
+	// Phase 2 — radix-partition both sides, ping-ponging between the two
+	// arrays each partitioner owns. The partitioners stay live until the
+	// probe phase finishes (their arrays hold the partitioned layouts).
 	pi := radix.GetTuplePartitioner()
 	po := radix.GetTuplePartitioner()
+	ie := hashEntries(spec.Sched, innerC, pi.Entries(ni), spec.InnerField, spec.Meter, spec.Prog, w)
+	oe := hashEntries(spec.Sched, outerC, po.Entries(no), spec.OuterField, spec.Meter, spec.Prog, w)
 	ie, ioffs := pi.Partition(ie, pl, spec.Meter)
 	oe, ooffs := po.Partition(oe, pl, spec.Meter)
 	stats := radix.StatsOf(pl, ioffs)
@@ -330,17 +331,17 @@ func (st *pairState) buildProbe(build, probe []radix.TupleEntry, reversed bool) 
 	return n
 }
 
-// hashEntries materializes a side into (hash, tuple) entries, one
-// storage.Hash call per tuple, parallel over contiguous chunks.
-func hashEntries(sq *sched.Query, src Chunked, n, field int, m *meter.Counters, pg *obs.Progress, w int) []radix.TupleEntry {
-	es := make([]radix.TupleEntry, n)
+// hashEntries fills es — a partitioner's pooled input array, one entry
+// per tuple of src — with (hash, tuple) entries, one storage.Hash call
+// per tuple, parallel over contiguous chunks: a chunk starts where the
+// chunks before it end. It allocates no entries of its own.
+func hashEntries(sq *sched.Query, src Chunked, es []radix.TupleEntry, field int, m *meter.Counters, pg *obs.Progress, w int) []radix.TupleEntry {
 	chunks := src.Chunks(w * morselsPerWorker)
-	offs := make([]int, len(chunks)+1)
-	for i, c := range chunks {
-		offs[i+1] = offs[i] + c.Len()
-	}
 	m.Add(run(sq, pg, "radix join", w, len(chunks), func(c int, sc *scratch) {
-		i := offs[c]
+		i := 0
+		for _, prev := range chunks[:c] {
+			i += prev.Len()
+		}
 		exec.ScanBatches(chunks[c], sc.buf, func(block storage.TupleBatch) bool {
 			sc.ctr.AddBatch(1)
 			sc.ctr.AddHash(int64(len(block)))

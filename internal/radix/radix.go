@@ -26,8 +26,9 @@
 // first-occurrence semantics).
 //
 // Partitioner scratch (histograms, cursors, write-combining blocks, the
-// ping-pong buffer) is recycled through sync.Pool: a warmed partitioner
-// partitions an input with zero heap allocations.
+// input array handed out by Entries, the ping-pong buffer) is recycled
+// through sync.Pool: a warmed partitioner fills and partitions an input
+// with zero heap allocations.
 package radix
 
 import (
@@ -140,18 +141,32 @@ func TableBytes(n int) int64 {
 }
 
 // Partitioner holds the kernel's reusable scratch: per-pass histogram
-// and cursor arrays, the write-combining staging area, the ping-pong
-// output buffer, and two partition-boundary arrays. All of it grows to
-// the largest plan/input seen and is then reused allocation-free;
-// Get/Put recycle whole partitioners through a pool.
+// and cursor arrays, the write-combining staging area, the input array
+// Entries hands out, the ping-pong output buffer, and two
+// partition-boundary arrays. All of it grows to the largest plan/input
+// seen and is then reused allocation-free; Get/Put recycle whole
+// partitioners through a pool.
 type Partitioner[P any] struct {
 	hist []int      // per-pass partition counts
 	cur  []int      // per-pass write cursors
 	wcn  []int      // write-combining fill counts
 	wc   []Entry[P] // write-combining staging, fanout×WCBlock entries
+	in   []Entry[P] // input array handed out by Entries
 	buf  []Entry[P] // ping-pong scatter buffer, len(input) entries
 	bndA []int      // partition boundaries (ping)
 	bndB []int      // partition boundaries (pong)
+}
+
+// Entries returns the partitioner's own input array, resized to n
+// entries, for the caller to fill and pass to Partition: the scatter then
+// ping-pongs between two arrays the partitioner owns, and a warm pooled
+// partitioner hands out a join side's entries without allocating. The
+// contents are stale until overwritten; the slice stays valid until Put.
+func (p *Partitioner[P]) Entries(n int) []Entry[P] {
+	if cap(p.in) < n {
+		p.in = make([]Entry[P], n)
+	}
+	return p.in[:n]
 }
 
 // ensure grows the scratch for the given plan and input size.
@@ -186,7 +201,8 @@ func (p *Partitioner[P]) ensure(pl Plan, n int) {
 // alias either the input or the partitioner's internal buffer and stay
 // valid until the next Partition call or Put on this partitioner; the
 // input slice's order is clobbered either way (the kernel ping-pongs
-// between the two buffers).
+// between the two buffers). The input may be the caller's own slice or
+// the one Entries returned; with the latter both buffers are pooled.
 //
 // Each pass is metered as one RadixPass and one DataMove per entry; the
 // final fanout is metered as Partitions. A nil meter is free.
@@ -305,10 +321,11 @@ func GetTuplePartitioner() *Partitioner[*storage.Tuple] {
 	return tuplePartPool.Get().(*Partitioner[*storage.Tuple])
 }
 
-// PutTuplePartitioner clears the tuple pointers held in the staging and
-// ping-pong buffers and recycles the partitioner.
+// PutTuplePartitioner clears the tuple pointers held in the staging,
+// input and ping-pong buffers and recycles the partitioner.
 func PutTuplePartitioner(p *Partitioner[*storage.Tuple]) {
 	clear(p.wc)
+	clear(p.in[:cap(p.in)])
 	clear(p.buf[:cap(p.buf)])
 	tuplePartPool.Put(p)
 }

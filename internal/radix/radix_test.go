@@ -216,6 +216,28 @@ func TestPools(t *testing.T) {
 		t.Fatalf("tuple partition: offs=%v", offs)
 	}
 	PutTuplePartitioner(tp)
+
+	// A join side filled into the partitioner's own input array: the
+	// scatter ping-pongs between in and buf, and Put clears both, so the
+	// pool pins no tuple.
+	tp = GetTuplePartitioner()
+	in := tp.Entries(300)
+	for i := range in {
+		in[i] = TupleEntry{H: uint64(i) << 56, P: &storage.Tuple{}}
+	}
+	res, _ = tp.Partition(in, Plan{Bits: []uint{2, 2}}, nil)
+	if len(res) != 300 || res[0].P == nil {
+		t.Fatalf("pooled entries: partitioned %d", len(res))
+	}
+	PutTuplePartitioner(tp)
+	for name, arr := range map[string][]TupleEntry{"input": tp.in, "buf": tp.buf} {
+		for i, e := range arr[:cap(arr)] {
+			if e.P != nil {
+				t.Fatalf("after PutTuplePartitioner the %s array still holds a tuple at %d", name, i)
+			}
+		}
+	}
+
 	rp := GetRowPartitioner()
 	rp.Partition(mkEntries(10, func(i int) uint64 { return uint64(i) << 60 }), Plan{Bits: []uint{4}}, nil)
 	PutRowPartitioner(rp)

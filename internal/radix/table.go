@@ -6,9 +6,11 @@ import (
 	"repro/internal/storage"
 )
 
-// Table is the per-partition build table of the radix hash join: a flat
-// open-addressing array of (hash, tuple) slots with linear probing and a
-// power-of-two mask — no chain nodes, no per-entry allocation, no
+// Table is the engine's flat build table, with two users: the radix hash
+// join's per-partition table and the multi-join pipeline's stage table
+// (exec.BuildStageTable, one table over a whole build relation). It is a
+// flat open-addressing array of (hash, tuple) slots with linear probing
+// and a power-of-two mask — no chain nodes, no per-entry allocation, no
 // pointer chasing. Sized at twice the partition's cardinality (load
 // factor ≤ 0.5) a table over an L2-sized partition stays L2-resident for
 // the whole build+probe of that partition, which is the point of
@@ -22,8 +24,9 @@ import (
 // key comparison on a 64-bit hash match, so almost every non-matching
 // slot is rejected without touching the tuple at all.
 //
-// A Table is single-goroutine during build and immutable during probe;
-// the parallel join gives every partition its own table. Empty slots are
+// A Table is single-goroutine during build and immutable during probe:
+// the parallel join gives every partition its own table, and the
+// pipeline's workers share one stage table read-only. Empty slots are
 // T == nil, so inserted tuples must be non-nil.
 type Table struct {
 	slots []TupleEntry

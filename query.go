@@ -2190,14 +2190,18 @@ type multiJoinExec struct {
 	planNotes  []string
 }
 
+// putStageTable returns a multi-join stage table to the pool; a variable
+// so a test can watch when each table comes back.
+var putStageTable = radix.PutTable
+
 // runMultiJoin executes an n-way join (n >= 3): choose the execution
-// order by cost forecast, build one hash table per non-driver relation
-// (reusing an existing hash index when the run is serial — shared index
-// structures meter their probes, which would race across workers), and
-// stream the driver through the stage pipeline. Nothing between stages
-// materializes; only the final rows land in the output list. left is
-// the filtered from-table — it becomes the driver stream when the
-// planner puts it first, a build side otherwise.
+// order by cost forecast, build one pooled flat hash table per non-driver
+// relation (reusing an existing hash index when the run is serial —
+// shared index structures meter their probes, which would race across
+// workers), and stream the driver through the stage pipeline. Nothing
+// between stages materializes; only the final rows land in the output
+// list. left is the filtered from-table — it becomes the driver stream
+// when the planner puts it first, a build side otherwise.
 func (q *Query) runMultiJoin(left *storage.TempList, m *meter.Counters, pg *obs.Progress, limit int) (multiJoinExec, error) {
 	g := q.joinGraph(left.Len(), true)
 	res, err := q.chooseOrder(g)
@@ -2244,6 +2248,15 @@ func (q *Query) runMultiJoin(left *storage.TempList, m *meter.Counters, pg *obs.
 		names[i] = r.name
 	}
 	stages := make([]exec.StageSpec, 0, n-1)
+	// The stage tables this query built go back to the pool once the
+	// pipeline has returned, on every exit path: RunPipeline returns only
+	// after its last worker stopped probing, cancelled or not.
+	built := make([]*radix.Table, 0, n-1)
+	defer func() {
+		for _, tbl := range built {
+			putStageTable(tbl)
+		}
+	}()
 	bound := make([]bool, n)
 	bound[driverRel] = true
 	for k := 1; k < n; k++ {
@@ -2291,10 +2304,12 @@ func (q *Query) runMultiJoin(left *storage.TempList, m *meter.Counters, pg *obs.
 				src = exec.ListColumn{List: left, Column: 0}
 			}
 			if ix := rt.indexOn(buildField, false); ix != nil && !filtered && workers <= 1 {
-				st.Table = ix.hashed
+				st.Table = exec.IndexStage{Index: ix.hashed}
 				method = "hash probe (" + ix.kind.String() + " index)"
 			} else {
-				st.Table = exec.BuildStageTable(src, buildField, 0, m)
+				tbl := exec.BuildStageTable(src, buildField, 0, m)
+				built = append(built, tbl)
+				st.Table = tbl
 				out.scanned += int64(src.Len())
 				method = "hash probe (built table)"
 			}
