@@ -196,10 +196,11 @@ func TestWarmJoinBytesFollowOutput(t *testing.T) {
 }
 
 // TestWarmStarAllocsIndependentOfBuildSize: a pipeline stage builds a
-// pooled flat table, so a warm 3-stage star allocates the same whether
-// its dimensions hold 2.5k or 25k rows (the parent commit built
-// chained-bucket stages: two objects per chain node, ≈2 allocations per
-// 4 build rows). The fact side and the output are the same at both sizes.
+// pooled flat table, so a warm 3-stage star — and a warm two-relation
+// hash join, the pipeline with one stage — allocates the same whether
+// its dimensions hold 2.5k or 25k rows (chained-bucket builds cost two
+// objects per chain node, ≈2 allocations per 4 build rows). The fact side
+// and the output are the same at both sizes.
 func TestWarmStarAllocsIndependentOfBuildSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads 4 tables")
@@ -208,7 +209,19 @@ func TestWarmStarAllocsIndependentOfBuildSize(t *testing.T) {
 		t.Skip("the race detector allocates beside the engine")
 	}
 	const factRows = 20000
-	measure := func(dimRows int) float64 {
+	shapes := []struct {
+		name  string
+		query func(db *Database) *Query
+	}{
+		{"3-stage star", func(db *Database) *Query {
+			return db.Query("f").Join("d1", "f.k1", "id").Join("d2", "f.k2", "id").Join("d3", "f.k3", "id").
+				Select("f.id", "d1.a", "d2.a", "d3.a").ForceJoinOrder("f", "d1", "d2", "d3")
+		}},
+		{"two-relation join", func(db *Database) *Query {
+			return db.Query("f").Join("d1", "f.k1", "id").Select("f.id", "d1.a")
+		}},
+	}
+	measure := func(dimRows int) []float64 {
 		db, err := Open(Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -241,22 +254,28 @@ func TestWarmStarAllocsIndependentOfBuildSize(t *testing.T) {
 		if _, err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		run := func() {
-			res, err := db.Query("f").Join("d1", "f.k1", "id").Join("d2", "f.k2", "id").Join("d3", "f.k3", "id").
-				Select("f.id", "d1.a", "d2.a", "d3.a").ForceJoinOrder("f", "d1", "d2", "d3").Parallel(2).Run()
-			if err != nil || res.Len() != factRows {
-				t.Fatalf("star returned %d rows, %v", res.Len(), err)
+		allocs := make([]float64, len(shapes))
+		for i, s := range shapes {
+			run := func() {
+				res, err := s.query(db).Parallel(2).Run()
+				if err != nil || res.Len() != factRows {
+					t.Fatalf("%s returned %d rows, %v", s.name, res.Len(), err)
+				}
 			}
+			run()
+			run()
+			allocs[i] = testing.AllocsPerRun(10, run)
 		}
-		run()
-		run()
-		return testing.AllocsPerRun(10, run)
+		return allocs
 	}
 	small, large := measure(2500), measure(25000)
-	t.Logf("warm 3-stage star: %.0f allocations at 2.5k-row dimensions, %.0f at 25k", small, large)
-	// The slack is for sync.Pool, which drops a pooled table or chunk now
-	// and then; chained-bucket stages would add ≈3×(25k−2.5k)/2 ≈ 34k.
-	if d := large - small; d > 16 || d < -16 {
-		t.Errorf("warm 3-stage star allocates %.0f times at 2.5k-row dimensions and %.0f at 25k", small, large)
+	for i, s := range shapes {
+		t.Logf("warm %s: %.0f allocations at 2.5k-row dimensions, %.0f at 25k", s.name, small[i], large[i])
+		// The slack is for sync.Pool, which drops a pooled table or chunk now
+		// and then; chained-bucket stages would add ≈(25k−2.5k)/2 ≈ 11k a
+		// dimension.
+		if d := large[i] - small[i]; d > 16 || d < -16 {
+			t.Errorf("warm %s allocates %.0f times at 2.5k-row dimensions and %.0f at 25k", s.name, small[i], large[i])
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/meter"
-	"repro/internal/plan"
 )
 
 // analyzeTrace runs q.Analyze and returns the trace, failing the test on
@@ -129,91 +128,6 @@ func TestAnalyzeTraceHashJoin(t *testing.T) {
 	}
 	if got := db.Stats().IndexProbes["Mod Linear Hash"]; got == 0 {
 		t.Fatalf("IndexProbes = %+v, want Mod Linear Hash probes", db.Stats().IndexProbes)
-	}
-}
-
-// openMatched builds two tables whose join columns overlap, so every join
-// method produces rows: a(id, k) with k cycling 1..4 and b(k, name).
-func openMatched(t *testing.T) *Database {
-	t.Helper()
-	db, err := Open(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := db.CreateTable("b", []Field{
-		{Name: "k", Type: TypeInt},
-		{Name: "name", Type: TypeString},
-	}, "k", TTree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := db.CreateTable("a", []Field{
-		{Name: "id", Type: TypeInt},
-		{Name: "k", Type: TypeInt},
-	}, "id", TTree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := int64(1); k <= 4; k++ {
-		if _, err := b.Insert(Int(k), Str(string(rune('a'+k)))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for id := int64(1); id <= 8; id++ {
-		if _, err := a.Insert(Int(id), Int(id%4+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return db
-}
-
-// forceJoinQuery builds an a⋈b query with the planner's choice
-// overridden — sort-merge and nested loops are never preferred by the §4
-// ordering in this schema, so the hook is the only way to trace them.
-func forceJoinQuery(db *Database, method plan.JoinMethod) *Query {
-	q := db.Query("a").Where("id", Gt, Int(0)).Join("b", "k", "k")
-	q.forceJoin = &method
-	return q
-}
-
-func TestAnalyzeTraceSortMergeJoin(t *testing.T) {
-	db := openMatched(t)
-
-	res, tr := analyzeTrace(t, forceJoinQuery(db, plan.JoinSortMerge))
-	jn := joinNode(t, tr)
-	if jn.AccessPath != "Sort Merge join" {
-		t.Fatalf("join method = %q, want Sort Merge join", jn.AccessPath)
-	}
-	if jn.Ops.Comparisons == 0 || jn.Ops.DataMoves == 0 {
-		t.Fatalf("sort merge recorded no sort work: %+v", jn.Ops)
-	}
-	if res.Len() != 8 {
-		t.Fatalf("sort merge rows = %d, want 8", res.Len())
-	}
-}
-
-func TestAnalyzeTraceNestedLoopsJoin(t *testing.T) {
-	db := openMatched(t)
-
-	res, tr := analyzeTrace(t, forceJoinQuery(db, plan.JoinNestedLoops))
-	jn := joinNode(t, tr)
-	if jn.AccessPath != "nested loops join" {
-		t.Fatalf("join method = %q, want nested loops join", jn.AccessPath)
-	}
-	if jn.Ops.Comparisons < int64(jn.RowsIn) {
-		t.Fatalf("nested loops compared %d times for %d outer rows", jn.Ops.Comparisons, jn.RowsIn)
-	}
-	if res.Len() != 8 {
-		t.Fatalf("nested loops rows = %d, want 8", res.Len())
-	}
-
-	// Same query, same result through the planner's own choice.
-	want, _, err := db.Query("a").Where("id", Gt, Int(0)).Join("b", "k", "k").Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() != want.Len() {
-		t.Fatalf("nested loops rows = %d, planner choice rows = %d", res.Len(), want.Len())
 	}
 }
 

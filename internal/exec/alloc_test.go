@@ -71,17 +71,32 @@ func TestSelectEqHashSteadyStateAllocs(t *testing.T) {
 }
 
 func TestHashJoinProbeSteadyStateAllocs(t *testing.T) {
-	to := sliceSrc(allocRelation(t, "r1", allocN))
+	driver := allocRelation(t, "r1", allocN)
 	tuples := allocRelation(t, "r2", allocN)
 	ix := tupleindex.NewChainHash(tupleindex.Options{Field: 0, Capacity: len(tuples)})
 	for _, tp := range tuples {
 		ix.Insert(tp)
 	}
-	spec := exec.JoinSpec{OuterName: "r1", InnerName: "r2"}
-	// Probe-only (the build phase's chain nodes are inherent allocations).
-	run := func() { exec.HashJoinExisting(to, ix, spec).Release() }
+	desc := exec.PairDescriptor("r1", "r2", nil)
+	// Probe-only: a one-stage pipeline over the existing index (the build
+	// phase's chain nodes are inherent allocations).
+	run := func() {
+		out := storage.MustTempList(desc)
+		p := exec.NewPipeline(exec.PipelineSpec{Slots: 2, Out: out, Stages: []exec.StageSpec{
+			{Table: exec.IndexStage{Index: ix}, BuildSlot: 1, ProbeSlot: 0},
+		}})
+		for lo := 0; lo < len(driver); lo += storage.BatchSize {
+			p.Feed(driver[lo:min(lo+storage.BatchSize, len(driver))])
+		}
+		p.Flush()
+		p.Release()
+		if out.Len() != allocN {
+			t.Fatalf("index-stage join emitted %d rows, want %d", out.Len(), allocN)
+		}
+		out.Release()
+	}
 	run()
-	guardAllocs(t, "HashJoinExisting probe", testing.AllocsPerRun(10, run), 1.0/8)
+	guardAllocs(t, "IndexStage probe", testing.AllocsPerRun(10, run), 1.0/8)
 }
 
 func TestTreeJoinProbeSteadyStateAllocs(t *testing.T) {

@@ -33,12 +33,6 @@ type JoinSpec struct {
 	// by unwinding its scans, and RowsOut still reports the rows actually
 	// emitted.
 	Limit int
-	// Parallelism is the requested worker count for operators that have a
-	// partition-parallel implementation (see internal/parallel). The
-	// serial operator functions in this package ignore it — 1 preserves
-	// the paper's exact serial algorithms — and the executor dispatches to
-	// the parallel layer when it is greater than one.
-	Parallelism int
 	// Hint, when positive, is the expected result cardinality; the output
 	// list is presized so no chunk growth happens while the join emits.
 	Hint int
@@ -156,7 +150,7 @@ func HashJoin(outer, inner Source, spec JoinSpec) *storage.TempList {
 		// log2(|R2|) but larger than 2" (§3.3.4). (A previous revision
 		// passed inner.Len()*NodeSize here, silently allocating NodeSize×
 		// the intended directory and pushing k below the paper's model.)
-		Capacity: maxInt(inner.Len(), 1),
+		Capacity: max(inner.Len(), 1),
 		Meter:    spec.Meter,
 	})
 	buf := storage.GetBatch()
@@ -169,13 +163,6 @@ func HashJoin(outer, inner Source, spec JoinSpec) *storage.TempList {
 	})
 	storage.PutBatch(buf)
 	return probeHash(outer, ht, spec)
-}
-
-// HashJoinExisting probes an already-built hash index on the inner join
-// column, the case where the hash index happens to exist as a regular
-// index.
-func HashJoinExisting(outer Source, inner tupleindex.Hashed, spec JoinSpec) *storage.TempList {
-	return probeHash(outer, inner, spec)
 }
 
 // probeHash drains the outer source in blocks and, per outer tuple, pulls
@@ -361,13 +348,6 @@ func mergeJoin(a, b joinCursor, spec JoinSpec, out *emitter) {
 			}
 		}
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // NonEquiOp is a non-equality join comparison.

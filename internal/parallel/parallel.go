@@ -11,22 +11,17 @@
 //   - Scans are morsel-driven: workers pull fixed-size chunks (relation
 //     partitions or temp-list row ranges) from a shared atomic cursor, so
 //     skew in one morsel never idles the other workers.
-//   - The hash join uses a partitioned build (Jahangiri & Carey's robust
-//     dynamic hybrid hash design point): the build side is hash-partitioned
-//     on the join key, each worker builds a private chained-bucket table
-//     for its partition, and probes route each outer tuple to exactly one
-//     immutable table — no shared mutable buckets.
-//   - The sort-merge join is MPSM-style (Albutiu, Kemper & Neumann): both
-//     sides are range-partitioned on sampled splitters, then each worker
-//     sorts and merge-joins its key range locally — there is no global
-//     sort or merge barrier across workers.
+//   - Joins stream a driver through a pipeline of hash-table stages
+//     (RunPipeline): the build sides are immutable before the stream
+//     starts, so morsel workers share them. Builds past the radix
+//     crossover take the radix join instead (RadixHashJoin): both sides
+//     partitioned on the key hash, partition pairs as morsels.
 //   - Grouped aggregation folds each worker's row range into a private
 //     flat table and merges the partials at the barrier; duplicate
 //     elimination is the same engine run keys-only (Distinct).
 //
-// Every operator takes an explicit worker count; a count of 1 delegates
-// to the serial exec implementation, byte-for-byte preserving the paper's
-// algorithms (and their §3.1 counters) for the reproduction experiments.
+// Every operator takes an explicit worker count; a count of 1 runs it
+// serially on the calling goroutine.
 // Per-worker §3.1 counters are accumulated privately and folded through a
 // meter.SharedCounters into the caller's meter, so parallel runs report
 // total work the same way serial runs do.
@@ -316,6 +311,13 @@ func (s ListSource) Scan(fn func(*storage.Tuple) bool) {
 	exec.ListColumn{List: s.List, Column: s.Column}.Scan(fn)
 }
 
+// ScanBatches implements exec.BatchSource, so a serial consumer of the
+// whole list (a one-worker pipeline's driver) takes its blocks the way
+// exec.ListColumn hands them out: a single-source list's chunks zero-copy.
+func (s ListSource) ScanBatches(buf storage.TupleBatch, fn func(storage.TupleBatch) bool) {
+	exec.ListColumn{List: s.List, Column: s.Column}.ScanBatches(buf, fn)
+}
+
 // Chunks splits the rows into at most n near-equal contiguous ranges.
 func (s ListSource) Chunks(n int) []exec.Source {
 	total := s.List.Len()
@@ -407,31 +409,16 @@ func AsChunked(src exec.Source) Chunked {
 	return SliceSource(exec.Tuples(src))
 }
 
-// mergeLists combines per-morsel partial lists in morsel order; it
-// panics only on programmer error (mismatched descriptors).
-func mergeLists(desc storage.Descriptor, parts []*storage.TempList) *storage.TempList {
-	out, err := storage.MergeLists(desc, parts)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// mergeListsRecycle is mergeLists for parts the operator owns outright:
-// each part's arena chunks go back to the storage chunk pool as soon as
-// its rows are copied out, so a w-worker operator's transient lists stop
-// costing w× the result's memory. Parts must have no outstanding views.
+// mergeListsRecycle combines per-morsel partial lists in morsel order,
+// for parts the operator owns outright: each part's arena chunks go back
+// to the storage chunk pool as soon as its rows are copied out, so a
+// w-worker operator's transient lists stop costing w× the result's
+// memory. Parts must have no outstanding views; it panics only on
+// programmer error (mismatched descriptors).
 func mergeListsRecycle(desc storage.Descriptor, parts []*storage.TempList) *storage.TempList {
 	out, err := storage.MergeListsRecycle(desc, parts)
 	if err != nil {
 		panic(err)
 	}
 	return out
-}
-
-// partOf routes a 64-bit key hash to one of n partitions. It uses the
-// upper half of the hash so it stays decorrelated from the chained-bucket
-// tables' slot choice (h mod nslots), which leans on the lower bits.
-func partOf(h uint64, n int) int {
-	return int((h >> 32) % uint64(n))
 }

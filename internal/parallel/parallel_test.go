@@ -8,6 +8,7 @@ import (
 	"repro/internal/agg"
 	"repro/internal/exec"
 	"repro/internal/meter"
+	"repro/internal/radix"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -124,9 +125,23 @@ func TestParallelSelectScanMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelHashJoinMatchesSerial: partitioned-build hash join must emit
-// exactly the serial join's row multiset, on duplicate-heavy and
-// near-unique key distributions alike.
+// pipelineJoin runs outer ⋈ inner on val the way the engine runs a
+// two-relation hash join: a one-stage pipeline probing a pooled flat
+// table built over inner. spec carries the per-run fields (meter,
+// discard, limit); the emitted row count comes back beside the list.
+func pipelineJoin(outer, inner Chunked, spec exec.PipelineSpec, workers int) (*storage.TempList, int) {
+	tbl := exec.BuildStageTable(inner, 0, 0, spec.Meter)
+	defer radix.PutTable(tbl)
+	spec.Slots = 2
+	spec.Stages = []exec.StageSpec{{Table: tbl, BuildSlot: 1, ProbeSlot: 0}}
+	l, _, n := RunPipeline(outer, spec, storage.Descriptor{Sources: []string{"r1", "r2"}}, 0, workers)
+	return l, n
+}
+
+// TestParallelHashJoinMatchesSerial: the two-relation hash join — a
+// one-stage pipeline over a pooled flat table — must emit exactly the
+// serial chained-bucket join's row multiset at any worker count, on
+// duplicate-heavy and near-unique key distributions alike.
 func TestParallelHashJoinMatchesSerial(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -150,7 +165,7 @@ func TestParallelHashJoinMatchesSerial(t *testing.T) {
 
 			var sm, pm meter.Counters
 			serial := exec.HashJoin(RelationSource{Rel: r1}, RelationSource{Rel: r2}, withMeter(spec, &sm))
-			par := HashJoin(RelationSource{Rel: r1}, RelationSource{Rel: r2}, withMeter(spec, &pm), c.workers)
+			par, _ := pipelineJoin(RelationSource{Rel: r1}, RelationSource{Rel: r2}, exec.PipelineSpec{Meter: &pm}, c.workers)
 			sameResults(t, "hash", joinResultSet(t, serial), joinResultSet(t, par))
 			if serial.Len() > 0 && pm.HashCalls == 0 {
 				t.Fatal("parallel join folded no worker hash counts into the caller's meter")
@@ -159,51 +174,8 @@ func TestParallelHashJoinMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelSortMergeJoinMatchesSerial: the MPSM range-partitioned join
-// must emit the serial join's multiset, and — like the serial sort-merge —
-// in globally non-decreasing key order.
-func TestParallelSortMergeJoinMatchesSerial(t *testing.T) {
-	for _, c := range []struct {
-		name    string
-		n1, n2  int
-		dup     float64
-		sigma   float64
-		workers int
-	}{
-		{"unique", 4000, 4000, 0, workload.NearUniform, 4},
-		{"dups-skewed", 3000, 3000, 60, workload.Skewed, 4},
-		{"heavy-dups", 2000, 2000, 95, workload.Skewed, 8},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			v1 := buildValues(t, c.n1, c.dup, c.sigma, 53)
-			v2 := buildValues(t, c.n2, c.dup, c.sigma, 59)
-			ids := storage.NewIDGen()
-			r1 := buildRelation(t, ids, "r1", v1)
-			r2 := buildRelation(t, ids, "r2", v2)
-			spec := exec.JoinSpec{OuterName: "r1", InnerName: "r2", OuterField: 0, InnerField: 0}
-
-			var sm, pm meter.Counters
-			serial := exec.SortMergeJoin(RelationSource{Rel: r1}, RelationSource{Rel: r2}, withMeter(spec, &sm))
-			par := SortMergeJoin(RelationSource{Rel: r1}, RelationSource{Rel: r2}, withMeter(spec, &pm), c.workers)
-			sameResults(t, "sortmerge", joinResultSet(t, serial), joinResultSet(t, par))
-			if pm.Comparisons == 0 && serial.Len() > 0 {
-				t.Fatal("parallel join folded no worker comparisons into the caller's meter")
-			}
-			prev := int64(-1 << 62)
-			par.Scan(func(i int, row storage.Row) bool {
-				v := row[0].Field(0).Int()
-				if v < prev {
-					t.Fatalf("row %d: key %d after %d — range order broken", i, v, prev)
-				}
-				prev = v
-				return true
-			})
-		})
-	}
-}
-
-// TestParallelDiscardAndRowsOut: Discard mode counts without
-// materializing, and RowsOut is written, in both parallel joins.
+// TestParallelDiscardAndRowsOut: a discarding join pipeline counts its
+// rows across the workers without materializing any.
 func TestParallelDiscardAndRowsOut(t *testing.T) {
 	vals := buildValues(t, 3000, 50, workload.Moderate, 67)
 	ids := storage.NewIDGen()
@@ -212,47 +184,24 @@ func TestParallelDiscardAndRowsOut(t *testing.T) {
 	want := exec.HashJoin(RelationSource{Rel: r1}, RelationSource{Rel: r2},
 		exec.JoinSpec{OuterName: "r1", InnerName: "r2", OuterField: 0, InnerField: 0}).Len()
 
-	for name, join := range map[string]func(spec exec.JoinSpec) *storage.TempList{
-		"hash": func(spec exec.JoinSpec) *storage.TempList {
-			return HashJoin(RelationSource{Rel: r1}, RelationSource{Rel: r2}, spec, 4)
-		},
-		"sortmerge": func(spec exec.JoinSpec) *storage.TempList {
-			return SortMergeJoin(RelationSource{Rel: r1}, RelationSource{Rel: r2}, spec, 4)
-		},
-	} {
-		var rows int
-		spec := exec.JoinSpec{
-			OuterName: "r1", InnerName: "r2", OuterField: 0, InnerField: 0,
-			Discard: true, RowsOut: &rows,
-		}
-		l := join(spec)
-		if l.Len() != 0 {
-			t.Fatalf("%s: discarded join materialized %d rows", name, l.Len())
-		}
-		if rows != want {
-			t.Fatalf("%s: RowsOut=%d, want %d", name, rows, want)
-		}
+	l, rows := pipelineJoin(RelationSource{Rel: r1}, RelationSource{Rel: r2}, exec.PipelineSpec{Discard: true}, 4)
+	if l != nil {
+		t.Fatalf("discarded join materialized %d rows", l.Len())
+	}
+	if rows != want {
+		t.Fatalf("discarded join counted %d rows, want %d", rows, want)
 	}
 }
 
 // TestParallelLimitFallsBackToSerial: a Limit is an inherently sequential
-// early exit; the parallel entry points must delegate and still honor it.
+// early exit; the join pipeline must run it serially and still honor it.
 func TestParallelLimitFallsBackToSerial(t *testing.T) {
 	vals := buildValues(t, 3000, 0, workload.NearUniform, 71)
 	ids := storage.NewIDGen()
 	r1 := buildRelation(t, ids, "r1", vals)
 	r2 := buildRelation(t, ids, "r2", vals)
-	var rows int
-	spec := exec.JoinSpec{
-		OuterName: "r1", InnerName: "r2", OuterField: 0, InnerField: 0,
-		Limit: 7, RowsOut: &rows,
-	}
-	if l := HashJoin(RelationSource{Rel: r1}, RelationSource{Rel: r2}, spec, 4); l.Len() != 7 || rows != 7 {
-		t.Fatalf("hash limit: %d rows, RowsOut=%d, want 7/7", l.Len(), rows)
-	}
-	rows = 0
-	if l := SortMergeJoin(RelationSource{Rel: r1}, RelationSource{Rel: r2}, spec, 4); l.Len() != 7 || rows != 7 {
-		t.Fatalf("sortmerge limit: %d rows, RowsOut=%d, want 7/7", l.Len(), rows)
+	if l, rows := pipelineJoin(RelationSource{Rel: r1}, RelationSource{Rel: r2}, exec.PipelineSpec{Limit: 7}, 4); l.Len() != 7 || rows != 7 {
+		t.Fatalf("hash limit: %d rows, %d counted, want 7/7", l.Len(), rows)
 	}
 }
 
@@ -261,32 +210,28 @@ func TestParallelLimitFallsBackToSerial(t *testing.T) {
 func TestParallelNilMeterAndEmptyInputs(t *testing.T) {
 	vals := buildValues(t, 3000, 20, workload.Moderate, 73)
 	ids := storage.NewIDGen()
-	full := buildRelation(t, ids, "f", vals)
-	empty := buildRelation(t, ids, "e", nil)
-	spec := exec.JoinSpec{OuterName: "f", InnerName: "e", OuterField: 0, InnerField: 0} // Meter nil
-
+	full := RelationSource{Rel: buildRelation(t, ids, "f", vals)}
+	empty := RelationSource{Rel: buildRelation(t, ids, "e", nil)}
+	join := func(outer, inner Chunked) int {
+		l, _ := pipelineJoin(outer, inner, exec.PipelineSpec{}, 4) // Meter nil
+		return l.Len()
+	}
 	for name, n := range map[string]int{
-		"hash-empty-inner":      HashJoin(RelationSource{Rel: full}, RelationSource{Rel: empty}, spec, 4).Len(),
-		"hash-empty-outer":      HashJoin(RelationSource{Rel: empty}, RelationSource{Rel: full}, spec, 4).Len(),
-		"hash-empty-both":       HashJoin(RelationSource{Rel: empty}, RelationSource{Rel: empty}, spec, 4).Len(),
-		"sortmerge-empty-inner": SortMergeJoin(RelationSource{Rel: full}, RelationSource{Rel: empty}, spec, 4).Len(),
-		"sortmerge-empty-outer": SortMergeJoin(RelationSource{Rel: empty}, RelationSource{Rel: full}, spec, 4).Len(),
+		"hash-empty-inner": join(full, empty),
+		"hash-empty-outer": join(empty, full),
+		"hash-empty-both":  join(empty, empty),
 	} {
 		if n != 0 {
 			t.Errorf("%s: %d rows, want 0", name, n)
 		}
 	}
 	// Nil meter on the non-empty paths too.
-	selSpec := exec.SelectSpec{RelName: "f", Schema: full.Schema()}
-	if got := SelectScan(RelationSource{Rel: full}, func(*storage.Tuple) bool { return true }, selSpec, 4).Len(); got != full.Cardinality() {
-		t.Fatalf("nil-meter scan kept %d of %d", got, full.Cardinality())
+	selSpec := exec.SelectSpec{RelName: "f", Schema: full.Rel.Schema()}
+	if got := SelectScan(full, func(*storage.Tuple) bool { return true }, selSpec, 4).Len(); got != full.Len() {
+		t.Fatalf("nil-meter scan kept %d of %d", got, full.Len())
 	}
-	joinSpec := exec.JoinSpec{OuterName: "f", InnerName: "f", OuterField: 0, InnerField: 0}
-	if HashJoin(RelationSource{Rel: full}, RelationSource{Rel: full}, joinSpec, 4).Len() == 0 {
+	if join(full, full) == 0 {
 		t.Fatal("nil-meter hash self-join empty")
-	}
-	if SortMergeJoin(RelationSource{Rel: full}, RelationSource{Rel: full}, joinSpec, 4).Len() == 0 {
-		t.Fatal("nil-meter sortmerge self-join empty")
 	}
 	// Empty + nil meter projection.
 	l := storage.MustTempList(storage.Descriptor{Sources: []string{"f"},
@@ -298,26 +243,33 @@ func TestParallelNilMeterAndEmptyInputs(t *testing.T) {
 	}
 }
 
-// TestWorkersOneIsExactlySerial: the workers<=1 delegation must preserve
-// the serial operators' exact §3.1 counters.
+// TestWorkersOneIsExactlySerial: a one-worker join pipeline is the serial
+// exec pipeline, counter for counter, and more workers spread the same
+// probes and comparisons without adding any.
 func TestWorkersOneIsExactlySerial(t *testing.T) {
 	vals := buildValues(t, 2000, 30, workload.Moderate, 79)
 	ids := storage.NewIDGen()
-	r1 := buildRelation(t, ids, "r1", vals)
-	r2 := buildRelation(t, ids, "r2", vals)
-	spec := exec.JoinSpec{OuterName: "r1", InnerName: "r2", OuterField: 0, InnerField: 0}
+	r1 := RelationSource{Rel: buildRelation(t, ids, "r1", vals)}
+	r2 := RelationSource{Rel: buildRelation(t, ids, "r2", vals)}
 
-	var sm, pm meter.Counters
-	exec.HashJoin(RelationSource{Rel: r1}, RelationSource{Rel: r2}, withMeter(spec, &sm))
-	HashJoin(RelationSource{Rel: r1}, RelationSource{Rel: r2}, withMeter(spec, &pm), 1)
-	if sm != pm {
-		t.Fatalf("workers=1 hash join counters diverge:\nserial   %v\nparallel %v", &sm, &pm)
-	}
-	sm, pm = meter.Counters{}, meter.Counters{}
-	exec.SortMergeJoin(RelationSource{Rel: r1}, RelationSource{Rel: r2}, withMeter(spec, &sm))
-	SortMergeJoin(RelationSource{Rel: r1}, RelationSource{Rel: r2}, withMeter(spec, &pm), 1)
-	if sm != pm {
-		t.Fatalf("workers=1 sort-merge counters diverge:\nserial   %v\nparallel %v", &sm, &pm)
+	var sm meter.Counters
+	tbl := exec.BuildStageTable(r2, 0, 0, &sm)
+	p := exec.NewPipeline(exec.PipelineSpec{Slots: 2, Discard: true, Meter: &sm,
+		Stages: []exec.StageSpec{{Table: tbl, BuildSlot: 1, ProbeSlot: 0}}})
+	exec.ScanBatches(r1, nil, p.Feed)
+	p.Flush()
+	p.Release()
+	radix.PutTable(tbl)
+	for _, w := range []int{1, 4} {
+		var pm meter.Counters
+		pipelineJoin(r1, r2, exec.PipelineSpec{Discard: true, Meter: &pm}, w)
+		if w == 1 && sm != pm {
+			t.Fatalf("workers=1 join counters diverge:\nserial   %v\nparallel %v", &sm, &pm)
+		}
+		if pm.HashCalls != sm.HashCalls || pm.Comparisons != sm.Comparisons {
+			t.Fatalf("workers=%d: hash=%d cmp=%d, serial hash=%d cmp=%d",
+				w, pm.HashCalls, pm.Comparisons, sm.HashCalls, sm.Comparisons)
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ func (s opaqueSource) Scan(fn func(*storage.Tuple) bool) {
 
 // TestPooledRecyclingUnderRace hammers the pooled batches and arena
 // chunks from several concurrent queries — stream selects (pooled blocks
-// through channels), partitioned hash joins, and projections — while each
+// through channels) and join pipelines over pooled stage tables — while each
 // result is verified and released back to the pools. Run under -race this
 // checks that recycled blocks are never handed to two owners at once and
 // that cleared pool entries don't alias live results.
@@ -66,11 +66,8 @@ func TestPooledRecyclingUnderRace(t *testing.T) {
 					t.Errorf("g%d r%d: chunked select %d rows, want %d", g, r, out2.Len(), wantSel)
 					return
 				}
-				// Partitioned hash join with per-worker scratch.
-				var got int
-				js := joinSpec
-				js.RowsOut = &got
-				HashJoin(SliceSource(tuples), RelationSource{Rel: inner}, js, 4)
+				// Join pipeline: a pooled stage table probed by four workers.
+				_, got := pipelineJoin(SliceSource(tuples), RelationSource{Rel: inner}, exec.PipelineSpec{Discard: true}, 4)
 				if got != wantJoin {
 					t.Errorf("g%d r%d: join %d rows, want %d", g, r, got, wantJoin)
 					return

@@ -122,8 +122,7 @@ const (
 	// joined through a flat L2-resident open-addressing table. Not part
 	// of the paper's §3.3 ordering — the cost-based crossover below
 	// decides when the build is large enough for cache effects to
-	// dominate, and the paper-faithful chained-bucket join runs
-	// otherwise.
+	// dominate.
 	JoinRadixHash
 )
 
@@ -266,10 +265,9 @@ type RadixConfig struct {
 	// (16384 partitions) — past that, per-partition bookkeeping beats
 	// the locality it buys.
 	MaxBits uint
-	// MinBuildRows is the crossover below which the paper-faithful
-	// chained-bucket join runs instead: small builds fit in cache
-	// anyway, and §4/§5's reproductions must execute the original
-	// algorithms. Default 131072 rows (≈ 4 MiB of chained table).
+	// MinBuildRows is the crossover below which a join builds one
+	// unpartitioned table instead: small builds fit in cache anyway.
+	// Default 131072 rows (≈ 4 MiB of table).
 	MinBuildRows int
 }
 
@@ -311,7 +309,7 @@ func (c RadixConfig) withDefaults() RadixConfig {
 // ChooseRadixBits is the cost-based pass/bit chooser: given the
 // estimated build cardinality it returns the per-pass radix widths
 // (most significant bits first), or nil when the build is below the
-// crossover and the paper-faithful chained-bucket join should run.
+// crossover and one unpartitioned table should be built.
 //
 // The model: the build table costs EntryBytes per row, so fitting one
 // partition in L2Bytes needs a fan-out of buildRows·EntryBytes/L2Bytes,
@@ -447,8 +445,8 @@ func splitPasses(total, maxPassBits uint) []uint {
 }
 
 // SortMethod is a sort-substrate strategy for the sort-based operators
-// (Sort Merge join array builds, Sort Scan duplicate elimination, MPSM
-// run formation, bulk index builds).
+// (ORDER BY, Sort Scan duplicate elimination, the Sort Merge join's
+// array builds, bulk index builds).
 type SortMethod int
 
 const (

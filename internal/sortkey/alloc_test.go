@@ -69,8 +69,8 @@ func TestSortAllocsWithTie(t *testing.T) {
 }
 
 // TestConcurrentSorters sorts disjoint segments of one shared entry
-// slice from many workers, each with its own pooled sorter — the MPSM
-// run-formation pattern. Run under -race in CI, it proves the pooled
+// slice from many workers, each with its own pooled sorter — a parallel
+// sort's run formation. Run under -race in CI, it proves the pooled
 // scratch never crosses workers and segment boundaries never overlap.
 func TestConcurrentSorters(t *testing.T) {
 	const (

@@ -89,10 +89,10 @@ func TestMispredictCounter(t *testing.T) {
 }
 
 // TestParallelCountersSurviveFolding: the §3.1 counters (partitioning
-// passes, fan-out, hash calls and table probes, sort scatter passes) are
+// passes, fan-out, hash calls, comparisons and table probes) are
 // accumulated in per-worker private counters and folded through
 // meter.SharedCounters — the fold must lose nothing under the parallel
-// radix join, the per-worker-table DISTINCT, and MPSM radix-sort paths.
+// radix join, the per-worker-table DISTINCT, and the join pipeline.
 func TestParallelCountersSurviveFolding(t *testing.T) {
 	const rows = 12000
 	db := openBig(t, Options{}, rows)
@@ -131,18 +131,16 @@ func TestParallelCountersSurviveFolding(t *testing.T) {
 		t.Fatalf("parallel distinct counters lost in fold: %+v", dn)
 	}
 
-	_, trs, err := forceSortMergeQuery(db, SortRadix, 4).Analyze()
+	_, trp, err := db.Query("a").Where("id", Gt, Int(-1)).Join("b", "k", "k").
+		Select("a.id", "b.id").Parallel(4).Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sn *TraceNode
-	for _, n := range trs.Root.Children {
-		if n.Op == "join" {
-			sn = n
-		}
-	}
-	if sn == nil || sn.Ops.SortPasses == 0 || sn.Ops.SortRuns == 0 {
-		t.Fatalf("MPSM radix-sort counters lost in fold: %+v", sn)
+	pn := joinNode(t, trp)
+	// Every outer row is hashed and probed once, by one worker; every
+	// emitted row took at least one key comparison.
+	if pn.Workers != 4 || pn.Ops.HashCalls != rows || pn.Ops.Comparisons < int64(pn.RowsOut) {
+		t.Fatalf("join pipeline counters lost in fold: %+v", pn)
 	}
 }
 

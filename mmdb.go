@@ -9,11 +9,12 @@
 // results are temporary lists of tuple pointers plus a result descriptor —
 // data is copied only when a result is finally materialized.
 //
-// The query layer implements the paper's operator repertoire — selection
-// by hash lookup, tree lookup, range scan, or sequential scan; Nested
-// Loops, Hash, Tree, Sort Merge, Tree Merge, and precomputed joins;
-// duplicate elimination by hashing or sort-scan — and picks among them
-// with the simple preference ordering the paper's conclusions lay out.
+// The query layer picks among the paper's operator repertoire with the
+// simple preference ordering its conclusions lay out — selection by hash
+// lookup, tree lookup, range scan, or sequential scan; precomputed, Tree
+// Merge, Tree, and Hash joins; duplicate elimination by hashing or
+// sort-scan. (The Nested Loops and Sort Merge joins the ordering never
+// prefers run only in the reproduction's experiments.)
 //
 // Durability follows Figure 2: a stable log buffer written before every
 // update, an active log device folding committed changes into a
@@ -74,9 +75,9 @@ type Options struct {
 	DisableMetrics bool
 	// Parallelism is the default degree of parallelism for query
 	// operators with a partition-parallel implementation (sequential
-	// scans, hash join, sort-merge join, DISTINCT). 0 means GOMAXPROCS; 1
-	// pins every query to the paper's exact serial algorithms. The
-	// planner additionally caps the degree so each worker gets at least
+	// scans, join pipelines, the radix join, GROUP BY, DISTINCT, top-k).
+	// 0 means GOMAXPROCS; 1 runs every operator serially. The planner
+	// additionally caps the degree so each worker gets at least
 	// plan.MinRowsPerWorker rows, so small tables always run serial.
 	// Query.Parallel overrides it per query.
 	Parallelism int
@@ -87,11 +88,12 @@ type Options struct {
 	// ANALYZE. Pooled blocks are physically plan.DefaultBatchSize;
 	// smaller settings simply stop filling blocks early.
 	BatchSize int
-	// JoinMethod selects how hash-based joins execute: JoinAuto
-	// (default) lets the cost-based chooser upgrade to the
-	// cache-conscious radix paths above the crossover, JoinChained pins
-	// the paper-faithful chained-bucket algorithms, JoinRadix forces
-	// radix whenever legal. Query.JoinMethod overrides it per query.
+	// JoinMethod selects how a two-relation hash join that builds its
+	// table executes: JoinAuto (default) lets the cost-based chooser
+	// upgrade to the cache-conscious radix join above the crossover,
+	// JoinChained pins the paper's serial chained-bucket join, JoinRadix
+	// forces radix whenever legal. Query.JoinMethod overrides it per
+	// query.
 	JoinMethod JoinStrategy
 	// JoinOrder selects how queries over three or more relations order
 	// their joins: JoinOrderAuto (default) runs the cost-forecasted
@@ -107,8 +109,8 @@ type Options struct {
 	// value uses the plan package defaults.
 	Radix RadixConfig
 	// SortMethod selects the sort substrate for the sort-based operators
-	// (Sort Merge join array builds, MPSM run formation, sort-scan
-	// DISTINCT): SortAuto (default) lets the cost-based chooser
+	// (ORDER BY's full sort, sort-scan DISTINCT): SortAuto (default) lets
+	// the cost-based chooser
 	// (plan.ChooseSortMethod) upgrade to the normalized-key radix sort
 	// above the crossover, SortQuicksort pins the paper-faithful §3.1
 	// comparator quicksort, SortRadix forces the radix kernel.
@@ -167,22 +169,22 @@ type Options struct {
 	MemoryBudget int64
 }
 
-// JoinStrategy selects between the paper-faithful chained-bucket hash
-// join and the cache-conscious radix hash join for equijoins that have
-// to build their own hash table (an existing hash index is always
-// probed directly regardless).
+// JoinStrategy selects how a two-relation equijoin that has to build
+// its own hash table runs: the cache-conscious radix hash join, a
+// one-stage pipeline over a pooled flat table, or the paper's §3.3
+// chained-bucket join (an existing hash index is always probed directly
+// regardless). Joins of more relations always build flat stage tables.
 type JoinStrategy int
 
 // Join strategies for Options.JoinMethod / Query.JoinMethod.
 const (
 	// JoinAuto applies the cost-based crossover: radix when the build
 	// side is large enough that cache misses dominate
-	// (plan.ChooseRadixBits), the §3.3 chained-bucket join otherwise —
-	// so the paper-scale reproductions always run the original
-	// algorithms.
+	// (plan.ChooseRadixBits), a one-stage pipeline over a pooled flat
+	// table otherwise.
 	JoinAuto JoinStrategy = iota
-	// JoinChained always runs the paper-faithful chained-bucket hash
-	// join.
+	// JoinChained always runs the paper's §3.3 chained-bucket hash join,
+	// serially.
 	JoinChained
 	// JoinRadix forces the radix paths whenever legal (equijoin
 	// without an early-exit limit), sizing a minimal plan even for
@@ -216,10 +218,9 @@ type RadixConfig = plan.RadixConfig
 
 // SortStrategy selects between the paper-faithful comparator quicksort
 // and the normalized-key radix sort (internal/sortkey) for operators
-// that sort: the Sort Merge join's array builds, the MPSM parallel
-// join's run formation, and sort-scan duplicate elimination. Both
-// substrates produce the same key order; only the work to get there
-// differs.
+// that sort: ORDER BY's full sort and sort-scan duplicate elimination.
+// Both substrates produce the same key order; only the work to get
+// there differs.
 type SortStrategy int
 
 // Sort strategies for Options.SortMethod / Query.SortMethod.

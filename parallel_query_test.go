@@ -3,16 +3,14 @@ package mmdb
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/plan"
 )
 
 // openBig builds a pair of tables large enough that plan.ChooseWorkers
 // actually grants parallel workers (≥ MinRowsPerWorker rows per worker):
 // a(id, k) with ~rows tuples and b(id, k, grp) with rows/2. The join
 // column k is deliberately un-indexed on both sides so the planner's
-// natural choice is the build-side Hash Join — the method with a parallel
-// implementation.
+// natural choice is the Hash Join: a one-stage pipeline whose probe
+// splits across workers.
 func openBig(t *testing.T, opts Options, rows int) *Database {
 	t.Helper()
 	db, err := Open(opts)
@@ -112,22 +110,6 @@ func TestParallelQueryMatchesSerial(t *testing.T) {
 		})
 	}
 
-	// Forced sort-merge join, parallel vs serial.
-	mkSM := func(par int) *Query {
-		q := db.Query("a").Where("id", Gt, Int(-1)).Join("b", "k", "k").Select("a.id", "b.id").Parallel(par)
-		m := plan.JoinSortMerge
-		q.forceJoin = &m
-		return q
-	}
-	serial, err := mkSM(1).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := mkSM(4).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMultiset(t, "sortmerge", multiset(t, serial), multiset(t, par))
 }
 
 // TestParallelAnalyzeReportsWorkers: EXPLAIN ANALYZE must show workers=N

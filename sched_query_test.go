@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/lock"
+	"repro/internal/radix"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -394,15 +395,35 @@ func TestSnapshotConsistencyHammer(t *testing.T) {
 	}
 }
 
-// TestCancelMidJoinReleasesPoolWorkers cancels a large join mid-flight
-// and verifies (a) Run surfaces the context error and (b) the shared
+// TestCancelMidJoinReleasesPoolWorkers cancels a large two-relation join
+// while its workers probe the built table, and verifies that (a) Run
+// surfaces the context error, (b) the join's one stage table comes back
+// to the pool, and only after its workers stopped, and (c) the shared
 // morsel pool drains back to idle — no worker is left running the dead
 // query's morsels.
 func TestCancelMidJoinReleasesPoolWorkers(t *testing.T) {
 	const rows = 30000
 	db := openBig(t, Options{}, rows) // a ⋈ b on k: ~rows²/(2·97) output rows
+	var returned, early atomic.Int64
+	putStageTable = func(tbl *radix.Table) {
+		if sched.Shared().SnapshotStats().Busy != 0 {
+			early.Add(1)
+		}
+		returned.Add(1)
+		radix.PutTable(tbl)
+	}
+	defer func() { putStageTable = radix.PutTable }()
 
+	probing := func() bool {
+		for _, a := range db.ActiveQueries() {
+			if a.Phase == "join" && a.BusyWorkers > 0 {
+				return true
+			}
+		}
+		return false
+	}
 	for attempt := 0; attempt < 5; attempt++ {
+		before := returned.Load()
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() {
@@ -411,15 +432,30 @@ func TestCancelMidJoinReleasesPoolWorkers(t *testing.T) {
 				Parallel(4).WithContext(ctx).Run()
 			done <- err
 		}()
-		time.Sleep(time.Duration(2+attempt*3) * time.Millisecond)
+		var err error
+		finished := false
+		for !finished && !probing() {
+			select {
+			case err = <-done:
+				finished = true
+			case <-time.After(50 * time.Microsecond):
+			}
+		}
 		cancel()
-		err := <-done
+		if !finished {
+			err = <-done
+		}
 		if err == nil {
-			// The query outran the cancel; retry with a longer fuse.
-			continue
+			continue // the query outran the cancel; try again
 		}
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled query returned %v, want context.Canceled", err)
+		}
+		if n := early.Load(); n != 0 {
+			t.Fatalf("%d stage tables returned while pool workers were still busy", n)
+		}
+		if got := returned.Load() - before; got != 1 {
+			t.Fatalf("join cancelled mid-probe returned %d stage tables to the pool, want 1", got)
 		}
 		// The pool must drain: no busy workers, no queued morsels from
 		// the dead query (other tests are not running concurrently in
@@ -436,7 +472,7 @@ func TestCancelMidJoinReleasesPoolWorkers(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	t.Skip("query completed before every cancel attempt; machine too fast for a timing-based cancel")
+	t.Skip("no cancel landed inside the join; machine too fast for a live-registry cancel")
 }
 
 // TestPreCancelledContextRejectsQuery is the deterministic half of the

@@ -3,88 +3,7 @@ package mmdb
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/plan"
 )
-
-// forceSortMergeQuery builds an a⋈b query with the planner's join
-// choice pinned to sort-merge (never preferred by the §4 ordering in
-// this schema) so the sort substrate underneath it can be exercised.
-func forceSortMergeQuery(db *Database, s SortStrategy, workers int) *Query {
-	m := plan.JoinSortMerge
-	q := db.Query("a").Where("id", Gt, Int(-1)).Join("b", "k", "k").
-		Select("a.id", "b.id").Parallel(workers).SortMethod(s)
-	q.forceJoin = &m
-	return q
-}
-
-// TestSortRadixJoinMatchesQuicksort: forcing the normalized-key radix
-// builds under the sort-merge join must yield exactly the comparator
-// quicksort's result multiset, and EXPLAIN ANALYZE must attribute the
-// substrate and its pass/run counters.
-func TestSortRadixJoinMatchesQuicksort(t *testing.T) {
-	const rows = 12000
-	db := openBig(t, Options{}, rows)
-
-	quick, trq, err := forceSortMergeQuery(db, SortQuicksort, 1).Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	radix, trr, err := forceSortMergeQuery(db, SortRadix, 1).Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMultiset(t, "radix-vs-quicksort join", multiset(t, quick), multiset(t, radix))
-
-	var qj, rj *TraceNode
-	for _, n := range trq.Root.Children {
-		if n.Op == "join" {
-			qj = n
-		}
-	}
-	for _, n := range trr.Root.Children {
-		if n.Op == "join" {
-			rj = n
-		}
-	}
-	if qj == nil || qj.AccessPath != "Sort Merge join" {
-		t.Fatalf("quicksort join node = %+v, want Sort Merge join", qj)
-	}
-	if qj.Ops.SortPasses != 0 || qj.Ops.SortRuns != 0 {
-		t.Fatalf("comparator quicksort recorded radix-kernel work: %+v", qj.Ops)
-	}
-	if rj == nil || rj.AccessPath != "Sort Merge join" {
-		t.Fatalf("radix join node = %+v, want Sort Merge join", rj)
-	}
-	if rj.Ops.SortPasses == 0 {
-		t.Fatalf("radix builds recorded no scatter passes: %+v", rj.Ops)
-	}
-	if rj.Ops.KeyBytes == 0 {
-		t.Fatalf("radix builds recorded no encoded key bytes: %+v", rj.Ops)
-	}
-	if !strings.Contains(trr.Format(), "sort: passes=") {
-		t.Fatalf("formatted trace missing sort line:\n%s", trr.Format())
-	}
-	if strings.Contains(trq.Format(), "sort: passes=") {
-		t.Fatalf("quicksort trace claims radix-kernel work:\n%s", trq.Format())
-	}
-	if !strings.Contains(radix.Plan(), "radix-key sort") {
-		t.Fatalf("executed plan missing sort substrate:\n%s", radix.Plan())
-	}
-
-	// The MPSM parallel path must agree with the serial one on both
-	// substrates.
-	pq, err := forceSortMergeQuery(db, SortQuicksort, 4).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := forceSortMergeQuery(db, SortRadix, 4).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMultiset(t, "parallel radix join", multiset(t, quick), multiset(t, pr))
-	sameMultiset(t, "parallel quicksort join", multiset(t, quick), multiset(t, pq))
-}
 
 // TestSortDistinctSubstrates: an explicit sort strategy switches
 // DISTINCT to the §3.4 Sort Scan on that substrate; both substrates and
@@ -137,25 +56,23 @@ func TestSortDistinctSubstrates(t *testing.T) {
 
 // TestSortAutoCrossover: under SortAuto the chooser must keep
 // paper-scale sorts on the §3.1 comparator quicksort and upgrade to the
-// normalized-key kernel only past the configured crossover — here
-// lowered so the same 12000-row sort flips sides.
+// normalized-key radix kernel only past the configured crossover — here
+// lowered so the same 12000-row ORDER BY flips sides.
 func TestSortAutoCrossover(t *testing.T) {
 	const rows = 12000
-	below := openBig(t, Options{}, rows) // default crossover: 64Ki rows ≫ sort size
-	_, tr, err := forceSortMergeQuery(below, SortAuto, 1).Analyze()
-	if err != nil {
-		t.Fatal(err)
+	orderBy := func(db *Database) string {
+		_, tr, err := db.Query("a").Select("id", "k").OrderBy("k", false).Analyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr.Format()
 	}
-	if strings.Contains(tr.Format(), "sort: passes=") {
-		t.Fatalf("below crossover should run the comparator quicksort:\n%s", tr.Format())
+	below := orderBy(openBig(t, Options{}, rows)) // default crossover: 64Ki rows ≫ sort size
+	if !strings.Contains(below, "full sort (quicksort)") || strings.Contains(below, "sort: passes=") {
+		t.Fatalf("below crossover should run the comparator quicksort:\n%s", below)
 	}
-
-	above := openBig(t, Options{Sort: SortConfig{MinRows: 1}}, rows)
-	_, tr2, err := forceSortMergeQuery(above, SortAuto, 1).Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(tr2.Format(), "sort: passes=") {
-		t.Fatalf("above crossover should run the radix kernel:\n%s", tr2.Format())
+	above := orderBy(openBig(t, Options{Sort: SortConfig{MinRows: 1}}, rows))
+	if !strings.Contains(above, "full sort (radix-key sort)") || !strings.Contains(above, "sort: passes=") {
+		t.Fatalf("above crossover should run the radix kernel:\n%s", above)
 	}
 }
