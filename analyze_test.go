@@ -233,6 +233,28 @@ func TestExplainIsSideEffectFree(t *testing.T) {
 	if got := db.Stats().Queries; got != 0 {
 		t.Fatalf("Explain recorded %d queries, want 0", got)
 	}
+
+	// On a snapshot-sized table Explain names the snapshot scan, yet takes
+	// no lock, moves no epoch and publishes nothing to find out its epoch.
+	sdb, tab, _, _ := openSnapTable(t, Options{}, snapshotMinRows)
+	for _, q := range []*Query{
+		sdb.Query("m").Select("k").Parallel(2),
+		sdb.Query("m").Where("v", Eq, Int(0)).Where("k", Lt, Int(50)).Select("id"),
+		sdb.Query("m").GroupBy("k").Agg(AggCount, ""),
+	} {
+		grants, epoch, published := sdb.locks.Stats().Grants, tab.rel.SnapshotEpoch(), tab.rel.Snapshot()
+		planned, err := q.Explain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, e, p := sdb.locks.Stats().Grants, tab.rel.SnapshotEpoch(), tab.rel.Snapshot(); g != grants || e != epoch || p != published {
+			t.Fatalf("Explain took %d locks, moved the epoch %d -> %d or the snapshot %p -> %p:\n%s",
+				g-grants, epoch, e, published, p, planned)
+		}
+		if !strings.Contains(accessLine(t, planned), "snapshot scan") {
+			t.Fatalf("Explain does not name the snapshot scan:\n%s", planned)
+		}
+	}
 }
 
 // TestDisabledMetrics covers the zero-cost configuration: Stats() is the

@@ -33,8 +33,8 @@ type SelectSpec struct {
 	Prog *obs.Progress
 	// Sched is the query's admission handle on the shared morsel
 	// scheduler. The parallel executor submits its morsels through it;
-	// nil (or a handle without a pool) selects per-run worker
-	// goroutines. The serial operators ignore it.
+	// nil runs them on the shared pool with no context. The serial
+	// operators ignore it.
 	Sched *sched.Query
 }
 

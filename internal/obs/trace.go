@@ -84,7 +84,7 @@ type QueryTrace struct {
 
 	// Morsel-scheduler costs for the whole query: morsels executed by a
 	// worker other than the enqueuer, and time spent waiting for pool
-	// admission. Zero when the query ran off-pool.
+	// admission. Zero when no morsel was stolen or waited for.
 	SchedSteals int64
 	SchedWait   time.Duration
 }

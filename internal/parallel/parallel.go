@@ -8,9 +8,9 @@
 //
 // The designs follow the multi-core literature the roadmap points at:
 //
-//   - Scans are morsel-driven: workers pull fixed-size chunks (relation
-//     partitions or temp-list row ranges) from a shared atomic cursor, so
-//     skew in one morsel never idles the other workers.
+//   - Scans are morsel-driven: the scheduler's workers claim fixed-size
+//     chunks (relation partitions or temp-list row ranges) one at a time,
+//     so skew in one morsel never idles the other workers.
 //   - Joins stream a driver through a pipeline of hash-table stages
 //     (RunPipeline): the build sides are immutable before the stream
 //     starts, so morsel workers share them. Builds past the radix
@@ -32,7 +32,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/exec"
 	"repro/internal/meter"
@@ -69,7 +68,7 @@ type scratch struct {
 	// progress is visible at morsel granularity without an atomic per row.
 	rows int64
 	// wrows accumulates the flushed rows across the morsels this scratch
-	// served in one pooled run — the per-"worker" total the Progress
+	// served in one run — the per-"worker" total the Progress
 	// max-rows gauge folds, with the scratch standing in for the worker.
 	wrows int64
 }
@@ -102,16 +101,18 @@ func putScratch(sc *scratch) {
 	scratchPool.Put(sc)
 }
 
-// run executes n independent morsels at degree w. With a pooled sq the
-// morsels are submitted as one task set to the shared scheduler; without
-// one (nil handle) it falls back to per-run worker goroutines pulling
-// from a shared atomic cursor — the mode the parallel package's own unit
-// tests exercise. Either way each concurrent executor owns pooled private
-// scratch — its meter.Counters for §3.1 operation counts plus reusable
-// tuple batches — so per-worker setup does not allocate, and the counters
-// are folded through a SharedCounters into the returned total. fn must
-// not touch state shared between morsels and must not retain sc's
-// batches past the morsel.
+// run executes n independent morsels at degree w as one task set on the
+// scheduler sq (a nil sq is the shared pool with no context). Scratch is
+// associated per concurrent executor rather than per goroutine: a small
+// free list capped at w, created lazily, hands each executor pooled
+// private scratch — its meter.Counters for §3.1 operation counts plus
+// reusable tuple batches — so per-worker setup does not allocate, and
+// the counters are folded through a SharedCounters into the returned
+// total. Work stealing can push instantaneous concurrency slightly above
+// w; the excess executor briefly blocks on the free list, which is safe
+// (every holder returns its scratch at morsel end) and keeps the
+// per-"worker" gauge semantics intact. fn must not touch state shared
+// between morsels and must not retain sc's batches past the morsel.
 //
 // pg, when non-nil, is the owning query's live Progress: workers raise
 // its saturation gauges, flush sc.rows after every morsel, fold their
@@ -120,9 +121,8 @@ func putScratch(sc *scratch) {
 // worker time to queries. A nil pg skips all of it — the labels, the
 // gauges, and the context — so the disabled path stays allocation-free.
 //
-// Cancellation is observed at morsel boundaries on both paths: a
-// cancelled sq stops the compat cursor loop, and the pool discards the
-// set's unclaimed morsels.
+// Cancellation is observed at morsel boundaries: the pool discards a
+// cancelled set's unclaimed morsels.
 func run(sq *sched.Query, pg *obs.Progress, op string, w, n int, fn func(morsel int, sc *scratch)) meter.Counters {
 	if n == 0 {
 		return meter.Counters{}
@@ -130,61 +130,6 @@ func run(sq *sched.Query, pg *obs.Progress, op string, w, n int, fn func(morsel 
 	if w > n {
 		w = n
 	}
-	if sq.Pooled() {
-		return runPooled(sq, pg, op, w, n, fn)
-	}
-	var shared meter.SharedCounters
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for i := 0; i < w; i++ {
-		go func() {
-			defer wg.Done()
-			sc := getScratch()
-			loop := func() {
-				var wrows int64
-				for {
-					m := int(cursor.Add(1)) - 1
-					if m >= n || sq.Cancelled() {
-						break
-					}
-					fn(m, sc)
-					if d := sc.rows; d != 0 {
-						sc.rows = 0
-						wrows += d
-						pg.AddRows(d)
-					}
-				}
-				if pg != nil {
-					pg.WorkerDone(wrows)
-				}
-			}
-			if pg != nil {
-				pg.WorkerStart()
-				pprof.Do(context.Background(),
-					pprof.Labels("mmdb_query", pg.Label(), "mmdb_op", op),
-					func(context.Context) { loop() })
-			} else {
-				loop()
-			}
-			shared.Add(sc.ctr)
-			putScratch(sc)
-		}()
-	}
-	wg.Wait()
-	return shared.Snapshot()
-}
-
-// runPooled is run's shared-scheduler path: the n morsels become one
-// task set with claim limit w. Scratch is associated per concurrent
-// executor rather than per goroutine — a small free list capped at w,
-// created lazily, stands in for the compat path's per-worker scratch —
-// so counter folding, progress gauges, and warm-batch reuse all survive
-// the move off private goroutines. Work stealing can push instantaneous
-// concurrency slightly above w; the excess executor briefly blocks on
-// the free list, which is safe (every holder returns its scratch at
-// morsel end) and keeps the per-"worker" gauge semantics intact.
-func runPooled(sq *sched.Query, pg *obs.Progress, op string, w, n int, fn func(morsel int, sc *scratch)) meter.Counters {
 	var shared meter.SharedCounters
 	var mu sync.Mutex
 	scratches := make([]*scratch, 0, w)

@@ -95,10 +95,10 @@ func TestParallelSelectScanMatchesSerial(t *testing.T) {
 
 	for _, src := range []struct {
 		name string
-		mk   func() exec.Source
+		mk   func() Chunked
 	}{
-		{"relation", func() exec.Source { return RelationSource{Rel: rel} }},
-		{"list", func() exec.Source {
+		{"relation", func() Chunked { return RelationSource{Rel: rel} }},
+		{"list", func() Chunked {
 			l := storage.MustTempList(storage.Descriptor{Sources: []string{"r"}})
 			rel.ScanPhysical(func(tp *storage.Tuple) bool { l.Append(storage.Row{tp}); return true })
 			return ListSource{List: l}

@@ -8,22 +8,9 @@ import (
 	"repro/internal/storage"
 )
 
-// opaqueSource hides any partition structure so SelectScan must take the
-// channel-based batch pipeline (streamSelect) instead of chunking.
-type opaqueSource struct{ tuples []*storage.Tuple }
-
-func (s opaqueSource) Len() int { return len(s.tuples) }
-func (s opaqueSource) Scan(fn func(*storage.Tuple) bool) {
-	for _, t := range s.tuples {
-		if !fn(t) {
-			return
-		}
-	}
-}
-
 // TestPooledRecyclingUnderRace hammers the pooled batches and arena
-// chunks from several concurrent queries — stream selects (pooled blocks
-// through channels) and join pipelines over pooled stage tables — while each
+// chunks from several concurrent queries — selects over a tuple slice and
+// over relation partitions, and join pipelines over pooled stage tables — while each
 // result is verified and released back to the pools. Run under -race this
 // checks that recycled blocks are never handed to two owners at once and
 // that cleared pool entries don't alias live results.
@@ -54,10 +41,10 @@ func TestPooledRecyclingUnderRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				// Stream select: opaque source, pooled blocks through a channel.
-				out := SelectScan(opaqueSource{tuples: tuples}, pred, selSpec, 4)
+				// Slice select: morsels over ranges of a materialized slice.
+				out := SelectScan(SliceSource(tuples), pred, selSpec, 4)
 				if out.Len() != wantSel {
-					t.Errorf("g%d r%d: stream select %d rows, want %d", g, r, out.Len(), wantSel)
+					t.Errorf("g%d r%d: slice select %d rows, want %d", g, r, out.Len(), wantSel)
 					return
 				}
 				// Chunked select: morsels over relation partitions.

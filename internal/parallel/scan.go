@@ -1,169 +1,48 @@
 package parallel
 
 import (
-	"context"
-	"runtime/pprof"
-	"sort"
-	"sync"
-
 	"repro/internal/exec"
-	"repro/internal/meter"
 	"repro/internal/storage"
 )
 
 // SelectScan is the morsel-driven parallel counterpart of
-// exec.SelectScan. Morsels are batches: workers receive whole
-// storage.TupleBatch blocks — chunk ranges of a partitionable source, or
-// pooled blocks streamed through a channel for opaque sources — filter
-// each block into a survivors block, and block-copy the survivors into
-// private temp lists. Per-morsel lists are concatenated in morsel order
-// (recycling their arena chunks), so the output row order is exactly the
-// serial scan's. workers <= 1 delegates to the serial operator.
-func SelectScan(src exec.Source, pred func(*storage.Tuple) bool, spec exec.SelectSpec, workers int) *storage.TempList {
+// exec.SelectScan. Morsels are chunk ranges of the source: workers take
+// each chunk's whole storage.TupleBatch blocks, filter each block into a
+// survivors block, and block-copy the survivors into private temp lists.
+// Per-morsel lists are concatenated in morsel order (recycling their
+// arena chunks), so the output row order is exactly the serial scan's.
+// workers <= 1, or a source too small to split, delegates to the serial
+// operator.
+func SelectScan(src Chunked, pred func(*storage.Tuple) bool, spec exec.SelectSpec, workers int) *storage.TempList {
 	w := Degree(workers)
 	if w <= 1 {
 		return exec.SelectScan(src, pred, spec)
 	}
+	chunks := src.Chunks(w * morselsPerWorker)
+	if len(chunks) <= 1 {
+		return exec.SelectScan(src, pred, spec)
+	}
 	desc := exec.SingleDescriptor(spec.RelName, spec.Schema)
-	if c, ok := src.(Chunked); ok {
-		chunks := c.Chunks(w * morselsPerWorker)
-		if len(chunks) <= 1 {
-			return exec.SelectScan(src, pred, spec)
-		}
-		results := make([]*storage.TempList, len(chunks))
-		total := run(spec.Sched, spec.Prog, "scan", w, len(chunks), func(m int, sc *scratch) {
-			local := storage.MustTempListHint(desc, chunks[m].Len())
-			keep := sc.keep
-			exec.ScanBatches(chunks[m], sc.buf, func(block storage.TupleBatch) bool {
-				sc.ctr.AddCompare(int64(len(block)))
-				sc.ctr.AddBatch(1)
-				sc.rows += int64(len(block))
-				keep = keep[:0]
-				for _, t := range block {
-					if pred(t) {
-						keep = append(keep, t)
-					}
+	results := make([]*storage.TempList, len(chunks))
+	total := run(spec.Sched, spec.Prog, "scan", w, len(chunks), func(m int, sc *scratch) {
+		local := storage.MustTempListHint(desc, chunks[m].Len())
+		keep := sc.keep
+		exec.ScanBatches(chunks[m], sc.buf, func(block storage.TupleBatch) bool {
+			sc.ctr.AddCompare(int64(len(block)))
+			sc.ctr.AddBatch(1)
+			sc.rows += int64(len(block))
+			keep = keep[:0]
+			for _, t := range block {
+				if pred(t) {
+					keep = append(keep, t)
 				}
-				local.AppendBatch(keep)
-				return true
-			})
-			sc.keep = keep
-			results[m] = local
+			}
+			local.AppendBatch(keep)
+			return true
 		})
-		spec.Meter.Add(total)
-		return mergeListsRecycle(desc, results)
-	}
-	if spec.Sched.Pooled() {
-		// Opaque sources have no partition structure to morselize, so the
-		// pooled path materializes once (the same extra pass AsChunked pays
-		// elsewhere) and rescans the slice as scheduler morsels — pool
-		// workers must never block in a streaming channel hand-off.
-		return SelectScan(SliceSource(exec.Tuples(src)), pred, spec, workers)
-	}
-	return streamSelect(src, pred, spec, desc, w)
-}
-
-// seqList tags a per-batch partial result with the batch's stream
-// position so the final merge can restore source order.
-type seqList struct {
-	seq  int
-	list *storage.TempList
-}
-
-// streamSelect is the batch pipeline for sources with no partition
-// structure: a single producer drains the source into pooled batches and
-// hands whole blocks to the workers through a channel; each worker
-// filters its blocks into per-batch lists tagged with the block's stream
-// position; the partial lists are merged in stream order, so the output
-// equals the serial scan's row for row. The channel moves one pointer per
-// 256 tuples — the batch layer's amortization applied to the worker
-// hand-off itself.
-func streamSelect(src exec.Source, pred func(*storage.Tuple) bool, spec exec.SelectSpec, desc storage.Descriptor, w int) *storage.TempList {
-	type seqBatch struct {
-		seq   int
-		block storage.TupleBatch
-	}
-	batches := make(chan seqBatch, w)
-	outs := make([][]seqList, w)
-	pg := spec.Prog
-	var shared meter.SharedCounters
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func(widx int) {
-			defer wg.Done()
-			sc := getScratch()
-			drain := func() {
-				var mine []seqList
-				var wrows int64
-				for sb := range batches {
-					if spec.Sched.Cancelled() {
-						// Keep draining so the producer never blocks, but do
-						// no further work — morsel-boundary cancellation.
-						storage.PutBatch(sb.block)
-						continue
-					}
-					sc.ctr.AddCompare(int64(len(sb.block)))
-					sc.ctr.AddBatch(1)
-					wrows += int64(len(sb.block))
-					pg.AddRows(int64(len(sb.block)))
-					keep := sc.keep[:0]
-					for _, t := range sb.block {
-						if pred(t) {
-							keep = append(keep, t)
-						}
-					}
-					sc.keep = keep
-					// No size hint: an unhinted list draws full pooled chunks,
-					// which MergeListsRecycle returns to the pool — the whole
-					// stream runs on recycled blocks.
-					local := storage.MustTempList(desc)
-					local.AppendBatch(keep)
-					mine = append(mine, seqList{seq: sb.seq, list: local})
-					storage.PutBatch(sb.block)
-				}
-				outs[widx] = mine
-				if pg != nil {
-					pg.WorkerDone(wrows)
-				}
-			}
-			if pg != nil {
-				pg.WorkerStart()
-				pprof.Do(context.Background(),
-					pprof.Labels("mmdb_query", pg.Label(), "mmdb_op", "scan"),
-					func(context.Context) { drain() })
-			} else {
-				drain()
-			}
-			shared.Add(sc.ctr)
-			putScratch(sc)
-		}(i)
-	}
-
-	// Producer: drain the source block-wise. Blocks handed out by the
-	// source may be zero-copy views of its own storage, so each is copied
-	// into a pooled batch the consumer owns (and recycles).
-	seq := 0
-	buf := storage.GetBatch()
-	exec.ScanBatches(src, buf, func(block storage.TupleBatch) bool {
-		owned := append(storage.GetBatch(), block...)
-		batches <- seqBatch{seq: seq, block: owned}
-		seq++
-		return true
+		sc.keep = keep
+		results[m] = local
 	})
-	storage.PutBatch(buf)
-	close(batches)
-	wg.Wait()
-	spec.Meter.Add(shared.Snapshot())
-
-	parts := make([]seqList, 0, seq)
-	for _, mine := range outs {
-		parts = append(parts, mine...)
-	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i].seq < parts[j].seq })
-	lists := make([]*storage.TempList, len(parts))
-	for i, p := range parts {
-		lists[i] = p.list
-	}
-	return mergeListsRecycle(desc, lists)
+	spec.Meter.Add(total)
+	return mergeListsRecycle(desc, results)
 }

@@ -274,9 +274,8 @@ func (p *Pool) SnapshotStats() Stats {
 
 // Query is a per-query admission handle: the priority tiebreak, the
 // cancellation context, and the query's accumulated scheduler costs.
-// A nil *Query (or one from a nil pool) is the unscheduled state: Run
-// panics, but Cancelled/Err/Pooled and the stat getters all work, so
-// callers can carry one handle through both pooled and compat paths.
+// A nil *Query runs on the Shared pool with no context at priority 0;
+// Err and the stat getters read as zero on it.
 type Query struct {
 	pool *Pool
 	ctx  context.Context
@@ -293,16 +292,11 @@ type Query struct {
 	memBytes atomic.Int64
 }
 
-// NewQuery returns an admission handle on p. p may be nil: the handle
-// then reports Pooled()==false and carries only ctx/priority, which is
-// how operators called without a pool (the parallel package's unit
-// tests) still get morsel-boundary cancellation.
+// NewQuery returns an admission handle on p, which must not be nil: every
+// query of a Database runs on Shared. A nil ctx never cancels.
 func NewQuery(p *Pool, ctx context.Context, priority int) *Query {
 	return &Query{pool: p, ctx: ctx, prio: priority}
 }
-
-// Pooled reports whether Run will schedule onto a pool.
-func (q *Query) Pooled() bool { return q != nil && q.pool != nil }
 
 // SetMemBytes publishes the query's currently granted memory bytes for
 // grant-aware admission (see Query.memBytes). Safe on nil and from any
@@ -320,11 +314,6 @@ func (q *Query) MemBytes() int64 {
 		return 0
 	}
 	return q.memBytes.Load()
-}
-
-// Cancelled reports whether the query's context is done.
-func (q *Query) Cancelled() bool {
-	return q != nil && q.ctx != nil && q.ctx.Err() != nil
 }
 
 // Err returns the context's error, if any.
@@ -360,6 +349,9 @@ func (q *Query) WaitTime() time.Duration {
 func (q *Query) Run(w, n int, fn func(idx int)) RunStats {
 	if n <= 0 {
 		return RunStats{}
+	}
+	if q == nil {
+		q = NewQuery(Shared(), nil, 0)
 	}
 	if w > n {
 		w = n

@@ -199,8 +199,8 @@ func TestCancelDiscardsUnclaimedMorsels(t *testing.T) {
 	if got := ran.Load(); got >= 10_000 {
 		t.Fatalf("cancel discarded nothing: %d morsels ran", got)
 	}
-	if !q.Cancelled() {
-		t.Fatal("Cancelled() false after context cancel")
+	if q.Err() == nil {
+		t.Fatal("Err() nil after context cancel")
 	}
 	// The workers must be free for other queries immediately.
 	q2 := NewQuery(p, nil, 0)
@@ -259,14 +259,17 @@ func TestWaitTimeAccumulates(t *testing.T) {
 	}
 }
 
+// TestNilHandleIsSafe: a nil handle's accessors read as zero, and Run
+// schedules its morsels on the shared pool.
 func TestNilHandleIsSafe(t *testing.T) {
 	var q *Query
-	if q.Pooled() || q.Cancelled() || q.Err() != nil || q.Steals() != 0 || q.WaitTime() != 0 {
+	if q.Err() != nil || q.Steals() != 0 || q.WaitTime() != 0 || q.MemBytes() != 0 {
 		t.Fatal("nil *Query accessors must be inert")
 	}
-	q2 := NewQuery(nil, nil, 0)
-	if q2.Pooled() {
-		t.Fatal("nil-pool handle reports Pooled")
+	var ran atomic.Int32
+	q.Run(4, 100, func(int) { ran.Add(1) })
+	if ran.Load() != 100 {
+		t.Fatalf("nil handle ran %d of 100 morsels", ran.Load())
 	}
 }
 

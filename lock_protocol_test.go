@@ -164,11 +164,16 @@ func TestPointSelectAllocsIndependentOfTableSize(t *testing.T) {
 	if d := large - small; d > 2 || d < -2 {
 		t.Errorf("pk SELECT allocates %.0f times at 1k rows and %.0f at 100k", small, large)
 	}
-	// The parent commit allocated ≈1.3 times per partition here (the 100k
-	// table has ≈400); the ceiling leaves room for the planner to change,
-	// not for a per-partition term to come back.
-	const ceiling = 120
-	if large > ceiling {
+	// A build that walked the relation allocated ≈1.3 times per partition
+	// here (the 100k table has ≈400). The statement allocates 56 times,
+	// 61 under the race detector, which drops pooled entries; the ceiling
+	// leaves four more, not room for a step record or plan value of
+	// execute() that escapes to the heap.
+	ceiling := 60
+	if raceEnabled {
+		ceiling = 65
+	}
+	if large > float64(ceiling) {
 		t.Errorf("pk SELECT allocates %.0f times, ceiling %d", large, ceiling)
 	}
 }

@@ -622,14 +622,14 @@ func TestJoinOrderKnob(t *testing.T) {
 }
 
 // TestMultiJoinExplainPlanned: EXPLAIN (no execution) already reports
-// the chosen order and the per-stage forecasts.
+// the chosen order and, per stage, how it binds and its forecast.
 func TestMultiJoinExplainPlanned(t *testing.T) {
 	db := openStar4(t, 500)
 	txt, err := starQuery(db).Explain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"join order:", "pipelined hash", "forecast"} {
+	for _, want := range []string{"join order:", "hash probe (built table)", "forecast"} {
 		if !strings.Contains(txt, want) {
 			t.Fatalf("Explain missing %q:\n%s", want, txt)
 		}

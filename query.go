@@ -3,6 +3,7 @@ package mmdb
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -65,11 +66,6 @@ type Query struct {
 	forced    []string           // ForceJoinOrder relation names
 	prio      int                // scheduler admission tiebreak (Priority)
 	ctx       context.Context    // cancellation scope (WithContext); nil = background
-	sq        *sched.Query       // per-execution scheduler handle, set by execute
-	res       *mem.Reservation   // per-execution memory reservation; nil = unbudgeted
-	clamp     []obs.Decision     // budget-clamp audits pending for this execution
-	snap      *storage.Snapshot  // snapshot this execution scans with no lock held; nil = locked
-	refresh   obs.SnapRefresh    // what this execution paid to republish a stale snapshot; zero = it was fresh
 	err       error
 }
 
@@ -476,12 +472,6 @@ func (q *Query) parallelism() int {
 // still scan unlocked beside writers.
 const snapshotMinRows = 2 * plan.MinRowsPerWorker
 
-// snapshotAccess names the snapshot scan path, for Explain and for the
-// executed plan alike.
-func snapshotAccess(epoch uint64, workers int) string {
-	return fmt.Sprintf("snapshot scan @ epoch %d (%d workers, no lock held)", epoch, workers)
-}
-
 // snapshotShapeOK reports whether this query's shape may scan the
 // from-table's published snapshot instead of the locked relation:
 // read-only (not inside a user transaction), single relation, and an
@@ -575,50 +565,41 @@ func (q *Query) sortMethodFor(rows, keyBytes int) plan.SortMethod {
 }
 
 // radixBits resolves the radix plan for a join that would build a hash
-// table over buildRows rows, narrowed to this execution's share of the
-// memory budget (plan.ClampRadixBits; the audit record is queued when it
-// narrowed). nil means "no radix join" — under JoinAuto, whenever the
-// build fits comfortably in cache (plan.ChooseRadixBits's crossover).
-func (q *Query) radixBits(buildRows int) []uint {
+// table over buildRows rows, narrowed to a per-query budget of that many
+// bytes (plan.ClampRadixBits; 0 = unbudgeted), and the audit of the
+// narrowing — with no Name when the budget did not narrow it. nil bits
+// mean "no radix join": under JoinAuto, whenever the build fits
+// comfortably in cache (plan.ChooseRadixBits's crossover).
+func (q *Query) radixBits(buildRows int, budget int64) ([]uint, obs.Decision) {
 	choose := plan.ChooseRadixBits
 	if q.joinStrategy() == JoinRadix {
 		choose = plan.ForceRadixBits
 	}
 	bits := choose(buildRows, q.db.opts.Radix)
-	budget := q.memBudget()
 	clamped, did := plan.ClampRadixBits(bits, q.db.opts.Radix, budget)
-	if did {
-		q.noteClamp("radix budget clamp",
-			fmt.Sprintf("bits=%v (was %v)", clamped, bits), clamped, budget, buildRows)
+	if !did {
+		return clamped, obs.Decision{}
 	}
-	return clamped
+	return clamped, clampAudit("radix budget clamp",
+		fmt.Sprintf("bits=%v (was %v)", clamped, bits), clamped, budget, buildRows)
 }
 
-// memBudget is this execution's fair share of the database budget: the
-// per-query byte allowance the plan clamps size against. 0 = unbudgeted.
-func (q *Query) memBudget() int64 {
-	if q.res == nil {
-		return 0
-	}
-	return q.res.FairShare()
-}
-
-// noteClamp queues a budget-clamp decision audit; execute folds the
-// queue into the trace's decision list at the end of the run. The record
-// is informational (Threshold 0): a clamp is the budget working, not a
-// misprediction.
-func (q *Query) noteClamp(name, chosen string, bits []uint, budget int64, rows int) {
+// clampAudit is the decision audit of a plan the memory budget narrowed;
+// it travels on that plan, and the phase that runs the plan records it.
+// The record is informational (Threshold 0): a clamp is the budget
+// working, not a misprediction.
+func clampAudit(name, chosen string, bits []uint, budget int64, rows int) obs.Decision {
 	var total uint
 	for _, b := range bits {
 		total += b
 	}
-	q.clamp = append(q.clamp, obs.Decision{
+	return obs.Decision{
 		Name:     name,
 		Chosen:   chosen,
 		Inputs:   fmt.Sprintf("budget=%s rows=%s", obs.FmtBytes(budget), obs.FmtCount(float64(rows))),
 		Estimate: float64(int(1) << total),
 		Unit:     "partitions",
-	})
+	}
 }
 
 // Result is a query result: a temporary list of tuple pointers plus the
@@ -648,10 +629,11 @@ func (r *Result) Row(i int) []Value { return r.list.RowValues(i) }
 // row of a global aggregate over empty input has nil pointers.
 func (r *Result) Tuples(i int) []*Tuple { return r.list.Row(i) }
 
-// Plan describes the executed plan — the choices the planner actually
-// made while running this query, one line per decision. For estimates
-// without execution use Query.Explain; for per-operator rows, wall time,
-// and §3.1 counters use Query.Analyze.
+// Plan describes the executed plan, one line per decision in the order
+// the phases ran: the lines Query.Explain prints for the same query, each
+// phase planned on the live size of its input instead of a catalog
+// estimate. For per-operator rows, wall time, and §3.1 counters use
+// Query.Analyze.
 func (r *Result) Plan() string { return strings.Join(r.plan, "\n") }
 
 // Run plans and executes the query under one shared relation lock per
@@ -677,10 +659,97 @@ func (q *Query) Analyze() (*Result, *QueryTrace, error) {
 	return res, tr, err
 }
 
-// execute is the shared Run/Analyze engine. With analyze set it builds
-// the operator trace; whenever the database's metrics registry is enabled
-// it also accumulates per-query metrics. With both disabled the overhead
-// is a handful of nil checks and no allocations beyond Run's own.
+// execution is one run's state, owned by execute and handed to each
+// phase: the snapshot it scans, its scheduler handle, context and memory
+// reservation, and what the recorder has folded so far. Explain plans
+// without one, so planning for it cannot touch any of this.
+type execution struct {
+	snap    *storage.Snapshot // scanned with no lock held; nil = the locked relations
+	refresh obs.SnapRefresh   // what republishing a stale snapshot cost; zero = it was fresh
+	sq      *sched.Query
+	ctx     context.Context
+	res     *mem.Reservation // nil = unbudgeted
+	pg      *obs.Progress    // the live query's gauges; nil when the registry is off
+	reg     *obs.Registry
+
+	m         *meter.Counters // the running phase's §3.1 counters; nil unless collecting
+	total     meter.Counters  // rollup across phases
+	scanned   int64           // base-relation tuples fetched
+	shape     string          // the registry's plan-shape label, built while collecting
+	plan      []string
+	decisions []obs.Decision // plan-vs-actual audits, built while collecting
+	root      *obs.TraceNode // nil unless building a trace, which implies collecting
+	t0        time.Time      // when the running phase started (tracing only)
+}
+
+// step is one executed phase as the recorder takes it: the output list,
+// the phase's plan lines, its trace node (record adds the row count out,
+// the wall time and the §3.1 counters), the base-relation tuples it
+// fetched, and the index it probed.
+type step struct {
+	list      *storage.TempList
+	line      string   // the phase's plan line; "" for projection
+	lines     []string // further plan lines: a pipeline's stages
+	node      obs.TraceNode
+	scanned   int64
+	probeKind string // index structure probed ("" for none)
+	probes    int64
+}
+
+// record folds a phase into the execution as its runner returned it —
+// its plan lines, its counters, fetched tuples and index probes, its
+// trace node — and returns its output list. It returns the runner's
+// error, or the context's: a cancelled query stops at the phase boundary
+// rather than planning and running the next operator (inside operators,
+// cancellation is observed at morsel boundaries).
+func (x *execution) record(s step, err error) (*storage.TempList, error) {
+	if err != nil {
+		return nil, err
+	}
+	if s.line != "" {
+		x.plan = append(x.plan, s.line)
+	}
+	x.plan = append(x.plan, s.lines...)
+	if x.m != nil {
+		s.node.Ops = *x.m
+		x.total.Add(*x.m)
+		*x.m = meter.Counters{}
+		x.scanned += s.scanned
+		x.reg.IndexProbe(s.probeKind, s.probes)
+	}
+	if x.root != nil {
+		now := time.Now()
+		n := s.node
+		n.RowsOut, n.Wall = s.list.Len(), now.Sub(x.t0)
+		x.root.Add(&n)
+		x.t0 = now
+	}
+	return s.list, x.sq.Err()
+}
+
+// auditClamp records a plan's budget-clamp audit, if the budget narrowed
+// the plan.
+func (x *execution) auditClamp(d obs.Decision) {
+	if d.Name != "" {
+		x.decisions = append(x.decisions, d)
+	}
+}
+
+// budget is this execution's fair share of the database budget: the
+// per-query byte allowance the plans clamp size against. 0 = unbudgeted.
+func (x *execution) budget() int64 {
+	if x.res == nil {
+		return 0
+	}
+	return x.res.FairShare()
+}
+
+// execute is the shared Run/Analyze engine: it plans each phase on the
+// live size of its input, runs it and records it. With analyze set it
+// builds the operator trace; whenever the database's metrics registry is
+// enabled it also accumulates per-query metrics. With both disabled the
+// overhead is a handful of nil checks and no allocations beyond Run's
+// own.
 func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
 	if q.err != nil {
 		return nil, nil, q.err
@@ -696,7 +765,7 @@ func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
 
 	// Live-query registration: the query is visible in ActiveQueries from
 	// here until execute returns, with its phase and rows-processed gauges
-	// updated as the operators run. pg is nil when the registry is off;
+	// updated as the operators run. aq is nil when the registry is off;
 	// every downstream use is nil-safe, so the disabled path costs one
 	// comparison per call site.
 	var qtext string
@@ -708,7 +777,10 @@ func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
 		aq = q.db.active.Register(qtext)
 		defer q.db.active.Deregister(aq)
 	}
-	pg := aq.Progress()
+	x := execution{reg: reg, pg: aq.Progress(), ctx: q.ctx}
+	if x.ctx == nil {
+		x.ctx = context.Background()
+	}
 
 	reader := q.tx
 	if reader == nil {
@@ -717,69 +789,15 @@ func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
 		reader = &Txn{db: q.db, inner: q.db.txns.BeginUntracked()}
 		defer reader.Abort() // releases the shared locks
 	}
-	tables := make([]*Table, 0, len(q.rels))
-	for _, r := range q.rels {
-		dup := false
-		for _, t := range tables {
-			if t == r.t {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			tables = append(tables, r.t)
-		}
-	}
-	sort.Slice(tables, func(i, j int) bool { return tables[i].Name() < tables[j].Name() })
-
-	// Epoch snapshot scans: a read-only single-relation query whose
-	// access path is a full sequential scan reads the published snapshot
-	// and holds no lock while it scans, so it never makes a writer wait
-	// for the length of a query. Writers publish nothing; a commit only
-	// advances the relation's epoch. The reader that finds the snapshot
-	// stale (or never published) pays: it takes S(relation) like any
-	// selection — which waits out in-flight writers, so every commit that
-	// returned before now is in the image — republishes what changed,
-	// releases at once and scans the result.
-	q.snap, q.refresh = nil, obs.SnapRefresh{}
-	snapOK := q.snapshotShapeOK()
-	if snapOK {
-		if s := q.from.rel.Snapshot(); s != nil && s.Rows() >= snapshotMinRows {
-			q.snap = s
-		}
-	}
-	if q.snap == nil {
-		var lockStart time.Time
-		if snapOK {
-			lockStart = time.Now()
-		}
-		for _, t := range tables {
-			if err := reader.inner.LockRelationShared(t.rel); err != nil {
-				return nil, nil, err
-			}
-		}
-		if snapOK && q.from.Cardinality() >= snapshotMinRows {
-			locked := time.Now()
-			snap, built := q.from.rel.PublishSnapshotStats()
-			reader.Abort() // snapOK: the reader is this query's own, and S(from) is all it holds
-			q.snap = snap
-			q.refresh = obs.SnapRefresh{
-				Patched: built.Patched, Cloned: built.Cloned, Tuples: built.Tuples,
-				LockWait: locked.Sub(lockStart), Build: time.Since(locked),
-			}
-			reg.SnapshotRefresh(q.refresh)
-		}
+	if err := q.lockOrSnapshot(&x, reader); err != nil {
+		return nil, nil, err
 	}
 
 	// Scheduler admission handle for this execution: parallel operators
 	// submit their morsels through it onto the shared work-stealing pool,
 	// and it carries the context for morsel-boundary cancellation.
-	qctx := q.ctx
-	if qctx == nil {
-		qctx = context.Background()
-	}
-	q.sq = sched.NewQuery(sched.Shared(), qctx, q.prio)
-	if err := q.sq.Err(); err != nil {
+	x.sq = sched.NewQuery(sched.Shared(), x.ctx, q.prio)
+	if err := x.sq.Err(); err != nil {
 		return nil, nil, err
 	}
 
@@ -787,371 +805,68 @@ func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
 	// operator grants against, mirrored into the scheduler's grant gauge
 	// so admission prefers memory-light queries at equal priority. nil
 	// (no budget) keeps every downstream path on its pre-budget behavior.
-	q.clamp = q.clamp[:0]
-	q.res = q.db.mem.Reserve()
-	if q.res != nil {
-		q.res.Notify = q.sq.SetMemBytes
-		defer func() {
-			q.res.Close()
-			q.res = nil
-		}()
+	if x.res = q.db.mem.Reserve(); x.res != nil {
+		x.res.Notify = x.sq.SetMemBytes
+		defer x.res.Close()
 	}
 
 	var start time.Time
 	if collect {
 		start = time.Now()
+		x.m = new(meter.Counters)
 	}
-	var planNotes []string
-	var decisions []obs.Decision // plan-vs-actual audit records
-	var total meter.Counters     // §3.1 rollup across operators
-	scanned := int64(0)          // base-relation tuples fetched
+	if buildTrace {
+		x.root = &obs.TraceNode{Op: "query", Detail: q.from.Name()}
+		x.t0 = start
+	}
 
-	// Resolve the block size batch-at-a-time operators run with, so the
-	// executed plan records it (pooled blocks are physically
-	// plan.DefaultBatchSize; tiny inputs account for smaller blocks).
-	// Snapshot mode holds no locks, so it sizes from the snapshot's own
-	// row count rather than racing the live cardinality counter.
-	card := 0
-	if q.snap != nil {
-		card = q.snap.Rows()
+	// A snapshot execution holds no lock: the live cardinality is being
+	// written beside it, the snapshot's own row count is not.
+	var card int
+	var epoch uint64
+	if x.snap != nil {
+		card, epoch = x.snap.Rows(), x.snap.Epoch()
 	} else {
 		card = q.from.Cardinality()
 	}
-	batchSize := plan.ChooseBatchSize(q.db.opts.BatchSize, card)
-	planNotes = append(planNotes, fmt.Sprintf("batch: %d-tuple pointer blocks", batchSize))
+	selLimit, joinLimit := q.splitLimit()
+	x.plan = q.planHead(x.plan, card)
 
-	// LIMIT pushdown. A limit is pushed to the earliest operator that can
-	// honor it: the selection scan when nothing downstream needs the full
-	// input, the join's early exit otherwise. LIMIT 0 always cuts the
-	// selection to nothing.
-	grouped := len(q.groupBy) > 0 || len(q.aggs) > 0
-	ordered := len(q.orderBy) > 0
-	selLimit, joinLimit := -1, 0
-	switch lim := q.pushedLimit(); {
-	case lim == 0:
-		selLimit = 0
-	case lim > 0 && len(q.joins) == 0:
-		selLimit = lim
-		planNotes = append(planNotes, fmt.Sprintf("limit: %d pushed into selection", lim))
-	case lim > 0:
-		joinLimit = lim
-		planNotes = append(planNotes, fmt.Sprintf("limit: %d pushed into join (early exit)", lim))
-	}
-
-	var trace *QueryTrace
-	var root *obs.TraceNode
-	if buildTrace {
-		root = &obs.TraceNode{Op: "query", Detail: q.from.Name()}
-		trace = &QueryTrace{Root: root}
-	}
-
-	// Phase 1: selection on the from-table.
-	var selMeter meter.Counters
-	var mp *meter.Counters
-	if collect {
-		mp = &selMeter
-	}
-	t0 := start
 	aq.SetPhase(obs.PhaseSelect)
-	sel := q.runSelection(mp, pg, selLimit)
-	list := sel.list
-	planNotes = append(planNotes, "access "+q.from.Name()+": "+sel.pathDesc)
-	if collect {
-		total.Add(selMeter)
-		scanned += int64(sel.rowsIn)
-		if sel.probeKind != "" {
-			reg.IndexProbe(sel.probeKind, sel.probes)
-		}
-		// Audit the batch sizing: it assumed the whole table flows through
-		// the pipeline, and a selective predicate makes that estimate wrong
-		// by exactly the filter's factor.
-		decisions = append(decisions, obs.Decision{
-			Name:      "batch",
-			Chosen:    fmt.Sprintf("%d-tuple blocks", batchSize),
-			Inputs:    "table card=" + obs.FmtCount(float64(card)),
-			Estimate:  float64(card),
-			Actual:    float64(list.Len()),
-			Unit:      "rows",
-			Threshold: 2.0,
-		})
-	}
-	if buildTrace {
-		now := time.Now()
-		root.Add(&obs.TraceNode{
-			Op: "select", Detail: q.from.Name(), AccessPath: sel.pathDesc,
-			RowsIn: sel.rowsIn, RowsOut: list.Len(), Wall: now.Sub(t0), Ops: selMeter,
-			Workers: sel.workers, Refresh: q.refresh,
-		})
-		t0 = now
-	}
-
-	shape := ""
-	if collect {
-		shape = sel.path.String()
-		if len(q.preds) == 0 {
-			shape = "full scan"
-		}
-	}
-
-	// Phase boundary: a cancelled query stops here rather than planning
-	// and running the next operator (inside operators, cancellation is
-	// observed at morsel boundaries).
-	if err := q.sq.Err(); err != nil {
+	list, err := x.record(q.runSelection(&x, q.planSelection(card, x.snap != nil, epoch, selLimit)), nil)
+	if err != nil {
 		return nil, nil, err
 	}
-
-	// Phase 2: the join. A single edge keeps the paper's §4 choice between
-	// the two relations; more edges run the order the cost-forecasted
-	// planner picks. Hash joins of either shape stream through a pipeline
-	// of hash-table stages.
 	if len(q.joins) > 0 {
-		var joinMeter meter.Counters
-		if collect {
-			mp = &joinMeter
-		}
 		aq.SetPhase(obs.PhaseJoin)
-		jr, err := q.runJoin(list, mp, pg, joinLimit)
-		if err != nil {
+		if list, err = x.record(q.runJoin(&x, list, joinLimit)); err != nil {
 			return nil, nil, err
 		}
-		preJoin := list.Len()
-		list = jr.list
-		planNotes = append(planNotes, jr.planNotes...)
-		if collect {
-			total.Add(joinMeter)
-			scanned += jr.scanned
-			if jr.probeKind != "" {
-				reg.IndexProbe(jr.probeKind, jr.probes)
-			}
-			if jr.estRows == nil {
-				shape += "→" + jr.method.String()
-			} else {
-				shape += fmt.Sprintf("→pipeline(%d)", len(q.rels))
-				// Audit the order choice: forecast final cardinality vs what
-				// the pipeline actually emitted.
-				decisions = append(decisions, obs.Decision{
-					Name:      "join order",
-					Chosen:    fmt.Sprintf("%s (%s)", jr.text, jr.algorithm),
-					Inputs:    fmt.Sprintf("rels=%d edges=%d", len(q.rels), len(q.joins)),
-					Estimate:  jr.estRows[len(jr.estRows)-1],
-					Actual:    float64(list.Len()),
-					Unit:      "rows",
-					Threshold: 4.0,
-				})
-			}
-			for k, st := range jr.stages {
-				if st.probeKind != "" {
-					reg.IndexProbe(st.probeKind, st.rowsIn)
-				}
-				if jr.estRows != nil {
-					decisions = append(decisions, obs.Decision{
-						Name:      "join stage",
-						Chosen:    fmt.Sprintf("⋈ %s (%s)", q.rels[st.rel].name, st.method),
-						Inputs:    "in rows=" + obs.FmtCount(jr.estRows[k]),
-						Estimate:  jr.estRows[k+1],
-						Actual:    float64(st.rowsOut),
-						Unit:      "rows",
-						Threshold: 4.0,
-					})
-				}
-			}
-			if jr.workers > 1 {
-				decisions = append(decisions, workersAudit(jr.workers, jr.workRows, pg))
-			}
-			if jr.radix.Fanout > 0 {
-				// The radix bits were sized for the catalog's build
-				// cardinality, not the rows actually partitioned.
-				decisions = append(decisions, obs.Decision{
-					Name:      "radix bits",
-					Chosen:    fmt.Sprintf("fanout=%d passes=%d", jr.radix.Fanout, jr.radix.Passes),
-					Inputs:    "build card=" + obs.FmtCount(float64(jr.buildEst)),
-					Estimate:  float64(jr.buildEst),
-					Actual:    float64(jr.radix.Rows),
-					Unit:      "build rows",
-					Threshold: 2.0,
-				}, radixBalance(reg, jr.radix))
-			}
-		}
-		if buildTrace {
-			now := time.Now()
-			node := &obs.TraceNode{
-				Op: "join", Detail: jr.text, AccessPath: jr.method.String(),
-				RowsIn: preJoin, RowsOut: list.Len(), Wall: now.Sub(t0), Ops: joinMeter,
-				Workers: jr.workers,
-			}
-			if jr.estRows != nil {
-				node.AccessPath = fmt.Sprintf("pipelined multi-join (%s order)", jr.algorithm)
-			}
-			traceRadix(node, jr.radix)
-			if q.res != nil && jr.radix.Fanout > 0 {
-				node.GrantBytes = jr.grantBytes
-				node.Reversed = jr.radix.Reversed
-				node.Resplits = jr.radix.Repartitions
-			}
-			for _, st := range jr.stages {
-				node.Add(&obs.TraceNode{
-					Op: "join", Detail: "⋈ " + q.rels[st.rel].name, AccessPath: st.method + st.forecast,
-					RowsIn: int(st.rowsIn), RowsOut: int(st.rowsOut),
-				})
-			}
-			root.Add(node)
-			t0 = now
-		}
 	}
-
-	if err := q.sq.Err(); err != nil {
-		return nil, nil, err
-	}
-	if len(q.joins) > 0 {
-		// The join output points at tuples, not at the selection's rows.
-		sel.list.Release()
-	}
-
+	grouped, ordered := len(q.groupBy) > 0 || len(q.aggs) > 0, len(q.orderBy) > 0
+	var s step
 	if grouped {
-		// Phase 3 (grouped): aggregation replaces projection — the output
-		// columns are the group keys followed by the aggregates.
-		var aggMeter meter.Counters
-		if collect {
-			mp = &aggMeter
-		} else {
-			mp = nil
-		}
+		// Aggregation replaces projection: the output columns are the
+		// group keys followed by the aggregates.
 		aq.SetPhase(obs.PhaseGroup)
-		gr, err := q.runGroup(list, mp, pg)
-		if err != nil {
-			return nil, nil, err
-		}
-		list = gr.list
-		planNotes = append(planNotes, "group: "+gr.path)
-		if collect {
-			total.Add(aggMeter)
-			// Audit the agg-method crossover: the chooser sized for the
-			// worst case (every input row its own group) because group
-			// cardinality is unknown before execution; the record shows how
-			// far off that was. Informational (Threshold 0) — the worst-case
-			// sizing is intentional, not a misprediction.
-			decisions = append(decisions, obs.Decision{
-				Name:     "agg method",
-				Chosen:   gr.method.String(),
-				Inputs:   "rows=" + obs.FmtCount(float64(gr.rowsIn)),
-				Estimate: float64(gr.rowsIn),
-				Actual:   float64(list.Len()),
-				Unit:     "groups",
-			})
-			if gr.workers > 1 {
-				decisions = append(decisions, workersAudit(gr.workers, gr.rowsIn, pg))
-			}
-			if gr.radix.Fanout > 0 {
-				decisions = append(decisions, radixBalance(reg, gr.radix))
-			}
-		}
-		if buildTrace {
-			now := time.Now()
-			node := &obs.TraceNode{
-				Op: "group", Detail: gr.detail, AccessPath: gr.path,
-				RowsIn: gr.rowsIn, RowsOut: list.Len(), Wall: now.Sub(t0), Ops: aggMeter,
-				Workers: gr.workers,
-			}
-			traceRadix(node, gr.radix)
-			node.GrantBytes = gr.grant
-			root.Add(node)
-			t0 = now
-		}
+		s, err = q.runGroup(&x, list)
 	} else {
-		// Phase 3: projection via the result descriptor; duplicate
-		// elimination only if requested (§2.3: projection is implicit).
-		preProject := list.Len()
 		aq.SetPhase(obs.PhaseProject)
-		var err error
-		list, err = q.project(list)
-		if err != nil {
-			return nil, nil, err
-		}
-		if buildTrace {
-			now := time.Now()
-			root.Add(&obs.TraceNode{
-				Op: "project", Detail: fmt.Sprintf("%d column(s)", len(list.Descriptor().Cols)),
-				AccessPath: "descriptor rewrite",
-				RowsIn:     preProject, RowsOut: list.Len(), Wall: now.Sub(t0),
-			})
-			t0 = now
-		}
+		s, err = q.runProject(&x, list)
+	}
+	if list, err = x.record(s, err); err != nil {
+		return nil, nil, err
 	}
 	if q.distinct {
-		var dupMeter meter.Counters
-		if collect {
-			mp = &dupMeter
-		} else {
-			mp = nil
-		}
 		aq.SetPhase(obs.PhaseDistinct)
-		preDistinct := list.Len()
-		dr, err := q.runDistinct(list, mp, pg)
-		if err != nil {
+		if list, err = x.record(q.runDistinct(&x, list)); err != nil {
 			return nil, nil, err
 		}
-		list = dr.list
-		planNotes = append(planNotes, "distinct: "+dr.path)
-		if collect {
-			total.Add(dupMeter)
-			if dr.radix.Fanout > 0 {
-				decisions = append(decisions, radixBalance(reg, dr.radix))
-			}
-		}
-		if buildTrace {
-			now := time.Now()
-			node := &obs.TraceNode{
-				Op: "distinct", AccessPath: dr.path,
-				RowsIn: preDistinct, RowsOut: list.Len(), Wall: now.Sub(t0), Ops: dupMeter,
-				Workers: dr.workers, GrantBytes: dr.grant,
-			}
-			traceRadix(node, dr.radix)
-			root.Add(node)
-			t0 = now
-		}
 	}
-
-	if err := q.sq.Err(); err != nil {
-		return nil, nil, err
-	}
-
-	// Phase 4: ORDER BY (+ LIMIT k as bounded-heap top-k when the planner
-	// judges k small enough).
 	if ordered {
-		var ordMeter meter.Counters
-		if collect {
-			mp = &ordMeter
-		} else {
-			mp = nil
-		}
 		aq.SetPhase(obs.PhaseOrder)
-		preOrder := list.Len()
-		or, err := q.runOrder(list, mp, pg)
-		if err != nil {
+		if list, err = x.record(q.runOrder(&x, list)); err != nil {
 			return nil, nil, err
-		}
-		list = or.list
-		planNotes = append(planNotes, "order: "+or.path)
-		if collect {
-			total.Add(ordMeter)
-			// Informational (Threshold 0): records the heap-vs-sort
-			// crossover's pick and the input size and k it rested on.
-			decisions = append(decisions, obs.Decision{
-				Name:     "top-k method",
-				Chosen:   or.method.String(),
-				Inputs:   fmt.Sprintf("rows=%s k=%d", obs.FmtCount(float64(preOrder)), or.k),
-				Estimate: float64(preOrder),
-				Unit:     "rows",
-			})
-		}
-		if buildTrace {
-			now := time.Now()
-			root.Add(&obs.TraceNode{
-				Op: "order", Detail: or.detail, AccessPath: or.path,
-				RowsIn: preOrder, RowsOut: list.Len(), Wall: now.Sub(t0), Ops: ordMeter,
-				Workers: or.workers,
-			})
-			t0 = now
 		}
 	}
 
@@ -1162,44 +877,120 @@ func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
 		list = headList(list, q.limit)
 	}
 
+	var trace *QueryTrace
 	if collect {
 		if grouped {
-			shape += "+group"
+			x.shape += "+group"
 		}
 		if q.distinct {
-			shape += "+distinct"
+			x.shape += "+distinct"
 		}
 		if ordered {
-			shape += "+order"
+			x.shape += "+order"
 		}
 		wall := time.Since(start)
-		decisions = append(decisions, q.clamp...)
-		for _, d := range decisions {
+		for _, d := range x.decisions {
 			reg.RecordDecision(d) // nil-safe: counts mispredictions
 		}
-		if reg != nil {
-			reg.RecordQuery(shape, scanned, int64(list.Len()), wall, total)
-		}
+		reg.RecordQuery(x.shape, x.scanned, int64(list.Len()), wall, x.total)
 		if buildTrace {
-			root.RowsIn = sel.rowsIn
-			root.RowsOut = list.Len()
-			trace.Total = wall
-			trace.Decisions = decisions
-			trace.SchedSteals = q.sq.Steals()
-			trace.SchedWait = q.sq.WaitTime()
+			x.root.RowsIn, x.root.RowsOut = x.root.Children[0].RowsIn, list.Len() // the selection's
+			trace = &QueryTrace{Root: x.root, Total: wall, Decisions: x.decisions,
+				SchedSteals: x.sq.Steals(), SchedWait: x.sq.WaitTime()}
 		}
 		if slow != nil && wall >= slow.Threshold() {
 			slow.Record(obs.SlowQuery{
 				ID: aq.ID(), Text: qtext, Start: start, Wall: wall,
 				Rows: int64(list.Len()), Trace: trace,
-				SchedSteals: q.sq.Steals(), SchedWait: q.sq.WaitTime(),
+				SchedSteals: x.sq.Steals(), SchedWait: x.sq.WaitTime(),
 			})
 		}
 	}
 	if !analyze {
 		trace = nil // built only for the slow log; Run callers never see it
 	}
-	return &Result{list: list, plan: planNotes}, trace, nil
+	return &Result{list: list, plan: x.plan}, trace, nil
+}
+
+// lockOrSnapshot readies the execution's read of its tables. Epoch
+// snapshot scans: a read-only single-relation query whose access path is
+// a full sequential scan reads the published snapshot and holds no lock
+// while it scans, so it never makes a writer wait for the length of a
+// query. Writers publish nothing; a commit only advances the relation's
+// epoch. The reader that finds the snapshot stale (or never published)
+// pays: it takes S(relation) like any selection — which waits out
+// in-flight writers, so every commit that returned before now is in the
+// image — republishes what changed, releases at once and scans the
+// result. Every other query takes a shared lock on each distinct table
+// it names, in name order, and holds them until reader ends.
+func (q *Query) lockOrSnapshot(x *execution, reader *Txn) error {
+	snapOK := q.snapshotShapeOK()
+	if snapOK {
+		if s := q.from.rel.Snapshot(); s != nil && s.Rows() >= snapshotMinRows {
+			x.snap = s
+			return nil
+		}
+	}
+	tables := make([]*Table, 0, len(q.rels))
+	for _, r := range q.rels {
+		if !slices.Contains(tables, r.t) {
+			tables = append(tables, r.t)
+		}
+	}
+	sort.Slice(tables, func(i, j int) bool { return tables[i].Name() < tables[j].Name() })
+	var lockStart time.Time
+	if snapOK {
+		lockStart = time.Now()
+	}
+	for _, t := range tables {
+		if err := reader.inner.LockRelationShared(t.rel); err != nil {
+			return err
+		}
+	}
+	if snapOK && q.from.Cardinality() >= snapshotMinRows {
+		locked := time.Now()
+		snap, built := q.from.rel.PublishSnapshotStats()
+		reader.Abort() // snapOK: the reader is this query's own, and S(from) is all it holds
+		x.snap = snap
+		x.refresh = obs.SnapRefresh{
+			Patched: built.Patched, Cloned: built.Cloned, Tuples: built.Tuples,
+			LockWait: locked.Sub(lockStart), Build: time.Since(locked),
+		}
+		x.reg.SnapshotRefresh(x.refresh)
+	}
+	return nil
+}
+
+// splitLimit places the pushed-down LIMIT: into the selection scan when
+// nothing downstream needs the full input, into the join's early exit
+// otherwise. LIMIT 0 always cuts the selection to nothing. -1 (selection)
+// and 0 (join) mean no limit there.
+func (q *Query) splitLimit() (sel, join int) {
+	switch lim := q.pushedLimit(); {
+	case lim == 0:
+		return 0, 0
+	case lim > 0 && len(q.joins) == 0:
+		return lim, 0
+	case lim > 0:
+		return -1, lim
+	}
+	return -1, 0
+}
+
+// planHead appends the lines every plan opens with, for a from-table of
+// card rows: the block size batch-at-a-time operators run with (pooled
+// blocks are physically plan.DefaultBatchSize; tiny inputs account for
+// smaller blocks) and where a LIMIT was pushed.
+func (q *Query) planHead(lines []string, card int) []string {
+	lines = append(lines, fmt.Sprintf("batch: %d-tuple pointer blocks",
+		plan.ChooseBatchSize(q.db.opts.BatchSize, card)))
+	switch sel, join := q.splitLimit(); {
+	case sel > 0:
+		lines = append(lines, fmt.Sprintf("limit: %d pushed into selection", sel))
+	case join > 0:
+		lines = append(lines, fmt.Sprintf("limit: %d pushed into join (early exit)", join))
+	}
+	return lines
 }
 
 // workersAudit audits a worker count: the chooser assumed rows split
@@ -1329,91 +1120,65 @@ func (q *Query) orderByText() string {
 	return b.String()
 }
 
-// Explain plans the query and describes the expected choices without
-// executing it: no locks are taken, no tuples are fetched, and nothing is
-// built. Selection paths depend only on which indices exist, so they are
-// exact; the join method additionally depends on the live outer
-// cardinality, which Explain estimates from the catalog (the from-table's
-// cardinality is an upper bound once predicates filter it), and says so.
-// For the executed plan use Result.Plan or Query.Analyze.
+// Explain plans the query and prints the plan without executing it: no
+// locks are taken, no tuples are fetched, nothing is built or published,
+// and no memory is reserved. It calls each phase's planner — the ones
+// the executor calls — on catalog estimates, so after its header every
+// line is the one Result.Plan records for the same query, planned on the
+// size the executor will see. Where that size is only estimated — the
+// from-table's cardinality is an upper bound once predicates or a join
+// stand between it and the phase — the line says so: "(… estimated ≤ N
+// rows)". For the executed plan use Result.Plan or Query.Analyze.
 func (q *Query) Explain() (string, error) {
 	if q.err != nil {
 		return "", q.err
 	}
-	lines := []string{"planned (catalog estimates; nothing executed):"}
-	t := q.from
-	outerEst := t.Cardinality()
-	outerExact := len(q.preds) == 0
-	// The executor's own test decides whether the scan line names the
-	// snapshot path. Explain only reads: the epoch printed is the one a
-	// snapshot published now would carry, and nothing is published or
-	// locked to find it out.
-	scan := ""
-	if q.snapshotShapeOK() && outerEst >= snapshotMinRows {
-		scan = snapshotAccess(t.rel.SnapshotEpoch(), plan.ChooseWorkers(q.parallelism(), outerEst))
-	}
-	if outerExact {
-		if scan == "" {
-			scan = fmt.Sprintf("full scan via %s index", t.primary.kind)
-		}
-	} else {
-		sp := q.chooseSelectionPath()
-		if scan == "" {
-			scan = sp.path.String()
-		}
-		scan = sp.describe(q, scan)
-	}
-	lines = append(lines, fmt.Sprintf("access %s: %s", t.Name(), scan))
+	rows := q.from.Cardinality()
+	selLimit, joinLimit := q.splitLimit()
+	lines := q.planHead([]string{"planned (catalog estimates; nothing executed):"}, rows)
+	// The executor's own snapshot test; the epoch is the one a snapshot
+	// published now would carry, read without locking or publishing.
+	snap := q.snapshotShapeOK() && rows >= snapshotMinRows
+	sp := q.planSelection(rows, snap, q.from.rel.SnapshotEpoch(), selLimit)
+	lines = append(lines, "access "+q.from.Name()+": "+sp.line)
+	estimated := len(q.preds) > 0
 	if len(q.joins) > 0 {
-		// The executor's own planning step, on catalog estimates: the
-		// from-table's cardinality is an upper bound once predicates
-		// filter it.
-		p, err := q.planJoin(outerEst, false, max(q.pushedLimit(), 0))
+		p, err := q.planJoin(rows, false, joinLimit, 0)
 		if err != nil {
 			return "", err
 		}
-		note := q.joinHead(p)
 		switch {
-		case outerExact:
+		case !estimated:
 		case p.estRows == nil:
-			note += fmt.Sprintf(" (outer estimated ≤ %d rows; runtime may switch methods on the live size)", outerEst)
+			p.lines[0] += fmt.Sprintf(" (outer estimated ≤ %d rows; runtime may switch methods on the live size)", rows)
 		default:
-			note += fmt.Sprintf(" (driver estimated ≤ %d rows)", outerEst)
+			p.lines[0] += fmt.Sprintf(" (driver estimated ≤ %d rows)", rows)
 		}
-		lines = append(lines, note)
-		for k := 1; k < len(p.order) && p.estRows != nil; k++ {
-			lines = append(lines, fmt.Sprintf("join ⋈ %s: pipelined hash (forecast %s rows)",
-				q.rels[p.order[k]].name, obs.FmtCount(p.estRows[k])))
+		lines, estimated = append(lines, p.lines...), true
+	}
+	// A phase after the first consumes an earlier phase's output.
+	phase := func(name, path string) {
+		if estimated {
+			path += fmt.Sprintf(" (input estimated ≤ %d rows)", rows)
 		}
+		lines, estimated = append(lines, name+": "+path), true
 	}
 	if len(q.groupBy) > 0 || len(q.aggs) > 0 {
-		method, _ := plan.ChooseAggMethod(outerEst, q.db.opts.Agg)
-		by := "global"
-		if len(q.groupBy) > 0 {
-			by = "by " + strings.Join(q.groupBy, ", ")
-		}
-		lines = append(lines, fmt.Sprintf("group %s: %s (input estimated ≤ %d rows)", by, method, outerEst))
+		phase("group", q.planAgg(rows, 0).path())
 	}
 	if q.distinct {
-		lines = append(lines, "distinct: "+q.planDistinct(outerEst).path)
+		phase("distinct", q.planDistinct(rows, 0).path)
 	}
 	if len(q.orderBy) > 0 {
-		k := 0
-		if q.limit > 0 {
-			k = q.limit
-		}
-		lines = append(lines, fmt.Sprintf("order by %s: %s", q.orderByText(),
-			plan.ChooseTopK(outerEst, k, q.db.opts.TopK)))
-	}
-	if q.limit >= 0 {
-		lines = append(lines, fmt.Sprintf("limit: %d", q.limit))
+		phase("order", q.planOrder(rows).path)
 	}
 	return strings.Join(lines, "\n"), nil
 }
 
-// selPlan is the selection's access-path decision. Explain prints it and
-// runSelection executes it, so the planned and the executed path cannot
-// disagree.
+// selPlan is the selection's plan: the access path, and for a sequential
+// scan the workers that split it and whether it reads the snapshot.
+// Explain prints its line and runSelection executes it, so the planned
+// and the executed path cannot disagree.
 type selPlan struct {
 	pred int // index in q.preds of the predicate served through the index
 	path plan.AccessPath
@@ -1429,6 +1194,11 @@ type selPlan struct {
 	// them: the Eq a lookup served, and the inclusive bounds of a folded
 	// range.
 	exact uint64
+
+	rows    int    // the from-table's tuples: the snapshot's when it reads one
+	limit   int    // pushed-down LIMIT; -1 = none
+	workers int    // scan workers the trace reports (0 = serial, locked)
+	line    string // the access line's text after "access <table>: "
 }
 
 // guarantees reports whether the access path already guarantees
@@ -1539,146 +1309,159 @@ func (sp selPlan) describe(q *Query, access string) string {
 	return desc
 }
 
-// selExec is the outcome of the selection phase plus the numbers the
-// observability layer reports.
-type selExec struct {
-	list      *storage.TempList
-	pathDesc  string          // human description: "hash lookup on \"dept\" + 1 residual filter(s)"
-	path      plan.AccessPath // the §4 choice
-	rowsIn    int             // base-relation tuples fetched (pre-residual)
-	workers   int             // parallel scan workers (0 or 1 = serial)
-	probeKind string          // index structure probed ("" for scans)
-	probes    int64
+// planSelection plans the selection over the from-table's rows tuples —
+// of the snapshot of the given epoch when snap is set, of the locked
+// relation otherwise — under a pushed-down LIMIT (-1 = none). An early
+// exit is inherently sequential, so a limited scan runs serially.
+func (q *Query) planSelection(rows int, snap bool, epoch uint64, limit int) selPlan {
+	sp := q.chooseSelectionPath()
+	sp.rows, sp.limit, sp.line = rows, limit, sp.path.String()
+	if sp.path == plan.PathSequentialScan && limit < 0 {
+		w := plan.ChooseWorkers(q.parallelism(), rows)
+		switch {
+		case snap:
+			sp.workers = w
+			sp.line = fmt.Sprintf("snapshot scan @ epoch %d (%d workers, no lock held)", epoch, w)
+		case w > 1:
+			sp.workers = w
+			sp.line = fmt.Sprintf("parallel partition scan (%d workers)", w)
+		}
+	}
+	switch {
+	case len(q.preds) > 0:
+		sp.line = sp.describe(q, sp.line)
+	case sp.workers == 0:
+		sp.line = fmt.Sprintf("full scan via %s index", q.from.primary.kind)
+	}
+	if limit >= 0 {
+		sp.line += fmt.Sprintf(" (early exit at LIMIT %d)", limit)
+	}
+	return sp
 }
 
-// runSelection evaluates the from-table predicates, producing a
-// single-source temp list. The meter, when non-nil, accumulates the §3.1
-// operation counts of the index probe and the residual filter; pg, when
-// non-nil, is the live query's Progress for rows-processed gauges.
-// limit >= 0 is a pushed-down LIMIT: the selection stops as soon as that
-// many rows qualify (an early exit is inherently sequential, so the
-// parallel scan paths are skipped).
+// runSelection runs the planned selection, producing a single-source temp
+// list. The meter, when collecting, accumulates the §3.1 operation counts
+// of the index probe and the residual filter; a pushed-down limit stops
+// the selection as soon as that many rows qualify.
 //
 // A sequential scan evaluates the whole conjunction where the tuples are
 // read — inside the workers' morsels when it runs parallel — so its
 // output is final. An index path's output is final too when the probe
 // already guarantees every predicate (selPlan.exact); only otherwise does
 // a residual pass filter it once into a fresh list and release it.
-func (q *Query) runSelection(m *meter.Counters, pg *obs.Progress, limit int) selExec {
+func (q *Query) runSelection(x *execution, sp selPlan) step {
 	t := q.from
-	spec := exec.SelectSpec{RelName: t.Name(), Schema: t.rel.Schema(), Meter: m, Prog: pg, Sched: q.sq}
-	sp := q.chooseSelectionPath()
+	s := step{line: "access " + t.Name() + ": " + sp.line, node: obs.TraceNode{
+		Op: "select", Detail: t.Name(), AccessPath: sp.line, Workers: sp.workers, Refresh: x.refresh,
+	}}
+	m := x.m
+	spec := exec.SelectSpec{RelName: t.Name(), Schema: t.rel.Schema(), Meter: m, Prog: x.pg, Sched: x.sq}
 	if sp.path == plan.PathSequentialScan {
-		// A snapshot execution holds no lock: the live cardinality is
-		// being written beside it, the snapshot's own row count is not.
-		var rows int
-		if q.snap != nil {
-			rows = q.snap.Rows()
-		} else {
-			rows = t.Cardinality()
-		}
-		list, access, workers := q.runScan(spec, rows, limit)
-		rowsIn := list.Len()
+		s.list = q.runScan(x, spec, sp)
+		s.node.RowsIn = s.list.Len()
 		if len(q.preds) > 0 {
-			access = sp.describe(q, access)
-			rowsIn = rows
+			s.node.RowsIn = sp.rows
 		}
-		if limit >= 0 {
-			access += fmt.Sprintf(" (early exit at LIMIT %d)", limit)
+	} else {
+		p := q.preds[sp.pred]
+		switch sp.path {
+		case plan.PathHashLookup:
+			ix := t.indexOn(p.field, false)
+			s.list = exec.SelectEqHash(ix.hashed, p.field, p.val, spec)
+			s.probeKind, s.probes = ix.kind.String(), 1
+		case plan.PathTreeLookup:
+			ix := t.indexOn(p.field, true)
+			s.list = exec.SelectEqTree(ix.ordered, p.field, p.val, spec)
+			s.probeKind, s.probes = ix.kind.String(), 1
+		default: // plan.PathTreeRange
+			if sp.empty {
+				s.list = storage.MustTempListHint(storage.Descriptor{Sources: []string{t.Name()}}, 0)
+				break
+			}
+			ix := t.indexOn(p.field, true)
+			s.list = exec.SelectRange(ix.ordered, p.field, sp.lo, sp.hi, spec)
+			s.probeKind, s.probes = ix.kind.String(), 1
 		}
-		return selExec{list: list, pathDesc: access, path: sp.path, rowsIn: rowsIn, workers: workers}
+		s.node.RowsIn = s.list.Len()
+		s.list = q.residual(s.list, sp, m)
 	}
+	s.scanned = int64(s.node.RowsIn)
+	if m != nil {
+		x.shape = sp.path.String()
+		if len(q.preds) == 0 {
+			x.shape = "full scan"
+		}
+		// Audit the batch sizing: it assumed the whole table flows through
+		// the pipeline, and a selective predicate makes that estimate wrong
+		// by exactly the filter's factor.
+		x.decisions = append(x.decisions, obs.Decision{
+			Name:      "batch",
+			Chosen:    fmt.Sprintf("%d-tuple blocks", plan.ChooseBatchSize(q.db.opts.BatchSize, sp.rows)),
+			Inputs:    "table card=" + obs.FmtCount(float64(sp.rows)),
+			Estimate:  float64(sp.rows),
+			Actual:    float64(s.list.Len()),
+			Unit:      "rows",
+			Threshold: 2.0,
+		})
+	}
+	return s
+}
 
-	p := q.preds[sp.pred]
-	var list *storage.TempList
-	probeKind, probes := "", int64(0)
-	switch sp.path {
-	case plan.PathHashLookup:
-		ix := t.indexOn(p.field, false)
-		list = exec.SelectEqHash(ix.hashed, p.field, p.val, spec)
-		probeKind, probes = ix.kind.String(), 1
-	case plan.PathTreeLookup:
-		ix := t.indexOn(p.field, true)
-		list = exec.SelectEqTree(ix.ordered, p.field, p.val, spec)
-		probeKind, probes = ix.kind.String(), 1
-	default: // plan.PathTreeRange
-		if sp.empty {
-			list = storage.MustTempListHint(storage.Descriptor{Sources: []string{t.Name()}}, 0)
-			break
-		}
-		ix := t.indexOn(p.field, true)
-		list = exec.SelectRange(ix.ordered, p.field, sp.lo, sp.hi, spec)
-		probeKind, probes = ix.kind.String(), 1
-	}
-	rowsIn := list.Len()
+// residual filters an index path's output by the predicates the probe did
+// not guarantee (strict bounds, extra conjuncts, Ne) into a fresh list and
+// releases the probe's. A pushed-down limit stops the filter — and with
+// it the whole selection — once enough rows qualify. With nothing to
+// filter or cut, the probe's list is the selection's output.
+func (q *Query) residual(list *storage.TempList, sp selPlan, m *meter.Counters) *storage.TempList {
+	limit, rows := sp.limit, list.Len()
 	residual := false
 	for i := range q.preds {
 		residual = residual || !sp.guarantees(i)
 	}
-	if rowsIn > 0 && (residual || (limit >= 0 && rowsIn > limit)) {
-		// Residual filter: the predicates the probe did not guarantee
-		// (strict bounds, extra conjuncts, Ne). A pushed-down limit stops
-		// the filter — and with it the whole selection — once enough rows
-		// qualify.
-		hint := rowsIn
-		if limit >= 0 && limit < hint {
-			hint = limit
+	if rows == 0 || !(residual || (limit >= 0 && rows > limit)) {
+		return list
+	}
+	hint := rows
+	if limit >= 0 && limit < hint {
+		hint = limit
+	}
+	out := storage.MustTempListHint(list.Descriptor(), hint)
+	list.Scan(func(_ int, row storage.Row) bool {
+		if limit >= 0 && out.Len() >= limit {
+			return false
 		}
-		out := storage.MustTempListHint(list.Descriptor(), hint)
-		list.Scan(func(_ int, row storage.Row) bool {
-			if limit >= 0 && out.Len() >= limit {
-				return false
+		tp := row[0]
+		for i := range q.preds {
+			if sp.guarantees(i) {
+				continue
 			}
-			tp := row[0]
-			for i := range q.preds {
-				if sp.guarantees(i) {
-					continue
-				}
-				m.AddCompare(1)
-				if !predHolds(tp, &q.preds[i]) {
-					return true
-				}
+			m.AddCompare(1)
+			if !predHolds(tp, &q.preds[i]) {
+				return true
 			}
-			out.AppendOne(tp) // selection lists are single-source (arity 1)
-			return true
-		})
-		list.Release()
-		list = out
-	}
-	pathDesc := sp.describe(q, sp.path.String())
-	if limit >= 0 {
-		pathDesc += fmt.Sprintf(" (early exit at LIMIT %d)", limit)
-	}
-	return selExec{
-		list:      list,
-		pathDesc:  pathDesc,
-		path:      sp.path,
-		rowsIn:    rowsIn,
-		probeKind: probeKind,
-		probes:    probes,
-	}
+		}
+		out.AppendOne(tp) // selection lists are single-source (arity 1)
+		return true
+	})
+	list.Release()
+	return out
 }
 
-// runScan is the sequential-scan access path over the rows tuples of the
-// from-table or, when the execution reads one, of its snapshot (every
+// runScan is the sequential-scan access path over the planned rows of
+// the from-table or, when the execution reads one, of its snapshot (every
 // tuple then comes from the epoch-published clone arrays, with no lock
 // held; the live relation is never touched). The conjunction of all
-// predicates runs inside the scan, so no pass over the output follows. It
-// returns the access description and the worker count the trace reports.
-func (q *Query) runScan(spec exec.SelectSpec, rows, limit int) (*storage.TempList, string, int) {
+// predicates runs inside the scan, so no pass over the output follows.
+func (q *Query) runScan(x *execution, spec exec.SelectSpec, sp selPlan) *storage.TempList {
 	t := q.from
 	m := spec.Meter
 	desc := storage.Descriptor{Sources: []string{t.Name()}}
 	pred := q.conjunction()
-	access := plan.PathSequentialScan.String()
-	if pred == nil {
-		access = fmt.Sprintf("full scan via %s index", t.primary.kind)
-	}
-	if limit >= 0 {
+	if sp.limit >= 0 {
 		// LIMIT pushed into the scan: append row-at-a-time and cut the
 		// batch stream the moment the limit is reached.
-		list := storage.MustTempListHint(desc, min(limit, rows))
-		if limit > 0 {
+		list := storage.MustTempListHint(desc, min(sp.limit, sp.rows))
+		if sp.limit > 0 {
 			buf := storage.GetBatch()
 			exec.ScanBatches(t.scanSource(), buf, func(block storage.TupleBatch) bool {
 				m.AddBatch(1)
@@ -1690,7 +1473,7 @@ func (q *Query) runScan(spec exec.SelectSpec, rows, limit int) (*storage.TempLis
 						}
 					}
 					list.AppendOne(tp)
-					if list.Len() >= limit {
+					if list.Len() >= sp.limit {
 						return false
 					}
 				}
@@ -1698,38 +1481,28 @@ func (q *Query) runScan(spec exec.SelectSpec, rows, limit int) (*storage.TempLis
 			})
 			storage.PutBatch(buf)
 		}
-		return list, access, 0
+		return list
 	}
 
 	var src parallel.Chunked = parallel.RelationSource{Rel: t.rel}
 	serial := t.scanSource()
-	if q.snap != nil {
-		src = parallel.SnapshotSource{Snap: q.snap}
+	if x.snap != nil {
+		src = parallel.SnapshotSource{Snap: x.snap}
 		serial = src
 	}
-	w := plan.ChooseWorkers(q.parallelism(), rows)
-	workers := 0
 	switch {
-	case q.snap != nil:
-		access = snapshotAccess(q.snap.Epoch(), w)
-		workers = w
-	case w > 1:
-		access = fmt.Sprintf("parallel partition scan (%d workers)", w)
-		workers = w
-	}
-	switch {
-	case w > 1:
+	case sp.workers > 1:
 		if pred == nil {
 			pred = func(*storage.Tuple) bool { return true }
 		}
-		return parallel.SelectScan(src, pred, spec, w), access, workers
+		return parallel.SelectScan(src, pred, spec, sp.workers)
 	case pred != nil:
-		return exec.SelectScan(serial, pred, spec), access, workers
+		return exec.SelectScan(serial, pred, spec)
 	}
 	// Serial full scan: whole pointer blocks move from the primary index
 	// (or the clone arrays) into the presized temp list — no per-tuple
 	// Row headers.
-	list := storage.MustTempListHint(desc, rows)
+	list := storage.MustTempListHint(desc, sp.rows)
 	buf := storage.GetBatch()
 	exec.ScanBatches(serial, buf, func(block storage.TupleBatch) bool {
 		m.AddBatch(1)
@@ -1737,7 +1510,7 @@ func (q *Query) runScan(spec exec.SelectSpec, rows, limit int) (*storage.TempLis
 		return true
 	})
 	storage.PutBatch(buf)
-	return list, access, workers
+	return list
 }
 
 // conjunction returns the WHERE clause as one tuple predicate, or nil
@@ -1783,17 +1556,19 @@ func predHolds(tp *storage.Tuple, p *qpred) bool {
 // joinPlan is the join phase's plan. A single join edge keeps the
 // paper's §4 choice between the two relations — the from-table drives,
 // the joined table builds; more edges run the order the cost-forecasted
-// planner picks. Explain prints the plan and runJoin executes it, so the
-// planned and the executed method cannot disagree.
+// planner picks. Either way a hash join runs as a pipeline whose stages
+// the plan names. Explain prints the plan's lines and runJoin executes
+// it, so the planned and the executed join cannot disagree.
 type joinPlan struct {
 	order []int  // execution order by relation index, driver first
 	text  string // the order by scope names: "fact ⋈ d1 ⋈ d2"
 	// The §4 method and the indices it walks (JoinRadixHash: a radix-sized
 	// build upgraded JoinHash); JoinHash, the hash pipeline, for more edges.
 	method       plan.JoinMethod
-	bits         []uint // JoinRadixHash: the radix plan
-	chained      bool   // JoinHash under JoinChained with no hash index to probe
-	innerHash    bool   // JoinHash: the inner's hash index is probed in place
+	bits         []uint       // JoinRadixHash: the radix plan
+	clamp        obs.Decision // the budget's narrowing of bits; no Name if none
+	chained      bool         // JoinHash under JoinChained with no hash index to probe
+	innerHash    bool         // JoinHash: the inner's hash index is probed in place
 	outerTT      *ttree.Tree[*storage.Tuple]
 	innerTT      *ttree.Tree[*storage.Tuple]
 	innerOrdered *Index
@@ -1804,18 +1579,32 @@ type joinPlan struct {
 	estRows    []float64
 	driverRows int // rows the driver streams
 	workers    int
+	stages     []stagePlan // the pipeline, in execution order; none for the precomputed, tree, radix and chained joins
+	lines      []string    // the phase's plan lines: joinHead, then one per stage
+}
+
+// stagePlan is one pipeline stage: how it binds its relation — following
+// a Ref (pointer deref), probing an existing hash index in place, or
+// building a pooled flat table — and the edges it checks. The embedded
+// spec lacks only the table, which runPipeline builds or borrows.
+type stagePlan struct {
+	exec.StageSpec
+	index    *Index // the hash index probed in place; nil otherwise
+	method   string // "pointer deref", "hash probe (<kind> index)" or "hash probe (built table)"
+	forecast string // a multi-join's " (forecast N rows)"; "" for one edge
 }
 
 // planJoin plans the join phase for a from-table that enters with
-// rel0Rows rows, under a pushed-down LIMIT (0 = none). locked means the
-// caller holds shared locks on every relation, so the order planner may
-// refresh statistics; Explain plans lock-free. A single edge consults no
-// order planner and no statistics.
-func (q *Query) planJoin(rel0Rows int, locked bool, limit int) (joinPlan, error) {
+// rel0Rows rows, under a pushed-down LIMIT (0 = none) and a per-query
+// memory budget (0 = unbudgeted). locked means the caller holds shared
+// locks on every relation, so the order planner may refresh statistics;
+// Explain plans lock-free. A single edge consults no order planner and no
+// statistics.
+func (q *Query) planJoin(rel0Rows int, locked bool, limit int, budget int64) (joinPlan, error) {
 	p := joinPlan{method: plan.JoinHash}
 	if len(q.joins) == 1 {
 		p.order = []int{0, 1}
-		q.chooseJoin(&p, rel0Rows, limit)
+		q.chooseJoin(&p, rel0Rows, limit, budget)
 	} else {
 		res, err := q.chooseOrder(q.joinGraph(rel0Rows, locked))
 		if err != nil {
@@ -1843,6 +1632,10 @@ func (q *Query) planJoin(rel0Rows int, locked bool, limit int) (joinPlan, error)
 		// the serial §3.3 join: the §4 methods run as the paper ran them.
 		p.workers = 1
 	}
+	p.lines = append(p.lines, q.joinHead(p))
+	if p.method == plan.JoinHash && !p.chained {
+		return p, q.planStages(&p)
+	}
 	return p, nil
 }
 
@@ -1852,7 +1645,7 @@ func (q *Query) planJoin(rel0Rows int, locked bool, limit int) (joinPlan, error)
 // twice the outer's size, and Hash otherwise — probing an existing hash
 // index, or building a table, which a radix-sized build without a LIMIT
 // upgrades to the radix join.
-func (q *Query) chooseJoin(p *joinPlan, outerRows, limit int) {
+func (q *Query) chooseJoin(p *joinPlan, outerRows, limit int, budget int64) {
 	j, jt := q.joins[0], q.rels[1].t
 	if len(q.preds) == 0 && j.leftField >= 0 {
 		// Only an unfiltered outer is its index's whole key order.
@@ -1887,15 +1680,73 @@ func (q *Query) chooseJoin(p *joinPlan, outerRows, limit int) {
 	}
 	p.chained = q.joinStrategy() == JoinChained
 	if !p.chained && limit <= 0 {
-		if p.bits = q.radixBits(innerRows); p.bits != nil {
+		if p.bits, p.clamp = q.radixBits(innerRows, budget); p.bits != nil {
 			p.method = plan.JoinRadixHash
 		}
 	}
 }
 
-// joinHead is the join phase's first plan line, the same in Explain and
-// in Result.Plan: the method between two relations, or the order of
-// several.
+// planStages plans the pipeline: one stage per relation after the driver,
+// in plan order, each probed by the first edge into the relations bound
+// before it. A stage follows the probe column when it is a Ref into the
+// stage's relation (§2.1's precomputed join), probes an existing hash
+// index in place when the run is serial (shared index structures meter
+// their probes, which would race across workers), and otherwise builds a
+// pooled flat hash table. A further edge into bound relations — the
+// closing edge of a cyclic graph — is checked as a residual once the
+// stage matches.
+func (q *Query) planStages(p *joinPlan) error {
+	bound := make([]bool, len(q.rels))
+	bound[p.order[0]] = true
+	p.stages = make([]stagePlan, 0, len(p.order)-1)
+	for k, r := range p.order[1:] {
+		st := stagePlan{StageSpec: exec.StageSpec{BuildSlot: r, ProbeSlot: -1}}
+		buildField := 0
+		for _, j := range q.joins {
+			var probeRel, probeField, bf int
+			switch {
+			case j.rightRel == r && bound[j.leftRel]:
+				probeRel, probeField, bf = j.leftRel, j.leftField, j.rightField
+			case j.leftRel == r && bound[j.rightRel]:
+				probeRel, probeField, bf = j.rightRel, j.rightField, j.leftField
+			default:
+				continue
+			}
+			if st.ProbeSlot < 0 {
+				st.ProbeSlot, st.ProbeField = probeRel, probeField
+				buildField = bf
+			} else {
+				st.Residual = append(st.Residual, exec.ResidualEdge{
+					ASlot: probeRel, AField: probeField, BSlot: r, BField: bf,
+				})
+			}
+		}
+		if st.ProbeSlot < 0 {
+			return fmt.Errorf("mmdb: join order %s leaves %s unconnected (cross product)",
+				p.text, q.rels[r].name)
+		}
+		rt := q.rels[r].t
+		filtered := r == 0 && len(q.preds) > 0 // build side is the filtered from-table
+		if buildField == tupleindex.SelfField && !filtered && q.refInto(st.ProbeSlot, st.ProbeField, rt) {
+			st.Deref, st.method = true, "pointer deref"
+		} else {
+			st.BuildField, st.method = buildField, "hash probe (built table)"
+			if ix := rt.indexOn(buildField, false); ix != nil && !filtered && p.workers <= 1 {
+				st.index, st.method = ix, "hash probe ("+ix.kind.String()+" index)"
+			}
+		}
+		if p.estRows != nil {
+			st.forecast = fmt.Sprintf(" (forecast %s rows)", obs.FmtCount(p.estRows[k+1]))
+		}
+		p.lines = append(p.lines, fmt.Sprintf("join ⋈ %s: %s%s", q.rels[r].name, st.method, st.forecast))
+		p.stages = append(p.stages, st)
+		bound[r] = true
+	}
+	return nil
+}
+
+// joinHead is the join phase's first plan line: the method between two
+// relations, or the order of several.
 func (q *Query) joinHead(p joinPlan) string {
 	if p.estRows == nil {
 		return fmt.Sprintf("join %s: %s", p.text, p.method)
@@ -1903,81 +1754,129 @@ func (q *Query) joinHead(p joinPlan) string {
 	return fmt.Sprintf("join order: %s (%s)", p.text, p.algorithm)
 }
 
-// joinResult is the outcome of the join phase plus the numbers the
-// observability layer reports.
-type joinResult struct {
-	joinPlan
-	list       *storage.TempList
-	stages     []joinStage // pipeline stages in execution order; none for the precomputed, tree, radix and chained joins
-	workRows   int         // rows the worker count was meant to split
-	scanned    int64       // inner tuples the join fetched
-	probeKind  string      // Tree Join: the inner index probed
-	probes     int64
-	radix      radix.Stats // radix join only
-	buildEst   int         // build cardinality the radix bits were sized for
-	grantBytes int64       // peak bytes granted (0 unless a budget is set)
-	planNotes  []string
-}
-
-// joinStage is one executed pipeline stage.
-type joinStage struct {
-	rel       int    // the relation the stage binds
-	method    string // pointer deref, index probe, or built table
-	forecast  string // a multi-join's " (forecast N rows)"; "" for one edge
-	probeKind string // an existing hash index probed in place; "" otherwise
-	rowsIn    int64
-	rowsOut   int64
-}
-
-// runJoin plans and runs the join phase over the selection result left.
-// The meter, when non-nil, accumulates the join's §3.1 operation counts;
-// pg, when non-nil, is the live query's Progress. limit > 0 is a
-// pushed-down LIMIT: the join stops after that many rows.
-func (q *Query) runJoin(left *storage.TempList, m *meter.Counters, pg *obs.Progress, limit int) (joinResult, error) {
-	p, err := q.planJoin(left.Len(), true, limit)
+// runJoin plans the join phase over the selection result left on its
+// live size, runs it and releases left (the join output points at
+// tuples, not at the selection's rows). limit > 0 is a pushed-down
+// LIMIT: the join stops after that many rows.
+func (q *Query) runJoin(x *execution, left *storage.TempList, limit int) (step, error) {
+	p, err := q.planJoin(left.Len(), true, limit, x.budget())
 	if err != nil {
-		return joinResult{}, err
+		return step{}, err
 	}
-	out := joinResult{joinPlan: p, workRows: p.driverRows}
-	out.planNotes = append(out.planNotes, q.joinHead(p))
-
+	s := step{line: p.lines[0], lines: p.lines[1:], node: obs.TraceNode{
+		Op: "join", Detail: p.text, AccessPath: p.method.String(), RowsIn: left.Len(), Workers: p.workers,
+	}}
+	workRows, buildEst := p.driverRows, 0
+	var rs radix.Stats    // radix join only
+	var stageRows []int64 // rows each pipeline stage emitted
 	j, jt := q.joins[0], q.rels[1].t
 	outer := exec.ListColumn{List: left, Column: 0}
 	innerRows := jt.Cardinality()
 	spec := exec.JoinSpec{
 		OuterName: q.rels[0].name, InnerName: q.rels[1].name,
 		OuterField: j.leftField, InnerField: j.rightField,
-		Meter: m, Prog: pg, Limit: limit, Sched: q.sq, Mem: q.res,
+		Meter: x.m, Prog: x.pg, Limit: limit, Sched: x.sq, Mem: x.res,
 	}
 	switch {
 	case p.method == plan.JoinPrecomputed:
 		spec.Hint = outer.Len() // at most one row per outer tuple
-		out.list = exec.PrecomputedJoin(outer, j.leftField, spec)
-		out.scanned = int64(out.list.Len()) // one pointer dereference per match
+		s.list = exec.PrecomputedJoin(outer, j.leftField, spec)
+		s.scanned = int64(s.list.Len()) // one pointer dereference per match
 	case p.method == plan.JoinTreeMerge:
-		out.list = exec.TreeMergeJoin(p.outerTT, p.innerTT, spec)
-		out.scanned = int64(innerRows) // a full ordered merge of the inner index
+		s.list = exec.TreeMergeJoin(p.outerTT, p.innerTT, spec)
+		s.scanned = int64(innerRows) // a full ordered merge of the inner index
 	case p.method == plan.JoinTree:
-		out.list = exec.TreeJoin(outer, p.innerOrdered.ordered, spec)
-		out.scanned = int64(out.list.Len())
-		out.probeKind, out.probes = p.innerOrdered.kind.String(), int64(outer.Len())
+		s.list = exec.TreeJoin(outer, p.innerOrdered.ordered, spec)
+		s.scanned = int64(s.list.Len())
+		s.probeKind, s.probes = p.innerOrdered.kind.String(), int64(outer.Len())
 	case p.method == plan.JoinRadixHash:
 		// Both sides partitioned to L2-resident pieces. It runs even at one
 		// worker: the cache behavior, not the parallelism, is the point.
-		out.workRows = outer.Len() + innerRows
-		out.buildEst = innerRows
-		out.list, out.radix = parallel.RadixHashJoin(
+		workRows, buildEst = outer.Len()+innerRows, innerRows
+		s.list, rs = parallel.RadixHashJoin(
 			parallel.ListSource{List: left, Column: 0},
 			parallel.RelationSource{Rel: jt.rel}, spec, p.bits, p.workers)
-		out.grantBytes = q.res.Peak()
-		out.scanned = int64(innerRows)
+		s.scanned = int64(innerRows)
+		traceRadix(&s.node, rs)
+		if x.res != nil && rs.Fanout > 0 {
+			s.node.GrantBytes, s.node.Reversed, s.node.Resplits = x.res.Peak(), rs.Reversed, rs.Repartitions
+		}
 	case p.chained:
-		out.list = exec.HashJoin(outer, jt.scanSource(), spec)
-		out.scanned = int64(innerRows)
+		s.list = exec.HashJoin(outer, jt.scanSource(), spec)
+		s.scanned = int64(innerRows)
 	default: // hash joins, and every multi-join
-		return out, q.runPipeline(left, &out, m, pg, limit)
+		s.list, stageRows, s.scanned = q.runPipeline(x, left, &p, limit)
+		for k, st := range p.stages {
+			if st.Deref || st.index != nil {
+				s.scanned += stageRows[k] // one tuple fetched per match
+			}
+		}
 	}
-	return out, nil
+	left.Release()
+
+	if x.m != nil {
+		if p.estRows == nil {
+			x.shape += "→" + p.method.String()
+		} else {
+			x.shape += fmt.Sprintf("→pipeline(%d)", len(q.rels))
+			if x.root != nil {
+				s.node.AccessPath = fmt.Sprintf("pipelined multi-join (%s order)", p.algorithm)
+			}
+			// Audit the order choice: forecast final cardinality vs what
+			// the pipeline actually emitted.
+			x.decisions = append(x.decisions, obs.Decision{
+				Name:      "join order",
+				Chosen:    fmt.Sprintf("%s (%s)", p.text, p.algorithm),
+				Inputs:    fmt.Sprintf("rels=%d edges=%d", len(q.rels), len(q.joins)),
+				Estimate:  p.estRows[len(p.estRows)-1],
+				Actual:    float64(s.list.Len()),
+				Unit:      "rows",
+				Threshold: 4.0,
+			})
+		}
+		in := int64(p.driverRows)
+		for k, st := range p.stages {
+			if st.index != nil {
+				x.reg.IndexProbe(st.index.kind.String(), in)
+			}
+			if p.estRows != nil {
+				x.decisions = append(x.decisions, obs.Decision{
+					Name:      "join stage",
+					Chosen:    fmt.Sprintf("⋈ %s (%s)", q.rels[st.BuildSlot].name, st.method),
+					Inputs:    "in rows=" + obs.FmtCount(p.estRows[k]),
+					Estimate:  p.estRows[k+1],
+					Actual:    float64(stageRows[k]),
+					Unit:      "rows",
+					Threshold: 4.0,
+				})
+			}
+			if x.root != nil {
+				s.node.Add(&obs.TraceNode{
+					Op: "join", Detail: "⋈ " + q.rels[st.BuildSlot].name, AccessPath: st.method + st.forecast,
+					RowsIn: int(in), RowsOut: int(stageRows[k]),
+				})
+			}
+			in = stageRows[k]
+		}
+		if p.workers > 1 {
+			x.decisions = append(x.decisions, workersAudit(p.workers, workRows, x.pg))
+		}
+		if rs.Fanout > 0 {
+			// The radix bits were sized for the catalog's build
+			// cardinality, not the rows actually partitioned.
+			x.decisions = append(x.decisions, obs.Decision{
+				Name:      "radix bits",
+				Chosen:    fmt.Sprintf("fanout=%d passes=%d", rs.Fanout, rs.Passes),
+				Inputs:    "build card=" + obs.FmtCount(float64(buildEst)),
+				Estimate:  float64(buildEst),
+				Actual:    float64(rs.Rows),
+				Unit:      "build rows",
+				Threshold: 2.0,
+			}, radixBalance(x.reg, rs))
+		}
+		x.auditClamp(p.clamp)
+	}
+	return s, nil
 }
 
 // joinGraph builds the planning view of the query's join graph:
@@ -2117,126 +2016,66 @@ func (q *Query) orderText(order []int) string {
 // so a test can watch when each table comes back.
 var putStageTable = radix.PutTable
 
-// runPipeline streams the plan's driver through one stage per further
-// relation and fills out's list, stages and scan count. A stage follows
-// the probe column when it is a Ref into the stage's relation (§2.1's
-// precomputed join), probes an existing hash index in place when the run
-// is serial (shared index structures meter their probes, which would
-// race across workers), and otherwise builds a pooled flat hash table.
-// Nothing between stages materializes; only the final rows land in the
-// output list. left is the filtered from-table — the driver stream when
-// the plan puts it first, a build side otherwise.
-func (q *Query) runPipeline(left *storage.TempList, out *joinResult, m *meter.Counters, pg *obs.Progress, limit int) error {
-	order, n := out.order, len(q.rels)
-	driverRel := order[0]
+// runPipeline builds what the plan's stages name — a pooled flat table
+// for each built stage; an existing hash index or a Ref to follow needs
+// nothing built — and streams the driver through them. Nothing between
+// stages materializes; only the final rows land in the output list. left
+// is the filtered from-table: the driver stream when the plan puts it
+// first, a build side otherwise. It returns the rows each stage emitted
+// and the tuples the table builds fetched.
+func (q *Query) runPipeline(x *execution, left *storage.TempList, p *joinPlan, limit int) (*storage.TempList, []int64, int64) {
 	var driver parallel.Chunked = parallel.ListSource{List: left, Column: 0}
-	if driverRel != 0 {
-		driver = parallel.RelationSource{Rel: q.rels[driverRel].t.rel}
+	if p.order[0] != 0 {
+		driver = parallel.RelationSource{Rel: q.rels[p.order[0]].t.rel}
 	}
-	names := make([]string, n)
+	names := make([]string, len(q.rels))
 	for i, r := range q.rels {
 		names[i] = r.name
 	}
-	stages := make([]exec.StageSpec, 0, len(order)-1)
+	stages := make([]exec.StageSpec, len(p.stages))
 	// The stage tables this query built go back to the pool once the
 	// pipeline has returned, on every exit path: RunPipeline returns only
 	// after its last worker stopped probing, cancelled or not.
-	built := make([]*radix.Table, 0, len(order)-1)
+	built := make([]*radix.Table, 0, len(p.stages))
 	defer func() {
 		for _, tbl := range built {
 			putStageTable(tbl)
 		}
 	}()
-	bound := make([]bool, n)
-	bound[driverRel] = true
-	for k := 1; k < len(order); k++ {
-		r := order[k]
-		st := exec.StageSpec{BuildSlot: r, ProbeSlot: -1}
-		buildField := 0
-		for _, j := range q.joins {
-			var probeRel, probeField, bf int
-			switch {
-			case j.rightRel == r && bound[j.leftRel]:
-				probeRel, probeField, bf = j.leftRel, j.leftField, j.rightField
-			case j.leftRel == r && bound[j.rightRel]:
-				probeRel, probeField, bf = j.rightRel, j.rightField, j.leftField
-			default:
-				continue
-			}
-			if st.ProbeSlot < 0 {
-				st.ProbeSlot, st.ProbeField = probeRel, probeField
-				buildField = bf
-			} else {
-				// A closing edge of a cyclic graph: both sides are bound
-				// once this stage matches, so it checks as a residual.
-				st.Residual = append(st.Residual, exec.ResidualEdge{
-					ASlot: probeRel, AField: probeField, BSlot: r, BField: bf,
-				})
-			}
-		}
-		if st.ProbeSlot < 0 {
-			return fmt.Errorf("mmdb: join order %s leaves %s unconnected (cross product)",
-				out.text, q.rels[r].name)
-		}
-		rt := q.rels[r].t
-		filtered := r == 0 && len(q.preds) > 0 // build side is the filtered from-table
-		js := joinStage{rel: r}
-		if buildField == tupleindex.SelfField && !filtered && q.refInto(st.ProbeSlot, st.ProbeField, rt) {
-			st.Deref = true
-			js.method = "pointer deref"
-		} else {
-			st.BuildField = buildField
-			var src exec.Source = rt.scanSource()
-			if filtered {
+	var scanned int64
+	for k, st := range p.stages {
+		stages[k] = st.StageSpec
+		switch {
+		case st.Deref:
+		case st.index != nil:
+			stages[k].Table = exec.IndexStage{Index: st.index.hashed}
+		default:
+			var src exec.Source = q.rels[st.BuildSlot].t.scanSource()
+			if st.BuildSlot == 0 && len(q.preds) > 0 {
 				src = exec.ListColumn{List: left, Column: 0}
 			}
-			if ix := rt.indexOn(buildField, false); ix != nil && !filtered && out.workers <= 1 {
-				st.Table = exec.IndexStage{Index: ix.hashed}
-				js.probeKind = ix.kind.String()
-				js.method = "hash probe (" + js.probeKind + " index)"
-			} else {
-				tbl := exec.BuildStageTable(src, buildField, 0, m)
-				built = append(built, tbl)
-				st.Table = tbl
-				out.scanned += int64(src.Len())
-				js.method = "hash probe (built table)"
-			}
+			tbl := exec.BuildStageTable(src, st.BuildField, 0, x.m)
+			built = append(built, tbl)
+			stages[k].Table = tbl
+			scanned += int64(src.Len())
 		}
-		if out.estRows != nil {
-			js.forecast = fmt.Sprintf(" (forecast %s rows)", obs.FmtCount(out.estRows[k]))
-		}
-		out.planNotes = append(out.planNotes, fmt.Sprintf("join ⋈ %s: %s%s", q.rels[r].name, js.method, js.forecast))
-		out.stages = append(out.stages, js)
-		stages = append(stages, st)
-		bound[r] = true
 	}
-
 	spec := exec.PipelineSpec{
-		Slots:      n,
-		DriverSlot: driverRel,
+		Slots:      len(q.rels),
+		DriverSlot: p.order[0],
 		Stages:     stages,
-		BatchRows:  plan.ChooseBatchSize(q.db.opts.BatchSize, out.driverRows),
+		BatchRows:  plan.ChooseBatchSize(q.db.opts.BatchSize, p.driverRows),
 		Limit:      limit,
-		Meter:      m,
-		Prog:       pg,
-		Sched:      q.sq,
+		Meter:      x.m,
+		Prog:       x.pg,
+		Sched:      x.sq,
 	}
 	hint := 0 // one edge: no forecast
-	if e := len(out.estRows) - 1; e >= 0 && out.estRows[e] >= 0 && out.estRows[e] <= 1<<30 {
-		hint = int(out.estRows[e])
+	if e := len(p.estRows) - 1; e >= 0 && p.estRows[e] >= 0 && p.estRows[e] <= 1<<30 {
+		hint = int(p.estRows[e])
 	}
-	list, stageRows, _ := parallel.RunPipeline(driver, spec, storage.Descriptor{Sources: names}, hint, out.workers)
-	out.list = list
-	in := int64(out.driverRows)
-	for k := range out.stages {
-		js := &out.stages[k]
-		js.rowsIn, js.rowsOut = in, stageRows[k]
-		if stages[k].Deref || js.probeKind != "" {
-			out.scanned += js.rowsOut // one tuple fetched per match
-		}
-		in = js.rowsOut
-	}
-	return nil
+	list, stageRows, _ := parallel.RunPipeline(driver, spec, storage.Descriptor{Sources: names}, hint, p.workers)
+	return list, stageRows, scanned
 }
 
 // refInto reports whether the probe column is a Ref foreign key into
@@ -2249,9 +2088,9 @@ func (q *Query) refInto(probeRel, probeField int, rt *Table) bool {
 	return def.Type == storage.Ref && def.ForeignKey == rt.Name()
 }
 
-// project moves the temp list under a descriptor of the selected columns
-// (§2.3: projection is the descriptor); list is left empty.
-func (q *Query) project(list *storage.TempList) (*storage.TempList, error) {
+// runProject moves the temp list under a descriptor of the selected
+// columns (§2.3: projection is the descriptor); list is left empty.
+func (q *Query) runProject(x *execution, list *storage.TempList) (step, error) {
 	var cols []storage.ColRef
 	if len(q.cols) == 0 {
 		// All columns of all relations, qualified by scope name (the
@@ -2265,12 +2104,20 @@ func (q *Query) project(list *storage.TempList) (*storage.TempList, error) {
 		for _, name := range q.cols {
 			ref, err := q.resolveColumn(name)
 			if err != nil {
-				return nil, err
+				return step{}, err
 			}
 			cols = append(cols, ref)
 		}
 	}
-	return list.Redescribe(storage.Descriptor{Sources: list.Descriptor().Sources, Cols: cols})
+	s := step{node: obs.TraceNode{Op: "project", AccessPath: "descriptor rewrite", RowsIn: list.Len()}}
+	var err error
+	if s.list, err = list.Redescribe(storage.Descriptor{Sources: list.Descriptor().Sources, Cols: cols}); err != nil {
+		return step{}, err
+	}
+	if x.root != nil {
+		s.node.Detail = fmt.Sprintf("%d column(s)", len(cols))
+	}
+	return s, nil
 }
 
 // resolveColumn maps "col" or "name.col" (name = a scope name: the
@@ -2293,27 +2140,14 @@ func (q *Query) resolveColumn(name string) (storage.ColRef, error) {
 	return storage.ColRef{}, fmt.Errorf("mmdb: cannot resolve column %q", name)
 }
 
-// groupExec is the outcome of the grouped-aggregation phase plus the
-// numbers the observability layer reports.
-type groupExec struct {
-	list    *storage.TempList
-	method  plan.AggMethod // the crossover's pick (decision audit)
-	path    string         // what actually ran (trace access path)
-	detail  string         // "BY dept (2 aggregate(s))"
-	rowsIn  int
-	workers int
-	radix   radix.Stats // partitioning stats (zero unless radix ran)
-	grant   int64       // bytes granted before the table build (0 = unbudgeted)
-}
-
 // runGroup executes GROUP BY + aggregates: project the group-key and
 // aggregate-input columns into a working list, aggregate it on the shape
-// plan.ChooseAggMethod picked (flat table below the crossover,
+// planAgg picks for its size (flat table below the crossover,
 // radix-partitioned above; per-worker partial tables merged at the
 // barrier when the worker chooser grants parallelism), and emit one
 // output row per group: its representative input row, with the keys and
 // aggregates as computed columns (agg.Emit).
-func (q *Query) runGroup(list *storage.TempList, m *meter.Counters, pg *obs.Progress) (groupExec, error) {
+func (q *Query) runGroup(x *execution, list *storage.TempList) (step, error) {
 	// Working projection: group columns first, aggregate inputs after, so
 	// the operator addresses both as ordinals of one descriptor.
 	wcols := make([]storage.ColRef, 0, len(q.groupBy)+len(q.aggs))
@@ -2321,7 +2155,7 @@ func (q *Query) runGroup(list *storage.TempList, m *meter.Counters, pg *obs.Prog
 	for i, name := range q.groupBy {
 		ref, err := q.resolveColumn(name)
 		if err != nil {
-			return groupExec{}, err
+			return step{}, err
 		}
 		ref.Name = name
 		gcols[i] = i
@@ -2333,42 +2167,68 @@ func (q *Query) runGroup(list *storage.TempList, m *meter.Counters, pg *obs.Prog
 		if a.col != "" && a.col != "*" {
 			ref, err := q.resolveColumn(a.col)
 			if err != nil {
-				return groupExec{}, err
+				return step{}, err
 			}
 			col = len(wcols)
 			wcols = append(wcols, ref)
 		} else if a.fn != AggCount {
-			return groupExec{}, fmt.Errorf("mmdb: %s requires a column", a.fn)
+			return step{}, fmt.Errorf("mmdb: %s requires a column", a.fn)
 		}
 		specs[i] = agg.Spec{Kind: aggKind(a.fn), Col: col, Name: a.name}
 	}
 	work, err := list.Redescribe(storage.Descriptor{Sources: list.Descriptor().Sources, Cols: wcols})
 	if err != nil {
-		return groupExec{}, err
+		return step{}, err
 	}
 	n := work.Len()
-	ar, err := q.beginAgg(q.planAgg(n), n)
+	ar, err := x.beginAgg(q.planAgg(n, x.budget()), n)
 	if err != nil {
-		return groupExec{}, err
+		return step{}, err
 	}
-	defer q.closeAgg(ar)
-	res := parallel.HashAgg(q.sq, pg, ar.g, work, gcols, specs, ar.bits, ar.workers, m)
-	out, err := agg.Emit(work, gcols, specs, res)
+	defer x.closeAgg(ar)
+	groups := parallel.HashAgg(x.sq, x.pg, ar.g, work, gcols, specs, ar.bits, ar.workers, x.m)
+	out, err := agg.Emit(work, gcols, specs, groups)
 	if err != nil {
-		return groupExec{}, err
+		return step{}, err
 	}
 	work.Release() // the output took its representative rows and copied every key and aggregate
-	detail := "global"
-	if len(q.groupBy) > 0 {
-		detail = "BY " + strings.Join(q.groupBy, ", ")
+	path := ar.path()
+	s := step{list: out, line: "group: " + path, node: obs.TraceNode{
+		Op: "group", AccessPath: path, RowsIn: n, Workers: ar.workers, GrantBytes: ar.grant,
+	}}
+	traceRadix(&s.node, groups.Stats)
+	if x.m != nil {
+		// Audit the agg-method crossover: the chooser sized for the worst
+		// case (every input row its own group) because group cardinality
+		// is unknown before execution; the record shows how far off that
+		// was. Informational (Threshold 0) — the worst-case sizing is
+		// intentional, not a misprediction.
+		x.decisions = append(x.decisions, obs.Decision{
+			Name:     "agg method",
+			Chosen:   ar.method.String(),
+			Inputs:   "rows=" + obs.FmtCount(float64(n)),
+			Estimate: float64(n),
+			Actual:   float64(out.Len()),
+			Unit:     "groups",
+		})
+		if ar.workers > 1 {
+			x.decisions = append(x.decisions, workersAudit(ar.workers, n, x.pg))
+		}
+		if groups.Stats.Fanout > 0 {
+			x.decisions = append(x.decisions, radixBalance(x.reg, groups.Stats))
+		}
+		x.auditClamp(ar.clamp)
 	}
-	if len(q.aggs) > 0 {
-		detail += fmt.Sprintf(" (%d aggregate(s))", len(q.aggs))
+	if x.root != nil {
+		s.node.Detail = "global"
+		if len(q.groupBy) > 0 {
+			s.node.Detail = "BY " + strings.Join(q.groupBy, ", ")
+		}
+		if len(q.aggs) > 0 {
+			s.node.Detail += fmt.Sprintf(" (%d aggregate(s))", len(q.aggs))
+		}
 	}
-	return groupExec{
-		list: out, method: ar.method, path: ar.path(), detail: detail,
-		rowsIn: n, workers: ar.workers, radix: res.Stats, grant: ar.grant,
-	}, nil
+	return s, nil
 }
 
 // aggPlan is how the aggregation engine will run over an input: the
@@ -2377,18 +2237,20 @@ func (q *Query) runGroup(list *storage.TempList, m *meter.Counters, pg *obs.Prog
 type aggPlan struct {
 	method  plan.AggMethod
 	bits    []uint
+	clamp   obs.Decision // the budget's narrowing of bits; no Name if none
 	workers int
 }
 
-// planAgg sizes the engine for n input rows under this execution's share
-// of the memory budget, queueing the audit record when the budget
-// narrowed the radix plan.
-func (q *Query) planAgg(n int) aggPlan {
-	method, bits, clamped := plan.BudgetedAggBits(n, q.db.opts.Agg, q.memBudget())
+// planAgg sizes the engine for n input rows under a per-query memory
+// budget (0 = unbudgeted).
+func (q *Query) planAgg(n int, budget int64) aggPlan {
+	p := aggPlan{workers: plan.ChooseWorkers(q.parallelism(), n)}
+	var clamped bool
+	p.method, p.bits, clamped = plan.BudgetedAggBits(n, q.db.opts.Agg, budget)
 	if clamped {
-		q.noteClamp("agg budget clamp", fmt.Sprintf("bits=%v", bits), bits, q.memBudget(), n)
+		p.clamp = clampAudit("agg budget clamp", fmt.Sprintf("bits=%v", p.bits), p.bits, budget, n)
 	}
-	return aggPlan{method: method, bits: bits, workers: plan.ChooseWorkers(q.parallelism(), n)}
+	return p
 }
 
 // path names what runs: workers > 1 fold per-worker flat tables whatever
@@ -2410,20 +2272,16 @@ type aggExec struct {
 
 // beginAgg readies a planned run over n input rows: it takes the grant
 // and borrows a grouper. closeAgg undoes both once the result is consumed.
-func (q *Query) beginAgg(ap aggPlan, n int) (aggExec, error) {
+func (x *execution) beginAgg(ap aggPlan, n int) (aggExec, error) {
 	ar := aggExec{aggPlan: ap}
-	if q.res != nil {
+	if x.res != nil {
 		// Grant-before-build: reserve the worst-case table footprint
 		// (every input row its own group) before allocating, waiting for
 		// sibling queries to release when the budget is tight. The wait
 		// honors the query's context, so cancellation propagates as an
 		// error instead of a stuck build.
 		ar.grant = radix.TableBytes(n)
-		qctx := q.ctx
-		if qctx == nil {
-			qctx = context.Background()
-		}
-		if err := q.res.Grant(qctx, ar.grant); err != nil {
+		if err := x.res.Grant(x.ctx, ar.grant); err != nil {
 			return aggExec{}, err
 		}
 	}
@@ -2432,9 +2290,9 @@ func (q *Query) beginAgg(ap aggPlan, n int) (aggExec, error) {
 }
 
 // closeAgg recycles the run's grouper and returns its grant.
-func (q *Query) closeAgg(ar aggExec) {
+func (x *execution) closeAgg(ar aggExec) {
 	agg.Put(ar.g)
-	q.res.Release(ar.grant) // nil- and zero-safe
+	x.res.Release(ar.grant) // nil- and zero-safe
 }
 
 // distinctPlan is how DISTINCT will run over an input. Explain prints
@@ -2446,12 +2304,13 @@ type distinctPlan struct {
 	path     string
 }
 
-// planDistinct picks the duplicate-elimination path for rows input rows.
-// An explicit sort strategy switches DISTINCT to the §3.4 Sort Scan on
-// the chosen substrate — the knob that lets the sort engine be compared
-// end to end. SortAuto keeps the paper's conclusion, hashing dominates:
-// a keys-only run of the aggregation engine.
-func (q *Query) planDistinct(rows int) distinctPlan {
+// planDistinct picks the duplicate-elimination path for rows input rows
+// under a per-query memory budget (0 = unbudgeted). An explicit sort
+// strategy switches DISTINCT to the §3.4 Sort Scan on the chosen
+// substrate — the knob that lets the sort engine be compared end to end.
+// SortAuto keeps the paper's conclusion, hashing dominates: a keys-only
+// run of the aggregation engine.
+func (q *Query) planDistinct(rows int, budget int64) distinctPlan {
 	if ss := q.sortStrategy(); ss != SortAuto {
 		sm := plan.SortQuick
 		if ss == SortRadix {
@@ -2460,90 +2319,107 @@ func (q *Query) planDistinct(rows int) distinctPlan {
 		return distinctPlan{sortScan: true, sort: sm,
 			path: fmt.Sprintf("sort-scan duplicate elimination (%s)", sm)}
 	}
-	ap := q.planAgg(rows)
+	ap := q.planAgg(rows, budget)
 	return distinctPlan{agg: ap, path: "hash duplicate elimination, keys-only " + ap.path()}
-}
-
-// distinctExec is the outcome of the DISTINCT phase plus the numbers the
-// observability layer reports.
-type distinctExec struct {
-	list    *storage.TempList
-	path    string
-	workers int
-	radix   radix.Stats // partitioning stats (zero unless radix ran)
-	grant   int64
 }
 
 // runDistinct eliminates duplicate rows of list — first occurrences, in
 // input order, on the hash path — and releases it.
-func (q *Query) runDistinct(list *storage.TempList, m *meter.Counters, pg *obs.Progress) (distinctExec, error) {
-	dp := q.planDistinct(list.Len())
-	out := distinctExec{path: dp.path, workers: 1}
+func (q *Query) runDistinct(x *execution, list *storage.TempList) (step, error) {
+	dp := q.planDistinct(list.Len(), x.budget())
+	s := step{line: "distinct: " + dp.path, node: obs.TraceNode{
+		Op: "distinct", AccessPath: dp.path, RowsIn: list.Len(), Workers: 1,
+	}}
 	if dp.sortScan {
-		out.list = exec.ProjectSort(list, m, dp.sort)
+		s.list = exec.ProjectSort(list, x.m, dp.sort)
 	} else {
-		ar, err := q.beginAgg(dp.agg, list.Len())
+		ar, err := x.beginAgg(dp.agg, list.Len())
 		if err != nil {
-			return distinctExec{}, err
+			return step{}, err
 		}
-		out.list, out.radix = parallel.Distinct(q.sq, pg, ar.g, list, ar.bits, ar.workers, m)
-		out.workers, out.grant = ar.workers, ar.grant
-		q.closeAgg(ar)
+		var rs radix.Stats
+		s.list, rs = parallel.Distinct(x.sq, x.pg, ar.g, list, ar.bits, ar.workers, x.m)
+		s.node.Workers, s.node.GrantBytes = ar.workers, ar.grant
+		traceRadix(&s.node, rs)
+		x.closeAgg(ar)
+		if x.m != nil {
+			if rs.Fanout > 0 {
+				x.decisions = append(x.decisions, radixBalance(x.reg, rs))
+			}
+			x.auditClamp(dp.agg.clamp)
+		}
 	}
 	list.Release()
-	return out, nil
+	return s, nil
 }
 
-// orderExec is the outcome of the ORDER BY phase plus the numbers the
-// observability layer reports.
-type orderExec struct {
-	list    *storage.TempList
+// orderPlan is how ORDER BY (+ LIMIT) will run over an input: bounded-heap
+// top-k or a full sort, on the substrate and worker count it picks.
+// Explain prints path and runOrder executes the plan.
+type orderPlan struct {
 	method  plan.TopKMethod
-	path    string // what ran: "bounded-heap top-k (k=10)" / "full sort (…)"
-	detail  string // "BY sal DESC, name"
-	k       int
-	workers int
+	k       int             // the heap's bound: the LIMIT, or 0
+	sort    plan.SortMethod // the full sort's substrate
+	workers int             // the heap's workers; 0 for a full sort
+	path    string          // "bounded-heap top-k (k=10)" / "full sort (…)"
+}
+
+// planOrder picks between bounded-heap top-k and a full sort for rows
+// input rows (plan.ChooseTopK), and the full sort's substrate from the
+// sort-method crossover (§3.1 quicksort or the normalized-key radix
+// kernel) over one encoded prefix per ORDER BY term.
+func (q *Query) planOrder(rows int) orderPlan {
+	p := orderPlan{k: max(q.limit, 0)}
+	p.method = plan.ChooseTopK(rows, p.k, q.db.opts.TopK)
+	if p.method == plan.TopKHeap {
+		p.workers = plan.ChooseWorkers(q.parallelism(), rows)
+		p.path = fmt.Sprintf("bounded-heap top-k (k=%d)", p.k)
+		return p
+	}
+	p.sort = q.sortMethodFor(rows, len(q.orderBy)*plan.DefaultSortPrefixBytes)
+	p.path = "full sort (" + p.sort.String() + ")"
+	return p
 }
 
 // runOrder executes ORDER BY (+ LIMIT): resolve the key terms against the
-// output descriptor, pick bounded-heap top-k vs full sort
-// (plan.ChooseTopK), and rebuild the list in output order, cut to the
-// limit; the input list is released. The full sort runs on the substrate
-// the sort-method crossover picks (§3.1 quicksort or the normalized-key
-// radix kernel); both shapes produce the identical deterministic order
-// (ordinal tie-break).
-func (q *Query) runOrder(list *storage.TempList, m *meter.Counters, pg *obs.Progress) (orderExec, error) {
+// output descriptor, run the plan, and rebuild the list in output order,
+// cut to the limit; the input list is released. Both shapes produce the
+// identical deterministic order (ordinal tie-break).
+func (q *Query) runOrder(x *execution, list *storage.TempList) (step, error) {
 	keys, err := q.resolveOrderKeys(list)
 	if err != nil {
-		return orderExec{}, err
+		return step{}, err
 	}
 	n := list.Len()
-	k := 0
-	if q.limit > 0 {
-		k = q.limit
-	}
-	method := plan.ChooseTopK(n, k, q.db.opts.TopK)
+	p := q.planOrder(n)
 	var rows []int32
-	workers := 0
-	var path string
-	if method == plan.TopKHeap {
-		workers = plan.ChooseWorkers(q.parallelism(), n)
-		rows = parallel.TopK(q.sq, pg, list, keys, k, workers, m)
-		path = fmt.Sprintf("bounded-heap top-k (k=%d)", k)
+	if p.method == plan.TopKHeap {
+		rows = parallel.TopK(x.sq, x.pg, list, keys, p.k, p.workers, x.m)
 	} else {
-		sm := q.sortMethodFor(n, len(keys)*plan.DefaultSortPrefixBytes)
-		rows = exec.OrderRows(list, keys, sm, m)
+		rows = exec.OrderRows(list, keys, p.sort, x.m)
 		if q.limit >= 0 && len(rows) > q.limit {
 			rows = rows[:q.limit]
 		}
-		path = "full sort (" + sm.String() + ")"
 	}
-	out := list.Take(rows)
+	s := step{list: list.Take(rows), line: "order: " + p.path, node: obs.TraceNode{
+		Op: "order", AccessPath: p.path, RowsIn: n, Workers: p.workers,
+	}}
 	list.Release()
-	return orderExec{
-		list: out, method: method, path: path,
-		detail: "BY " + q.orderByText(), k: k, workers: workers,
-	}, nil
+	if x.m != nil {
+		// Informational (Threshold 0): records the heap-vs-sort
+		// crossover's pick and the input size and k it rested on.
+		x.decisions = append(x.decisions, obs.Decision{
+			Name:     "top-k method",
+			Chosen:   p.method.String(),
+			Inputs:   fmt.Sprintf("rows=%s k=%d", obs.FmtCount(float64(n)), p.k),
+			Estimate: float64(n),
+			Unit:     "rows",
+		})
+	}
+	if x.root != nil {
+		s.node.Detail = "BY " + q.orderByText()
+	}
+	return s, nil
 }
 
 // resolveOrderKeys maps the ORDER BY terms to output-column ordinals of
