@@ -43,8 +43,8 @@ func Graph11ProjectCardinality(env Env) []Series {
 			panic(err)
 		}
 		list := projectList(col.Values)
-		sortScan := timeIt(func() { exec.ProjectSortScan(list, nil) })
-		hash := timeIt(func() { exec.ProjectHash(list, nil) })
+		sortScan := timeBest(func() { exec.ProjectSortScan(list, nil) })
+		hash := timeBest(func() { exec.ProjectHash(list, nil) })
 		s.Add(fmt.Sprintf("%d", n), sortScan, hash)
 	}
 	s.Notes = append(s.Notes,
@@ -70,8 +70,8 @@ func Graph12ProjectDuplicates(env Env) []Series {
 			panic(err)
 		}
 		list := projectList(col.Values)
-		sortScan := timeIt(func() { exec.ProjectSortScan(list, nil) })
-		hash := timeIt(func() { exec.ProjectHash(list, nil) })
+		sortScan := timeBest(func() { exec.ProjectSortScan(list, nil) })
+		hash := timeBest(func() { exec.ProjectHash(list, nil) })
 		s.Add(fmt.Sprintf("%.0f%%", dup), sortScan, hash)
 	}
 	s.Notes = append(s.Notes,
