@@ -15,12 +15,12 @@ import (
 
 // gdRow is one generated fact row, kept for the reference evaluator.
 type gdRow struct {
-	id, d   int64
-	k, s, v Value
+	id, d      int64
+	k, s, v, x Value
 }
 
-// gdData is a generated data set: fact(id, k, s, v, d) with d a join key
-// into dim(id, g, name).
+// gdData is a generated data set: fact(id, k, s, v, x, d) with x a float
+// and d a join key into dim(id, g, name).
 type gdData struct {
 	name string
 	fact []gdRow
@@ -28,8 +28,10 @@ type gdData struct {
 }
 
 // gdGenerate builds the data sets: uniform, all-equal and high-NDV keys,
-// NULL keys, an all-NULL aggregate column, and empty input. The non-empty
+// NULL keys, all-NULL aggregate columns, and empty input. The non-empty
 // ones exceed snapshotMinRows, so snapshots-on databases snapshot-scan.
+// x holds multiples of 0.5 in [-10, 10], so every float SUM and AVG is
+// exact in any order of addition.
 func gdGenerate(seed int64) []gdData {
 	rng := rand.New(rand.NewSource(seed))
 	dim := make([][]Value, 30)
@@ -46,30 +48,31 @@ func gdGenerate(seed int64) []gdData {
 		}
 		return v
 	}
-	gen := func(name string, n int, row func(i int) (k, s, v Value)) gdData {
+	gen := func(name string, n int, row func(i int) (k, s, v, x Value)) gdData {
 		d := gdData{name: name, dim: dim, fact: make([]gdRow, n)}
 		for i := range d.fact {
-			k, s, v := row(i)
-			d.fact[i] = gdRow{id: int64(i), d: int64(rng.Intn(len(dim) + 5)), k: k, s: s, v: v}
+			k, s, v, x := row(i)
+			d.fact[i] = gdRow{id: int64(i), d: int64(rng.Intn(len(dim) + 5)), k: k, s: s, v: v, x: x}
 		}
 		return d
 	}
 	val := func() Value { return orNull(10, Int(int64(rng.Intn(1000)-500))) }
+	fval := func() Value { return orNull(10, Float(float64(rng.Intn(41)-20)/2)) }
 	return []gdData{
-		gen("uniform", 5000, func(int) (Value, Value, Value) {
-			return orNull(5, Int(int64(rng.Intn(40)))), Str(fmt.Sprintf("s%02d", rng.Intn(25))), val()
+		gen("uniform", 5000, func(int) (Value, Value, Value, Value) {
+			return orNull(5, Int(int64(rng.Intn(40)))), Str(fmt.Sprintf("s%02d", rng.Intn(25))), val(), fval()
 		}),
-		gen("all-equal", 4500, func(int) (Value, Value, Value) {
-			return Int(7), Str("same"), val()
+		gen("all-equal", 4500, func(int) (Value, Value, Value, Value) {
+			return Int(7), Str("same"), val(), fval()
 		}),
-		gen("high-ndv", 5000, func(i int) (Value, Value, Value) {
-			return Int(int64(rng.Intn(1 << 20))), Str(fmt.Sprintf("u%d", i)), val()
+		gen("high-ndv", 5000, func(i int) (Value, Value, Value, Value) {
+			return Int(int64(rng.Intn(1 << 20))), Str(fmt.Sprintf("u%d", i)), val(), fval()
 		}),
-		gen("null-keys", 4200, func(int) (Value, Value, Value) {
-			return orNull(50, Int(int64(rng.Intn(6)))), orNull(30, Str(fmt.Sprintf("s%d", rng.Intn(4)))), val()
+		gen("null-keys", 4200, func(int) (Value, Value, Value, Value) {
+			return orNull(50, Int(int64(rng.Intn(6)))), orNull(30, Str(fmt.Sprintf("s%d", rng.Intn(4)))), val(), fval()
 		}),
-		gen("all-null-agg", 4100, func(int) (Value, Value, Value) {
-			return Int(int64(rng.Intn(12))), Str(fmt.Sprintf("s%d", rng.Intn(5))), Null
+		gen("all-null-agg", 4100, func(int) (Value, Value, Value, Value) {
+			return Int(int64(rng.Intn(12))), Str(fmt.Sprintf("s%d", rng.Intn(5))), Null, Null
 		}),
 		gen("empty", 0, nil),
 	}
@@ -85,7 +88,7 @@ func gdOpen(t *testing.T, opts Options, d gdData) *Database {
 	t.Cleanup(func() { db.Close() })
 	fact, err := db.CreateTable("fact", []Field{
 		{Name: "id", Type: TypeInt}, {Name: "k", Type: TypeInt}, {Name: "s", Type: TypeString},
-		{Name: "v", Type: TypeInt}, {Name: "d", Type: TypeInt},
+		{Name: "v", Type: TypeInt}, {Name: "x", Type: TypeFloat}, {Name: "d", Type: TypeInt},
 	}, "id", TTree)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +101,7 @@ func gdOpen(t *testing.T, opts Options, d gdData) *Database {
 	}
 	tx := db.Begin()
 	for _, r := range d.fact {
-		if err := tx.Insert(fact, Int(r.id), r.k, r.s, r.v, Int(r.d)); err != nil {
+		if err := tx.Insert(fact, Int(r.id), r.k, r.s, r.v, r.x, Int(r.d)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,13 +155,15 @@ func (g gdQuery) build(db *Database) *Query {
 }
 
 // gdQueries is the query generator's fixed menu: GROUP BY over one table
-// and over a join; every aggregate; ORDER BY a key, an aggregate and an
-// ordinal, ascending and descending; LIMIT 0, top-k and unordered cuts;
-// Distinct over group output; a repeated aggregate whose output name is
-// made unique.
+// and over a join, on int, string and float keys; every aggregate, over an
+// int and a float column; ORDER BY a key, an aggregate and an ordinal,
+// ascending and descending; LIMIT 0, top-k and unordered cuts; Distinct
+// over group output; a repeated aggregate whose output name is made
+// unique.
 func gdQueries() []gdQuery {
-	all := []gdAgg{{AggCount, ""}, {AggCount, "v"}, {AggSum, "v"}, {AggAvg, "v"}, {AggMin, "v"}, {AggMax, "v"}}
-	allCols := []string{"COUNT(*)", "COUNT(v)", "SUM(v)", "AVG(v)", "MIN(v)", "MAX(v)"}
+	all := []gdAgg{{AggCount, ""}, {AggCount, "v"}, {AggSum, "v"}, {AggAvg, "v"}, {AggMin, "v"}, {AggMax, "v"},
+		{AggSum, "x"}, {AggAvg, "x"}, {AggMin, "x"}, {AggMax, "x"}}
+	allCols := []string{"COUNT(*)", "COUNT(v)", "SUM(v)", "AVG(v)", "MIN(v)", "MAX(v)", "SUM(x)", "AVG(x)", "MIN(x)", "MAX(x)"}
 	cs := []gdAgg{{AggCount, ""}, {AggSum, "v"}}
 	return []gdQuery{
 		{name: "by k, every aggregate", keys: []string{"k"}, aggs: all, limit: -1, cols: append([]string{"k"}, allCols...)},
@@ -183,6 +188,10 @@ func gdQueries() []gdQuery {
 			cols: []string{"s", "COUNT(*)", "SUM(v)"}},
 		{name: "full sort by aggregate asc", keys: []string{"k"}, aggs: []gdAgg{{AggSum, "v"}}, order: []qorder{{col: "SUM(v)"}}, limit: -1,
 			cols: []string{"k", "SUM(v)"}},
+		{name: "top-4 by float aggregate desc", keys: []string{"k"}, aggs: []gdAgg{{AggSum, "x"}, {AggCount, ""}},
+			order: []qorder{{col: "SUM(x)", desc: true}, {col: "k"}}, limit: 4, cols: []string{"k", "SUM(x)", "COUNT(*)"}},
+		{name: "by float key desc", keys: []string{"x"}, aggs: []gdAgg{{AggCount, ""}, {AggAvg, "v"}}, order: []qorder{{col: "x", desc: true}}, limit: -1,
+			cols: []string{"x", "COUNT(*)", "AVG(v)"}},
 		{name: "limit 0", keys: []string{"k"}, aggs: cs, limit: 0, cols: []string{"k", "COUNT(*)", "SUM(v)"}},
 		{name: "unordered limit", keys: []string{"s"}, aggs: cs, limit: 4, cols: []string{"s", "COUNT(*)", "SUM(v)"}},
 		{name: "distinct", keys: []string{"k"}, aggs: []gdAgg{{AggCount, ""}}, distinct: true, limit: -1, cols: []string{"k", "COUNT(*)"}},
@@ -198,7 +207,7 @@ func gdQueries() []gdQuery {
 func gdInput(d gdData, join bool) []map[string]Value {
 	var out []map[string]Value
 	for _, f := range d.fact {
-		r := map[string]Value{"id": Int(f.id), "k": f.k, "s": f.s, "v": f.v, "d": Int(f.d)}
+		r := map[string]Value{"id": Int(f.id), "k": f.k, "s": f.s, "v": f.v, "x": f.x, "d": Int(f.d)}
 		if !join {
 			out = append(out, r)
 			continue
@@ -227,7 +236,13 @@ func gdReference(d gdData, g gdQuery) (full, cut [][]Value) {
 		rows int64
 		nn   []int64
 		sum  []int64
-		ext  []Value // MIN/MAX so far
+		fsum []float64 // the float inputs' share of sum
+		isF  []bool    // a float input was summed: SUM is a float
+		ext  []Value   // MIN/MAX so far
+	}
+	newState := func(key []Value) *state {
+		n := len(g.aggs)
+		return &state{key: key, nn: make([]int64, n), sum: make([]int64, n), fsum: make([]float64, n), isF: make([]bool, n), ext: make([]Value, n)}
 	}
 	var order []*state
 	groups := map[string]*state{}
@@ -240,7 +255,7 @@ func gdReference(d gdData, g gdQuery) (full, cut [][]Value) {
 		}
 		st := groups[sb.String()]
 		if st == nil {
-			st = &state{key: key, nn: make([]int64, len(g.aggs)), sum: make([]int64, len(g.aggs)), ext: make([]Value, len(g.aggs))}
+			st = newState(key)
 			groups[sb.String()] = st
 			order = append(order, st)
 		}
@@ -256,7 +271,12 @@ func gdReference(d gdData, g gdQuery) (full, cut [][]Value) {
 			st.nn[a]++
 			switch ag.fn {
 			case AggSum, AggAvg:
-				st.sum[a] += v.Int()
+				if v.Type() == TypeFloat {
+					st.fsum[a] += v.Float()
+					st.isF[a] = true
+				} else {
+					st.sum[a] += v.Int()
+				}
 			case AggMin:
 				if st.nn[a] == 1 || Compare(v, st.ext[a]) < 0 {
 					st.ext[a] = v
@@ -269,7 +289,7 @@ func gdReference(d gdData, g gdQuery) (full, cut [][]Value) {
 		}
 	}
 	if len(g.keys) == 0 && len(order) == 0 {
-		order = append(order, &state{nn: make([]int64, len(g.aggs)), sum: make([]int64, len(g.aggs)), ext: make([]Value, len(g.aggs))})
+		order = append(order, newState(nil))
 	}
 	seen := map[string]bool{}
 	for _, st := range order {
@@ -282,10 +302,12 @@ func gdReference(d gdData, g gdQuery) (full, cut [][]Value) {
 				row = append(row, Int(st.nn[a]))
 			case st.nn[a] == 0:
 				row = append(row, Null)
+			case ag.fn == AggSum && st.isF[a]:
+				row = append(row, Float(st.fsum[a]))
 			case ag.fn == AggSum:
 				row = append(row, Int(st.sum[a]))
 			case ag.fn == AggAvg:
-				row = append(row, Float(float64(st.sum[a])/float64(st.nn[a])))
+				row = append(row, Float((float64(st.sum[a])+st.fsum[a])/float64(st.nn[a])))
 			default:
 				row = append(row, st.ext[a])
 			}

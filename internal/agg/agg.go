@@ -10,9 +10,13 @@
 //
 // All scratch (the hash entries, the probe table, the per-group state
 // cells) lives in a pooled Grouper: a warmed grouper aggregates an input
-// with zero heap allocations. Emitting the output is the only allocating
-// step, priced at one row pointer per group (pooled chunks) plus one
-// 24-byte value per output column per group.
+// with zero heap allocations. A cold one (fresh from the pool, or last used
+// for a smaller query) grows its scratch by doubling, so it reaches its
+// final size in a few allocations. Emitting the output is the only
+// allocating step, priced at one row pointer per group (pooled chunks)
+// plus one 8-byte payload per output column per group: an Int, Float or
+// Bool column keeps only payloads (storage.TempList's computed columns),
+// and a string key column keeps a 24-byte value besides.
 //
 // Aggregate semantics are SQL's: NULL inputs are skipped by every
 // function including COUNT(col); COUNT(*) counts rows; a group whose
@@ -522,9 +526,10 @@ func (g *Grouper) processBatch(bn, base int, pre bool, groupCols []int, specs []
 			if s == 0 {
 				ord := len(g.reps)
 				g.slots[idx] = int32(ord + 1)
-				g.reps = append(g.reps, row)
-				g.hashes = append(g.hashes, h)
+				g.reps = append(grow(g.reps, 1), row)
+				g.hashes = append(grow(g.hashes, 1), h)
 				g.cells = appendZeroCells(g.cells, nspec)
+				g.repkeys = grow(g.repkeys, nkey)
 				for k := 0; k < nkey; k++ {
 					g.repkeys = append(g.repkeys, g.vbufs[k][i])
 				}
@@ -660,13 +665,14 @@ func (g *Grouper) RunRange(list *storage.TempList, lo, hi int, groupCols []int, 
 // differ; ORDER BY, when present, runs downstream anyway).
 func (g *Grouper) MergeInto(list *storage.TempList, groupCols []int, specs []Spec, partials []Result, m *meter.Counters) Result {
 	nspec := len(specs)
-	g.reps = g.reps[:0]
-	g.hashes = g.hashes[:0]
-	g.cells = g.cells[:0]
 	total := 0
 	for _, p := range partials {
 		total += p.Groups()
 	}
+	// At most total groups: reserve their scratch once.
+	g.reps = grow(g.reps[:0], total)
+	g.hashes = grow(g.hashes[:0], total)
+	g.cells = grow(g.cells[:0], total*nspec)
 	if total == 0 {
 		return Result{Reps: g.reps, Cells: g.cells}
 	}
@@ -762,8 +768,8 @@ func (g *Grouper) probe(list *storage.TempList, h uint64, row int32, groupCols [
 		if s == 0 {
 			ord := len(g.reps)
 			g.slots[idx] = int32(ord + 1)
-			g.reps = append(g.reps, row)
-			g.hashes = append(g.hashes, h)
+			g.reps = append(grow(g.reps, 1), row)
+			g.hashes = append(grow(g.hashes, 1), h)
 			g.cells = appendZeroCells(g.cells, nspec)
 			return ord
 		}
@@ -777,10 +783,23 @@ func (g *Grouper) probe(list *storage.TempList, h uint64, row int32, groupCols [
 
 // appendZeroCells extends cells by n zeroed entries, reusing capacity.
 func appendZeroCells(cells []Cell, n int) []Cell {
-	for i := 0; i < n; i++ {
-		cells = append(cells, Cell{})
-	}
+	cells = grow(cells, n)
+	cells = cells[:len(cells)+n]
+	clear(cells[len(cells)-n:])
 	return cells
+}
+
+// grow returns s with room for n more elements. When it must reallocate it
+// at least doubles the capacity, so scratch appended one group at a time
+// costs O(log groups) allocations and under twice its final size, where
+// append's growth, 1.25× for large slices, would copy it many more times.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	t := make([]T, len(s), max(len(s)+n, 2*cap(s)))
+	copy(t, s)
+	return t
 }
 
 // NaiveMapAgg is the baseline the bench experiment compares against: the
@@ -848,6 +867,9 @@ func appendValueKey(b []byte, v storage.Value) []byte {
 	return b
 }
 
+// emitBatch is how many key values Emit gathers at a time.
+const emitBatch = 256
+
 // Emit builds the aggregation's output from the working list it ran over:
 // one row per group — the group's representative input row, taken from
 // work by res.Reps over work's sources — whose columns are all computed:
@@ -886,22 +908,33 @@ func Emit(work *storage.TempList, groupCols []int, specs []Spec, res Result) (*s
 		used[n] = true
 		return n
 	}
-	// One slab, cut into one vector per column.
-	slab := make([]storage.Value, ncols*groups)
-	vec := func(i int) []storage.Value { return slab[i*groups : (i+1)*groups : (i+1)*groups] }
 	desc := work.Descriptor()
-	cols := make([]storage.ColRef, 0, ncols)
-	for i, c := range groupCols {
-		v := vec(i)
-		work.GatherColumnRows(c, res.Reps, v)
-		cols = append(cols, out.AddComputed(uniq(desc.Cols[c].Name), v))
+	names := make([]string, 0, ncols)
+	for _, c := range groupCols {
+		names = append(names, uniq(desc.Cols[c].Name))
 	}
 	for s := range specs {
-		v := vec(len(groupCols) + s)
-		for g := range v {
-			v[g] = Final(specs[s].Kind, res.Cells[g*nspec+s])
+		names = append(names, uniq(specs[s].Name))
+	}
+	cols := out.AddComputed(names...)
+	// Keys are gathered a batch at a time, never through a group-sized
+	// buffer of values.
+	var buf [emitBatch]storage.Value
+	for k, c := range groupCols {
+		f := cols[k].Field
+		for lo := 0; lo < groups; lo += emitBatch {
+			b := buf[:min(emitBatch, groups-lo)]
+			work.GatherColumnRows(c, res.Reps[lo:lo+len(b)], b)
+			for j, v := range b {
+				out.SetComputed(f, lo+j, v)
+			}
 		}
-		cols = append(cols, out.AddComputed(uniq(specs[s].Name), v))
+	}
+	for s := range specs {
+		f := cols[len(groupCols)+s].Field
+		for g := 0; g < groups; g++ {
+			out.SetComputed(f, g, Final(specs[s].Kind, res.Cells[g*nspec+s]))
+		}
 	}
 	return out.Redescribe(storage.Descriptor{Sources: desc.Sources, Cols: cols})
 }

@@ -1,6 +1,9 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ColRef names one output column of a temporary list: field Field of the
 // Source-th tuple pointer in each row, or — when Source is Computed — the
@@ -92,12 +95,15 @@ const (
 // write straight into the current chunk without allocating a Row header.
 //
 // Computed columns: a value no source tuple holds (a group key copied out
-// at aggregation time, an aggregate) lives in a []Value vector the list
-// owns, one value per row, named by a ColRef with Source Computed. Every
-// reader goes through the descriptor, so Value, RowValues and the column
-// gathers read either kind alike. Such a list takes no appends: Take is
-// the only way to build one list from another, and it carries the vectors
-// with their rows.
+// at aggregation time, an aggregate) lives in a vector the list owns, one
+// value per row, named by a ColRef with Source Computed. A vector whose
+// values are all Int, all Float or all Bool (NULLs aside) keeps only their
+// 8-byte payloads, with a NULL bitmap once a NULL arrives; any other keeps
+// whole Values (see vector). Every reader goes through the descriptor, so
+// Value, RowValues and the column gathers read every kind of column alike.
+// Such a list takes no appends: Take is the only way to build one list
+// from another, and it carries the vectors with their rows, each in its
+// own form.
 //
 // Concurrency contract: a TempList is single-writer. Parallel operators
 // must not share one list across workers — each worker appends to a
@@ -110,8 +116,8 @@ type TempList struct {
 	chunks [][]*Tuple // all full chunks hold exactly ChunkRows rows; only the last may be partial
 	n      int        // total rows
 	frozen bool
-	flat   []Row     // row-header view, materialized by Freeze
-	comp   [][]Value // computed column vectors, each n long; never pooled
+	flat   []Row    // row-header view, materialized by Freeze
+	comp   []vector // computed column vectors, each n long; never pooled
 }
 
 // NewTempList creates an empty temporary list with the given descriptor.
@@ -280,8 +286,9 @@ func (l *TempList) appendFlat(src []*Tuple) {
 // under l's descriptor: the one way to reorder, cut or thin out a list
 // (ORDER BY, LIMIT, duplicate elimination, a group's representative).
 // Each row's tuple pointers are copied into fresh arena chunks and every
-// computed vector is gathered by the same ordinals, so a computed value
-// always stays with its row. l is unchanged and still owned by the caller.
+// computed vector is gathered by the same ordinals, in its own form, so a
+// computed value always stays with its row and a scalar column moves 8
+// bytes a value. l is unchanged and still owned by the caller.
 func (l *TempList) Take(rows []int32) *TempList {
 	out := &TempList{desc: l.desc, arity: l.arity, n: len(rows)}
 	out.presize(len(rows))
@@ -293,35 +300,41 @@ func (l *TempList) Take(rows []int32) *TempList {
 		out.chunks[c] = append(out.chunks[c], l.chunks[i>>chunkShift][off:off+a]...)
 	}
 	if len(l.comp) > 0 {
-		n := len(rows)
-		slab := make([]Value, n*len(l.comp))
-		out.comp = make([][]Value, len(l.comp))
-		for k, src := range l.comp {
-			dst := slab[k*n : (k+1)*n : (k+1)*n]
-			for j, r := range rows {
-				dst[j] = src[r]
-			}
-			out.comp[k] = dst
-		}
+		out.comp = takeVectors(l.comp, rows)
 	}
 	return out
 }
 
-// AddComputed gives the list a computed column — vals[i] is row i's value,
-// so len(vals) must be Len() — and returns the ColRef that reads it, for
-// the descriptor the list is next moved under (Redescribe). The list owns
-// vals from then on: Take gathers it, Redescribe carries it and Release
-// drops it; it never comes from or goes to the chunk pool. Once a list
-// has a computed column it takes no appends.
-func (l *TempList) AddComputed(name string, vals []Value) ColRef {
+// AddComputed gives the list one computed column per name, Len() rows
+// each, and returns the ColRefs that read them, for the descriptor the
+// list is next moved under (Redescribe). The columns' payloads are cut
+// from one slab. Every row of every new column must be stored with
+// SetComputed before the list is read. The list owns the columns from then
+// on: Take gathers them, Redescribe carries them and Release drops them;
+// they never come from or go to the chunk pool. Once a list has a computed
+// column it takes no appends.
+func (l *TempList) AddComputed(names ...string) []ColRef {
 	if l.frozen {
 		panic("storage: computed column added to frozen TempList")
 	}
-	if len(vals) != l.n {
-		panic(fmt.Sprintf("storage: computed column of %d values for %d rows", len(vals), l.n))
+	n := l.n
+	slab := make([]uint64, n*len(names))
+	refs := make([]ColRef, len(names))
+	l.comp = slices.Grow(l.comp, len(names))
+	for k, name := range names {
+		refs[k] = ColRef{Source: Computed, Field: len(l.comp), Name: name}
+		l.comp = append(l.comp, vector{num: slab[k*n : (k+1)*n : (k+1)*n]})
 	}
-	l.comp = append(l.comp, vals)
-	return ColRef{Source: Computed, Field: len(l.comp) - 1, Name: name}
+	return refs
+}
+
+// SetComputed stores v as row i's value of computed column f (a ColRef's
+// Field, as AddComputed returned it).
+func (l *TempList) SetComputed(f, i int, v Value) {
+	if l.frozen {
+		panic("storage: computed column set on frozen TempList")
+	}
+	l.comp[f].set(i, v)
 }
 
 // Row returns row i as a view into the arena (valid until Reset/Release).
@@ -569,7 +582,7 @@ func (l *TempList) ScanColumnBatches(col int, buf TupleBatch, fn func(block []*T
 func (l *TempList) Value(i, c int) Value {
 	col := l.desc.Cols[c]
 	if col.Source == Computed {
-		return l.comp[col.Field][i]
+		return l.comp[col.Field].at(i)
 	}
 	return l.Row(i)[col.Source].Field(col.Field)
 }
@@ -582,7 +595,7 @@ func (l *TempList) Value(i, c int) Value {
 func (l *TempList) GatherColumn(c, lo, hi int, out []Value) {
 	col := l.desc.Cols[c]
 	if col.Source == Computed {
-		copy(out, l.comp[col.Field][lo:hi])
+		l.comp[col.Field].gather(lo, hi, out)
 		return
 	}
 	src, f := col.Source, col.Field
@@ -610,10 +623,7 @@ func (l *TempList) GatherColumn(c, lo, hi int, out []Value) {
 func (l *TempList) GatherColumnRows(c int, rows []int32, out []Value) {
 	col := l.desc.Cols[c]
 	if col.Source == Computed {
-		vec := l.comp[col.Field]
-		for j, r := range rows {
-			out[j] = vec[r]
-		}
+		l.comp[col.Field].gatherRows(rows, out)
 		return
 	}
 	src, f := col.Source, col.Field
@@ -632,7 +642,7 @@ func (l *TempList) RowValues(i int) []Value {
 	row := l.Row(i)
 	for c, col := range l.desc.Cols {
 		if col.Source == Computed {
-			out[c] = l.comp[col.Field][i]
+			out[c] = l.comp[col.Field].at(i)
 			continue
 		}
 		out[c] = row[col.Source].Field(col.Field)

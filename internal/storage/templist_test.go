@@ -2,7 +2,9 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -218,25 +220,59 @@ func TestMergeLists(t *testing.T) {
 	}()
 }
 
+// nanPayload is a quiet NaN with a payload, which a computed column must
+// hand back bit for bit.
+var nanPayload = math.Float64frombits(0x7ff8_0000_dead_beef)
+
+// computedWant is the computedList row of source ordinal src, described as
+// [val, neg, name, val again, f, b]: neg is -src, NULL when src%5 == 0 (so
+// row 0 stores a NULL before any Int); name is "s<src>", which keeps its
+// vector general; f cycles through NaN with a payload, -0, +Inf and -Inf
+// before plain halves; b is src%3 == 0.
+func computedWant(src int) []Value {
+	neg := IntValue(int64(-src))
+	if src%5 == 0 {
+		neg = NullValue
+	}
+	f := float64(src) / 2
+	switch src % 7 {
+	case 0:
+		f = nanPayload
+	case 1:
+		f = math.Copysign(0, -1)
+	case 2:
+		f = math.Inf(1)
+	case 3:
+		f = math.Inf(-1)
+	}
+	return []Value{IntValue(int64(src)), neg, StringValue(fmt.Sprintf("s%d", src)), IntValue(int64(src)), FloatValue(f), BoolValue(src%3 == 0)}
+}
+
+// computedCols are the output columns of computedList that are computed,
+// and computedForms the form each of their vectors must have: a scalar
+// type, or Str for the general form.
+var (
+	computedCols  = []int{1, 2, 4, 5}
+	computedForms = []Type{Int, Str, Float, Bool}
+)
+
 // computedList builds a single-source list over n tuples (val = i) with
-// two computed columns, described as [val, neg, name, val again]: neg is
-// -i, name is "s<i>".
+// four computed columns, described and valued as computedWant says.
 func computedList(t *testing.T, n int) (*TempList, []*Tuple) {
 	t.Helper()
 	tuples := batchTestRelation(t, "r", n)
 	l := MustTempList(singleDesc())
 	l.AppendBatch(tuples)
-	neg := make([]Value, n)
-	names := make([]Value, n)
-	for i := range neg {
-		neg[i] = IntValue(int64(-i))
-		names[i] = StringValue(fmt.Sprintf("s%d", i))
+	refs := l.AddComputed("neg", "name", "f", "b")
+	for i := 0; i < n; i++ {
+		want := computedWant(i)
+		for k, c := range computedCols {
+			l.SetComputed(refs[k].Field, i, want[c])
+		}
 	}
 	cols := []ColRef{
-		{Source: 0, Field: 0, Name: "val"},
-		l.AddComputed("neg", neg),
-		l.AddComputed("name", names),
-		{Source: 0, Field: 0, Name: "val2"},
+		{Source: 0, Field: 0, Name: "val"}, refs[0], refs[1],
+		{Source: 0, Field: 0, Name: "val2"}, refs[2], refs[3],
 	}
 	out, err := l.Redescribe(Descriptor{Sources: []string{"r"}, Cols: cols})
 	if err != nil {
@@ -245,19 +281,43 @@ func computedList(t *testing.T, n int) (*TempList, []*Tuple) {
 	return out, tuples
 }
 
+// identical reports whether a and b are the same value bit for bit: the
+// same type, and the same payload (Float64bits for a float, so NaN
+// payloads and -0 count).
+func identical(a, b Value) bool {
+	if a.typ != b.typ {
+		return false
+	}
+	if a.typ == Str {
+		return a.str() == b.str()
+	}
+	return a.num == b.num && a.ptr == b.ptr
+}
+
+// checkForms asserts each computed vector of l has its computedForms form.
+func checkForms(t *testing.T, l *TempList) {
+	t.Helper()
+	for k, want := range computedForms {
+		v := &l.comp[k]
+		if general := v.vals != nil; general != (want == Str) || !general && v.typ != want {
+			t.Fatalf("computed vector %d: general=%v type %s, want %s", k, general, v.typ, want)
+		}
+	}
+}
+
 // checkComputed asserts row i of l is the computedList row of source
 // ordinal want[i], through every reader: Value, RowValues, GatherColumn
-// and GatherColumnRows, and that its tuple pointer is that row's.
+// and GatherColumnRows, bit for bit; that its tuple pointer is that row's;
+// and that every computed vector has its form.
 func checkComputed(t *testing.T, l *TempList, tuples []*Tuple, want []int) {
 	t.Helper()
 	if l.Len() != len(want) {
 		t.Fatalf("Len = %d, want %d", l.Len(), len(want))
 	}
-	expect := func(src int) []Value {
-		return []Value{IntValue(int64(src)), IntValue(int64(-src)), StringValue(fmt.Sprintf("s%d", src)), IntValue(int64(src))}
-	}
-	gathered := make([][]Value, 4)
-	scattered := make([][]Value, 4)
+	checkForms(t, l)
+	ncol := len(l.Descriptor().Cols)
+	gathered := make([][]Value, ncol)
+	scattered := make([][]Value, ncol)
 	all := make([]int32, len(want))
 	for i := range all {
 		all[i] = int32(i)
@@ -273,18 +333,18 @@ func checkComputed(t *testing.T, l *TempList, tuples []*Tuple, want []int) {
 			t.Fatalf("row %d points at the wrong tuple", i)
 		}
 		row := l.RowValues(i)
-		for c, w := range expect(src) {
-			if !Equal(l.Value(i, c), w) || !Equal(row[c], w) || !Equal(gathered[c][i], w) || !Equal(scattered[c][i], w) {
+		for c, w := range computedWant(src) {
+			if v := l.Value(i, c); !identical(v, w) || !identical(row[c], w) || !identical(gathered[c][i], w) || !identical(scattered[c][i], w) {
 				t.Fatalf("row %d col %d: Value %v, RowValues %v, GatherColumn %v, GatherColumnRows %v; want %v",
-					i, c, l.Value(i, c), row[c], gathered[c][i], scattered[c][i], w)
+					i, c, v, row[c], gathered[c][i], scattered[c][i], w)
 			}
 		}
 	}
 }
 
 // TestComputedColumnsReadAlike: on a descriptor mixing pointer and
-// computed columns, every reader returns the same values, across chunk
-// boundaries and from a mid-list GatherColumn window.
+// computed columns of every form, every reader returns the same values,
+// across chunk boundaries and from a mid-list GatherColumn window.
 func TestComputedColumnsReadAlike(t *testing.T) {
 	n := 2*ChunkRows + 17
 	l, tuples := computedList(t, n)
@@ -295,10 +355,12 @@ func TestComputedColumnsReadAlike(t *testing.T) {
 	checkComputed(t, l, tuples, want)
 	lo, hi := ChunkRows-3, 2*ChunkRows+5
 	window := make([]Value, hi-lo)
-	l.GatherColumn(1, lo, hi, window)
-	for j, v := range window {
-		if v.Int() != int64(-(lo + j)) {
-			t.Fatalf("GatherColumn window [%d,%d) at %d: %v", lo, hi, j, v)
+	for _, c := range computedCols {
+		l.GatherColumn(c, lo, hi, window)
+		for j, v := range window {
+			if w := computedWant(lo + j)[c]; !identical(v, w) {
+				t.Fatalf("col %d GatherColumn window [%d,%d) at %d: %v, want %v", c, lo, hi, j, v, w)
+			}
 		}
 	}
 	// A computed column needs its vector: a fresh list has none, and a
@@ -306,15 +368,85 @@ func TestComputedColumnsReadAlike(t *testing.T) {
 	if _, err := NewTempList(Descriptor{Sources: []string{"r"}, Cols: []ColRef{{Source: Computed, Field: 0}}}); err == nil {
 		t.Fatal("a new list accepted a computed column it has no vector for")
 	}
-	for _, f := range []int{2, -1} {
+	for _, f := range []int{4, -1} {
 		if _, err := l.Redescribe(Descriptor{Sources: []string{"r"}, Cols: []ColRef{{Source: Computed, Field: f}}}); err == nil {
-			t.Fatalf("redescribe accepted computed vector %d of 2", f)
+			t.Fatalf("redescribe accepted computed vector %d of 4", f)
 		}
 	}
 }
 
+// TestComputedVectorForms: a vector's form follows the values stored in
+// it, whatever order they arrive in — NULLs before the first scalar, a
+// scalar type that changes, a string after scalars, and NULLs only — and
+// every value reads back bit for bit.
+func TestComputedVectorForms(t *testing.T) {
+	for name, c := range map[string]struct {
+		vals    []Value
+		general bool
+	}{
+		"null then int":    {[]Value{NullValue, NullValue, IntValue(-3), NullValue, IntValue(1 << 62)}, false},
+		"int then float":   {[]Value{IntValue(1), NullValue, FloatValue(1)}, true},
+		"bool then string": {[]Value{BoolValue(true), NullValue, StringValue("x")}, true},
+		"string first":     {[]Value{StringValue(""), NullValue, StringValue("y")}, true},
+		"nulls only":       {[]Value{NullValue, NullValue}, false},
+		"floats, no nulls": {[]Value{FloatValue(nanPayload), FloatValue(math.Copysign(0, -1)), FloatValue(math.Inf(-1))}, false},
+		"overwritten null": {[]Value{NullValue, BoolValue(false)}, false},
+	} {
+		tuples := batchTestRelation(t, "r", len(c.vals))
+		l := MustTempList(singleDesc())
+		l.AppendBatch(tuples)
+		f := l.AddComputed("c")[0].Field
+		for i, v := range c.vals {
+			l.SetComputed(f, i, v)
+		}
+		if name == "overwritten null" {
+			l.SetComputed(f, 0, BoolValue(true)) // clears row 0's NULL bit
+			c.vals[0] = BoolValue(true)
+		}
+		if general := l.comp[f].vals != nil; general != c.general {
+			t.Fatalf("%s: general = %v, want %v", name, general, c.general)
+		}
+		back := l.Take([]int32{int32(len(c.vals) - 1), 0})
+		if (back.comp[f].vals != nil) != c.general {
+			t.Fatalf("%s: Take changed the vector's form", name)
+		}
+		for i, w := range c.vals {
+			if v := l.comp[f].at(i); !identical(v, w) {
+				t.Fatalf("%s: row %d reads %v, want %v", name, i, v, w)
+			}
+		}
+		if !identical(back.comp[f].at(0), c.vals[len(c.vals)-1]) || !identical(back.comp[f].at(1), c.vals[0]) {
+			t.Fatalf("%s: Take moved the values", name)
+		}
+	}
+}
+
+// TestComputedIntColumnBytes: an Int computed column of 100k rows costs
+// its 8-byte payloads, not a 24-byte Value a row.
+func TestComputedIntColumnBytes(t *testing.T) {
+	const n = 100000
+	tuples := batchTestRelation(t, "r", n)
+	l := MustTempList(singleDesc())
+	l.AppendBatch(tuples)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f := l.AddComputed("c")[0].Field
+	for i := 0; i < n; i++ {
+		l.SetComputed(f, i, IntValue(int64(i)))
+	}
+	runtime.ReadMemStats(&after)
+	perRow := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("Int computed column: %.2f B a row", perRow)
+	if perRow > 8.2 {
+		t.Errorf("an Int computed column costs %.2f B a row, ceiling 8.2", perRow)
+	}
+	if l.Value(n-1, 0).Int() != n-1 {
+		t.Fatal("the column lost its last value")
+	}
+}
+
 // TestTakeKeepsComputedAligned: Take reorders, cuts and empties a list,
-// and each computed value follows its row.
+// and each computed value follows its row in a vector of the same form.
 func TestTakeKeepsComputedAligned(t *testing.T) {
 	n := 3*ChunkRows + 40
 	l, tuples := computedList(t, n)
@@ -354,13 +486,14 @@ func TestTakeKeepsComputedAligned(t *testing.T) {
 
 // TestRedescribeMovesComputedInConstantSpace: the computed vectors move
 // with the chunk directory — the same allocations at 1k and at 100k rows,
-// the very same backing arrays — and the source keeps none of them.
+// the very same backing arrays of either form — and the source keeps none
+// of them.
 func TestRedescribeMovesComputedInConstantSpace(t *testing.T) {
 	var allocs [2]float64
 	for i, n := range []int{1000, 100000} {
 		l, _ := computedList(t, n)
 		desc := l.Descriptor()
-		first := &l.comp[0][0]
+		num, vals := &l.comp[0].num[0], &l.comp[1].vals[0]
 		allocs[i] = testing.AllocsPerRun(10, func() {
 			moved, err := l.Redescribe(desc)
 			if err != nil {
@@ -372,8 +505,13 @@ func TestRedescribeMovesComputedInConstantSpace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if l.comp != nil || &moved.comp[0][0] != first || moved.Value(n-1, 1).Int() != int64(1-n) {
+		if l.comp != nil || &moved.comp[0].num[0] != num || &moved.comp[1].vals[0] != vals {
 			t.Fatal("redescribe copied the computed vectors or left them behind")
+		}
+		for c, w := range computedWant(n - 1) {
+			if !identical(moved.Value(n-1, c), w) {
+				t.Fatalf("after redescribe, col %d of the last row reads %v, want %v", c, moved.Value(n-1, c), w)
+			}
 		}
 	}
 	if allocs[0] != allocs[1] || allocs[0] > 4 {
@@ -385,15 +523,18 @@ func TestRedescribeMovesComputedInConstantSpace(t *testing.T) {
 // only drops the computed vectors — they are never cleared for reuse, and
 // every chunk the pool hands out afterwards is an empty pointer block.
 func TestReleaseDropsComputed(t *testing.T) {
-	l, _ := computedList(t, 2*ChunkRows)
-	vec := l.comp[0]
+	n := 2 * ChunkRows
+	l, _ := computedList(t, n)
+	vecs := append([]vector(nil), l.comp...)
 	l.Release()
 	if l.comp != nil || l.Len() != 0 {
 		t.Fatal("Release kept the computed vectors")
 	}
-	for i, v := range vec {
-		if v.Int() != int64(-i) {
-			t.Fatalf("Release touched computed value %d: %v", i, v)
+	for k, c := range computedCols {
+		for i := 0; i < n; i++ {
+			if v, w := vecs[k].at(i), computedWant(i)[c]; !identical(v, w) {
+				t.Fatalf("Release touched computed vector %d at %d: %v, want %v", k, i, v, w)
+			}
 		}
 	}
 	for i := 0; i < 8; i++ {
@@ -410,7 +551,8 @@ func TestReleaseDropsComputed(t *testing.T) {
 }
 
 // TestComputedListRejectsAppends: rows can reach a list with computed
-// columns only through Take; every append and merge path panics.
+// columns only through Take; every append and merge path panics, and so
+// does a computed value stored past the last row or into a frozen list.
 func TestComputedListRejectsAppends(t *testing.T) {
 	l, tuples := computedList(t, 10)
 	plain := func() *TempList {
@@ -426,7 +568,15 @@ func TestComputedListRejectsAppends(t *testing.T) {
 		"Absorb of":         func() { plain().Absorb(l) },
 		"MergeLists":        func() { _, _ = MergeLists(singleDesc(), []*TempList{plain(), l}) },
 		"MergeListsRecycle": func() { _, _ = MergeListsRecycle(singleDesc(), []*TempList{plain(), l}) },
-		"AddComputed short": func() { plain().AddComputed("x", nil) },
+		"SetComputed past the end": func() {
+			p := plain()
+			p.SetComputed(p.AddComputed("x")[0].Field, 1, IntValue(1))
+		},
+		"SetComputed frozen": func() {
+			p := plain()
+			f := p.AddComputed("x")[0].Field
+			p.Freeze().SetComputed(f, 0, IntValue(1))
+		},
 	} {
 		func() {
 			defer func() {

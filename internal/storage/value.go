@@ -103,6 +103,15 @@ func BoolValue(v bool) Value {
 	return Value{typ: Bool, num: n}
 }
 
+// scalarValue rebuilds an Int, Float or Bool value from its type and its
+// 8-byte payload (the num word of the value it was read from), bit for bit.
+// ptr stays nil, as the invariant requires of every scalar.
+func scalarValue(t Type, num uint64) Value { return Value{typ: t, num: num} }
+
+// isScalar reports whether a value of type t is all payload: an Int, Float
+// or Bool, whose num word carries everything and whose ptr is nil.
+func isScalar(t Type) bool { return t == Int || t == Float || t == Bool }
+
 // RefValue returns a Ref (tuple pointer) value. A nil tuple yields Null.
 func RefValue(t *Tuple) Value {
 	if t == nil {
