@@ -249,8 +249,8 @@ func Graph10NestedLoops(env Env) []Series {
 		spec := p.spec(false)
 		so := exec.OrderedScan{Index: p.outer}
 		si := exec.OrderedScan{Index: p.inner}
-		nested := timeIt(func() { exec.NestedLoopsJoin(so, si, spec) })
-		hash := timeIt(func() { exec.HashJoin(so, si, spec) })
+		nested := timeBest(func() { exec.NestedLoopsJoin(so, si, spec) })
+		hash := timeBest(func() { exec.HashJoin(so, si, spec) })
 		s.Add(fmt.Sprintf("%d", n), nested, hash)
 	}
 	s.Notes = append(s.Notes,

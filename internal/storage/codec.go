@@ -49,8 +49,9 @@ func ImageOf(v Value) ValueImage {
 func (p *Partition) Snapshot() PartitionImage {
 	img := PartitionImage{Relation: p.rel.name, PartID: p.id, LSN: p.LSN()}
 	p.scan(func(t *Tuple) bool {
-		ti := TupleImage{ID: t.id, Vals: make([]ValueImage, len(t.vals))}
-		for i, v := range t.vals {
+		row := t.row()
+		ti := TupleImage{ID: t.id, Vals: make([]ValueImage, len(row))}
+		for i, v := range row {
 			ti.Vals[i] = ImageOf(v)
 		}
 		img.Tuples = append(img.Tuples, ti)
@@ -253,6 +254,7 @@ type Loader struct {
 	rels    map[string]*Relation
 	byID    map[uint64]*Tuple
 	pending []pendingRef
+	row     []Value // one tuple's values, rebuilt from its image for each tuple
 }
 
 type pendingRef struct {
@@ -284,11 +286,11 @@ func (ld *Loader) LoadPartition(img PartitionImage) error {
 		if _, dup := ld.byID[ti.ID]; dup {
 			return fmt.Errorf("storage: duplicate tuple ID %d in image %s/%d", ti.ID, img.Relation, img.PartID)
 		}
-		vals := make([]Value, len(ti.Vals))
-		for i, vi := range ti.Vals {
-			vals[i] = valueFromImage(vi)
+		ld.row = ld.row[:0]
+		for _, vi := range ti.Vals {
+			ld.row = append(ld.row, valueFromImage(vi))
 		}
-		t, err := r.loadInto(p, ti.ID, vals)
+		t, err := r.loadInto(p, ti.ID, ld.row)
 		if err != nil {
 			return err
 		}
@@ -319,7 +321,7 @@ func (ld *Loader) Finish() error {
 		if !ok {
 			return fmt.Errorf("storage: tuple %d field %d references missing tuple %d", p.t.id, p.field, p.refID)
 		}
-		p.t.vals[p.field] = RefValue(target)
+		p.t.row()[p.field] = RefValue(target)
 	}
 	ld.pending = nil
 	return nil
@@ -335,12 +337,14 @@ func (r *Relation) ensurePartition(id int) *Partition {
 }
 
 // loadInto places a tuple with a known ID into a specific partition,
-// bypassing observers (indices are rebuilt after reload).
+// bypassing observers (indices are rebuilt after reload). The header and
+// field array come from the relation's slabs, as an inserted tuple's do;
+// vals is copied, so the caller may reuse it.
 func (r *Relation) loadInto(p *Partition, id uint64, vals []Value) (*Tuple, error) {
 	if err := r.schema.Validate(vals); err != nil {
 		return nil, fmt.Errorf("load into %s: %w", r.name, err)
 	}
-	t := &Tuple{id: id, vals: vals}
+	t := r.newTuple(id, vals)
 	p.place(t)
 	r.count++
 	r.ids.Reserve(id)

@@ -174,7 +174,7 @@ func (r *Relation) newTuple(id uint64, vals []Value) *Tuple {
 	}
 	off := len(r.varena)
 	r.varena = append(r.varena, vals...)
-	r.tslab = append(r.tslab, Tuple{id: id, vals: r.varena[off:len(r.varena):len(r.varena)]})
+	r.tslab = append(r.tslab, Tuple{id: id, arity: uint16(len(vals)), vals: &r.varena[off]})
 	return &r.tslab[len(r.tslab)-1]
 }
 
@@ -283,7 +283,7 @@ func (r *Relation) Update(t *Tuple, f int, v Value) error {
 	for _, o := range r.observers {
 		o.TupleUpdating(t, f, v)
 	}
-	old := t.vals
+	old := t.row()
 	delta := v.HeapBytes() - old[f].HeapBytes()
 	if delta > 0 && t.part.heapUsed+delta > t.part.heapCap {
 		r.moveTuple(t, f, v)
@@ -292,7 +292,7 @@ func (r *Relation) Update(t *Tuple, f int, v Value) error {
 		next[f] = v
 		t.part.heapUsed += delta
 		t.part.snapDirty = true
-		t.vals = next
+		t.vals = &next[0]
 	}
 	for _, o := range r.observers {
 		o.TupleUpdated(t.Resolve(), old)
@@ -306,8 +306,8 @@ func (r *Relation) Update(t *Tuple, f int, v Value) error {
 // its ID. The moved copy's array is fresh from the slab, so setting the
 // field before the tuple is placed writes nothing anyone else can reach.
 func (r *Relation) moveTuple(t *Tuple, f int, v Value) {
-	moved := r.newTuple(t.id, t.vals)
-	moved.vals[f] = v
+	moved := r.newTuple(t.id, t.row())
+	moved.row()[f] = v
 	// Free the old copy's heap usage but keep its slot occupied by the
 	// forwarding stub, mirroring the paper's "forwarding address left in
 	// its old position".

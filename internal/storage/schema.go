@@ -1,6 +1,9 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // FieldDef describes one attribute of a relation.
 type FieldDef struct {
@@ -19,11 +22,19 @@ type Schema struct {
 	byName map[string]int
 }
 
-// NewSchema builds a schema from field definitions. Field names must be
-// non-empty and unique; foreign-key fields must be declared with type Ref.
+// maxFields is the most fields a schema may have: a tuple header keeps its
+// arity in 16 bits.
+const maxFields = math.MaxUint16
+
+// NewSchema builds a schema from field definitions. There must be between 1
+// and maxFields of them; field names must be non-empty and unique;
+// foreign-key fields must be declared with type Ref.
 func NewSchema(fields ...FieldDef) (*Schema, error) {
 	if len(fields) == 0 {
 		return nil, fmt.Errorf("storage: schema needs at least one field")
+	}
+	if len(fields) > maxFields {
+		return nil, fmt.Errorf("storage: schema has %d fields, at most %d fit a tuple header", len(fields), maxFields)
 	}
 	s := &Schema{
 		fields: append([]FieldDef(nil), fields...),

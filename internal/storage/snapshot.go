@@ -126,7 +126,7 @@ func (r *Relation) PublishSnapshotStats() (*Snapshot, RefreshStats) {
 // cloneOf returns the header a snapshot holds for live tuple t: marked
 // dead so write paths reject it, sharing t's current field array.
 func cloneOf(t *Tuple) Tuple {
-	return Tuple{id: t.id, part: t.part, slot: -1, dead: true, vals: t.vals}
+	return Tuple{id: t.id, part: t.part, slot: -1, arity: t.arity, dead: true, vals: t.vals}
 }
 
 // clonePartition builds p's clone array from scratch: one header block
@@ -163,7 +163,7 @@ func patchPartition(p *Partition, old []*Tuple) ([]*Tuple, int) {
 	stale, i := buf[:0], 0
 	for _, t := range p.slots {
 		if visible(t) {
-			if &old[i].vals[0] != &t.vals[0] {
+			if old[i].vals != t.vals {
 				stale = append(stale, staleClone{i, t})
 			}
 			i++

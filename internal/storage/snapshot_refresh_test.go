@@ -165,7 +165,7 @@ func TestCloneSharesArrayUntilUpdate(t *testing.T) {
 		t.Fatalf("tuple %d missing from snapshot", tp.ID())
 		return nil
 	}
-	shares := func(c, tp *Tuple) bool { return &c.vals[0] == &tp.vals[0] }
+	shares := func(c, tp *Tuple) bool { return c.vals == tp.vals }
 
 	tp := tuples[5]
 	first := cloneOf(r.PublishSnapshot(), tp)

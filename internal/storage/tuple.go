@@ -10,15 +10,28 @@ import "fmt"
 // moves the tuple and leaves a forwarding address in its old position
 // (footnote 1); Resolve follows that chain.
 //
-// The header is 56 bytes: the slot number and the dead mark share one
-// word (a partition never has 2^31 slots, see Config).
+// The header is 40 bytes: the slot number, the arity and the dead mark
+// share one word (a partition never has 2^31 slots, see Config, and a
+// schema never has 2^16 fields, see NewSchema), and the field array is
+// reached through one pointer to its first element, its length being the
+// arity.
 type Tuple struct {
 	id      uint64
 	part    *Partition
 	slot    int32
+	arity   uint16
 	dead    bool
 	forward *Tuple
-	vals    []Value
+	vals    *Value // the field array's first element; nil in a forwarding stub
+}
+
+// row returns the tuple's field array, or nil for a forwarding stub (or a
+// header that never had one).
+func (t *Tuple) row() []Value {
+	if t.vals == nil {
+		return nil
+	}
+	return valueArray(t.vals, int(t.arity))
 }
 
 // Canonical resolves forwarding addresses, yielding the tuple's identity;
@@ -34,15 +47,14 @@ func (t *Tuple) ID() uint64 { return t.Resolve().id }
 func (t *Tuple) Partition() *Partition { return t.Resolve().part }
 
 // Arity returns the number of fields.
-func (t *Tuple) Arity() int { return len(t.Resolve().vals) }
+func (t *Tuple) Arity() int { return len(t.Resolve().row()) }
 
 // Field returns the value of field i.
-func (t *Tuple) Field(i int) Value { return t.Resolve().vals[i] }
+func (t *Tuple) Field(i int) Value { return t.Resolve().row()[i] }
 
 // Values returns a copy of all field values.
 func (t *Tuple) Values() []Value {
-	r := t.Resolve()
-	return append([]Value(nil), r.vals...)
+	return append([]Value(nil), t.Resolve().row()...)
 }
 
 // Resolve follows forwarding addresses to the tuple's current location.
@@ -64,7 +76,7 @@ func (t *Tuple) Live() bool {
 // heapBytes returns the partition heap space the tuple's values occupy.
 func (t *Tuple) heapBytes() int {
 	n := 0
-	for _, v := range t.vals {
+	for _, v := range t.row() {
 		n += v.HeapBytes()
 	}
 	return n
@@ -73,5 +85,5 @@ func (t *Tuple) heapBytes() int {
 // String renders the tuple's values for display.
 func (t *Tuple) String() string {
 	r := t.Resolve()
-	return fmt.Sprintf("tuple(%d)%v", r.id, r.vals)
+	return fmt.Sprintf("tuple(%d)%v", r.id, r.row())
 }

@@ -54,7 +54,7 @@ func (t Type) String() string {
 //
 // A string, a tuple pointer and a number never live in one value together,
 // so the two pointer payloads share one word. The single invariant all
-// unsafe code in this file rests on: ptr is the data pointer of a string of
+// unsafe code over a Value rests on: ptr is the data pointer of a string of
 // length num (nil for the empty string), or a *Tuple, or nil — as typ says
 // — and no arithmetic is ever done on it. It stays an unsafe.Pointer, so
 // the collector traces it like any other pointer and whatever it points
@@ -75,6 +75,12 @@ const (
 	valueBytes       = int64(unsafe.Sizeof(Value{}))
 	tupleHeaderBytes = int64(unsafe.Sizeof(Tuple{}))
 )
+
+// valueArray is the array of n values starting at *first: a tuple keeps its
+// field array as a pointer to the first element and the length as its
+// arity, so Tuple.row rebuilds the slice here. first points into an array
+// of at least n values.
+func valueArray(first *Value, n int) []Value { return unsafe.Slice(first, n) }
 
 // NullValue is the Null constant.
 var NullValue = Value{}

@@ -15,8 +15,8 @@ import (
 // are part of the engine's measured space factor, so growing either is a
 // decision, not an accident.
 func TestValueAndTupleSizes(t *testing.T) {
-	if valueBytes != 24 || tupleHeaderBytes > 56 {
-		t.Errorf("Sizeof(Value) = %d, want 24; Sizeof(Tuple) = %d, want at most 56", valueBytes, tupleHeaderBytes)
+	if valueBytes != 24 || tupleHeaderBytes != 40 {
+		t.Errorf("Sizeof(Value) = %d, want 24; Sizeof(Tuple) = %d, want 40", valueBytes, tupleHeaderBytes)
 	}
 	if reflect.TypeOf(Value{}).Comparable() {
 		t.Error("Value is comparable: == would compare string addresses, not contents")
@@ -144,14 +144,14 @@ func refHash(v refValue) uint64 {
 // fuzzTuples are the Ref targets of the fuzz target: two plain tuples and
 // one that moved, reached through its forwarding stub.
 var fuzzTuples = func() []*Tuple {
-	moved := &Tuple{id: 7, vals: []Value{IntValue(7)}}
-	return []*Tuple{
-		{id: 3, vals: []Value{IntValue(3)}},
-		{id: 5, vals: []Value{IntValue(5)}},
-		{id: 7, forward: moved},
-		moved,
-	}
+	moved := looseTuple(7, IntValue(7))
+	return []*Tuple{looseTuple(3, IntValue(3)), looseTuple(5, IntValue(5)), {id: 7, forward: moved}, moved}
 }()
+
+// looseTuple is a tuple header of no relation holding vals.
+func looseTuple(id uint64, vals ...Value) *Tuple {
+	return &Tuple{id: id, arity: uint16(len(vals)), vals: &vals[0]}
+}
 
 // fuzzPair builds one value both ways from a fuzz input. Strings are
 // substrings of text, so several values share one backing buffer and a
@@ -301,7 +301,7 @@ func TestValuePayloadSurvivesGC(t *testing.T) {
 		for j := range b {
 			b[j] = 0 // the string copied the bytes; scribbling here must not show
 		}
-		refs = append(refs, RefValue(&Tuple{id: uint64(i), vals: []Value{IntValue(int64(i)), StringValue(string(b[:0]) + strconv.Itoa(i))}}))
+		refs = append(refs, RefValue(looseTuple(uint64(i), IntValue(int64(i)), StringValue(string(b[:0])+strconv.Itoa(i)))))
 	}
 	churn := func() {
 		runtime.GC()

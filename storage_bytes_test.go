@@ -82,9 +82,9 @@ func TestBytesPerStoredRow(t *testing.T) {
 			vals[0] = Int(int64(i))
 			return vals
 		})
-		// 56 header + 8×24 fields + 8 slot + T Tree entry and slab slack.
-		if perRow > 300 {
-			t.Errorf("a row of 8 Int columns costs %.1f B of live heap, ceiling 300", perRow)
+		// 40 header + 8×24 fields + 8 slot + T Tree entry and slab slack.
+		if perRow > 275 {
+			t.Errorf("a row of 8 Int columns costs %.1f B of live heap, ceiling 275", perRow)
 		}
 	})
 	t.Run("strings", func(t *testing.T) {
@@ -93,10 +93,10 @@ func TestBytesPerStoredRow(t *testing.T) {
 			b := []byte(fmt.Sprintf("%064d", i)) // a transient buffer; the row keeps the one string made of it
 			return []Value{Int(int64(i)), Str(string(b))}
 		})
-		// 56 + 2×24 + 8 + the 64 payload bytes once; a second copy of the
+		// 40 + 2×24 + 8 + the 64 payload bytes once; a second copy of the
 		// payload anywhere (value, slab, index key) would add 64 more.
-		if perRow > 215 {
-			t.Errorf("a row with one 64-byte string costs %.1f B of live heap, ceiling 215: is the payload held twice?", perRow)
+		if perRow > 195 {
+			t.Errorf("a row with one 64-byte string costs %.1f B of live heap, ceiling 195: is the payload held twice?", perRow)
 		}
 	})
 }
@@ -107,8 +107,8 @@ func TestTableBytesExported(t *testing.T) {
 	for _, opts := range []Options{{}, {DisableMetrics: true}} {
 		db := openKeyed(t, opts, 1000, 10)
 		tables := db.Stats().Tables
-		// 56-byte header + 3 × 24-byte fields + an 8-byte slot.
-		if len(tables) != 1 || tables[0].Name != "a" || tables[0].BytesPerRow() < 136 || tables[0].BytesPerRow() > 150 {
+		// 40-byte header + 3 × 24-byte fields + an 8-byte slot.
+		if len(tables) != 1 || tables[0].Name != "a" || tables[0].BytesPerRow() < 120 || tables[0].BytesPerRow() > 134 {
 			t.Fatalf("DisableMetrics=%v: Stats().Tables = %+v", opts.DisableMetrics, tables)
 		}
 		rec := httptest.NewRecorder()
