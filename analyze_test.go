@@ -184,8 +184,8 @@ func TestSQLExplainAnalyze(t *testing.T) {
 		"wall=",
 		"cmp=",
 	} {
-		if !strings.Contains(r.Plan, want) {
-			t.Errorf("EXPLAIN ANALYZE output missing %q:\n%s", want, r.Plan)
+		if !strings.Contains(r.Plan(), want) {
+			t.Errorf("EXPLAIN ANALYZE output missing %q:\n%s", want, r.Plan())
 		}
 	}
 	s := db.Stats()

@@ -104,7 +104,7 @@ func dotCommand(db *mmdb.Database, line string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(indent(r.Plan))
+		fmt.Println(indent(r.Plan()))
 		return nil
 	case ".tables":
 		for _, n := range db.Tables() {
@@ -163,8 +163,8 @@ func runSQL(db *mmdb.Database, sql string) {
 		fmt.Println("error:", err)
 		return
 	}
-	if r.Plan != "" {
-		fmt.Println("  plan:", strings.ReplaceAll(r.Plan, "\n", "; "))
+	if plan := r.Plan(); plan != "" {
+		fmt.Println("  plan:", strings.ReplaceAll(plan, "\n", "; "))
 	}
 	if r.Result == nil {
 		fmt.Printf("  ok (%d rows affected)\n", r.RowsAffected)

@@ -139,7 +139,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\nEXPLAIN ANALYZE:")
-	fmt.Println(indent(r.Plan))
+	fmt.Println(indent(r.Plan()))
 
 	// The engine-wide registry has been counting everything this program
 	// did: queries by plan shape, rows scanned vs returned, index probes

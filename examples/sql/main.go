@@ -47,8 +47,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if r.Plan != "" {
-			fmt.Println("  plan:", r.Plan)
+		if plan := r.Plan(); plan != "" {
+			fmt.Println("  plan:", plan)
 		}
 		if r.Result == nil {
 			fmt.Printf("  ok, %d rows affected\n\n", r.RowsAffected)

@@ -307,8 +307,8 @@ func TestGroupOrderTraceAndDecisions(t *testing.T) {
 		"order", "topk: HeapPushes=",
 		"decision agg method:", "decision top-k method: bounded-heap top-k",
 	} {
-		if !strings.Contains(r.Plan, want) {
-			t.Fatalf("trace missing %q:\n%s", want, r.Plan)
+		if !strings.Contains(r.Plan(), want) {
+			t.Fatalf("trace missing %q:\n%s", want, r.Plan())
 		}
 	}
 	// And the executed result: 10 groups, counts non-increasing, values

@@ -22,7 +22,13 @@ import (
 type SelectSpec struct {
 	RelName string
 	Schema  *storage.Schema
-	Meter   *meter.Counters
+	// Desc, when it names a source, is the output descriptor, built once
+	// and shared read-only by every list the selection emits (no list
+	// writes to its descriptor's Sources or Cols); without one, each
+	// output list gets a fresh descriptor of RelName and every column of
+	// Schema.
+	Desc  storage.Descriptor
+	Meter *meter.Counters
 	// Hint, when positive, is the expected result cardinality; the output
 	// list is presized so no chunk growth happens during the scan.
 	Hint int
@@ -38,11 +44,20 @@ type SelectSpec struct {
 	Sched *sched.Query
 }
 
+// Descriptor is the selection's output descriptor: Desc, or one built
+// from RelName and Schema.
+func (s SelectSpec) Descriptor() storage.Descriptor {
+	if len(s.Desc.Sources) > 0 {
+		return s.Desc
+	}
+	return SingleDescriptor(s.RelName, s.Schema)
+}
+
 func (s SelectSpec) newList() *storage.TempList {
 	if s.Hint > 0 {
-		return storage.MustTempListHint(singleDesc(s.RelName, s.Schema), s.Hint)
+		return storage.MustTempListHint(s.Descriptor(), s.Hint)
 	}
-	return storage.MustTempList(singleDesc(s.RelName, s.Schema))
+	return storage.MustTempList(s.Descriptor())
 }
 
 // SelectEqHash performs an exact-match selection through a hash index.

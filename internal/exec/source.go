@@ -127,15 +127,9 @@ func Tuples(s Source) []*storage.Tuple {
 // named relation, exposing every column of its schema — the descriptor
 // every selection operator (serial or parallel) emits.
 func SingleDescriptor(relName string, schema *storage.Schema) storage.Descriptor {
-	return singleDesc(relName, schema)
-}
-
-// singleDesc builds the descriptor for a one-source result over the named
-// relation, exposing the given columns of its schema.
-func singleDesc(relName string, schema *storage.Schema) storage.Descriptor {
-	d := storage.Descriptor{Sources: []string{relName}}
-	for i := 0; i < schema.Arity(); i++ {
-		d.Cols = append(d.Cols, storage.ColRef{Source: 0, Field: i, Name: schema.Field(i).Name})
+	d := storage.Descriptor{Sources: []string{relName}, Cols: make([]storage.ColRef, schema.Arity())}
+	for i := range d.Cols {
+		d.Cols[i] = storage.ColRef{Source: 0, Field: i, Name: schema.Field(i).Name}
 	}
 	return d
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -17,7 +18,7 @@ import (
 // *Progress unconditionally and a disabled database pays one branch per
 // event and allocates nothing.
 type Progress struct {
-	label         string // pprof label value; set once at registration
+	id            uint64 // the query's registration id
 	rows          atomic.Int64
 	busyWorkers   atomic.Int32
 	peakWorkers   atomic.Int32
@@ -29,13 +30,14 @@ type Progress struct {
 	schedWaitNanos atomic.Int64
 }
 
-// Label returns the query's pprof label value ("q<id>"). Safe on a nil
-// receiver (returns "").
+// Label returns the query's pprof label value ("q<id>"), formatted when
+// a parallel operator asks for it, so a query that runs none never
+// builds it. Safe on a nil receiver (returns "").
 func (p *Progress) Label() string {
 	if p == nil {
 		return ""
 	}
-	return p.label
+	return "q" + strconv.FormatUint(p.id, 10)
 }
 
 // AddRows advances the rows-processed counter. Safe on a nil receiver.
@@ -157,11 +159,12 @@ const (
 var phaseNames = [...]string{"plan", "select", "join", "group", "project", "distinct", "order"}
 
 // ActiveQuery is one in-flight query in the live registry: identity,
-// query text, start time, current phase, and live Progress. All methods
-// are safe on a nil receiver (the disabled state).
+// the query (rendered as text only when a snapshot reads it), start time,
+// current phase, and live Progress. All methods are safe on a nil
+// receiver (the disabled state).
 type ActiveQuery struct {
 	id    uint64
-	text  string
+	query fmt.Stringer
 	start time.Time
 	phase atomic.Int32
 	prog  Progress
@@ -226,9 +229,12 @@ func NewActiveSet() *ActiveSet {
 	return &ActiveSet{m: make(map[uint64]*ActiveQuery)}
 }
 
-// Register adds an in-flight query and returns its record. Safe on a
-// nil receiver (returns nil, which every ActiveQuery method tolerates).
-func (s *ActiveSet) Register(text string) *ActiveQuery {
+// Register adds an in-flight query and returns its record. The registry
+// keeps query itself, not its text: Snapshot renders it, under the lock
+// Deregister takes, so query must stay unchanged until Deregister
+// returns. Safe on a nil receiver (returns nil, which every ActiveQuery
+// method tolerates).
+func (s *ActiveSet) Register(query fmt.Stringer) *ActiveQuery {
 	if s == nil {
 		return nil
 	}
@@ -241,10 +247,10 @@ func (s *ActiveSet) Register(text string) *ActiveQuery {
 	// Field-wise reset: the record embeds atomics, so a struct assignment
 	// would copy them (and trip go vet's copylocks check).
 	q.id = s.next
-	q.text = text
+	q.query = query
 	q.start = time.Now()
 	q.phase.Store(PhasePlan)
-	q.prog.label = "q" + strconv.FormatUint(q.id, 10)
+	q.prog.id = q.id
 	q.prog.rows.Store(0)
 	q.prog.busyWorkers.Store(0)
 	q.prog.peakWorkers.Store(0)
@@ -264,12 +270,14 @@ func (s *ActiveSet) Deregister(q *ActiveQuery) {
 	}
 	s.mu.Lock()
 	delete(s.m, q.id)
+	q.query = nil // the pooled record must not keep the query alive
 	s.mu.Unlock()
 	s.pool.Put(q)
 }
 
 // Snapshot copies every in-flight query, ordered by registration id
-// (oldest first). Safe on a nil receiver (returns nil).
+// (oldest first), rendering each one's text. Safe on a nil receiver
+// (returns nil).
 func (s *ActiveSet) Snapshot() []ActiveQueryInfo {
 	if s == nil {
 		return nil
@@ -280,7 +288,7 @@ func (s *ActiveSet) Snapshot() []ActiveQueryInfo {
 	for _, q := range s.m {
 		out = append(out, ActiveQueryInfo{
 			ID:            q.id,
-			Text:          q.text,
+			Text:          q.query.String(),
 			Phase:         phaseNames[q.phase.Load()],
 			Start:         q.start,
 			Elapsed:       now.Sub(q.start),

@@ -14,7 +14,10 @@ import (
 // ChooseSortMethod, ChooseWorkers, ChooseBatchSize): each records the
 // inputs it saw, the value it chose, and the estimate the choice rested
 // on; at query end the observed counters fill in Actual, and the error
-// ratio says whether the estimate held up.
+// ratio says whether the estimate held up. The numbers are the record:
+// RecordDecision counts a misprediction from them alone, and the engine
+// fills the Chosen and Inputs text only for a decision that goes into a
+// trace.
 type Decision struct {
 	Name   string // chooser: "batch", "workers", "radix bits", "radix balance", "sort method"
 	Inputs string // the chooser's inputs, human-readable: "requested=8 rows=1.9M"

@@ -96,10 +96,15 @@ func TestProgressGauges(t *testing.T) {
 	}
 }
 
+// sqlText is a query the registry renders by calling String.
+type sqlText string
+
+func (s sqlText) String() string { return string(s) }
+
 func TestActiveSetRegisterSnapshot(t *testing.T) {
 	s := NewActiveSet()
-	q1 := s.Register("SELECT * FROM emp")
-	q2 := s.Register("SELECT * FROM dept")
+	q1 := s.Register(sqlText("SELECT * FROM emp"))
+	q2 := s.Register(sqlText("SELECT * FROM dept"))
 	q2.SetPhase(PhaseJoin)
 	q2.Progress().AddRows(42)
 
@@ -109,6 +114,9 @@ func TestActiveSetRegisterSnapshot(t *testing.T) {
 	}
 	if snap[0].ID != q1.ID() || snap[1].ID != q2.ID() {
 		t.Fatalf("snapshot order = %d,%d — want oldest first", snap[0].ID, snap[1].ID)
+	}
+	if snap[0].Text != "SELECT * FROM emp" || snap[1].Text != "SELECT * FROM dept" {
+		t.Fatalf("texts = %q,%q", snap[0].Text, snap[1].Text)
 	}
 	if snap[0].Phase != "plan" || snap[1].Phase != "join" {
 		t.Fatalf("phases = %q,%q", snap[0].Phase, snap[1].Phase)
@@ -127,13 +135,16 @@ func TestActiveSetRegisterSnapshot(t *testing.T) {
 		t.Fatalf("after deregister: %d entries", len(got))
 	}
 	// Pooled record reuse must fully reset the gauges.
-	q3 := s.Register("SELECT 1")
+	q3 := s.Register(sqlText("SELECT 1"))
 	if q3.Progress().Rows() != 0 || q3.Progress().PeakWorkers() != 0 || q3.Progress().MaxWorkerRows() != 0 {
 		t.Fatalf("recycled record not reset: rows=%d peak=%d max=%d",
 			q3.Progress().Rows(), q3.Progress().PeakWorkers(), q3.Progress().MaxWorkerRows())
 	}
 	if q3.ID() <= id2 {
 		t.Fatalf("ids must keep increasing: %d after %d", q3.ID(), id2)
+	}
+	if want := fmt.Sprintf("q%d", q3.ID()); q3.Progress().Label() != want {
+		t.Fatalf("recycled record's label = %q, want %q", q3.Progress().Label(), want)
 	}
 }
 
@@ -240,7 +251,7 @@ func TestTraceFormatDecisions(t *testing.T) {
 func TestDebugHandler(t *testing.T) {
 	active := NewActiveSet()
 	slow := NewSlowLog(time.Millisecond, 4)
-	q := active.Register("SELECT * FROM emp WHERE salary > 100")
+	q := active.Register(sqlText("SELECT * FROM emp WHERE salary > 100"))
 	q.SetPhase(PhaseSelect)
 	slow.Record(SlowQuery{ID: 7, Text: "SELECT DISTINCT dept FROM emp", Wall: 5 * time.Millisecond, Rows: 12,
 		Trace: &QueryTrace{Root: &TraceNode{Op: "query", Detail: "emp"}}})
@@ -289,7 +300,7 @@ func TestDisabledLifecycleAllocs(t *testing.T) {
 	)
 	d := Decision{Name: "batch", Estimate: 100, Actual: 10, Threshold: 2}
 	allocs := testing.AllocsPerRun(1000, func() {
-		aq := active.Register("q")
+		aq := active.Register(sqlText("q"))
 		pg2 := aq.Progress()
 		aq.SetPhase(PhaseJoin)
 		pg2.AddRows(128)
@@ -320,7 +331,7 @@ func TestLifecycleConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				q := active.Register("SELECT 1")
+				q := active.Register(sqlText("SELECT 1"))
 				pg := q.Progress()
 				pg.WorkerStart()
 				pg.AddRows(10)

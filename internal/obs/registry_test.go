@@ -302,7 +302,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		r.TxnBegin()
 		r.RecordDecision(d)
 		r.ObserveRadixSkew(1.5)
-		aq := active.Register("q")
+		aq := active.Register(sqlText("q"))
 		pg := aq.Progress()
 		pg.AddRows(256)
 		pg.WorkerStart()

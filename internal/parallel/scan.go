@@ -22,7 +22,7 @@ func SelectScan(src Chunked, pred func(*storage.Tuple) bool, spec exec.SelectSpe
 	if len(chunks) <= 1 {
 		return exec.SelectScan(src, pred, spec)
 	}
-	desc := exec.SingleDescriptor(spec.RelName, spec.Schema)
+	desc := spec.Descriptor()
 	results := make([]*storage.TempList, len(chunks))
 	total := run(spec.Sched, spec.Prog, "scan", w, len(chunks), func(m int, sc *scratch) {
 		local := storage.MustTempListHint(desc, chunks[m].Len())

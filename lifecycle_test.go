@@ -312,3 +312,97 @@ func TestIntrospectionUnderParallelQueries(t *testing.T) {
 		t.Fatal("no slow queries captured")
 	}
 }
+
+// TestIntrospectionRendersTextOnRead: the registry and the slow log keep
+// the query, not its text, and render it when read — byte for byte the
+// text built eagerly before, for a running join + WHERE + GROUP BY +
+// ORDER BY + LIMIT. A Result's plan is rendered from the values the
+// phases planned, so extending the Query after Run does not change it.
+func TestIntrospectionRendersTextOnRead(t *testing.T) {
+	const want = "SELECT b.grp, COUNT(*), SUM(a.id) FROM a JOIN b ON a.k=b.k WHERE id > -1 AND k < 90 GROUP BY b.grp ORDER BY 2 DESC LIMIT 3"
+	db := openBig(t, Options{SlowQueryThreshold: time.Nanosecond}, 12000)
+	query := func() *Query {
+		return db.Query("a").Where("id", Gt, Int(-1)).Where("k", Lt, Int(90)).Join("b", "k", "k").
+			GroupBy("b.grp").Agg(AggCount, "").Agg(AggSum, "a.id").OrderBy("2", true).Limit(3).
+			Parallel(4).JoinMethod(JoinRadix)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := query().Run(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	seen := false
+	for deadline := time.Now().Add(10 * time.Second); !seen && time.Now().Before(deadline); {
+		for _, q := range db.ActiveQueries() {
+			if q.Text != want {
+				t.Errorf("active query text\n got %q\nwant %q", q.Text, want)
+			}
+			seen = true
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if !seen {
+		t.Fatal("never observed the query in flight")
+	}
+	slow := db.SlowQueries()
+	if len(slow) == 0 {
+		t.Fatal("no slow-log entry")
+	}
+	for _, s := range slow {
+		if s.Text != want {
+			t.Errorf("slow-log text\n got %q\nwant %q", s.Text, want)
+		}
+	}
+
+	q := query()
+	res, err := q.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	executed := res.Plan()
+	if !strings.Contains(executed, `access a: tree range scan on "id" [-1, +inf) + 1 residual filter(s)`) {
+		t.Fatalf("unexpected executed plan:\n%s", executed)
+	}
+	q.Where("id", Lt, Int(5))
+	if got := res.Plan(); got != executed {
+		t.Fatalf("plan changed when the query was extended after Run:\n%s\nwas\n%s", got, executed)
+	}
+}
+
+// TestRegistryAllocOverhead: the metrics registry, the live-query
+// registry and the decision audit record numbers and a pointer to the
+// query; text is formatted only when read. So a primary-key Run with
+// metrics on allocates at most three objects more than the same Run
+// with them off.
+func TestRegistryAllocOverhead(t *testing.T) {
+	measure := func(opts Options) float64 {
+		db := protoDBWith(t, opts, 1000)
+		run := func() {
+			r, err := db.Query("fact").Where("id", Eq, Int(500)).Select("id", "v").Run()
+			if err != nil || r.Len() != 1 {
+				t.Fatalf("pk Run: %v", err)
+			}
+		}
+		run()
+		return testing.AllocsPerRun(200, run)
+	}
+	on, off := measure(Options{}), measure(Options{DisableMetrics: true})
+	t.Logf("pk Run allocates %.0f times with metrics on, %.0f with them off", on, off)
+	if on-off > 3 {
+		t.Errorf("metrics on cost %.0f allocations a query (%.0f vs %.0f), want at most 3", on-off, on, off)
+	}
+}

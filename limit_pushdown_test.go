@@ -200,7 +200,7 @@ func TestSQLLimitPushdown(t *testing.T) {
 	if r.Result.Len() != 6 {
 		t.Fatalf("rows=%d, want 6", r.Result.Len())
 	}
-	if !strings.Contains(r.Plan, "limit: 6 pushed into selection") {
-		t.Fatalf("plan:\n%s", r.Plan)
+	if !strings.Contains(r.Plan(), "limit: 6 pushed into selection") {
+		t.Fatalf("plan:\n%s", r.Plan())
 	}
 }

@@ -2,6 +2,7 @@ package mmdb
 
 import (
 	"context"
+	"fmt"
 	"testing"
 )
 
@@ -10,7 +11,13 @@ import (
 // partitions.
 func protoDB(t testing.TB, rows, slots int) *Database {
 	t.Helper()
-	db, err := Open(Options{SlotsPerPartition: slots})
+	return protoDBWith(t, Options{SlotsPerPartition: slots}, rows)
+}
+
+// protoDBWith is protoDB under the given options.
+func protoDBWith(t testing.TB, opts Options, rows int) *Database {
+	t.Helper()
+	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,15 +172,75 @@ func TestPointSelectAllocsIndependentOfTableSize(t *testing.T) {
 		t.Errorf("pk SELECT allocates %.0f times at 1k rows and %.0f at 100k", small, large)
 	}
 	// A build that walked the relation allocated ≈1.3 times per partition
-	// here (the 100k table has ≈400). The statement allocates 56 times,
-	// 61 under the race detector, which drops pooled entries; the ceiling
-	// leaves four more, not room for a step record or plan value of
-	// execute() that escapes to the heap.
-	ceiling := 60
+	// here (the 100k table has ≈400). The statement allocates 25 times: the
+	// plan, the decision audit and the query's text are values formatted
+	// only when read, and the selection's descriptor is the table's. The
+	// ceiling leaves room for the race detector, which drops pooled
+	// entries, and for nothing else: a plan line or an audit formatted on
+	// the execution path again would cross it.
+	ceiling := 32
 	if raceEnabled {
-		ceiling = 65
+		ceiling += 5
 	}
 	if large > float64(ceiling) {
 		t.Errorf("pk SELECT allocates %.0f times, ceiling %d", large, ceiling)
+	}
+}
+
+// TestStatementAllocsIndependentOfTableSize pins the rest of the OLTP
+// mix as TestPointSelectAllocsIndependentOfTableSize pins the point
+// select: a 100-row primary-key range SELECT and a primary-key DELETE
+// through Exec allocate the same at 1k and at 100k rows, under a ceiling.
+func TestStatementAllocsIndependentOfTableSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads 100k-row tables")
+	}
+	const runs = 200
+	measure := func(rows int) (rng, del float64) {
+		db := protoDB(t, rows, 0)
+		const stmt = "SELECT id, v FROM fact WHERE id >= 300 AND id < 400"
+		rng = testing.AllocsPerRun(runs, func() {
+			if r, err := db.Exec(stmt); err != nil || r.Result.Len() != 100 {
+				t.Fatalf("%s: %v", stmt, err)
+			}
+		})
+		// One victim a run, each statement built before the measurement.
+		// AllocsPerRun runs once more than it counts.
+		deletes := make([]string, runs+1)
+		for i := range deletes {
+			deletes[i] = fmt.Sprintf("DELETE FROM fact WHERE id = %d", 2*i+1)
+		}
+		next := 0
+		del = testing.AllocsPerRun(runs, func() {
+			if r, err := db.Exec(deletes[next]); err != nil || r.RowsAffected != 1 {
+				t.Fatalf("%s: %v", deletes[next], err)
+			}
+			next++
+		})
+		return rng, del
+	}
+	smallRange, smallDel := measure(1_000)
+	largeRange, largeDel := measure(100_000)
+	t.Logf("range SELECT %.0f / %.0f, DELETE %.0f / %.0f allocations at 1k / 100k rows",
+		smallRange, largeRange, smallDel, largeDel)
+	// Ceilings: 32 and 24 measured, plus the race detector's slack.
+	rangeCeiling, delCeiling := 36, 28
+	if raceEnabled {
+		rangeCeiling, delCeiling = rangeCeiling+5, delCeiling+5
+	}
+	for _, c := range []struct {
+		what         string
+		small, large float64
+		ceiling      int
+	}{
+		{"100-row range SELECT", smallRange, largeRange, rangeCeiling},
+		{"pk DELETE", smallDel, largeDel, delCeiling},
+	} {
+		if d := c.large - c.small; d > 2 || d < -2 {
+			t.Errorf("%s allocates %.0f times at 1k rows and %.0f at 100k", c.what, c.small, c.large)
+		}
+		if c.large > float64(c.ceiling) {
+			t.Errorf("%s allocates %.0f times, ceiling %d", c.what, c.large, c.ceiling)
+		}
 	}
 }

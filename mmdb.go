@@ -28,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/index"
 	"repro/internal/lock"
 	"repro/internal/mem"
@@ -397,7 +398,7 @@ func (db *Database) CreateTable(name string, fields []Field, primaryColumn strin
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{db: db, rel: rel, indices: make(map[string]*Index)}
+	t := &Table{db: db, rel: rel, indices: make(map[string]*Index), sel: exec.SingleDescriptor(name, schema)}
 	if _, err := t.createIndexLocked("primary", primaryColumn, kind, true); err != nil {
 		return nil, err
 	}

@@ -561,8 +561,8 @@ func TestMultiJoinSQL(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"pipelined multi-join", "forecast", "decision join order:", "decision join stage:"} {
-		if !strings.Contains(ex.Plan, want) {
-			t.Fatalf("EXPLAIN ANALYZE missing %q:\n%s", want, ex.Plan)
+		if !strings.Contains(ex.Plan(), want) {
+			t.Fatalf("EXPLAIN ANALYZE missing %q:\n%s", want, ex.Plan())
 		}
 	}
 

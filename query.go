@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -566,11 +565,11 @@ func (q *Query) sortMethodFor(rows, keyBytes int) plan.SortMethod {
 
 // radixBits resolves the radix plan for a join that would build a hash
 // table over buildRows rows, narrowed to a per-query budget of that many
-// bytes (plan.ClampRadixBits; 0 = unbudgeted), and the audit of the
-// narrowing — with no Name when the budget did not narrow it. nil bits
-// mean "no radix join": under JoinAuto, whenever the build fits
-// comfortably in cache (plan.ChooseRadixBits's crossover).
-func (q *Query) radixBits(buildRows int, budget int64) ([]uint, obs.Decision) {
+// bytes (plan.ClampRadixBits; 0 = unbudgeted), and the narrowing, zero
+// when the budget did not narrow it. nil bits mean "no radix join": under
+// JoinAuto, whenever the build fits comfortably in cache
+// (plan.ChooseRadixBits's crossover).
+func (q *Query) radixBits(buildRows int, budget int64) ([]uint, budgetClamp) {
 	choose := plan.ChooseRadixBits
 	if q.joinStrategy() == JoinRadix {
 		choose = plan.ForceRadixBits
@@ -578,28 +577,19 @@ func (q *Query) radixBits(buildRows int, budget int64) ([]uint, obs.Decision) {
 	bits := choose(buildRows, q.db.opts.Radix)
 	clamped, did := plan.ClampRadixBits(bits, q.db.opts.Radix, budget)
 	if !did {
-		return clamped, obs.Decision{}
+		return clamped, budgetClamp{}
 	}
-	return clamped, clampAudit("radix budget clamp",
-		fmt.Sprintf("bits=%v (was %v)", clamped, bits), clamped, budget, buildRows)
+	return clamped, budgetClamp{budget: budget, rows: buildRows, was: bits}
 }
 
-// clampAudit is the decision audit of a plan the memory budget narrowed;
-// it travels on that plan, and the phase that runs the plan records it.
-// The record is informational (Threshold 0): a clamp is the budget
-// working, not a misprediction.
-func clampAudit(name, chosen string, bits []uint, budget int64, rows int) obs.Decision {
-	var total uint
-	for _, b := range bits {
-		total += b
-	}
-	return obs.Decision{
-		Name:     name,
-		Chosen:   chosen,
-		Inputs:   fmt.Sprintf("budget=%s rows=%s", obs.FmtBytes(budget), obs.FmtCount(float64(rows))),
-		Estimate: float64(int(1) << total),
-		Unit:     "partitions",
-	}
+// budgetClamp is a memory budget's narrowing of a plan's radix bits: the
+// budget that narrowed them (0: it did not), the rows the plan was sized
+// for and, for a join, the bits before the narrowing. It travels on the
+// plan, and the phase that runs the plan audits it.
+type budgetClamp struct {
+	budget int64
+	rows   int
+	was    []uint
 }
 
 // Result is a query result: a temporary list of tuple pointers plus the
@@ -609,7 +599,7 @@ func clampAudit(name, chosen string, bits []uint, budget int64, rows int) obs.De
 // list holds as values, one vector per column.
 type Result struct {
 	list *storage.TempList
-	plan []string
+	plan queryPlan
 }
 
 // Len returns the number of rows.
@@ -633,8 +623,9 @@ func (r *Result) Tuples(i int) []*Tuple { return r.list.Row(i) }
 // the phases ran: the lines Query.Explain prints for the same query, each
 // phase planned on the live size of its input instead of a catalog
 // estimate. For per-operator rows, wall time, and §3.1 counters use
-// Query.Analyze.
-func (r *Result) Plan() string { return strings.Join(r.plan, "\n") }
+// Query.Analyze. The text is rendered from the plan values each time it
+// is read; it does not change when the Query is edited after Run.
+func (r *Result) Plan() string { return r.plan.text(-1) }
 
 // Run plans and executes the query under one shared relation lock per
 // distinct table it names — however many partitions the tables have — so
@@ -676,20 +667,19 @@ type execution struct {
 	total     meter.Counters  // rollup across phases
 	scanned   int64           // base-relation tuples fetched
 	shape     string          // the registry's plan-shape label, built while collecting
-	plan      []string
-	decisions []obs.Decision // plan-vs-actual audits, built while collecting
-	root      *obs.TraceNode // nil unless building a trace, which implies collecting
-	t0        time.Time      // when the running phase started (tracing only)
+	plan      queryPlan       // each phase records the plan it ran
+	decisions []obs.Decision  // plan-vs-actual audits, kept only when tracing
+	root      *obs.TraceNode  // nil unless building a trace, which implies collecting
+	t0        time.Time       // when the running phase started (tracing only)
 }
 
 // step is one executed phase as the recorder takes it: the output list,
-// the phase's plan lines, its trace node (record adds the row count out,
-// the wall time and the §3.1 counters), the base-relation tuples it
-// fetched, and the index it probed.
+// its trace node (record adds the row count out, the wall time and the
+// §3.1 counters), the base-relation tuples it fetched, and the index it
+// probed. The runner records the phase's plan value in the execution's
+// queryPlan, not here.
 type step struct {
 	list      *storage.TempList
-	line      string   // the phase's plan line; "" for projection
-	lines     []string // further plan lines: a pipeline's stages
 	node      obs.TraceNode
 	scanned   int64
 	probeKind string // index structure probed ("" for none)
@@ -697,19 +687,15 @@ type step struct {
 }
 
 // record folds a phase into the execution as its runner returned it —
-// its plan lines, its counters, fetched tuples and index probes, its
-// trace node — and returns its output list. It returns the runner's
-// error, or the context's: a cancelled query stops at the phase boundary
-// rather than planning and running the next operator (inside operators,
-// cancellation is observed at morsel boundaries).
+// its counters, fetched tuples and index probes, its trace node — and
+// returns its output list. It returns the runner's error, or the
+// context's: a cancelled query stops at the phase boundary rather than
+// planning and running the next operator (inside operators, cancellation
+// is observed at morsel boundaries).
 func (x *execution) record(s step, err error) (*storage.TempList, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.line != "" {
-		x.plan = append(x.plan, s.line)
-	}
-	x.plan = append(x.plan, s.lines...)
 	if x.m != nil {
 		s.node.Ops = *x.m
 		x.total.Add(*x.m)
@@ -717,7 +703,7 @@ func (x *execution) record(s step, err error) (*storage.TempList, error) {
 		x.scanned += s.scanned
 		x.reg.IndexProbe(s.probeKind, s.probes)
 	}
-	if x.root != nil {
+	if x.tracing() {
 		now := time.Now()
 		n := s.node
 		n.RowsOut, n.Wall = s.list.Len(), now.Sub(x.t0)
@@ -727,12 +713,40 @@ func (x *execution) record(s step, err error) (*storage.TempList, error) {
 	return s.list, x.sq.Err()
 }
 
-// auditClamp records a plan's budget-clamp audit, if the budget narrowed
-// the plan.
-func (x *execution) auditClamp(d obs.Decision) {
-	if d.Name != "" {
+// tracing reports whether this execution builds a trace: the only reader
+// of a decision's Chosen and Inputs text, which audits fill only then.
+func (x *execution) tracing() bool { return x.root != nil }
+
+// audit records a plan-vs-actual decision from its numbers: the registry
+// counts it as the phase observes it (a misprediction is all it counts),
+// and a trace keeps it. Only a trace shows a decision's text, so text,
+// which renders Chosen and Inputs, runs only when one is built.
+func (x *execution) audit(d obs.Decision, text func() (chosen, inputs string)) {
+	x.reg.RecordDecision(d) // nil-safe
+	if x.tracing() {
+		d.Chosen, d.Inputs = text()
 		x.decisions = append(x.decisions, d)
 	}
+}
+
+// auditClamp audits a plan's budget clamp, if the budget narrowed the
+// plan to bits. The record is informational (Threshold 0): a clamp is the
+// budget working, not a misprediction.
+func (x *execution) auditClamp(name string, c budgetClamp, bits []uint) {
+	if c.budget == 0 {
+		return
+	}
+	var total uint
+	for _, b := range bits {
+		total += b
+	}
+	x.audit(obs.Decision{Name: name, Estimate: float64(int(1) << total), Unit: "partitions"}, func() (string, string) {
+		chosen := fmt.Sprintf("bits=%v", bits)
+		if c.was != nil {
+			chosen += fmt.Sprintf(" (was %v)", c.was)
+		}
+		return chosen, fmt.Sprintf("budget=%s rows=%s", obs.FmtBytes(c.budget), obs.FmtCount(float64(c.rows)))
+	})
 }
 
 // budget is this execution's fair share of the database budget: the
@@ -765,16 +779,13 @@ func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
 
 	// Live-query registration: the query is visible in ActiveQueries from
 	// here until execute returns, with its phase and rows-processed gauges
-	// updated as the operators run. aq is nil when the registry is off;
-	// every downstream use is nil-safe, so the disabled path costs one
-	// comparison per call site.
-	var qtext string
+	// updated as the operators run. The registry holds q itself and
+	// renders its text only when a snapshot asks. aq is nil when the
+	// registry is off; every downstream use is nil-safe, so the disabled
+	// path costs one comparison per call site.
 	var aq *obs.ActiveQuery
-	if q.db.active != nil || slow != nil {
-		qtext = q.text()
-	}
 	if q.db.active != nil {
-		aq = q.db.active.Register(qtext)
+		aq = q.db.active.Register(q)
 		defer q.db.active.Deregister(aq)
 	}
 	x := execution{reg: reg, pg: aq.Progress(), ctx: q.ctx}
@@ -829,17 +840,16 @@ func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
 	} else {
 		card = q.from.Cardinality()
 	}
-	selLimit, joinLimit := q.splitLimit()
-	x.plan = q.planHead(x.plan, card)
+	x.plan.head = q.planHead(card)
 
 	aq.SetPhase(obs.PhaseSelect)
-	list, err := x.record(q.runSelection(&x, q.planSelection(card, x.snap != nil, epoch, selLimit)), nil)
+	list, err := x.record(q.runSelection(&x, q.planSelection(card, x.snap != nil, epoch, x.plan.head.selLimit)), nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	if len(q.joins) > 0 {
 		aq.SetPhase(obs.PhaseJoin)
-		if list, err = x.record(q.runJoin(&x, list, joinLimit)); err != nil {
+		if list, err = x.record(q.runJoin(&x, list, x.plan.head.joinLimit)); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -889,9 +899,6 @@ func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
 			x.shape += "+order"
 		}
 		wall := time.Since(start)
-		for _, d := range x.decisions {
-			reg.RecordDecision(d) // nil-safe: counts mispredictions
-		}
 		reg.RecordQuery(x.shape, x.scanned, int64(list.Len()), wall, x.total)
 		if buildTrace {
 			x.root.RowsIn, x.root.RowsOut = x.root.Children[0].RowsIn, list.Len() // the selection's
@@ -900,7 +907,7 @@ func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
 		}
 		if slow != nil && wall >= slow.Threshold() {
 			slow.Record(obs.SlowQuery{
-				ID: aq.ID(), Text: qtext, Start: start, Wall: wall,
+				ID: aq.ID(), Text: q.String(), Start: start, Wall: wall,
 				Rows: int64(list.Len()), Trace: trace,
 				SchedSteals: x.sq.Steals(), SchedWait: x.sq.WaitTime(),
 			})
@@ -931,16 +938,22 @@ func (q *Query) lockOrSnapshot(x *execution, reader *Txn) error {
 			return nil
 		}
 	}
-	tables := make([]*Table, 0, len(q.rels))
-	for _, r := range q.rels {
-		if !slices.Contains(tables, r.t) {
-			tables = append(tables, r.t)
-		}
-	}
-	sort.Slice(tables, func(i, j int) bool { return tables[i].Name() < tables[j].Name() })
 	var lockStart time.Time
 	if snapOK {
 		lockStart = time.Now()
+	}
+	// The distinct tables in name order: an insertion sort into a stack
+	// array, since a query names a handful of tables.
+	var buf [4]*Table
+	tables := buf[:0]
+	for _, r := range q.rels {
+		if slices.Contains(tables, r.t) {
+			continue
+		}
+		tables = append(tables, r.t)
+		for i := len(tables) - 1; i > 0 && tables[i].Name() < tables[i-1].Name(); i-- {
+			tables[i], tables[i-1] = tables[i-1], tables[i]
+		}
 	}
 	for _, t := range tables {
 		if err := reader.inner.LockRelationShared(t.rel); err != nil {
@@ -977,52 +990,64 @@ func (q *Query) splitLimit() (sel, join int) {
 	return -1, 0
 }
 
-// planHead appends the lines every plan opens with, for a from-table of
-// card rows: the block size batch-at-a-time operators run with (pooled
-// blocks are physically plan.DefaultBatchSize; tiny inputs account for
-// smaller blocks) and where a LIMIT was pushed.
-func (q *Query) planHead(lines []string, card int) []string {
-	lines = append(lines, fmt.Sprintf("batch: %d-tuple pointer blocks",
-		plan.ChooseBatchSize(q.db.opts.BatchSize, card)))
-	switch sel, join := q.splitLimit(); {
-	case sel > 0:
-		lines = append(lines, fmt.Sprintf("limit: %d pushed into selection", sel))
-	case join > 0:
-		lines = append(lines, fmt.Sprintf("limit: %d pushed into join (early exit)", join))
-	}
-	return lines
+// headPlan is what every plan opens with: the block size batch-at-a-time
+// operators run with (pooled blocks are physically plan.DefaultBatchSize;
+// tiny inputs account for smaller blocks) and where a LIMIT was pushed
+// (splitLimit's placement).
+type headPlan struct {
+	batch               int
+	selLimit, joinLimit int
 }
 
-// workersAudit audits a worker count: the chooser assumed rows split
+// planHead plans the head for a from-table of card rows.
+func (q *Query) planHead(card int) headPlan {
+	h := headPlan{batch: plan.ChooseBatchSize(q.db.opts.BatchSize, card)}
+	h.selLimit, h.joinLimit = q.splitLimit()
+	return h
+}
+
+// lines appends the head's plan lines.
+func (h headPlan) lines(out []string) []string {
+	out = append(out, fmt.Sprintf("batch: %d-tuple pointer blocks", h.batch))
+	switch {
+	case h.selLimit > 0:
+		out = append(out, fmt.Sprintf("limit: %d pushed into selection", h.selLimit))
+	case h.joinLimit > 0:
+		out = append(out, fmt.Sprintf("limit: %d pushed into join (early exit)", h.joinLimit))
+	}
+	return out
+}
+
+// auditWorkers audits a worker count: the chooser assumed rows split
 // evenly; the live registry's max-rows-per-worker gauge is what one
 // worker actually absorbed (0 when the registry is off — the decision
 // degrades to informational).
-func workersAudit(workers, rows int, pg *obs.Progress) obs.Decision {
-	return obs.Decision{
+func (x *execution) auditWorkers(workers, rows int) {
+	x.audit(obs.Decision{
 		Name:      "workers",
-		Chosen:    fmt.Sprintf("%d worker(s)", workers),
-		Inputs:    "work rows=" + obs.FmtCount(float64(rows)),
 		Estimate:  float64(rows) / float64(workers),
-		Actual:    float64(pg.MaxWorkerRows()),
+		Actual:    float64(x.pg.MaxWorkerRows()),
 		Unit:      "rows/worker",
 		Threshold: 4.0,
-	}
+	}, func() (string, string) {
+		return fmt.Sprintf("%d worker(s)", workers), "work rows=" + obs.FmtCount(float64(rows))
+	})
 }
 
-// radixBalance audits a radix plan's assumption of uniform partitions
-// against the largest one observed, and feeds the registry's skew
-// histogram.
-func radixBalance(reg *obs.Registry, st radix.Stats) obs.Decision {
-	reg.ObserveRadixSkew(st.Skew())
-	return obs.Decision{
+// auditRadixBalance audits a radix plan's assumption of uniform
+// partitions against the largest one observed, and feeds the registry's
+// skew histogram.
+func (x *execution) auditRadixBalance(st radix.Stats) {
+	x.reg.ObserveRadixSkew(st.Skew())
+	x.audit(obs.Decision{
 		Name:      "radix balance",
-		Chosen:    fmt.Sprintf("%d partitions", st.Fanout),
-		Inputs:    "rows=" + obs.FmtCount(float64(st.Rows)),
 		Estimate:  float64(st.Rows) / float64(st.Fanout),
 		Actual:    float64(st.MaxPart),
 		Unit:      "rows/partition",
 		Threshold: 4.0,
-	}
+	}, func() (string, string) {
+		return fmt.Sprintf("%d partitions", st.Fanout), "rows=" + obs.FmtCount(float64(st.Rows))
+	})
 }
 
 // traceRadix copies a radix operator's partitioning into its trace node.
@@ -1032,10 +1057,14 @@ func traceRadix(n *obs.TraceNode, st radix.Stats) {
 	}
 }
 
-// text renders the query in a compact SQL-ish form for the live registry
-// and the slow-query log. Built once per query, and only when one of
-// those surfaces is on.
-func (q *Query) text() string {
+// String renders the query in a compact SQL-ish form: the text the live
+// registry and the slow-query log show. Neither builds it while the query
+// runs; the registry renders it when a snapshot is taken, the slow log
+// when the query crossed its threshold.
+func (q *Query) String() string {
+	if q.from == nil {
+		return "invalid query: " + q.err.Error()
+	}
 	var b strings.Builder
 	b.WriteString("SELECT ")
 	if q.distinct {
@@ -1134,45 +1163,90 @@ func (q *Query) Explain() (string, error) {
 		return "", q.err
 	}
 	rows := q.from.Cardinality()
-	selLimit, joinLimit := q.splitLimit()
-	lines := q.planHead([]string{"planned (catalog estimates; nothing executed):"}, rows)
+	p := queryPlan{head: q.planHead(rows)}
 	// The executor's own snapshot test; the epoch is the one a snapshot
 	// published now would carry, read without locking or publishing.
 	snap := q.snapshotShapeOK() && rows >= snapshotMinRows
-	sp := q.planSelection(rows, snap, q.from.rel.SnapshotEpoch(), selLimit)
-	lines = append(lines, "access "+q.from.Name()+": "+sp.line)
-	estimated := len(q.preds) > 0
+	p.sel = q.planSelection(rows, snap, q.from.rel.SnapshotEpoch(), p.head.selLimit)
 	if len(q.joins) > 0 {
-		p, err := q.planJoin(rows, false, joinLimit, 0)
+		jp, err := q.planJoin(rows, false, p.head.joinLimit, 0)
 		if err != nil {
 			return "", err
 		}
+		p.join = &jp
+	}
+	if len(q.groupBy) > 0 || len(q.aggs) > 0 {
+		ap := q.planAgg(rows, 0)
+		p.group = &ap
+	}
+	if q.distinct {
+		dp := q.planDistinct(rows, 0)
+		p.distinct = &dp
+	}
+	if len(q.orderBy) > 0 {
+		op := q.planOrder(rows)
+		p.order = &op
+	}
+	return "planned (catalog estimates; nothing executed):\n" + p.text(rows), nil
+}
+
+// queryPlan is a query's plan as its phases' planners returned it: the
+// values are the record, and text renders them when the plan is read.
+// execute fills it as each phase plans on its live input, Explain from
+// catalog estimates. Each value copies what its lines need when it is
+// planned, so rendering never reads the Query.
+type queryPlan struct {
+	head     headPlan
+	sel      selPlan
+	join     *joinPlan     // nil: a single relation
+	group    *aggPlan      // nil: not grouped
+	distinct *distinctPlan // nil: no DISTINCT
+	order    *orderPlan    // nil: no ORDER BY
+}
+
+// text renders the plan, one line per decision in the order the phases
+// run: the lines Result.Plan returns (estimate < 0) and, after its
+// header, the ones Explain prints. Explain passes the from-table's
+// catalog cardinality, and a line planned on a size that is only
+// estimated — a phase after a filter or a join — says so: "(… estimated
+// ≤ N rows)".
+func (p *queryPlan) text(estimate int) string {
+	explain := estimate >= 0
+	lines := p.head.lines(make([]string, 0, 8))
+	lines = append(lines, "access "+p.sel.table+": "+p.sel.access())
+	estimated := explain && p.sel.preds > 0
+	if j := p.join; j != nil {
+		head := j.head()
 		switch {
 		case !estimated:
-		case p.estRows == nil:
-			p.lines[0] += fmt.Sprintf(" (outer estimated ≤ %d rows; runtime may switch methods on the live size)", rows)
+		case j.estRows == nil:
+			head += fmt.Sprintf(" (outer estimated ≤ %d rows; runtime may switch methods on the live size)", estimate)
 		default:
-			p.lines[0] += fmt.Sprintf(" (driver estimated ≤ %d rows)", rows)
+			head += fmt.Sprintf(" (driver estimated ≤ %d rows)", estimate)
 		}
-		lines, estimated = append(lines, p.lines...), true
+		lines = append(lines, head)
+		for k := range j.stages {
+			lines = append(lines, "join ⋈ "+j.names[k+1]+": "+j.stagePath(k))
+		}
+		estimated = explain
 	}
 	// A phase after the first consumes an earlier phase's output.
 	phase := func(name, path string) {
 		if estimated {
-			path += fmt.Sprintf(" (input estimated ≤ %d rows)", rows)
+			path += fmt.Sprintf(" (input estimated ≤ %d rows)", estimate)
 		}
-		lines, estimated = append(lines, name+": "+path), true
+		lines, estimated = append(lines, name+": "+path), explain
 	}
-	if len(q.groupBy) > 0 || len(q.aggs) > 0 {
-		phase("group", q.planAgg(rows, 0).path())
+	if p.group != nil {
+		phase("group", p.group.path())
 	}
-	if q.distinct {
-		phase("distinct", q.planDistinct(rows, 0).path)
+	if p.distinct != nil {
+		phase("distinct", p.distinct.path())
 	}
-	if len(q.orderBy) > 0 {
-		phase("order", q.planOrder(rows).path)
+	if p.order != nil {
+		phase("order", p.order.path())
 	}
-	return strings.Join(lines, "\n"), nil
+	return strings.Join(lines, "\n")
 }
 
 // selPlan is the selection's plan: the access path, and for a sequential
@@ -1184,9 +1258,9 @@ type selPlan struct {
 	path plan.AccessPath
 	// PathTreeRange only: every range predicate on the indexed column
 	// folded into the one inclusive interval the index is probed with.
-	// A nil bound is open. Strict bounds (<, >) fold like inclusive ones;
-	// the residual filter drops the endpoint.
-	lo, hi *Value
+	// A NULL bound (the zero Value) is open. Strict bounds (<, >) fold
+	// like inclusive ones; the residual filter drops the endpoint.
+	lo, hi Value
 	folded int  // predicates the interval stands for
 	empty  bool // no key can qualify: lo > hi, or a comparison with NULL
 	// exact is the set of predicates (bit i = q.preds[i]) that hold for
@@ -1198,7 +1272,16 @@ type selPlan struct {
 	rows    int    // the from-table's tuples: the snapshot's when it reads one
 	limit   int    // pushed-down LIMIT; -1 = none
 	workers int    // scan workers the trace reports (0 = serial, locked)
-	line    string // the access line's text after "access <table>: "
+	snap    bool   // the sequential scan reads the snapshot of epoch
+	epoch   uint64 // meaningful with snap
+
+	// What the access line names, copied when planned: the from-table,
+	// its primary index's structure, the served predicate's column, and
+	// how many predicates the query has.
+	table   string
+	primary IndexKind
+	column  string
+	preds   int
 }
 
 // guarantees reports whether the access path already guarantees
@@ -1211,7 +1294,8 @@ func (sp selPlan) guarantees(i int) bool {
 // path by the §4 preference order; pure planning, no execution.
 func (q *Query) chooseSelectionPath() selPlan {
 	t := q.from
-	sp := selPlan{pred: -1, path: plan.PathSequentialScan}
+	sp := selPlan{pred: -1, path: plan.PathSequentialScan,
+		table: t.Name(), primary: t.primary.kind, preds: len(q.preds)}
 	for i, p := range q.preds {
 		path := plan.ChooseSelection(plan.SelectionInput{
 			Op:      p.op,
@@ -1221,6 +1305,9 @@ func (q *Query) chooseSelectionPath() selPlan {
 		if sp.pred == -1 || path < sp.path {
 			sp.pred, sp.path = i, path
 		}
+	}
+	if sp.pred >= 0 {
+		sp.column = q.preds[sp.pred].column
 	}
 	switch sp.path {
 	case plan.PathTreeRange:
@@ -1262,49 +1349,66 @@ func (q *Query) foldRange(sp *selPlan) {
 		}
 		switch p.op {
 		case Gt, Ge:
-			if sp.lo == nil || storage.Compare(p.val, *sp.lo) > 0 {
-				sp.lo = &p.val
+			if sp.lo.IsNull() || storage.Compare(p.val, sp.lo) > 0 {
+				sp.lo = p.val
 			}
 		case Lt, Le:
-			if sp.hi == nil || storage.Compare(p.val, *sp.hi) < 0 {
-				sp.hi = &p.val
+			if sp.hi.IsNull() || storage.Compare(p.val, sp.hi) < 0 {
+				sp.hi = p.val
 			}
 		}
 	}
-	if sp.lo != nil && sp.hi != nil && storage.Compare(*sp.lo, *sp.hi) > 0 {
+	if !sp.lo.IsNull() && !sp.hi.IsNull() && storage.Compare(sp.lo, sp.hi) > 0 {
 		sp.empty = true
 	}
-	if sp.lo != nil {
+	if !sp.lo.IsNull() {
 		// NULL sorts before every key, so only a lower bound keeps
 		// NULL-keyed tuples — on which no predicate holds — out of the range.
 		sp.exact = inclusive
 	}
 }
 
-// describe renders the decision for plan notes: the access (the planned
-// path's name, or what the executor ran in its place — a parallel or
-// snapshot scan), the column, the folded interval, and how many
-// predicates are left to the residual filter.
-func (sp selPlan) describe(q *Query, access string) string {
-	desc := fmt.Sprintf("%s on %q", access, q.preds[sp.pred].column)
-	served := 1
-	if sp.path == plan.PathTreeRange {
-		served = sp.folded
-		lo, hi := "(-inf", "+inf)"
-		if sp.lo != nil {
-			lo = "[" + sp.lo.String()
-		}
-		if sp.hi != nil {
-			hi = sp.hi.String() + "]"
-		}
-		if sp.empty {
-			desc += " (empty interval)"
-		} else {
-			desc += " " + lo + ", " + hi
-		}
+// access renders the selection's access path, the text after "access
+// <table>: " on its plan line and its trace node's path: what runs (the
+// planned path's name, or what the executor runs in its place — a
+// parallel or snapshot scan), then with predicates the column, the
+// folded interval and how many predicates are left to the residual
+// filter, and a pushed LIMIT's early exit.
+func (sp *selPlan) access() string {
+	desc := sp.path.String()
+	switch {
+	case sp.snap:
+		desc = fmt.Sprintf("snapshot scan @ epoch %d (%d workers, no lock held)", sp.epoch, sp.workers)
+	case sp.workers > 1:
+		desc = fmt.Sprintf("parallel partition scan (%d workers)", sp.workers)
 	}
-	if n := len(q.preds) - served; n > 0 {
-		desc += fmt.Sprintf(" + %d residual filter(s)", n)
+	switch {
+	case sp.preds > 0:
+		desc = fmt.Sprintf("%s on %q", desc, sp.column)
+		served := 1
+		if sp.path == plan.PathTreeRange {
+			served = sp.folded
+			lo, hi := "(-inf", "+inf)"
+			if !sp.lo.IsNull() {
+				lo = "[" + sp.lo.String()
+			}
+			if !sp.hi.IsNull() {
+				hi = sp.hi.String() + "]"
+			}
+			if sp.empty {
+				desc += " (empty interval)"
+			} else {
+				desc += " " + lo + ", " + hi
+			}
+		}
+		if n := sp.preds - served; n > 0 {
+			desc += fmt.Sprintf(" + %d residual filter(s)", n)
+		}
+	case sp.workers == 0:
+		desc = fmt.Sprintf("full scan via %s index", sp.primary)
+	}
+	if sp.limit >= 0 {
+		desc += fmt.Sprintf(" (early exit at LIMIT %d)", sp.limit)
 	}
 	return desc
 }
@@ -1315,26 +1419,15 @@ func (sp selPlan) describe(q *Query, access string) string {
 // exit is inherently sequential, so a limited scan runs serially.
 func (q *Query) planSelection(rows int, snap bool, epoch uint64, limit int) selPlan {
 	sp := q.chooseSelectionPath()
-	sp.rows, sp.limit, sp.line = rows, limit, sp.path.String()
+	sp.rows, sp.limit = rows, limit
 	if sp.path == plan.PathSequentialScan && limit < 0 {
 		w := plan.ChooseWorkers(q.parallelism(), rows)
 		switch {
 		case snap:
-			sp.workers = w
-			sp.line = fmt.Sprintf("snapshot scan @ epoch %d (%d workers, no lock held)", epoch, w)
+			sp.workers, sp.snap, sp.epoch = w, true, epoch
 		case w > 1:
 			sp.workers = w
-			sp.line = fmt.Sprintf("parallel partition scan (%d workers)", w)
 		}
-	}
-	switch {
-	case len(q.preds) > 0:
-		sp.line = sp.describe(q, sp.line)
-	case sp.workers == 0:
-		sp.line = fmt.Sprintf("full scan via %s index", q.from.primary.kind)
-	}
-	if limit >= 0 {
-		sp.line += fmt.Sprintf(" (early exit at LIMIT %d)", limit)
 	}
 	return sp
 }
@@ -1351,11 +1444,13 @@ func (q *Query) planSelection(rows int, snap bool, epoch uint64, limit int) selP
 // a residual pass filter it once into a fresh list and release it.
 func (q *Query) runSelection(x *execution, sp selPlan) step {
 	t := q.from
-	s := step{line: "access " + t.Name() + ": " + sp.line, node: obs.TraceNode{
-		Op: "select", Detail: t.Name(), AccessPath: sp.line, Workers: sp.workers, Refresh: x.refresh,
-	}}
+	x.plan.sel = sp
+	s := step{node: obs.TraceNode{Op: "select", Detail: t.Name(), Workers: sp.workers, Refresh: x.refresh}}
+	if x.tracing() {
+		s.node.AccessPath = sp.access()
+	}
 	m := x.m
-	spec := exec.SelectSpec{RelName: t.Name(), Schema: t.rel.Schema(), Meter: m, Prog: x.pg, Sched: x.sq}
+	spec := exec.SelectSpec{RelName: t.Name(), Schema: t.rel.Schema(), Desc: t.sel, Meter: m, Prog: x.pg, Sched: x.sq}
 	if sp.path == plan.PathSequentialScan {
 		s.list = q.runScan(x, spec, sp)
 		s.node.RowsIn = s.list.Len()
@@ -1375,11 +1470,11 @@ func (q *Query) runSelection(x *execution, sp selPlan) step {
 			s.probeKind, s.probes = ix.kind.String(), 1
 		default: // plan.PathTreeRange
 			if sp.empty {
-				s.list = storage.MustTempListHint(storage.Descriptor{Sources: []string{t.Name()}}, 0)
+				s.list = storage.MustTempListHint(t.sel, 0)
 				break
 			}
 			ix := t.indexOn(p.field, true)
-			s.list = exec.SelectRange(ix.ordered, p.field, sp.lo, sp.hi, spec)
+			s.list = exec.SelectRange(ix.ordered, p.field, rangeBound(sp.lo), rangeBound(sp.hi), spec)
 			s.probeKind, s.probes = ix.kind.String(), 1
 		}
 		s.node.RowsIn = s.list.Len()
@@ -1394,17 +1489,27 @@ func (q *Query) runSelection(x *execution, sp selPlan) step {
 		// Audit the batch sizing: it assumed the whole table flows through
 		// the pipeline, and a selective predicate makes that estimate wrong
 		// by exactly the filter's factor.
-		x.decisions = append(x.decisions, obs.Decision{
+		x.audit(obs.Decision{
 			Name:      "batch",
-			Chosen:    fmt.Sprintf("%d-tuple blocks", plan.ChooseBatchSize(q.db.opts.BatchSize, sp.rows)),
-			Inputs:    "table card=" + obs.FmtCount(float64(sp.rows)),
 			Estimate:  float64(sp.rows),
 			Actual:    float64(s.list.Len()),
 			Unit:      "rows",
 			Threshold: 2.0,
+		}, func() (string, string) {
+			return fmt.Sprintf("%d-tuple blocks", plan.ChooseBatchSize(q.db.opts.BatchSize, sp.rows)),
+				"table card=" + obs.FmtCount(float64(sp.rows))
 		})
 	}
 	return s
+}
+
+// rangeBound is a folded interval's bound as exec.SelectRange takes it:
+// nil when open.
+func rangeBound(v Value) *Value {
+	if v.IsNull() {
+		return nil
+	}
+	return &v
 }
 
 // residual filters an index path's output by the predicates the probe did
@@ -1455,7 +1560,7 @@ func (q *Query) residual(list *storage.TempList, sp selPlan, m *meter.Counters) 
 func (q *Query) runScan(x *execution, spec exec.SelectSpec, sp selPlan) *storage.TempList {
 	t := q.from
 	m := spec.Meter
-	desc := storage.Descriptor{Sources: []string{t.Name()}}
+	desc := t.sel
 	pred := q.conjunction()
 	if sp.limit >= 0 {
 		// LIMIT pushed into the scan: append row-at-a-time and cut the
@@ -1560,15 +1665,15 @@ func predHolds(tp *storage.Tuple, p *qpred) bool {
 // the plan names. Explain prints the plan's lines and runJoin executes
 // it, so the planned and the executed join cannot disagree.
 type joinPlan struct {
-	order []int  // execution order by relation index, driver first
-	text  string // the order by scope names: "fact ⋈ d1 ⋈ d2"
+	order []int    // execution order by relation index, driver first
+	names []string // the order by scope names, copied when planned
 	// The §4 method and the indices it walks (JoinRadixHash: a radix-sized
 	// build upgraded JoinHash); JoinHash, the hash pipeline, for more edges.
 	method       plan.JoinMethod
-	bits         []uint       // JoinRadixHash: the radix plan
-	clamp        obs.Decision // the budget's narrowing of bits; no Name if none
-	chained      bool         // JoinHash under JoinChained with no hash index to probe
-	innerHash    bool         // JoinHash: the inner's hash index is probed in place
+	bits         []uint      // JoinRadixHash: the radix plan
+	clamp        budgetClamp // the budget's narrowing of bits
+	chained      bool        // JoinHash under JoinChained with no hash index to probe
+	innerHash    bool        // JoinHash: the inner's hash index is probed in place
 	outerTT      *ttree.Tree[*storage.Tuple]
 	innerTT      *ttree.Tree[*storage.Tuple]
 	innerOrdered *Index
@@ -1580,18 +1685,50 @@ type joinPlan struct {
 	driverRows int // rows the driver streams
 	workers    int
 	stages     []stagePlan // the pipeline, in execution order; none for the precomputed, tree, radix and chained joins
-	lines      []string    // the phase's plan lines: joinHead, then one per stage
 }
 
 // stagePlan is one pipeline stage: how it binds its relation — following
-// a Ref (pointer deref), probing an existing hash index in place, or
-// building a pooled flat table — and the edges it checks. The embedded
-// spec lacks only the table, which runPipeline builds or borrows.
+// a Ref (pointer deref, StageSpec.Deref), probing an existing hash index
+// in place, or building a pooled flat table — and the edges it checks.
+// The embedded spec lacks only the table, which runPipeline builds or
+// borrows.
 type stagePlan struct {
 	exec.StageSpec
-	index    *Index // the hash index probed in place; nil otherwise
-	method   string // "pointer deref", "hash probe (<kind> index)" or "hash probe (built table)"
-	forecast string // a multi-join's " (forecast N rows)"; "" for one edge
+	index *Index // the hash index probed in place; nil otherwise
+}
+
+// orderText renders the join order by scope names: "fact ⋈ d1 ⋈ d2".
+func (p *joinPlan) orderText() string { return strings.Join(p.names, " ⋈ ") }
+
+// head is the join phase's first plan line: the method between two
+// relations, or the order of several.
+func (p *joinPlan) head() string {
+	if p.estRows == nil {
+		return fmt.Sprintf("join %s: %s", p.orderText(), p.method)
+	}
+	return fmt.Sprintf("join order: %s (%s)", p.orderText(), p.algorithm)
+}
+
+// stageMethod names how stage k binds its relation: "pointer deref",
+// "hash probe (<kind> index)" or "hash probe (built table)".
+func (p *joinPlan) stageMethod(k int) string {
+	switch st := p.stages[k]; {
+	case st.Deref:
+		return "pointer deref"
+	case st.index != nil:
+		return "hash probe (" + st.index.kind.String() + " index)"
+	}
+	return "hash probe (built table)"
+}
+
+// stagePath is stage k's access path, the text after "join ⋈ <name>: "
+// on its plan line: its method and, for a multi-join, the rows forecast
+// after it.
+func (p *joinPlan) stagePath(k int) string {
+	if p.estRows == nil {
+		return p.stageMethod(k)
+	}
+	return fmt.Sprintf("%s (forecast %s rows)", p.stageMethod(k), obs.FmtCount(p.estRows[k+1]))
 }
 
 // planJoin plans the join phase for a from-table that enters with
@@ -1612,7 +1749,10 @@ func (q *Query) planJoin(rel0Rows int, locked bool, limit int, budget int64) (jo
 		}
 		p.order, p.algorithm, p.estRows = res.Order, res.Algorithm, res.EstRows
 	}
-	p.text = q.orderText(p.order)
+	p.names = make([]string, len(p.order))
+	for i, r := range p.order {
+		p.names[i] = q.rels[r].name
+	}
 	p.driverRows = rel0Rows
 	if p.order[0] != 0 {
 		p.driverRows = q.rels[p.order[0]].t.Cardinality()
@@ -1632,7 +1772,6 @@ func (q *Query) planJoin(rel0Rows int, locked bool, limit int, budget int64) (jo
 		// the serial §3.3 join: the §4 methods run as the paper ran them.
 		p.workers = 1
 	}
-	p.lines = append(p.lines, q.joinHead(p))
 	if p.method == plan.JoinHash && !p.chained {
 		return p, q.planStages(&p)
 	}
@@ -1699,7 +1838,7 @@ func (q *Query) planStages(p *joinPlan) error {
 	bound := make([]bool, len(q.rels))
 	bound[p.order[0]] = true
 	p.stages = make([]stagePlan, 0, len(p.order)-1)
-	for k, r := range p.order[1:] {
+	for _, r := range p.order[1:] {
 		st := stagePlan{StageSpec: exec.StageSpec{BuildSlot: r, ProbeSlot: -1}}
 		buildField := 0
 		for _, j := range q.joins {
@@ -1723,35 +1862,22 @@ func (q *Query) planStages(p *joinPlan) error {
 		}
 		if st.ProbeSlot < 0 {
 			return fmt.Errorf("mmdb: join order %s leaves %s unconnected (cross product)",
-				p.text, q.rels[r].name)
+				p.orderText(), q.rels[r].name)
 		}
 		rt := q.rels[r].t
 		filtered := r == 0 && len(q.preds) > 0 // build side is the filtered from-table
 		if buildField == tupleindex.SelfField && !filtered && q.refInto(st.ProbeSlot, st.ProbeField, rt) {
-			st.Deref, st.method = true, "pointer deref"
+			st.Deref = true
 		} else {
-			st.BuildField, st.method = buildField, "hash probe (built table)"
+			st.BuildField = buildField
 			if ix := rt.indexOn(buildField, false); ix != nil && !filtered && p.workers <= 1 {
-				st.index, st.method = ix, "hash probe ("+ix.kind.String()+" index)"
+				st.index = ix
 			}
 		}
-		if p.estRows != nil {
-			st.forecast = fmt.Sprintf(" (forecast %s rows)", obs.FmtCount(p.estRows[k+1]))
-		}
-		p.lines = append(p.lines, fmt.Sprintf("join ⋈ %s: %s%s", q.rels[r].name, st.method, st.forecast))
 		p.stages = append(p.stages, st)
 		bound[r] = true
 	}
 	return nil
-}
-
-// joinHead is the join phase's first plan line: the method between two
-// relations, or the order of several.
-func (q *Query) joinHead(p joinPlan) string {
-	if p.estRows == nil {
-		return fmt.Sprintf("join %s: %s", p.text, p.method)
-	}
-	return fmt.Sprintf("join order: %s (%s)", p.text, p.algorithm)
 }
 
 // runJoin plans the join phase over the selection result left on its
@@ -1763,9 +1889,11 @@ func (q *Query) runJoin(x *execution, left *storage.TempList, limit int) (step, 
 	if err != nil {
 		return step{}, err
 	}
-	s := step{line: p.lines[0], lines: p.lines[1:], node: obs.TraceNode{
-		Op: "join", Detail: p.text, AccessPath: p.method.String(), RowsIn: left.Len(), Workers: p.workers,
-	}}
+	x.plan.join = &p
+	s := step{node: obs.TraceNode{Op: "join", AccessPath: p.method.String(), RowsIn: left.Len(), Workers: p.workers}}
+	if x.tracing() {
+		s.node.Detail = p.orderText()
+	}
 	workRows, buildEst := p.driverRows, 0
 	var rs radix.Stats    // radix join only
 	var stageRows []int64 // rows each pipeline stage emitted
@@ -1819,20 +1947,21 @@ func (q *Query) runJoin(x *execution, left *storage.TempList, limit int) (step, 
 			x.shape += "→" + p.method.String()
 		} else {
 			x.shape += fmt.Sprintf("→pipeline(%d)", len(q.rels))
-			if x.root != nil {
-				s.node.AccessPath = fmt.Sprintf("pipelined multi-join (%s order)", p.algorithm)
-			}
 			// Audit the order choice: forecast final cardinality vs what
 			// the pipeline actually emitted.
-			x.decisions = append(x.decisions, obs.Decision{
+			x.audit(obs.Decision{
 				Name:      "join order",
-				Chosen:    fmt.Sprintf("%s (%s)", p.text, p.algorithm),
-				Inputs:    fmt.Sprintf("rels=%d edges=%d", len(q.rels), len(q.joins)),
 				Estimate:  p.estRows[len(p.estRows)-1],
 				Actual:    float64(s.list.Len()),
 				Unit:      "rows",
 				Threshold: 4.0,
+			}, func() (string, string) {
+				return fmt.Sprintf("%s (%s)", p.orderText(), p.algorithm),
+					fmt.Sprintf("rels=%d edges=%d", len(q.rels), len(q.joins))
 			})
+			if x.tracing() {
+				s.node.AccessPath = fmt.Sprintf("pipelined multi-join (%s order)", p.algorithm)
+			}
 		}
 		in := int64(p.driverRows)
 		for k, st := range p.stages {
@@ -1840,41 +1969,42 @@ func (q *Query) runJoin(x *execution, left *storage.TempList, limit int) (step, 
 				x.reg.IndexProbe(st.index.kind.String(), in)
 			}
 			if p.estRows != nil {
-				x.decisions = append(x.decisions, obs.Decision{
+				x.audit(obs.Decision{
 					Name:      "join stage",
-					Chosen:    fmt.Sprintf("⋈ %s (%s)", q.rels[st.BuildSlot].name, st.method),
-					Inputs:    "in rows=" + obs.FmtCount(p.estRows[k]),
 					Estimate:  p.estRows[k+1],
 					Actual:    float64(stageRows[k]),
 					Unit:      "rows",
 					Threshold: 4.0,
+				}, func() (string, string) {
+					return fmt.Sprintf("⋈ %s (%s)", p.names[k+1], p.stageMethod(k)), "in rows=" + obs.FmtCount(p.estRows[k])
 				})
 			}
-			if x.root != nil {
+			if x.tracing() {
 				s.node.Add(&obs.TraceNode{
-					Op: "join", Detail: "⋈ " + q.rels[st.BuildSlot].name, AccessPath: st.method + st.forecast,
+					Op: "join", Detail: "⋈ " + p.names[k+1], AccessPath: p.stagePath(k),
 					RowsIn: int(in), RowsOut: int(stageRows[k]),
 				})
 			}
 			in = stageRows[k]
 		}
 		if p.workers > 1 {
-			x.decisions = append(x.decisions, workersAudit(p.workers, workRows, x.pg))
+			x.auditWorkers(p.workers, workRows)
 		}
 		if rs.Fanout > 0 {
 			// The radix bits were sized for the catalog's build
 			// cardinality, not the rows actually partitioned.
-			x.decisions = append(x.decisions, obs.Decision{
+			x.audit(obs.Decision{
 				Name:      "radix bits",
-				Chosen:    fmt.Sprintf("fanout=%d passes=%d", rs.Fanout, rs.Passes),
-				Inputs:    "build card=" + obs.FmtCount(float64(buildEst)),
 				Estimate:  float64(buildEst),
 				Actual:    float64(rs.Rows),
 				Unit:      "build rows",
 				Threshold: 2.0,
-			}, radixBalance(x.reg, rs))
+			}, func() (string, string) {
+				return fmt.Sprintf("fanout=%d passes=%d", rs.Fanout, rs.Passes), "build card=" + obs.FmtCount(float64(buildEst))
+			})
+			x.auditRadixBalance(rs)
 		}
-		x.auditClamp(p.clamp)
+		x.auditClamp("radix budget clamp", p.clamp, p.bits)
 	}
 	return s, nil
 }
@@ -2003,15 +2133,6 @@ func (q *Query) forcedOrder() ([]int, error) {
 	return order, nil
 }
 
-// orderText renders a join order by scope names: "fact ⋈ d1 ⋈ d2".
-func (q *Query) orderText(order []int) string {
-	names := make([]string, len(order))
-	for i, r := range order {
-		names[i] = q.rels[r].name
-	}
-	return strings.Join(names, " ⋈ ")
-}
-
 // putStageTable returns a pipeline stage table to the pool; a variable
 // so a test can watch when each table comes back.
 var putStageTable = radix.PutTable
@@ -2101,6 +2222,7 @@ func (q *Query) runProject(x *execution, list *storage.TempList) (step, error) {
 			}
 		}
 	} else {
+		cols = make([]storage.ColRef, 0, len(q.cols))
 		for _, name := range q.cols {
 			ref, err := q.resolveColumn(name)
 			if err != nil {
@@ -2114,7 +2236,7 @@ func (q *Query) runProject(x *execution, list *storage.TempList) (step, error) {
 	if s.list, err = list.Redescribe(storage.Descriptor{Sources: list.Descriptor().Sources, Cols: cols}); err != nil {
 		return step{}, err
 	}
-	if x.root != nil {
+	if x.tracing() {
 		s.node.Detail = fmt.Sprintf("%d column(s)", len(cols))
 	}
 	return s, nil
@@ -2192,10 +2314,9 @@ func (q *Query) runGroup(x *execution, list *storage.TempList) (step, error) {
 		return step{}, err
 	}
 	work.Release() // the output took its representative rows and copied every key and aggregate
-	path := ar.path()
-	s := step{list: out, line: "group: " + path, node: obs.TraceNode{
-		Op: "group", AccessPath: path, RowsIn: n, Workers: ar.workers, GrantBytes: ar.grant,
-	}}
+	gp := ar.aggPlan
+	x.plan.group = &gp
+	s := step{list: out, node: obs.TraceNode{Op: "group", RowsIn: n, Workers: ar.workers, GrantBytes: ar.grant}}
 	traceRadix(&s.node, groups.Stats)
 	if x.m != nil {
 		// Audit the agg-method crossover: the chooser sized for the worst
@@ -2203,23 +2324,18 @@ func (q *Query) runGroup(x *execution, list *storage.TempList) (step, error) {
 		// is unknown before execution; the record shows how far off that
 		// was. Informational (Threshold 0) — the worst-case sizing is
 		// intentional, not a misprediction.
-		x.decisions = append(x.decisions, obs.Decision{
-			Name:     "agg method",
-			Chosen:   ar.method.String(),
-			Inputs:   "rows=" + obs.FmtCount(float64(n)),
-			Estimate: float64(n),
-			Actual:   float64(out.Len()),
-			Unit:     "groups",
-		})
+		x.audit(obs.Decision{Name: "agg method", Estimate: float64(n), Actual: float64(out.Len()), Unit: "groups"},
+			func() (string, string) { return ar.method.String(), "rows=" + obs.FmtCount(float64(n)) })
 		if ar.workers > 1 {
-			x.decisions = append(x.decisions, workersAudit(ar.workers, n, x.pg))
+			x.auditWorkers(ar.workers, n)
 		}
 		if groups.Stats.Fanout > 0 {
-			x.decisions = append(x.decisions, radixBalance(x.reg, groups.Stats))
+			x.auditRadixBalance(groups.Stats)
 		}
-		x.auditClamp(ar.clamp)
+		x.auditClamp("agg budget clamp", ar.clamp, ar.bits)
 	}
-	if x.root != nil {
+	if x.tracing() {
+		s.node.AccessPath = gp.path()
 		s.node.Detail = "global"
 		if len(q.groupBy) > 0 {
 			s.node.Detail = "BY " + strings.Join(q.groupBy, ", ")
@@ -2237,7 +2353,7 @@ func (q *Query) runGroup(x *execution, list *storage.TempList) (step, error) {
 type aggPlan struct {
 	method  plan.AggMethod
 	bits    []uint
-	clamp   obs.Decision // the budget's narrowing of bits; no Name if none
+	clamp   budgetClamp // the budget's narrowing of bits
 	workers int
 }
 
@@ -2248,14 +2364,14 @@ func (q *Query) planAgg(n int, budget int64) aggPlan {
 	var clamped bool
 	p.method, p.bits, clamped = plan.BudgetedAggBits(n, q.db.opts.Agg, budget)
 	if clamped {
-		p.clamp = clampAudit("agg budget clamp", fmt.Sprintf("bits=%v", p.bits), p.bits, budget, n)
+		p.clamp = budgetClamp{budget: budget, rows: n}
 	}
 	return p
 }
 
 // path names what runs: workers > 1 fold per-worker flat tables whatever
 // the crossover picked.
-func (p aggPlan) path() string {
+func (p *aggPlan) path() string {
 	if p.workers > 1 {
 		return fmt.Sprintf("parallel partial-agg merge (%d workers)", p.workers)
 	}
@@ -2301,7 +2417,14 @@ type distinctPlan struct {
 	sortScan bool            // explicit SortMethod: §3.4 Sort Scan on sort
 	sort     plan.SortMethod // meaningful with sortScan
 	agg      aggPlan         // otherwise: keys-only run of the agg engine
-	path     string
+}
+
+// path names what runs.
+func (p *distinctPlan) path() string {
+	if p.sortScan {
+		return fmt.Sprintf("sort-scan duplicate elimination (%s)", p.sort)
+	}
+	return "hash duplicate elimination, keys-only " + p.agg.path()
 }
 
 // planDistinct picks the duplicate-elimination path for rows input rows
@@ -2316,20 +2439,20 @@ func (q *Query) planDistinct(rows int, budget int64) distinctPlan {
 		if ss == SortRadix {
 			sm = plan.SortRadixKey
 		}
-		return distinctPlan{sortScan: true, sort: sm,
-			path: fmt.Sprintf("sort-scan duplicate elimination (%s)", sm)}
+		return distinctPlan{sortScan: true, sort: sm}
 	}
-	ap := q.planAgg(rows, budget)
-	return distinctPlan{agg: ap, path: "hash duplicate elimination, keys-only " + ap.path()}
+	return distinctPlan{agg: q.planAgg(rows, budget)}
 }
 
 // runDistinct eliminates duplicate rows of list — first occurrences, in
 // input order, on the hash path — and releases it.
 func (q *Query) runDistinct(x *execution, list *storage.TempList) (step, error) {
 	dp := q.planDistinct(list.Len(), x.budget())
-	s := step{line: "distinct: " + dp.path, node: obs.TraceNode{
-		Op: "distinct", AccessPath: dp.path, RowsIn: list.Len(), Workers: 1,
-	}}
+	x.plan.distinct = &dp
+	s := step{node: obs.TraceNode{Op: "distinct", RowsIn: list.Len(), Workers: 1}}
+	if x.tracing() {
+		s.node.AccessPath = dp.path()
+	}
 	if dp.sortScan {
 		s.list = exec.ProjectSort(list, x.m, dp.sort)
 	} else {
@@ -2344,9 +2467,9 @@ func (q *Query) runDistinct(x *execution, list *storage.TempList) (step, error) 
 		x.closeAgg(ar)
 		if x.m != nil {
 			if rs.Fanout > 0 {
-				x.decisions = append(x.decisions, radixBalance(x.reg, rs))
+				x.auditRadixBalance(rs)
 			}
-			x.auditClamp(dp.agg.clamp)
+			x.auditClamp("agg budget clamp", dp.agg.clamp, dp.agg.bits)
 		}
 	}
 	list.Release()
@@ -2361,7 +2484,14 @@ type orderPlan struct {
 	k       int             // the heap's bound: the LIMIT, or 0
 	sort    plan.SortMethod // the full sort's substrate
 	workers int             // the heap's workers; 0 for a full sort
-	path    string          // "bounded-heap top-k (k=10)" / "full sort (…)"
+}
+
+// path names what runs: "bounded-heap top-k (k=10)" or "full sort (…)".
+func (p *orderPlan) path() string {
+	if p.method == plan.TopKHeap {
+		return fmt.Sprintf("bounded-heap top-k (k=%d)", p.k)
+	}
+	return "full sort (" + p.sort.String() + ")"
 }
 
 // planOrder picks between bounded-heap top-k and a full sort for rows
@@ -2373,11 +2503,9 @@ func (q *Query) planOrder(rows int) orderPlan {
 	p.method = plan.ChooseTopK(rows, p.k, q.db.opts.TopK)
 	if p.method == plan.TopKHeap {
 		p.workers = plan.ChooseWorkers(q.parallelism(), rows)
-		p.path = fmt.Sprintf("bounded-heap top-k (k=%d)", p.k)
 		return p
 	}
 	p.sort = q.sortMethodFor(rows, len(q.orderBy)*plan.DefaultSortPrefixBytes)
-	p.path = "full sort (" + p.sort.String() + ")"
 	return p
 }
 
@@ -2392,6 +2520,7 @@ func (q *Query) runOrder(x *execution, list *storage.TempList) (step, error) {
 	}
 	n := list.Len()
 	p := q.planOrder(n)
+	x.plan.order = &p
 	var rows []int32
 	if p.method == plan.TopKHeap {
 		rows = parallel.TopK(x.sq, x.pg, list, keys, p.k, p.workers, x.m)
@@ -2401,22 +2530,17 @@ func (q *Query) runOrder(x *execution, list *storage.TempList) (step, error) {
 			rows = rows[:q.limit]
 		}
 	}
-	s := step{list: list.Take(rows), line: "order: " + p.path, node: obs.TraceNode{
-		Op: "order", AccessPath: p.path, RowsIn: n, Workers: p.workers,
-	}}
+	s := step{list: list.Take(rows), node: obs.TraceNode{Op: "order", RowsIn: n, Workers: p.workers}}
 	list.Release()
 	if x.m != nil {
 		// Informational (Threshold 0): records the heap-vs-sort
 		// crossover's pick and the input size and k it rested on.
-		x.decisions = append(x.decisions, obs.Decision{
-			Name:     "top-k method",
-			Chosen:   p.method.String(),
-			Inputs:   fmt.Sprintf("rows=%s k=%d", obs.FmtCount(float64(n)), p.k),
-			Estimate: float64(n),
-			Unit:     "rows",
+		x.audit(obs.Decision{Name: "top-k method", Estimate: float64(n), Unit: "rows"}, func() (string, string) {
+			return p.method.String(), fmt.Sprintf("rows=%s k=%d", obs.FmtCount(float64(n)), p.k)
 		})
 	}
-	if x.root != nil {
+	if x.tracing() {
+		s.node.AccessPath = p.path()
 		s.node.Detail = "BY " + q.orderByText()
 	}
 	return s, nil

@@ -134,18 +134,18 @@ func TestFoldedRangeMatchesSequentialScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !hasLine(run.Plan, "access ranged: "+wantPath) {
-			t.Errorf("WHERE %s: executed plan lacks %q:\n%s", tc.where, wantPath, run.Plan)
+		if !hasLine(run.Plan(), "access ranged: "+wantPath) {
+			t.Errorf("WHERE %s: executed plan lacks %q:\n%s", tc.where, wantPath, run.Plan())
 		}
 		planned, err := db.Exec("EXPLAIN SELECT k FROM ranged WHERE " + tc.where)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !hasLine(planned.Plan, "access ranged: "+wantPath) {
-			t.Errorf("WHERE %s: EXPLAIN lacks %q:\n%s", tc.where, wantPath, planned.Plan)
+		if !hasLine(planned.Plan(), "access ranged: "+wantPath) {
+			t.Errorf("WHERE %s: EXPLAIN lacks %q:\n%s", tc.where, wantPath, planned.Plan())
 		}
-		if seqPlan, _ := db.Exec("SELECT k FROM seq WHERE " + tc.where); !strings.Contains(seqPlan.Plan, "sequential scan") {
-			t.Errorf("WHERE %s: the reference did not scan sequentially:\n%s", tc.where, seqPlan.Plan)
+		if seqPlan, _ := db.Exec("SELECT k FROM seq WHERE " + tc.where); !strings.Contains(seqPlan.Plan(), "sequential scan") {
+			t.Errorf("WHERE %s: the reference did not scan sequentially:\n%s", tc.where, seqPlan.Plan())
 		}
 		if tc.rowsIn >= 0 {
 			st, err := sqlparser.Parse("SELECT k FROM ranged WHERE " + tc.where)
@@ -206,8 +206,8 @@ func TestFoldedRangeLeavesMistypedBoundToResidual(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !hasLine(planned.Plan, "access ranged: "+want) {
-			t.Errorf("WHERE %s: EXPLAIN lacks %q:\n%s", where, want, planned.Plan)
+		if !hasLine(planned.Plan(), "access ranged: "+want) {
+			t.Errorf("WHERE %s: EXPLAIN lacks %q:\n%s", where, want, planned.Plan())
 		}
 	}
 }

@@ -12,7 +12,22 @@ import (
 type ExecResult struct {
 	Result       *Result // SELECT only (nil for EXPLAIN and non-queries)
 	RowsAffected int
-	Plan         string
+	explain      string      // EXPLAIN's planned text
+	trace        *QueryTrace // EXPLAIN ANALYZE's executed trace
+}
+
+// Plan describes the statement's plan: the executed plan of a SELECT
+// (Result.Plan), the planned one of an EXPLAIN, the operator trace of an
+// EXPLAIN ANALYZE; "" for other statements. Like Result.Plan, it is
+// rendered each time it is read.
+func (r *ExecResult) Plan() string {
+	switch {
+	case r.Result != nil:
+		return r.Result.Plan()
+	case r.trace != nil:
+		return r.trace.Format()
+	}
+	return r.explain
 }
 
 // Exec parses and executes one SQL statement. The dialect covers the
@@ -355,7 +370,7 @@ func (db *Database) execSelect(s *sqlparser.Select) (*ExecResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ExecResult{Plan: trace.Format()}, nil
+		return &ExecResult{trace: trace}, nil
 	}
 	if s.Explain {
 		// Plain EXPLAIN: describe the planned choices without executing.
@@ -363,13 +378,13 @@ func (db *Database) execSelect(s *sqlparser.Select) (*ExecResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ExecResult{Plan: planned}, nil
+		return &ExecResult{explain: planned}, nil
 	}
 	res, err := q.Run()
 	if err != nil {
 		return nil, err
 	}
-	return &ExecResult{Result: res, RowsAffected: res.Len(), Plan: res.Plan()}, nil
+	return &ExecResult{Result: res, RowsAffected: res.Len()}, nil
 }
 
 // selectForWrite starts the transaction of an UPDATE or DELETE and runs

@@ -41,10 +41,10 @@ func TestSQLQuery1(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r.RowsAffected != 2 {
-		t.Fatalf("rows=%d plan=%s", r.RowsAffected, r.Plan)
+		t.Fatalf("rows=%d plan=%s", r.RowsAffected, r.Plan())
 	}
-	if !strings.Contains(r.Plan, "precomputed join") {
-		t.Fatalf("plan:\n%s", r.Plan)
+	if !strings.Contains(r.Plan(), "precomputed join") {
+		t.Fatalf("plan:\n%s", r.Plan())
 	}
 	got := map[string]string{}
 	for i := 0; i < r.Result.Len(); i++ {
@@ -81,7 +81,7 @@ func TestSQLExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Result != nil || !strings.Contains(r.Plan, "tree lookup") {
+	if r.Result != nil || !strings.Contains(r.Plan(), "tree lookup") {
 		t.Fatalf("%+v", r)
 	}
 }

@@ -17,6 +17,9 @@ type Table struct {
 	rel     *storage.Relation
 	indices map[string]*Index
 	primary *Index
+	// sel is what every selection of the table emits under: all columns
+	// under the table's name. Built once and shared read-only by the lists.
+	sel storage.Descriptor
 }
 
 // Name returns the table name.
