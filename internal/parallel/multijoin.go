@@ -71,7 +71,7 @@ func RunPipeline(driver Chunked, spec exec.PipelineSpec, desc storage.Descriptor
 		p := <-free
 		var part *storage.TempList
 		if !spec.Discard {
-			part = storage.MustTempList(desc)
+			part = storage.MustTempListDir(desc, chunks[i].Len())
 		}
 		p.Rearm(part, &sc.ctr)
 		exec.ScanBatches(chunks[i], sc.buf, func(block storage.TupleBatch) bool {

@@ -83,7 +83,7 @@ func RadixHashJoin(outer, inner exec.Source, spec exec.JoinSpec, bits []uint, wo
 		}
 		var local *storage.TempList
 		if !spec.Discard {
-			local = storage.MustTempList(desc)
+			local = storage.MustTempListDir(desc, phi-plo) // a key join emits about a row per outer row
 		}
 		st := pairState{
 			spec:      &spec,

@@ -116,8 +116,11 @@ type TempList struct {
 	chunks [][]*Tuple // all full chunks hold exactly ChunkRows rows; only the last may be partial
 	n      int        // total rows
 	frozen bool
-	flat   []Row    // row-header view, materialized by Freeze
-	comp   []vector // computed column vectors, each n long; never pooled
+	// settled: the chunks are windows of one slab (see Settle), so none
+	// of them may go to the pool.
+	settled bool
+	flat    []Row    // row-header view, materialized by Freeze
+	comp    []vector // computed column vectors, each n long; never pooled
 }
 
 // NewTempList creates an empty temporary list with the given descriptor.
@@ -167,6 +170,18 @@ func MustTempListHint(desc Descriptor, hint int) *TempList {
 	l, err := NewTempListHint(desc, hint)
 	if err != nil {
 		panic(err)
+	}
+	return l
+}
+
+// MustTempListDir is MustTempList with the chunk directory sized once for
+// hint rows. Unlike NewTempListHint it allocates no exact-fit chunk, so
+// every chunk comes from the pool and can go back to it: the shape for a
+// worker's private list, whose rows are merged away.
+func MustTempListDir(desc Descriptor, hint int) *TempList {
+	l := MustTempList(desc)
+	if hint >= ChunkRows { // a smaller hint's directory is the first append's
+		l.presize(hint)
 	}
 	return l
 }
@@ -385,17 +400,55 @@ func (l *TempList) Freeze() *TempList {
 func (l *TempList) Frozen() bool { return l.frozen }
 
 // Reset empties an unfrozen list for reuse, recycling its arena chunks
-// back to the pool. All outstanding row views become invalid.
+// back to the pool (a settled list's slab is left to the collector). All
+// outstanding row views become invalid.
 func (l *TempList) Reset() {
 	if l.frozen {
 		panic("storage: reset of frozen TempList")
 	}
-	for i, c := range l.chunks {
-		putChunk(c, l.arity)
-		l.chunks[i] = nil
-	}
+	l.dropChunks()
 	l.chunks = l.chunks[:0]
 	l.n = 0
+}
+
+// dropChunks pools every chunk of the directory and clears its entries; a
+// settled list's windows are only cleared, and the list stops being
+// settled, since chunks it gets from now on are pooled ones.
+func (l *TempList) dropChunks() {
+	for i, c := range l.chunks {
+		if !l.settled {
+			putChunk(c, l.arity)
+		}
+		l.chunks[i] = nil
+	}
+	l.settled = false
+}
+
+// Settle readies the list to leave the engine as a query result: a list
+// of more than one chunk has its rows copied into one slab of Len×Arity
+// tuple pointers, cut into the same ChunkRows-row windows, so every reader
+// addresses rows as before. The returned list takes over the descriptor
+// and the computed vectors, its old chunks go back to the pool at once,
+// and l is left empty. A result of n rows thus costs one allocation
+// instead of one pooled chunk per ChunkRows rows that would never be
+// returned. A list of at most one chunk, or a frozen one (its row view is
+// out), is returned as it is. Release and Reset of a settled list pool
+// nothing, so no later list is handed a window of the slab.
+func (l *TempList) Settle() *TempList {
+	if len(l.chunks) <= 1 || l.frozen || l.settled {
+		return l
+	}
+	slab := make([]*Tuple, l.n*l.arity)
+	off := 0
+	for i, c := range l.chunks {
+		end := off + copy(slab[off:], c)
+		putChunk(c, l.arity)
+		l.chunks[i] = slab[off:end:end]
+		off = end
+	}
+	out := &TempList{desc: l.desc, arity: l.arity, chunks: l.chunks, n: l.n, settled: true, comp: l.comp}
+	l.chunks, l.n, l.comp = nil, 0, nil
+	return out
 }
 
 // Redescribe moves the list's rows under a new descriptor over the same
@@ -411,24 +464,22 @@ func (l *TempList) Redescribe(desc Descriptor) (*TempList, error) {
 	if len(desc.Sources) != l.arity {
 		return nil, fmt.Errorf("storage: redescribe to %d sources, list has %d", len(desc.Sources), l.arity)
 	}
-	out := &TempList{desc: desc, arity: l.arity, chunks: l.chunks, n: l.n, frozen: l.frozen, flat: l.flat, comp: l.comp}
-	l.chunks, l.n, l.frozen, l.flat, l.comp = nil, 0, false, nil, nil
+	out := &TempList{desc: desc, arity: l.arity, chunks: l.chunks, n: l.n, frozen: l.frozen, settled: l.settled, flat: l.flat, comp: l.comp}
+	l.chunks, l.n, l.frozen, l.settled, l.flat, l.comp = nil, 0, false, false, nil, nil
 	return out, nil
 }
 
 // Release recycles the list's arena chunks back to the pool, drops its
 // computed vectors (they are the collector's, never the pool's) and
-// empties it. The caller asserts that no row views (Row, Rows, Scan
-// callbacks, ScanColumnBatches blocks) are outstanding — the pooled
-// memory will be reused by other lists. Ownership rule: whoever holds the
-// only reference to a list may move it (Redescribe), have its chunks
-// adopted (MergeListsRecycle) or release it; a list handed to a caller is
-// never released.
+// empties it; a settled list's slab, too, is left to the collector. The
+// caller asserts that no row views (Row, Rows, Scan callbacks,
+// ScanColumnBatches blocks) are outstanding — the pooled memory will be
+// reused by other lists. Ownership rule: whoever holds the only reference
+// to a list may move it (Redescribe), have its chunks adopted
+// (MergeListsRecycle), settle it or release it; a list handed to a caller
+// is never released.
 func (l *TempList) Release() {
-	for i, c := range l.chunks {
-		putChunk(c, l.arity)
-		l.chunks[i] = nil
-	}
+	l.dropChunks()
 	l.chunks = nil
 	l.flat = nil
 	l.comp = nil

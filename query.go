@@ -916,7 +916,9 @@ func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
 	if !analyze {
 		trace = nil // built only for the slow log; Run callers never see it
 	}
-	return &Result{list: list, plan: x.plan}, trace, nil
+	// Settle: the result leaves in one allocation and its pooled chunks go
+	// back to the pool now, not with the caller's last reference.
+	return &Result{list: list.Settle(), plan: x.plan}, trace, nil
 }
 
 // lockOrSnapshot readies the execution's read of its tables. Epoch
