@@ -305,9 +305,10 @@ func (p *Pipeline) bind(k int, st *pipeStage, row []*storage.Tuple, m *storage.T
 // sized for src.Len() entries, so a warm build allocates nothing. The
 // caller owns the table and returns it with radix.PutTable once no
 // pipeline probes it. nodeSize is unused and stays only for existing
-// callers. m meters the build scan only (one batch per scanned block):
-// the finished table is shared read-only across probe workers, and
-// probe work is counted by the pipeline's own counters.
+// callers. m meters the build only (one batch per scanned block and the
+// table's insert steps): the finished table is shared read-only across
+// probe workers, and probe work is counted by the pipeline's own
+// counters.
 func BuildStageTable(src Source, field, nodeSize int, m *meter.Counters) *radix.Table {
 	tbl := radix.GetTable()
 	tbl.Reset(src.Len())
@@ -320,5 +321,6 @@ func BuildStageTable(src Source, field, nodeSize int, m *meter.Counters) *radix.
 		return true
 	})
 	storage.PutBatch(buf)
+	m.AddHashProbe(tbl.InsertSteps())
 	return tbl
 }

@@ -45,6 +45,7 @@ type Counters struct {
 	Groups       int64 // distinct groups produced by grouped aggregation
 	AggProbes    int64 // agg-table probe steps (open-addressing slot visits)
 	HeapPushes   int64 // bounded top-k heap insertions (sift operations)
+	HashProbes   int64 // radix.Table build steps (slot visits and chain links)
 }
 
 // AddCompare records n comparisons. Safe on a nil receiver.
@@ -172,6 +173,16 @@ func (c *Counters) AddHeapPush(n int64) {
 	}
 }
 
+// AddHashProbe records n build steps of a flat join table
+// (radix.Table.InsertSteps): one per slot visited and one per duplicate
+// linked onto a chain, so HashProbes/build rows stays near 1.5 however
+// skewed the build keys are. Safe on a nil receiver.
+func (c *Counters) AddHashProbe(n int64) {
+	if c != nil {
+		c.HashProbes += n
+	}
+}
+
 // Reset zeroes every counter. Safe on a nil receiver.
 func (c *Counters) Reset() {
 	if c != nil {
@@ -199,6 +210,7 @@ func (c *Counters) Add(other Counters) {
 	c.Groups += other.Groups
 	c.AggProbes += other.AggProbes
 	c.HeapPushes += other.HeapPushes
+	c.HashProbes += other.HashProbes
 }
 
 // String renders the counters in a compact single line.

@@ -29,6 +29,7 @@ type SharedCounters struct {
 	groups       atomic.Int64
 	aggProbes    atomic.Int64
 	heapPushes   atomic.Int64
+	hashProbes   atomic.Int64
 }
 
 // AddCompare records n comparisons. Safe on a nil receiver.
@@ -137,6 +138,14 @@ func (c *SharedCounters) AddHeapPush(n int64) {
 	}
 }
 
+// AddHashProbe records n flat join-table build steps. Safe on a nil
+// receiver.
+func (c *SharedCounters) AddHashProbe(n int64) {
+	if c != nil {
+		c.hashProbes.Add(n)
+	}
+}
+
 // Add atomically folds a finished operator's private Counters into the
 // shared accumulator. Safe on a nil receiver.
 func (c *SharedCounters) Add(other Counters) {
@@ -158,6 +167,7 @@ func (c *SharedCounters) Add(other Counters) {
 	c.groups.Add(other.Groups)
 	c.aggProbes.Add(other.AggProbes)
 	c.heapPushes.Add(other.HeapPushes)
+	c.hashProbes.Add(other.HashProbes)
 }
 
 // Reset zeroes every counter. Safe on a nil receiver. Not atomic with
@@ -181,6 +191,7 @@ func (c *SharedCounters) Reset() {
 	c.groups.Store(0)
 	c.aggProbes.Store(0)
 	c.heapPushes.Store(0)
+	c.hashProbes.Store(0)
 }
 
 // Snapshot returns a point-in-time copy as a plain Counters value. Safe on
@@ -205,6 +216,7 @@ func (c *SharedCounters) Snapshot() Counters {
 		Groups:       c.groups.Load(),
 		AggProbes:    c.aggProbes.Load(),
 		HeapPushes:   c.heapPushes.Load(),
+		HashProbes:   c.hashProbes.Load(),
 	}
 }
 

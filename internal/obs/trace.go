@@ -222,6 +222,7 @@ func compactOps(c meter.Counters) string {
 	add("grp", c.Groups)
 	add("aprobe", c.AggProbes)
 	add("hpush", c.HeapPushes)
+	add("hprobe", c.HashProbes)
 	if len(parts) == 0 {
 		return "no ops"
 	}

@@ -224,9 +224,10 @@ func (st *pairState) resplitBits(buildRows int, skip uint) uint {
 	if target < minChildTableBytes {
 		target = minChildTableBytes
 	}
-	// A table over n rows is ≤ 4n·16 bytes (power-of-two rounding of 2n
-	// slots), so n ≤ target/64 is guaranteed to fit.
-	rowsPerChild := int(target / 64)
+	// A table over n rows holds ≤ 32 bytes a slot (radix.TableBytes) in
+	// ≤ 4n slots (power-of-two rounding of 2n), so n ≤ target/128 is
+	// guaranteed to fit.
+	rowsPerChild := int(target / 128)
 	if rowsPerChild < 1 {
 		rowsPerChild = 1
 	}
@@ -327,6 +328,7 @@ func (st *pairState) buildProbe(build, probe []radix.TupleEntry, reversed bool) 
 		}
 	}
 	sc.keep = matches
+	sc.ctr.AddHashProbe(tbl.InsertSteps())
 	radix.PutTable(tbl)
 	return n
 }

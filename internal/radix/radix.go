@@ -128,16 +128,26 @@ func (s Stats) Skew() float64 {
 	return float64(s.MaxPart) / mean
 }
 
-// TableBytes is the memory footprint of a flat build Table over n
-// entries: the slot array is the smallest power of two ≥ 2n (min 8) at
-// 16 bytes per TupleEntry slot. This is the quantity the budgeted join
-// grants before every partition build.
-func TableBytes(n int) int64 {
+// SlotBytes is the slot array of a Table over n entries: the smallest
+// power of two ≥ 2n (min 8) slots of 16 bytes each. It is all a
+// duplicate-free build holds.
+func SlotBytes(n int) int64 {
 	need := 8
 	for need < 2*n {
 		need <<= 1
 	}
 	return int64(need) * 16
+}
+
+// TableBytes bounds the memory a Table over n entries holds, whatever
+// share of them repeat a key: the slot array, plus, from the first
+// duplicate on, an 8-byte chain header per slot and a 16-byte side entry
+// per later entry, of which there are fewer than slots/2 (growDups never
+// sizes the side array past that). Per slot that is 16 + 8 + 16/2 bytes,
+// twice the slot array. This is the quantity the budgeted join grants
+// before every partition build.
+func TableBytes(n int) int64 {
+	return 2 * SlotBytes(n)
 }
 
 // Partitioner holds the kernel's reusable scratch: per-pass histogram

@@ -335,13 +335,16 @@ func TestTableBytes(t *testing.T) {
 		{8, 16 * 16}, {100, 256 * 16}, {1 << 20, 1 << 21 * 16},
 	}
 	for _, c := range cases {
-		if got := TableBytes(c.n); got != c.want {
-			t.Fatalf("TableBytes(%d) = %d, want %d", c.n, got, c.want)
+		if got := SlotBytes(c.n); got != c.want {
+			t.Fatalf("SlotBytes(%d) = %d, want %d", c.n, got, c.want)
+		}
+		if got := TableBytes(c.n); got != 2*c.want {
+			t.Fatalf("TableBytes(%d) = %d, want %d (slots plus duplicate chains)", c.n, got, 2*c.want)
 		}
 	}
 	var tb Table
 	tb.Reset(100)
-	if got := int64(tb.Slots()) * 16; got != TableBytes(100) {
-		t.Fatalf("TableBytes(100)=%d but Reset(100) sized %d", TableBytes(100), got)
+	if got := int64(tb.Slots()) * 16; got != SlotBytes(100) {
+		t.Fatalf("SlotBytes(100)=%d but Reset(100) sized %d", SlotBytes(100), got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/storage"
+	"repro/internal/workload"
 )
 
 func TestTableInsertProbe(t *testing.T) {
@@ -147,15 +148,218 @@ func TestTableProbeZeroAlloc(t *testing.T) {
 	}
 }
 
-// Pooled tables must not pin tuples: Put clears every slot.
+// Pooled tables must not pin tuples: Put clears every slot and every
+// duplicate entry.
 func TestPutTableClears(t *testing.T) {
 	tbl := GetTable()
 	tbl.Reset(8)
 	tbl.Insert(1, &storage.Tuple{})
+	tbl.Insert(1, &storage.Tuple{}) // a duplicate, held in the side array
+	if len(tbl.dups) != 1 {
+		t.Fatalf("duplicate not chained: %d side entries", len(tbl.dups))
+	}
 	PutTable(tbl)
 	for _, e := range tbl.slots[:cap(tbl.slots)] {
 		if e.P != nil {
 			t.Fatal("PutTable left a live tuple pointer in the pool")
+		}
+	}
+	for _, d := range tbl.dups[:cap(tbl.dups)] {
+		if d.p != nil {
+			t.Fatal("PutTable left a live duplicate pointer in the pool")
+		}
+	}
+}
+
+// hashInts hashes keys the way the join does: storage.Hash of the value.
+func hashInts(keys []int64) []uint64 {
+	hs := make([]uint64, len(keys))
+	for i, k := range keys {
+		hs[i] = storage.Hash(storage.IntValue(k))
+	}
+	return hs
+}
+
+// buildFresh builds a new table sized for hashes, one tuple per hash.
+func buildFresh(hashes []uint64) *Table {
+	tbl := new(Table)
+	tbl.Reset(len(hashes))
+	for _, h := range hashes {
+		tbl.Insert(h, &storage.Tuple{})
+	}
+	return tbl
+}
+
+// A key repeated n times costs O(1) an insert, not a walk past every
+// earlier copy: the whole build is at most two steps an entry.
+func TestTableAllEqualBuildIsLinear(t *testing.T) {
+	const n = 20000
+	hashes := make([]uint64, n)
+	for i := range hashes {
+		hashes[i] = 0xdead_beef
+	}
+	tbl := buildFresh(hashes)
+	if got := tbl.InsertSteps(); got > 2*n {
+		t.Fatalf("all-equal build of %d entries took %d insert steps, want ≤ %d", n, got, 2*n)
+	}
+	out := tbl.ProbeAppend(0xdead_beef, func(*storage.Tuple) bool { return true }, nil)
+	if len(out) != n {
+		t.Fatalf("probe returned %d of %d copies", len(out), n)
+	}
+	tbl.Reset(n)
+	if tbl.InsertSteps() != 0 {
+		t.Fatal("Reset kept the step count")
+	}
+}
+
+// A Zipf build (s = 1.2, most rows repeat a handful of hot keys) takes at
+// most twice the insert steps a row of a uniform build of the same size.
+func TestTableZipfStepsBoundedByUniform(t *testing.T) {
+	const n = 1 << 15
+	z, err := workload.BuildZipf(workload.ZipfSpec{Cardinality: n, S: 1.2}, rand.New(rand.NewSource(11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	uniform := make([]int64, n)
+	for i := range uniform {
+		uniform[i] = rng.Int63()
+	}
+	zs := float64(buildFresh(hashInts(z.Values)).InsertSteps()) / n
+	us := float64(buildFresh(hashInts(uniform)).InsertSteps()) / n
+	t.Logf("insert steps a row: zipf %.3f, uniform %.3f (ratio %.2f)", zs, us, zs/us)
+	if zs > 2*us {
+		t.Fatalf("zipf build took %.2f steps a row, more than 2× uniform's %.2f", zs, us)
+	}
+}
+
+// Every key's copies come back in insertion order, also after an
+// undersized Reset hint made the table grow (and move the chains) many
+// times mid-build.
+func TestTableDuplicateOrderSurvivesGrowth(t *testing.T) {
+	var tbl Table
+	tbl.Reset(2)
+	const keys, copies = 300, 7
+	want := make(map[uint64][]*storage.Tuple, keys)
+	hashes := hashInts(func() []int64 {
+		ks := make([]int64, keys)
+		for i := range ks {
+			ks[i] = int64(i)
+		}
+		return ks
+	}())
+	for c := 0; c < copies; c++ { // interleaved: every key's copies are far apart
+		for _, h := range hashes {
+			tp := &storage.Tuple{}
+			want[h] = append(want[h], tp)
+			tbl.Insert(h, tp)
+		}
+	}
+	if tbl.Len() != keys*copies || 2*keys > tbl.Slots() {
+		t.Fatalf("Len %d in %d slots after growth", tbl.Len(), tbl.Slots())
+	}
+	all := func(*storage.Tuple) bool { return true }
+	var out storage.TupleBatch
+	for _, h := range hashes {
+		out = tbl.ProbeAppend(h, all, out[:0])
+		if len(out) != copies {
+			t.Fatalf("hash %x: %d copies, want %d", h, len(out), copies)
+		}
+		for i, tp := range want[h] {
+			if out[i] != tp {
+				t.Fatalf("hash %x: copy %d out of insertion order", h, i)
+			}
+		}
+	}
+}
+
+// Two keys with one 64-bit hash share a slot's chain; the probe hands
+// every entry of it to match and returns only the ones match accepts.
+func TestTableSameHashDifferentKeys(t *testing.T) {
+	var tbl Table
+	tbl.Reset(16)
+	const h = 0x5eed
+	isA := map[*storage.Tuple]bool{}
+	var as []*storage.Tuple
+	for i := 0; i < 6; i++ {
+		tp := &storage.Tuple{}
+		if i%2 == 0 {
+			isA[tp] = true
+			as = append(as, tp)
+		}
+		tbl.Insert(h, tp)
+	}
+	calls := 0
+	out := tbl.ProbeAppend(h, func(tp *storage.Tuple) bool { calls++; return isA[tp] }, nil)
+	if calls != 6 {
+		t.Fatalf("match consulted %d times, want 6 (every entry with the hash)", calls)
+	}
+	if len(out) != len(as) {
+		t.Fatalf("probe returned %d entries, want the %d of key A", len(out), len(as))
+	}
+	for i, tp := range as {
+		if out[i] != tp {
+			t.Fatalf("entry %d is not key A's copy %d", i, i)
+		}
+	}
+}
+
+// A warm pooled table rebuilt over duplicate-heavy input reuses its slot,
+// chain and side arrays: no allocation per build.
+func TestWarmDuplicateBuildZeroAlloc(t *testing.T) {
+	z, err := workload.BuildZipf(workload.ZipfSpec{Cardinality: 4096, S: 1.2}, rand.New(rand.NewSource(13)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashes := hashInts(z.Values)
+	tuples := make([]*storage.Tuple, len(hashes))
+	for i := range tuples {
+		tuples[i] = &storage.Tuple{}
+	}
+	tbl := GetTable()
+	defer PutTable(tbl)
+	build := func() {
+		tbl.Reset(len(hashes))
+		for i, h := range hashes {
+			tbl.Insert(h, tuples[i])
+		}
+	}
+	build()
+	if len(tbl.dups) == 0 {
+		t.Fatal("Zipf build chained no duplicates")
+	}
+	if allocs := testing.AllocsPerRun(10, build); allocs != 0 {
+		t.Fatalf("warm duplicate build allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// heldBytes is what a table's arrays hold for its current build.
+func heldBytes(t *Table) int64 {
+	return int64(len(t.slots))*16 + int64(len(t.chains))*8 + int64(cap(t.dups))*16
+}
+
+// TableBytes is what the budgeted join grants before a build: it must
+// bound a cold table's arrays whatever the duplicate share, and a
+// duplicate-free build holds only its slot array.
+func TestTableBytesBoundsEveryBuild(t *testing.T) {
+	for _, n := range []int{1, 5, 100, 1000, 1 << 14, 100000} {
+		z, err := workload.BuildZipf(workload.ZipfSpec{Cardinality: n, S: 1.2}, rand.New(rand.NewSource(int64(n))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct := make([]int64, n)
+		equal := make([]int64, n)
+		for i := range distinct {
+			distinct[i] = int64(i)
+		}
+		for name, keys := range map[string][]int64{"distinct": distinct, "equal": equal, "zipf": z.Values} {
+			tbl := buildFresh(hashInts(keys))
+			if got := heldBytes(tbl); got > TableBytes(n) {
+				t.Errorf("%s n=%d: table holds %d B, TableBytes grants %d", name, n, got, TableBytes(n))
+			}
+			if name == "distinct" && (heldBytes(tbl) != SlotBytes(n) || cap(tbl.chains) != 0) {
+				t.Errorf("distinct n=%d: table holds %d B with %d chain headers, want only its %d B of slots", n, heldBytes(tbl), cap(tbl.chains), SlotBytes(n))
+			}
 		}
 	}
 }

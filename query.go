@@ -2394,11 +2394,12 @@ func (x *execution) beginAgg(ap aggPlan, n int) (aggExec, error) {
 	ar := aggExec{aggPlan: ap}
 	if x.res != nil {
 		// Grant-before-build: reserve the worst-case table footprint
-		// (every input row its own group) before allocating, waiting for
+		// (every input row its own group, so no key repeats and a flat
+		// table's slot array is all of it) before allocating, waiting for
 		// sibling queries to release when the budget is tight. The wait
 		// honors the query's context, so cancellation propagates as an
 		// error instead of a stuck build.
-		ar.grant = radix.TableBytes(n)
+		ar.grant = radix.SlotBytes(n)
 		if err := x.res.Grant(x.ctx, ar.grant); err != nil {
 			return aggExec{}, err
 		}
