@@ -113,6 +113,11 @@ func (s JoinSpec) buildNodeSize() int {
 	return 4
 }
 
+// Every equijoin here follows the SQL rule: a NULL key equals nothing,
+// not even another NULL, so an outer tuple with a NULL key matches no
+// inner tuple and a NULL inner key is never matched. storage.Equal, under
+// which NULL equals NULL, is only ever asked about a non-NULL probe key.
+
 // NestedLoopsJoin is the pure O(N²) join: each outer tuple scans the
 // entire inner relation. §3.3.4: "unless one plans to generate full cross
 // products on a regular basis, nested loops join should simply never be
@@ -121,6 +126,9 @@ func NestedLoopsJoin(outer, inner Source, spec JoinSpec) *storage.TempList {
 	out := spec.newEmitter()
 	outer.Scan(func(o *storage.Tuple) bool {
 		ko := tupleindex.KeyOf(o, spec.OuterField)
+		if ko.IsNull() {
+			return true
+		}
 		inner.Scan(func(i *storage.Tuple) bool {
 			spec.Meter.AddCompare(1)
 			if storage.Equal(ko, tupleindex.KeyOf(i, spec.InnerField)) {
@@ -187,6 +195,9 @@ func probeHash(outer Source, inner tupleindex.Hashed, spec JoinSpec) *storage.Te
 		for _, o := range block {
 			ko = tupleindex.KeyOf(o, spec.OuterField)
 			spec.Meter.AddHash(1)
+			if ko.IsNull() {
+				continue
+			}
 			matches = index.SearchKeyAppend[*storage.Tuple](inner, storage.Hash(ko), match, matches[:0])
 			for _, i := range matches {
 				if !out.emit(o, i) {
@@ -218,7 +229,9 @@ func TreeJoin(outer Source, inner tupleindex.Ordered, spec JoinSpec) *storage.Te
 	ScanBatches(outer, buf, func(block storage.TupleBatch) bool {
 		spec.Meter.AddBatch(1)
 		for _, o := range block {
-			ko = tupleindex.KeyOf(o, spec.OuterField)
+			if ko = tupleindex.KeyOf(o, spec.OuterField); ko.IsNull() {
+				continue
+			}
 			matches = index.SearchAllAppend[*storage.Tuple](inner, pos, matches[:0])
 			for _, i := range matches {
 				if !out.emit(o, i) {
@@ -316,13 +329,22 @@ func (c *treeCursor) clone() joinCursor     { cp := *c; return &cp }
 // mergeJoin is the merge phase of [BlE77] with duplicate handling: on a
 // key match it emits the cross product of the two equal groups by
 // rescanning the inner group from a cloned cursor for every outer tuple in
-// its group.
+// its group. NULL keys sort first and are stepped over on both sides.
 func mergeJoin(a, b joinCursor, spec JoinSpec, out *emitter) {
 	fo, fi := spec.OuterField, spec.InnerField
 	for a.valid() && b.valid() && out.more() {
-		spec.Meter.AddCompare(1)
+		ka := tupleindex.KeyOf(a.tuple(), fo)
+		if ka.IsNull() {
+			a.next()
+			continue
+		}
 		v := tupleindex.KeyOf(b.tuple(), fi)
-		switch c := storage.Compare(tupleindex.KeyOf(a.tuple(), fo), v); {
+		if v.IsNull() {
+			b.next()
+			continue
+		}
+		spec.Meter.AddCompare(1)
+		switch c := storage.Compare(ka, v); {
 		case c < 0:
 			a.next()
 		case c > 0:

@@ -263,7 +263,10 @@ func (p *Pipeline) probe(k int, st *pipeStage, row []*storage.Tuple) bool {
 		return p.bind(k, st, row, v.Ref())
 	}
 	st.key = tupleindex.KeyOf(row[st.ProbeSlot], st.ProbeField)
-	p.spec.Meter.AddHash(1)
+	p.spec.Meter.AddHash(1) // one a probe row, as the plan forecasts
+	if st.key.IsNull() {
+		return true // a NULL key matches nothing
+	}
 	st.matches = st.Table.ProbeAppend(storage.Hash(st.key), st.match, st.matches[:0])
 	for _, m := range st.matches {
 		if !p.bind(k, st, row, m) {
@@ -281,7 +284,8 @@ func (p *Pipeline) bind(k int, st *pipeStage, row []*storage.Tuple, m *storage.T
 	st.row[st.BuildSlot] = m
 	for _, e := range st.Residual {
 		p.spec.Meter.AddCompare(1)
-		if !storage.Equal(tupleindex.KeyOf(st.row[e.ASlot], e.AField), tupleindex.KeyOf(st.row[e.BSlot], e.BField)) {
+		a := tupleindex.KeyOf(st.row[e.ASlot], e.AField)
+		if a.IsNull() || !storage.Equal(a, tupleindex.KeyOf(st.row[e.BSlot], e.BField)) {
 			return true
 		}
 	}

@@ -42,6 +42,10 @@ type Tree[E any] struct {
 	size     int
 	maxCount int
 	minCount int
+	// last is the rightmost node, the one holding the maximum. Only
+	// writers set it; Search reads it, so readers that run beside each
+	// other (never beside a writer) share it safely.
+	last *node[E]
 }
 
 type node[E any] struct {
@@ -116,12 +120,21 @@ func (n *node[E]) updateHeight() {
 func (n *node[E]) balance() int { return height(n.left) - height(n.right) }
 
 // Insert adds e. With a unique tree, it returns false when an equal entry
-// exists.
+// exists. A key above the maximum goes straight to the rightmost node:
+// the descent from the root would end there too, at the same
+// insertAtEdge call, so an ascending load pays one compare an entry
+// instead of two per level.
 func (t *Tree[E]) Insert(e E) bool {
 	if t.root == nil {
 		t.root = t.newNode(nil, e)
+		t.last = t.root
 		t.size++
 		return true
+	}
+	t.m.AddNode(1)
+	t.m.AddCompare(1)
+	if t.cmp(e, t.last.max()) > 0 {
+		return t.insertAtEdge(t.last, e, false)
 	}
 	n := t.root
 	for {
@@ -169,6 +182,9 @@ func (t *Tree[E]) insertAtEdge(n *node[E], e E, front bool) bool {
 		n.left = leaf
 	} else {
 		n.right = leaf
+		if n == t.last {
+			t.last = leaf
+		}
 	}
 	t.size++
 	t.rebalanceFrom(n)
@@ -296,6 +312,8 @@ func (t *Tree[E]) removeAt(n *node[E], i int) {
 }
 
 // removeNode splices out a node with at most one child and rebalances.
+// Rotations keep the in-order sequence, so only splicing out the rightmost
+// node itself moves it.
 func (t *Tree[E]) removeNode(n *node[E]) {
 	child := n.left
 	if child == nil {
@@ -317,6 +335,18 @@ func (t *Tree[E]) removeNode(n *node[E]) {
 	if p != nil {
 		t.rebalanceFrom(p)
 	}
+	if n == t.last {
+		t.last = t.rightmost()
+	}
+}
+
+// rightmost walks the right spine from the root; nil for an empty tree.
+func (t *Tree[E]) rightmost() *node[E] {
+	n := t.root
+	for n != nil && n.right != nil {
+		n = n.right
+	}
+	return n
 }
 
 // rebalanceFrom walks from n to the root, refreshing heights and rotating
@@ -461,9 +491,18 @@ func (t *Tree[E]) searchNode(n *node[E], pos index.Pos[E]) int {
 }
 
 // Search returns an entry matching pos: a binary tree search on node
-// bounds followed by a binary search of the final node (§3.2.1).
+// bounds followed by a binary search of the final node (§3.2.1). A key
+// above the maximum is reported absent after one compare against the
+// rightmost node — the unique check of an ascending insert.
 func (t *Tree[E]) Search(pos index.Pos[E]) (E, bool) {
 	var zero E
+	if t.last != nil {
+		t.m.AddNode(1)
+		t.m.AddCompare(1)
+		if pos(t.last.max()) < 0 {
+			return zero, false
+		}
+	}
 	n := t.root
 	for n != nil {
 		t.m.AddNode(1)
@@ -597,12 +636,9 @@ func (t *Tree[E]) ScanBatches(buf []E, fn func(block []E) bool) {
 // ScanDesc visits all entries in descending order — the T Tree can be
 // scanned in either direction (§2.2).
 func (t *Tree[E]) ScanDesc(fn func(E) bool) {
-	n := t.root
+	n := t.last
 	if n == nil {
 		return
-	}
-	for n.right != nil {
-		n = n.right
 	}
 	c := cursor[E]{n: n, i: len(n.items) - 1}
 	for c.valid() {
@@ -750,10 +786,16 @@ func (t *Tree[E]) checkInvariants() error {
 		if t.size != 0 {
 			return fmt.Errorf("empty tree with size %d", t.size)
 		}
+		if t.last != nil {
+			return fmt.Errorf("empty tree keeps a last pointer")
+		}
 		return nil
 	}
 	if t.root.parent != nil {
 		return fmt.Errorf("root has a parent")
+	}
+	if r := t.rightmost(); t.last != r {
+		return fmt.Errorf("last pointer is not the rightmost node")
 	}
 	count := 0
 	var prev *E

@@ -3,6 +3,7 @@ package ttree
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -303,5 +304,196 @@ func TestNodeBoundsDefaulting(t *testing.T) {
 	tr = intTree(1, false)
 	if _, max := tr.NodeBounds(); max < 2 {
 		t.Fatalf("max %d < 2", max)
+	}
+}
+
+// meteredTree is a unique int64 tree at the default node size whose
+// counters the caller reads.
+func meteredTree(m *meter.Counters) *Tree[int64] {
+	tr := intTree(0, true)
+	tr.m = m
+	return tr
+}
+
+// TestAscendingInsertTakesTheFastPath: 250k ascending keys each go
+// straight to the rightmost node at one compare, where the descent from
+// the root cost 6,017,832 compares in all. The tree is built by the same
+// insertAtEdge calls as before, so moves, node allocations and rotations
+// are the counts the descent produced.
+func TestAscendingInsertTakesTheFastPath(t *testing.T) {
+	const n = 250_000
+	var m meter.Counters
+	tr := meteredTree(&m)
+	for i := int64(0); i < n; i++ {
+		tr.Insert(i)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Comparisons > n {
+		t.Errorf("%d compares for %d ascending inserts, want at most one each", m.Comparisons, n)
+	}
+	if m.DataMoves != 241_666 || m.Allocations != 8_334 || m.Rotations != 8_320 {
+		t.Errorf("moves %d, allocations %d, rotations %d; the descent path gives 241666, 8334, 8320",
+			m.DataMoves, m.Allocations, m.Rotations)
+	}
+}
+
+// TestRandomInsertCountsUnchanged: a key below the maximum pays the one
+// extra compare and then descends as before, so a random load builds the
+// same tree (moves, allocations and rotations as the descent alone gave)
+// for at most one more compare an insert.
+func TestRandomInsertCountsUnchanged(t *testing.T) {
+	const n = 250_000
+	const descentCompares = 5_294_882 // the same load with no fast path
+	var m meter.Counters
+	tr := meteredTree(&m)
+	for _, k := range rand.New(rand.NewSource(4)).Perm(n) {
+		tr.Insert(int64(k))
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if m.DataMoves != 3_504_826 || m.Allocations != 11_688 || m.Rotations != 126 {
+		t.Errorf("moves %d, allocations %d, rotations %d; the descent path gives 3504826, 11688, 126",
+			m.DataMoves, m.Allocations, m.Rotations)
+	}
+	if m.Comparisons > descentCompares+n {
+		t.Errorf("%d compares, want at most %d (%d + one an insert)", m.Comparisons, descentCompares+n, descentCompares)
+	}
+}
+
+// TestSearchAboveMaximumIsOneCompare: a point search for a key above the
+// maximum (a unique check before an ascending insert) is answered at the
+// rightmost node; a key inside the range descends as before.
+func TestSearchAboveMaximumIsOneCompare(t *testing.T) {
+	var m meter.Counters
+	tr := meteredTree(&m)
+	for i := int64(0); i < 10_000; i++ {
+		tr.Insert(i * 2)
+	}
+	m = meter.Counters{}
+	if _, ok := tr.Search(posOf(20_000)); ok {
+		t.Fatal("found a key above the maximum")
+	}
+	if m.Comparisons != 1 || m.NodesVisited != 1 {
+		t.Fatalf("search above the maximum: %d compares, %d nodes, want 1 and 1", m.Comparisons, m.NodesVisited)
+	}
+	for _, k := range []int64{0, 19_998, 5_000} {
+		if _, ok := tr.Search(posOf(k)); !ok {
+			t.Fatalf("key %d not found", k)
+		}
+	}
+	if _, ok := tr.Search(posOf(5_001)); ok {
+		t.Fatal("found an odd key")
+	}
+	if _, ok := intTree(0, true).Search(posOf(1)); ok {
+		t.Fatal("found a key in an empty tree")
+	}
+}
+
+// TestLastPointerFollowsTheMaximum: the validator checks that the last
+// pointer is the rightmost node, after every step of sequences that move
+// the maximum every way — deleting it, growing below it, random inserts
+// and deletes, and draining the tree.
+func TestLastPointerFollowsTheMaximum(t *testing.T) {
+	check := func(what string, tr *Tree[int64]) {
+		t.Helper()
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	for _, size := range []int{2, 4, 30} {
+		tr := intTree(size, false)
+		// Ascending, with the maximum deleted every third step.
+		for i := int64(0); i < 600; i++ {
+			tr.Insert(i)
+			if i%3 == 2 {
+				tr.Delete(i)
+			}
+			check("ascending/delete-max", tr)
+		}
+		// Descending below the maximum, then delete the maximum down.
+		for i := int64(-1); i > -600; i-- {
+			tr.Insert(i)
+			check("descending", tr)
+		}
+		rng := rand.New(rand.NewSource(int64(size)))
+		live := []int64{}
+		tr.ScanAsc(func(k int64) bool { live = append(live, k); return true })
+		for step := 0; step < 3000; step++ {
+			switch r := rng.Intn(4); {
+			case r == 0 && len(live) > 0: // delete the maximum
+				max := live[0]
+				j := 0
+				for i, k := range live {
+					if k > max {
+						max, j = k, i
+					}
+				}
+				if !tr.Delete(max) {
+					t.Fatalf("delete max %d failed", max)
+				}
+				live = append(live[:j], live[j+1:]...)
+			case r == 1 && len(live) > 0: // delete a random key
+				j := rng.Intn(len(live))
+				if !tr.Delete(live[j]) {
+					t.Fatalf("delete %d failed", live[j])
+				}
+				live = append(live[:j], live[j+1:]...)
+			default:
+				k := rng.Int63n(2000) - 1000
+				tr.Insert(k)
+				live = append(live, k)
+			}
+			check("random", tr)
+		}
+		for _, k := range live {
+			tr.Delete(k)
+			check("drain", tr)
+		}
+		if tr.Len() != 0 {
+			t.Fatalf("Len=%d after drain", tr.Len())
+		}
+		tr.Insert(7)
+		check("reuse", tr)
+	}
+}
+
+// TestSearchBesideAscendingInserter: point searches under a shared latch
+// run beside an inserter that takes it exclusively and appends ascending
+// keys — the engine's S(relation)/X(relation) discipline. Under -race the
+// last pointer, which writers move and searches read, must not race.
+func TestSearchBesideAscendingInserter(t *testing.T) {
+	const n = 20_000
+	tr := intTree(8, true)
+	var mu sync.RWMutex
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < n; i++ {
+				k := rng.Int63n(n + 100)
+				mu.RLock()
+				_, ok := tr.Search(posOf(k))
+				size := int64(tr.Len())
+				mu.RUnlock()
+				if ok != (k < size) {
+					t.Errorf("search %d beside %d keys: found=%v", k, size, ok)
+					return
+				}
+			}
+		}(int64(r))
+	}
+	for i := int64(0); i < n; i++ {
+		mu.Lock()
+		tr.Insert(i)
+		mu.Unlock()
+	}
+	wg.Wait()
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -312,7 +312,9 @@ func (st *pairState) buildProbe(build, probe []radix.TupleEntry, reversed bool) 
 	sc.ctr.AddBatch(int64(1 + len(probe)/storage.BatchSize))
 	for j := range probe {
 		t := probe[j].P
-		ko = tupleindex.KeyOf(t, fp)
+		if ko = tupleindex.KeyOf(t, fp); ko.IsNull() {
+			continue // a NULL key matches nothing
+		}
 		matches = tbl.ProbeAppend(probe[j].H, match, matches[:0])
 		n += len(matches)
 		if st.local != nil {

@@ -50,15 +50,14 @@ type Observer interface {
 // query access is through an index (§2.1); ScanPhysical exists for index
 // construction and recovery only.
 type Relation struct {
-	name         string
-	schema       *Schema
-	cfg          Config
-	parts        []*Partition
-	count        int
-	ids          *IDGen
-	observers    []Observer
-	insertChecks []func(vals []Value) error
-	updateChecks []func(t *Tuple, f int, v Value) error
+	name       string
+	schema     *Schema
+	cfg        Config
+	parts      []*Partition
+	count      int
+	ids        *IDGen
+	observers  []Observer
+	uniqueKeys []UniqueKey
 
 	// Tuple headers and field arrays are carved from chunked slabs rather
 	// than allocated one heap object apiece. Consecutively inserted tuples
@@ -85,17 +84,23 @@ type Relation struct {
 	snapMu  sync.Mutex
 }
 
-// AddInsertCheck registers a validator run before every insert; a non-nil
-// error rejects the insert. The engine uses this to enforce unique
-// indices at the storage layer, where every write path converges.
-func (r *Relation) AddInsertCheck(fn func(vals []Value) error) {
-	r.insertChecks = append(r.insertChecks, fn)
+// UniqueKey is a unique index as a writer sees it: the field it covers,
+// and a lookup of the live tuple holding a key. Name labels errors.
+type UniqueKey struct {
+	Name   string
+	Field  int
+	Lookup func(key Value) (*Tuple, bool)
 }
 
-// AddUpdateCheck registers a validator run before every field update.
-func (r *Relation) AddUpdateCheck(fn func(t *Tuple, f int, v Value) error) {
-	r.updateChecks = append(r.updateChecks, fn)
-}
+// AddUniqueKey registers a unique index over one field. The relation
+// does not enforce it: Insert and Update apply what they are given, and
+// the transaction layer checks every key its buffered writes claim before
+// it applies the first of them, so a commit that collides applies nothing.
+func (r *Relation) AddUniqueKey(k UniqueKey) { r.uniqueKeys = append(r.uniqueKeys, k) }
+
+// UniqueKeys returns the registered unique indices. Callers must not
+// modify the slice.
+func (r *Relation) UniqueKeys() []UniqueKey { return r.uniqueKeys }
 
 // NewRelation creates an empty relation. ids may be shared across
 // relations so tuple IDs are database-unique (required for Ref values).
@@ -185,11 +190,6 @@ func (r *Relation) Insert(vals []Value) (*Tuple, error) {
 	if err := r.schema.Validate(vals); err != nil {
 		return nil, fmt.Errorf("insert into %s: %w", r.name, err)
 	}
-	for _, check := range r.insertChecks {
-		if err := check(vals); err != nil {
-			return nil, fmt.Errorf("insert into %s: %w", r.name, err)
-		}
-	}
 	t := r.newTuple(r.ids.Next(), vals)
 	r.placeTuple(t)
 	r.count++
@@ -274,11 +274,6 @@ func (r *Relation) Update(t *Tuple, f int, v Value) error {
 	def := r.schema.Field(f)
 	if !v.IsNull() && v.Type() != def.Type {
 		return fmt.Errorf("update %s: field %q wants %s, got %s", r.name, def.Name, def.Type, v.Type())
-	}
-	for _, check := range r.updateChecks {
-		if err := check(t, f, v); err != nil {
-			return fmt.Errorf("update %s: %w", r.name, err)
-		}
 	}
 	for _, o := range r.observers {
 		o.TupleUpdating(t, f, v)

@@ -5,6 +5,12 @@
 // an abort simply removes the log entries — no undo is ever needed — and a
 // commit applies the updates and releases them to the active log device.
 //
+// No undo is needed because Commit decides before it applies: its
+// validation pass checks every buffered op against the database and the
+// ops before it — dead tuples, and every key an insert or key update
+// claims on a unique index (keys.go) — so the apply pass that follows
+// cannot fail, and a commit that returns an error has changed nothing.
+//
 // Lock protocol. Locks form a two-level hierarchy in which a relation
 // lock covers the relation's partitions:
 //
@@ -122,6 +128,9 @@ type Txn struct {
 	ops       []op
 	done      bool
 	untracked bool // ephemeral reader: skip observer events
+	// vals holds every buffered insert's values: one arena that grows by
+	// doubling, of which each insert op keeps a full-capacity subslice.
+	vals []storage.Value
 }
 
 // ID returns the transaction identifier.
@@ -190,7 +199,12 @@ func (t *Txn) Insert(rel *storage.Relation, vals []storage.Value) error {
 	if err := t.m.Locks.Lock(t.lockID(), rel, lock.Exclusive); err != nil {
 		return t.failLock(err)
 	}
-	t.ops = append(t.ops, op{kind: opInsert, rel: rel, vals: append([]storage.Value(nil), vals...)})
+	if cap(t.vals)-len(t.vals) < len(vals) {
+		t.vals = make([]storage.Value, 0, max(2*cap(t.vals), len(vals)))
+	}
+	off := len(t.vals)
+	t.vals = append(t.vals, vals...)
+	t.ops = append(t.ops, op{kind: opInsert, rel: rel, vals: t.vals[off:len(t.vals):len(t.vals)]})
 	return nil
 }
 
@@ -247,7 +261,7 @@ func (t *Txn) Abort() {
 		return
 	}
 	t.done = true
-	t.ops = nil
+	t.ops, t.vals = nil, nil
 	if t.m.Log != nil {
 		t.m.Log.Abort(t.id)
 	}
@@ -260,22 +274,22 @@ func (t *Txn) Abort() {
 // Commit validates the buffered updates, writes each log record into the
 // stable log buffer, applies the update to the in-memory database, then
 // releases the records to the log device and drops all locks. It returns
-// the tuples created by this transaction's inserts, in order.
+// the tuples created by this transaction's inserts, in order. A commit
+// that fails validation applies nothing and aborts the transaction.
 func (t *Txn) Commit() ([]*storage.Tuple, error) {
 	if t.done {
 		return nil, ErrDone
 	}
 	// Validation pass: fail before anything is applied.
-	for _, o := range t.ops {
-		switch o.kind {
-		case opUpdate, opDelete:
-			if !o.tuple.Live() {
-				t.Abort()
-				return nil, fmt.Errorf("txn %d: tuple %d is dead", t.id, o.tuple.ID())
-			}
+	var keys keyCheck
+	for i := range t.ops {
+		if err := keys.check(t.ops, i); err != nil {
+			t.Abort()
+			return nil, fmt.Errorf("txn %d: %w", t.id, err)
 		}
 	}
-	// Apply pass: log record first, then the in-memory update.
+	// Apply pass: log record first, then the in-memory update. Validation
+	// has ruled out every failure the relation reports.
 	var inserted []*storage.Tuple
 	for _, o := range t.ops {
 		switch o.kind {

@@ -115,7 +115,7 @@ func (t *Table) createIndexLocked(name, column string, kind IndexKind, unique bo
 		return nil, err
 	}
 	if unique && field != tupleindex.SelfField {
-		t.registerUniqueChecks(ix)
+		t.registerUniqueKey(ix)
 	}
 	t.indices[name] = ix
 	if t.primary == nil {
@@ -124,37 +124,19 @@ func (t *Table) createIndexLocked(name, column string, kind IndexKind, unique bo
 	return ix, nil
 }
 
-// registerUniqueChecks enforces the unique index at the storage layer:
-// inserts and updates that would duplicate an existing key are rejected
-// before any state changes. Null keys are exempt (no value to collide).
-func (t *Table) registerUniqueChecks(ix *Index) {
-	lookup := func(key storage.Value) (*storage.Tuple, bool) {
+// registerUniqueKey hands the unique index to the relation's writers:
+// a transaction checks every key its inserts and key updates claim
+// against it before applying any of them. Null keys are exempt (no value
+// to collide).
+func (t *Table) registerUniqueKey(ix *Index) {
+	t.rel.AddUniqueKey(storage.UniqueKey{Name: ix.name, Field: ix.field, Lookup: func(key storage.Value) (*storage.Tuple, bool) {
 		if ix.ordered != nil {
 			return ix.ordered.Search(tupleindex.PosFor(key, ix.field))
 		}
 		return ix.hashed.SearchKey(storage.Hash(key), func(x *storage.Tuple) bool {
 			return storage.Equal(tupleindex.KeyOf(x, ix.field), key)
 		})
-	}
-	t.rel.AddInsertCheck(func(vals []storage.Value) error {
-		key := vals[ix.field]
-		if key.IsNull() {
-			return nil
-		}
-		if _, dup := lookup(key); dup {
-			return fmt.Errorf("unique index %q: duplicate key %s", ix.name, key)
-		}
-		return nil
-	})
-	t.rel.AddUpdateCheck(func(tp *storage.Tuple, f int, v storage.Value) error {
-		if f != ix.field || v.IsNull() {
-			return nil
-		}
-		if existing, dup := lookup(v); dup && existing.Canonical() != tp.Canonical() {
-			return fmt.Errorf("unique index %q: duplicate key %s", ix.name, v)
-		}
-		return nil
-	})
+	}})
 }
 
 // build (re)creates the underlying structure and populates it.

@@ -14,9 +14,8 @@ import (
 // knob that changes how it runs, and hold Explain to the method the
 // executor runs.
 
-// nullKey marks a NULL key in twoWayData. The engine's join equality is
-// storage.Equal, under which NULL joins NULL — the same for every join
-// method — so the reference matches it the same way.
+// nullKey marks a NULL key in twoWayData. Under SQL a NULL key equals
+// nothing, not even another NULL, so the reference never matches it.
 const nullKey = int64(-1 << 62)
 
 // twoWayCol is one side of a reference join: row ids and join keys.
@@ -124,11 +123,12 @@ func (w twoWayData) open(t testing.TB, opts Options) *Database {
 }
 
 // nestedLoop is the reference join: every (outer id, inner id) pair whose
-// keys are equal, over the outer rows keep admits, in multiset's format.
+// keys are equal and not NULL, over the outer rows keep admits, in
+// multiset's format.
 func nestedLoop(outer, inner twoWayCol, keep func(i int) bool) map[string]int {
 	out := map[string]int{}
 	for i, key := range outer.keys {
-		if !keep(i) {
+		if !keep(i) || key == nullKey {
 			continue
 		}
 		for j, innerKey := range inner.keys {
