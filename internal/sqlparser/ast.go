@@ -52,6 +52,10 @@ type Expr struct {
 	Str   string
 	Bool  bool
 	Ref   *RefExpr
+	// Slot is the 1-based position, among the statement's literals
+	// (Lexed.Literals), of the number or string this value was read
+	// from; 0 for NULL, TRUE, FALSE and REF.
+	Slot int
 }
 
 // RefExpr names a unique tuple: the row of Table whose Column equals Value.

@@ -1,41 +1,42 @@
 package sqlparser
 
 import (
+	"os"
 	"strconv"
+	"strings"
 	"testing"
 )
+
+// readSeeds reads a seed file: one Go string literal a line, skipping
+// blank lines and # comments.
+func readSeeds(tb testing.TB, path string) []string {
+	tb.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var seeds []string
+	for _, line := range strings.Split(string(data), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		s, err := strconv.Unquote(line)
+		if err != nil {
+			tb.Fatalf("%s: %q: %v", path, line, err)
+		}
+		seeds = append(seeds, s)
+	}
+	return seeds
+}
 
 // FuzzParseSQL fuzzes the full lexer + parser pipeline: no input may
 // panic or hang, and every accepted statement must satisfy the AST's
 // structural invariants (the contracts the executor relies on without
-// re-checking). The seed corpus spans every statement kind plus the
-// malformed shapes the lexer and parser explicitly reject.
+// re-checking). The seed corpus (testdata/seeds.txt) spans every
+// statement kind plus the malformed shapes the lexer and parser
+// explicitly reject.
 func FuzzParseSQL(f *testing.F) {
-	for _, src := range []string{
-		`CREATE TABLE emp (name STRING, id INT, dept REF(dept), PRIMARY KEY id USING ttree)`,
-		`CREATE UNIQUE INDEX ON emp (age) USING mlh`,
-		`INSERT INTO emp VALUES ('O''Brien', -1, 0.5, NULL, true, REF(dept, id, 459))`,
-		`SELECT * FROM emp`,
-		`SELECT DISTINCT emp.name, dept.name FROM emp JOIN dept ON emp.dept = dept.SELF WHERE age > 65 AND name != 'x' LIMIT 3`,
-		`SELECT f.v, d2.name FROM fact AS f JOIN dim1 d1 ON f.k1 = d1.id JOIN dim2 AS d2 ON d1.k2 = d2.id JOIN dim3 d3 ON d3.id = f.k3`,
-		`SELECT a.name, b.name FROM emp a JOIN emp b ON a.boss = b.SELF JOIN emp c ON b.boss = c.SELF`,
-		`SELECT * FROM a JOIN b ON a.x = b.y JOIN c ON c.z = a.x JOIN d ON d.w = b.y LIMIT 5`,
-		`SELECT * FROM a JOIN b ON b.x = b.y`,
-		`SELECT * FROM a x JOIN b ON a.x = b.y`,
-		`SELECT dept, COUNT(*), AVG(sal) FROM emp GROUP BY dept ORDER BY 2 DESC LIMIT 10`,
-		`SELECT name FROM emp ORDER BY age DESC, emp.name ASC, 1`,
-		`SELECT COUNT(emp.sal), MIN(sal), MAX(sal), SUM(sal) FROM emp`,
-		`EXPLAIN ANALYZE SELECT * FROM emp WHERE emp.id = 23`,
-		`UPDATE emp SET age = 25 WHERE name = 'Dave'`,
-		`DELETE FROM emp WHERE age >= 100`,
-		`-- comment only`,
-		`SELECT SUM(*) FROM emp`,
-		`SELECT * FROM emp WHERE age = 1.2.3`,
-		`SELECT * FROM emp WHERE age = -`,
-		`SELECT * FROM emp LIMIT -1`,
-		`SELECT dept FROM emp GROUP BY ORDER BY`,
-		"SELECT '\x00' FROM \xff",
-	} {
+	for _, src := range readSeeds(f, "testdata/seeds.txt") {
 		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -43,6 +44,22 @@ func FuzzParseSQL(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// An accepted statement has its own shape, and its literals
+		// decode: a statement cache may key on it.
+		x, err := Lex(src)
+		if err != nil {
+			t.Fatalf("Lex(%q) failed after Parse succeeded: %v", src, err)
+		}
+		if _, err := x.Parse(); err != nil {
+			t.Fatalf("Lexed.Parse(%q): %v, Parse accepted it", src, err)
+		}
+		if !x.Matches(x.Shape()) {
+			t.Fatalf("%q does not match its own shape", src)
+		}
+		if _, err := x.Literals(); err != nil {
+			t.Fatalf("Literals(%q): %v", src, err)
+		}
+		x.Release()
 		sel, ok := st.(*Select)
 		if !ok {
 			return

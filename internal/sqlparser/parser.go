@@ -1,19 +1,24 @@
 package sqlparser
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 )
 
 // Parse parses one SQL statement.
 func Parse(src string) (Statement, error) {
-	l := lexerPool.Get().(*lexer)
-	defer l.release()
-	if err := l.lex(src); err != nil {
+	l, err := Lex(src)
+	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: l.tokens}
+	defer l.Release()
+	return l.Parse()
+}
+
+// Parse parses the lexed statement and marks which of its literals are
+// values (see Shape).
+func (l *Lexed) Parse() (Statement, error) {
+	p := parser{toks: l.tokens}
 	st, err := p.statement()
 	if err != nil {
 		return nil, err
@@ -44,7 +49,7 @@ func (p *parser) next() token {
 func (p *parser) atEOF() bool { return p.peek().kind == tokEOF }
 
 func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("sql: %s (near offset %d)", fmt.Sprintf(format, args...), p.peek().pos)
+	return errAt(p.peek().pos, format, args...)
 }
 
 // kw matches a case-insensitive keyword without consuming on failure.
@@ -87,6 +92,30 @@ func (p *parser) ident() (string, error) {
 	}
 	p.i++
 	return t.text, nil
+}
+
+// listLen counts the comma-separated items from the current token to
+// the end of the list: a ")" that closes it, FROM, or the statement's
+// end. It only sizes a slice; the items are parsed and checked as read.
+func (p *parser) listLen() int {
+	n, depth := 1, 0
+	for _, t := range p.toks[p.i:] {
+		switch {
+		case t.kind == tokEOF, t.kind == tokIdent && depth == 0 && strings.EqualFold(t.text, "from"):
+			return n
+		case t.kind != tokPunct:
+		case t.text == "(":
+			depth++
+		case t.text == ")":
+			if depth == 0 {
+				return n
+			}
+			depth--
+		case t.text == "," && depth == 0:
+			n++
+		}
+	}
+	return n
 }
 
 func (p *parser) statement() (Statement, error) {
@@ -227,7 +256,7 @@ func (p *parser) insert() (Statement, error) {
 		if err := p.expectPunct("("); err != nil {
 			return nil, err
 		}
-		var row []Expr
+		row := make([]Expr, 0, p.listLen())
 		for {
 			e, err := p.expr()
 			if err != nil {
@@ -255,23 +284,11 @@ func (p *parser) insert() (Statement, error) {
 func (p *parser) expr() (Expr, error) {
 	t := p.peek()
 	switch t.kind {
-	case tokNumber:
+	case tokNumber, tokString:
+		p.toks[p.i].value = true
+		e, err := literal(p.toks, p.i)
 		p.i++
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return Expr{}, p.errf("bad number %q", t.text)
-			}
-			return Expr{Kind: ExprFloat, Float: f}, nil
-		}
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return Expr{}, p.errf("bad number %q", t.text)
-		}
-		return Expr{Kind: ExprInt, Int: n}, nil
-	case tokString:
-		p.i++
-		return Expr{Kind: ExprString, Str: t.text}, nil
+		return e, err
 	case tokIdent:
 		switch {
 		case strings.EqualFold(t.text, "null"):
@@ -328,6 +345,7 @@ func (p *parser) selectStmt() (*Select, error) {
 	if p.punct("*") {
 		// all columns
 	} else {
+		items = make([]SelectItem, 0, p.listLen())
 		for {
 			item, err := p.selectItem()
 			if err != nil {
@@ -343,9 +361,10 @@ func (p *parser) selectStmt() (*Select, error) {
 	}
 	if hasAgg {
 		sel.Items = items
-	} else {
-		for _, it := range items {
-			sel.Cols = append(sel.Cols, it.Col)
+	} else if len(items) > 0 {
+		sel.Cols = make([]string, len(items))
+		for i, it := range items {
+			sel.Cols[i] = it.Col
 		}
 	}
 	if err := p.expectKw("from"); err != nil {
@@ -519,9 +538,10 @@ func (p *parser) tableAlias() (string, error) {
 // clauseKeyword reports whether the identifier starts a clause (and so
 // cannot be a bare table alias).
 func clauseKeyword(s string) bool {
-	switch strings.ToLower(s) {
-	case "as", "on", "join", "where", "group", "order", "limit":
-		return true
+	for _, kw := range [...]string{"as", "on", "join", "where", "group", "order", "limit"} {
+		if strings.EqualFold(s, kw) {
+			return true
+		}
 	}
 	return false
 }

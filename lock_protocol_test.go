@@ -148,93 +148,123 @@ func TestNoLocksSurviveAnyStatement(t *testing.T) {
 
 // TestPointSelectAllocsIndependentOfTableSize: a primary-key SELECT
 // through Exec allocates the same at 1k and at 100k rows — nothing on the
-// statement's path walks the relation.
+// statement's path walks the relation — whether each run repeats one text
+// or brings a new id.
 func TestPointSelectAllocsIndependentOfTableSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads a 100k-row table")
 	}
-	measure := func(rows int) float64 {
+	const runs = 200
+	measure := func(rows int) (same, fresh float64) {
 		db := protoDB(t, rows, 0)
-		const stmt = "SELECT id, v FROM fact WHERE id = 500" // same text, so same parse
-		run := func() {
+		run := func(stmt string) {
 			r, err := db.Exec(stmt)
 			if err != nil || r.Result.Len() != 1 {
 				t.Fatalf("%s: %v", stmt, err)
 			}
 		}
-		run()
-		return testing.AllocsPerRun(200, run)
+		const stmt = "SELECT id, v FROM fact WHERE id = 500"
+		run(stmt)
+		same = testing.AllocsPerRun(runs, func() { run(stmt) })
+		// A new literal a run, each statement built before the
+		// measurement. AllocsPerRun runs once more than it counts.
+		stmts := make([]string, runs+1)
+		for i := range stmts {
+			stmts[i] = fmt.Sprintf("SELECT id, v FROM fact WHERE id = %d", i*37%rows)
+		}
+		next := 0
+		fresh = testing.AllocsPerRun(runs, func() {
+			run(stmts[next])
+			next++
+		})
+		return same, fresh
 	}
-	small, large := measure(1_000), measure(100_000)
-	// The counts are equal; the slack of two is for the race detector,
-	// under which sync.Pool drops a pooled lexer or batch now and then.
-	if d := large - small; d > 2 || d < -2 {
-		t.Errorf("pk SELECT allocates %.0f times at 1k rows and %.0f at 100k", small, large)
-	}
+	smallSame, smallFresh := measure(1_000)
+	largeSame, largeFresh := measure(100_000)
+	t.Logf("pk SELECT %.0f / %.0f (one text), %.0f / %.0f (new ids) allocations at 1k / 100k rows",
+		smallSame, largeSame, smallFresh, largeFresh)
 	// A build that walked the relation allocated ≈1.3 times per partition
-	// here (the 100k table has ≈400). The statement allocates 25 times: the
-	// plan, the decision audit and the query's text are values formatted
-	// only when read, and the selection's descriptor is the table's. The
-	// ceiling leaves room for the race detector, which drops pooled
-	// entries, and for nothing else: a plan line or an audit formatted on
-	// the execution path again would cross it.
-	ceiling := 32
+	// here (the 100k table has ≈400). The statement allocates 12 times: its
+	// shape's template comes from the statement cache, a copy of its query
+	// takes the literal, and the plan, the decision audit and the query's
+	// text are values formatted only when read. The ceiling leaves room
+	// for the race detector, which drops pooled entries, and for nothing
+	// else: a parse or a plan line on the hit path would cross it.
+	ceiling := 13
 	if raceEnabled {
 		ceiling += 5
 	}
-	if large > float64(ceiling) {
-		t.Errorf("pk SELECT allocates %.0f times, ceiling %d", large, ceiling)
+	for _, c := range []struct {
+		what         string
+		small, large float64
+	}{{"one text", smallSame, largeSame}, {"new ids", smallFresh, largeFresh}} {
+		// The counts are equal; the slack of two is for the race detector,
+		// under which sync.Pool drops a pooled lexer or batch now and then.
+		if d := c.large - c.small; d > 2 || d < -2 {
+			t.Errorf("pk SELECT (%s) allocates %.0f times at 1k rows and %.0f at 100k", c.what, c.small, c.large)
+		}
+		if c.large > float64(ceiling) {
+			t.Errorf("pk SELECT (%s) allocates %.0f times, ceiling %d", c.what, c.large, ceiling)
+		}
 	}
 }
 
 // TestStatementAllocsIndependentOfTableSize pins the rest of the OLTP
 // mix as TestPointSelectAllocsIndependentOfTableSize pins the point
-// select: a 100-row primary-key range SELECT and a primary-key DELETE
-// through Exec allocate the same at 1k and at 100k rows, under a ceiling.
+// select: a 100-row primary-key range SELECT (one text, and a new range
+// a run), a primary-key DELETE and an INSERT through Exec allocate the
+// same at 1k and at 100k rows, under a ceiling.
 func TestStatementAllocsIndependentOfTableSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads 100k-row tables")
 	}
 	const runs = 200
-	measure := func(rows int) (rng, del float64) {
-		db := protoDB(t, rows, 0)
-		const stmt = "SELECT id, v FROM fact WHERE id >= 300 AND id < 400"
-		rng = testing.AllocsPerRun(runs, func() {
-			if r, err := db.Exec(stmt); err != nil || r.Result.Len() != 100 {
-				t.Fatalf("%s: %v", stmt, err)
-			}
-		})
-		// One victim a run, each statement built before the measurement.
-		// AllocsPerRun runs once more than it counts.
-		deletes := make([]string, runs+1)
-		for i := range deletes {
-			deletes[i] = fmt.Sprintf("DELETE FROM fact WHERE id = %d", 2*i+1)
+	type counts struct{ rng, freshRng, del, ins float64 }
+	// each measures a statement a run, each built before the measurement.
+	// AllocsPerRun runs once more than it counts.
+	each := func(db *Database, format string, arg func(i int) []any, check func(*ExecResult) bool) float64 {
+		stmts := make([]string, runs+1)
+		for i := range stmts {
+			stmts[i] = fmt.Sprintf(format, arg(i)...)
 		}
 		next := 0
-		del = testing.AllocsPerRun(runs, func() {
-			if r, err := db.Exec(deletes[next]); err != nil || r.RowsAffected != 1 {
-				t.Fatalf("%s: %v", deletes[next], err)
+		return testing.AllocsPerRun(runs, func() {
+			if r, err := db.Exec(stmts[next]); err != nil || !check(r) {
+				t.Fatalf("%s: %v", stmts[next], err)
 			}
 			next++
 		})
-		return rng, del
 	}
-	smallRange, smallDel := measure(1_000)
-	largeRange, largeDel := measure(100_000)
-	t.Logf("range SELECT %.0f / %.0f, DELETE %.0f / %.0f allocations at 1k / 100k rows",
-		smallRange, largeRange, smallDel, largeDel)
-	// Ceilings: 32 and 24 measured, plus the race detector's slack.
-	rangeCeiling, delCeiling := 36, 28
+	measure := func(rows int) (c counts) {
+		db := protoDB(t, rows, 0)
+		hundred := func(r *ExecResult) bool { return r.Result.Len() == 100 }
+		one := func(r *ExecResult) bool { return r.RowsAffected == 1 }
+		c.rng = each(db, "SELECT id, v FROM fact WHERE id >= %d AND id < %d", func(int) []any { return []any{300, 400} }, hundred)
+		c.freshRng = each(db, "SELECT id, v FROM fact WHERE id >= %d AND id < %d",
+			func(i int) []any { lo := i * 3 % (rows - 100); return []any{lo, lo + 100} }, hundred)
+		c.del = each(db, "DELETE FROM fact WHERE id = %d", func(i int) []any { return []any{2*i + 1} }, one)
+		c.ins = each(db, "INSERT INTO fact VALUES (%d, %d, %d)", func(i int) []any { return []any{rows + i, i, -i} }, one)
+		return c
+	}
+	small, large := measure(1_000), measure(100_000)
+	t.Logf("range SELECT %.0f / %.0f (one text), %.0f / %.0f (new ranges), DELETE %.0f / %.0f, INSERT %.0f / %.0f allocations at 1k / 100k rows",
+		small.rng, large.rng, small.freshRng, large.freshRng, small.del, large.del, small.ins, large.ins)
+	// Ceilings: 17, 20 and 6 measured on a hit of the statement cache
+	// (the DELETE at 26 on an 8-column table), plus the race detector's
+	// slack.
+	rangeCeiling, delCeiling, insCeiling := 19, 27, 8
 	if raceEnabled {
-		rangeCeiling, delCeiling = rangeCeiling+5, delCeiling+5
+		rangeCeiling, delCeiling, insCeiling = rangeCeiling+5, delCeiling+5, insCeiling+5
 	}
 	for _, c := range []struct {
 		what         string
 		small, large float64
 		ceiling      int
 	}{
-		{"100-row range SELECT", smallRange, largeRange, rangeCeiling},
-		{"pk DELETE", smallDel, largeDel, delCeiling},
+		{"100-row range SELECT (one text)", small.rng, large.rng, rangeCeiling},
+		{"100-row range SELECT (new ranges)", small.freshRng, large.freshRng, rangeCeiling},
+		{"pk DELETE", small.del, large.del, delCeiling},
+		{"INSERT", small.ins, large.ins, insCeiling},
 	} {
 		if d := c.large - c.small; d > 2 || d < -2 {
 			t.Errorf("%s allocates %.0f times at 1k rows and %.0f at 100k", c.what, c.small, c.large)

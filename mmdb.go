@@ -264,6 +264,7 @@ type Database struct {
 	active *obs.ActiveSet // nil when Options.DisableMetrics
 	slow   *obs.SlowLog   // nil unless Options.SlowQueryThreshold > 0
 	mem    *mem.Manager   // nil when Options.MemoryBudget == 0
+	stmts  stmtCache      // Exec's built statements, by shape
 }
 
 // Open creates a database. With Options.Dir set, a previously saved disk

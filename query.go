@@ -1299,6 +1299,11 @@ func (q *Query) chooseSelectionPath() selPlan {
 	sp := selPlan{pred: -1, path: plan.PathSequentialScan,
 		table: t.Name(), primary: t.primary.kind, preds: len(q.preds)}
 	for i, p := range q.preds {
+		if p.op == Eq && !p.val.IsNull() && p.val.Type() != t.rel.Schema().Field(p.field).Type {
+			// A key of another type than its column's cannot probe the
+			// column's index; the residual filter rejects every row.
+			continue
+		}
 		path := plan.ChooseSelection(plan.SelectionInput{
 			Op:      p.op,
 			HasHash: t.indexOn(p.field, false) != nil,
@@ -1638,9 +1643,12 @@ func (q *Query) conjunction() func(*storage.Tuple) bool {
 	}
 }
 
+// predHolds evaluates one predicate on a tuple. It never holds on NULL,
+// nor on a value of another type than the field's: such values do not
+// compare (storage.Compare rejects them).
 func predHolds(tp *storage.Tuple, p *qpred) bool {
 	v := tp.Field(p.field)
-	if v.IsNull() || p.val.IsNull() {
+	if v.IsNull() || p.val.IsNull() || v.Type() != p.val.Type() {
 		return false
 	}
 	c := storage.Compare(v, p.val)

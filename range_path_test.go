@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"repro/internal/sqlparser"
 )
 
 // rangeDB builds two tables over the same rows: ranged(k pk, id, v) with
@@ -148,15 +146,7 @@ func TestFoldedRangeMatchesSequentialScan(t *testing.T) {
 			t.Errorf("WHERE %s: the reference did not scan sequentially:\n%s", tc.where, seqPlan.Plan())
 		}
 		if tc.rowsIn >= 0 {
-			st, err := sqlparser.Parse("SELECT k FROM ranged WHERE " + tc.where)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sel := st.(*sqlparser.Select)
-			q, err := db.buildQuery(sel.From, sel.FromAlias, sel.Where, sel.Joins, sel.Cols, sel.Distinct)
-			if err != nil {
-				t.Fatal(err)
-			}
+			q := builtQuery(t, db, "SELECT k FROM ranged WHERE "+tc.where)
 			if n := selectNode(t, q); n.RowsIn != tc.rowsIn || n.RowsOut != len(want) {
 				t.Errorf("WHERE %s: select fetched %d rows and kept %d, want %d and %d",
 					tc.where, n.RowsIn, n.RowsOut, tc.rowsIn, len(want))

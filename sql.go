@@ -3,6 +3,7 @@ package mmdb
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/sqlparser"
 )
@@ -42,27 +43,43 @@ func (r *ExecResult) Plan() string {
 // §3.1 counters), UPDATE, and DELETE (both read and write inside one
 // transaction). Statements run through the same planner as the fluent
 // API.
+//
+// A statement whose shape ran before — the same tokens, with other
+// values in its WHERE comparands, INSERT values or UPDATE SET — is
+// neither parsed nor built again: the database's statement cache holds
+// its built template, which Exec fills with the statement's values.
 func (db *Database) Exec(sql string) (*ExecResult, error) {
-	st, err := sqlparser.Parse(sql)
+	x, err := sqlparser.Lex(sql)
 	if err != nil {
 		return nil, err
 	}
-	switch s := st.(type) {
-	case *sqlparser.CreateTable:
-		return db.execCreateTable(s)
-	case *sqlparser.CreateIndex:
-		return db.execCreateIndex(s)
-	case *sqlparser.Insert:
-		return db.execInsert(s)
-	case *sqlparser.Select:
-		return db.execSelect(s)
-	case *sqlparser.Update:
-		return db.execUpdate(s)
-	case *sqlparser.Delete:
-		return db.execDelete(s)
-	default:
-		return nil, fmt.Errorf("mmdb: unsupported statement %T", st)
+	defer x.Release()
+	tm := db.stmts.lookup(x)
+	miss := tm == nil
+	if miss {
+		st, err := x.Parse()
+		if err != nil {
+			return nil, err
+		}
+		switch s := st.(type) {
+		case *sqlparser.CreateTable:
+			return db.execCreateTable(s)
+		case *sqlparser.CreateIndex:
+			return db.execCreateIndex(s)
+		}
+		if tm, err = db.build(st); err != nil {
+			return nil, err
+		}
 	}
+	lits, err := x.Literals()
+	if err != nil {
+		return nil, err
+	}
+	res, err := db.run(tm, lits)
+	if err == nil && miss && tm.cacheable {
+		db.stmts.add(x, tm)
+	}
+	return res, err
 }
 
 // MustExec is Exec that panics on error; for tests and examples.
@@ -149,18 +166,88 @@ func (db *Database) execCreateIndex(s *sqlparser.CreateIndex) (*ExecResult, erro
 	return &ExecResult{}, nil
 }
 
+// A statement template is a statement built once: the fluent query of a
+// SELECT, UPDATE or DELETE, or the target table of an INSERT, with every
+// value the statement supplies named by the literal it comes from. Exec
+// runs every statement through one: a miss builds it, then runs it with
+// the statement's literals; a hit only runs it. Running instantiates the
+// template — a copy of the query with its own predicates, fresh value
+// storage for the rows — so a cached template, shared by concurrent
+// Execs, is never written.
+type stmtTemplate struct {
+	verb stmtVerb
+	// q is the selection of a SELECT, UPDATE or DELETE; preds[i] is
+	// where its predicate i takes its value from.
+	q     *Query
+	preds []arg
+	t     *Table // the target of an INSERT, UPDATE or DELETE
+	// column and set are an UPDATE's SET.
+	column string
+	set    arg
+	rows   [][]arg // an INSERT's rows
+	// cacheable is false when a value came from a REF lookup, which
+	// every run of the statement must make again.
+	cacheable bool
+}
+
+type stmtVerb uint8
+
+const (
+	verbSelect stmtVerb = iota
+	verbExplain
+	verbAnalyze
+	verbInsert
+	verbUpdate
+	verbDelete
+)
+
+// arg is one value a statement supplies: a literal slot, filled from
+// each run's own literals, or a value fixed when the template was built
+// (NULL, TRUE, FALSE, or the tuple a REF found).
+type arg struct {
+	slot int   // 1-based into the statement's literals; 0 = fixed
+	v    Value // the fixed value
+}
+
+func (a arg) value(lits []sqlparser.Expr) Value {
+	if a.slot == 0 {
+		return a.v
+	}
+	return literalValue(lits[a.slot-1])
+}
+
+// arg names where a parsed expression's value comes from; a REF is
+// resolved now and makes the template uncacheable.
+func (tm *stmtTemplate) arg(db *Database, e sqlparser.Expr) (arg, error) {
+	if e.Slot > 0 {
+		return arg{slot: e.Slot}, nil
+	}
+	if e.Kind == sqlparser.ExprRef {
+		tm.cacheable = false
+	}
+	v, err := db.resolveExpr(e)
+	return arg{v: v}, err
+}
+
+// literalValue is the value of a number or string literal.
+func literalValue(e sqlparser.Expr) Value {
+	switch e.Kind {
+	case sqlparser.ExprInt:
+		return Int(e.Int)
+	case sqlparser.ExprFloat:
+		return Float(e.Float)
+	}
+	return Str(e.Str)
+}
+
 // resolveExpr converts a parsed expression into a Value, resolving REF
 // expressions to tuple pointers by a unique lookup.
 func (db *Database) resolveExpr(e sqlparser.Expr) (Value, error) {
 	switch e.Kind {
 	case sqlparser.ExprNull:
 		return Null, nil
-	case sqlparser.ExprInt:
-		return Int(e.Int), nil
-	case sqlparser.ExprFloat:
-		return Float(e.Float), nil
-	case sqlparser.ExprString:
-		return Str(e.Str), nil
+	case sqlparser.ExprInt, sqlparser.ExprFloat, sqlparser.ExprString:
+		return literalValue(e), nil
 	case sqlparser.ExprBool:
 		return Bool(e.Bool), nil
 	case sqlparser.ExprRef:
@@ -185,23 +272,103 @@ func (db *Database) resolveExpr(e sqlparser.Expr) (Value, error) {
 	}
 }
 
-func (db *Database) execInsert(s *sqlparser.Insert) (*ExecResult, error) {
-	t, ok := db.Table(s.Table)
-	if !ok {
-		return nil, fmt.Errorf("mmdb: no table %q", s.Table)
-	}
-	tx := db.Begin()
-	for _, row := range s.Rows {
-		vals := make([]Value, len(row))
-		for i, e := range row {
-			v, err := db.resolveExpr(e)
-			if err != nil {
-				tx.Abort()
-				return nil, err
-			}
-			vals[i] = v
+// build makes the template of a parsed SELECT, INSERT, UPDATE or DELETE.
+// Its errors are the statement's. A template that builds may still fail
+// when run — the query meets a bad output column only then — so Exec
+// caches a template only after it ran without error.
+func (db *Database) build(st sqlparser.Statement) (*stmtTemplate, error) {
+	tm := &stmtTemplate{cacheable: true}
+	var err error
+	switch s := st.(type) {
+	case *sqlparser.Select:
+		switch {
+		case s.Explain && s.Analyze:
+			tm.verb = verbAnalyze
+		case s.Explain:
+			tm.verb = verbExplain
 		}
-		if err := tx.Insert(t, vals...); err != nil {
+		if err = tm.selection(db, s.From, s.FromAlias, s.Where, s.Joins, s.Cols, s.Distinct); err == nil {
+			tm.q, err = applySelectShape(tm.q, s)
+		}
+		return tm, err
+	case *sqlparser.Insert:
+		tm.verb = verbInsert
+		if tm.t, err = db.target(s.Table); err != nil {
+			return nil, err
+		}
+		tm.rows = make([][]arg, len(s.Rows))
+		for i, row := range s.Rows {
+			tm.rows[i] = make([]arg, len(row))
+			for j, e := range row {
+				if tm.rows[i][j], err = tm.arg(db, e); err != nil {
+					return nil, err
+				}
+			}
+		}
+		return tm, nil
+	case *sqlparser.Update:
+		tm.verb, tm.column = verbUpdate, s.Column
+		if tm.t, err = db.target(s.Table); err != nil {
+			return nil, err
+		}
+		if tm.set, err = tm.arg(db, s.Value); err != nil {
+			return nil, err
+		}
+		return tm, tm.selection(db, s.Table, "", s.Where, nil, nil, false)
+	case *sqlparser.Delete:
+		tm.verb = verbDelete
+		if tm.t, err = db.target(s.Table); err != nil {
+			return nil, err
+		}
+		return tm, tm.selection(db, s.Table, "", s.Where, nil, nil, false)
+	}
+	return nil, fmt.Errorf("mmdb: unsupported statement %T", st)
+}
+
+// target is the table a DML statement writes.
+func (db *Database) target(name string) (*Table, error) {
+	t, ok := db.Table(name)
+	if !ok {
+		return nil, fmt.Errorf("mmdb: no table %q", name)
+	}
+	return t, nil
+}
+
+// run instantiates the template with the statement's literals and
+// executes it.
+func (db *Database) run(tm *stmtTemplate, lits []sqlparser.Expr) (*ExecResult, error) {
+	switch tm.verb {
+	case verbInsert:
+		return db.execInsert(tm, lits)
+	case verbUpdate:
+		return db.execUpdate(tm, lits)
+	case verbDelete:
+		return db.execDelete(tm, lits)
+	}
+	return db.execSelect(tm, lits)
+}
+
+// query instantiates the template's query: a copy whose predicates hold
+// this statement's values.
+func (tm *stmtTemplate) query(lits []sqlparser.Expr) *Query {
+	q := *tm.q
+	// A query whose build failed holds the predicates before its error.
+	q.preds = make([]qpred, len(tm.q.preds))
+	for i, p := range tm.q.preds {
+		p.val = tm.preds[i].value(lits)
+		q.preds[i] = p
+	}
+	return &q
+}
+
+func (db *Database) execInsert(tm *stmtTemplate, lits []sqlparser.Expr) (*ExecResult, error) {
+	tx := db.Begin()
+	for _, row := range tm.rows {
+		vals := make([]Value, len(row))
+		for i, a := range row {
+			vals[i] = a.value(lits)
+		}
+		if err := tx.Insert(tm.t, vals...); err != nil {
 			tx.Abort()
 			return nil, err
 		}
@@ -232,23 +399,25 @@ func sqlOp(op string) (Op, error) {
 	}
 }
 
-// buildQuery assembles the fluent query for a parsed SELECT (or the
-// selection part of UPDATE/DELETE).
-func (db *Database) buildQuery(from, fromAlias string, where []sqlparser.Cond, joins []sqlparser.Join, cols []string, distinct bool) (*Query, error) {
+// selection builds the template's query: the fluent query of a parsed
+// SELECT, or the selection of an UPDATE or DELETE, with an arg for each
+// WHERE comparand. An error the fluent API records in the query is left
+// there for the run to return.
+func (tm *stmtTemplate) selection(db *Database, from, fromAlias string, where []sqlparser.Cond, joins []sqlparser.Join, cols []string, distinct bool) error {
 	q := db.Query(from)
 	if fromAlias != "" {
 		q = q.As(fromAlias)
 	}
-	for _, c := range where {
+	tm.preds = make([]arg, len(where))
+	for i, c := range where {
 		op, err := sqlOp(c.Op)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		v, err := db.resolveExpr(c.Value)
-		if err != nil {
-			return nil, err
+		if tm.preds[i], err = tm.arg(db, c.Value); err != nil {
+			return err
 		}
-		q = q.Where(c.Column, op, v)
+		q = q.Where(c.Column, op, tm.preds[i].v) // a slot's value comes when run
 	}
 	for _, j := range joins {
 		// The parser records SELF as an empty column; the fluent API
@@ -270,7 +439,8 @@ func (db *Database) buildQuery(from, fromAlias string, where []sqlparser.Cond, j
 	if distinct {
 		q = q.Distinct()
 	}
-	return q, nil
+	tm.q = q
+	return nil
 }
 
 // sqlAggFunc maps a parsed aggregate name to the fluent-API tag.
@@ -355,15 +525,10 @@ func applySelectShape(q *Query, s *sqlparser.Select) (*Query, error) {
 	return q, nil
 }
 
-func (db *Database) execSelect(s *sqlparser.Select) (*ExecResult, error) {
-	q, err := db.buildQuery(s.From, s.FromAlias, s.Where, s.Joins, s.Cols, s.Distinct)
-	if err != nil {
-		return nil, err
-	}
-	if q, err = applySelectShape(q, s); err != nil {
-		return nil, err
-	}
-	if s.Explain && s.Analyze {
+func (db *Database) execSelect(tm *stmtTemplate, lits []sqlparser.Expr) (*ExecResult, error) {
+	q := tm.query(lits)
+	switch tm.verb {
+	case verbAnalyze:
 		// EXPLAIN ANALYZE: execute and report the operator trace — per
 		// operator rows in/out, wall time, and §3.1 counters.
 		_, trace, err := q.Analyze()
@@ -371,8 +536,7 @@ func (db *Database) execSelect(s *sqlparser.Select) (*ExecResult, error) {
 			return nil, err
 		}
 		return &ExecResult{trace: trace}, nil
-	}
-	if s.Explain {
+	case verbExplain:
 		// Plain EXPLAIN: describe the planned choices without executing.
 		planned, err := q.Explain()
 		if err != nil {
@@ -406,28 +570,17 @@ func (db *Database) selectForWrite(t *Table, q *Query) (*Txn, *Result, error) {
 	return tx, res, nil
 }
 
-func (db *Database) execUpdate(s *sqlparser.Update) (*ExecResult, error) {
-	t, ok := db.Table(s.Table)
-	if !ok {
-		return nil, fmt.Errorf("mmdb: no table %q", s.Table)
-	}
-	v, err := db.resolveExpr(s.Value)
-	if err != nil {
-		return nil, err
-	}
-	q, err := db.buildQuery(s.Table, "", s.Where, nil, nil, false)
-	if err != nil {
-		return nil, err
-	}
+func (db *Database) execUpdate(tm *stmtTemplate, lits []sqlparser.Expr) (*ExecResult, error) {
+	v := tm.set.value(lits)
 	// Read and write inside ONE transaction: the selection runs through
 	// the txn's locks, so no other writer can slip between finding the
 	// rows and updating them.
-	tx, res, err := db.selectForWrite(t, q)
+	tx, res, err := db.selectForWrite(tm.t, tm.query(lits))
 	if err != nil {
 		return nil, err
 	}
 	for i := 0; i < res.Len(); i++ {
-		if err := tx.Update(t, res.Tuples(i)[0], s.Column, v); err != nil {
+		if err := tx.Update(tm.t, res.Tuples(i)[0], tm.column, v); err != nil {
 			tx.Abort()
 			return nil, err
 		}
@@ -438,23 +591,15 @@ func (db *Database) execUpdate(s *sqlparser.Update) (*ExecResult, error) {
 	return &ExecResult{RowsAffected: res.Len()}, nil
 }
 
-func (db *Database) execDelete(s *sqlparser.Delete) (*ExecResult, error) {
-	t, ok := db.Table(s.Table)
-	if !ok {
-		return nil, fmt.Errorf("mmdb: no table %q", s.Table)
-	}
-	q, err := db.buildQuery(s.Table, "", s.Where, nil, nil, false)
-	if err != nil {
-		return nil, err
-	}
+func (db *Database) execDelete(tm *stmtTemplate, lits []sqlparser.Expr) (*ExecResult, error) {
 	// As in execUpdate: select and delete under the same transaction so
 	// the victim set cannot change between the read and the writes.
-	tx, res, err := db.selectForWrite(t, q)
+	tx, res, err := db.selectForWrite(tm.t, tm.query(lits))
 	if err != nil {
 		return nil, err
 	}
 	for i := 0; i < res.Len(); i++ {
-		if err := tx.Delete(t, res.Tuples(i)[0]); err != nil {
+		if err := tx.Delete(tm.t, res.Tuples(i)[0]); err != nil {
 			tx.Abort()
 			return nil, err
 		}
@@ -463,4 +608,82 @@ func (db *Database) execDelete(s *sqlparser.Delete) (*ExecResult, error) {
 		return nil, err
 	}
 	return &ExecResult{RowsAffected: res.Len()}, nil
+}
+
+// stmtCacheSize bounds a database's statement cache, in shapes. A full
+// cache drops an arbitrary bucket to admit a new shape. stmtChainMax
+// bounds the shapes of one fingerprint a lookup compares with (LIMIT 1,
+// LIMIT 2, … share one); the oldest beyond it is dropped.
+const (
+	stmtCacheSize = 256
+	stmtChainMax  = 8
+)
+
+// stmtCache maps statement shapes to their built templates, keyed by the
+// lexer's fingerprint; statements whose shapes share a fingerprint (LIMIT
+// 5 and LIMIT 6 always do) chain in one bucket, and a hit is confirmed
+// token by token. Nothing in the catalog can leave a template stale, so
+// nothing invalidates one: a template holds its tables and column
+// positions, and tables are never dropped nor their schemas changed; a
+// statement naming a table that did not exist failed and was not cached;
+// and the access path, the only thing a new index changes, is chosen each
+// time the query runs.
+type stmtCache struct {
+	mu      sync.RWMutex
+	buckets map[uint64]*stmtEntry
+	n       int
+}
+
+type stmtEntry struct {
+	shape *sqlparser.Shape
+	tm    *stmtTemplate
+	next  *stmtEntry // same fingerprint, another shape
+}
+
+// lookup returns the template of the statement's shape, or nil.
+func (c *stmtCache) lookup(x *sqlparser.Lexed) *stmtTemplate {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for e := c.buckets[x.Fingerprint()]; e != nil; e = e.next {
+		if x.Matches(e.shape) {
+			return e.tm
+		}
+	}
+	return nil
+}
+
+// add caches the template of a parsed statement, unless a concurrent
+// Exec of its shape already did.
+func (c *stmtCache) add(x *sqlparser.Lexed, tm *stmtTemplate) {
+	shape := x.Shape()
+	fp := x.Fingerprint()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for e := c.buckets[fp]; e != nil; e = e.next {
+		if x.Matches(e.shape) {
+			return
+		}
+	}
+	if c.buckets == nil {
+		c.buckets = make(map[uint64]*stmtEntry)
+	}
+	for k, e := range c.buckets {
+		if c.n < stmtCacheSize {
+			break
+		}
+		for ; e != nil; e = e.next {
+			c.n--
+		}
+		delete(c.buckets, k)
+	}
+	head := &stmtEntry{shape: shape, tm: tm, next: c.buckets[fp]}
+	c.buckets[fp] = head
+	c.n++
+	for e, i := head, 1; e.next != nil; e, i = e.next, i+1 {
+		if i == stmtChainMax {
+			e.next = nil
+			c.n--
+			break
+		}
+	}
 }

@@ -200,3 +200,43 @@ func TestSQLSelectStarWithJoin(t *testing.T) {
 		t.Fatalf("cols=%v", cols)
 	}
 }
+
+// TestSQLMistypedComparandMatchesNothing: a WHERE value of another type
+// than its column matches no row — on an index lookup, a range bound, a
+// residual filter and the selection of an UPDATE or DELETE — where it
+// used to panic in the comparison, and an UPDATE's exclusive lock with it.
+func TestSQLMistypedComparandMatchesNothing(t *testing.T) {
+	db := protoDB(t, 100, 0)
+	for _, s := range []string{
+		"SELECT id FROM fact WHERE id = 5.0",
+		"SELECT id FROM fact WHERE id = '5'",
+		"SELECT id FROM fact WHERE id > 'x'",
+		"SELECT id FROM fact WHERE id < 7 AND v = 7.5",
+		"SELECT id FROM fact WHERE g != 'x'",
+		"UPDATE fact SET v = 1 WHERE g = 2.5",
+		"DELETE FROM fact WHERE id >= 1.5",
+	} {
+		r, err := db.Exec(s)
+		if err != nil || r.RowsAffected != 0 {
+			t.Errorf("%s: %d rows, %v", s, r.RowsAffected, err)
+		}
+		assertNoLocks(t, db, s)
+	}
+	if res, err := db.Query("fact").Where("v", Eq, Str("7")).Run(); err != nil || res.Len() != 0 {
+		t.Errorf("fluent mistyped WHERE: %v", err)
+	}
+}
+
+// TestSQLReachesNonASCIITables: a table and columns the fluent API names
+// in any script are names SQL can use.
+func TestSQLReachesNonASCIITables(t *testing.T) {
+	db := openEmpty(t)
+	if _, err := db.CreateTable("café", []Field{{Name: "ñandu", Type: TypeInt}, {Name: "naïve", Type: TypeString}}, "ñandu", TTree); err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec("INSERT INTO café VALUES (1, 'ü'), (2, 'ß')")
+	r := db.MustExec("SELECT naïve FROM café WHERE ñandu = 2")
+	if r.Result.Len() != 1 || r.Result.Row(0)[0].Str() != "ß" {
+		t.Errorf("got %s", rowsText(r))
+	}
+}
