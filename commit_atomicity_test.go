@@ -1,6 +1,7 @@
 package mmdb
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -88,5 +89,51 @@ func TestKeyFreedInTransactionIsReusable(t *testing.T) {
 	}
 	if got := acctIDs(t, db); len(got) != 3 || got[2] != 22 {
 		t.Fatalf("a failed commit changed the table: ids %v", got)
+	}
+}
+
+// TestUniqueKeyCheckAllocatesNothing: Commit checks every key an insert
+// or key update claims against each unique index, once a row. The check
+// reuses one probe per index, so it allocates nothing, found or not, on
+// an ordered and on a hashed index.
+func TestUniqueKeyCheckAllocatesNothing(t *testing.T) {
+	for _, kind := range []IndexKind{TTree, ChainedHash} {
+		db, err := Open(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := db.CreateTable("k", []Field{{Name: "id", Type: TypeInt}, {Name: "v", Type: TypeString}}, "id", kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tbl.CreateUniqueIndex("v_key", "v", kind); err != nil {
+			t.Fatal(err)
+		}
+		tx := db.Begin()
+		for i := 0; i < 1000; i++ {
+			if err := tx.Insert(tbl, Int(int64(2*i)), Str(fmt.Sprintf("v%d", 2*i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		keys := tbl.rel.UniqueKeys()
+		if len(keys) != 2 {
+			t.Fatalf("%s: %d unique keys registered, want 2", kind, len(keys))
+		}
+		probes := [][2]Value{{Int(500), Str("v500")}, {Int(501), Str("v501")}} // held, free
+		for _, k := range keys {
+			for i, p := range probes {
+				key := p[k.Field]
+				if allocs := testing.AllocsPerRun(100, func() {
+					if _, found := k.Lookup(key); found != (i == 0) {
+						t.Fatalf("%s %s: key %v found = %v", kind, k.Name, key, found)
+					}
+				}); allocs != 0 {
+					t.Errorf("%s %s: checking key %v allocates %.1f times", kind, k.Name, key, allocs)
+				}
+			}
+		}
 	}
 }

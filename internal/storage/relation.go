@@ -69,9 +69,12 @@ type Relation struct {
 	// tuple's lifetime, preserving the tuple-pointer contract. The field
 	// array is only the tuple's first version: Update installs a heap
 	// array of its own and leaves the slab's to whoever still reads it.
-	tslab    []Tuple
-	varena   []Value
-	slabRows int // chunk size in tuples, doubling up to slabMaxRows
+	// A transaction stages its inserts here (Stage); an abort rewinds the
+	// cursor to where its first staged row went (Rewind).
+	slab SlabMark
+	// scalar is set when every field is Int, Float or Bool: the field
+	// arrays are then pointer-free memory (newValues in value.go).
+	scalar bool
 
 	// stats caches the sampled statistics snapshot (see stats.go).
 	stats relStats
@@ -114,7 +117,11 @@ func NewRelation(name string, schema *Schema, cfg Config, ids *IDGen) (*Relation
 	if ids == nil {
 		ids = NewIDGen()
 	}
-	return &Relation{name: name, schema: schema, cfg: cfg.withDefaults(), ids: ids}, nil
+	scalar := true
+	for _, f := range schema.fields {
+		scalar = scalar && isScalar(f.Type)
+	}
+	return &Relation{name: name, schema: schema, cfg: cfg.withDefaults(), ids: ids, scalar: scalar}, nil
 }
 
 // Name returns the relation name.
@@ -136,8 +143,9 @@ func (r *Relation) Partitions() []*Partition { return r.parts }
 // once however many values share them), and the clone headers and pointers
 // of the published snapshot, if there is one. Left out: the unused tail of
 // the last slab chunk, slab space deleted or updated rows leave behind, and
-// the indices, which index.Stats prices. Callers hold at least a shared
-// lock on the relation.
+// the indices, which index.Stats prices, and rows a transaction has
+// staged but not committed (an abort gives their slab space back). Callers
+// hold at least a shared lock on the relation.
 func (r *Relation) storedBytes() int64 {
 	const ptrBytes, slotNoBytes = 8, 4
 	n := int64(r.count) * (tupleHeaderBytes + int64(r.schema.Arity())*valueBytes)
@@ -161,26 +169,86 @@ const (
 	slabMaxRows = 4096
 )
 
+// SlabMark is a position of a relation's slab cursor: the open chunks of
+// tuple headers and of field values, cut where the next tuple goes, and
+// the size of the chunk after them. Every tuple takes one header and
+// arity values, so the two chunks fill together.
+type SlabMark struct {
+	tslab  []Tuple
+	varena []Value
+	rows   int // chunk size in tuples, doubling up to slabMaxRows
+}
+
 // newTuple carves a tuple header and its field array out of the
 // relation's slabs, copying vals. The returned pointer is stable: a chunk
 // is retired (never appended to again) the moment it fills, so no append
-// can ever move an element a caller holds a pointer into.
+// can ever move an element a caller holds a pointer into. Only Rewind
+// hands a position out twice, and only one whose tuple was never
+// installed.
 func (r *Relation) newTuple(id uint64, vals []Value) *Tuple {
-	if len(r.tslab) == cap(r.tslab) {
-		if r.slabRows < slabMaxRows {
-			if r.slabRows == 0 {
-				r.slabRows = slabMinRows
+	s := &r.slab
+	if len(s.tslab) == cap(s.tslab) {
+		if s.rows < slabMaxRows {
+			if s.rows == 0 {
+				s.rows = slabMinRows
 			} else {
-				r.slabRows *= 2
+				s.rows *= 2
 			}
 		}
-		r.tslab = make([]Tuple, 0, r.slabRows)
-		r.varena = make([]Value, 0, r.slabRows*r.schema.Arity())
+		s.tslab = make([]Tuple, 0, s.rows)
+		s.varena = newValues(s.rows*r.schema.Arity(), r.scalar)[:0]
 	}
-	off := len(r.varena)
-	r.varena = append(r.varena, vals...)
-	r.tslab = append(r.tslab, Tuple{id: id, arity: uint16(len(vals)), vals: &r.varena[off]})
-	return &r.tslab[len(r.tslab)-1]
+	off := len(s.varena)
+	s.varena = append(s.varena, vals...)
+	s.tslab = append(s.tslab, Tuple{id: id, arity: uint16(len(vals)), vals: &s.varena[off]})
+	return &s.tslab[len(s.tslab)-1]
+}
+
+// Stage copies vals into the relation's slabs and returns the tuple they
+// form, not yet in the relation: it has no ID and no slot, no reader can
+// reach it, and Install makes it a member. vals must have passed
+// Schema.Validate — on an all-scalar relation a pointer copied into the
+// slab would be hidden from the collector — and the caller must hold the
+// relation exclusively until it installs the tuple or rewinds past it.
+func (r *Relation) Stage(vals []Value) *Tuple { return r.newTuple(0, vals) }
+
+// Install enters a tuple Stage returned into the relation — an ID, a slot
+// in a partition with room — and notifies observers. Its values are not
+// copied or validated again.
+func (r *Relation) Install(t *Tuple) {
+	t.id = r.ids.Next()
+	r.placeTuple(t)
+	r.count++
+	r.noteDML()
+	for _, o := range r.observers {
+		o.TupleInserted(t)
+	}
+}
+
+// SlabMark returns the slab cursor, for a later Rewind.
+func (r *Relation) SlabMark() SlabMark { return r.slab }
+
+// Rewind moves the slab cursor back to m, giving up every tuple staged
+// since and never installed; the next tuple lands where the first of them
+// did. The positions given up are zeroed, so neither their headers nor
+// their values keep anything reachable. m must come from SlabMark, and no
+// tuple carved since may have been installed.
+func (r *Relation) Rewind(m SlabMark) {
+	cur := r.slab
+	th, vh := cap(m.tslab), cap(m.varena)
+	if sameArray(m.tslab, cur.tslab) {
+		th, vh = len(cur.tslab), len(cur.varena)
+	}
+	clear(m.tslab[len(m.tslab):th])
+	clear(m.varena[len(m.varena):vh])
+	r.slab = m
+}
+
+// sameArray reports whether a and b are slices of one backing array (or
+// both of none).
+func sameArray[T any](a, b []T) bool {
+	n := cap(a)
+	return n == cap(b) && (n == 0 || &a[:n][n-1] == &b[:n][n-1])
 }
 
 // Insert validates vals against the schema, stores a new tuple in a
@@ -190,13 +258,8 @@ func (r *Relation) Insert(vals []Value) (*Tuple, error) {
 	if err := r.schema.Validate(vals); err != nil {
 		return nil, fmt.Errorf("insert into %s: %w", r.name, err)
 	}
-	t := r.newTuple(r.ids.Next(), vals)
-	r.placeTuple(t)
-	r.count++
-	r.noteDML()
-	for _, o := range r.observers {
-		o.TupleInserted(t)
-	}
+	t := r.Stage(vals)
+	r.Install(t)
 	return t, nil
 }
 
@@ -283,7 +346,8 @@ func (r *Relation) Update(t *Tuple, f int, v Value) error {
 	if delta > 0 && t.part.heapUsed+delta > t.part.heapCap {
 		r.moveTuple(t, f, v)
 	} else {
-		next := append([]Value(nil), old...)
+		next := newValues(len(old), r.scalar)
+		copy(next, old)
 		next[f] = v
 		t.part.heapUsed += delta
 		t.part.snapDirty = true

@@ -1,8 +1,8 @@
 package storage
 
 import (
+	"reflect"
 	"testing"
-	"unsafe"
 )
 
 // Settle tests: a list that leaves the engine as a query result is copied
@@ -107,9 +107,9 @@ func TestSettleKeepsRowsInOneSlab(t *testing.T) {
 		if len(settled.chunks) != (n+ChunkRows-1)/ChunkRows {
 			t.Fatalf("arity %d: %d windows for %d rows", arity, len(settled.chunks), n)
 		}
-		base := uintptr(unsafe.Pointer(&settled.chunks[0][0]))
+		base := reflect.ValueOf(settled.chunks[0]).Pointer()
 		for i, w := range settled.chunks {
-			if got := uintptr(unsafe.Pointer(&w[0])) - base; got != uintptr(i*ChunkRows*arity)*unsafe.Sizeof(w[0]) {
+			if got := reflect.ValueOf(w).Pointer() - base; got != uintptr(i*ChunkRows*arity)*reflect.TypeOf(w[0]).Size() {
 				t.Fatalf("arity %d: window %d is not at its offset in one slab", arity, i)
 			}
 		}

@@ -60,6 +60,14 @@ func (t Type) String() string {
 // the collector traces it like any other pointer and whatever it points
 // into stays reachable through the Value alone.
 //
+// The one exception to that tracing: a relation whose fields are all Int,
+// Float or Bool keeps its field arrays — slab chunks and the versions
+// Update installs — in pointer-free memory (newValues), which the
+// collector marks live but never scans. The second invariant makes that
+// safe: such an array only ever holds Int, Float, Bool and Null values,
+// whose ptr is nil, because every write path into a relation validates
+// each value's type against the schema before it copies it in.
+//
 // With a data pointer in place of a string, == on two Values would compare
 // string addresses, not contents; the zero-size func array makes the type
 // non-comparable so that mistake does not compile. Use Equal.
@@ -75,6 +83,25 @@ const (
 	valueBytes       = int64(unsafe.Sizeof(Value{}))
 	tupleHeaderBytes = int64(unsafe.Sizeof(Tuple{}))
 )
+
+// scalarCell has Value's layout without its pointer word, so an array of
+// them is allocated as memory the collector never scans.
+type scalarCell struct {
+	ptr uintptr // Value.ptr: nil in every value a cell array holds
+	num uint64
+	typ Type
+}
+
+// newValues returns an array of n Null values. With scalar set it is an
+// array of scalarCells viewed as values: pointer-free memory, which may
+// only ever hold values whose ptr is nil (see Value).
+func newValues(n int, scalar bool) []Value {
+	if !scalar {
+		return make([]Value, n)
+	}
+	cells := make([]scalarCell, n)
+	return unsafe.Slice((*Value)(unsafe.Pointer(unsafe.SliceData(cells))), n)
+}
 
 // valueArray is the array of n values starting at *first: a tuple keeps its
 // field array as a pointer to the first element and the length as its

@@ -21,6 +21,19 @@ func TestValueAndTupleSizes(t *testing.T) {
 	if reflect.TypeOf(Value{}).Comparable() {
 		t.Error("Value is comparable: == would compare string addresses, not contents")
 	}
+	// newValues views an array of scalarCells as values: the two types
+	// must agree on size, alignment and where num and typ sit.
+	cell, val := reflect.TypeOf(scalarCell{}), reflect.TypeOf(Value{})
+	if cell.Size() != val.Size() || cell.Align() != val.Align() {
+		t.Errorf("scalarCell is %d bytes aligned to %d, Value %d aligned to %d", cell.Size(), cell.Align(), val.Size(), val.Align())
+	}
+	for _, name := range []string{"ptr", "num", "typ"} {
+		c, _ := cell.FieldByName(name)
+		v, _ := val.FieldByName(name)
+		if c.Offset != v.Offset || c.Type.Size() != v.Type.Size() {
+			t.Errorf("field %s: scalarCell offset %d size %d, Value offset %d size %d", name, c.Offset, c.Type.Size(), v.Offset, v.Type.Size())
+		}
+	}
 }
 
 // refValue is the 40-byte representation Value had before its pointer

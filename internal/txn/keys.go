@@ -64,7 +64,7 @@ func (c *keyCheck) check(ops []op, i int) error {
 	switch o.kind {
 	case opInsert:
 		for _, k := range o.rel.UniqueKeys() {
-			if key := o.vals[k.Field]; !key.IsNull() {
+			if key := o.tuple.Field(k.Field); !key.IsNull() {
 				if err := c.claim(ops, i, o.rel, k, key, nil); err != nil {
 					return fmt.Errorf("insert into %s: %w", o.rel.Name(), err)
 				}
@@ -90,7 +90,7 @@ func (c *keyCheck) check(ops []op, i int) error {
 			break
 		}
 		for _, k := range o.rel.UniqueKeys() {
-			if k.Field != o.field {
+			if k.Field != int(o.field) {
 				continue
 			}
 			if more && c.led == nil {
@@ -167,19 +167,19 @@ func (l *ledger) note(o *op) {
 	switch o.kind {
 	case opInsert:
 		for _, k := range o.rel.UniqueKeys() {
-			if key := o.vals[k.Field]; !key.IsNull() {
+			if key := o.tuple.Field(k.Field); !key.IsNull() {
 				l.add(claim{rel: o.rel, field: k.Field, key: key})
 			}
 		}
 	case opUpdate:
 		for _, k := range o.rel.UniqueKeys() {
-			if k.Field != o.field {
+			if k.Field != int(o.field) {
 				continue
 			}
 			tp := o.tuple.Canonical()
-			l.moved[slotRef{tp, o.field}] = o.val
+			l.moved[slotRef{tp, k.Field}] = o.val
 			if !o.val.IsNull() {
-				l.add(claim{rel: o.rel, field: o.field, key: o.val, owner: tp})
+				l.add(claim{rel: o.rel, field: k.Field, key: o.val, owner: tp})
 			}
 		}
 	case opDelete:

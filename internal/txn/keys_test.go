@@ -222,8 +222,10 @@ func TestKeyChecksMatchSequentialApply(t *testing.T) {
 }
 
 // TestInsertBufferingAllocsLogarithmic: a 1,000-row insert transaction
-// buffers its rows' values in one arena that grows by doubling, so
-// buffering allocates O(log n) times, not once a row.
+// stages its rows in the relation's slab chunks, which double in size,
+// and its op list grows by doubling, so buffering allocates O(log n)
+// times, not once a row. The abort rewinds the slab, so every run
+// allocates the chunks again: 21 allocations measured.
 func TestInsertBufferingAllocsLogarithmic(t *testing.T) {
 	rel := newRel(t)
 	tm := NewManager(lock.NewManager(), nil)
@@ -238,7 +240,7 @@ func TestInsertBufferingAllocsLogarithmic(t *testing.T) {
 		tx.Abort()
 	})
 	t.Logf("%.0f allocations to buffer 1,000 inserts", allocs)
-	if allocs > 40 {
-		t.Fatalf("%.0f allocations to buffer 1,000 inserts, want O(log n) (at most 40)", allocs)
+	if allocs > 21 {
+		t.Fatalf("%.0f allocations to buffer 1,000 inserts, want O(log n) (at most 21)", allocs)
 	}
 }

@@ -78,17 +78,19 @@ func NewManager(locks *lock.Manager, log *recovery.Manager) *Manager {
 	return &Manager{Locks: locks, Log: log}
 }
 
-// Begin starts a transaction. Its first four buffered ops live in the
-// same allocation as the transaction itself; a fifth spills by append.
+// Begin starts a transaction. Its first four buffered ops and the first
+// relation it writes live in the same allocation as the transaction
+// itself; more spill by append.
 func (m *Manager) Begin() *Txn {
 	if m.Obs != nil {
 		m.Obs.TxnBegin()
 	}
 	w := &struct {
 		Txn
-		ops [4]op
+		ops   [4]op
+		xrels [1]xrel
 	}{Txn: Txn{m: m, id: atomic.AddUint64(&m.next, 1)}}
-	w.Txn.ops = w.ops[:0]
+	w.Txn.ops, w.Txn.xrels = w.ops[:0], w.xrels[:0]
 	return &w.Txn
 }
 
@@ -109,28 +111,44 @@ const (
 	opDelete
 )
 
+// op is one buffered write. tuple is an insert's staged tuple, or the
+// tuple an update or delete targets; field and val are an update's.
 type op struct {
-	kind  opKind
 	rel   *storage.Relation
 	tuple *storage.Tuple
-	field int
 	val   storage.Value
-	vals  []storage.Value
+	field int32
+	kind  opKind
+}
+
+// xrel is a relation the transaction holds X on, with the relation's slab
+// cursor as it stood when the lock was granted.
+type xrel struct {
+	rel  *storage.Relation
+	mark storage.SlabMark
 }
 
 // Txn is a deferred-update transaction. Writes are buffered until Commit;
 // reads see the pre-transaction state of the database (no
 // read-your-writes), which is the natural consequence of §2.4's
 // no-undo design.
+//
+// A buffered insert is not a copy kept aside: its values go straight into
+// the relation's slabs as a staged tuple no reader can reach (Stage), under
+// the X(relation) it holds, and Commit installs that tuple as it stands.
+// xrels remembers where each relation's slab cursor stood when the lock
+// was granted — nobody else stages into the relation while the lock is
+// held — so an abort (explicit, failed validation, deadlock victim)
+// rewinds the cursor there and the next rows land where the first staged
+// one did.
 type Txn struct {
 	m         *Manager
 	id        uint64
 	ops       []op
+	xrels     []xrel
+	inserts   int // insert ops in ops
 	done      bool
 	untracked bool // ephemeral reader: skip observer events
-	// vals holds every buffered insert's values: one arena that grows by
-	// doubling, of which each insert op keeps a full-capacity subslice.
-	vals []storage.Value
 }
 
 // ID returns the transaction identifier.
@@ -156,7 +174,13 @@ func (t *Txn) Read(tp *storage.Tuple) ([]storage.Value, error) {
 // every tuple the selection touches are stable without a lock per
 // partition — the statement's locking cost does not grow with the table.
 func (t *Txn) LockRelationShared(rel *storage.Relation) error {
-	return t.lockRelation(rel, lock.Shared)
+	if t.done {
+		return ErrDone
+	}
+	if err := t.m.Locks.Lock(t.lockID(), rel, lock.Shared); err != nil {
+		return t.failLock(err)
+	}
+	return nil
 }
 
 // LockRelationExclusive takes X(relation) up front. A transaction that
@@ -165,16 +189,24 @@ func (t *Txn) LockRelationShared(rel *storage.Relation) error {
 // S(relation) first would both block upgrading, and one would be the
 // deadlock victim; with the exclusive lock first they serialize.
 func (t *Txn) LockRelationExclusive(rel *storage.Relation) error {
-	return t.lockRelation(rel, lock.Exclusive)
-}
-
-func (t *Txn) lockRelation(rel *storage.Relation, mode lock.Mode) error {
 	if t.done {
 		return ErrDone
 	}
-	if err := t.m.Locks.Lock(t.lockID(), rel, mode); err != nil {
+	return t.lockX(rel)
+}
+
+// lockX takes X(rel) unless the transaction holds it already, in which
+// case the lock manager is not asked again.
+func (t *Txn) lockX(rel *storage.Relation) error {
+	for i := range t.xrels {
+		if t.xrels[i].rel == rel {
+			return nil
+		}
+	}
+	if err := t.m.Locks.Lock(t.lockID(), rel, lock.Exclusive); err != nil {
 		return t.failLock(err)
 	}
+	t.xrels = append(t.xrels, xrel{rel: rel, mark: rel.SlabMark()})
 	return nil
 }
 
@@ -186,9 +218,10 @@ func (t *Txn) TryLockRelationShared(rel *storage.Relation) bool {
 	return !t.done && t.m.Locks.TryLock(t.lockID(), rel, lock.Shared)
 }
 
-// Insert buffers an insert. Schema validation happens immediately; the
-// tuple is created at Commit (deferred update), so its pointer is returned
-// by Commit, not here. The relation's insert region is locked exclusively.
+// Insert buffers an insert. Schema validation happens immediately, before
+// any lock is taken; then, under X(relation), the values are copied into
+// the relation's slabs as a staged tuple, which Commit installs (deferred
+// update), so its pointer is returned by Commit, not here.
 func (t *Txn) Insert(rel *storage.Relation, vals []storage.Value) error {
 	if t.done {
 		return ErrDone
@@ -196,15 +229,11 @@ func (t *Txn) Insert(rel *storage.Relation, vals []storage.Value) error {
 	if err := rel.Schema().Validate(vals); err != nil {
 		return err
 	}
-	if err := t.m.Locks.Lock(t.lockID(), rel, lock.Exclusive); err != nil {
-		return t.failLock(err)
+	if err := t.lockX(rel); err != nil {
+		return err
 	}
-	if cap(t.vals)-len(t.vals) < len(vals) {
-		t.vals = make([]storage.Value, 0, max(2*cap(t.vals), len(vals)))
-	}
-	off := len(t.vals)
-	t.vals = append(t.vals, vals...)
-	t.ops = append(t.ops, op{kind: opInsert, rel: rel, vals: t.vals[off:len(t.vals):len(t.vals)]})
+	t.ops = append(t.ops, op{kind: opInsert, rel: rel, tuple: rel.Stage(vals)})
+	t.inserts++
 	return nil
 }
 
@@ -222,13 +251,13 @@ func (t *Txn) Update(rel *storage.Relation, tp *storage.Tuple, field int, v stor
 	}
 	// The relation lock covers the index repositioning the update causes;
 	// the partition lock covers the tuple itself.
-	if err := t.m.Locks.Lock(t.lockID(), rel, lock.Exclusive); err != nil {
-		return t.failLock(err)
+	if err := t.lockX(rel); err != nil {
+		return err
 	}
 	if err := t.m.Locks.Lock(t.lockID(), tp.Partition(), lock.Exclusive); err != nil {
 		return t.failLock(err)
 	}
-	t.ops = append(t.ops, op{kind: opUpdate, rel: rel, tuple: tp, field: field, val: v})
+	t.ops = append(t.ops, op{kind: opUpdate, rel: rel, tuple: tp, field: int32(field), val: v})
 	return nil
 }
 
@@ -238,8 +267,8 @@ func (t *Txn) Delete(rel *storage.Relation, tp *storage.Tuple) error {
 	if t.done {
 		return ErrDone
 	}
-	if err := t.m.Locks.Lock(t.lockID(), rel, lock.Exclusive); err != nil {
-		return t.failLock(err)
+	if err := t.lockX(rel); err != nil {
+		return err
 	}
 	if err := t.m.Locks.Lock(t.lockID(), tp.Partition(), lock.Exclusive); err != nil {
 		return t.failLock(err)
@@ -254,14 +283,18 @@ func (t *Txn) failLock(err error) error {
 	return err
 }
 
-// Abort discards the buffered updates and log entries and releases all
-// locks; the database is untouched, so no undo is needed.
+// Abort discards the buffered updates and log entries, gives the slab
+// space of its staged inserts back, and releases all locks; the database
+// is untouched, so no undo is needed.
 func (t *Txn) Abort() {
 	if t.done {
 		return
 	}
 	t.done = true
-	t.ops, t.vals = nil, nil
+	for _, x := range t.xrels {
+		x.rel.Rewind(x.mark)
+	}
+	t.ops, t.xrels = nil, nil
 	if t.m.Log != nil {
 		t.m.Log.Abort(t.id)
 	}
@@ -289,24 +322,26 @@ func (t *Txn) Commit() ([]*storage.Tuple, error) {
 		}
 	}
 	// Apply pass: log record first, then the in-memory update. Validation
-	// has ruled out every failure the relation reports.
+	// has ruled out every failure the relation reports. From here on the
+	// staged tuples are the relation's, so nothing rewinds past them.
+	t.xrels = nil
 	var inserted []*storage.Tuple
+	if t.inserts > 0 {
+		inserted = make([]*storage.Tuple, 0, t.inserts)
+	}
 	for _, o := range t.ops {
 		switch o.kind {
 		case opInsert:
+			tp := o.tuple
 			var rec *recovery.Record
 			if t.m.Log != nil {
-				imgs := make([]storage.ValueImage, len(o.vals))
-				for i, v := range o.vals {
-					imgs[i] = storage.ImageOf(v)
+				imgs := make([]storage.ValueImage, tp.Arity())
+				for i := range imgs {
+					imgs[i] = storage.ImageOf(tp.Field(i))
 				}
 				rec = t.m.Log.Append(t.id, recovery.Record{Op: recovery.OpInsert, Rel: o.rel.Name(), Vals: imgs})
 			}
-			tp, err := o.rel.Insert(o.vals)
-			if err != nil {
-				t.Abort()
-				return nil, err
-			}
+			o.rel.Install(tp)
 			if rec != nil {
 				// Placement metadata becomes known only after the insert.
 				rec.Tuple = tp.ID()
@@ -318,10 +353,10 @@ func (t *Txn) Commit() ([]*storage.Tuple, error) {
 				t.m.Log.Append(t.id, recovery.Record{
 					Op: recovery.OpUpdate, Rel: o.rel.Name(),
 					Part: o.tuple.Partition().ID(), Tuple: o.tuple.ID(),
-					Field: o.field, Vals: []storage.ValueImage{storage.ImageOf(o.val)},
+					Field: int(o.field), Vals: []storage.ValueImage{storage.ImageOf(o.val)},
 				})
 			}
-			if err := o.rel.Update(o.tuple, o.field, o.val); err != nil {
+			if err := o.rel.Update(o.tuple, int(o.field), o.val); err != nil {
 				t.Abort()
 				return nil, err
 			}

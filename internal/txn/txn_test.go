@@ -3,6 +3,7 @@ package txn
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -457,5 +458,15 @@ func TestShortWriterAllocs(t *testing.T) {
 		if got := tp.Field(0).Int(); got != int64(10+i) {
 			t.Fatalf("spilled op %d inserted %d, want %d", i, got, 10+i)
 		}
+	}
+}
+
+// TestOpSize pins the buffered op at 48 bytes: a relation, a tuple (an
+// insert's staged one, or an update's or delete's target), an update's
+// value and field, and the kind. An insert's values live in the
+// relation's slab, not in the op.
+func TestOpSize(t *testing.T) {
+	if got := reflect.TypeOf(op{}).Size(); got != 48 {
+		t.Errorf("op is %d bytes, want 48", got)
 	}
 }

@@ -249,10 +249,10 @@ func TestStatementAllocsIndependentOfTableSize(t *testing.T) {
 	small, large := measure(1_000), measure(100_000)
 	t.Logf("range SELECT %.0f / %.0f (one text), %.0f / %.0f (new ranges), DELETE %.0f / %.0f, INSERT %.0f / %.0f allocations at 1k / 100k rows",
 		small.rng, large.rng, small.freshRng, large.freshRng, small.del, large.del, small.ins, large.ins)
-	// Ceilings: 17, 20 and 6 measured on a hit of the statement cache
+	// Ceilings: 17, 20 and 4 measured on a hit of the statement cache
 	// (the DELETE at 26 on an 8-column table), plus the race detector's
 	// slack.
-	rangeCeiling, delCeiling, insCeiling := 19, 27, 8
+	rangeCeiling, delCeiling, insCeiling := 19, 27, 4
 	if raceEnabled {
 		rangeCeiling, delCeiling, insCeiling = rangeCeiling+5, delCeiling+5, insCeiling+5
 	}

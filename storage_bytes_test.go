@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"runtime"
+	"runtime/metrics"
 	"strings"
 	"testing"
 
@@ -117,5 +118,78 @@ func TestTableBytesExported(t *testing.T) {
 		if got := strings.Contains(rec.Body.String(), want); got == opts.DisableMetrics {
 			t.Errorf("DisableMetrics=%v: endpoint has %q = %v", opts.DisableMetrics, want, got)
 		}
+	}
+}
+
+// scannableHeap returns the bytes of heap the collector scanned in a
+// fresh collection: live objects, less pointer-free ones and the
+// pointer-free tails of the rest.
+func scannableHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// TestScalarRowsAreNotScanned is the scan budget of a stored row. A table
+// whose columns are all Int keeps its field arrays in memory the
+// collector never scans, so what it scans of a row is the tuple header,
+// the slot pointer and the row's share of the index — not the 192 bytes
+// of its eight fields. A table with a Str column is scanned in full.
+func TestScalarRowsAreNotScanned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector pads heap objects")
+	}
+	if testing.Short() {
+		t.Skip("loads two 100k-row tables")
+	}
+	const rows = 100000
+	load := func(t *testing.T, last FieldType) float64 {
+		fields := make([]Field, 8)
+		for c := range fields {
+			fields[c] = Field{Name: fmt.Sprintf("c%d", c), Type: TypeInt}
+		}
+		fields[0].Name = "id"
+		fields[7].Type = last
+		before := scannableHeap()
+		db, err := Open(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := db.CreateTable("fact", fields, "id", TTree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]Value, 8)
+		for lo := 0; lo < rows; lo += 1000 {
+			tx := db.Begin()
+			for i := lo; i < lo+1000; i++ {
+				for c := range vals {
+					vals[c] = Int(int64(i*8 + c))
+				}
+				vals[0] = Int(int64(i))
+				if last == TypeString {
+					vals[7] = Str("s") // a constant: no payload of its own
+				}
+				if err := tx.Insert(tbl, vals...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		perRow := (float64(scannableHeap()) - float64(before)) / rows
+		runtime.KeepAlive(db)
+		return perRow
+	}
+	ints, strs := load(t, TypeInt), load(t, TypeString)
+	t.Logf("scannable heap a row: %.1f B with 8 Int columns, %.1f B with 7 Int and a Str", ints, strs)
+	if ints > 70 {
+		t.Errorf("a row of 8 Int columns leaves %.1f B for the collector to scan, ceiling 70 (header, slot pointer, index share)", ints)
+	}
+	if strs < 192 {
+		t.Errorf("a row with a Str column leaves %.1f B for the collector to scan, want its 192-byte field array scanned", strs)
 	}
 }

@@ -129,14 +129,40 @@ func (t *Table) createIndexLocked(name, column string, kind IndexKind, unique bo
 // against it before applying any of them. Null keys are exempt (no value
 // to collide).
 func (t *Table) registerUniqueKey(ix *Index) {
-	t.rel.AddUniqueKey(storage.UniqueKey{Name: ix.name, Field: ix.field, Lookup: func(key storage.Value) (*storage.Tuple, bool) {
-		if ix.ordered != nil {
-			return ix.ordered.Search(tupleindex.PosFor(key, ix.field))
-		}
-		return ix.hashed.SearchKey(storage.Hash(key), func(x *storage.Tuple) bool {
-			return storage.Equal(tupleindex.KeyOf(x, ix.field), key)
-		})
-	}})
+	p := &keyProbe{ix: ix}
+	p.pos, p.match = p.compare, p.equal
+	t.rel.AddUniqueKey(storage.UniqueKey{Name: ix.name, Field: ix.field, Lookup: p.lookup})
+}
+
+// keyProbe looks keys up in one unique index without allocating: the
+// comparators the index calls are bound once, and each lookup sets the key
+// they compare against. Keys are only checked by a transaction holding the
+// relation's X lock, so one probe per index never serves two lookups at
+// once.
+type keyProbe struct {
+	ix    *Index
+	key   storage.Value
+	pos   index.Pos[*storage.Tuple]
+	match func(*storage.Tuple) bool
+}
+
+func (p *keyProbe) compare(x *storage.Tuple) int {
+	return storage.Compare(tupleindex.KeyOf(x, p.ix.field), p.key)
+}
+
+func (p *keyProbe) equal(x *storage.Tuple) bool {
+	return storage.Equal(tupleindex.KeyOf(x, p.ix.field), p.key)
+}
+
+func (p *keyProbe) lookup(key storage.Value) (tp *storage.Tuple, ok bool) {
+	p.key = key
+	if p.ix.ordered != nil {
+		tp, ok = p.ix.ordered.Search(p.pos)
+	} else {
+		tp, ok = p.ix.hashed.SearchKey(storage.Hash(key), p.match)
+	}
+	p.key = storage.NullValue // hold no string past the lookup
+	return tp, ok
 }
 
 // build (re)creates the underlying structure and populates it.
