@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/recovery"
 )
 
 func openAcct(t *testing.T, opts Options) (*Database, *Table) {
@@ -26,12 +28,12 @@ func openAcct(t *testing.T, opts Options) (*Database, *Table) {
 	return db, tbl
 }
 
-// TestCheckpointBesideLogDeviceAndWriter is the regression test for the
-// checkpoint/log-device collision: both staged a partition image as
-// <image>.tmp, so one rename failed — as a Checkpoint error or, much
-// later, from Close. Checkpoints now run beside a 1 ms device and a
-// committing writer without an error, leave no temp file, and the disk
-// copy recovers to exactly what the writer committed.
+// TestCheckpointBesideLogDeviceAndWriter: checkpoints run beside a 1 ms
+// log device and a committing writer, all three appending partition
+// images to the one disk-copy segment, without an error. So many
+// rewrites compact the segment again and again; afterwards the directory
+// holds the segment alone, no compaction copy, and the disk copy recovers
+// to exactly what the writer committed.
 func TestCheckpointBesideLogDeviceAndWriter(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Dir: dir, DeviceInterval: time.Millisecond, SlotsPerPartition: 8}
@@ -110,8 +112,11 @@ func TestCheckpointBesideLogDeviceAndWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if strings.Contains(e.Name(), ".tmp") {
+		switch {
+		case strings.Contains(e.Name(), ".tmp"):
 			t.Errorf("temp file left behind: %s", e.Name())
+		case e.Name() != recovery.SegmentFile:
+			t.Errorf("file beside the disk-copy segment: %s", e.Name())
 		}
 	}
 

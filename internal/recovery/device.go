@@ -1,7 +1,6 @@
 package recovery
 
 import (
-	"os"
 	"sync"
 	"time"
 
@@ -44,18 +43,13 @@ func (m *Manager) propagatePartition(k PartKey) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	for _, rec := range recs {
-		applyToImage(&img, rec)
-		if rec.LSN > img.LSN {
-			img.LSN = rec.LSN
-		}
-	}
-	m.encBuf = storage.AppendPartition(m.encBuf[:0], img)
-	if err := writeFileAtomic(m.imagePath(k), m.encBuf); err != nil {
-		return err
-	}
-	m.prune(k, img.LSN)
-	return nil
+	applyRecords(&img, recs)
+	err = m.putImage(k, img)
+	// The tuples just applied point into their transactions' record
+	// blocks: drop them from the scratch, which would keep those blocks
+	// alive after the records are pruned.
+	clear(img.Tuples)
+	return err
 }
 
 // Device runs PropagateOnce on an interval — the background log device.
@@ -107,20 +101,14 @@ func (d *Device) Stop() error {
 }
 
 // readDiskImage reads a partition's disk image, or an empty one if the
-// partition has never been checkpointed, into the manager's propagation
+// partition has never been written, into the manager's propagation
 // scratch: the image is valid until the next call. The caller holds imgMu.
 func (m *Manager) readDiskImage(k PartKey) (storage.PartitionImage, error) {
-	f, err := os.Open(m.imagePath(k))
-	if os.IsNotExist(err) {
-		return storage.PartitionImage{Relation: k.Rel, PartID: k.Part}, nil
+	var data []byte
+	var err error
+	m.readBuf, data, err = m.seg.read(k, m.readBuf)
+	if err != nil || data == nil {
+		return storage.PartitionImage{Relation: k.Rel, PartID: k.Part}, err
 	}
-	if err != nil {
-		return storage.PartitionImage{}, err
-	}
-	defer f.Close() // read only
-	m.fileBuf.Reset()
-	if _, err := m.fileBuf.ReadFrom(f); err != nil {
-		return storage.PartitionImage{}, err
-	}
-	return m.decoded.Decode(m.fileBuf.Bytes())
+	return m.decoded.Decode(data)
 }

@@ -2,23 +2,34 @@
 // and Figure 2: a stable log buffer that receives all log information
 // before the in-memory update, an active log device that folds committed
 // updates into a change-accumulation log and lazily maintains a disk copy
-// of the database (one file per partition — the unit of recovery), and a
-// two-phase restart that brings the working set into memory first (merging
-// unpropagated log records on the fly) while a background process reloads
-// the rest.
+// of the database, and a two-phase restart that brings the working set
+// into memory first (merging unpropagated log records on the fly) while a
+// background process reloads the rest.
 //
 // The 1986 proposal assumes a battery-backed stable buffer and a hardware
 // log device. Here both are simulated: the Manager object *is* the stable
 // hardware — a crash is modeled by discarding every in-memory relation
 // while keeping the Manager and the disk-copy directory, then recovering
 // into fresh relations.
+//
+// The disk copy is organised by partition, the unit of recovery, and
+// stored as one append-only segment file (SegmentFile) of framed
+// partition images: each image write appends a frame — length, CRC,
+// relation, partition, LSN, then the image — and moves an in-memory
+// directory entry to it, so a durable load creates no file per partition.
+// Opening a manager rebuilds the directory from the frame headers, the
+// latest frame of a partition winning. A torn final frame — an append a
+// crash cut off — is truncated, so its partition keeps its previous
+// image; a bad frame anywhere else fails the restart. Once the segment
+// holds over twice its live bytes (and over 1 MiB), the live frames are
+// copied to a new file renamed over it.
 package recovery
 
 import (
-	"bytes"
+	"cmp"
 	"fmt"
 	"os"
-	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -93,16 +104,17 @@ type Manager struct {
 	cal map[PartKey][]*Record
 	obs Observer
 
-	// imgMu serializes the writers of the disk copy — Checkpoint and
-	// propagation (the log device's, a commit's). Each reads what an image
-	// must contain, writes it and prunes the records it covers as one
-	// step, so of two writers of one image the later one wins whole.
+	// imgMu guards the disk copy and serializes its writers — Checkpoint
+	// and propagation (the log device's, a commit's). Each reads what an
+	// image must contain, appends it and prunes the records it covers as
+	// one step, so of two writers of one image the later one wins whole.
 	imgMu sync.Mutex
-	// Propagation's working memory, under imgMu: the image file as read,
-	// its decoded form, and its new encoding are reused from partition to
+	seg   *segment
+	// Propagation's working memory, under imgMu: the frame as read, its
+	// decoded image, and the new frame are reused from partition to
 	// partition, so folding one record into an image does not allocate
 	// the image.
-	fileBuf bytes.Buffer
+	readBuf []byte
 	decoded storage.ImageScratch
 	encBuf  []byte
 }
@@ -115,38 +127,65 @@ func (m *Manager) SetObserver(o Observer) {
 	m.mu.Unlock()
 }
 
-// NewManager creates a manager whose disk copy lives under dir.
+// NewManager creates a manager whose disk copy lives under dir, opening
+// the segment a previous manager left there. LSNs continue above the
+// highest one on disk.
 func NewManager(dir string) (*Manager, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("recovery: %w", err)
 	}
-	return &Manager{
+	seg, err := openSegment(dir)
+	if err != nil {
+		return nil, err
+	}
+	m := &Manager{
 		dir:    dir,
+		seg:    seg,
 		stable: make(map[uint64][]*Record),
 		cal:    make(map[PartKey][]*Record),
-	}, nil
+	}
+	for _, loc := range seg.dir {
+		m.nextLSN = max(m.nextLSN, loc.lsn)
+	}
+	return m, nil
 }
 
 // Dir returns the disk-copy directory.
 func (m *Manager) Dir() string { return m.dir }
 
-// Append writes a record into the stable log buffer for txn, assigning its
-// LSN. Per §2.4 this happens before the actual update is applied to the
-// in-memory database. The returned record's Part may be patched by the
-// caller once placement is known (routing metadata, not payload).
+// Close releases the disk copy's file. Call it once nothing writes: a
+// later image write or restart read fails.
+func (m *Manager) Close() error {
+	m.imgMu.Lock()
+	defer m.imgMu.Unlock()
+	return m.seg.close()
+}
+
+// Append writes a copy of rec into the stable log buffer for txn; see
+// AppendRecord.
 func (m *Manager) Append(txn uint64, rec Record) *Record {
+	r := &rec
+	m.AppendRecord(txn, r)
+	return r
+}
+
+// AppendRecord writes r into the stable log buffer for txn, assigning its
+// LSN. Per §2.4 this happens before the actual update is applied to the
+// in-memory database. The manager keeps r itself, so a transaction can
+// build its records in one block; the caller changes nothing in it
+// afterwards but Part and Tuple, which may be patched once placement is
+// known (routing metadata, not payload), before Commit.
+func (m *Manager) AppendRecord(txn uint64, r *Record) {
 	m.mu.Lock()
 	m.nextLSN++
-	rec.LSN = m.nextLSN
-	rec.Txn = txn
-	r := &rec
+	r.LSN = m.nextLSN
+	r.Txn = txn
 	m.stable[txn] = append(m.stable[txn], r)
 	obs := m.obs
 	m.mu.Unlock()
 	if obs != nil {
 		obs.LogAppend(r.Words())
 	}
-	return r
 }
 
 // Abort discards txn's log entries; no undo is needed because updates are
@@ -208,10 +247,6 @@ func (m *Manager) PendingRecords() int {
 	return n
 }
 
-func (m *Manager) imagePath(k PartKey) string {
-	return filepath.Join(m.dir, fmt.Sprintf("%s.%06d.img", k.Rel, k.Part))
-}
-
 // Checkpoint writes every partition of the given relations to the disk
 // copy and prunes change-accumulation records the images now cover. The
 // caller keeps writers off the relations for the duration (a shared
@@ -236,12 +271,19 @@ func (m *Manager) checkpointPartition(rel *storage.Relation, p *storage.Partitio
 	defer m.imgMu.Unlock()
 	p.SetLSN(lsn)
 	k := PartKey{Rel: rel.Name(), Part: p.ID()}
-	m.encBuf = storage.AppendPartition(m.encBuf[:0], p.Snapshot())
-	if err := writeFileAtomic(m.imagePath(k), m.encBuf); err != nil {
+	return m.putImage(k, p.Snapshot())
+}
+
+// putImage appends img as k's image, prunes the change-accumulation
+// records it covers, and compacts the disk copy if that is due. The
+// caller holds imgMu.
+func (m *Manager) putImage(k PartKey, img storage.PartitionImage) error {
+	m.encBuf = storage.AppendPartition(appendHeader(m.encBuf[:0], k, img.LSN), img)
+	if err := m.seg.put(k, m.encBuf); err != nil {
 		return err
 	}
-	m.prune(k, lsn)
-	return nil
+	m.prune(k, img.LSN)
+	return m.seg.compactIfDue()
 }
 
 func (m *Manager) prune(k PartKey, lsn uint64) {
@@ -266,36 +308,25 @@ func (m *Manager) prune(k PartKey, lsn uint64) {
 func (m *Manager) records(k PartKey, floor uint64) []*Record {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var out []*Record
-	for _, r := range m.cal[k] {
+	rs := m.cal[k]
+	out := make([]*Record, 0, len(rs))
+	for _, r := range rs {
 		if r.LSN > floor {
 			out = append(out, r)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].LSN < out[j].LSN })
+	slices.SortFunc(out, func(a, b *Record) int { return cmp.Compare(a.LSN, b.LSN) })
 	return out
 }
 
 // DiskPartitions lists the partitions present in the disk copy.
 func (m *Manager) DiskPartitions() ([]PartKey, error) {
-	entries, err := os.ReadDir(m.dir)
-	if err != nil {
-		return nil, fmt.Errorf("recovery: %w", err)
-	}
-	var out []PartKey
-	for _, e := range entries {
-		name := e.Name()
-		if filepath.Ext(name) != ".img" {
-			continue
-		}
-		var k PartKey
-		base := name[:len(name)-len(".img")]
-		if n, err := fmt.Sscanf(base[len(base)-6:], "%d", &k.Part); n != 1 || err != nil {
-			continue
-		}
-		k.Rel = base[:len(base)-7] // strip ".NNNNNN"
+	m.imgMu.Lock()
+	out := make([]PartKey, 0, len(m.seg.dir))
+	for k := range m.seg.dir {
 		out = append(out, k)
 	}
+	m.imgMu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Rel != out[j].Rel {
 			return out[i].Rel < out[j].Rel
@@ -303,26 +334,4 @@ func (m *Manager) DiskPartitions() ([]PartKey, error) {
 		return out[i].Part < out[j].Part
 	})
 	return out, nil
-}
-
-// writeFileAtomic replaces path with data by renaming a temp file of its
-// own over it, so a reader sees the old image or the new one, never a
-// partial write, and two writers never share a temp file.
-func writeFileAtomic(path string, data []byte) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("recovery: %w", err)
-	}
-	_, err = f.Write(data)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(f.Name(), path)
-	}
-	if err != nil {
-		_ = os.Remove(f.Name()) // best effort: the write error is what matters
-		return fmt.Errorf("recovery: %w", err)
-	}
-	return nil
 }

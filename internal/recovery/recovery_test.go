@@ -464,32 +464,50 @@ func TestRestartRejectsCorruptImage(t *testing.T) {
 	emp, dept := schemas(t, ids)
 	tm := txn.NewManager(lock.NewManager(), log)
 	tx := tm.Begin()
-	tx.Insert(dept, []storage.Value{storage.StringValue("A"), storage.IntValue(1)})
+	for i := 0; i < 6; i++ { // two four-slot partitions: two frames
+		tx.Insert(dept, []storage.Value{storage.StringValue(fmt.Sprintf("d%d", i)), storage.IntValue(int64(i))})
+	}
 	if _, err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if err := log.Checkpoint(emp, dept); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt every image byte-by-byte truncation: restart must error, not
-	// panic or load garbage.
+	// Flip the last payload byte of the first frame, which is not the
+	// segment's final frame: that is corruption, not a torn append, so
+	// restart must error, not panic or load garbage.
 	keys, err := log.DiskPartitions()
-	if err != nil || len(keys) == 0 {
+	if err != nil || len(keys) < 2 {
 		t.Fatalf("keys=%v err=%v", keys, err)
 	}
-	img := filepath.Join(dir, fmt.Sprintf("%s.%06d.img", keys[0].Rel, keys[0].Part))
-	data, err := os.ReadFile(img)
+	var off, size int64 = -1, 0
+	for _, k := range keys {
+		if o, s, _, _ := log.FrameOf(k); off < 0 || o < off {
+			off, size = o, s
+		}
+	}
+	seg := filepath.Join(dir, recovery.SegmentFile)
+	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(img, data[:len(data)/2], 0o644); err != nil {
+	if off+size >= int64(len(data)) {
+		t.Fatalf("first frame [%d,+%d) is the final one of %d bytes", off, size, len(data))
+	}
+	data[off+size-1] ^= 0xff
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ids2 := storage.NewIDGen()
-	emp2, dept2 := schemas(t, ids2)
-	r := log.NewRestart(emp2, dept2)
-	if err := r.LoadRemaining(); err == nil {
-		t.Fatal("corrupt image accepted")
+	reopened, err := recovery.NewManager(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*recovery.Manager{log, reopened} {
+		emp2, dept2 := schemas(t, storage.NewIDGen())
+		r := m.NewRestart(emp2, dept2)
+		if err := r.LoadRemaining(); err == nil {
+			t.Fatal("corrupt image accepted")
+		}
 	}
 }
 

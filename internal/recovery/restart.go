@@ -2,7 +2,7 @@ package recovery
 
 import (
 	"fmt"
-	"os"
+	"slices"
 
 	"repro/internal/storage"
 )
@@ -19,6 +19,7 @@ type Restart struct {
 	loader *storage.Loader
 	rels   map[string]*storage.Relation
 	loaded map[PartKey]bool
+	buf    []byte // the frame being read
 }
 
 // NewRestart begins recovery into the given (empty) relations; their
@@ -49,12 +50,7 @@ func (r *Restart) LoadPartition(k PartKey) error {
 	if err != nil {
 		return err
 	}
-	for _, rec := range r.mgr.records(k, img.LSN) {
-		applyToImage(&img, rec)
-		if rec.LSN > img.LSN {
-			img.LSN = rec.LSN
-		}
-	}
+	applyRecords(&img, r.mgr.records(k, img.LSN))
 	if err := r.loader.LoadPartition(img); err != nil {
 		return err
 	}
@@ -63,16 +59,37 @@ func (r *Restart) LoadPartition(k PartKey) error {
 }
 
 func (r *Restart) readImage(k PartKey) (storage.PartitionImage, error) {
-	data, err := os.ReadFile(r.mgr.imagePath(k))
-	if os.IsNotExist(err) {
-		// Partition created after the last checkpoint: replay starts from
-		// an empty image.
+	r.mgr.imgMu.Lock()
+	var data []byte
+	var err error
+	r.buf, data, err = r.mgr.seg.read(k, r.buf)
+	r.mgr.imgMu.Unlock()
+	if err != nil {
+		return storage.PartitionImage{}, err
+	}
+	if data == nil {
+		// Partition created after the last image write: replay starts
+		// from an empty image.
 		return storage.PartitionImage{Relation: k.Rel, PartID: k.Part}, nil
 	}
-	if err != nil {
-		return storage.PartitionImage{}, fmt.Errorf("recovery: %w", err)
-	}
+	// The decoded image copies what it keeps, so r.buf is free again.
 	return storage.DecodePartition(data)
+}
+
+// applyRecords folds records, in LSN order, into a partition image and
+// raises its LSN to the last one.
+func applyRecords(img *storage.PartitionImage, recs []*Record) {
+	inserts := 0
+	for _, rec := range recs {
+		if rec.Op == OpInsert {
+			inserts++
+		}
+	}
+	img.Tuples = slices.Grow(img.Tuples, inserts)
+	for _, rec := range recs {
+		applyToImage(img, rec)
+		img.LSN = max(img.LSN, rec.LSN)
+	}
 }
 
 // applyToImage folds one log record into a partition image. An update or

@@ -277,6 +277,21 @@ func (t *Txn) Delete(rel *storage.Relation, tp *storage.Tuple) error {
 	return nil
 }
 
+// logBlocks allocates the commit's log records, one per op, and the value
+// images they carry: an insert's row, an update's new value.
+func (t *Txn) logBlocks() ([]recovery.Record, []storage.ValueImage) {
+	n := 0
+	for _, o := range t.ops {
+		switch o.kind {
+		case opInsert:
+			n += o.tuple.Arity()
+		case opUpdate:
+			n++
+		}
+	}
+	return make([]recovery.Record, len(t.ops)), make([]storage.ValueImage, n)
+}
+
 // failLock aborts the transaction on a lock failure (deadlock victim).
 func (t *Txn) failLock(err error) error {
 	t.Abort()
@@ -329,17 +344,30 @@ func (t *Txn) Commit() ([]*storage.Tuple, error) {
 	if t.inserts > 0 {
 		inserted = make([]*storage.Tuple, 0, t.inserts)
 	}
-	for _, o := range t.ops {
+	// The log records and their value images are one block each; the
+	// log manager keeps pointers into them.
+	var recs []recovery.Record
+	var imgs []storage.ValueImage
+	if t.m.Log != nil {
+		recs, imgs = t.logBlocks()
+	}
+	for i, o := range t.ops {
+		var rec *recovery.Record
+		if recs != nil {
+			rec = &recs[i]
+		}
 		switch o.kind {
 		case opInsert:
 			tp := o.tuple
-			var rec *recovery.Record
-			if t.m.Log != nil {
-				imgs := make([]storage.ValueImage, tp.Arity())
-				for i := range imgs {
-					imgs[i] = storage.ImageOf(tp.Field(i))
+			if rec != nil {
+				n := tp.Arity()
+				vals := imgs[:n:n]
+				imgs = imgs[n:]
+				for f := range vals {
+					vals[f] = storage.ImageOf(tp.Field(f))
 				}
-				rec = t.m.Log.Append(t.id, recovery.Record{Op: recovery.OpInsert, Rel: o.rel.Name(), Vals: imgs})
+				*rec = recovery.Record{Op: recovery.OpInsert, Rel: o.rel.Name(), Vals: vals}
+				t.m.Log.AppendRecord(t.id, rec)
 			}
 			o.rel.Install(tp)
 			if rec != nil {
@@ -349,23 +377,27 @@ func (t *Txn) Commit() ([]*storage.Tuple, error) {
 			}
 			inserted = append(inserted, tp)
 		case opUpdate:
-			if t.m.Log != nil {
-				t.m.Log.Append(t.id, recovery.Record{
+			if rec != nil {
+				imgs[0] = storage.ImageOf(o.val)
+				*rec = recovery.Record{
 					Op: recovery.OpUpdate, Rel: o.rel.Name(),
 					Part: o.tuple.Partition().ID(), Tuple: o.tuple.ID(),
-					Field: int(o.field), Vals: []storage.ValueImage{storage.ImageOf(o.val)},
-				})
+					Field: int(o.field), Vals: imgs[:1:1],
+				}
+				imgs = imgs[1:]
+				t.m.Log.AppendRecord(t.id, rec)
 			}
 			if err := o.rel.Update(o.tuple, int(o.field), o.val); err != nil {
 				t.Abort()
 				return nil, err
 			}
 		case opDelete:
-			if t.m.Log != nil {
-				t.m.Log.Append(t.id, recovery.Record{
+			if rec != nil {
+				*rec = recovery.Record{
 					Op: recovery.OpDelete, Rel: o.rel.Name(),
 					Part: o.tuple.Partition().ID(), Tuple: o.tuple.ID(),
-				})
+				}
+				t.m.Log.AppendRecord(t.id, rec)
 			}
 			if err := o.rel.Delete(o.tuple); err != nil {
 				t.Abort()

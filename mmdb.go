@@ -331,19 +331,23 @@ func Open(opts Options) (*Database, error) {
 }
 
 // Close stops the background log device, propagating any remaining
-// committed records to the disk copy. The shared morsel scheduler is left
-// running for the process's other databases.
+// committed records to the disk copy, and closes the disk copy. The shared
+// morsel scheduler is left running for the process's other databases.
 func (db *Database) Close() error {
+	var err error
 	if db.device != nil {
-		if err := db.device.Stop(); err != nil {
-			return err
-		}
+		err = db.device.Stop()
 		db.device = nil
 	}
 	if db.log != nil {
-		return db.log.PropagateOnce()
+		if err == nil {
+			err = db.log.PropagateOnce()
+		}
+		if cerr := db.log.Close(); err == nil {
+			err = cerr
+		}
 	}
-	return nil
+	return err
 }
 
 // Checkpoint writes every table's partitions to the disk copy. It is safe
