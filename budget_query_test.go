@@ -166,3 +166,43 @@ func TestMemoryBudgetGroupBy(t *testing.T) {
 		t.Fatalf("group grant did not drain:\n%s", sb.String())
 	}
 }
+
+// TestBudgetedParallelAggAuditsWhatRan: under a budget that narrows the
+// radix plan, a 1-worker GROUP BY and DISTINCT audit the clamp they ran,
+// while at 2 workers, which take no radix plan, the GROUP BY names the
+// parallel path and neither logs bits it did not use.
+func TestBudgetedParallelAggAuditsWhatRan(t *testing.T) {
+	db := openBig(t, Options{Agg: AggConfig{MinRows: 2000, L2Bytes: 4 << 10}, MemoryBudget: 16 << 10}, 12000)
+	for _, c := range []struct {
+		name string
+		q    func() *Query
+	}{
+		{"group", func() *Query { return db.Query("a").GroupBy("k").Agg(AggCount, "") }},
+		{"distinct", func() *Query { return db.Query("a").Select("k").Distinct() }},
+	} {
+		for _, w := range []int{1, 2} {
+			res, tr, err := c.q().Parallel(w).Analyze()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Len() != 97 {
+				t.Fatalf("%s w=%d: %d rows, want 97", c.name, w, res.Len())
+			}
+			var clamps []string
+			for _, d := range tr.Decisions {
+				if strings.Contains(d.Chosen, "bits=") && d.Name != "radix bits" {
+					clamps = append(clamps, d.Name+": "+d.Chosen)
+				}
+				if d.Name == "agg method" && w > 1 && d.Chosen != "parallel partial agg, 2-partition merge (2 workers)" {
+					t.Errorf("%s w=%d: agg method %q, not the path that ran", c.name, w, d.Chosen)
+				}
+			}
+			if w == 1 && len(clamps) == 0 {
+				t.Errorf("%s w=1: no budget clamp audited:\n%s", c.name, tr.Format())
+			}
+			if w > 1 && len(clamps) > 0 {
+				t.Errorf("%s w=%d: audits radix bits the parallel path did not use: %v", c.name, w, clamps)
+			}
+		}
+	}
+}

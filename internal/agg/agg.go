@@ -6,7 +6,10 @@
 // join established: radix-partition the input on the group-key hash
 // (internal/radix), then aggregate each partition through a flat
 // open-addressing table that stays L2-resident. Groups cannot cross hash
-// partitions, so no cross-partition merge is ever needed.
+// partitions, so no cross-partition merge is ever needed. The parallel
+// executor's per-worker partials (RunRange) are merged the same way: by
+// hash partition, one MergePartition per partition, from each group's
+// cached hash and key.
 //
 // All scratch (the hash entries, the probe table, the per-group state
 // cells) lives in a pooled Grouper: a warmed grouper aggregates an input
@@ -27,7 +30,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/exec"
 	"repro/internal/meter"
 	"repro/internal/radix"
 	"repro/internal/storage"
@@ -122,9 +124,9 @@ func (c *Cell) absorb(k Kind, v storage.Value, m *meter.Counters) {
 }
 
 // Merge folds another cell of the same (group key, aggregate) into c —
-// the partial-aggregate combine the parallel executor uses at its
-// barrier. Every aggregate here is decomposable: counts and sums add,
-// MIN/MAX compare, AVG merges as (sum, count).
+// the partial-aggregate combine of the parallel executor's merge phase
+// (MergePartition). Every aggregate here is decomposable: counts and
+// sums add, MIN/MAX compare, AVG merges as (sum, count).
 func (c *Cell) Merge(k Kind, o Cell, m *meter.Counters) {
 	if o.N == 0 {
 		return
@@ -189,15 +191,20 @@ func Final(k Kind, c Cell) storage.Value {
 // Result is a finished aggregation: one entry per distinct group, in the
 // order the operator discovered them (first-occurrence order within each
 // radix partition, partitions in hash order). Reps[g] is the input row
-// that first exhibited group g's key — the grouper reads key values back
-// through it, and Emit takes it as the group's output row. Cells is
-// group-major: group g's state for spec s is Cells[g*len(specs)+s]. The
-// slices alias the Grouper's pooled scratch: consume them (or Emit) before
-// Put.
+// that first exhibited group g's key, and Emit takes it as the group's
+// output row. Hashes[g] is that key's hash (exec.KeyHash) and
+// Keys[g*nkey:(g+1)*nkey] its key values, cached when the group was
+// found — the merge of parallel partials reads keys from them, never
+// through a row. Cells is group-major: group g's state for spec s is
+// Cells[g*len(specs)+s]. Concat's result carries Reps and Cells only.
+// The slices alias the Grouper's pooled scratch: consume them (or Emit)
+// before Put.
 type Result struct {
-	Reps  []int32
-	Cells []Cell
-	Stats radix.Stats
+	Reps   []int32
+	Hashes []uint64
+	Keys   []storage.Value
+	Cells  []Cell
+	Stats  radix.Stats
 }
 
 // Groups is the distinct-group count.
@@ -205,8 +212,8 @@ func (r Result) Groups() int { return len(r.Reps) }
 
 // Grouper holds the operator's reusable scratch: the (hash, row) entries
 // handed to the radix partitioner, the open-addressing probe table, the
-// group reps/hashes/cells, the batched column/hash/ordinal buffers, and
-// the key-gather buffer. Get/Put recycle groupers through a pool; a warmed
+// group reps/hashes/keys/cells, and the batched column/hash/ordinal
+// buffers. Get/Put recycle groupers through a pool; a warmed
 // grouper runs allocation-free.
 type Grouper struct {
 	ent     []radix.RowEntry
@@ -214,7 +221,6 @@ type Grouper struct {
 	hashes  []uint64
 	reps    []int32
 	cells   []Cell
-	keybuf  []storage.Value
 	repkeys []storage.Value   // group-major cached key values (groups × nkey)
 	vbufs   [][]storage.Value // gathered column batches, one per distinct input column
 	hbuf    []uint64          // per-batch row hashes
@@ -226,6 +232,9 @@ type Grouper struct {
 	sz      int               // active probe-table prefix of slots (power of two)
 	szMax   int               // full table size for this run's row count (growth stops here)
 	ordBase int               // first group ordinal belonging to the active table
+	// High-water lengths of cells and repkeys since the last Put: how far
+	// this grouper's runs wrote values that may pin strings or tuples.
+	cellsHW, keysHW int
 }
 
 // aggBatch is the width of the vectorized kernel's batches: wide enough to
@@ -240,15 +249,35 @@ func Get() *Grouper { return grouperPool.Get().(*Grouper) }
 
 // Put clears the value-holding scratch (cells, gathered batches and cached
 // keys may pin strings and tuple refs through storage.Value) and recycles
-// the grouper.
+// the grouper. Only what the runs since the last Put wrote is cleared —
+// the high-water mark of cells and keys — so a small run on a grouper an
+// earlier large one grew does not pay for clearing the large run's arrays
+// again.
 func Put(g *Grouper) {
-	clear(g.cells[:cap(g.cells)])
-	clear(g.keybuf[:cap(g.keybuf)])
-	clear(g.repkeys[:cap(g.repkeys)])
+	g.reset()
+	clear(g.cells[:g.cellsHW])
+	clear(g.repkeys[:g.keysHW])
+	g.cellsHW, g.keysHW = 0, 0
 	for _, vb := range g.vbufs {
 		clear(vb[:cap(vb)])
 	}
 	grouperPool.Put(g)
+}
+
+// reset empties the per-group scratch for a new run, first raising the
+// high-water marks to what the last run wrote.
+func (g *Grouper) reset() {
+	g.cellsHW = max(g.cellsHW, len(g.cells))
+	g.keysHW = max(g.keysHW, len(g.repkeys))
+	g.reps = g.reps[:0]
+	g.hashes = g.hashes[:0]
+	g.cells = g.cells[:0]
+	g.repkeys = g.repkeys[:0]
+}
+
+// result is the run's groups as a Result, aliasing the scratch.
+func (g *Grouper) result() Result {
+	return Result{Reps: g.reps, Hashes: g.hashes, Keys: g.repkeys, Cells: g.cells}
 }
 
 // planCols computes the distinct input columns a run touches — group keys
@@ -340,29 +369,6 @@ func (g *Grouper) finishShared(nspec int) {
 	}
 }
 
-// hashRow gathers row's group-key values into the scratch buffer and
-// hashes them exactly as the projection's duplicate elimination does
-// (exec.KeyHash), so partitioned, flat, and parallel aggregation agree
-// bit-for-bit on key identity.
-func (g *Grouper) hashRow(list *storage.TempList, row int, groupCols []int, m *meter.Counters) uint64 {
-	g.keybuf = g.keybuf[:0]
-	for _, c := range groupCols {
-		g.keybuf = append(g.keybuf, list.Value(row, c))
-	}
-	return exec.KeyHash(g.keybuf, m)
-}
-
-// keysEqual compares the group keys of two input rows column by column.
-func keysEqual(list *storage.TempList, a, b int, groupCols []int, m *meter.Counters) bool {
-	for _, c := range groupCols {
-		m.AddCompare(1)
-		if !storage.Equal(list.Value(a, c), list.Value(b, c)) {
-			return false
-		}
-	}
-	return true
-}
-
 // Run aggregates list grouped by groupCols. bits is the radix plan from
 // plan.ChooseAggMethod: nil runs the whole input through one flat table
 // (the degenerate single-partition plan); otherwise the input is
@@ -375,12 +381,9 @@ func keysEqual(list *storage.TempList, a, b int, groupCols []int, m *meter.Count
 // RadixPasses/Partitions/DataMoves when a partitioning plan ran.
 func (g *Grouper) Run(list *storage.TempList, groupCols []int, specs []Spec, bits []uint, m *meter.Counters) Result {
 	n := list.Len()
-	g.reps = g.reps[:0]
-	g.hashes = g.hashes[:0]
-	g.cells = g.cells[:0]
-	g.repkeys = g.repkeys[:0]
+	g.reset()
 	if n == 0 {
-		return Result{Reps: g.reps, Cells: g.cells}
+		return g.result()
 	}
 
 	g.planCols(groupCols, specs)
@@ -391,7 +394,7 @@ func (g *Grouper) Run(list *storage.TempList, groupCols []int, specs []Spec, bit
 		g.runFlat(list, 0, n, groupCols, specs, m)
 		g.finishShared(len(specs))
 		m.AddGroup(int64(len(g.reps)))
-		return Result{Reps: g.reps, Cells: g.cells}
+		return g.result()
 	}
 
 	// Partitioned: hash every row once, scatter (hash, row) entries on the
@@ -445,7 +448,9 @@ func (g *Grouper) Run(list *storage.TempList, groupCols []int, specs []Spec, bit
 	radix.PutRowPartitioner(part)
 	g.finishShared(len(specs))
 	m.AddGroup(int64(len(g.reps)))
-	return Result{Reps: g.reps, Cells: g.cells, Stats: stats}
+	res := g.result()
+	res.Stats = stats
+	return res
 }
 
 // FNV-1a fold constants — the batched hash below must produce exactly
@@ -637,16 +642,14 @@ func (g *Grouper) processBatch(bn, base int, pre bool, groupCols []int, specs []
 }
 
 // RunRange is the flat-table aggregation over rows [lo, hi) of list — the
-// per-worker partial the parallel executor runs over its chunk before the
-// barrier merge.
+// per-worker partial the parallel executor runs over its chunk. Its
+// result carries each group's hash and key values, which is all
+// MergePartition reads of it.
 func (g *Grouper) RunRange(list *storage.TempList, lo, hi int, groupCols []int, specs []Spec, m *meter.Counters) Result {
-	g.reps = g.reps[:0]
-	g.hashes = g.hashes[:0]
-	g.cells = g.cells[:0]
-	g.repkeys = g.repkeys[:0]
+	g.reset()
 	n := hi - lo
 	if n <= 0 {
-		return Result{Reps: g.reps, Cells: g.cells}
+		return g.result()
 	}
 	g.planCols(groupCols, specs)
 	g.ensureSlots(n)
@@ -654,43 +657,122 @@ func (g *Grouper) RunRange(list *storage.TempList, lo, hi int, groupCols []int, 
 	g.runFlat(list, lo, hi, groupCols, specs, m)
 	g.finishShared(len(specs))
 	m.AddGroup(int64(len(g.reps)))
-	return Result{Reps: g.reps, Cells: g.cells}
+	return g.result()
 }
 
-// MergeInto folds worker partials into this grouper's table — the
-// barrier step. Group identity is decided by the same key columns read
-// through each partial's rep rows; cells combine with Cell.Merge. The
-// merged group order is first appearance across partials in slice order,
-// so a serial run and a parallel run agree on the group set (order may
-// differ; ORDER BY, when present, runs downstream anyway).
-func (g *Grouper) MergeInto(list *storage.TempList, groupCols []int, specs []Spec, partials []Result, m *meter.Counters) Result {
+// partitionOf is the merge partition, of parts, that a group of key hash
+// h belongs to: the top 32 bits of h scaled to [0, parts), so any count
+// works, not only powers of two, and the choice is independent of the
+// low bits the probe tables index by.
+func partitionOf(h uint64, parts int) int {
+	return int((h >> 32) * uint64(parts) >> 32)
+}
+
+// MergePartition folds partition part (of parts, by partitionOf) of the
+// worker partials into this grouper's table — one merger of the parallel
+// executor's second phase; the parts mergers run concurrently, each on
+// its own grouper. Partials are visited in slice order, the order of the
+// chunks they cover, so a group's representative is its first occurrence
+// in the input, as in a serial run. Group identity comes from each
+// partial's cached hashes and key values (nkey per group); cells combine
+// with Cell.Merge. No input row is read.
+//
+// The partials' group count in the partition bounds the merged groups, so
+// the scratch is reserved once, and the probe table grows to at most that
+// bound's size as groups appear. Partition 0's merger is the grouper
+// Concat appends the other partitions to, so it reserves reps and cells
+// for every partial group.
+func (g *Grouper) MergePartition(partials []Result, part, parts, nkey int, specs []Spec, m *meter.Counters) Result {
+	g.reset()
 	nspec := len(specs)
-	total := 0
-	for _, p := range partials {
-		total += p.Groups()
+	bound, all := 0, 0
+	for i := range partials {
+		all += len(partials[i].Hashes)
+		for _, h := range partials[i].Hashes {
+			if partitionOf(h, parts) == part {
+				bound++
+			}
+		}
 	}
-	// At most total groups: reserve their scratch once.
-	g.reps = grow(g.reps[:0], total)
-	g.hashes = grow(g.hashes[:0], total)
-	g.cells = grow(g.cells[:0], total*nspec)
-	if total == 0 {
-		return Result{Reps: g.reps, Cells: g.cells}
+	if bound == 0 {
+		return g.result()
 	}
-	g.ensureSlots(total)
-	sz := tableSize(total)
-	g.clearSlots(sz)
-	for _, p := range partials {
-		for pg, rep := range p.Reps {
-			h := g.hashRow(list, int(rep), groupCols, m)
-			ord := g.probe(list, h, rep, groupCols, nspec, sz, m)
-			dst := g.cells[ord*nspec : ord*nspec+nspec]
+	out := bound
+	if part == 0 {
+		out = all
+	}
+	g.reps = grow(g.reps, out)
+	g.hashes = grow(g.hashes, bound)
+	g.repkeys = grow(g.repkeys, bound*nkey)
+	g.cells = grow(g.cells, out*nspec)
+	g.ensureSlots(bound)
+	g.startTable(bound)
+	for i := range partials {
+		p := &partials[i]
+		for pg, h := range p.Hashes {
+			if partitionOf(h, parts) != part {
+				continue
+			}
+			key := p.Keys[pg*nkey : pg*nkey+nkey]
 			src := p.Cells[pg*nspec : pg*nspec+nspec]
-			for s := 0; s < nspec; s++ {
-				dst[s].Merge(specs[s].Kind, src[s], m)
+			mask := uint64(g.sz - 1)
+			idx := h & mask
+			for {
+				m.AddAggProbe(1)
+				s := g.slots[idx]
+				if s == 0 {
+					g.slots[idx] = int32(len(g.reps) + 1)
+					g.reps = append(g.reps, p.Reps[pg])
+					g.hashes = append(g.hashes, h)
+					g.repkeys = append(g.repkeys, key...)
+					g.cells = append(g.cells, src...)
+					if 2*(len(g.reps)-g.ordBase) >= g.sz && g.sz < g.szMax {
+						g.growTable(m)
+					}
+					break
+				}
+				ord := int(s - 1)
+				if g.hashes[ord] == h && sameKey(g.repkeys[ord*nkey:ord*nkey+nkey], key, m) {
+					dst := g.cells[ord*nspec : ord*nspec+nspec]
+					for s := range dst {
+						dst[s].Merge(specs[s].Kind, src[s], m)
+					}
+					break
+				}
+				idx = (idx + 1) & mask
 			}
 		}
 	}
 	m.AddGroup(int64(len(g.reps)))
+	return g.result()
+}
+
+// sameKey compares two cached key vectors value by value.
+func sameKey(a, b []storage.Value, m *meter.Counters) bool {
+	for k := range a {
+		m.AddCompare(1)
+		if !storage.Equal(a[k], b[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Concat joins merged partitions in partition order into one result:
+// parts[0] must be the result of this grouper's last run, and the groups
+// of parts[1:] are appended to its reps and cells. The returned Result
+// carries Reps and Cells only.
+func (g *Grouper) Concat(parts []Result, nspec int) Result {
+	total := 0
+	for _, p := range parts[1:] {
+		total += p.Groups()
+	}
+	g.reps = grow(g.reps, total)
+	g.cells = grow(g.cells, total*nspec)
+	for _, p := range parts[1:] {
+		g.reps = append(g.reps, p.Reps...)
+		g.cells = append(g.cells, p.Cells...)
+	}
 	return Result{Reps: g.reps, Cells: g.cells}
 }
 
@@ -753,31 +835,6 @@ func (g *Grouper) clearSlots(sz int) {
 	s := g.slots[:sz]
 	for i := range s {
 		s[i] = 0
-	}
-}
-
-// probe locates row's group in the current table, appending a new group
-// (rep + zeroed cells) on first sight, and returns the group ordinal.
-// Each slot visited is one AggProbes.
-func (g *Grouper) probe(list *storage.TempList, h uint64, row int32, groupCols []int, nspec, sz int, m *meter.Counters) int {
-	mask := uint64(sz - 1)
-	idx := h & mask
-	for {
-		m.AddAggProbe(1)
-		s := g.slots[idx]
-		if s == 0 {
-			ord := len(g.reps)
-			g.slots[idx] = int32(ord + 1)
-			g.reps = append(grow(g.reps, 1), row)
-			g.hashes = append(grow(g.hashes, 1), h)
-			g.cells = appendZeroCells(g.cells, nspec)
-			return ord
-		}
-		ord := int(s - 1)
-		if g.hashes[ord] == h && keysEqual(list, int(row), int(g.reps[ord]), groupCols, m) {
-			return ord
-		}
-		idx = (idx + 1) & mask
 	}
 }
 

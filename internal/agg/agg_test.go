@@ -166,7 +166,8 @@ func TestMethodsAgree(t *testing.T) {
 	g2 := agg.Get()
 	part := canonical(list, gcols, allSpecs, g2.Run(list, gcols, allSpecs, bits, m))
 
-	// Partial aggregation over thirds, merged at the barrier.
+	// Partial aggregation over thirds, merged in three hash partitions and
+	// concatenated.
 	var partials []agg.Result
 	var workers []*agg.Grouper
 	for i := 0; i < 3; i++ {
@@ -175,7 +176,13 @@ func TestMethodsAgree(t *testing.T) {
 		partials = append(partials, wg.RunRange(list, n*i/3, n*(i+1)/3, gcols, allSpecs, m))
 	}
 	g3 := agg.Get()
-	merged := canonical(list, gcols, allSpecs, g3.MergeInto(list, gcols, allSpecs, partials, m))
+	parts := []agg.Result{g3.MergePartition(partials, 0, 3, len(gcols), allSpecs, m)}
+	for p := 1; p < 3; p++ {
+		mg := agg.Get()
+		workers = append(workers, mg)
+		parts = append(parts, mg.MergePartition(partials, p, 3, len(gcols), allSpecs, m))
+	}
+	merged := canonical(list, gcols, allSpecs, g3.Concat(parts, len(allSpecs)))
 
 	naive := canonical(list, gcols, allSpecs, agg.NaiveMapAgg(list, gcols, allSpecs, m))
 
@@ -200,8 +207,11 @@ func TestEmptyInput(t *testing.T) {
 	if got := g.Run(list, []int{0}, allSpecs, nil, m).Groups(); got != 0 {
 		t.Fatalf("flat over empty: %d groups", got)
 	}
-	if got := g.MergeInto(list, []int{0}, allSpecs, nil, m).Groups(); got != 0 {
+	if got := g.MergePartition(nil, 0, 2, 1, allSpecs, m).Groups(); got != 0 {
 		t.Fatalf("merge of no partials: %d groups", got)
+	}
+	if got := g.Concat([]agg.Result{g.RunRange(list, 0, 0, []int{0}, allSpecs, m), {}}, len(allSpecs)).Groups(); got != 0 {
+		t.Fatalf("concat of empty partitions: %d groups", got)
 	}
 }
 

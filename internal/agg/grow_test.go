@@ -17,7 +17,7 @@ func (g *Grouper) scratchBytes() uint64 {
 		return uint64(v.Cap()) * uint64(v.Type().Elem().Size())
 	}
 	b := size(g.ent) + size(g.slots) + size(g.hashes) + size(g.reps) + size(g.cells) +
-		size(g.keybuf) + size(g.repkeys) + size(g.hbuf) + size(g.ords) + size(g.rowbuf) +
+		size(g.repkeys) + size(g.hbuf) + size(g.ords) + size(g.rowbuf) +
 		size(g.cols) + size(g.specCol) + size(g.specDup) + size(g.vbufs)
 	for _, vb := range g.vbufs {
 		b += size(vb)
@@ -36,10 +36,11 @@ func allocated(fn func()) uint64 {
 
 // TestColdGrouperAllocatesItsScratchOnce: a grouper fresh from New grows
 // its per-group scratch by doubling, so a run allocates a small multiple
-// of the scratch it ends with, and MergeInto, which knows how many groups
-// it can meet, reserves them once. 125k rows over 125k key values give
-// ≈79k groups. (Grown by append one group at a time, the run and the
-// merge each allocated ≈4.5× their final scratch.)
+// of the scratch it ends with, and MergePartition, which counts the
+// partial groups its partition can meet before it starts, reserves them
+// once. 125k rows over 125k key values give ≈79k groups. (Grown by
+// append one group at a time, the run and the merge each allocated ≈4.5×
+// their final scratch.)
 func TestColdGrouperAllocatesItsScratchOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("aggregates a 125k-row list")
@@ -70,16 +71,16 @@ func TestColdGrouperAllocatesItsScratchOnce(t *testing.T) {
 	runBytes := allocated(func() { part = run.RunRange(list, 0, rows, keys, specs, nil) })
 	merge := new(Grouper)
 	var merged Result
-	mergeBytes := allocated(func() { merged = merge.MergeInto(list, keys, specs, []Result{part}, nil) })
+	mergeBytes := allocated(func() { merged = merge.MergePartition([]Result{part}, 0, 1, len(keys), specs, nil) })
 	if merged.Groups() != part.Groups() || part.Groups() < rows/2 {
-		t.Fatalf("RunRange found %d groups and MergeInto %d", part.Groups(), merged.Groups())
+		t.Fatalf("RunRange found %d groups and MergePartition %d", part.Groups(), merged.Groups())
 	}
 	for _, c := range []struct {
 		name    string
 		g       *Grouper
 		alloc   uint64
 		ceiling float64
-	}{{"RunRange", run, runBytes, 2.5}, {"MergeInto", merge, mergeBytes, 1.25}} {
+	}{{"RunRange", run, runBytes, 2.5}, {"MergePartition", merge, mergeBytes, 1.25}} {
 		final := c.g.scratchBytes()
 		ratio := float64(c.alloc) / float64(final)
 		t.Logf("cold %s over %d groups: %d KiB allocated for %d KiB of scratch (%.2f×)", c.name, part.Groups(), c.alloc>>10, final>>10, ratio)

@@ -54,8 +54,9 @@ func over(t testing.TB, list *storage.TempList, fields ...int) *storage.TempList
 // sequence-equal to the serial §3.4 operator — the same surviving rows in
 // the same first-occurrence order — for single- and multi-column keys over
 // every value type with NULL, NaN and ±0 keys, for all-equal and
-// all-unique inputs, on the flat, the partitioned and the per-worker
-// shapes.
+// all-unique inputs, on the flat and the partitioned serial shapes and
+// the parallel partitioned merge at 3, 4 and 8 workers; and every shape
+// counts each distinct row as one group.
 func TestDistinctMatchesProjectHash(t *testing.T) {
 	null := storage.Value{}
 	floats := []storage.Value{
@@ -78,40 +79,48 @@ func TestDistinctMatchesProjectHash(t *testing.T) {
 		equal[r] = []storage.Value{storage.IntValue(5), floats[2], strs[1], null}
 		unique[r] = []storage.Value{storage.IntValue(int64(r)), storage.FloatValue(float64(r)), storage.StringValue(fmt.Sprint(r)), bools[r%2]}
 	}
-	for _, in := range []struct {
-		name string
-		rows [][]storage.Value
-	}{{"mixed", mixed}, {"all-equal", equal}, {"all-unique", unique}} {
-		for _, fields := range [][]int{{0}, {1}, {2}, {3}, {0, 1}, {1, 2, 3}, {0, 1, 2, 3}} {
-			list := over(t, distinctInput(t, in.rows), fields...)
-			var sm meter.Counters
-			want := exec.ProjectHash(list, &sm)
-			for _, shape := range []struct {
-				bits []uint
-				w    int
-			}{{nil, 1}, {[]uint{4}, 1}, {[]uint{3, 3}, 1}, {nil, 4}, {[]uint{4}, 4}} {
-				g := agg.Get()
-				var pm meter.Counters
-				got, stats := Distinct(nil, nil, g, list, shape.bits, shape.w, &pm)
-				agg.Put(g)
-				what := fmt.Sprintf("%s fields=%v bits=%v w=%d", in.name, fields, shape.bits, shape.w)
-				if got.Len() != want.Len() {
-					t.Fatalf("%s: kept %d rows, serial %d", what, got.Len(), want.Len())
-				}
-				for i := 0; i < want.Len(); i++ {
-					if got.Row(i)[0] != want.Row(i)[0] {
-						t.Fatalf("%s: row %d is not the serial operator's", what, i)
+	for _, w := range []int{1, 3, 4, 8} {
+		t.Run(fmt.Sprintf("w=%d", w), func(t *testing.T) {
+			bitsList := [][]uint{nil, {4}}
+			if w == 1 {
+				bitsList = append(bitsList, []uint{3, 3})
+			}
+			for _, in := range []struct {
+				name string
+				rows [][]storage.Value
+			}{{"mixed", mixed}, {"all-equal", equal}, {"all-unique", unique}} {
+				for _, fields := range [][]int{{0}, {1}, {2}, {3}, {0, 1}, {1, 2, 3}, {0, 1, 2, 3}} {
+					list := over(t, distinctInput(t, in.rows), fields...)
+					var sm meter.Counters
+					want := exec.ProjectHash(list, &sm)
+					for _, bits := range bitsList {
+						g := agg.Get()
+						var pm meter.Counters
+						got, stats := Distinct(nil, nil, g, list, bits, w, &pm)
+						agg.Put(g)
+						what := fmt.Sprintf("%s fields=%v bits=%v", in.name, fields, bits)
+						if got.Len() != want.Len() {
+							t.Fatalf("%s: kept %d rows, serial %d", what, got.Len(), want.Len())
+						}
+						for i := 0; i < want.Len(); i++ {
+							if got.Row(i)[0] != want.Row(i)[0] {
+								t.Fatalf("%s: row %d is not the serial operator's", what, i)
+							}
+						}
+						if pm.HashCalls < sm.HashCalls {
+							t.Fatalf("%s: hashed %d keys, serial %d", what, pm.HashCalls, sm.HashCalls)
+						}
+						if pm.Groups != int64(want.Len()) {
+							t.Fatalf("%s: Groups=%d, want the %d distinct rows", what, pm.Groups, want.Len())
+						}
+						if w == 1 && len(bits) > 0 && (stats.Passes != len(bits) || stats.Rows != n) {
+							t.Fatalf("%s: partition stats = %+v", what, stats)
+						}
+						got.Release()
 					}
 				}
-				if pm.HashCalls < sm.HashCalls {
-					t.Fatalf("%s: hashed %d keys, serial %d", what, pm.HashCalls, sm.HashCalls)
-				}
-				if shape.w == 1 && len(shape.bits) > 0 && (stats.Passes != len(shape.bits) || stats.Rows != n) {
-					t.Fatalf("%s: partition stats = %+v", what, stats)
-				}
-				got.Release()
 			}
-		}
+		})
 	}
 }
 

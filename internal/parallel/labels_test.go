@@ -18,8 +18,9 @@ func (q queryText) String() string { return string(q) }
 // TestRunLabelsMorselsWithoutAllocating: under a live Progress, run labels
 // its morsels for the profiler from one context built per run, so a warm
 // run allocates the same at 8 and at 64 morsels (pprof.Do per morsel cost
-// two objects each), and a goroutine profile taken inside a morsel shows
-// the query and operator labels.
+// two objects each) — at most the five objects of that context, the run's
+// own bookkeeping being recycled — and a goroutine profile taken inside a
+// morsel shows the query and operator labels.
 func TestRunLabelsMorselsWithoutAllocating(t *testing.T) {
 	p := sched.NewPool(2)
 	defer p.Stop()
@@ -42,6 +43,9 @@ func TestRunLabelsMorselsWithoutAllocating(t *testing.T) {
 	t.Logf("labelled run: %.1f allocations at 8 morsels, %.1f at 64", few, many)
 	if d := many - few; d > 2 || d < -2 {
 		t.Errorf("a labelled run allocates %.1f times at 8 morsels and %.1f at 64", few, many)
+	}
+	if !raceEnabled && max(few, many) > 5 {
+		t.Errorf("a labelled run allocates %.1f times at 8 morsels and %.1f at 64, ceiling 5", few, many)
 	}
 
 	var prof bytes.Buffer

@@ -17,8 +17,10 @@
 //     crossover take the radix join instead (RadixHashJoin): both sides
 //     partitioned on the key hash, partition pairs as morsels.
 //   - Grouped aggregation folds each worker's row range into a private
-//     flat table and merges the partials at the barrier; duplicate
-//     elimination is the same engine run keys-only (Distinct).
+//     flat table, then merges the partials as a second task set: merger
+//     j takes the partial groups whose key hash falls in partition j, so
+//     no phase is a serial pass. Duplicate elimination is the same
+//     engine run keys-only (Distinct).
 //
 // Every operator takes an explicit worker count; a count of 1 runs it
 // serially on the calling goroutine.
@@ -112,7 +114,10 @@ func putScratch(sc *scratch) {
 // w; the excess executor briefly blocks on the free list, which is safe
 // (every holder returns its scratch at morsel end) and keeps the
 // per-"worker" gauge semantics intact. fn must not touch state shared
-// between morsels and must not retain sc's batches past the morsel.
+// between morsels and must not retain sc's batches past the morsel. The
+// run's own bookkeeping (the scratch list, the free list and the morsel
+// body handed to the scheduler) is pooled too, so a run allocates nothing
+// of its own on a warm pool.
 //
 // pg, when non-nil, is the owning query's live Progress: workers raise
 // its saturation gauges, flush sc.rows after every morsel, fold their
@@ -130,59 +135,87 @@ func run(sq *sched.Query, pg *obs.Progress, op string, w, n int, fn func(morsel 
 	if w > n {
 		w = n
 	}
-	var shared meter.SharedCounters
-	var mu sync.Mutex
-	scratches := make([]*scratch, 0, w)
-	free := make(chan *scratch, w)
+	rs := runStates.Get().(*runState)
+	rs.w, rs.pg, rs.fn = w, pg, fn
+	if cap(rs.free) < w {
+		rs.free = make(chan *scratch, w)
+	}
 	// The labelled context is built once per run; a morsel only sets and
 	// clears its goroutine's labels, which allocates nothing (pprof.Do
 	// would cost two objects a morsel).
-	var labelled context.Context
 	if pg != nil {
-		labelled = pprof.WithLabels(context.Background(), pprof.Labels("mmdb_query", pg.Label(), "mmdb_op", op))
+		rs.labelled = pprof.WithLabels(context.Background(), pprof.Labels("mmdb_query", pg.Label(), "mmdb_op", op))
 	}
-	st := sq.Run(w, n, func(m int) {
-		var sc *scratch
-		select {
-		case sc = <-free:
-		default:
-			mu.Lock()
-			if len(scratches) < w {
-				sc = getScratch()
-				scratches = append(scratches, sc)
-				mu.Unlock()
-				pg.WorkerStart()
-			} else {
-				mu.Unlock()
-				sc = <-free
-			}
-		}
-		if labelled != nil {
-			pprof.SetGoroutineLabels(labelled)
-		}
-		fn(m, sc)
-		if labelled != nil {
-			pprof.SetGoroutineLabels(context.Background())
-		}
-		if d := sc.rows; d != 0 {
-			sc.rows = 0
-			sc.wrows += d
-			pg.AddRows(d)
-		}
-		free <- sc
-	})
+	st := sq.Run(w, n, rs.body)
 	// Every executed morsel returned its scratch before the set
 	// completed, so the free list holds exactly the scratches created.
-	for range scratches {
-		<-free
+	for range rs.scratches {
+		<-rs.free
 	}
-	for _, sc := range scratches {
+	var shared meter.SharedCounters
+	for _, sc := range rs.scratches {
 		pg.WorkerDone(sc.wrows)
 		shared.Add(sc.ctr)
 		putScratch(sc)
 	}
 	pg.AddSched(st.Steals, st.Wait)
+	clear(rs.scratches)
+	rs.scratches = rs.scratches[:0]
+	rs.pg, rs.fn, rs.labelled = nil, nil, nil
+	runStates.Put(rs)
 	return shared.Snapshot()
+}
+
+// runState is one run's executor bookkeeping, recycled through
+// runStates. body is the morsel method bound once, when the state is
+// made, so handing it to the scheduler allocates no closure.
+type runState struct {
+	mu        sync.Mutex
+	scratches []*scratch    // created so far, at most w
+	free      chan *scratch // idle scratches; capacity ≥ w, so a return never blocks
+	w         int
+	pg        *obs.Progress
+	fn        func(morsel int, sc *scratch)
+	labelled  context.Context
+	body      func(morsel int)
+}
+
+var runStates = sync.Pool{New: func() any {
+	rs := new(runState)
+	rs.body = rs.morsel
+	return rs
+}}
+
+// morsel runs one morsel of the set on a free (or newly made) scratch.
+func (rs *runState) morsel(m int) {
+	var sc *scratch
+	select {
+	case sc = <-rs.free:
+	default:
+		rs.mu.Lock()
+		if len(rs.scratches) < rs.w {
+			sc = getScratch()
+			rs.scratches = append(rs.scratches, sc)
+			rs.mu.Unlock()
+			rs.pg.WorkerStart()
+		} else {
+			rs.mu.Unlock()
+			sc = <-rs.free
+		}
+	}
+	if rs.labelled != nil {
+		pprof.SetGoroutineLabels(rs.labelled)
+	}
+	rs.fn(m, sc)
+	if rs.labelled != nil {
+		pprof.SetGoroutineLabels(context.Background())
+	}
+	if d := sc.rows; d != 0 {
+		sc.rows = 0
+		sc.wrows += d
+		rs.pg.AddRows(d)
+	}
+	rs.free <- sc
 }
 
 // Chunked is a tuple source divisible into independently scannable

@@ -6,9 +6,9 @@ import (
 )
 
 // TestRunAllocs pins the scheduler's allocation profile: one task-set
-// round trip (submit, admit, execute, retire) costs at most three objects
-// on a warm pool, and a fan-out of many morsels costs exactly what a
-// fan-out of few does — nothing is allocated per morsel.
+// round trip (submit, admit, execute, retire) allocates nothing on a warm
+// pool — the set and its done channel are reused — and a fan-out of many
+// morsels costs exactly what a fan-out of few does.
 func TestRunAllocs(t *testing.T) {
 	p := NewPool(4)
 	defer p.Stop()
@@ -18,8 +18,8 @@ func TestRunAllocs(t *testing.T) {
 	q.Run(4, 16, fn) // warm the pool's set list
 
 	small := testing.AllocsPerRun(100, func() { q.Run(4, 16, fn) })
-	if small > 3 {
-		t.Fatalf("task-set round trip: %.1f allocs, want <= 3", small)
+	if small > 0 {
+		t.Fatalf("task-set round trip: %.1f allocs, want 0", small)
 	}
 	big := testing.AllocsPerRun(20, func() { q.Run(4, 1<<14, fn) })
 	t.Logf("allocs per Run: %.1f at 16 morsels, %.1f at 16Ki", small, big)

@@ -128,7 +128,15 @@ type taskSet struct {
 	cancelled atomic.Bool
 	steals    atomic.Int64
 	enqueued  time.Time
-	done      chan struct{}
+	// done receives one value when pending reaches 0. It is buffered, so
+	// the signal waits for Run however late it looks, and the set (made
+	// once, recycled through its pool's free list) reuses it.
+	done chan struct{}
+	// gen counts the set's uses. A worker's claim slot records the gen it
+	// was taken under, so a slot released after the set finished and was
+	// reused leaves the new use's running count alone. Guarded by the
+	// pool mutex.
+	gen uint64
 }
 
 // dead reports whether the set's morsels should no longer execute.
@@ -166,7 +174,8 @@ type Pool struct {
 	cond    *sync.Cond
 	workers []*worker
 	sets    []*taskSet
-	rr      int // round-robin admission cursor into sets
+	free    []*taskSet // finished sets, reused so a Run allocates none
+	rr      int        // round-robin admission cursor into sets
 	idle    int
 	stopped bool
 
@@ -177,10 +186,11 @@ type Pool struct {
 }
 
 type worker struct {
-	pool *Pool
-	deq  deque
-	quit atomic.Bool
-	slot *taskSet // set this worker holds a claim slot on
+	pool    *Pool
+	deq     deque
+	quit    atomic.Bool
+	slot    *taskSet // set this worker holds a claim slot on
+	slotGen uint64   // slot's gen when the claim was taken
 }
 
 // NewPool starts a pool with n workers (n <= 0 means GOMAXPROCS).
@@ -360,13 +370,28 @@ func (q *Query) Run(w, n int, fn func(idx int)) RunStats {
 		w = 1
 	}
 	p := q.pool
-	s := &taskSet{q: q, fn: fn, n: n, pending: n, limit: w,
-		enqueued: time.Now(), done: make(chan struct{})}
+	enqueued := time.Now()
 	p.mu.Lock()
 	if p.stopped {
 		p.mu.Unlock()
 		panic("sched: Run on a stopped pool")
 	}
+	// Every field is reset under the pool mutex: a worker may still hold
+	// a claim slot from the set's previous use and check gen under it.
+	var s *taskSet
+	if k := len(p.free); k > 0 {
+		s = p.free[k-1]
+		p.free[k-1] = nil
+		p.free = p.free[:k-1]
+	} else {
+		s = &taskSet{done: make(chan struct{}, 1)}
+	}
+	s.gen++
+	s.q, s.fn, s.n = q, fn, n
+	s.next, s.pending, s.running, s.limit = 0, n, 0, w
+	s.started, s.wait, s.enqueued = false, 0, enqueued
+	s.cancelled.Store(false)
+	s.steals.Store(0)
 	p.sets = append(p.sets, s)
 	p.queued.Add(int64(n))
 	// Wake enough parked workers to cover the set's degree.
@@ -388,6 +413,10 @@ func (q *Query) Run(w, n int, fn func(idx int)) RunStats {
 	st := RunStats{Wait: s.wait, Steals: s.steals.Load()}
 	q.steals.Add(st.Steals)
 	q.waitNanos.Add(int64(st.Wait))
+	p.mu.Lock()
+	s.q, s.fn = nil, nil // pin neither the query nor the operator's body
+	p.free = append(p.free, s)
+	p.mu.Unlock()
 	return st
 }
 
@@ -402,7 +431,7 @@ func (p *Pool) cancel(s *taskSet) {
 		s.pending -= drop
 		p.queued.Add(int64(-drop))
 		if s.pending == 0 {
-			close(s.done)
+			s.done <- struct{}{}
 		}
 	}
 	p.removeSet(s)
@@ -431,7 +460,7 @@ func (p *Pool) removeSet(s *taskSet) {
 func (p *Pool) finish(s *taskSet) {
 	s.pending--
 	if s.pending == 0 {
-		close(s.done)
+		s.done <- struct{}{}
 	}
 }
 
@@ -470,12 +499,20 @@ func (w *worker) releaseSlot() {
 	}
 	p := w.pool
 	p.mu.Lock()
-	w.slot.running--
-	w.slot = nil
+	w.dropSlot()
 	if p.idle > 0 {
 		p.cond.Signal()
 	}
 	p.mu.Unlock()
+}
+
+// dropSlot gives up the worker's claim slot, if any; a slot on a set
+// that has since been reused counts against nothing. Caller holds p.mu.
+func (w *worker) dropSlot() {
+	if w.slot != nil && w.slot.gen == w.slotGen {
+		w.slot.running--
+	}
+	w.slot = nil
 }
 
 // claim runs the admission policy: release the current slot, then scan
@@ -486,10 +523,7 @@ func (w *worker) releaseSlot() {
 func (w *worker) claim() bool {
 	p := w.pool
 	p.mu.Lock()
-	if w.slot != nil {
-		w.slot.running--
-		w.slot = nil
-	}
+	w.dropSlot()
 	var best *taskSet
 	bestAt := -1
 	for i := 0; i < len(p.sets); i++ {
@@ -506,7 +540,7 @@ func (w *worker) claim() bool {
 			s.pending -= drop
 			p.queued.Add(int64(-drop))
 			if s.pending == 0 {
-				close(s.done)
+				s.done <- struct{}{}
 			}
 			p.removeSet(s)
 			i--
@@ -537,7 +571,7 @@ func (w *worker) claim() bool {
 	lo := s.next
 	s.next += take
 	s.running++
-	w.slot = s
+	w.slot, w.slotGen = s, s.gen
 	if s.next >= s.n {
 		p.removeSet(s)
 	}

@@ -2335,14 +2335,14 @@ func (q *Query) runGroup(x *execution, list *storage.TempList) (step, error) {
 		// was. Informational (Threshold 0) — the worst-case sizing is
 		// intentional, not a misprediction.
 		x.audit(obs.Decision{Name: "agg method", Estimate: float64(n), Actual: float64(out.Len()), Unit: "groups"},
-			func() (string, string) { return ar.method.String(), "rows=" + obs.FmtCount(float64(n)) })
+			func() (string, string) { return gp.path(), "rows=" + obs.FmtCount(float64(n)) })
 		if ar.workers > 1 {
 			x.auditWorkers(ar.workers, n)
 		}
 		if groups.Stats.Fanout > 0 {
 			x.auditRadixBalance(groups.Stats)
 		}
-		x.auditClamp("agg budget clamp", ar.clamp, ar.bits)
+		gp.auditClamp(x)
 	}
 	if x.tracing() {
 		s.node.AccessPath = gp.path()
@@ -2379,13 +2379,22 @@ func (q *Query) planAgg(n int, budget int64) aggPlan {
 	return p
 }
 
-// path names what runs: workers > 1 fold per-worker flat tables whatever
-// the crossover picked.
+// path names what runs: workers > 1 fold per-worker flat tables and
+// merge them in one hash partition per worker, whatever the crossover
+// picked.
 func (p *aggPlan) path() string {
 	if p.workers > 1 {
-		return fmt.Sprintf("parallel partial-agg merge (%d workers)", p.workers)
+		return fmt.Sprintf("parallel partial agg, %d-partition merge (%d workers)", p.workers, p.workers)
 	}
 	return p.method.String()
+}
+
+// auditClamp records the budget's narrowing of the radix plan, when one
+// ran: the parallel path takes no radix plan, so it clamps nothing.
+func (p *aggPlan) auditClamp(x *execution) {
+	if p.workers <= 1 {
+		x.auditClamp("agg budget clamp", p.clamp, p.bits)
+	}
 }
 
 // aggExec is one run of the aggregation engine: its plan, the pooled
@@ -2480,7 +2489,7 @@ func (q *Query) runDistinct(x *execution, list *storage.TempList) (step, error) 
 			if rs.Fanout > 0 {
 				x.auditRadixBalance(rs)
 			}
-			x.auditClamp("agg budget clamp", dp.agg.clamp, dp.agg.bits)
+			dp.agg.auditClamp(x)
 		}
 	}
 	list.Release()
