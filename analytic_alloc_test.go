@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"repro/internal/plan"
 )
 
 // Allocation guards of the analytic path: a stage boundary moves chunks,
@@ -140,7 +142,7 @@ func TestResultAllocsIndependentOfRows(t *testing.T) {
 		// A 16 KiB partition target reaches the 4-bit cap at both sizes, so
 		// the join runs the same 16 partition pairs (each pair's private
 		// list costs a few objects).
-		db := openKeyed(t, Options{Radix: RadixConfig{L2Bytes: 16 << 10, MaxBits: 4}}, rows, rows/2)
+		db := tuned(openKeyed(t, Options{}, rows, rows/2), tuning{radix: plan.RadixConfig{L2Bytes: 16 << 10, MaxBits: 4}})
 		b, err := db.CreateTable("b", []Field{{Name: "id", Type: TypeInt}}, "id", TTree)
 		if err != nil {
 			t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/plan"
 	"repro/internal/workload"
 )
 
@@ -18,15 +19,13 @@ const skewBenchRows = 60000
 
 func openSkewJoin(b *testing.B) *Database {
 	b.Helper()
-	db, err := Open(Options{
-		MemoryBudget: 32 << 10,
-		// Radix at any build size: the bench measures the budgeted radix
-		// path, not the crossover.
-		Radix: RadixConfig{MinBuildRows: 1},
-	})
+	db, err := Open(Options{MemoryBudget: 32 << 10})
 	if err != nil {
 		b.Fatal(err)
 	}
+	// Radix at any build size: the bench measures the budgeted radix
+	// path, not the crossover.
+	tuned(db, tuning{radix: plan.RadixConfig{MinBuildRows: 1}})
 	probe, err := db.CreateTable("probe", []Field{
 		{Name: "id", Type: TypeInt}, {Name: "k", Type: TypeInt},
 	}, "id", TTree)

@@ -3,6 +3,8 @@ package mmdb
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/plan"
 )
 
 // TestMemoryBudgetJoinMatchesUnbudgeted: a radix join squeezed under a
@@ -26,7 +28,7 @@ func TestMemoryBudgetJoinMatchesUnbudgeted(t *testing.T) {
 	// A small L2 target makes the unclamped plan want 16+ partitions for
 	// the 3000-row build, so the 16KiB budget (floor: 4 partitions) must
 	// visibly narrow it.
-	tight := openBig(t, Options{MemoryBudget: 16 << 10, Radix: RadixConfig{L2Bytes: 4 << 10}}, rows)
+	tight := tuned(openBig(t, Options{MemoryBudget: 16 << 10}, rows), tuning{radix: plan.RadixConfig{L2Bytes: 4 << 10}})
 	got, tr, err := mk(tight).Analyze()
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +174,7 @@ func TestMemoryBudgetGroupBy(t *testing.T) {
 // while at 2 workers, which take no radix plan, the GROUP BY names the
 // parallel path and neither logs bits it did not use.
 func TestBudgetedParallelAggAuditsWhatRan(t *testing.T) {
-	db := openBig(t, Options{Agg: AggConfig{MinRows: 2000, L2Bytes: 4 << 10}, MemoryBudget: 16 << 10}, 12000)
+	db := tuned(openBig(t, Options{MemoryBudget: 16 << 10}, 12000), tuning{agg: plan.AggConfig{MinRows: 2000, L2Bytes: 4 << 10}})
 	for _, c := range []struct {
 		name string
 		q    func() *Query

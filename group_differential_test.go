@@ -419,14 +419,15 @@ func gdCheck(t *testing.T, what string, g gdQuery, res *Result, full, cut [][]Va
 func TestGroupByDifferential(t *testing.T) {
 	data := gdGenerate(1986)
 	type dbKnobs struct {
-		name string
-		opts Options
+		name   string
+		opts   Options
+		locked bool
 	}
 	dbs := []dbKnobs{
-		{"snapshots", Options{}},
-		{"locked", Options{DisableSnapshots: true}},
-		{"snapshots+budget", Options{MemoryBudget: 128 << 10}},
-		{"locked+budget", Options{DisableSnapshots: true, MemoryBudget: 128 << 10}},
+		{"snapshots", Options{}, false},
+		{"locked", Options{}, true},
+		{"snapshots+budget", Options{MemoryBudget: 128 << 10}, false},
+		{"locked+budget", Options{MemoryBudget: 128 << 10}, true},
 	}
 	pars := []int{1, 4}
 	sorts := []SortStrategy{SortAuto, SortRadix, SortQuicksort}
@@ -441,7 +442,7 @@ func TestGroupByDifferential(t *testing.T) {
 			refs[i] = [2][][]Value{full, cut}
 		}
 		for _, k := range dbs {
-			db := gdOpen(t, k.opts, d)
+			db := tuned(gdOpen(t, k.opts, d), tuning{noSnapshots: k.locked})
 			for qi, g := range queries {
 				for _, p := range pars {
 					for _, s := range sorts {
@@ -450,7 +451,7 @@ func TestGroupByDifferential(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", what, err)
 						}
-						if want := !g.join && g.limit != 0 && len(d.fact) >= snapshotMinRows && !k.opts.DisableSnapshots; strings.Contains(res.Plan(), "snapshot scan") != want {
+						if want := !g.join && g.limit != 0 && len(d.fact) >= snapshotMinRows && !k.locked; strings.Contains(res.Plan(), "snapshot scan") != want {
 							t.Fatalf("%s: snapshot path = %v, want %v:\n%s", what, !want, want, res.Plan())
 						}
 						gdCheck(t, what, g, res, refs[qi][0], refs[qi][1])

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/plan"
 )
 
 // A hot build key — one value on a quarter of the build side's rows —
@@ -118,7 +120,7 @@ func TestHotKeyRadixJoin(t *testing.T) {
 		}
 	}
 	for _, budget := range []int64{0, 128 << 10} {
-		db := w.open(t, Options{MemoryBudget: budget, Radix: RadixConfig{MinBuildRows: 64}})
+		db := tuned(w.open(t, Options{MemoryBudget: budget}), tuning{radix: plan.RadixConfig{MinBuildRows: 64}})
 		for _, par := range []int{1, 4} {
 			what := fmt.Sprintf("budget=%d par=%d", budget, par)
 			res, tr, err := db.Query("a").Join("b", "k", "k").Select("a.id", "b.id").

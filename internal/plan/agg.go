@@ -40,24 +40,20 @@ type AggConfig struct {
 	// L2Bytes is the target per-partition aggregation-table working set.
 	// Default 256 KiB, matching the radix join's budget.
 	L2Bytes int
-	// GroupBytes is the assumed in-table footprint per distinct group:
-	// a 16-byte open-addressing slot at load factor 1/2 plus the
-	// aggregate-state row it points at. Default 64. The chooser sizes for
-	// the worst case (every input row its own group) because group
-	// cardinality is unknown before execution — the decision audit
-	// records how far off that was.
-	GroupBytes int
-	// MaxPassBits caps one partitioning pass's fan-out. Default 8.
-	MaxPassBits uint
-	// MaxBits caps the total radix width. Default 14.
-	MaxBits uint
 	// MinRows is the input cardinality below which the single flat table
 	// runs: small inputs build a cache-resident table anyway and the
 	// partitioning sweep would be pure overhead. Default 131072 rows.
 	MinRows int
 }
 
-// Default aggregation parameters (see AggConfig field docs).
+// Aggregation constants. DefaultAggGroupBytes is the assumed in-table
+// footprint per distinct group: a 16-byte open-addressing slot at load
+// factor 1/2 plus the aggregate-state row it points at. The chooser sizes
+// for the worst case (every input row its own group) because group
+// cardinality is unknown before execution — the decision audit records
+// how far off that was. A partitioned plan's fan-out is capped like the
+// radix join's, at DefaultRadixMaxPassBits a pass and DefaultRadixMaxBits
+// in total.
 const (
 	DefaultAggGroupBytes = 64
 	DefaultAggMinRows    = 128 << 10
@@ -66,21 +62,6 @@ const (
 func (c AggConfig) withDefaults() AggConfig {
 	if c.L2Bytes <= 0 {
 		c.L2Bytes = DefaultRadixL2Bytes
-	}
-	if c.GroupBytes <= 0 {
-		c.GroupBytes = DefaultAggGroupBytes
-	}
-	if c.MaxPassBits == 0 {
-		c.MaxPassBits = DefaultRadixMaxPassBits
-	}
-	if c.MaxBits == 0 {
-		c.MaxBits = DefaultRadixMaxBits
-	}
-	if c.MaxBits > 16 {
-		c.MaxBits = 16
-	}
-	if c.MaxPassBits > c.MaxBits {
-		c.MaxPassBits = c.MaxBits
 	}
 	if c.MinRows == 0 {
 		c.MinRows = DefaultAggMinRows
@@ -98,13 +79,7 @@ func ChooseAggMethod(rows int, cfg AggConfig) (AggMethod, []uint) {
 	if rows < c.MinRows {
 		return AggFlatTable, nil
 	}
-	bits := forcedRadixBits(rows, RadixConfig{
-		L2Bytes:      c.L2Bytes,
-		EntryBytes:   c.GroupBytes,
-		MaxPassBits:  c.MaxPassBits,
-		MaxBits:      c.MaxBits,
-		MinBuildRows: 1,
-	})
+	bits := forcedRadixBits(rows, RadixConfig{L2Bytes: c.L2Bytes, EntryBytes: DefaultAggGroupBytes}.withDefaults())
 	return AggRadixPartitioned, bits
 }
 
@@ -117,8 +92,7 @@ func BudgetedAggBits(rows int, cfg AggConfig, budget int64) (AggMethod, []uint, 
 	if method != AggRadixPartitioned {
 		return method, bits, false
 	}
-	c := cfg.withDefaults()
-	bits, clamped := ClampRadixBits(bits, RadixConfig{MaxPassBits: c.MaxPassBits}, budget)
+	bits, clamped := ClampRadixBits(bits, RadixConfig{}, budget)
 	return method, bits, clamped
 }
 
@@ -146,44 +120,25 @@ func (m TopKMethod) String() string {
 	}
 }
 
-// TopKConfig parameterizes the heap-vs-sort crossover. Zero value means
-// "all defaults".
-type TopKConfig struct {
-	// HeapDivisor: the heap runs when k <= rows/HeapDivisor — the heap's
-	// per-survivor sift (log k moves) only wins while the threshold
-	// rejects the vast majority of rows in one comparison. Default 8.
-	HeapDivisor int
-	// MaxHeapK caps the heap size; past it the sift constant and the
-	// heap's cache footprint lose to the radix sort's sequential passes
-	// even at favorable ratios. Default 65536.
-	MaxHeapK int
-}
-
-// Default top-k parameters (see TopKConfig field docs).
+// Top-k crossover constants. The heap runs when k <= rows /
+// DefaultTopKHeapDivisor — the heap's per-survivor sift (log k moves) only
+// wins while the threshold rejects the vast majority of rows in one
+// comparison — and k <= DefaultTopKMaxHeapK: past that the sift constant
+// and the heap's cache footprint lose to the radix sort's sequential
+// passes even at favorable ratios.
 const (
 	DefaultTopKHeapDivisor = 8
 	DefaultTopKMaxHeapK    = 64 << 10
 )
 
-func (c TopKConfig) withDefaults() TopKConfig {
-	if c.HeapDivisor <= 0 {
-		c.HeapDivisor = DefaultTopKHeapDivisor
-	}
-	if c.MaxHeapK <= 0 {
-		c.MaxHeapK = DefaultTopKMaxHeapK
-	}
-	return c
-}
-
 // ChooseTopK picks the ORDER BY shape: a bounded heap when a LIMIT k is
-// present and small relative to the input (k ≤ rows/HeapDivisor, k ≤
-// MaxHeapK), the full sort otherwise. k <= 0 means no limit.
-func ChooseTopK(rows, k int, cfg TopKConfig) TopKMethod {
-	c := cfg.withDefaults()
-	if k <= 0 || k > c.MaxHeapK {
+// present and small relative to the input (k ≤ rows/DefaultTopKHeapDivisor,
+// k ≤ DefaultTopKMaxHeapK), the full sort otherwise. k <= 0 means no limit.
+func ChooseTopK(rows, k int) TopKMethod {
+	if k <= 0 || k > DefaultTopKMaxHeapK {
 		return TopKFullSort
 	}
-	if rows/c.HeapDivisor < k {
+	if rows/DefaultTopKHeapDivisor < k {
 		return TopKFullSort
 	}
 	return TopKHeap

@@ -483,32 +483,22 @@ type SortConfig struct {
 	// radix kernel's key-encoding sweep and 256-bucket scatter setup
 	// don't pay for themselves, and — deliberately — the paper-scale
 	// exhibits (≤30k tuples) stay on the faithful §3.1 algorithm.
+	// Default 65536 rows.
 	MinRows int
-	// PrefixBytes is the decisive-prefix width assumed by the crossover;
-	// keys wider than this (composite keys, long strings) pay comparator
-	// tie-breaks on equal prefixes, so the crossover doubles.
-	PrefixBytes int
-	// RunCutoff is the kernel's comparator-fallback run length,
-	// surfaced for documentation; the kernel's own constant governs.
-	RunCutoff int
 }
 
-// Default sort-crossover parameters (see SortConfig field docs).
+// Sort-crossover constants. DefaultSortPrefixBytes is the decisive-prefix
+// width the crossover assumes — sortkey.PrefixBytes, the width the kernel
+// orders by: keys wider than it (composite keys, long strings) pay
+// comparator tie-breaks on equal prefixes, so the crossover doubles.
 const (
 	DefaultSortMinRows     = 64 << 10
 	DefaultSortPrefixBytes = 8
-	DefaultSortRunCutoff   = 64
 )
 
 func (c SortConfig) withDefaults() SortConfig {
 	if c.MinRows == 0 {
 		c.MinRows = DefaultSortMinRows
-	}
-	if c.PrefixBytes == 0 {
-		c.PrefixBytes = DefaultSortPrefixBytes
-	}
-	if c.RunCutoff == 0 {
-		c.RunCutoff = DefaultSortRunCutoff
 	}
 	return c
 }
@@ -525,7 +515,7 @@ func (c SortConfig) withDefaults() SortConfig {
 func ChooseSortMethod(rows, keyBytes int, cfg SortConfig) SortMethod {
 	c := cfg.withDefaults()
 	min := c.MinRows
-	if keyBytes > c.PrefixBytes {
+	if keyBytes > DefaultSortPrefixBytes {
 		// Wide keys tie-break through the comparator on every equal
 		// prefix; demand a bigger input before switching.
 		min *= 2
@@ -536,22 +526,15 @@ func ChooseSortMethod(rows, keyBytes int, cfg SortConfig) SortMethod {
 	return SortRadixKey
 }
 
-// ChooseBatchSize resolves the effective block size for a query:
-// requested <= 0 means the default; tiny inputs shrink the block to the
-// input size so a two-row query does not carry a 256-slot block around.
-// The resolved size is a planning/accounting figure — pooled blocks are
+// ChooseBatchSize resolves the effective block size for a query over
+// rows input rows: DefaultBatchSize, shrunk to the input size for tiny
+// inputs so a two-row query does not carry a 256-slot block around. The
+// resolved size is a planning/accounting figure — pooled blocks are
 // physically DefaultBatchSize and operators simply stop filling them
 // early — so EXPLAIN ANALYZE can report the block size a query ran with.
-func ChooseBatchSize(requested, rows int) int {
-	bs := requested
-	if bs <= 0 {
-		bs = DefaultBatchSize
+func ChooseBatchSize(rows int) int {
+	if rows > 0 && rows < DefaultBatchSize {
+		return rows
 	}
-	if rows > 0 && rows < bs {
-		bs = rows
-	}
-	if bs < 1 {
-		bs = 1
-	}
-	return bs
+	return DefaultBatchSize
 }

@@ -1,6 +1,11 @@
 package plan
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/sortkey"
+	"repro/internal/storage"
+)
 
 func TestSelectionPreferenceOrder(t *testing.T) {
 	cases := []struct {
@@ -231,5 +236,17 @@ func TestBudgetedAggBits(t *testing.T) {
 	// Below the crossover: flat table regardless of budget.
 	if m, b, c := BudgetedAggBits(10, cfg, 1); m != AggFlatTable || b != nil || c {
 		t.Fatalf("tiny input: %v %v %v", m, b, c)
+	}
+}
+
+// TestMirroredKernelConstants: the planner keeps its own copies of two
+// kernel widths, and nothing else ties them together. The sort crossover assumes the sort kernel's decisive-prefix width, and
+// EXPLAIN's "N-tuple pointer blocks" line the storage layer's block size.
+func TestMirroredKernelConstants(t *testing.T) {
+	if DefaultSortPrefixBytes != sortkey.PrefixBytes {
+		t.Errorf("DefaultSortPrefixBytes = %d, sortkey.PrefixBytes = %d", DefaultSortPrefixBytes, sortkey.PrefixBytes)
+	}
+	if DefaultBatchSize != storage.BatchSize {
+		t.Errorf("DefaultBatchSize = %d, storage.BatchSize = %d", DefaultBatchSize, storage.BatchSize)
 	}
 }

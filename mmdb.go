@@ -57,7 +57,11 @@ const (
 	ModLinearHash = index.KindModLinearHash
 )
 
-// Options configures a Database.
+// Options configures a Database: durability, partition sizing,
+// parallelism, the memory budget and telemetry. The planner's crossovers
+// are constants (plan.Default*); a query's join method, join order, sort
+// substrate and degree of parallelism can be pinned per query with the
+// Query hints.
 type Options struct {
 	// Dir is the disk-copy directory. Empty disables durability: no log,
 	// no recovery, maximum speed.
@@ -82,56 +86,6 @@ type Options struct {
 	// plan.MinRowsPerWorker rows, so small tables always run serial.
 	// Query.Parallel overrides it per query.
 	Parallelism int
-	// BatchSize is the tuple-pointer block size batch-at-a-time operators
-	// move between stages. 0 means plan.DefaultBatchSize (256). The
-	// planner caps it per query at the input cardinality
-	// (plan.ChooseBatchSize) and the resolved size appears in EXPLAIN
-	// ANALYZE. Pooled blocks are physically plan.DefaultBatchSize;
-	// smaller settings simply stop filling blocks early.
-	BatchSize int
-	// JoinMethod selects how a two-relation hash join that builds its
-	// table executes: JoinAuto (default) lets the cost-based chooser
-	// upgrade to the cache-conscious radix join above the crossover,
-	// JoinChained pins the paper's serial chained-bucket join, JoinRadix
-	// forces radix whenever legal. Query.JoinMethod overrides it per
-	// query.
-	JoinMethod JoinStrategy
-	// JoinOrder selects how queries over three or more relations order
-	// their joins: JoinOrderAuto (default) runs the cost-forecasted
-	// enumerator (exact dynamic programming up to plan.DPMaxRels
-	// relations, greedy min-cost-edge beyond), JoinOrderLeftDeep
-	// executes the joins in the order the query wrote them, and
-	// JoinOrderForced requires Query.ForceJoinOrder on each query.
-	// Query.JoinOrder overrides it per query.
-	JoinOrder JoinOrderStrategy
-	// Radix tunes the radix execution paths: target per-partition cache
-	// footprint, per-pass fan-out caps, and the build-size crossover
-	// below which the paper's original algorithms always run. The zero
-	// value uses the plan package defaults.
-	Radix RadixConfig
-	// SortMethod selects the sort substrate for the sort-based operators
-	// (ORDER BY's full sort, sort-scan DISTINCT): SortAuto (default) lets
-	// the cost-based chooser
-	// (plan.ChooseSortMethod) upgrade to the normalized-key radix sort
-	// above the crossover, SortQuicksort pins the paper-faithful §3.1
-	// comparator quicksort, SortRadix forces the radix kernel.
-	// Query.SortMethod overrides it per query.
-	SortMethod SortStrategy
-	// Sort tunes the sort-method crossover: the input cardinality below
-	// which the comparator quicksort always runs, and the assumed
-	// decisive-prefix width. The zero value uses the plan package
-	// defaults (paper-scale inputs always stay on the §3.1 quicksort).
-	Sort SortConfig
-	// Agg tunes the crossover of the aggregation engine (GROUP BY, and
-	// DISTINCT as its keys-only run): the input cardinality below which
-	// one flat open-addressing table runs, and the radix sizing (cache
-	// budget, per-group footprint, fan-out caps) used above it. The zero
-	// value uses the plan package defaults.
-	Agg AggConfig
-	// TopK tunes the ORDER BY heap-vs-sort crossover: the rows/k ratio a
-	// bounded heap needs to win, and the cap on the heap size. The zero
-	// value uses the plan package defaults.
-	TopK TopKConfig
 	// SlowQueryThreshold enables the slow-query log: any query whose wall
 	// time reaches the threshold is captured — text, wall time, rows, and
 	// the full execution trace with the plan-vs-actual decision audit —
@@ -142,17 +96,6 @@ type Options struct {
 	// SlowQueryLogSize bounds the slow-query ring; 0 means
 	// obs.DefaultSlowLogSize entries. Oldest entries are overwritten.
 	SlowQueryLogSize int
-	// DisableSnapshots turns off epoch-based snapshot scans. By default a
-	// read-only query whose access path is a full sequential scan reads a
-	// published snapshot of the relation and holds no lock while it
-	// scans. Commits publish nothing: the first such query after a commit
-	// takes S(relation) just long enough to republish what changed, so a
-	// writer waits for a reader's refresh, never for its scan. Disabled,
-	// every query goes back to S-locking the relations it reads for its
-	// whole run. Snapshot rows are immutable images: updating tuples
-	// obtained from a snapshot scan fails validation, so set this if you
-	// update through large-scan results.
-	DisableSnapshots bool
 	// MemoryBudget, in bytes, caps the engine-wide operator scratch
 	// (radix join build tables, aggregation tables) through the
 	// internal/mem grant manager. Every query opens a reservation with a
@@ -177,7 +120,7 @@ type Options struct {
 // regardless). Joins of more relations always build flat stage tables.
 type JoinStrategy int
 
-// Join strategies for Options.JoinMethod / Query.JoinMethod.
+// Join strategies for Query.JoinMethod.
 const (
 	// JoinAuto applies the cost-based crossover: radix when the build
 	// side is large enough that cache misses dominate
@@ -199,7 +142,7 @@ const (
 // sizes (and so the run time) differ.
 type JoinOrderStrategy int
 
-// Join-order strategies for Options.JoinOrder / Query.JoinOrder.
+// Join-order strategies for Query.JoinOrder.
 const (
 	// JoinOrderAuto runs the cost-forecasted enumerator: exact dynamic
 	// programming over connected subgraphs up to plan.DPMaxRels
@@ -214,9 +157,6 @@ const (
 	JoinOrderForced
 )
 
-// RadixConfig tunes the radix execution paths; see plan.RadixConfig.
-type RadixConfig = plan.RadixConfig
-
 // SortStrategy selects between the paper-faithful comparator quicksort
 // and the normalized-key radix sort (internal/sortkey) for operators
 // that sort: ORDER BY's full sort and sort-scan duplicate elimination.
@@ -224,7 +164,7 @@ type RadixConfig = plan.RadixConfig
 // there differs.
 type SortStrategy int
 
-// Sort strategies for Options.SortMethod / Query.SortMethod.
+// Sort strategies for Query.SortMethod.
 const (
 	// SortAuto applies the cost-based crossover: the radix kernel when
 	// the input is large enough that comparator indirection dominates
@@ -238,16 +178,6 @@ const (
 	// crossover.
 	SortRadix
 )
-
-// SortConfig tunes the sort-method crossover; see plan.SortConfig.
-type SortConfig = plan.SortConfig
-
-// AggConfig tunes the grouped-aggregation crossover; see plan.AggConfig.
-type AggConfig = plan.AggConfig
-
-// TopKConfig tunes the ORDER BY heap-vs-sort crossover; see
-// plan.TopKConfig.
-type TopKConfig = plan.TopKConfig
 
 // Database is a main-memory database: a set of tables, a partition-level
 // lock manager, and (optionally) the recovery machinery.
@@ -265,6 +195,18 @@ type Database struct {
 	slow   *obs.SlowLog   // nil unless Options.SlowQueryThreshold > 0
 	mem    *mem.Manager   // nil when Options.MemoryBudget == 0
 	stmts  stmtCache      // Exec's built statements, by shape
+	tune   tuning         // the zero value outside tests
+}
+
+// tuning overrides the planner's crossovers and the snapshot-scan
+// decision. Callers cannot set it: every field's zero value is the
+// engine's behaviour, and only tests move a crossover to reach a path
+// at test-sized inputs or pin a query to locked scans.
+type tuning struct {
+	radix       plan.RadixConfig
+	sort        plan.SortConfig
+	agg         plan.AggConfig
+	noSnapshots bool // every query S-locks what it reads for its whole run
 }
 
 // Open creates a database. With Options.Dir set, a previously saved disk

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/plan"
 )
 
 // accessLine returns the "access <table>: …" line of a plan text.
@@ -111,11 +113,11 @@ func TestExplainMatchesExecutedPlan(t *testing.T) {
 
 	w := newTwoWayData()
 	for _, radixSized := range []bool{false, true} {
-		opts := Options{}
+		var tu tuning
 		if radixSized {
-			opts.Radix.MinBuildRows = 1000 // d's 3000 rows are past it
+			tu.radix.MinBuildRows = 1000 // d's 3000 rows are past it
 		}
-		db := w.open(t, opts)
+		db := tuned(w.open(t, Options{}), tu)
 		for _, par := range []int{1, 4} {
 			for _, on := range []string{"k", "h"} { // a built table or the radix join; the hash index
 				what := fmt.Sprintf("f ⋈ d on %s radixSized=%v par=%d", on, radixSized, par)
@@ -158,11 +160,11 @@ func maskTrace(s string) string {
 // every phase and join method, run serially so every counter repeats.
 // Regenerate with go test -run TestExecutedPlanGolden -update-golden.
 func TestExecutedPlanGolden(t *testing.T) {
-	single := openKeyed(t, Options{Agg: AggConfig{MinRows: 2000}}, 6000, 97)
+	single := tuned(openKeyed(t, Options{}, 6000, 97), tuning{agg: plan.AggConfig{MinRows: 2000}})
 	w := newTwoWayData()
 	joins := w.open(t, Options{})
-	radixJoins := w.open(t, Options{Radix: RadixConfig{MinBuildRows: 1000}})
-	budgeted := w.open(t, Options{Radix: RadixConfig{MinBuildRows: 1000}, Agg: AggConfig{MinRows: 2000}, MemoryBudget: 16 << 10})
+	radixJoins := tuned(w.open(t, Options{}), tuning{radix: plan.RadixConfig{MinBuildRows: 1000}})
+	budgeted := tuned(w.open(t, Options{MemoryBudget: 16 << 10}), tuning{radix: plan.RadixConfig{MinBuildRows: 1000}, agg: plan.AggConfig{MinRows: 2000}})
 	star := openStar4(t, 500)
 	a := func() *Query { return single.Query("a") }
 	fd := func(db *Database, on string) *Query {

@@ -57,14 +57,14 @@ type Query struct {
 	groupBy   []string
 	aggs      []qagg
 	orderBy   []qorder
-	limit     int                // -1 = no limit; 0 is a real (empty-result) limit
-	par       int                // requested parallelism; 0 = database default
-	strategy  *JoinStrategy      // per-query Options.JoinMethod override
-	sortStrat *SortStrategy      // per-query Options.SortMethod override
-	ordStrat  *JoinOrderStrategy // per-query Options.JoinOrder override
-	forced    []string           // ForceJoinOrder relation names
-	prio      int                // scheduler admission tiebreak (Priority)
-	ctx       context.Context    // cancellation scope (WithContext); nil = background
+	limit     int               // -1 = no limit; 0 is a real (empty-result) limit
+	par       int               // requested parallelism; 0 = database default
+	strategy  JoinStrategy      // JoinMethod hint
+	sortStrat SortStrategy      // SortMethod hint
+	ordStrat  JoinOrderStrategy // JoinOrder hint
+	forced    []string          // ForceJoinOrder relation names
+	prio      int               // scheduler admission tiebreak (Priority)
+	ctx       context.Context   // cancellation scope (WithContext); nil = background
 	err       error
 }
 
@@ -73,6 +73,9 @@ type Query struct {
 // ephemeral reader. Use this whenever the surrounding transaction already
 // holds locks — an independent reader could queue behind a writer that
 // waits on the transaction, a cross-layer deadlock no lock manager sees.
+// Use it too to update through a scan's results: outside a transaction a
+// full scan of a large table returns snapshot images, which an update
+// rejects, while inside one it returns the live tuples.
 func (q *Query) In(tx *Txn) *Query {
 	q.tx = tx
 	return q
@@ -205,8 +208,8 @@ func (q *Query) Where(column string, op Op, v Value) *Query {
 // in scope); either column may be Self to join on tuple identity,
 // enabling pointer-compare joins against Ref columns. Chaining Join
 // calls builds an n-way join graph; with three or more relations the
-// planner picks the execution order by cost forecast (Options.JoinOrder
-// and Query.JoinOrder control this).
+// planner picks the execution order by cost forecast (Query.JoinOrder
+// and Query.ForceJoinOrder override it).
 func (q *Query) Join(table, leftColumn, rightColumn string) *Query {
 	return q.JoinAs(table, "", leftColumn, rightColumn)
 }
@@ -325,14 +328,14 @@ func (q *Query) resolveJoinLeft(column string) (rel, field int, err error) {
 	return 0, 0, fmt.Errorf("mmdb: no in-scope table has column %q", column)
 }
 
-// JoinOrder overrides Options.JoinOrder for this query: JoinOrderAuto
-// runs the cost-forecasted enumerator (exact DP up to plan.DPMaxRels
+// JoinOrder sets how this query orders its joins: JoinOrderAuto (the
+// default) runs the cost-forecasted enumerator (exact DP up to plan.DPMaxRels
 // relations, greedy beyond), JoinOrderLeftDeep executes the joins in
 // the order they were written, JoinOrderForced executes the order given
 // to ForceJoinOrder. Only queries with three or more relations are
 // affected — a two-way join has no order to choose.
 func (q *Query) JoinOrder(s JoinOrderStrategy) *Query {
-	q.ordStrat = &s
+	q.ordStrat = s
 	return q
 }
 
@@ -343,18 +346,8 @@ func (q *Query) JoinOrder(s JoinOrderStrategy) *Query {
 // cannot execute cross products). Implies JoinOrder(JoinOrderForced).
 func (q *Query) ForceJoinOrder(names ...string) *Query {
 	q.forced = names
-	s := JoinOrderForced
-	q.ordStrat = &s
+	q.ordStrat = JoinOrderForced
 	return q
-}
-
-// joinOrderStrategy resolves the effective order strategy: per-query
-// override, else the database default.
-func (q *Query) joinOrderStrategy() JoinOrderStrategy {
-	if q.ordStrat != nil {
-		return *q.ordStrat
-	}
-	return q.db.opts.JoinOrder
 }
 
 // Select names the output columns: "col" (resolved against the from-table
@@ -482,7 +475,7 @@ const snapshotMinRows = 2 * plan.MinRowsPerWorker
 // back into updates — stay on locked scans of live tuples. Explain asks
 // the same two questions, so it names the path the executor takes.
 func (q *Query) snapshotShapeOK() bool {
-	if q.tx != nil || q.db.opts.DisableSnapshots || len(q.joins) > 0 || q.from == nil {
+	if q.tx != nil || q.db.tune.noSnapshots || len(q.joins) > 0 || q.from == nil {
 		return false
 	}
 	if q.pushedLimit() >= 0 {
@@ -508,44 +501,26 @@ func (q *Query) pushedLimit() int {
 	return -1
 }
 
-// JoinMethod overrides Options.JoinMethod for this query: JoinAuto
-// applies the cost-based crossover between the radix join and the
+// JoinMethod sets how this query's hash join runs: JoinAuto (the
+// default) applies the cost-based crossover between the radix join and the
 // pipeline's flat table, JoinChained pins the paper's serial §3.3 hash
 // join, JoinRadix forces the radix join whenever legal. It affects hash
 // joins that build their own table (an existing hash index is always
 // probed directly).
 func (q *Query) JoinMethod(s JoinStrategy) *Query {
-	q.strategy = &s
+	q.strategy = s
 	return q
 }
 
-// joinStrategy resolves the effective strategy: per-query override,
-// else the database default.
-func (q *Query) joinStrategy() JoinStrategy {
-	if q.strategy != nil {
-		return *q.strategy
-	}
-	return q.db.opts.JoinMethod
-}
-
-// SortMethod overrides Options.SortMethod for this query: SortAuto
+// SortMethod sets this query's sort substrate: SortAuto (the default)
 // applies the cost-based quicksort-vs-radix crossover, SortQuicksort
 // pins the paper-faithful §3.1 comparator quicksort, SortRadix forces
 // the normalized-key radix kernel. It affects ORDER BY's full sort and,
-// when set explicitly, switches DISTINCT from hashing to the §3.4 Sort
-// Scan on the chosen substrate.
+// set to SortQuicksort or SortRadix, switches DISTINCT from hashing to
+// the §3.4 Sort Scan on the chosen substrate.
 func (q *Query) SortMethod(s SortStrategy) *Query {
-	q.sortStrat = &s
+	q.sortStrat = s
 	return q
-}
-
-// sortStrategy resolves the effective sort strategy: per-query override,
-// else the database default.
-func (q *Query) sortStrategy() SortStrategy {
-	if q.sortStrat != nil {
-		return *q.sortStrat
-	}
-	return q.db.opts.SortMethod
 }
 
 // sortMethodFor resolves the sort substrate for a sort of rows elements
@@ -553,13 +528,13 @@ func (q *Query) sortStrategy() SortStrategy {
 // SortAuto asks the planner's crossover — which keeps every paper-scale
 // sort on the faithful §3.1 quicksort.
 func (q *Query) sortMethodFor(rows, keyBytes int) plan.SortMethod {
-	switch q.sortStrategy() {
+	switch q.sortStrat {
 	case SortQuicksort:
 		return plan.SortQuick
 	case SortRadix:
 		return plan.SortRadixKey
 	default:
-		return plan.ChooseSortMethod(rows, keyBytes, q.db.opts.Sort)
+		return plan.ChooseSortMethod(rows, keyBytes, q.db.tune.sort)
 	}
 }
 
@@ -571,11 +546,11 @@ func (q *Query) sortMethodFor(rows, keyBytes int) plan.SortMethod {
 // (plan.ChooseRadixBits's crossover).
 func (q *Query) radixBits(buildRows int, budget int64) ([]uint, budgetClamp) {
 	choose := plan.ChooseRadixBits
-	if q.joinStrategy() == JoinRadix {
+	if q.strategy == JoinRadix {
 		choose = plan.ForceRadixBits
 	}
-	bits := choose(buildRows, q.db.opts.Radix)
-	clamped, did := plan.ClampRadixBits(bits, q.db.opts.Radix, budget)
+	bits := choose(buildRows, q.db.tune.radix)
+	clamped, did := plan.ClampRadixBits(bits, q.db.tune.radix, budget)
 	if !did {
 		return clamped, budgetClamp{}
 	}
@@ -1003,7 +978,7 @@ type headPlan struct {
 
 // planHead plans the head for a from-table of card rows.
 func (q *Query) planHead(card int) headPlan {
-	h := headPlan{batch: plan.ChooseBatchSize(q.db.opts.BatchSize, card)}
+	h := headPlan{batch: plan.ChooseBatchSize(card)}
 	h.selLimit, h.joinLimit = q.splitLimit()
 	return h
 }
@@ -1503,7 +1478,7 @@ func (q *Query) runSelection(x *execution, sp selPlan) step {
 			Unit:      "rows",
 			Threshold: 2.0,
 		}, func() (string, string) {
-			return fmt.Sprintf("%d-tuple blocks", plan.ChooseBatchSize(q.db.opts.BatchSize, sp.rows)),
+			return fmt.Sprintf("%d-tuple blocks", plan.ChooseBatchSize(sp.rows)),
 				"table card=" + obs.FmtCount(float64(sp.rows))
 		})
 	}
@@ -1827,7 +1802,7 @@ func (q *Query) chooseJoin(p *joinPlan, outerRows, limit int, budget int64) {
 	if p.innerHash = innerHash != nil; p.innerHash {
 		return
 	}
-	p.chained = q.joinStrategy() == JoinChained
+	p.chained = q.strategy == JoinChained
 	if !p.chained && limit <= 0 {
 		if p.bits, p.clamp = q.radixBits(innerRows, budget); p.bits != nil {
 			p.method = plan.JoinRadixHash
@@ -2071,8 +2046,8 @@ func (q *Query) joinGraph(rel0Rows int, locked bool) plan.JoinGraph {
 // plan package's cost model so forecast cardinalities are always
 // available for the audit.
 func (q *Query) chooseOrder(g plan.JoinGraph) (plan.JoinOrderResult, error) {
-	cfg := q.db.opts.Radix
-	switch q.joinOrderStrategy() {
+	cfg := q.db.tune.radix
+	switch q.ordStrat {
 	case JoinOrderLeftDeep:
 		order := make([]int, len(q.rels))
 		for i := range order {
@@ -2195,7 +2170,7 @@ func (q *Query) runPipeline(x *execution, left *storage.TempList, p *joinPlan, l
 		Slots:      len(q.rels),
 		DriverSlot: p.order[0],
 		Stages:     stages,
-		BatchRows:  plan.ChooseBatchSize(q.db.opts.BatchSize, p.driverRows),
+		BatchRows:  plan.ChooseBatchSize(p.driverRows),
 		Limit:      limit,
 		Meter:      x.m,
 		Prog:       x.pg,
@@ -2372,7 +2347,7 @@ type aggPlan struct {
 func (q *Query) planAgg(n int, budget int64) aggPlan {
 	p := aggPlan{workers: plan.ChooseWorkers(q.parallelism(), n)}
 	var clamped bool
-	p.method, p.bits, clamped = plan.BudgetedAggBits(n, q.db.opts.Agg, budget)
+	p.method, p.bits, clamped = plan.BudgetedAggBits(n, q.db.tune.agg, budget)
 	if clamped {
 		p.clamp = budgetClamp{budget: budget, rows: n}
 	}
@@ -2454,7 +2429,7 @@ func (p *distinctPlan) path() string {
 // SortAuto keeps the paper's conclusion, hashing dominates: a keys-only
 // run of the aggregation engine.
 func (q *Query) planDistinct(rows int, budget int64) distinctPlan {
-	if ss := q.sortStrategy(); ss != SortAuto {
+	if ss := q.sortStrat; ss != SortAuto {
 		sm := plan.SortQuick
 		if ss == SortRadix {
 			sm = plan.SortRadixKey
@@ -2520,7 +2495,7 @@ func (p *orderPlan) path() string {
 // kernel) over one encoded prefix per ORDER BY term.
 func (q *Query) planOrder(rows int) orderPlan {
 	p := orderPlan{k: max(q.limit, 0)}
-	p.method = plan.ChooseTopK(rows, p.k, q.db.opts.TopK)
+	p.method = plan.ChooseTopK(rows, p.k)
 	if p.method == plan.TopKHeap {
 		p.workers = plan.ChooseWorkers(q.parallelism(), rows)
 		return p

@@ -3,6 +3,8 @@ package mmdb
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/plan"
 )
 
 // TestRadixJoinMatchesChained: forcing the cache-conscious radix hash
@@ -69,7 +71,7 @@ func TestRadixJoinMatchesChained(t *testing.T) {
 func TestPartitionedDistinctMatchesFlat(t *testing.T) {
 	const rows = 12000
 	flatDB := openBig(t, Options{}, rows)
-	partDB := openBig(t, Options{Agg: AggConfig{MinRows: 1}}, rows)
+	partDB := tuned(openBig(t, Options{}, rows), tuning{agg: plan.AggConfig{MinRows: 1}})
 	mk := func(db *Database) *Query {
 		return db.Query("a").Select("k").Distinct().Parallel(1)
 	}
@@ -121,7 +123,7 @@ func TestJoinAutoCrossover(t *testing.T) {
 		t.Fatalf("below crossover should run chained Hash Join:\n%s", tr.Format())
 	}
 
-	above := openBig(t, Options{Radix: RadixConfig{MinBuildRows: 1}}, rows)
+	above := tuned(openBig(t, Options{}, rows), tuning{radix: plan.RadixConfig{MinBuildRows: 1}})
 	_, tr2, err := above.Query("a").Where("id", Gt, Int(-1)).Join("b", "k", "k").Analyze()
 	if err != nil {
 		t.Fatal(err)
@@ -131,21 +133,20 @@ func TestJoinAutoCrossover(t *testing.T) {
 	}
 }
 
-// TestJoinMethodDatabaseDefault: Options.JoinMethod reaches every query
-// without a per-query call, and the per-query knob overrides it both
-// ways.
+// TestJoinMethodDatabaseDefault: there is no database-wide join method;
+// the per-query hint steers a join both ways.
 func TestJoinMethodDatabaseDefault(t *testing.T) {
 	const rows = 12000
-	db := openBig(t, Options{JoinMethod: JoinRadix}, rows)
+	db := openBig(t, Options{}, rows)
 	q := func() *Query {
 		return db.Query("a").Where("id", Gt, Int(-1)).Join("b", "k", "k")
 	}
-	_, tr, err := q().Analyze()
+	_, tr, err := q().JoinMethod(JoinRadix).Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(tr.Format(), "Radix Hash Join") {
-		t.Fatalf("database default JoinRadix ignored:\n%s", tr.Format())
+		t.Fatalf("per-query JoinRadix ignored:\n%s", tr.Format())
 	}
 	_, tr2, err := q().JoinMethod(JoinChained).Analyze()
 	if err != nil {

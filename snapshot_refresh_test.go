@@ -142,12 +142,60 @@ func TestHeldResultSurvivesUpdates(t *testing.T) {
 	heldGroupSurvives(t, db, tab, tuples, true)
 }
 
+// TestUpdateThroughLargeScan: a full scan of a large table outside a
+// transaction reads the published snapshot, whose rows are immutable
+// images, so updating one fails. The same scan run inside the updating
+// transaction (Query.In) S-locks the table and returns live tuples, and
+// the update commits.
+func TestUpdateThroughLargeScan(t *testing.T) {
+	db, tab, _, _ := openSnapTable(t, Options{}, 12000)
+	snap, err := db.Query("m").Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(snap.Plan(), "snapshot scan") {
+		t.Fatalf("a 12,000-row scan outside a transaction is not a snapshot scan:\n%s", snap.Plan())
+	}
+	img := snap.Tuples(0)[0]
+	want := fmt.Sprintf("tuple %d is dead", img.ID())
+	if err := tab.Update(img, "v", Int(1)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("updating a snapshot image: %v, want %q", err, want)
+	}
+
+	tx := db.Begin()
+	live, err := db.Query("m").In(tx).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(live.Plan(), "snapshot scan") {
+		t.Fatalf("a scan inside a transaction read the snapshot:\n%s", live.Plan())
+	}
+	id := live.Row(0)[0]
+	if err := tx.Update(tab, live.Tuples(0)[0], "v", Int(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := db.Query("m").Where("id", Eq, id).Select("v").Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 1 {
+		t.Fatalf("row %v after the committed update: %d rows", id, got.Len())
+	}
+	if v := got.Row(0)[0]; !Equal(v, Int(1)) {
+		t.Fatalf("row %v after the committed update: v = %v, want 1", id, v)
+	}
+}
+
 // TestHeldGroupedResultSurvivesUpdatesLocked is the locked-path twin of
 // TestHeldResultSurvivesUpdates' grouped half: there a group's
 // representative is the live tuple itself, which the updates rewrite and
 // the deletes remove, and the held Result still reads as it did.
 func TestHeldGroupedResultSurvivesUpdatesLocked(t *testing.T) {
-	db, tab, tuples, _ := openSnapTable(t, Options{DisableSnapshots: true}, 12000)
+	db, tab, tuples, _ := openSnapTable(t, Options{}, 12000)
+	tuned(db, tuning{noSnapshots: true})
 	heldGroupSurvives(t, db, tab, tuples, false)
 }
 

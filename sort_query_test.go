@@ -3,6 +3,8 @@ package mmdb
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/plan"
 )
 
 // TestSortDistinctSubstrates: an explicit sort strategy switches
@@ -71,7 +73,7 @@ func TestSortAutoCrossover(t *testing.T) {
 	if !strings.Contains(below, "full sort (quicksort)") || strings.Contains(below, "sort: passes=") {
 		t.Fatalf("below crossover should run the comparator quicksort:\n%s", below)
 	}
-	above := orderBy(openBig(t, Options{Sort: SortConfig{MinRows: 1}}, rows))
+	above := orderBy(tuned(openBig(t, Options{}, rows), tuning{sort: plan.SortConfig{MinRows: 1}}))
 	if !strings.Contains(above, "full sort (radix-key sort)") || !strings.Contains(above, "sort: passes=") {
 		t.Fatalf("above crossover should run the radix kernel:\n%s", above)
 	}

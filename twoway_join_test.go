@@ -228,11 +228,11 @@ func TestTwoRelationJoinDifferential(t *testing.T) {
 	ran := map[string]bool{}
 	for _, budget := range []int64{0, 128 << 10} {
 		for _, radixSized := range []bool{false, true} {
-			opts := Options{MemoryBudget: budget}
+			var tu tuning
 			if radixSized {
-				opts.Radix.MinBuildRows = 1000 // d's 3000 rows are past it
+				tu.radix.MinBuildRows = 1000 // d's 3000 rows are past it
 			}
-			db := w.open(t, opts)
+			db := tuned(w.open(t, Options{MemoryBudget: budget}), tu)
 			for _, s := range shapes {
 				for _, strat := range []JoinStrategy{JoinAuto, JoinChained, JoinRadix} {
 					for _, par := range []int{1, 4} {
