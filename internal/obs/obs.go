@@ -270,13 +270,13 @@ func (r *Registry) TxnAbort() {
 	r.txnAborts.Add(1)
 }
 
-// LogAppend records one record written into the stable log buffer and its
+// LogAppend records records written into the stable log buffer and their
 // size in 4-byte words. Safe on a nil receiver.
-func (r *Registry) LogAppend(words int) {
+func (r *Registry) LogAppend(records, words int) {
 	if r == nil {
 		return
 	}
-	r.logAppends.Add(1)
+	r.logAppends.Add(int64(records))
 	r.logWords.Add(int64(words))
 }
 

@@ -61,8 +61,8 @@ func TestRegistryEngineEvents(t *testing.T) {
 	r.LockWait(2 * time.Millisecond)
 	r.LockWait(3 * time.Millisecond)
 	r.Deadlock()
-	r.LogAppend(9)
-	r.LogAppend(11)
+	r.LogAppend(1, 9)
+	r.LogAppend(1, 11)
 	r.LogFlush(2)
 	r.SnapshotRefresh(SnapRefresh{Patched: 2, Tuples: 5, LockWait: time.Millisecond, Build: 2 * time.Millisecond})
 	r.SnapshotRefresh(SnapRefresh{Cloned: 1, Tuples: 256, Build: time.Millisecond})
@@ -104,7 +104,7 @@ func TestNilRegistry(t *testing.T) {
 	r.TxnBegin()
 	r.TxnCommit()
 	r.TxnAbort()
-	r.LogAppend(4)
+	r.LogAppend(1, 4)
 	r.LogFlush(1)
 	r.Meter().AddCompare(5) // nil SharedCounters tolerates adds
 	r.SetTableSource(func() []TableStat { return []TableStat{{Name: "t"}} })
@@ -130,7 +130,7 @@ func TestDisabledRegistryAllocs(t *testing.T) {
 		r.LockWait(time.Microsecond)
 		r.SnapshotRefresh(SnapRefresh{Patched: 1, Tuples: 1, Build: time.Microsecond})
 		r.TxnBegin()
-		r.LogAppend(8)
+		r.LogAppend(1, 8)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled registry allocates %.1f objects per event batch, want 0", allocs)
@@ -155,7 +155,7 @@ func TestRegistryConcurrent(t *testing.T) {
 				r.TxnBegin()
 				r.TxnCommit()
 				r.LockWait(time.Microsecond)
-				r.LogAppend(4)
+				r.LogAppend(1, 4)
 				if i%100 == 0 {
 					_ = r.Snapshot() // readers never block writers
 					var b strings.Builder

@@ -45,29 +45,53 @@ func (m *Manager) propagatePartition(k PartKey) error {
 	}
 	applyRecords(&img, recs)
 	err = m.putImage(k, img)
-	// The tuples just applied point into their transactions' record
-	// blocks: drop them from the scratch, which would keep those blocks
-	// alive after the records are pruned.
+	// The tuples just applied hold the logged rows: drop them from the
+	// scratch, which would keep those rows alive after the records are
+	// pruned.
 	clear(img.Tuples)
 	return err
 }
 
-// Device runs PropagateOnce on an interval — the background log device.
+// foldFilled folds the partitions commits queued as full.
+func (m *Manager) foldFilled() error {
+	m.mu.Lock()
+	keys := m.filled
+	m.filled = nil
+	m.mu.Unlock()
+	for _, k := range keys {
+		if err := m.propagatePartition(k); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Device is the background log device: it folds each partition a commit
+// fills as soon as the commit wakes it, and runs PropagateOnce on an
+// interval for the rest.
 type Device struct {
 	m        *Manager
 	interval time.Duration
+	wake     chan struct{}
 	stop     chan struct{}
 	done     chan struct{}
 	mu       sync.Mutex
 	lastErr  error
 }
 
-// StartDevice launches the background propagation loop.
+// StartDevice launches the background propagation loop. From now until
+// Stop, commits leave the partitions they fill to the device.
 func (m *Manager) StartDevice(interval time.Duration) *Device {
 	if interval <= 0 {
 		interval = 50 * time.Millisecond
 	}
-	d := &Device{m: m, interval: interval, stop: make(chan struct{}), done: make(chan struct{})}
+	d := &Device{
+		m: m, interval: interval,
+		wake: make(chan struct{}, 1), stop: make(chan struct{}), done: make(chan struct{}),
+	}
+	m.mu.Lock()
+	m.wake = d.wake
+	m.mu.Unlock()
 	go d.run()
 	return d
 }
@@ -77,22 +101,39 @@ func (d *Device) run() {
 	t := time.NewTicker(d.interval)
 	defer t.Stop()
 	for {
+		var err error
 		select {
 		case <-d.stop:
+			// Stop has unregistered the wake, so no commit queues a key
+			// after this drain.
+			d.record(d.m.foldFilled())
 			return
+		case <-d.wake:
+			err = d.m.foldFilled()
 		case <-t.C:
-			if err := d.m.PropagateOnce(); err != nil {
-				d.mu.Lock()
-				d.lastErr = err
-				d.mu.Unlock()
-			}
+			err = d.m.PropagateOnce()
 		}
+		d.record(err)
 	}
 }
 
-// Stop halts the device after finishing the current pass and returns the
-// last propagation error, if any.
+func (d *Device) record(err error) {
+	if err != nil {
+		d.mu.Lock()
+		d.lastErr = err
+		d.mu.Unlock()
+	}
+}
+
+// Stop halts the device after finishing the current pass and folding the
+// partitions queued for it, and returns the last propagation error, if
+// any. Commits after Stop fold the partitions they fill themselves.
 func (d *Device) Stop() error {
+	d.m.mu.Lock()
+	if d.m.wake == d.wake {
+		d.m.wake = nil
+	}
+	d.m.mu.Unlock()
 	close(d.stop)
 	<-d.done
 	d.mu.Lock()

@@ -21,3 +21,39 @@ func (m *Manager) LiveBytes() int64 {
 	defer m.imgMu.Unlock()
 	return m.seg.live
 }
+
+// File and FileSystem let a test stand in for the operating system's
+// files.
+type (
+	File       = file
+	FileSystem = fileSystem
+)
+
+// FrameFixed is the size of a frame header before the relation name.
+const FrameFixed = frameFixed
+
+// NewManagerFS is NewManager over the file system fs.
+func NewManagerFS(dir string, fs FileSystem) (*Manager, error) { return newManager(dir, fs) }
+
+// Image returns a copy of the image bytes in k's latest frame, nil if k
+// has none.
+func (m *Manager) Image(k PartKey) ([]byte, error) {
+	m.imgMu.Lock()
+	defer m.imgMu.Unlock()
+	_, img, err := m.seg.read(k, nil)
+	return img, err
+}
+
+// Filled counts the full partitions queued for the log device.
+func (m *Manager) Filled() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.filled)
+}
+
+// HoldImages keeps every image writer — the log device included — waiting
+// until the returned release is called.
+func (m *Manager) HoldImages() (release func()) {
+	m.imgMu.Lock()
+	return m.imgMu.Unlock
+}

@@ -10,7 +10,9 @@
 // log device. Here both are simulated: the Manager object *is* the stable
 // hardware — a crash is modeled by discarding every in-memory relation
 // while keeping the Manager and the disk-copy directory, then recovering
-// into fresh relations.
+// into fresh relations. A commit does the stable buffer's part only (see
+// Manager.Commit); the Device goroutine does the paper's second
+// processor's work of folding records into the disk copy.
 //
 // The disk copy is organised by partition, the unit of recovery, and
 // stored as one append-only segment file (SegmentFile) of framed
@@ -22,7 +24,7 @@
 // crash cut off — is truncated, so its partition keeps its previous
 // image; a bad frame anywhere else fails the restart. Once the segment
 // holds over twice its live bytes (and over 1 MiB), the live frames are
-// copied to a new file renamed over it.
+// copied to a new file, synced and renamed over it.
 package recovery
 
 import (
@@ -44,19 +46,29 @@ const (
 	OpInsert RecOp = iota
 	OpUpdate
 	OpDelete
+	// OpMove is an update that moved its tuple out of partition From into
+	// Part (a growing string overflowing From's heap space, §2.1 footnote
+	// 1). It carries the tuple's whole new row, so it folds as a delete
+	// in From and an insert — or a replacement — in Part.
+	OpMove
 )
 
-// Record is one logical log record. Ref values are carried as tuple IDs
-// (swizzled on replay).
+// Record is one logical log record. Its values are Vals, images in which
+// Ref values are already tuple IDs, or — for an insert or a move — Row,
+// the tuple's installed field array held by reference, imaged (ImageOf)
+// only when the record is folded or replayed. That is sound because an
+// installed array is never written again: the invariant storage/snapshot.go
+// rests on, of which the log is the second user.
 type Record struct {
 	LSN   uint64
-	Txn   uint64
 	Op    RecOp
+	Field int32 // OpUpdate: which field
 	Rel   string
 	Part  int    // routing: the partition holding the tuple at commit time
+	From  int    // OpMove: the partition the tuple left
 	Tuple uint64 // tuple ID
-	Field int    // OpUpdate: which field
 	Vals  []storage.ValueImage
+	Row   []storage.Value // never written through
 }
 
 // PartKey names one partition of one relation.
@@ -69,22 +81,26 @@ type PartKey struct {
 // the interface lives here so the recovery layer does not depend on the
 // metrics layer. Implementations must be safe for concurrent use.
 type Observer interface {
-	// LogAppend reports one record written into the stable log buffer and
-	// its approximate size in 4-byte words — the unit the paper budgets
+	// LogAppend reports records written into the stable log buffer and
+	// their approximate size in 4-byte words — the unit the paper budgets
 	// log bandwidth in.
-	LogAppend(words int)
+	LogAppend(records, words int)
 	// LogFlush reports one commit releasing n records to the active log
 	// device (the change-accumulation log).
 	LogFlush(records int)
 }
 
 // Words estimates the record's stable-buffer footprint in 4-byte words:
-// a fixed header (LSN, transaction, op/field, partition, tuple ID) plus
-// each value image's tag and payload.
+// a fixed header (LSN, op/field, partition, tuple ID, and the transaction
+// ID a stable buffer keeps per block) plus each value image's tag and
+// payload. A Row counts as its Vals form would.
 func (r *Record) Words() int {
 	w := 8
 	for _, v := range r.Vals {
 		w += 3 + (len(v.Str)+3)/4
+	}
+	for _, v := range r.Row {
+		w += 3 + (v.HeapBytes()+3)/4
 	}
 	return w
 }
@@ -98,11 +114,15 @@ type Manager struct {
 	// stable holds each running transaction's records — the stable log
 	// buffer. "If the transaction aborts, then the log entry is removed
 	// and no undo is needed."
-	stable map[uint64][]*Record
+	stable map[uint64][][]Record
 	// cal is the change-accumulation log: committed records not yet
 	// reflected in the disk-copy partition images, keyed by partition.
 	cal map[PartKey][]*Record
 	obs Observer
+	// wake is the running log device's, nil while none runs; filled
+	// queues the partitions commits filled for it to fold.
+	wake   chan struct{}
+	filled []PartKey
 
 	// imgMu guards the disk copy and serializes its writers — Checkpoint
 	// and propagation (the log device's, a commit's). Each reads what an
@@ -111,7 +131,7 @@ type Manager struct {
 	imgMu sync.Mutex
 	seg   *segment
 	// Propagation's working memory, under imgMu: the frame as read, its
-	// decoded image, and the new frame are reused from partition to
+	// decoded image and the new frame are reused from partition to
 	// partition, so folding one record into an image does not allocate
 	// the image.
 	readBuf []byte
@@ -134,14 +154,19 @@ func NewManager(dir string) (*Manager, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("recovery: %w", err)
 	}
-	seg, err := openSegment(dir)
+	return newManager(dir, osFS{})
+}
+
+// newManager is NewManager over the file system fs.
+func newManager(dir string, fs fileSystem) (*Manager, error) {
+	seg, err := openSegment(fs, dir)
 	if err != nil {
 		return nil, err
 	}
 	m := &Manager{
 		dir:    dir,
 		seg:    seg,
-		stable: make(map[uint64][]*Record),
+		stable: make(map[uint64][][]Record),
 		cal:    make(map[PartKey][]*Record),
 	}
 	for _, loc := range seg.dir {
@@ -161,30 +186,37 @@ func (m *Manager) Close() error {
 	return m.seg.close()
 }
 
-// Append writes a copy of rec into the stable log buffer for txn; see
-// AppendRecord.
+// Append writes a copy of rec into the stable log buffer for txn as a
+// block of one record; see AppendBlock.
 func (m *Manager) Append(txn uint64, rec Record) *Record {
-	r := &rec
-	m.AppendRecord(txn, r)
-	return r
+	b := []Record{rec}
+	m.AppendBlock(txn, b)
+	return &b[0]
 }
 
-// AppendRecord writes r into the stable log buffer for txn, assigning its
-// LSN. Per §2.4 this happens before the actual update is applied to the
-// in-memory database. The manager keeps r itself, so a transaction can
-// build its records in one block; the caller changes nothing in it
-// afterwards but Part and Tuple, which may be patched once placement is
-// known (routing metadata, not payload), before Commit.
-func (m *Manager) AppendRecord(txn uint64, r *Record) {
+// AppendBlock writes a transaction's records into the stable log buffer
+// in one step, assigning their LSNs in order under one lock: the whole
+// log of a commit, written before any of its updates is applied to the
+// in-memory database (§2.4). The manager keeps recs itself; the caller
+// changes nothing in them afterwards but routing metadata, before Commit:
+// it may patch Part and Tuple once placement is known, and may turn an
+// update whose tuple moved into an OpMove record (Op, Part, From, Vals,
+// Row).
+func (m *Manager) AppendBlock(txn uint64, recs []Record) {
 	m.mu.Lock()
-	m.nextLSN++
-	r.LSN = m.nextLSN
-	r.Txn = txn
-	m.stable[txn] = append(m.stable[txn], r)
+	for i := range recs {
+		m.nextLSN++
+		recs[i].LSN = m.nextLSN
+	}
+	m.stable[txn] = append(m.stable[txn], recs)
 	obs := m.obs
 	m.mu.Unlock()
 	if obs != nil {
-		obs.LogAppend(r.Words())
+		words := 0
+		for i := range recs {
+			words += recs[i].Words()
+		}
+		obs.LogAppend(len(recs), words)
 	}
 }
 
@@ -198,32 +230,47 @@ func (m *Manager) Abort(txn uint64) {
 
 // Commit releases txn's records to the log device: they move from the
 // stable buffer into the change-accumulation log, from which they will be
-// propagated to the disk copy.
+// propagated to the disk copy. Consecutive records of one partition move
+// as a run, with one lookup of the partition's list.
 //
 // Accumulation pays while a partition gathers a few changes between
-// rewrites of its image. Once a partition has gathered calPartitionFull
+// rewrites of its image. Once a partition's count crosses calPartitionFull
 // records, as many as the image holds tuples, another rewrite is no dearer
-// than the records it absorbs, so the commit folds that partition into
-// the disk copy itself, log device or none. A bulk load, which fills
-// partition after partition faster than any device interval, therefore
-// writes each image once and leaves no more of the log in memory than its
-// last, partly filled partitions; scattered updates accumulate as before.
+// than the records it absorbs, so the partition is folded into the disk
+// copy at once: by the log device, woken for it, when one runs — the
+// paper's second processor, leaving the commit only the stable-buffer
+// work — and by the commit itself when none does. A bulk load, which
+// fills partition after partition faster than any device interval,
+// therefore writes each image once and leaves no more of the log in
+// memory than its last, partly filled partitions; scattered updates
+// accumulate as before.
 func (m *Manager) Commit(txn uint64) {
 	m.mu.Lock()
-	released := len(m.stable[txn])
-	var full []PartKey
-	for _, r := range m.stable[txn] {
-		k := PartKey{Rel: r.Rel, Part: r.Part}
-		m.cal[k] = append(m.cal[k], r)
-		if len(m.cal[k]) == calPartitionFull {
-			full = append(full, k)
-		}
-	}
+	blocks := m.stable[txn]
 	delete(m.stable, txn)
+	var full []PartKey
+	n := 0
+	for _, b := range blocks {
+		full = m.accumulate(b, full)
+		n += len(b)
+	}
+	wake := m.wake
+	if wake != nil {
+		m.filled = append(m.filled, full...)
+	}
 	obs := m.obs
 	m.mu.Unlock()
 	if obs != nil {
-		obs.LogFlush(released)
+		obs.LogFlush(n)
+	}
+	if wake != nil {
+		if len(full) > 0 {
+			select {
+			case wake <- struct{}{}:
+			default: // a wake is already pending; it folds these too
+			}
+		}
+		return
 	}
 	for _, k := range full {
 		// A disk copy that cannot be written is reported by the device
@@ -232,8 +279,51 @@ func (m *Manager) Commit(txn uint64) {
 	}
 }
 
+// accumulate moves a block of records into the change-accumulation log, a
+// run of one partition's records at a time, and appends to full each
+// partition whose count crossed calPartitionFull. A move record also joins
+// the list of the partition it left. The caller holds mu.
+func (m *Manager) accumulate(block []Record, full []PartKey) []PartKey {
+	for i := 0; i < len(block); {
+		k := PartKey{Rel: block[i].Rel, Part: block[i].Part}
+		end := i + 1
+		for end < len(block) && block[end].Part == k.Part && block[end].Rel == k.Rel {
+			end++
+		}
+		rs := m.cal[k]
+		before := len(rs)
+		if need := before + end - i; need > cap(rs) {
+			rs = append(make([]*Record, 0, max(need, 2*cap(rs))), rs...)
+		}
+		for ; i < end; i++ {
+			r := &block[i]
+			rs = append(rs, r)
+			if r.Op == OpMove {
+				full = m.add(PartKey{Rel: r.Rel, Part: r.From}, r, full)
+			}
+		}
+		m.cal[k] = rs
+		if before < calPartitionFull && len(rs) >= calPartitionFull {
+			full = append(full, k)
+		}
+	}
+	return full
+}
+
+// add appends a move record to the change-accumulation list of k, the
+// partition it left, noting k in full if that fills it. The caller holds
+// mu.
+func (m *Manager) add(k PartKey, r *Record, full []PartKey) []PartKey {
+	rs := append(m.cal[k], r)
+	m.cal[k] = rs
+	if len(rs) == calPartitionFull {
+		full = append(full, k)
+	}
+	return full
+}
+
 // calPartitionFull is how many committed records one partition accumulates
-// before a commit folds them into its image: a default partition's worth.
+// before it is folded into its image: a default partition's worth.
 const calPartitionFull = storage.DefaultSlotsPerPartition
 
 // PendingRecords returns how many committed records await propagation.

@@ -77,11 +77,13 @@ func (r *Restart) readImage(k PartKey) (storage.PartitionImage, error) {
 }
 
 // applyRecords folds records, in LSN order, into a partition image and
-// raises its LSN to the last one.
+// raises its LSN to the last one. An inserted row joins the image by
+// reference — the record's Row, or a copy of its Vals — so folding writes
+// through no record.
 func applyRecords(img *storage.PartitionImage, recs []*Record) {
 	inserts := 0
 	for _, rec := range recs {
-		if rec.Op == OpInsert {
+		if rec.Op == OpInsert || rec.Op == OpMove {
 			inserts++
 		}
 	}
@@ -98,24 +100,38 @@ func applyRecords(img *storage.PartitionImage, recs []*Record) {
 // image (checkpointed after the move, hence after this record) already
 // reflects the change.
 func applyToImage(img *storage.PartitionImage, rec *Record) {
-	switch rec.Op {
-	case OpInsert:
-		img.Tuples = append(img.Tuples, storage.TupleImage{ID: rec.Tuple, Vals: rec.Vals})
-	case OpUpdate:
-		for i := range img.Tuples {
-			if img.Tuples[i].ID == rec.Tuple {
-				img.Tuples[i].Vals[rec.Field] = rec.Vals[0]
+	if rec.Op == OpInsert || rec.Op == OpMove && rec.Part == img.PartID {
+		t := storage.TupleImage{ID: rec.Tuple, Vals: slices.Clone(rec.Vals), Row: rec.Row}
+		if rec.Op == OpMove {
+			if i := indexOf(img, rec.Tuple); i >= 0 { // moved here earlier in the records
+				img.Tuples[i] = t
 				return
 			}
 		}
-	case OpDelete:
-		for i := range img.Tuples {
-			if img.Tuples[i].ID == rec.Tuple {
-				img.Tuples = append(img.Tuples[:i], img.Tuples[i+1:]...)
-				return
-			}
-		}
+		img.Tuples = append(img.Tuples, t)
+		return
 	}
+	i := indexOf(img, rec.Tuple)
+	switch {
+	case i < 0:
+	case rec.Op == OpUpdate:
+		t := &img.Tuples[i]
+		if t.Row != nil { // a logged row, never written: image it first
+			t.Vals = make([]storage.ValueImage, len(t.Row))
+			for f, v := range t.Row {
+				t.Vals[f] = storage.ImageOf(v)
+			}
+			t.Row = nil
+		}
+		t.Vals[rec.Field] = rec.Vals[0]
+	default: // a delete, or a move out of this partition
+		img.Tuples = slices.Delete(img.Tuples, i, i+1)
+	}
+}
+
+// indexOf returns the position of tuple id in img, or -1.
+func indexOf(img *storage.PartitionImage, id uint64) int {
+	return slices.IndexFunc(img.Tuples, func(t storage.TupleImage) bool { return t.ID == id })
 }
 
 // AllPartitions lists every partition recovery knows about: disk images

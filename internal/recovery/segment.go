@@ -55,8 +55,9 @@ type frameLoc struct {
 
 // segment is the disk copy. Every field is guarded by Manager.imgMu.
 type segment struct {
+	fs          fileSystem
 	path        string
-	f           *os.File // nil once closed
+	f           file // nil once closed
 	dir         map[PartKey]frameLoc
 	end         int64 // where the next frame goes
 	live        int64 // bytes of the frames dir points at
@@ -76,28 +77,27 @@ var errClosed = errors.New("recovery: disk copy closed")
 // wins. A final frame cut short or failing its CRC is an append a crash
 // interrupted: it is truncated, so that partition keeps its previous
 // frame. Any other bad frame header is an error.
-func openSegment(dir string) (*segment, error) {
+func openSegment(fs fileSystem, dir string) (*segment, error) {
 	path := filepath.Join(dir, SegmentFile)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := fs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("recovery: %w", err)
 	}
-	s := &segment{path: path, f: f, dir: make(map[PartKey]frameLoc)}
+	s := &segment{fs: fs, path: path, f: f, dir: make(map[PartKey]frameLoc)}
 	if err := s.scan(); err != nil {
 		f.Close() // the scan error is what matters
 		return nil, err
 	}
 	// A compaction a crash interrupted left its copy unrenamed.
-	_ = os.Remove(path + ".tmp") // best effort: usually absent
+	_ = fs.Remove(path + ".tmp") // best effort: usually absent
 	return s, nil
 }
 
 func (s *segment) scan() error {
-	info, err := s.f.Stat()
+	size, err := s.f.Size()
 	if err != nil {
 		return fmt.Errorf("recovery: %w", err)
 	}
-	size := info.Size()
 	var win [frameFixed + 64]byte
 	for off := int64(0); off < size; {
 		n, err := s.f.ReadAt(win[:], off)
@@ -215,20 +215,25 @@ func (s *segment) read(k PartKey, buf []byte) (grown, img []byte, err error) {
 
 // compactIfDue copies the live frames to a new file and renames it over
 // the segment once the segment holds compactRatio times its live bytes.
+// The copy is synced before the rename, so that no power loss can leave
+// the name pointing at a copy whose bytes never reached the disk.
 func (s *segment) compactIfDue() error {
 	if s.f == nil || s.end <= compactMinBytes || s.end <= compactRatio*s.live {
 		return nil
 	}
 	tmp := s.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := s.fs.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err == nil {
 		err = s.copyLive(f)
 		if err == nil {
-			err = os.Rename(tmp, s.path)
+			err = f.Sync()
+		}
+		if err == nil {
+			err = s.fs.Rename(tmp, s.path)
 		}
 		if err != nil {
-			f.Close()          // the copy's error is what matters
-			_ = os.Remove(tmp) // best effort: the old segment stays whole
+			f.Close()            // the copy's error is what matters
+			_ = s.fs.Remove(tmp) // best effort: the old segment stays whole
 		}
 	}
 	if err != nil {
@@ -248,7 +253,7 @@ func (s *segment) compactIfDue() error {
 
 // copyLive writes the live frames to f in their file order, a chunk at a
 // time, noting each one's new offset in s.offs.
-func (s *segment) copyLive(f *os.File) error {
+func (s *segment) copyLive(f file) error {
 	const chunk = 1 << 20
 	s.order = s.order[:0]
 	for k := range s.dir {

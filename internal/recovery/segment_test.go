@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -384,8 +385,10 @@ func TestRestartDropsTornTail(t *testing.T) {
 }
 
 // TestInsertCommitLogsInOneBlock: a durable commit of a thousand inserts
-// builds its log records and their value images in one block each, not
-// two heap objects a row.
+// builds its log records in one block, not two heap objects a row; and a
+// commit of 200 rows of eight Ints, which fills no partition, allocates
+// little more than that block — the records hold the staged rows by
+// reference, so no value image is allocated.
 func TestInsertCommitLogsInOneBlock(t *testing.T) {
 	log, err := recovery.NewManager(t.TempDir())
 	if err != nil {
@@ -418,6 +421,36 @@ func TestInsertCommitLogsInOneBlock(t *testing.T) {
 	commit(0) // sizes the manager's image buffers
 	if n := commit(rows); n > 100 {
 		t.Fatalf("a %d-row durable insert commit allocated %d objects, want at most 100", rows, n)
+	}
+
+	const ints = 200
+	fact := intRelation(t, "fact")
+	loadInts(t, tm, fact, 0, 20, 20, nil) // the partition and the manager's lists exist
+	tx := tm.Begin()
+	row := make([]storage.Value, 8)
+	for r := 0; r < ints; r++ {
+		for c := range row {
+			row[c] = storage.IntValue(int64(r*8 + c))
+		}
+		if err := tx.Insert(fact, row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = tx.Commit()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parts := len(fact.Partitions()); parts != 1 {
+		t.Fatalf("%d partitions: the commit should fill none", parts)
+	}
+	block := ints * int(reflect.TypeOf(recovery.Record{}).Size())
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a %d-row commit allocated %d bytes; its record block is %d", ints, got, block)
+	if got > uint64(block+block/4) {
+		t.Fatalf("a %d-row durable commit of eight Ints allocated %d bytes, want at most its %d-byte record block plus 25%%", ints, got, block)
 	}
 }
 

@@ -18,10 +18,14 @@ type ValueImage struct {
 	RefID uint64 // Ref payload (tuple ID)
 }
 
-// TupleImage is the on-disk form of a Tuple.
+// TupleImage is the on-disk form of a Tuple. Its values are Vals, or Row:
+// a tuple's installed field array, held by reference — as the recovery
+// log holds an inserted row — and imaged only as it is encoded or loaded.
+// Row is never written; to change a value, image the row into Vals first.
 type TupleImage struct {
 	ID   uint64
 	Vals []ValueImage
+	Row  []Value
 }
 
 // PartitionImage is the on-disk form of one partition — the paper's unit
@@ -33,11 +37,15 @@ type PartitionImage struct {
 	Tuples   []TupleImage
 }
 
-// ImageOf captures a value for serialization.
+// ImageOf captures a value for serialization. A Ref is read as the ID of
+// the header it points at, forwarding addresses not followed: a moved
+// tuple keeps its ID, so the answer is the same, and the log device can
+// swizzle a logged row without reading a forward pointer a concurrent
+// move may be writing.
 func ImageOf(v Value) ValueImage {
 	switch v.Type() {
 	case Ref:
-		return ValueImage{Type: Ref, RefID: v.Ref().ID()}
+		return ValueImage{Type: Ref, RefID: v.ref().id}
 	case Str:
 		return ValueImage{Type: Str, Str: v.Str()}
 	default:
@@ -76,7 +84,7 @@ func AppendPartition(buf []byte, img PartitionImage) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(img.Tuples)))
 	for _, t := range img.Tuples {
 		buf = binary.BigEndian.AppendUint64(buf, t.ID)
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(t.Vals)))
+		buf = binary.BigEndian.AppendUint16(buf, uint16(len(t.Vals)+len(t.Row)))
 		for _, v := range t.Vals {
 			buf = append(buf, byte(v.Type))
 			switch v.Type {
@@ -87,6 +95,19 @@ func AppendPartition(buf []byte, img PartitionImage) []byte {
 				buf = binary.BigEndian.AppendUint64(buf, v.RefID)
 			default:
 				buf = binary.BigEndian.AppendUint64(buf, v.Num)
+			}
+		}
+		// A Row encodes as its ImageOf values would.
+		for _, v := range t.Row {
+			buf = append(buf, byte(v.typ))
+			switch v.typ {
+			case Null:
+			case Str:
+				buf = appendString(buf, v.str())
+			case Ref:
+				buf = binary.BigEndian.AppendUint64(buf, v.ref().id)
+			default:
+				buf = binary.BigEndian.AppendUint64(buf, v.num)
 			}
 		}
 	}
@@ -290,6 +311,12 @@ func (ld *Loader) LoadPartition(img PartitionImage) error {
 		for _, vi := range ti.Vals {
 			ld.row = append(ld.row, valueFromImage(vi))
 		}
+		for _, v := range ti.Row {
+			if v.typ == Ref {
+				v = NullValue // patched by Loader.Finish
+			}
+			ld.row = append(ld.row, v)
+		}
 		t, err := r.loadInto(p, ti.ID, ld.row)
 		if err != nil {
 			return err
@@ -298,6 +325,11 @@ func (ld *Loader) LoadPartition(img PartitionImage) error {
 		for i, vi := range ti.Vals {
 			if vi.Type == Ref {
 				ld.pending = append(ld.pending, pendingRef{t: t, field: i, refID: vi.RefID})
+			}
+		}
+		for i, v := range ti.Row {
+			if v.typ == Ref {
+				ld.pending = append(ld.pending, pendingRef{t: t, field: i, refID: v.ref().id})
 			}
 		}
 	}

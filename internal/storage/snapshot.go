@@ -13,7 +13,11 @@ package storage
 //     therefore a tuple header pointing at the array the live tuple had
 //     at publication — the values themselves are not copied — and version
 //     identity is array identity: a clone is current exactly while its
-//     array is the live tuple's.
+//     array is the live tuple's. The recovery log is the invariant's
+//     second user: an insert's log record holds the installed array by
+//     reference (Tuple.FieldArray) until the log device folds it into the
+//     disk copy, so the array must read the same then as at commit. Only
+//     Rewind reuses slab space, and only for tuples never installed.
 //   - Publication is paid by the first reader of a newer epoch, under
 //     S(relation), never by Commit. A commit only advances the epoch and
 //     marks the partitions it touched; a reader that finds the published

@@ -52,6 +52,12 @@ func (t *Tuple) Arity() int { return len(t.Resolve().row()) }
 // Field returns the value of field i.
 func (t *Tuple) Field(i int) Value { return t.Resolve().row()[i] }
 
+// FieldArray returns the tuple's installed field array itself, not a
+// copy. The caller must never write it: an installed array is immutable
+// (see snapshot.go), which is what lets the recovery log hold an insert's
+// row by reference instead of copying it.
+func (t *Tuple) FieldArray() []Value { return t.Resolve().row() }
+
 // Values returns a copy of all field values.
 func (t *Tuple) Values() []Value {
 	return append([]Value(nil), t.Resolve().row()...)

@@ -277,19 +277,42 @@ func (t *Txn) Delete(rel *storage.Relation, tp *storage.Tuple) error {
 	return nil
 }
 
-// logBlocks allocates the commit's log records, one per op, and the value
-// images they carry: an insert's row, an update's new value.
-func (t *Txn) logBlocks() ([]recovery.Record, []storage.ValueImage) {
-	n := 0
+// logRecords builds the commit's log, one record per op, and writes it
+// into the stable log buffer as one block. Placement an op decides when
+// it is applied — an insert's tuple ID and partition, the partition an
+// update or delete finds its tuple in after the ops before it — is
+// patched in by apply.
+func (t *Txn) logRecords() []recovery.Record {
+	// The records are one block, and the images of the updates' new
+	// values another; an insert's record holds its staged row by
+	// reference, so inserts need no images.
+	updates := 0
 	for _, o := range t.ops {
-		switch o.kind {
-		case opInsert:
-			n += o.tuple.Arity()
-		case opUpdate:
-			n++
+		if o.kind == opUpdate {
+			updates++
 		}
 	}
-	return make([]recovery.Record, len(t.ops)), make([]storage.ValueImage, n)
+	var imgs []storage.ValueImage
+	if updates > 0 {
+		imgs = make([]storage.ValueImage, updates)
+	}
+	recs := make([]recovery.Record, len(t.ops))
+	for i, o := range t.ops {
+		rec := &recs[i]
+		rec.Rel = o.rel.Name()
+		switch o.kind {
+		case opInsert:
+			rec.Op, rec.Row = recovery.OpInsert, o.tuple.FieldArray()
+		case opUpdate:
+			imgs[0] = storage.ImageOf(o.val)
+			rec.Op, rec.Tuple, rec.Field, rec.Vals = recovery.OpUpdate, o.tuple.ID(), o.field, imgs[:1:1]
+			imgs = imgs[1:]
+		case opDelete:
+			rec.Op, rec.Tuple = recovery.OpDelete, o.tuple.ID()
+		}
+	}
+	t.m.Log.AppendBlock(t.id, recs)
+	return recs
 }
 
 // failLock aborts the transaction on a lock failure (deadlock victim).
@@ -319,11 +342,12 @@ func (t *Txn) Abort() {
 	}
 }
 
-// Commit validates the buffered updates, writes each log record into the
-// stable log buffer, applies the update to the in-memory database, then
-// releases the records to the log device and drops all locks. It returns
-// the tuples created by this transaction's inserts, in order. A commit
-// that fails validation applies nothing and aborts the transaction.
+// Commit validates the buffered updates, writes their log records into the
+// stable log buffer as one block, applies the updates to the in-memory
+// database, then releases the records to the log device and drops all
+// locks. It returns the tuples created by this transaction's inserts, in
+// order. A commit that fails validation applies nothing and aborts the
+// transaction.
 func (t *Txn) Commit() ([]*storage.Tuple, error) {
 	if t.done {
 		return nil, ErrDone
@@ -336,7 +360,7 @@ func (t *Txn) Commit() ([]*storage.Tuple, error) {
 			return nil, fmt.Errorf("txn %d: %w", t.id, err)
 		}
 	}
-	// Apply pass: log record first, then the in-memory update. Validation
+	// Apply pass: the log first, then the in-memory updates. Validation
 	// has ruled out every failure the relation reports. From here on the
 	// staged tuples are the relation's, so nothing rewinds past them.
 	t.xrels = nil
@@ -344,12 +368,10 @@ func (t *Txn) Commit() ([]*storage.Tuple, error) {
 	if t.inserts > 0 {
 		inserted = make([]*storage.Tuple, 0, t.inserts)
 	}
-	// The log records and their value images are one block each; the
-	// log manager keeps pointers into them.
+	// The log records are one block; the log manager keeps it.
 	var recs []recovery.Record
-	var imgs []storage.ValueImage
 	if t.m.Log != nil {
-		recs, imgs = t.logBlocks()
+		recs = t.logRecords()
 	}
 	for i, o := range t.ops {
 		var rec *recovery.Record
@@ -359,45 +381,28 @@ func (t *Txn) Commit() ([]*storage.Tuple, error) {
 		switch o.kind {
 		case opInsert:
 			tp := o.tuple
-			if rec != nil {
-				n := tp.Arity()
-				vals := imgs[:n:n]
-				imgs = imgs[n:]
-				for f := range vals {
-					vals[f] = storage.ImageOf(tp.Field(f))
-				}
-				*rec = recovery.Record{Op: recovery.OpInsert, Rel: o.rel.Name(), Vals: vals}
-				t.m.Log.AppendRecord(t.id, rec)
-			}
 			o.rel.Install(tp)
 			if rec != nil {
-				// Placement metadata becomes known only after the insert.
-				rec.Tuple = tp.ID()
-				rec.Part = tp.Partition().ID()
+				rec.Tuple, rec.Part = tp.ID(), tp.Partition().ID()
 			}
 			inserted = append(inserted, tp)
 		case opUpdate:
 			if rec != nil {
-				imgs[0] = storage.ImageOf(o.val)
-				*rec = recovery.Record{
-					Op: recovery.OpUpdate, Rel: o.rel.Name(),
-					Part: o.tuple.Partition().ID(), Tuple: o.tuple.ID(),
-					Field: int(o.field), Vals: imgs[:1:1],
-				}
-				imgs = imgs[1:]
-				t.m.Log.AppendRecord(t.id, rec)
+				rec.Part = o.tuple.Partition().ID()
 			}
 			if err := o.rel.Update(o.tuple, int(o.field), o.val); err != nil {
 				t.Abort()
 				return nil, err
 			}
+			if rec != nil && o.tuple.Partition().ID() != rec.Part {
+				// The value outgrew the partition's heap and the tuple
+				// moved: log the row it now has where it went.
+				rec.Op, rec.From, rec.Part = recovery.OpMove, rec.Part, o.tuple.Partition().ID()
+				rec.Vals, rec.Row = nil, o.tuple.FieldArray()
+			}
 		case opDelete:
 			if rec != nil {
-				*rec = recovery.Record{
-					Op: recovery.OpDelete, Rel: o.rel.Name(),
-					Part: o.tuple.Partition().ID(), Tuple: o.tuple.ID(),
-				}
-				t.m.Log.AppendRecord(t.id, rec)
+				rec.Part = o.tuple.Partition().ID()
 			}
 			if err := o.rel.Delete(o.tuple); err != nil {
 				t.Abort()
