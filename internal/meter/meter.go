@@ -10,21 +10,26 @@
 // is legal and free, which is the moral equivalent of the paper compiling
 // the counters out for the timed runs.
 //
-// Concurrency contract: a plain Counters value is single-goroutine — the
+// Counters.At is the one list of the counters: Add and String loop over
+// it, and so do the registry's deltas, the trace's counter list and the
+// metrics exposition in internal/obs. A new counter is a struct field,
+// its Add* method and one row of At.
+//
+// Concurrency contract: a Counters value is single-goroutine — the
 // goroutine executing an operator owns its Counters exclusively for that
 // operator's lifetime. Operators that can run under concurrent readers
-// must either receive a private Counters per execution (the query layer
-// does this) or roll results into a SharedCounters, the atomic sibling
-// with the same Add* API, which the obs registry uses as its engine-wide
-// §3.1 accumulator. The partition-parallel executor follows the same
-// rule per worker: every worker accumulates into a private Counters,
-// folds it into one SharedCounters when it finishes, and the operator
-// adds the folded snapshot to the caller's Counters after all workers
-// join — so a parallel operator reports its total §3.1 work exactly the
-// way a serial one does.
+// receive a private Counters per execution (the query layer does this),
+// and the partition-parallel executor gives every worker a private
+// Counters and adds them into the caller's after the workers join, so a
+// parallel operator reports its total §3.1 work exactly the way a serial
+// one does. The obs registry folds each finished query's Counters into
+// its engine-wide total under a mutex.
 package meter
 
-import "fmt"
+import (
+	"strconv"
+	"strings"
+)
 
 // Counters accumulates the operation counts the paper tracked, plus the
 // cache-conscious extensions (batch handoffs and radix partitioning work)
@@ -190,35 +195,79 @@ func (c *Counters) Reset() {
 	}
 }
 
+// Field names one counter: its trace name, as in "cmp=12", and its
+// Prometheus series and help text.
+type Field struct {
+	Name, Prom, Help string
+}
+
+// NumFields is the number of counters in Counters.
+const NumFields = 16
+
+// At is the counter table: row i, 0 ≤ i < NumFields, is the i-th field
+// of Counters in declaration order — where it lives in c, and its names.
+// It returns a pointer into c rather than calling a function stored in a
+// table, so a caller's Counters stays on its stack.
+func (c *Counters) At(i int) (*int64, Field) {
+	switch i {
+	case 0:
+		return &c.Comparisons, Field{"cmp", "mmdb_ops_comparisons_total", "Key/value comparisons (paper §3.1)."}
+	case 1:
+		return &c.DataMoves, Field{"move", "mmdb_ops_data_moves_total", "Element copies or shifts (paper §3.1)."}
+	case 2:
+		return &c.HashCalls, Field{"hash", "mmdb_ops_hash_calls_total", "Hash function evaluations (paper §3.1)."}
+	case 3:
+		return &c.NodesVisited, Field{"node", "mmdb_ops_nodes_visited_total", "Index nodes touched (paper §3.1)."}
+	case 4:
+		return &c.Allocations, Field{"alloc", "mmdb_ops_allocations_total", "Index nodes or buckets allocated (paper §3.1)."}
+	case 5:
+		return &c.Rotations, Field{"rot", "mmdb_ops_rotations_total", "Tree rebalance rotations (paper §3.1)."}
+	case 6:
+		return &c.Batches, Field{"batch", "mmdb_ops_batches_total", "Tuple-pointer batches handed between operators."}
+	case 7:
+		return &c.RadixPasses, Field{"rpass", "mmdb_ops_radix_passes_total", "Radix partitioning passes executed."}
+	case 8:
+		return &c.Partitions, Field{"part", "mmdb_ops_partitions_total", "Radix partitions produced (fan-out total)."}
+	case 9:
+		return &c.SortPasses, Field{"spass", "mmdb_ops_sort_passes_total", "Radix-sort scatter passes executed."}
+	case 10:
+		return &c.SortRuns, Field{"srun", "mmdb_ops_sort_runs_total", "Comparator-sorted runs (small runs and tie-breaks)."}
+	case 11:
+		return &c.KeyBytes, Field{"keyB", "mmdb_ops_key_bytes_total", "Normalized sort-key bytes encoded."}
+	case 12:
+		return &c.Groups, Field{"grp", "mmdb_ops_groups_total", "Distinct groups produced by grouped aggregation."}
+	case 13:
+		return &c.AggProbes, Field{"aprobe", "mmdb_ops_agg_probes_total", "Aggregation-table probe steps (slot visits)."}
+	case 14:
+		return &c.HeapPushes, Field{"hpush", "mmdb_ops_heap_pushes_total", "Bounded top-k heap insertions."}
+	case 15:
+		return &c.HashProbes, Field{"hprobe", "mmdb_ops_hash_probes_total", "Flat join-table build steps (slot visits and chain links)."}
+	}
+	panic("meter: no counter " + strconv.Itoa(i))
+}
+
 // Add accumulates other into c. Safe on a nil receiver.
 func (c *Counters) Add(other Counters) {
 	if c == nil {
 		return
 	}
-	c.Comparisons += other.Comparisons
-	c.DataMoves += other.DataMoves
-	c.HashCalls += other.HashCalls
-	c.NodesVisited += other.NodesVisited
-	c.Allocations += other.Allocations
-	c.Rotations += other.Rotations
-	c.Batches += other.Batches
-	c.RadixPasses += other.RadixPasses
-	c.Partitions += other.Partitions
-	c.SortPasses += other.SortPasses
-	c.SortRuns += other.SortRuns
-	c.KeyBytes += other.KeyBytes
-	c.Groups += other.Groups
-	c.AggProbes += other.AggProbes
-	c.HeapPushes += other.HeapPushes
-	c.HashProbes += other.HashProbes
+	for i := range NumFields {
+		p, _ := c.At(i)
+		q, _ := other.At(i)
+		*p += *q
+	}
 }
 
-// String renders the counters in a compact single line.
+// String renders every counter on one line, "cmp=1 move=0 …", in table
+// order.
 func (c *Counters) String() string {
 	if c == nil {
 		return "meter(nil)"
 	}
-	return fmt.Sprintf("cmp=%d move=%d hash=%d node=%d alloc=%d rot=%d batch=%d rpass=%d part=%d spass=%d srun=%d keyB=%d grp=%d aprobe=%d hpush=%d",
-		c.Comparisons, c.DataMoves, c.HashCalls, c.NodesVisited, c.Allocations, c.Rotations, c.Batches,
-		c.RadixPasses, c.Partitions, c.SortPasses, c.SortRuns, c.KeyBytes, c.Groups, c.AggProbes, c.HeapPushes)
+	parts := make([]string, NumFields)
+	for i := range parts {
+		p, f := c.At(i)
+		parts[i] = f.Name + "=" + strconv.FormatInt(*p, 10)
+	}
+	return strings.Join(parts, " ")
 }

@@ -62,18 +62,3 @@ func TestStringContainsEveryCounter(t *testing.T) {
 		}
 	}
 }
-
-// Flat join-table build steps fold into the shared accumulator, appear
-// in its snapshot and reset with it.
-func TestSharedFoldsHashProbes(t *testing.T) {
-	var s SharedCounters
-	s.Add(Counters{HashProbes: 5})
-	s.AddHashProbe(2)
-	if got := s.Snapshot().HashProbes; got != 7 {
-		t.Fatalf("shared HashProbes = %d, want 7", got)
-	}
-	s.Reset()
-	if got := s.Snapshot(); got != (Counters{}) {
-		t.Fatalf("Reset left %+v", got)
-	}
-}

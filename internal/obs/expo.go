@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"expvar"
 	"fmt"
@@ -107,6 +108,9 @@ func (r *Registry) Snapshot() Snapshot {
 	if r.tableSource != nil {
 		tables = r.tableSource()
 	}
+	r.opsMu.Lock()
+	ops := r.ops
+	r.opsMu.Unlock()
 	return Snapshot{
 		Sched:              sched,
 		Mem:                gm,
@@ -128,7 +132,7 @@ func (r *Registry) Snapshot() Snapshot {
 		LogAppends:         r.logAppends.Load(),
 		LogWords:           r.logWords.Load(),
 		LogFlushes:         r.logFlushes.Load(),
-		Ops:                r.ops.Snapshot(),
+		Ops:                ops,
 		QueryLatency:       r.queryLatency.Snapshot(),
 		PlanMispredicts:    r.planMispredicts.snapshot(),
 		RadixSkew:          r.radixSkew.Snapshot(),
@@ -175,7 +179,8 @@ func (s Snapshot) String() string {
 
 // Sub returns the element-wise difference s - prev (histograms excluded;
 // the latency snapshot is carried from s). Useful for per-interval or
-// per-experiment deltas.
+// per-experiment deltas. The scheduler's and memory manager's gauges are
+// carried from s, in copies that do not alias it.
 func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	d := s
 	d.Queries -= prev.Queries
@@ -193,16 +198,21 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	d.LogAppends -= prev.LogAppends
 	d.LogWords -= prev.LogWords
 	d.LogFlushes -= prev.LogFlushes
-	d.Ops = s.Ops
-	d.Ops.Comparisons -= prev.Ops.Comparisons
-	d.Ops.DataMoves -= prev.Ops.DataMoves
-	d.Ops.HashCalls -= prev.Ops.HashCalls
-	d.Ops.NodesVisited -= prev.Ops.NodesVisited
-	d.Ops.Allocations -= prev.Ops.Allocations
-	d.Ops.Rotations -= prev.Ops.Rotations
-	d.Ops.Batches -= prev.Ops.Batches
-	d.Ops.RadixPasses -= prev.Ops.RadixPasses
-	d.Ops.Partitions -= prev.Ops.Partitions
+	for i := range meter.NumFields {
+		p, _ := d.Ops.At(i)
+		q, _ := prev.Ops.At(i)
+		*p -= *q
+	}
+	if s.Sched != nil {
+		sc, p := *s.Sched, cmp.Or(prev.Sched, &SchedStats{})
+		sc.Steals, sc.Parks = sc.Steals-p.Steals, sc.Parks-p.Parks
+		d.Sched = &sc
+	}
+	if s.Mem != nil {
+		m, p := *s.Mem, cmp.Or(prev.Mem, &MemStats{})
+		m.Forced, m.Reversals, m.Repartitions = m.Forced-p.Forced, m.Reversals-p.Reversals, m.Repartitions-p.Repartitions
+		d.Mem = &m
+	}
 	d.QueriesByPlan = subMap(s.QueriesByPlan, prev.QueriesByPlan)
 	d.IndexProbes = subMap(s.IndexProbes, prev.IndexProbes)
 	d.PlanMispredicts = subMap(s.PlanMispredicts, prev.PlanMispredicts)
@@ -237,6 +247,9 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
+	gauge := func(name, help string, v int64) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
+	}
 	counter("mmdb_queries_total", "Queries executed.", s.Queries)
 	counter("mmdb_rows_scanned_total", "Base-relation tuples fetched by queries.", s.RowsScanned)
 	counter("mmdb_rows_returned_total", "Result rows returned by queries.", s.RowsReturned)
@@ -264,22 +277,14 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	counter("mmdb_log_appends_total", "Records appended to the stable log buffer.", s.LogAppends)
 	counter("mmdb_log_words_total", "4-byte words written to the stable log buffer.", s.LogWords)
 	counter("mmdb_log_flushes_total", "Commit releases to the active log device.", s.LogFlushes)
-	counter("mmdb_ops_comparisons_total", "Key/value comparisons (paper §3.1).", s.Ops.Comparisons)
-	counter("mmdb_ops_data_moves_total", "Element copies or shifts (paper §3.1).", s.Ops.DataMoves)
-	counter("mmdb_ops_hash_calls_total", "Hash function evaluations (paper §3.1).", s.Ops.HashCalls)
-	counter("mmdb_ops_nodes_visited_total", "Index nodes touched (paper §3.1).", s.Ops.NodesVisited)
-	counter("mmdb_ops_allocations_total", "Index nodes or buckets allocated (paper §3.1).", s.Ops.Allocations)
-	counter("mmdb_ops_rotations_total", "Tree rebalance rotations (paper §3.1).", s.Ops.Rotations)
-	counter("mmdb_ops_batches_total", "Tuple-pointer batches handed between operators.", s.Ops.Batches)
-	counter("mmdb_ops_radix_passes_total", "Radix partitioning passes executed.", s.Ops.RadixPasses)
-	counter("mmdb_ops_partitions_total", "Radix partitions produced (fan-out total).", s.Ops.Partitions)
+	for i := range meter.NumFields {
+		v, f := s.Ops.At(i)
+		counter(f.Prom, f.Help, *v)
+	}
 
 	// Morsel-scheduler saturation, present only when the database runs on
 	// a work-stealing pool.
 	if s.Sched != nil {
-		gauge := func(name, help string, v int64) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-		}
 		gauge("mmdb_sched_workers", "Morsel-scheduler worker goroutines.", int64(s.Sched.Workers))
 		gauge("mmdb_sched_queue_depth", "Morsels accepted but not yet started.", s.Sched.QueueDepth)
 		gauge("mmdb_sched_busy_workers", "Workers executing a morsel right now.", s.Sched.Busy)
@@ -289,9 +294,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 
 	// Memory grant manager, present only when a budget is configured.
 	if s.Mem != nil {
-		gauge := func(name, help string, v int64) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-		}
 		gauge("mmdb_mem_budget_bytes", "Configured engine memory budget.", s.Mem.Total)
 		gauge("mmdb_mem_granted", "Bytes currently granted across all reservations.", s.Mem.Granted)
 		gauge("mmdb_mem_waiting", "Reservations blocked waiting for a grant.", s.Mem.Waiting)

@@ -5,20 +5,21 @@
 // number of comparisons, the amount of data movement, the number of hash
 // function calls, and other miscellaneous operations" (§3.1). The meter
 // package carries that discipline inside operators; obs makes it visible
-// outside unit tests: the Registry rolls per-query meter.Counters into an
-// engine-wide atomic accumulator and adds the operational signals a
-// serving system needs — queries by plan shape, rows scanned and returned,
-// index probes per structure, lock waits, transaction outcomes, and log
-// traffic — while QueryTrace records, per operator, the access path the
-// planner chose, rows in/out, wall time, and the §3.1 counter deltas.
+// outside unit tests: the Registry sums each finished query's
+// meter.Counters into an engine-wide total and adds the operational
+// signals a serving system needs — queries by plan shape, rows scanned
+// and returned, index probes per structure, lock waits, transaction
+// outcomes, and log traffic — while QueryTrace records, per operator,
+// the access path the planner chose, rows in/out, wall time, and the
+// §3.1 counter deltas.
 //
 // Cost model: every Registry method is safe on a nil receiver and returns
 // immediately, so a database opened with metrics disabled pays one
 // predictable branch per event and allocates nothing (verified by
 // BenchmarkObsOverhead / TestDisabledRegistryAllocs). With the registry
-// enabled the hot path is a handful of uncontended atomic adds; the only
-// lock is a short RWMutex read inside labeled counters, and snapshotting
-// never stops writers.
+// enabled the hot path is a handful of uncontended atomic adds plus two
+// short locks: an RWMutex read inside labeled counters, and the mutex
+// under which a query's §3.1 counters are added to the engine total.
 package obs
 
 import (
@@ -68,8 +69,9 @@ type Registry struct {
 	logWords   atomic.Int64
 	logFlushes atomic.Int64
 
-	// §3.1 operation counters rolled up from internal/meter.
-	ops meter.SharedCounters
+	// §3.1 operation counters summed over finished queries, under opsMu.
+	opsMu sync.Mutex
+	ops   meter.Counters
 
 	// schedSource, when non-nil, supplies the work-stealing morsel
 	// scheduler's saturation snapshot at exposition time. Wired once by
@@ -164,7 +166,9 @@ func (r *Registry) RecordQuery(shape string, scanned, returned int64, wall time.
 	r.rowsReturned.Add(returned)
 	r.queryLatency.Observe(wall)
 	r.planShapes.Add(shape, 1)
+	r.opsMu.Lock()
 	r.ops.Add(ops)
+	r.opsMu.Unlock()
 }
 
 // RecordDecision folds one plan-vs-actual audit record into the
@@ -204,16 +208,6 @@ func (r *Registry) IndexProbe(kind string, n int64) {
 		return
 	}
 	r.indexProbes.Add(kind, n)
-}
-
-// Meter returns the engine-wide §3.1 accumulator, for operators that want
-// to add directly rather than through RecordQuery. Returns nil on a nil
-// receiver (which SharedCounters methods tolerate).
-func (r *Registry) Meter() *meter.SharedCounters {
-	if r == nil {
-		return nil
-	}
-	return &r.ops
 }
 
 // LockWait records one lock wait of duration d — the lock manager calls

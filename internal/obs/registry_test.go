@@ -106,7 +106,6 @@ func TestNilRegistry(t *testing.T) {
 	r.TxnAbort()
 	r.LogAppend(1, 4)
 	r.LogFlush(1)
-	r.Meter().AddCompare(5) // nil SharedCounters tolerates adds
 	r.SetTableSource(func() []TableStat { return []TableStat{{Name: "t"}} })
 	if s := r.Snapshot(); s.Tables != nil || s.Queries != 0 || s.Ops != (meter.Counters{}) ||
 		s.QueriesByPlan != nil || s.QueryLatency.Count != 0 {
@@ -233,6 +232,32 @@ func TestSnapshotSub(t *testing.T) {
 	}
 	if d.TxnBegins != 1 {
 		t.Fatalf("delta txn begins = %d", d.TxnBegins)
+	}
+
+	// The scheduler's and the memory manager's monotonic counters are
+	// subtracted too; their gauges are carried from the later snapshot,
+	// and the delta shares no struct with either snapshot.
+	r = NewRegistry()
+	sched := SchedStats{Workers: 4, QueueDepth: 3, Busy: 2, Steals: 10, Parks: 20}
+	mem := MemStats{Total: 1 << 20, Granted: 4096, Waiting: 1, Forced: 5, Reversals: 6, Repartitions: 7}
+	r.SetSchedSource(func() SchedStats { return sched })
+	r.SetMemSource(func() MemStats { return mem })
+	before = r.Snapshot()
+	sched = SchedStats{Workers: 4, QueueDepth: 1, Busy: 3, Steals: 15, Parks: 22}
+	mem = MemStats{Total: 1 << 20, Granted: 8192, Waiting: 0, Forced: 6, Reversals: 9, Repartitions: 7}
+	s := r.Snapshot()
+	d = s.Sub(before)
+	if want := (SchedStats{Workers: 4, QueueDepth: 1, Busy: 3, Steals: 5, Parks: 2}); d.Sched == nil || *d.Sched != want {
+		t.Fatalf("delta sched = %+v, want %+v", d.Sched, want)
+	}
+	if want := (MemStats{Total: 1 << 20, Granted: 8192, Waiting: 0, Forced: 1, Reversals: 3, Repartitions: 0}); d.Mem == nil || *d.Mem != want {
+		t.Fatalf("delta mem = %+v, want %+v", d.Mem, want)
+	}
+	if d.Sched == s.Sched || d.Mem == s.Mem || s.Sched.Steals != 15 || s.Mem.Forced != 6 {
+		t.Fatalf("delta aliases or changed its snapshot: sched %+v, mem %+v", s.Sched, s.Mem)
+	}
+	if z := s.Sub(Snapshot{}); *z.Sched != *s.Sched || *z.Mem != *s.Mem {
+		t.Fatalf("delta from the zero snapshot = %+v, %+v; want %+v, %+v", z.Sched, z.Mem, s.Sched, s.Mem)
 	}
 }
 

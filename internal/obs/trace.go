@@ -10,10 +10,10 @@ import (
 
 // TraceNode is one operator of an executed query plan: what the planner
 // chose, how many rows flowed through, how long it took, and the §3.1
-// operation counts it accumulated. Children are sub-operators (a join
-// node's child is the selection feeding its outer side, and so on); the
-// engine's two-table pipeline produces shallow trees, but the type is a
-// general tree so future multi-way plans fit.
+// operation counts it accumulated. Children are sub-operators: the
+// query's phases hang off the trace's root in execution order (select,
+// join, group, project, …), and a pipelined multi-way join carries one
+// child per probe stage.
 type TraceNode struct {
 	Op         string        // operator: "select", "join", "project", "distinct"
 	Detail     string        // human description: tables, columns, predicates
@@ -199,32 +199,14 @@ func (n *TraceNode) Line() string {
 	return b.String()
 }
 
-// compactOps renders only the non-zero §3.1 counters.
+// compactOps renders only the non-zero §3.1 counters; Line calls it
+// when at least one is.
 func compactOps(c meter.Counters) string {
-	parts := make([]string, 0, 9)
-	add := func(name string, v int64) {
-		if v != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", name, v))
+	var parts []string
+	for i := range meter.NumFields {
+		if v, f := c.At(i); *v != 0 {
+			parts = append(parts, fmt.Sprintf("%s=%d", f.Name, *v))
 		}
-	}
-	add("cmp", c.Comparisons)
-	add("move", c.DataMoves)
-	add("hash", c.HashCalls)
-	add("node", c.NodesVisited)
-	add("alloc", c.Allocations)
-	add("rot", c.Rotations)
-	add("batch", c.Batches)
-	add("rpass", c.RadixPasses)
-	add("part", c.Partitions)
-	add("spass", c.SortPasses)
-	add("srun", c.SortRuns)
-	add("keyB", c.KeyBytes)
-	add("grp", c.Groups)
-	add("aprobe", c.AggProbes)
-	add("hpush", c.HeapPushes)
-	add("hprobe", c.HashProbes)
-	if len(parts) == 0 {
-		return "no ops"
 	}
 	return strings.Join(parts, " ")
 }

@@ -24,9 +24,9 @@
 //
 // Every operator takes an explicit worker count; a count of 1 runs it
 // serially on the calling goroutine.
-// Per-worker §3.1 counters are accumulated privately and folded through a
-// meter.SharedCounters into the caller's meter, so parallel runs report
-// total work the same way serial runs do.
+// Per-worker §3.1 counters are accumulated privately and added into one
+// meter.Counters after the workers join, so parallel runs report total
+// work the same way serial runs do.
 package parallel
 
 import (
@@ -109,15 +109,16 @@ func putScratch(sc *scratch) {
 // free list capped at w, created lazily, hands each executor pooled
 // private scratch — its meter.Counters for §3.1 operation counts plus
 // reusable tuple batches — so per-worker setup does not allocate, and
-// the counters are folded through a SharedCounters into the returned
-// total. Work stealing can push instantaneous concurrency slightly above
-// w; the excess executor briefly blocks on the free list, which is safe
-// (every holder returns its scratch at morsel end) and keeps the
-// per-"worker" gauge semantics intact. fn must not touch state shared
-// between morsels and must not retain sc's batches past the morsel. The
-// run's own bookkeeping (the scratch list, the free list and the morsel
-// body handed to the scheduler) is pooled too, so a run allocates nothing
-// of its own on a warm pool.
+// the counters are added into the returned total on the calling
+// goroutine once the set has completed. Work stealing can push
+// instantaneous concurrency slightly above w; the excess executor
+// briefly blocks on the free list, which is safe (every holder returns
+// its scratch at morsel end) and keeps the per-"worker" gauge semantics
+// intact. fn must not touch state shared between morsels and must not
+// retain sc's batches past the morsel. The run's own bookkeeping (the
+// scratch list, the free list and the morsel body handed to the
+// scheduler) is pooled too, so a run allocates nothing of its own on a
+// warm pool.
 //
 // pg, when non-nil, is the owning query's live Progress: workers raise
 // its saturation gauges, flush sc.rows after every morsel, fold their
@@ -152,10 +153,10 @@ func run(sq *sched.Query, pg *obs.Progress, op string, w, n int, fn func(morsel 
 	for range rs.scratches {
 		<-rs.free
 	}
-	var shared meter.SharedCounters
+	var total meter.Counters
 	for _, sc := range rs.scratches {
 		pg.WorkerDone(sc.wrows)
-		shared.Add(sc.ctr)
+		total.Add(sc.ctr)
 		putScratch(sc)
 	}
 	pg.AddSched(st.Steals, st.Wait)
@@ -163,7 +164,7 @@ func run(sq *sched.Query, pg *obs.Progress, op string, w, n int, fn func(morsel 
 	rs.scratches = rs.scratches[:0]
 	rs.pg, rs.fn, rs.labelled = nil, nil, nil
 	runStates.Put(rs)
-	return shared.Snapshot()
+	return total
 }
 
 // runState is one run's executor bookkeeping, recycled through

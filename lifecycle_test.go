@@ -90,9 +90,10 @@ func TestMispredictCounter(t *testing.T) {
 
 // TestParallelCountersSurviveFolding: the §3.1 counters (partitioning
 // passes, fan-out, hash calls, comparisons and table probes) are
-// accumulated in per-worker private counters and folded through
-// meter.SharedCounters — the fold must lose nothing under the parallel
-// radix join, the per-worker-table DISTINCT, and the join pipeline.
+// accumulated in per-worker private counters and added into one
+// meter.Counters after the workers join — the fold must lose nothing
+// under the parallel radix join, the per-worker-table DISTINCT, and the
+// join pipeline.
 func TestParallelCountersSurviveFolding(t *testing.T) {
 	const rows = 12000
 	db := openBig(t, Options{}, rows)

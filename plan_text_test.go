@@ -155,11 +155,16 @@ func maskTrace(s string) string {
 	})
 }
 
-// TestExecutedPlanGolden pins what an execution reports — Result.Plan and
-// the operator trace with its wall times masked — for queries that cover
-// every phase and join method, run serially so every counter repeats.
-// Regenerate with go test -run TestExecutedPlanGolden -update-golden.
-func TestExecutedPlanGolden(t *testing.T) {
+// namedQuery is one query of executedPlanQueries.
+type namedQuery struct {
+	name string
+	q    func() *Query
+}
+
+// executedPlanQueries builds the databases and the queries that cover
+// every phase and join method: TestExecutedPlanGolden pins their traces,
+// TestStatsDeltaMatchesTrace their counters.
+func executedPlanQueries(t *testing.T) []namedQuery {
 	single := tuned(openKeyed(t, Options{}, 6000, 97), tuning{agg: plan.AggConfig{MinRows: 2000}})
 	w := newTwoWayData()
 	joins := w.open(t, Options{})
@@ -170,10 +175,7 @@ func TestExecutedPlanGolden(t *testing.T) {
 	fd := func(db *Database, on string) *Query {
 		return db.Query("f").Join("d", on, "k").Select("f.id", "d.id")
 	}
-	queries := []struct {
-		name string
-		q    func() *Query
-	}{
+	return []namedQuery{
 		{"snapshot group", func() *Query { return a().GroupBy("k").Agg(AggCount, "").Agg(AggSum, "g") }},
 		{"snapshot filter", func() *Query { return a().Where("g", Eq, Int(3)).Select("k") }},
 		{"pk lookup", func() *Query { return a().Where("id", Eq, Int(42)).Select("k") }},
@@ -201,8 +203,15 @@ func TestExecutedPlanGolden(t *testing.T) {
 		}},
 		{"star", func() *Query { return starQuery(star).Select("fact.id", "dimc.name") }},
 	}
+}
+
+// TestExecutedPlanGolden pins what an execution reports — Result.Plan and
+// the operator trace with its wall times masked — for queries that cover
+// every phase and join method, run serially so every counter repeats.
+// Regenerate with go test -run TestExecutedPlanGolden -update-golden.
+func TestExecutedPlanGolden(t *testing.T) {
 	var b strings.Builder
-	for _, c := range queries {
+	for _, c := range executedPlanQueries(t) {
 		res, tr, err := c.q().Parallel(1).Analyze()
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -228,5 +237,29 @@ func TestExecutedPlanGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("%s: %d lines, want %d", path, len(gl), len(wl))
+	}
+}
+
+// TestStatsDeltaMatchesTrace: the registry and the trace count the same
+// work. For every query of executedPlanQueries, serial and at four
+// workers, the §3.1 counters a Stats delta shows are the trace's totals.
+// A query runs once untimed first, so the delta subtracts a non-zero
+// snapshot.
+func TestStatsDeltaMatchesTrace(t *testing.T) {
+	for _, c := range executedPlanQueries(t) {
+		for _, par := range []int{1, 4} {
+			db := c.q().db
+			if _, err := c.q().Parallel(par).Run(); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			before := db.Stats()
+			_, tr, err := c.q().Parallel(par).Analyze()
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if got, want := db.Stats().Sub(before).Ops, tr.TotalOps(); got != want {
+				t.Errorf("%s par=%d: Stats delta ops\n %s\nwant the trace's\n %s", c.name, par, got.String(), want.String())
+			}
+		}
 	}
 }
