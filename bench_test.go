@@ -13,6 +13,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/exec"
 	"repro/internal/index"
+	"repro/internal/index/sortedarray"
 	"repro/internal/index/ttree"
 	"repro/internal/sortutil"
 	"repro/internal/storage"
@@ -211,7 +212,7 @@ func BenchmarkGraph3Distribution(b *testing.B) {
 }
 
 // joinBench prepares a join pair and runs one method per iteration.
-func joinBench(b *testing.B, nOuter, nInner int, dup, sigma, semijoin float64) (exec.OrderedScan, exec.OrderedScan, *ttree.Tree[*storage.Tuple], *ttree.Tree[*storage.Tuple], exec.JoinSpec) {
+func joinBench(b *testing.B, nOuter, nInner int, dup, sigma, semijoin float64) (*sortedarray.Array[*storage.Tuple], *sortedarray.Array[*storage.Tuple], *ttree.Tree[*storage.Tuple], *ttree.Tree[*storage.Tuple], exec.JoinSpec) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(6))
 	big := workload.Spec{Cardinality: nOuter, DuplicatePct: dup, Sigma: sigma}
@@ -233,8 +234,8 @@ func joinBench(b *testing.B, nOuter, nInner int, dup, sigma, semijoin float64) (
 		b.Fatal(err)
 	}
 	to, ti := valuesTuples(colO.Values), valuesTuples(colI.Values)
-	so := exec.OrderedScan{Index: tupleindex.BuildArray(tupleindex.Options{Field: 0}, to)}
-	si := exec.OrderedScan{Index: tupleindex.BuildArray(tupleindex.Options{Field: 0}, ti)}
+	so := tupleindex.BuildArray(tupleindex.Options{Field: 0}, to)
+	si := tupleindex.BuildArray(tupleindex.Options{Field: 0}, ti)
 	tto := tupleindex.NewTTree(tupleindex.Options{Field: 0})
 	for _, tp := range to {
 		tto.Insert(tp)
@@ -426,9 +427,13 @@ func BenchmarkAblationJoinBuild(b *testing.B) {
 	b.Run("TreeMergePlusBuild", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			bo := tupleindex.NewTTree(tupleindex.Options{Field: 0})
-			so.Scan(func(tp *storage.Tuple) bool { bo.Insert(tp); return true })
 			bi := tupleindex.NewTTree(tupleindex.Options{Field: 0})
-			si.Scan(func(tp *storage.Tuple) bool { bi.Insert(tp); return true })
+			for j := 0; j < so.Len(); j++ {
+				bo.Insert(so.At(j))
+			}
+			for j := 0; j < si.Len(); j++ {
+				bi.Insert(si.At(j))
+			}
 			exec.TreeMergeJoin(bo, bi, spec)
 		}
 	})

@@ -130,12 +130,17 @@ func AblationJoinBuild(env Env) []Series {
 		n := env.N(int(30000 * frac))
 		p := prepareJoin(joinCase{nOuter: n, nInner: n, sigma: workload.NearUniform, semijoin: 100}, rng)
 		spec := p.spec(false)
-		so := exec.OrderedScan{Index: p.outer}
-		si := exec.OrderedScan{Index: p.inner}
+		so := p.outer
+		si := p.inner
 
 		buildTree := func(src exec.Source) *ttree.Tree[*storage.Tuple] {
 			tr := tupleindex.NewTTree(tupleindex.Options{Field: 0})
-			src.Scan(func(tp *storage.Tuple) bool { tr.Insert(tp); return true })
+			src.ScanBatches(nil, func(block storage.TupleBatch) bool {
+				for _, tp := range block {
+					tr.Insert(tp)
+				}
+				return true
+			})
 			return tr
 		}
 		tmExist := timeIt(func() { exec.TreeMergeJoin(p.outerTree, p.innerTree, spec) })
@@ -195,8 +200,8 @@ func AblationPointerJoin(env Env) []Series {
 			tp, _ := emp.Insert([]storage.Value{d.Field(0), d.Field(1), storage.RefValue(d)})
 			empTuples = append(empTuples, tp)
 		}
-		empArr := exec.OrderedScan{Index: tupleindex.BuildArray(tupleindex.Options{Field: 1}, empTuples)}
-		deptArr := exec.OrderedScan{Index: tupleindex.BuildArray(tupleindex.Options{Field: 1}, deptTuples)}
+		empArr := tupleindex.BuildArray(tupleindex.Options{Field: 1}, empTuples)
+		deptArr := tupleindex.BuildArray(tupleindex.Options{Field: 1}, deptTuples)
 
 		base := exec.JoinSpec{OuterName: "emp", InnerName: "dept"}
 		str := base

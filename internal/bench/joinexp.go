@@ -91,8 +91,8 @@ func (p *prepared) spec(discard bool) exec.JoinSpec {
 func runJoinCase(c joinCase, rng *rand.Rand) []float64 {
 	p := prepareJoin(c, rng)
 	spec := p.spec(c.discard)
-	so := exec.OrderedScan{Index: p.outer}
-	si := exec.OrderedScan{Index: p.inner}
+	so := p.outer
+	si := p.inner
 	hash := timeBest(func() { exec.HashJoin(so, si, spec) })
 	tree := timeBest(func() { exec.TreeJoin(so, p.innerTree, spec) })
 	sortm := timeBest(func() { exec.SortMergeJoin(so, si, spec) })
@@ -247,8 +247,8 @@ func Graph10NestedLoops(env Env) []Series {
 		n := env.N(base)
 		p := prepareJoin(joinCase{nOuter: n, nInner: n, sigma: workload.NearUniform, semijoin: 100}, rng)
 		spec := p.spec(false)
-		so := exec.OrderedScan{Index: p.outer}
-		si := exec.OrderedScan{Index: p.inner}
+		so := p.outer
+		si := p.inner
 		nested := timeBest(func() { exec.NestedLoopsJoin(so, si, spec) })
 		hash := timeBest(func() { exec.HashJoin(so, si, spec) })
 		s.Add(fmt.Sprintf("%d", n), nested, hash)

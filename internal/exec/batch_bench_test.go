@@ -36,6 +36,24 @@ func benchRelation(b *testing.B, name string, n int) []*storage.Tuple {
 type sliceSrc []*storage.Tuple
 
 func (s sliceSrc) Len() int { return len(s) }
+
+// ScanBatches gathers the slice into buf block by block, as a
+// node-structured index does.
+func (s sliceSrc) ScanBatches(buf storage.TupleBatch, fn func(storage.TupleBatch) bool) {
+	if cap(buf) == 0 {
+		buf = make(storage.TupleBatch, 0, storage.BatchSize)
+	}
+	for len(s) > 0 {
+		n := copy(buf[:cap(buf)], s)
+		if !fn(buf[:n]) {
+			return
+		}
+		s = s[n:]
+	}
+}
+
+// Scan is the per-tuple callback loop the tuple-at-a-time baselines
+// reconstruct.
 func (s sliceSrc) Scan(fn func(*storage.Tuple) bool) {
 	for _, t := range s {
 		if !fn(t) {
@@ -92,12 +110,11 @@ func BenchmarkHashJoinTupleAtATime(b *testing.B) {
 		var rows []storage.Row
 		for _, o := range to {
 			ko := tupleindex.KeyOf(o, 0)
-			tbl.SearchKeyAll(storage.Hash(ko), func(t *storage.Tuple) bool {
+			for _, t := range tbl.SearchKeyAppend(storage.Hash(ko), func(t *storage.Tuple) bool {
 				return storage.Equal(tupleindex.KeyOf(t, 0), ko)
-			}, func(t *storage.Tuple) bool {
+			}, nil) {
 				rows = append(rows, storage.Row{o, t})
-				return true
-			})
+			}
 		}
 		sinkRows = rows
 	}

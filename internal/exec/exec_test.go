@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/index/sortedarray"
 	"repro/internal/index/ttree"
 	"repro/internal/meter"
 	"repro/internal/plan"
@@ -12,10 +13,6 @@ import (
 	"repro/internal/tupleindex"
 	"repro/internal/workload"
 )
-
-// ttreeTree shortens the assertion from the Ordered interface back to the
-// concrete T Tree the merge join needs.
-type ttreeTree = *ttree.Tree[*storage.Tuple]
 
 func newMeter() *meter.Counters { return &meter.Counters{} }
 
@@ -46,18 +43,17 @@ func buildRelation(t testing.TB, ids *storage.IDGen, name string, values []int64
 
 // arrayOn builds the relation's scan index (the paper: "an array index was
 // used to scan the relations in our tests").
-func arrayOn(rel *storage.Relation, field int) *OrderedScan {
+func arrayOn(rel *storage.Relation, field int) *sortedarray.Array[*storage.Tuple] {
 	var tuples []*storage.Tuple
 	rel.ScanPhysical(func(tp *storage.Tuple) bool { tuples = append(tuples, tp); return true })
-	arr := tupleindex.BuildArray(tupleindex.Options{Field: field}, tuples)
-	return &OrderedScan{Index: arr}
+	return tupleindex.BuildArray(tupleindex.Options{Field: field}, tuples)
 }
 
 // ttreeOn builds a T Tree index on the field.
-func ttreeOn(rel *storage.Relation, field int) *OrderedScan {
+func ttreeOn(rel *storage.Relation, field int) *ttree.Tree[*storage.Tuple] {
 	tt := tupleindex.NewTTree(tupleindex.Options{Field: field})
 	rel.ScanPhysical(func(tp *storage.Tuple) bool { tt.Insert(tp); return true })
-	return &OrderedScan{Index: tt}
+	return tt
 }
 
 // joinResultSet canonicalizes a join result for comparison: a multiset of
@@ -140,9 +136,9 @@ func TestAllJoinMethodsAgree(t *testing.T) {
 			results := map[string]*storage.TempList{
 				"nested":    NestedLoopsJoin(s1, s2, spec),
 				"hash":      HashJoin(s1, s2, spec),
-				"tree":      TreeJoin(s1, t2.Index, spec),
+				"tree":      TreeJoin(s1, t2, spec),
 				"sortmerge": SortMergeJoin(s1, s2, spec),
-				"treemerge": TreeMergeJoin(t1.Index.(ttreeTree), t2.Index.(ttreeTree), spec),
+				"treemerge": TreeMergeJoin(t1, t2, spec),
 			}
 			wantCount := referenceJoin(col1.Values, col2.Values)
 			var ref map[[4]int64]int
@@ -242,7 +238,7 @@ func TestSelectionAccessPathsAgree(t *testing.T) {
 	keys := append([]int64{}, col.Distinct[0], col.Distinct[len(col.Distinct)/2], -1 /* absent */)
 	for _, k := range keys {
 		key := storage.IntValue(k)
-		byTree := SelectEqTree(tt.Index, 0, key, spec)
+		byTree := SelectEqTree(tt, 0, key, spec)
 		byHash := SelectEqHash(mh, 0, key, spec)
 		byScan := SelectScan(arr, func(tp *storage.Tuple) bool {
 			return storage.Equal(tp.Field(0), key)
@@ -269,7 +265,7 @@ func TestSelectRange(t *testing.T) {
 	tt := ttreeOn(rel, 0)
 	spec := SelectSpec{RelName: "r", Schema: rel.Schema()}
 	lo, hi := storage.IntValue(10), storage.IntValue(19)
-	l := SelectRange(tt.Index, 0, &lo, &hi, spec)
+	l := SelectRange(tt, 0, &lo, &hi, spec)
 	if l.Len() != 10 {
 		t.Fatalf("rows=%d", l.Len())
 	}
@@ -284,13 +280,13 @@ func TestSelectRange(t *testing.T) {
 		return true
 	})
 	// Open bounds.
-	if l := SelectRange(tt.Index, 0, nil, &hi, spec); l.Len() != 20 {
+	if l := SelectRange(tt, 0, nil, &hi, spec); l.Len() != 20 {
 		t.Fatalf("open-lo rows=%d", l.Len())
 	}
-	if l := SelectRange(tt.Index, 0, &lo, nil, spec); l.Len() != 90 {
+	if l := SelectRange(tt, 0, &lo, nil, spec); l.Len() != 90 {
 		t.Fatalf("open-hi rows=%d", l.Len())
 	}
-	if l := SelectRange(tt.Index, 0, nil, nil, spec); l.Len() != 100 {
+	if l := SelectRange(tt, 0, nil, nil, spec); l.Len() != 100 {
 		t.Fatalf("open-open rows=%d", l.Len())
 	}
 }
@@ -331,7 +327,7 @@ func TestPrecomputedAndPointerJoin(t *testing.T) {
 	empAge := ttreeOn(emp, 1)
 	spec := SelectSpec{RelName: "emp", Schema: empSchema}
 	lo := storage.IntValue(66)
-	over65 := SelectRange(empAge.Index, 1, &lo, nil, spec)
+	over65 := SelectRange(empAge, 1, &lo, nil, spec)
 	q1 := PrecomputedJoin(ListColumn{List: over65, Column: 0}, 2, JoinSpec{
 		OuterName: "emp", InnerName: "dept", Cols: []storage.ColRef{
 			{Source: 0, Field: 0, Name: "Emp.Name"},
@@ -357,7 +353,7 @@ func TestPrecomputedAndPointerJoin(t *testing.T) {
 	dspec := SelectSpec{RelName: "dept", Schema: deptSchema}
 	toyShoe := storage.MustTempList(storage.Descriptor{Sources: []string{"dept"}})
 	for _, name := range []string{"Toy", "Shoe"} {
-		l := SelectEqTree(deptName.Index, 0, storage.StringValue(name), dspec)
+		l := SelectEqTree(deptName, 0, storage.StringValue(name), dspec)
 		l.Scan(func(_ int, row storage.Row) bool { toyShoe.Append(row); return true })
 	}
 	empScan := arrayOn(emp, 1)
@@ -511,10 +507,10 @@ func TestEmptyInputs(t *testing.T) {
 		"nested-empty-inner": NestedLoopsJoin(fs, es, spec),
 		"hash-empty-outer":   HashJoin(es, fs, spec),
 		"hash-empty-inner":   HashJoin(fs, es, spec),
-		"tree-empty-outer":   TreeJoin(es, ft.Index, spec),
-		"tree-empty-inner":   TreeJoin(fs, et.Index, spec),
+		"tree-empty-outer":   TreeJoin(es, ft, spec),
+		"tree-empty-inner":   TreeJoin(fs, et, spec),
 		"sortmerge-empty":    SortMergeJoin(es, es, spec),
-		"treemerge-empty":    TreeMergeJoin(et.Index.(ttreeTree), ft.Index.(ttreeTree), spec),
+		"treemerge-empty":    TreeMergeJoin(et, ft, spec),
 	} {
 		if l.Len() != 0 {
 			t.Errorf("%s: %d rows", name, l.Len())
@@ -557,10 +553,16 @@ func TestListColumnSource(t *testing.T) {
 	if src.Len() != 3 {
 		t.Fatalf("Len=%d", src.Len())
 	}
-	n := 0
-	src.Scan(func(tp *storage.Tuple) bool { n++; return n < 2 })
-	if n != 2 {
-		t.Fatalf("early stop ignored: %d", n)
+	calls := 0
+	src.ScanBatches(nil, func(block storage.TupleBatch) bool {
+		calls++
+		if len(block) != 3 {
+			t.Fatalf("block of %d tuples, want all 3", len(block))
+		}
+		return false
+	})
+	if calls != 1 {
+		t.Fatalf("early stop ignored: %d blocks", calls)
 	}
 }
 
@@ -580,7 +582,7 @@ func ExampleNestedLoopsJoin() {
 	r2.ScanPhysical(func(tp *storage.Tuple) bool { t2 = append(t2, tp); return true })
 	a1 := tupleindex.BuildArray(tupleindex.Options{Field: 0}, t1)
 	a2 := tupleindex.BuildArray(tupleindex.Options{Field: 0}, t2)
-	res := NestedLoopsJoin(OrderedScan{a1}, OrderedScan{a2}, JoinSpec{
+	res := NestedLoopsJoin(a1, a2, JoinSpec{
 		OuterName: "r1", InnerName: "r2", OuterField: 0, InnerField: 0,
 	})
 	fmt.Println(res.Len())
@@ -618,10 +620,10 @@ func TestDiscardCountsWithoutMaterializing(t *testing.T) {
 			var n int
 			sp := spec
 			sp.RowsOut = &n
-			TreeMergeJoin(tts.Index.(ttreeTree), tts.Index.(ttreeTree), sp)
+			TreeMergeJoin(tts, tts, sp)
 			return n
 		},
-		"tree":   func() int { var n int; sp := spec; sp.RowsOut = &n; TreeJoin(s, tts.Index, sp); return n },
+		"tree":   func() int { var n int; sp := spec; sp.RowsOut = &n; TreeJoin(s, tts, sp); return n },
 		"nested": func() int { var n int; sp := spec; sp.RowsOut = &n; NestedLoopsJoin(s, s, sp); return n },
 	} {
 		if n := got(); n != want {
@@ -662,7 +664,7 @@ func TestNonEquiJoins(t *testing.T) {
 				}
 			}
 		}
-		byTree := NonEquiTreeJoin(s1, t2.Index, op, spec)
+		byTree := NonEquiTreeJoin(s1, t2, op, spec)
 		byLoop := NonEquiNestedLoopsJoin(s1, s2, op, spec)
 		if byTree.Len() != want {
 			t.Fatalf("op %v: tree join %d rows, want %d", op, byTree.Len(), want)
@@ -700,13 +702,13 @@ func TestNonEquiJoinEdges(t *testing.T) {
 	t2 := ttreeOn(r2, 0)
 	spec := JoinSpec{OuterName: "r1", InnerName: "r2", OuterField: 0, InnerField: 0}
 	// All-equal inputs: strict ops empty, non-strict full cross product.
-	if got := NonEquiTreeJoin(s1, t2.Index, JoinLt, spec).Len(); got != 0 {
+	if got := NonEquiTreeJoin(s1, t2, JoinLt, spec).Len(); got != 0 {
 		t.Fatalf("Lt on equal keys = %d", got)
 	}
-	if got := NonEquiTreeJoin(s1, t2.Index, JoinLe, spec).Len(); got != 6 {
+	if got := NonEquiTreeJoin(s1, t2, JoinLe, spec).Len(); got != 6 {
 		t.Fatalf("Le on equal keys = %d", got)
 	}
-	if got := NonEquiTreeJoin(s1, t2.Index, JoinGe, spec).Len(); got != 6 {
+	if got := NonEquiTreeJoin(s1, t2, JoinGe, spec).Len(); got != 6 {
 		t.Fatalf("Ge on equal keys = %d", got)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/index/sortedarray"
+	"repro/internal/index/ttree"
 	"repro/internal/storage"
 	"repro/internal/tupleindex"
 	"repro/internal/workload"
@@ -15,7 +17,7 @@ import (
 // each join method's metered comparison count must track the paper's
 // formula within a small constant factor.
 
-func formulaSetup(t *testing.T, n1, n2 int) (*OrderedScan, *OrderedScan, *OrderedScan, *OrderedScan) {
+func formulaSetup(t *testing.T, n1, n2 int) (s1, s2 *sortedarray.Array[*storage.Tuple], t1, t2 *ttree.Tree[*storage.Tuple]) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(41))
 	col1, err := workload.Build(workload.Spec{Cardinality: n1, DuplicatePct: 0}, rng)
@@ -39,7 +41,7 @@ func TestTreeMergeComparisonFormula(t *testing.T) {
 	_, _, t1, t2 := formulaSetup(t, n, n)
 	m := newMeter()
 	spec := withMeter(JoinSpec{OuterName: "r1", InnerName: "r2", OuterField: 0, InnerField: 0, Discard: true, RowsOut: new(int)}, m)
-	TreeMergeJoin(t1.Index.(ttreeTree), t2.Index.(ttreeTree), spec)
+	TreeMergeJoin(t1, t2, spec)
 	want := float64(n + 2*n)
 	got := float64(m.Comparisons)
 	if got < want*0.8 || got > want*2.0 {
@@ -66,7 +68,12 @@ func TestHashJoinComparisonFormula(t *testing.T) {
 	// the pre-existing index, so the meter attaches to the index itself.
 	m2 := newMeter()
 	metered := tupleindex.NewTTree(tupleindex.Options{Field: 0, Meter: m2})
-	s2.Scan(func(tp *storage.Tuple) bool { metered.Insert(tp); return true })
+	s2.ScanBatches(nil, func(block storage.TupleBatch) bool {
+		for _, tp := range block {
+			metered.Insert(tp)
+		}
+		return true
+	})
 	m2.Reset()
 	TreeJoin(s1, metered, spec)
 	perTreeProbe := float64(m2.Comparisons) / float64(n)

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"repro/internal/index"
 	"repro/internal/mem"
 	"repro/internal/meter"
 	"repro/internal/obs"
@@ -124,20 +123,43 @@ func (s JoinSpec) buildNodeSize() int {
 // considered as a practical join method for a main memory DBMS."
 func NestedLoopsJoin(outer, inner Source, spec JoinSpec) *storage.TempList {
 	out := spec.newEmitter()
-	outer.Scan(func(o *storage.Tuple) bool {
-		ko := tupleindex.KeyOf(o, spec.OuterField)
-		if ko.IsNull() {
-			return true
-		}
-		inner.Scan(func(i *storage.Tuple) bool {
+	// One inner-scan closure for the whole join, capturing the mutable
+	// outer tuple and key.
+	var o *storage.Tuple
+	var ko storage.Value
+	probe := func(block storage.TupleBatch) bool {
+		for _, i := range block {
 			spec.Meter.AddCompare(1)
-			if storage.Equal(ko, tupleindex.KeyOf(i, spec.InnerField)) {
-				return out.emit(o, i)
+			if storage.Equal(ko, tupleindex.KeyOf(i, spec.InnerField)) && !out.emit(o, i) {
+				return false
 			}
-			return true
-		})
-		return out.more()
+		}
+		return true
+	}
+	return nestedLoops(outer, inner, out, func(t *storage.Tuple) bool {
+		o, ko = t, tupleindex.KeyOf(t, spec.OuterField)
+		return !ko.IsNull()
+	}, probe)
+}
+
+// nestedLoops drives a nested-loops join block by block: every outer
+// tuple that bind accepts is followed by a full scan of inner through
+// probe, until the emitter stops accepting rows.
+func nestedLoops(outer, inner Source, out *emitter, bind func(*storage.Tuple) bool, probe func(storage.TupleBatch) bool) *storage.TempList {
+	obuf, ibuf := storage.GetBatch(), storage.GetBatch()
+	outer.ScanBatches(obuf, func(block storage.TupleBatch) bool {
+		for _, t := range block {
+			if bind(t) {
+				inner.ScanBatches(ibuf, probe)
+			}
+			if !out.more() {
+				return false
+			}
+		}
+		return true
 	})
+	storage.PutBatch(ibuf)
+	storage.PutBatch(obuf)
 	return out.done()
 }
 
@@ -162,7 +184,7 @@ func HashJoin(outer, inner Source, spec JoinSpec) *storage.TempList {
 		Meter:    spec.Meter,
 	})
 	buf := storage.GetBatch()
-	ScanBatches(inner, buf, func(block storage.TupleBatch) bool {
+	inner.ScanBatches(buf, func(block storage.TupleBatch) bool {
 		spec.Meter.AddBatch(1)
 		for _, t := range block {
 			ht.Insert(t)
@@ -190,7 +212,7 @@ func probeHash(outer Source, inner tupleindex.Hashed, spec JoinSpec) *storage.Te
 		spec.Meter.AddCompare(1)
 		return storage.Equal(tupleindex.KeyOf(i, fi), ko)
 	}
-	ScanBatches(outer, buf, func(block storage.TupleBatch) bool {
+	outer.ScanBatches(buf, func(block storage.TupleBatch) bool {
 		spec.Meter.AddBatch(1)
 		for _, o := range block {
 			ko = tupleindex.KeyOf(o, spec.OuterField)
@@ -198,7 +220,7 @@ func probeHash(outer Source, inner tupleindex.Hashed, spec JoinSpec) *storage.Te
 			if ko.IsNull() {
 				continue
 			}
-			matches = index.SearchKeyAppend[*storage.Tuple](inner, storage.Hash(ko), match, matches[:0])
+			matches = inner.SearchKeyAppend(storage.Hash(ko), match, matches[:0])
 			for _, i := range matches {
 				if !out.emit(o, i) {
 					return false
@@ -226,13 +248,13 @@ func TreeJoin(outer Source, inner tupleindex.Ordered, spec JoinSpec) *storage.Te
 	var ko storage.Value
 	fi := spec.InnerField
 	pos := func(t *storage.Tuple) int { return storage.Compare(tupleindex.KeyOf(t, fi), ko) }
-	ScanBatches(outer, buf, func(block storage.TupleBatch) bool {
+	outer.ScanBatches(buf, func(block storage.TupleBatch) bool {
 		spec.Meter.AddBatch(1)
 		for _, o := range block {
 			if ko = tupleindex.KeyOf(o, spec.OuterField); ko.IsNull() {
 				continue
 			}
-			matches = index.SearchAllAppend[*storage.Tuple](inner, pos, matches[:0])
+			matches = inner.SearchAllAppend(pos, matches[:0])
 			for _, i := range matches {
 				if !out.emit(o, i) {
 					return false
@@ -286,7 +308,7 @@ func TreeMergeJoin(outer, inner *ttree.Tree[*storage.Tuple], spec JoinSpec) *sto
 func PrecomputedJoin(outer Source, refField int, spec JoinSpec) *storage.TempList {
 	out := spec.newEmitter()
 	buf := storage.GetBatch()
-	ScanBatches(outer, buf, func(block storage.TupleBatch) bool {
+	outer.ScanBatches(buf, func(block storage.TupleBatch) bool {
 		spec.Meter.AddBatch(1)
 		for _, o := range block {
 			v := o.Field(refField)
@@ -403,46 +425,58 @@ func (o NonEquiOp) String() string {
 // tuple turns into one range scan of the index.
 func NonEquiTreeJoin(outer Source, inner tupleindex.Ordered, op NonEquiOp, spec JoinSpec) *storage.TempList {
 	out := spec.newEmitter()
+	// The bounds and the emit closure are built once for the whole join,
+	// capturing the mutable outer tuple and key. The inner entries
+	// matching "ko OP inner" form one contiguous key range of the index.
+	var o *storage.Tuple
+	var ko storage.Value
+	fi := spec.InnerField
+	pos := func(t *storage.Tuple) int { return storage.Compare(tupleindex.KeyOf(t, fi), ko) }
 	all := func(*storage.Tuple) int { return 0 }
-	outer.Scan(func(o *storage.Tuple) bool {
-		ko := tupleindex.KeyOf(o, spec.OuterField)
-		pos := tupleindex.PosFor(ko, spec.InnerField)
-		emit := func(i *storage.Tuple) bool {
-			return out.emit(o, i)
+	lo, hi := all, all
+	switch op {
+	case JoinLt: // inner > ko
+		lo = func(t *storage.Tuple) int {
+			if pos(t) > 0 {
+				return 0 // at or above the first strictly-greater entry
+			}
+			return -1
 		}
-		// The inner entries matching "ko OP inner" form one contiguous key
-		// range of the index.
-		switch op {
-		case JoinLt: // inner > ko
-			inner.Range(func(t *storage.Tuple) int {
-				if pos(t) > 0 {
-					return 0 // at or above the first strictly-greater entry
-				}
-				return -1
-			}, all, emit)
-		case JoinLe: // inner >= ko
-			inner.Range(pos, all, emit)
-		case JoinGt: // inner < ko
-			inner.Range(all, func(t *storage.Tuple) int {
-				if pos(t) < 0 {
-					return 0 // still below ko: inside the range
-				}
-				return 1
-			}, emit)
-		default: // JoinGe: inner <= ko
-			inner.Range(all, pos, emit)
+	case JoinLe: // inner >= ko
+		lo = pos
+	case JoinGt: // inner < ko
+		hi = func(t *storage.Tuple) int {
+			if pos(t) < 0 {
+				return 0 // still below ko: inside the range
+			}
+			return 1
 		}
-		return out.more()
+	default: // JoinGe: inner <= ko
+		hi = pos
+	}
+	emit := func(i *storage.Tuple) bool { return out.emit(o, i) }
+	buf := storage.GetBatch()
+	outer.ScanBatches(buf, func(block storage.TupleBatch) bool {
+		for _, t := range block {
+			o, ko = t, tupleindex.KeyOf(t, spec.OuterField)
+			inner.Range(lo, hi, emit)
+			if !out.more() {
+				return false
+			}
+		}
+		return true
 	})
+	storage.PutBatch(buf)
 	return out.done()
 }
 
 // NonEquiNestedLoopsJoin is the fallback when no ordered index exists.
 func NonEquiNestedLoopsJoin(outer, inner Source, op NonEquiOp, spec JoinSpec) *storage.TempList {
 	out := spec.newEmitter()
-	outer.Scan(func(o *storage.Tuple) bool {
-		ko := tupleindex.KeyOf(o, spec.OuterField)
-		inner.Scan(func(i *storage.Tuple) bool {
+	var o *storage.Tuple
+	var ko storage.Value
+	probe := func(block storage.TupleBatch) bool {
+		for _, i := range block {
 			spec.Meter.AddCompare(1)
 			c := storage.Compare(ko, tupleindex.KeyOf(i, spec.InnerField))
 			match := false
@@ -456,12 +490,14 @@ func NonEquiNestedLoopsJoin(outer, inner Source, op NonEquiOp, spec JoinSpec) *s
 			default:
 				match = c >= 0
 			}
-			if match {
-				return out.emit(o, i)
+			if match && !out.emit(o, i) {
+				return false
 			}
-			return true
-		})
-		return out.more()
-	})
-	return out.done()
+		}
+		return true
+	}
+	return nestedLoops(outer, inner, out, func(t *storage.Tuple) bool {
+		o, ko = t, tupleindex.KeyOf(t, spec.OuterField)
+		return true
+	}, probe)
 }

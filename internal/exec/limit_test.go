@@ -38,10 +38,10 @@ func TestJoinLimitEarlyExit(t *testing.T) {
 		for name, join := range map[string]func() *storage.TempList{
 			"nested":     func() *storage.TempList { return NestedLoopsJoin(s1, s2, spec) },
 			"hash":       func() *storage.TempList { return HashJoin(s1, s2, spec) },
-			"tree":       func() *storage.TempList { return TreeJoin(s1, t2.Index, spec) },
+			"tree":       func() *storage.TempList { return TreeJoin(s1, t2, spec) },
 			"sortmerge":  func() *storage.TempList { return SortMergeJoin(s1, s2, spec) },
-			"treemerge":  func() *storage.TempList { return TreeMergeJoin(t1.Index.(ttreeTree), t2.Index.(ttreeTree), spec) },
-			"nonequi-lt": func() *storage.TempList { return NonEquiTreeJoin(s1, t2.Index, JoinLt, spec) },
+			"treemerge":  func() *storage.TempList { return TreeMergeJoin(t1, t2, spec) },
+			"nonequi-lt": func() *storage.TempList { return NonEquiTreeJoin(s1, t2, JoinLt, spec) },
 			"nonequi-nl": func() *storage.TempList { return NonEquiNestedLoopsJoin(s1, s2, JoinGe, spec) },
 		} {
 			rows = -1

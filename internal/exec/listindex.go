@@ -45,11 +45,14 @@ func (li *ListIndex) pos(key storage.Value) index.Pos[int] {
 	}
 }
 
-// SearchAll visits every row whose indexed column equals key.
+// SearchAll visits every row whose indexed column equals key: the equal
+// run comes back from the tree as one block.
 func (li *ListIndex) SearchAll(key storage.Value, fn func(i int, row storage.Row) bool) {
-	li.tree.SearchAll(li.pos(key), func(r int) bool {
-		return fn(r, li.list.Row(r))
-	})
+	for _, r := range li.tree.SearchAllAppend(li.pos(key), nil) {
+		if !fn(r, li.list.Row(r)) {
+			return
+		}
+	}
 }
 
 // Range visits rows with lo <= column <= hi in key order; nil bounds are
@@ -68,19 +71,14 @@ func (li *ListIndex) Range(lo, hi *storage.Value, fn func(i int, row storage.Row
 	})
 }
 
-// ScanAsc visits all rows in indexed-column order.
-func (li *ListIndex) ScanAsc(fn func(i int, row storage.Row) bool) {
-	li.tree.ScanAsc(func(r int) bool {
-		return fn(r, li.list.Row(r))
-	})
-}
-
 // Sorted materializes a new temporary list ordered by the indexed column
 // — an ORDER BY over an intermediate result.
 func (li *ListIndex) Sorted() *storage.TempList {
 	rows := make([]int32, 0, li.tree.Len())
-	li.tree.ScanAsc(func(r int) bool {
-		rows = append(rows, int32(r))
+	li.tree.ScanBatches(nil, func(block []int) bool {
+		for _, r := range block {
+			rows = append(rows, int32(r))
+		}
 		return true
 	})
 	return li.list.Take(rows)

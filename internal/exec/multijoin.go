@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"repro/internal/index"
 	"repro/internal/meter"
 	"repro/internal/obs"
 	"repro/internal/radix"
@@ -40,7 +39,7 @@ type IndexStage struct{ Index tupleindex.Hashed }
 
 // ProbeAppend implements StageTable over the index's batched key search.
 func (s IndexStage) ProbeAppend(h uint64, match func(*storage.Tuple) bool, out storage.TupleBatch) storage.TupleBatch {
-	return index.SearchKeyAppend[*storage.Tuple](s.Index, h, match, out)
+	return s.Index.SearchKeyAppend(h, match, out)
 }
 
 // StageSpec describes one join step of a pipeline.
@@ -317,7 +316,7 @@ func BuildStageTable(src Source, field, nodeSize int, m *meter.Counters) *radix.
 	tbl := radix.GetTable()
 	tbl.Reset(src.Len())
 	buf := storage.GetBatch()
-	ScanBatches(src, buf, func(block storage.TupleBatch) bool {
+	src.ScanBatches(buf, func(block storage.TupleBatch) bool {
 		m.AddBatch(1)
 		for _, t := range block {
 			tbl.Insert(storage.Hash(tupleindex.KeyOf(t, field)), t)

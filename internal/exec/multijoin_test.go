@@ -35,17 +35,25 @@ func chainPipeline(m *meter.Counters, rb, rc *storage.Relation, out *storage.Tem
 	})
 }
 
-// relScan adapts a relation's physical scan into a Source for tests.
+// relScan adapts a relation's partitions into a Source for tests.
 type relScan struct{ rel *storage.Relation }
 
 func (s relScan) Len() int { return s.rel.Cardinality() }
-func (s relScan) Scan(fn func(*storage.Tuple) bool) {
-	s.rel.ScanPhysical(fn)
+func (s relScan) ScanBatches(buf storage.TupleBatch, fn func(storage.TupleBatch) bool) {
+	buf, ok := buf[:0], true
+	for _, p := range s.rel.Partitions() {
+		if buf, ok = p.Gather(buf, fn); !ok {
+			return
+		}
+	}
+	if len(buf) > 0 {
+		fn(buf)
+	}
 }
 
 func feedAll(p *Pipeline, rel *storage.Relation) {
 	buf := storage.GetBatch()
-	ScanBatches(relScan{rel}, buf, func(block storage.TupleBatch) bool {
+	relScan{rel}.ScanBatches(buf, func(block storage.TupleBatch) bool {
 		return p.Feed(block)
 	})
 	p.Flush()
@@ -300,13 +308,6 @@ func TestPipelineWarmPathAllocs(t *testing.T) {
 type SliceSource []*storage.Tuple
 
 func (s SliceSource) Len() int { return len(s) }
-func (s SliceSource) Scan(fn func(*storage.Tuple) bool) {
-	for _, t := range s {
-		if !fn(t) {
-			return
-		}
-	}
-}
 func (s SliceSource) ScanBatches(buf storage.TupleBatch, fn func(storage.TupleBatch) bool) {
 	rest := []*storage.Tuple(s)
 	for len(rest) > storage.BatchSize {

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"repro/internal/index"
 	"repro/internal/meter"
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -68,11 +67,10 @@ func SelectEqHash(ix tupleindex.Hashed, field int, key storage.Value, spec Selec
 	out := spec.newList()
 	h := storage.Hash(key)
 	spec.Meter.AddHash(1)
-	buf := index.SearchKeyAppend[*storage.Tuple](ix, h,
-		func(t *storage.Tuple) bool {
-			spec.Meter.AddCompare(1)
-			return storage.Equal(tupleindex.KeyOf(t, field), key)
-		}, storage.GetBatch())
+	buf := ix.SearchKeyAppend(h, func(t *storage.Tuple) bool {
+		spec.Meter.AddCompare(1)
+		return storage.Equal(tupleindex.KeyOf(t, field), key)
+	}, storage.GetBatch())
 	if len(buf) > 0 {
 		out.AppendBatch(buf)
 		spec.Meter.AddBatch(1)
@@ -86,7 +84,7 @@ func SelectEqHash(ix tupleindex.Hashed, field int, key storage.Value, spec Selec
 // (§3.3.4), returned as one block and block-copied into the output.
 func SelectEqTree(ix tupleindex.Ordered, field int, key storage.Value, spec SelectSpec) *storage.TempList {
 	out := spec.newList()
-	buf := index.SearchAllAppend[*storage.Tuple](ix, tupleindex.PosFor(key, field), storage.GetBatch())
+	buf := ix.SearchAllAppend(tupleindex.PosFor(key, field), storage.GetBatch())
 	if len(buf) > 0 {
 		out.AppendBatch(buf)
 		spec.Meter.AddBatch(1)
@@ -130,14 +128,14 @@ func SelectRange(ix tupleindex.Ordered, field int, lo, hi *storage.Value, spec S
 // SelectScan selects by predicate with a sequential scan through an index
 // — possibly one on an unrelated attribute, the fallback access path when
 // no index covers the selection column. The source is drained in blocks
-// (zero-copy when it supports ScanBatches natively); each block is
+// (zero-copy when they are views of its storage); each block is
 // filtered into a survivors block that is block-copied into the output.
 // One comparison is metered per tuple, exactly as the per-tuple loop did.
 func SelectScan(src Source, pred func(*storage.Tuple) bool, spec SelectSpec) *storage.TempList {
 	out := spec.newList()
 	buf := storage.GetBatch()
 	keep := storage.GetBatch()
-	ScanBatches(src, buf, func(block storage.TupleBatch) bool {
+	src.ScanBatches(buf, func(block storage.TupleBatch) bool {
 		spec.Meter.AddCompare(int64(len(block)))
 		spec.Meter.AddBatch(1)
 		keep = keep[:0]

@@ -2,90 +2,26 @@
 // through an index (hash lookup, tree lookup, range, or sequential scan
 // through an unrelated index), the five studied join methods plus the
 // precomputed pointer join, and duplicate-eliminating projection by Sort
-// Scan or Hashing. Operators consume tuple sources and produce temporary
-// lists (§2.3) — tuple-pointer rows plus a result descriptor; data is
-// never copied, only pointed to.
+// Scan or Hashing. Operators consume tuple sources block by block and
+// produce temporary lists (§2.3) — tuple-pointer rows plus a result
+// descriptor; data is never copied, only pointed to.
 package exec
 
-import (
-	"repro/internal/storage"
-	"repro/internal/tupleindex"
-)
+import "repro/internal/storage"
 
-// Source yields tuples. Relations are always reached through an index
-// (§2.1); temporary lists may be traversed directly.
+// Source yields tuples in blocks. Relations are always reached through an
+// index (§2.1); temporary lists may be traversed directly. A tuple index
+// is a Source as it stands: storage.TupleBatch is []*storage.Tuple, so
+// the ScanBatches of index.Ordered and index.Hashed over tuples is this
+// one.
 type Source interface {
+	// Len returns the number of tuples.
 	Len() int
-	Scan(fn func(*storage.Tuple) bool)
-}
-
-// BatchSource is an optional capability of sources that can hand tuples
-// out in blocks — the batch-at-a-time contract of storage.TupleBatch.
-// fn must not retain the block; implementations may reuse buf between
-// calls or hand out zero-copy views of their own storage.
-type BatchSource interface {
+	// ScanBatches hands every tuple to fn in blocks until fn returns
+	// false. Blocks are gathered into buf (a fresh block when buf has no
+	// capacity) or are views of the source's own storage; fn must neither
+	// retain nor mutate a block.
 	ScanBatches(buf storage.TupleBatch, fn func(storage.TupleBatch) bool)
-}
-
-// ScanBatches drains src block-wise: natively when src implements
-// BatchSource, otherwise by gathering the per-tuple scan into buf and
-// flushing each time it fills. All exec operators use this instead of
-// Source.Scan on their hot paths.
-func ScanBatches(src Source, buf storage.TupleBatch, fn func(storage.TupleBatch) bool) {
-	if bs, ok := src.(BatchSource); ok {
-		bs.ScanBatches(buf, fn)
-		return
-	}
-	if cap(buf) == 0 {
-		buf = make([]*storage.Tuple, 0, storage.BatchSize)
-	}
-	buf = buf[:0]
-	stop := false
-	src.Scan(func(t *storage.Tuple) bool {
-		buf = append(buf, t)
-		if len(buf) == cap(buf) {
-			if !fn(buf) {
-				stop = true
-				return false
-			}
-			buf = buf[:0]
-		}
-		return true
-	})
-	if !stop && len(buf) > 0 {
-		fn(buf)
-	}
-}
-
-// OrderedScan adapts an ordered tuple index into a Source; iteration is in
-// key order.
-type OrderedScan struct{ Index tupleindex.Ordered }
-
-// Len returns the number of tuples.
-func (s OrderedScan) Len() int { return s.Index.Len() }
-
-// Scan visits tuples in ascending key order.
-func (s OrderedScan) Scan(fn func(*storage.Tuple) bool) { s.Index.ScanAsc(fn) }
-
-// ScanBatches implements BatchSource: blocks come node-wise from the
-// index when it scans in batches natively (T Tree, sorted array).
-func (s OrderedScan) ScanBatches(buf storage.TupleBatch, fn func(storage.TupleBatch) bool) {
-	tupleindex.ScanBatches(s.Index, buf, fn)
-}
-
-// HashedScan adapts a hash tuple index into a Source; iteration order is
-// unspecified.
-type HashedScan struct{ Index tupleindex.Hashed }
-
-// Len returns the number of tuples.
-func (s HashedScan) Len() int { return s.Index.Len() }
-
-// Scan visits tuples in unspecified order.
-func (s HashedScan) Scan(fn func(*storage.Tuple) bool) { s.Index.Scan(fn) }
-
-// ScanBatches implements BatchSource.
-func (s HashedScan) ScanBatches(buf storage.TupleBatch, fn func(storage.TupleBatch) bool) {
-	tupleindex.ScanHashedBatches(s.Index, buf, fn)
 }
 
 // ListColumn adapts one column of a temporary list into a Source: the
@@ -98,13 +34,9 @@ type ListColumn struct {
 // Len returns the number of rows.
 func (s ListColumn) Len() int { return s.List.Len() }
 
-// Scan visits the column's tuples in row order.
-func (s ListColumn) Scan(fn func(*storage.Tuple) bool) {
-	s.List.Scan(func(_ int, row storage.Row) bool { return fn(row[s.Column]) })
-}
-
-// ScanBatches implements BatchSource. Single-source lists hand their arena
-// chunks out zero-copy; wider lists gather the column into buf.
+// ScanBatches hands the column's tuples out in row order. Single-source
+// lists hand their arena chunks out zero-copy; wider lists gather the
+// column into buf.
 func (s ListColumn) ScanBatches(buf storage.TupleBatch, fn func(storage.TupleBatch) bool) {
 	s.List.ScanColumnBatches(s.Column, buf, fn)
 }
@@ -115,7 +47,7 @@ func (s ListColumn) ScanBatches(buf storage.TupleBatch, fn func(storage.TupleBat
 func Tuples(s Source) []*storage.Tuple {
 	out := make([]*storage.Tuple, 0, s.Len())
 	buf := storage.GetBatch()
-	ScanBatches(s, buf, func(block storage.TupleBatch) bool {
+	s.ScanBatches(buf, func(block storage.TupleBatch) bool {
 		out = append(out, block...)
 		return true
 	})

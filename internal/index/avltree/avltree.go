@@ -249,8 +249,10 @@ func (it *iter[E]) next() (*node[E], bool) {
 }
 
 // lowerBound positions an iterator at the first entry with pos(e) >= 0.
+// The descent stacks at most one node per level, so the stack is sized
+// once for the tree's height.
 func (t *Tree[E]) lowerBound(pos index.Pos[E]) iter[E] {
-	var it iter[E]
+	it := iter[E]{stack: make([]*node[E], 0, height(t.root))}
 	n := t.root
 	for n != nil {
 		t.m.AddNode(1)
@@ -265,17 +267,17 @@ func (t *Tree[E]) lowerBound(pos index.Pos[E]) iter[E] {
 	return it
 }
 
-// SearchAll visits every entry matching pos in ascending order.
-func (t *Tree[E]) SearchAll(pos index.Pos[E], fn func(E) bool) {
+// SearchAllAppend appends every entry matching pos to out, ascending: the
+// lowerBound descent (one node and one comparison per level), then an
+// in-order walk of the equal run.
+func (t *Tree[E]) SearchAllAppend(pos index.Pos[E], out []E) []E {
 	it := t.lowerBound(pos)
 	for {
 		n, ok := it.next()
 		if !ok || pos(n.item) != 0 {
-			return
+			return out
 		}
-		if !fn(n.item) {
-			return
-		}
+		out = append(out, n.item)
 	}
 }
 
@@ -293,36 +295,36 @@ func (t *Tree[E]) Range(lo, hi index.Pos[E], fn func(E) bool) {
 	}
 }
 
-// ScanAsc visits all entries in ascending order.
-func (t *Tree[E]) ScanAsc(fn func(E) bool) {
-	var it iter[E]
-	it.pushLeft(t.root)
-	for {
-		n, ok := it.next()
-		if !ok || !fn(n.item) {
-			return
-		}
+// ScanBatches hands all entries to fn in ascending blocks gathered into
+// buf (a 256-entry block when buf has no capacity). The block is reused
+// between calls; fn must not retain it.
+func (t *Tree[E]) ScanBatches(buf []E, fn func(block []E) bool) {
+	if cap(buf) == 0 {
+		buf = make([]E, 0, 256)
+	}
+	if buf, ok := scanNode(t.root, buf[:0], fn); ok && len(buf) > 0 {
+		fn(buf)
 	}
 }
 
-// ScanDesc visits all entries in descending order.
-func (t *Tree[E]) ScanDesc(fn func(E) bool) {
-	var stack []*node[E]
-	pushRight := func(n *node[E]) {
-		for n != nil {
-			stack = append(stack, n)
-			n = n.right
-		}
+// scanNode gathers the subtree of n in order into buf, handing buf to fn
+// each time it fills; it reports false once fn stops the scan.
+func scanNode[E any](n *node[E], buf []E, fn func(block []E) bool) ([]E, bool) {
+	if n == nil {
+		return buf, true
 	}
-	pushRight(t.root)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if !fn(n.item) {
-			return
-		}
-		pushRight(n.left)
+	buf, ok := scanNode(n.left, buf, fn)
+	if !ok {
+		return buf, false
 	}
+	buf = append(buf, n.item)
+	if len(buf) == cap(buf) {
+		if !fn(buf) {
+			return buf, false
+		}
+		buf = buf[:0]
+	}
+	return scanNode(n.right, buf, fn)
 }
 
 // Stats reports the structure's shape: one entry, two child pointers per

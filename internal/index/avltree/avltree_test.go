@@ -65,7 +65,7 @@ func TestDeleteTwoChildrenUsesSuccessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []int64
-	tr.ScanAsc(func(e int64) bool { got = append(got, e); return true })
+	tr.ScanBatches(nil, func(b []int64) bool { got = append(got, b...); return true })
 	want := []int64{20, 30, 40, 60, 70, 80}
 	if len(got) != len(want) {
 		t.Fatalf("got %v", got)

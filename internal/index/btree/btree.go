@@ -360,14 +360,17 @@ func (t *Tree[E]) lowerBound(pos index.Pos[E]) iter[E] {
 	return it
 }
 
-// SearchAll visits every entry matching pos in ascending order.
-func (t *Tree[E]) SearchAll(pos index.Pos[E], fn func(E) bool) {
+// SearchAllAppend appends every entry matching pos to out, ascending: the
+// lowerBound descent (one node and a binary search per level), then an
+// in-order walk of the equal run.
+func (t *Tree[E]) SearchAllAppend(pos index.Pos[E], out []E) []E {
 	it := t.lowerBound(pos)
 	for {
 		e, ok := it.next()
-		if !ok || pos(e) != 0 || !fn(e) {
-			return
+		if !ok || pos(e) != 0 {
+			return out
 		}
+		out = append(out, e)
 	}
 }
 
@@ -382,36 +385,38 @@ func (t *Tree[E]) Range(lo, hi index.Pos[E], fn func(E) bool) {
 	}
 }
 
-// ScanAsc visits all entries in ascending order.
-func (t *Tree[E]) ScanAsc(fn func(E) bool) {
-	var it iter[E]
-	it.pushLeftmost(t.root)
-	for {
-		e, ok := it.next()
-		if !ok || !fn(e) {
-			return
-		}
+// ScanBatches hands all entries to fn in ascending blocks gathered into
+// buf (a 256-entry block when buf has no capacity): a leaf's items move
+// as one block copy. The block is reused between calls; fn must not
+// retain it.
+func (t *Tree[E]) ScanBatches(buf []E, fn func(block []E) bool) {
+	if cap(buf) == 0 {
+		buf = make([]E, 0, 256)
+	}
+	if buf, ok := scanNode(t.root, buf[:0], fn); ok && len(buf) > 0 {
+		fn(buf)
 	}
 }
 
-// ScanDesc visits all entries in descending order.
-func (t *Tree[E]) ScanDesc(fn func(E) bool) {
-	var walk func(n *node[E]) bool
-	walk = func(n *node[E]) bool {
-		if n == nil {
-			return true
-		}
-		for j := len(n.items); j >= 0; j-- {
-			if !n.leaf() && !walk(n.children[j]) {
-				return false
-			}
-			if j > 0 && !fn(n.items[j-1]) {
-				return false
-			}
-		}
-		return true
+// scanNode gathers the subtree of n in order into buf, handing buf to fn
+// each time it fills; it reports false once fn stops the scan.
+func scanNode[E any](n *node[E], buf []E, fn func(block []E) bool) ([]E, bool) {
+	if n == nil {
+		return buf, true
 	}
-	walk(t.root)
+	if n.leaf() {
+		return index.Gather(buf, n.items, fn)
+	}
+	ok := true
+	for j := range n.items {
+		if buf, ok = scanNode(n.children[j], buf, fn); !ok {
+			return buf, false
+		}
+		if buf, ok = index.Gather(buf, n.items[j:j+1], fn); !ok {
+			return buf, false
+		}
+	}
+	return scanNode(n.children[len(n.items)], buf, fn)
 }
 
 // Stats reports the structure's shape: internal nodes carry N+1 child

@@ -82,7 +82,7 @@ func (t *Table[E]) Len() int { return t.size }
 // builds each partition table with its build worker's private counters,
 // then detaches them (SetMeter(nil)) before the table is probed by many
 // workers at once — a non-nil meter is single-goroutine state and would
-// be a data race under concurrent SearchKeyAll.
+// be a data race under concurrent SearchKeyAppend.
 func (t *Table[E]) SetMeter(m *meter.Counters) { t.m = m }
 
 func (t *Table[E]) slot(h uint64) int { return int(h & t.mask) }
@@ -161,24 +161,9 @@ func (t *Table[E]) SearchKey(h uint64, match func(E) bool) (E, bool) {
 	return zero, false
 }
 
-// SearchKeyAll visits every entry in bucket h satisfying match.
-func (t *Table[E]) SearchKeyAll(h uint64, match func(E) bool, fn func(E) bool) {
-	for n := t.slots[t.slot(h)]; n != nil; n = n.next {
-		t.m.AddNode(1)
-		for _, x := range n.items {
-			t.m.AddCompare(1)
-			if match(x) && !fn(x) {
-				return
-			}
-		}
-	}
-}
-
 // SearchKeyAppend appends every entry in bucket h satisfying match to out
-// and returns the extended slice. It is the batched sibling of
-// SearchKeyAll — one call hands back the whole match set instead of one
-// callback per match — and records exactly the same §3.1 operation
-// counts: one node visit per chain node and one comparison per item.
+// and returns the extended slice, recording one node visit per chain node
+// and one comparison per item.
 func (t *Table[E]) SearchKeyAppend(h uint64, match func(E) bool, out []E) []E {
 	for n := t.slots[t.slot(h)]; n != nil; n = n.next {
 		t.m.AddNode(1)
@@ -200,40 +185,16 @@ func (t *Table[E]) ScanBatches(buf []E, fn func(block []E) bool) {
 		buf = make([]E, 0, 256)
 	}
 	buf = buf[:0]
+	ok := true
 	for _, head := range t.slots {
 		for n := head; n != nil; n = n.next {
-			items := n.items
-			for len(items) > 0 {
-				take := cap(buf) - len(buf)
-				if take > len(items) {
-					take = len(items)
-				}
-				buf = append(buf, items[:take]...)
-				items = items[take:]
-				if len(buf) == cap(buf) {
-					if !fn(buf) {
-						return
-					}
-					buf = buf[:0]
-				}
+			if buf, ok = index.Gather(buf, n.items, fn); !ok {
+				return
 			}
 		}
 	}
 	if len(buf) > 0 {
 		fn(buf)
-	}
-}
-
-// Scan visits all entries in unspecified order.
-func (t *Table[E]) Scan(fn func(E) bool) {
-	for _, head := range t.slots {
-		for n := head; n != nil; n = n.next {
-			for _, x := range n.items {
-				if !fn(x) {
-					return
-				}
-			}
-		}
 	}
 }
 

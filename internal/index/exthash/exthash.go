@@ -190,32 +190,42 @@ func (t *Table[E]) SearchKey(h uint64, match func(E) bool) (E, bool) {
 	return zero, false
 }
 
-// SearchKeyAll visits every entry in bucket h satisfying match.
-func (t *Table[E]) SearchKeyAll(h uint64, match func(E) bool, fn func(E) bool) {
+// SearchKeyAppend appends every entry in bucket h satisfying match to out:
+// one node visit for the bucket and one comparison per item.
+func (t *Table[E]) SearchKeyAppend(h uint64, match func(E) bool, out []E) []E {
 	b := t.bucketFor(h)
 	t.m.AddNode(1)
 	for _, x := range b.items {
 		t.m.AddCompare(1)
-		if match(x) && !fn(x) {
-			return
+		if match(x) {
+			out = append(out, x)
 		}
 	}
+	return out
 }
 
-// Scan visits all entries in unspecified order, each exactly once even
-// though several directory slots may alias one bucket.
-func (t *Table[E]) Scan(fn func(E) bool) {
+// ScanBatches hands all entries to fn in blocks gathered into buf (a
+// 256-entry block when buf has no capacity), in unspecified order, each
+// entry exactly once even though several directory slots may alias one
+// bucket. The block is reused between calls; fn must not retain it.
+func (t *Table[E]) ScanBatches(buf []E, fn func(block []E) bool) {
+	if cap(buf) == 0 {
+		buf = make([]E, 0, 256)
+	}
+	buf = buf[:0]
+	ok := true
 	for i, b := range t.dir {
 		// A bucket with local depth d is aliased by 2^(global-d) slots;
 		// its canonical slot is the one equal to its low d bits.
 		if i != int(uint64(i)&((1<<b.local)-1)) {
 			continue
 		}
-		for _, x := range b.items {
-			if !fn(x) {
-				return
-			}
+		if buf, ok = index.Gather(buf, b.items, fn); !ok {
+			return
 		}
+	}
+	if len(buf) > 0 {
+		fn(buf)
 	}
 }
 

@@ -9,6 +9,11 @@
 // the entry, which is exactly the arrangement §2.2 describes (a single
 // tuple pointer gives the index access to both the attribute value and the
 // tuple itself).
+//
+// Ordered and Hashed are the whole contract, and every structure
+// implements all of its methods natively: a probe's match set and a full
+// scan leave an index in blocks (SearchAllAppend or SearchKeyAppend, and
+// ScanBatches), which callers reach directly, never by type assertion.
 package index
 
 import "repro/internal/meter"
@@ -21,6 +26,13 @@ import "repro/internal/meter"
 type Pos[E any] func(e E) int
 
 // Ordered is an order-preserving index over entries of type E.
+//
+// Entries leave an index in blocks: a probe appends its whole match set
+// to the caller's slice and a scan hands out blocks of up to cap(buf)
+// entries, so an operator's inner loop runs over a cache-resident block
+// instead of one indirect callback per entry. The block methods record
+// the §3.1 operation counts the per-entry loops they replaced recorded:
+// one AddNode per node visited and one AddCompare per comparison.
 type Ordered[E any] interface {
 	// Insert adds an entry. It returns false when the index is unique and
 	// an equal entry is already present.
@@ -30,18 +42,20 @@ type Ordered[E any] interface {
 	Delete(e E) bool
 	// Search returns an entry matching pos, if any.
 	Search(pos Pos[E]) (E, bool)
-	// SearchAll visits every entry matching pos until fn returns false.
-	// Matching entries are logically contiguous in an ordered index, so
-	// this is a search plus a bidirectional scan (§3.3.4 Test 6).
-	SearchAll(pos Pos[E], fn func(E) bool)
+	// SearchAllAppend appends every entry matching pos to out, ascending,
+	// and returns the extended slice. Matching entries are logically
+	// contiguous in an ordered index, so this is a search plus a scan of
+	// the equal run (§3.3.4 Test 6).
+	SearchAllAppend(pos Pos[E], out []E) []E
 	// Range visits, in ascending order, every entry e with
 	// lo(e) >= 0 and hi(e) <= 0 — i.e. key_lo <= e <= key_hi — until fn
 	// returns false.
 	Range(lo, hi Pos[E], fn func(E) bool)
-	// ScanAsc visits all entries in ascending order until fn returns false.
-	ScanAsc(fn func(E) bool)
-	// ScanDesc visits all entries in descending order until fn returns false.
-	ScanDesc(fn func(E) bool)
+	// ScanBatches hands every entry, ascending, to fn in blocks until fn
+	// returns false. Blocks are gathered into buf (a 256-entry block when
+	// buf has no capacity) or are views of the index's own storage; fn
+	// must neither retain nor mutate a block.
+	ScanBatches(buf []E, fn func(block []E) bool)
 	// Len returns the number of entries.
 	Len() int
 	// Stats reports the structure's shape for storage-cost accounting.
@@ -50,6 +64,7 @@ type Ordered[E any] interface {
 
 // Hashed is a hash index over entries of type E. The key is communicated
 // as its hash plus a match predicate, so the index never sees key values.
+// Its block methods keep Ordered's metering contract.
 type Hashed[E any] interface {
 	// Insert adds an entry. It returns false when the index is unique and
 	// a matching entry is already present.
@@ -59,15 +74,35 @@ type Hashed[E any] interface {
 	Delete(e E) bool
 	// SearchKey returns an entry in hash bucket h satisfying match.
 	SearchKey(h uint64, match func(E) bool) (E, bool)
-	// SearchKeyAll visits every entry in bucket h satisfying match until
-	// fn returns false.
-	SearchKeyAll(h uint64, match func(E) bool, fn func(E) bool)
-	// Scan visits all entries in unspecified order until fn returns false.
-	Scan(fn func(E) bool)
+	// SearchKeyAppend appends every entry in bucket h satisfying match to
+	// out and returns the extended slice.
+	SearchKeyAppend(h uint64, match func(E) bool, out []E) []E
+	// ScanBatches is Ordered.ScanBatches in unspecified entry order.
+	ScanBatches(buf []E, fn func(block []E) bool)
 	// Len returns the number of entries.
 	Len() int
 	// Stats reports the structure's shape for storage-cost accounting.
 	Stats() Stats
+}
+
+// Gather appends items to the block buf, handing buf to fn each time it
+// fills, and returns the block with the leftover entries and false once
+// fn stops the scan. It is the gather step of the node-structured
+// indexes' ScanBatches: one block copy per node rather than one callback
+// per entry.
+func Gather[E any](buf, items []E, fn func(block []E) bool) ([]E, bool) {
+	for len(items) > 0 {
+		take := min(cap(buf)-len(buf), len(items))
+		buf = append(buf, items[:take]...)
+		items = items[take:]
+		if len(buf) == cap(buf) {
+			if !fn(buf) {
+				return buf, false
+			}
+			buf = buf[:0]
+		}
+	}
+	return buf, true
 }
 
 // Stats describes an index structure's allocated shape, in units (slots,

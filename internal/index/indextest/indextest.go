@@ -146,8 +146,6 @@ type Options struct {
 	Validate func(impl index.Ordered[Entry]) error
 	// SoakOps is the number of randomized operations (default 4000).
 	SoakOps int
-	// NoDescScan skips descending-scan checks for structures without one.
-	NoDescScan bool
 	// UpdateHeavyQuadratic marks structures (the array) whose updates are
 	// O(n); the soak shrinks to keep test time sane.
 	UpdateHeavyQuadratic bool
@@ -171,9 +169,9 @@ func RunOrdered(t *testing.T, factory OrderedFactory, opts Options) {
 		if ix.Delete(Entry{1, 1}) {
 			t.Error("delete on empty index succeeded")
 		}
-		ix.ScanAsc(func(Entry) bool { t.Error("scan on empty visited"); return false })
-		if !opts.NoDescScan {
-			ix.ScanDesc(func(Entry) bool { t.Error("desc scan on empty visited"); return false })
+		ix.ScanBatches(nil, func([]Entry) bool { t.Error("scan on empty visited"); return false })
+		if got := ix.SearchAllAppend(keyPos(1), nil); len(got) != 0 {
+			t.Errorf("SearchAllAppend on empty index found %d entries", len(got))
 		}
 		if ix.Len() != 0 {
 			t.Error("empty index has nonzero Len")
@@ -199,7 +197,7 @@ func RunOrdered(t *testing.T, factory OrderedFactory, opts Options) {
 				}
 				sorted := append([]int64(nil), keys...)
 				sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-				checkScan(t, fmt.Sprintf("ns=%d %s", ns, name), ix, sorted, opts.NoDescScan)
+				checkScan(t, fmt.Sprintf("ns=%d %s", ns, name), ix, sorted)
 				for _, k := range keys {
 					if _, ok := ix.Search(keyPos(k)); !ok {
 						t.Fatalf("ns=%d %s: key %d not found", ns, name, k)
@@ -233,10 +231,8 @@ func RunOrdered(t *testing.T, factory OrderedFactory, opts Options) {
 				ix.Insert(Entry{7, i})
 				ix.Insert(Entry{i * 100, 1000 + i})
 			}
-			var got []Entry
-			ix.SearchAll(keyPos(7), func(e Entry) bool { got = append(got, e); return true })
-			if len(got) != 20 {
-				t.Fatalf("ns=%d: SearchAll found %d of 20 duplicates", ns, len(got))
+			if got := ix.SearchAllAppend(keyPos(7), nil); len(got) != 20 {
+				t.Fatalf("ns=%d: SearchAllAppend found %d of 20 duplicates", ns, len(got))
 			}
 			// Delete a specific one; the others survive.
 			if !ix.Delete(Entry{7, 13}) {
@@ -245,22 +241,19 @@ func RunOrdered(t *testing.T, factory OrderedFactory, opts Options) {
 			if ix.Delete(Entry{7, 13}) {
 				t.Fatalf("ns=%d: identity delete repeated", ns)
 			}
-			n := 0
-			ix.SearchAll(keyPos(7), func(e Entry) bool {
-				if e.ID == 13 {
-					t.Fatalf("ns=%d: deleted entry still present", ns)
-				}
-				n++
-				return true
-			})
-			if n != 19 {
-				t.Fatalf("ns=%d: %d duplicates after delete", ns, n)
+			// The matches extend, and do not clobber, the caller's slice.
+			sentinel := Entry{-1, -1}
+			got := ix.SearchAllAppend(keyPos(7), []Entry{sentinel})
+			if got[0] != sentinel {
+				t.Fatalf("ns=%d: SearchAllAppend clobbered the existing prefix", ns)
 			}
-			// Early-stop contract.
-			n = 0
-			ix.SearchAll(keyPos(7), func(Entry) bool { n++; return n < 3 })
-			if n != 3 {
-				t.Fatalf("ns=%d: SearchAll ignored early stop (visited %d)", ns, n)
+			for _, e := range got[1:] {
+				if e.Key != 7 || e.ID == 13 {
+					t.Fatalf("ns=%d: SearchAllAppend(7) returned %v after the delete", ns, e)
+				}
+			}
+			if n := len(got) - 1; n != 19 {
+				t.Fatalf("ns=%d: %d duplicates after delete", ns, n)
 			}
 		}
 	})
@@ -305,6 +298,17 @@ func RunOrdered(t *testing.T, factory OrderedFactory, opts Options) {
 				soakOrdered(t, factory, opts, ns, unique, ops)
 			}
 		}
+	})
+
+	t.Run("Blocks", func(t *testing.T) {
+		mk := func(n int) index.Ordered[Entry] {
+			ix := factory(Config(false, 4))
+			fill(t, ix.Insert, n)
+			return ix
+		}
+		checkBlocks(t, mk, true, func(ix index.Ordered[Entry], k int64, out []Entry) []Entry {
+			return ix.SearchAllAppend(keyPos(k), out)
+		})
 	})
 
 	t.Run("StatsSane", func(t *testing.T) {
@@ -353,10 +357,9 @@ func soakOrdered(t *testing.T, factory OrderedFactory, opts Options, ns int, uni
 		default: // search
 			k := rng.Int63n(keyRange)
 			want := m.search(k)
-			var got []Entry
-			ix.SearchAll(keyPos(k), func(e Entry) bool { got = append(got, e); return true })
+			got := ix.SearchAllAppend(keyPos(k), nil)
 			if !sameEntrySet(got, want) {
-				t.Fatalf("ns=%d unique=%v op %d: SearchAll(%d) got %d want %d entries", ns, unique, op, k, len(got), len(want))
+				t.Fatalf("ns=%d unique=%v op %d: SearchAllAppend(%d) got %d want %d entries", ns, unique, op, k, len(got), len(want))
 			}
 			_, ok := ix.Search(keyPos(k))
 			if ok != (len(want) > 0) {
@@ -377,33 +380,29 @@ func soakOrdered(t *testing.T, factory OrderedFactory, opts Options, ns int, uni
 			t.Fatalf("ns=%d unique=%v final invariant: %v", ns, unique, err)
 		}
 	}
-	// Final full-content comparison, both directions.
+	// Final full-content comparison.
 	wantKeys := make([]int64, len(m.entries))
 	for i, e := range m.entries {
 		wantKeys[i] = e.Key
 	}
-	checkScan(t, fmt.Sprintf("ns=%d unique=%v final", ns, unique), ix, wantKeys, opts.NoDescScan)
+	checkScan(t, fmt.Sprintf("ns=%d unique=%v final", ns, unique), ix, wantKeys)
 }
 
-func checkScan(t *testing.T, label string, ix index.Ordered[Entry], wantSortedKeys []int64, noDesc bool) {
+// scanAll drains ix.ScanBatches into one slice.
+func scanAll(ix blockIndex) []Entry {
+	var got []Entry
+	ix.ScanBatches(nil, func(block []Entry) bool { got = append(got, block...); return true })
+	return got
+}
+
+func checkScan(t *testing.T, label string, ix index.Ordered[Entry], wantSortedKeys []int64) {
 	t.Helper()
 	var asc []int64
-	ix.ScanAsc(func(e Entry) bool { asc = append(asc, e.Key); return true })
+	for _, e := range scanAll(ix) {
+		asc = append(asc, e.Key)
+	}
 	if !int64SlicesEqual(asc, wantSortedKeys) {
-		t.Fatalf("%s: ScanAsc keys mismatch: got %d keys, want %d", label, len(asc), len(wantSortedKeys))
-	}
-	if noDesc {
-		return
-	}
-	var desc []int64
-	ix.ScanDesc(func(e Entry) bool { desc = append(desc, e.Key); return true })
-	if len(desc) != len(wantSortedKeys) {
-		t.Fatalf("%s: ScanDesc length %d, want %d", label, len(desc), len(wantSortedKeys))
-	}
-	for i := range desc {
-		if desc[i] != wantSortedKeys[len(wantSortedKeys)-1-i] {
-			t.Fatalf("%s: ScanDesc out of order at %d", label, i)
-		}
+		t.Fatalf("%s: ScanBatches keys mismatch: got %d keys, want %d", label, len(asc), len(wantSortedKeys))
 	}
 }
 
@@ -492,9 +491,11 @@ func RunHashed(t *testing.T, factory HashedFactory, opts HashedOptions) {
 			if _, ok := ix.SearchKey(HashKey(-5), func(e Entry) bool { return e.Key == -5 }); ok {
 				t.Fatalf("ns=%d: absent key found", ns)
 			}
-			// Scan sees every entry exactly once.
+			// A scan sees every entry exactly once.
 			seen := map[int64]int{}
-			ix.Scan(func(e Entry) bool { seen[e.Key]++; return true })
+			for _, e := range scanAll(ix) {
+				seen[e.Key]++
+			}
 			if len(seen) != n {
 				t.Fatalf("ns=%d: scan saw %d keys", ns, len(seen))
 			}
@@ -532,19 +533,38 @@ func RunHashed(t *testing.T, factory HashedFactory, opts HashedOptions) {
 		for i := int64(0); i < 20; i++ {
 			ix.Insert(Entry{7, i})
 		}
-		n := 0
-		ix.SearchKeyAll(HashKey(7), func(e Entry) bool { return e.Key == 7 }, func(e Entry) bool { n++; return true })
-		if n != 20 {
-			t.Fatalf("SearchKeyAll found %d of 20", n)
+		match := func(e Entry) bool { return e.Key == 7 }
+		if got := ix.SearchKeyAppend(HashKey(7), match, nil); len(got) != 20 {
+			t.Fatalf("SearchKeyAppend found %d of 20", len(got))
 		}
 		if !ix.Delete(Entry{7, 13}) || ix.Delete(Entry{7, 13}) {
 			t.Fatal("identity delete misbehaved")
 		}
-		n = 0
-		ix.SearchKeyAll(HashKey(7), func(e Entry) bool { return e.Key == 7 }, func(Entry) bool { n++; return n < 3 })
-		if n != 3 {
-			t.Fatalf("early stop ignored (visited %d)", n)
+		// The matches extend, and do not clobber, the caller's slice.
+		sentinel := Entry{-1, -1}
+		got := ix.SearchKeyAppend(HashKey(7), match, []Entry{sentinel})
+		if got[0] != sentinel {
+			t.Fatal("SearchKeyAppend clobbered the existing prefix")
 		}
+		for _, e := range got[1:] {
+			if e.Key != 7 || e.ID == 13 {
+				t.Fatalf("SearchKeyAppend(7) returned %v after the delete", e)
+			}
+		}
+		if n := len(got) - 1; n != 19 {
+			t.Fatalf("%d duplicates after delete", n)
+		}
+	})
+
+	t.Run("Blocks", func(t *testing.T) {
+		mk := func(n int) index.Hashed[Entry] {
+			ix := mk(false, 4)
+			fill(t, ix.Insert, n)
+			return ix
+		}
+		checkBlocks(t, mk, false, func(ix index.Hashed[Entry], k int64, out []Entry) []Entry {
+			return ix.SearchKeyAppend(HashKey(k), func(e Entry) bool { return e.Key == k }, out)
+		})
 	})
 
 	t.Run("RandomSoak", func(t *testing.T) {
@@ -600,13 +620,9 @@ func soakHashed(t *testing.T, mk func(bool, int) index.Hashed[Entry], opts Hashe
 		default:
 			k := rng.Int63n(keyRange)
 			want := m.search(k)
-			var got []Entry
-			ix.SearchKeyAll(HashKey(k), func(e Entry) bool { return e.Key == k }, func(e Entry) bool {
-				got = append(got, e)
-				return true
-			})
+			got := ix.SearchKeyAppend(HashKey(k), func(e Entry) bool { return e.Key == k }, nil)
 			if !sameEntrySet(got, want) {
-				t.Fatalf("ns=%d op %d: SearchKeyAll(%d) got %d want %d", ns, op, k, len(got), len(want))
+				t.Fatalf("ns=%d op %d: SearchKeyAppend(%d) got %d want %d", ns, op, k, len(got), len(want))
 			}
 		}
 		if ix.Len() != len(m.entries) {
@@ -619,10 +635,84 @@ func soakHashed(t *testing.T, mk func(bool, int) index.Hashed[Entry], opts Hashe
 		}
 	}
 	// Final scan matches the model as a set.
-	var got []Entry
-	ix.Scan(func(e Entry) bool { got = append(got, e); return true })
-	if !sameEntrySet(got, m.entries) {
+	if got := scanAll(ix); !sameEntrySet(got, m.entries) {
 		t.Fatalf("ns=%d: final scan has %d entries, want %d", ns, len(got), len(m.entries))
+	}
+}
+
+// fill inserts n entries in a fixed shuffled order; every seventh entry
+// repeats a smaller key, so key-equal runs span nodes.
+func fill(t *testing.T, insert func(Entry) bool, n int) *model {
+	t.Helper()
+	m := &model{}
+	for _, i := range rand.New(rand.NewSource(int64(n))).Perm(n) {
+		e := Entry{int64(i), int64(i)}
+		if i%7 == 0 {
+			e.Key = int64(i / 7)
+		}
+		if !insert(e) {
+			t.Fatalf("insert %v failed", e)
+		}
+		m.insert(e)
+	}
+	return m
+}
+
+// blockIndex is what checkBlocks reads: the block scan both contracts
+// share.
+type blockIndex interface {
+	Len() int
+	ScanBatches(buf []Entry, fn func(block []Entry) bool)
+}
+
+// checkBlocks holds an index's block methods to the contract every
+// operator relies on: a scan yields the model's entry set (ascending when
+// ordered) in full cap(buf) blocks except the last, stops when fn returns
+// false, and allocates nothing per entry; a probe with a presized output
+// slice allocates no more on a larger index.
+func checkBlocks[I blockIndex](t *testing.T, mk func(n int) I, ordered bool, probe func(ix I, k int64, out []Entry) []Entry) {
+	t.Helper()
+	const n = 5000
+	ix := mk(n)
+	buf := make([]Entry, 0, 256)
+	var got []Entry
+	blocks := 0
+	ix.ScanBatches(buf, func(block []Entry) bool {
+		blocks++
+		if len(block) != cap(buf) && blocks <= n/cap(buf) {
+			t.Fatalf("non-final block %d has %d entries, want %d", blocks, len(block), cap(buf))
+		}
+		got = append(got, block...)
+		return true
+	})
+	want := fill(t, func(Entry) bool { return true }, n).entries
+	if !sameEntrySet(got, want) {
+		t.Fatalf("block scan yielded %d entries, want the model's %d", len(got), len(want))
+	}
+	if ordered && !keysAscending(got) {
+		t.Fatal("block scan of an ordered index is not ascending")
+	}
+	calls := 0
+	ix.ScanBatches(buf, func([]Entry) bool { calls++; return false })
+	if calls != 1 {
+		t.Fatalf("scan continued after fn returned false: %d calls", calls)
+	}
+
+	small, big := mk(2000), mk(8000)
+	scanAllocs := func(ix I) float64 {
+		return testing.AllocsPerRun(10, func() {
+			ix.ScanBatches(buf, func([]Entry) bool { return true })
+		})
+	}
+	if s, b := scanAllocs(small), scanAllocs(big); b > s {
+		t.Fatalf("block scan allocates per entry: %.0f allocs at 2k entries, %.0f at 8k", s, b)
+	}
+	out := make([]Entry, 0, 8)
+	probeAllocs := func(ix I) float64 {
+		return testing.AllocsPerRun(10, func() { out = probe(ix, 123, out[:0]) })
+	}
+	if s, b := probeAllocs(small), probeAllocs(big); b > s {
+		t.Fatalf("probe allocates with the index size: %.0f allocs at 2k entries, %.0f at 8k", s, b)
 	}
 }
 

@@ -231,29 +231,39 @@ func (t *Table[E]) SearchKey(h uint64, match func(E) bool) (E, bool) {
 	return zero, false
 }
 
-// SearchKeyAll visits every entry in bucket h satisfying match.
-func (t *Table[E]) SearchKeyAll(h uint64, match func(E) bool, fn func(E) bool) {
+// SearchKeyAppend appends every entry in bucket h satisfying match to out:
+// one node visit per chain node and one comparison per item.
+func (t *Table[E]) SearchKeyAppend(h uint64, match func(E) bool, out []E) []E {
 	for n := t.buckets[t.addr(h)]; n != nil; n = n.next {
 		t.m.AddNode(1)
 		for _, x := range n.items {
 			t.m.AddCompare(1)
-			if match(x) && !fn(x) {
+			if match(x) {
+				out = append(out, x)
+			}
+		}
+	}
+	return out
+}
+
+// ScanBatches hands all entries to fn in blocks gathered into buf (a
+// 256-entry block when buf has no capacity), in unspecified order. The
+// block is reused between calls; fn must not retain it.
+func (t *Table[E]) ScanBatches(buf []E, fn func(block []E) bool) {
+	if cap(buf) == 0 {
+		buf = make([]E, 0, 256)
+	}
+	buf = buf[:0]
+	ok := true
+	for _, b := range t.buckets {
+		for n := b; n != nil; n = n.next {
+			if buf, ok = index.Gather(buf, n.items, fn); !ok {
 				return
 			}
 		}
 	}
-}
-
-// Scan visits all entries in unspecified order.
-func (t *Table[E]) Scan(fn func(E) bool) {
-	for _, b := range t.buckets {
-		for n := b; n != nil; n = n.next {
-			for _, x := range n.items {
-				if !fn(x) {
-					return
-				}
-			}
-		}
+	if len(buf) > 0 {
+		fn(buf)
 	}
 }
 

@@ -190,25 +190,40 @@ func (t *Table[E]) SearchKey(h uint64, match func(E) bool) (E, bool) {
 	return zero, false
 }
 
-// SearchKeyAll visits every entry in bucket h satisfying match.
-func (t *Table[E]) SearchKeyAll(h uint64, match func(E) bool, fn func(E) bool) {
+// SearchKeyAppend appends every entry in bucket h satisfying match to out:
+// one node visit and one comparison per chained item.
+func (t *Table[E]) SearchKeyAppend(h uint64, match func(E) bool, out []E) []E {
 	for n := t.dir[t.addr(h)]; n != nil; n = n.next {
 		t.m.AddNode(1)
 		t.m.AddCompare(1)
-		if match(n.e) && !fn(n.e) {
-			return
+		if match(n.e) {
+			out = append(out, n.e)
 		}
 	}
+	return out
 }
 
-// Scan visits all entries in unspecified order.
-func (t *Table[E]) Scan(fn func(E) bool) {
+// ScanBatches hands all entries to fn in blocks gathered into buf (a
+// 256-entry block when buf has no capacity), in unspecified order. The
+// block is reused between calls; fn must not retain it.
+func (t *Table[E]) ScanBatches(buf []E, fn func(block []E) bool) {
+	if cap(buf) == 0 {
+		buf = make([]E, 0, 256)
+	}
+	buf = buf[:0]
 	for _, head := range t.dir {
 		for n := head; n != nil; n = n.next {
-			if !fn(n.e) {
-				return
+			buf = append(buf, n.e)
+			if len(buf) == cap(buf) {
+				if !fn(buf) {
+					return
+				}
+				buf = buf[:0]
 			}
 		}
+	}
+	if len(buf) > 0 {
+		fn(buf)
 	}
 }
 

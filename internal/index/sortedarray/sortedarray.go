@@ -116,22 +116,9 @@ func (a *Array[E]) Search(pos index.Pos[E]) (E, bool) {
 	return zero, false
 }
 
-// SearchAll visits every entry matching pos.
-func (a *Array[E]) SearchAll(pos index.Pos[E], fn func(E) bool) {
-	for i := sortutil.Search(a.items, pos, a.m); i < len(a.items); i++ {
-		if pos(a.items[i]) != 0 {
-			return
-		}
-		if !fn(a.items[i]) {
-			return
-		}
-	}
-}
-
 // SearchAllAppend appends every entry matching pos to out and returns the
-// extended slice: the batched sibling of SearchAll. Matches are contiguous
-// in a sorted array, so this is one binary search plus one block append —
-// the same §3.1 work SearchAll records.
+// extended slice. Matches are contiguous in a sorted array, so this is one
+// binary search plus one block append.
 func (a *Array[E]) SearchAllAppend(pos index.Pos[E], out []E) []E {
 	i := sortutil.Search(a.items, pos, a.m)
 	j := i
@@ -153,20 +140,10 @@ func (a *Array[E]) Range(lo, hi index.Pos[E], fn func(E) bool) {
 	}
 }
 
-// ScanAsc visits all entries in ascending order — a contiguous sweep, the
-// fastest scan of any index studied (the paper measured ~2/3 the T Tree's
-// scan time).
-func (a *Array[E]) ScanAsc(fn func(E) bool) {
-	for _, e := range a.items {
-		if !fn(e) {
-			return
-		}
-	}
-}
-
 // ScanBatches visits all entries in ascending order, handing them to fn
-// in blocks. The array's storage is already one contiguous block, so this
-// is zero-copy: buf is ignored and fn receives subslices of the array
+// in blocks — a contiguous sweep, the fastest scan of any index studied
+// (the paper measured ~2/3 the T Tree's scan time). The array's storage
+// is already one contiguous block, so this is zero-copy: buf is ignored and fn receives subslices of the array
 // itself (up to 256 entries each). fn must not retain or mutate a block.
 func (a *Array[E]) ScanBatches(buf []E, fn func(block []E) bool) {
 	const block = 256
@@ -179,15 +156,6 @@ func (a *Array[E]) ScanBatches(buf []E, fn func(block []E) bool) {
 	}
 	if len(items) > 0 {
 		fn(items[:len(items):len(items)])
-	}
-}
-
-// ScanDesc visits all entries in descending order.
-func (a *Array[E]) ScanDesc(fn func(E) bool) {
-	for i := len(a.items) - 1; i >= 0; i-- {
-		if !fn(a.items[i]) {
-			return
-		}
 	}
 }
 

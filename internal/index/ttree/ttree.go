@@ -526,28 +526,11 @@ func (t *Tree[E]) Search(pos index.Pos[E]) (E, bool) {
 	return zero, false
 }
 
-// SearchAll visits every entry matching pos. The initial search stops at
-// any matching entry; the tree is then scanned in both directions, since
-// key-equal entries are logically contiguous (§3.3.4 Test 6).
-func (t *Tree[E]) SearchAll(pos index.Pos[E], fn func(E) bool) {
-	c := t.lowerBound(pos)
-	for c.valid() {
-		e := c.entry()
-		if pos(e) != 0 {
-			return
-		}
-		if !fn(e) {
-			return
-		}
-		c.next()
-	}
-}
-
 // SearchAllAppend appends every entry matching pos to out and returns the
-// extended slice: the batched sibling of SearchAll. After the initial
-// lowerBound descent (metered exactly as SearchAll's), matches are
-// appended node-block-wise — key-equal entries are contiguous within each
-// node, so the inner loop is one block append per node touched.
+// extended slice. The lowerBound descent stops at the first matching
+// entry; key-equal entries are logically contiguous (§3.3.4 Test 6) and
+// contiguous within each node, so the scan of the equal run is one block
+// append per node touched.
 func (t *Tree[E]) SearchAllAppend(pos index.Pos[E], out []E) []E {
 	c := t.lowerBound(pos)
 	for c.valid() {
@@ -579,17 +562,6 @@ func (t *Tree[E]) Range(lo, hi index.Pos[E], fn func(E) bool) {
 			return
 		}
 		c.next()
-	}
-}
-
-// ScanAsc visits all entries in ascending order.
-func (t *Tree[E]) ScanAsc(fn func(E) bool) {
-	c := t.First()
-	for c.Valid() {
-		if !fn(c.Entry()) {
-			return
-		}
-		c.Next()
 	}
 }
 
@@ -630,22 +602,6 @@ func (t *Tree[E]) ScanBatches(buf []E, fn func(block []E) bool) {
 	}
 	if walk(t.root) && len(buf) > 0 {
 		fn(buf)
-	}
-}
-
-// ScanDesc visits all entries in descending order — the T Tree can be
-// scanned in either direction (§2.2).
-func (t *Tree[E]) ScanDesc(fn func(E) bool) {
-	n := t.last
-	if n == nil {
-		return
-	}
-	c := cursor[E]{n: n, i: len(n.items) - 1}
-	for c.valid() {
-		if !fn(c.entry()) {
-			return
-		}
-		c.prev()
 	}
 }
 
@@ -702,29 +658,6 @@ func (c *cursor[E]) next() {
 		n = n.parent
 	}
 	c.n, c.i = n.parent, 0
-}
-
-func (c *cursor[E]) prev() {
-	c.i--
-	if c.i >= 0 {
-		return
-	}
-	if c.n.left != nil {
-		n := c.n.left
-		for n.right != nil {
-			n = n.right
-		}
-		c.n, c.i = n, len(n.items)-1
-		return
-	}
-	n := c.n
-	for n.parent != nil && n.parent.left == n {
-		n = n.parent
-	}
-	c.n = n.parent
-	if c.n != nil {
-		c.i = len(c.n.items) - 1
-	}
 }
 
 // Cursor is an exported in-order iterator used by the Tree Merge join to

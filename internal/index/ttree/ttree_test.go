@@ -420,7 +420,7 @@ func TestLastPointerFollowsTheMaximum(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(int64(size)))
 		live := []int64{}
-		tr.ScanAsc(func(k int64) bool { live = append(live, k); return true })
+		tr.ScanBatches(nil, func(b []int64) bool { live = append(live, b...); return true })
 		for step := 0; step < 3000; step++ {
 			switch r := rng.Intn(4); {
 			case r == 0 && len(live) > 0: // delete the maximum

@@ -33,7 +33,7 @@ func RunPipeline(driver Chunked, spec exec.PipelineSpec, desc storage.Descriptor
 		p := exec.NewPipeline(spec)
 		defer p.Release()
 		buf := storage.GetBatch()
-		exec.ScanBatches(driver, buf, func(block storage.TupleBatch) bool {
+		driver.ScanBatches(buf, func(block storage.TupleBatch) bool {
 			return p.Feed(block)
 		})
 		p.Flush()
@@ -74,7 +74,7 @@ func RunPipeline(driver Chunked, spec exec.PipelineSpec, desc storage.Descriptor
 			part = storage.MustTempListDir(desc, chunks[i].Len())
 		}
 		p.Rearm(part, &sc.ctr)
-		exec.ScanBatches(chunks[i], sc.buf, func(block storage.TupleBatch) bool {
+		chunks[i].ScanBatches(sc.buf, func(block storage.TupleBatch) bool {
 			sc.rows += int64(len(block))
 			return p.Feed(block)
 		})

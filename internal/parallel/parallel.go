@@ -235,8 +235,10 @@ type RelationSource struct{ Rel *storage.Relation }
 // Len returns the live tuple count.
 func (s RelationSource) Len() int { return s.Rel.Cardinality() }
 
-// Scan visits every live tuple in partition order.
-func (s RelationSource) Scan(fn func(*storage.Tuple) bool) { s.Rel.ScanPhysical(fn) }
+// ScanBatches hands out every live tuple in partition order.
+func (s RelationSource) ScanBatches(buf storage.TupleBatch, fn func(storage.TupleBatch) bool) {
+	partitionRun(s.Rel.Partitions()).ScanBatches(buf, fn)
+}
 
 // Chunks groups the relation's partitions into at most n contiguous runs
 // of near-equal partition count.
@@ -268,12 +270,17 @@ func (r partitionRun) Len() int {
 	return n
 }
 
-// Scan visits the run's live tuples in partition order.
-func (r partitionRun) Scan(fn func(*storage.Tuple) bool) {
+// ScanBatches hands out the run's live tuples in partition order,
+// gathered into buf; blocks run full across partition boundaries.
+func (r partitionRun) ScanBatches(buf storage.TupleBatch, fn func(storage.TupleBatch) bool) {
+	buf, ok := buf[:0], true
 	for _, p := range r {
-		if !p.Scan(fn) {
+		if buf, ok = p.Gather(buf, fn); !ok {
 			return
 		}
+	}
+	if len(buf) > 0 {
+		fn(buf)
 	}
 }
 
@@ -287,14 +294,9 @@ type ListSource struct {
 // Len returns the row count.
 func (s ListSource) Len() int { return s.List.Len() }
 
-// Scan visits the column's tuples in row order.
-func (s ListSource) Scan(fn func(*storage.Tuple) bool) {
-	exec.ListColumn{List: s.List, Column: s.Column}.Scan(fn)
-}
-
-// ScanBatches implements exec.BatchSource, so a serial consumer of the
-// whole list (a one-worker pipeline's driver) takes its blocks the way
-// exec.ListColumn hands them out: a single-source list's chunks zero-copy.
+// ScanBatches hands the column out the way exec.ListColumn does, so a
+// serial consumer of the whole list (a one-worker pipeline's driver)
+// takes a single-source list's chunks zero-copy.
 func (s ListSource) ScanBatches(buf storage.TupleBatch, fn func(storage.TupleBatch) bool) {
 	exec.ListColumn{List: s.List, Column: s.Column}.ScanBatches(buf, fn)
 }
@@ -325,11 +327,23 @@ type listRange struct {
 
 func (r listRange) Len() int { return r.hi - r.lo }
 
-func (r listRange) Scan(fn func(*storage.Tuple) bool) {
+// ScanBatches gathers the column of rows [lo, hi) into buf.
+func (r listRange) ScanBatches(buf storage.TupleBatch, fn func(storage.TupleBatch) bool) {
+	if cap(buf) == 0 {
+		buf = make(storage.TupleBatch, 0, storage.BatchSize)
+	}
+	buf = buf[:0]
 	for i := r.lo; i < r.hi; i++ {
-		if !fn(r.list.Row(i)[r.col]) {
-			return
+		buf = append(buf, r.list.Row(i)[r.col])
+		if len(buf) == cap(buf) {
+			if !fn(buf) {
+				return
+			}
+			buf = buf[:0]
 		}
+	}
+	if len(buf) > 0 {
+		fn(buf)
 	}
 }
 
@@ -340,28 +354,10 @@ type SliceSource []*storage.Tuple
 // Len returns the slice length.
 func (s SliceSource) Len() int { return len(s) }
 
-// Scan visits the tuples in slice order.
-func (s SliceSource) Scan(fn func(*storage.Tuple) bool) {
-	for _, t := range s {
-		if !fn(t) {
-			return
-		}
-	}
-}
-
-// ScanBatches implements exec.BatchSource zero-copy: blocks are subslices
-// of the materialized slice itself. fn must not retain or mutate a block.
+// ScanBatches hands out the slice zero-copy: blocks are subslices of the
+// materialized slice itself. fn must not retain or mutate a block.
 func (s SliceSource) ScanBatches(buf storage.TupleBatch, fn func(storage.TupleBatch) bool) {
-	rest := []*storage.Tuple(s)
-	for len(rest) > storage.BatchSize {
-		if !fn(rest[:storage.BatchSize:storage.BatchSize]) {
-			return
-		}
-		rest = rest[storage.BatchSize:]
-	}
-	if len(rest) > 0 {
-		fn(rest[:len(rest):len(rest)])
-	}
+	scanPartBatches(s, fn)
 }
 
 // Chunks splits the slice into at most n near-equal contiguous ranges.
@@ -378,16 +374,6 @@ func (s SliceSource) Chunks(n int) []exec.Source {
 		out = append(out, s[lo:hi])
 	}
 	return out
-}
-
-// AsChunked returns src itself when it is already Chunked, and otherwise
-// materializes it into a SliceSource (one extra pass — the same pass the
-// serial hash and sort-merge joins already pay to build their structures).
-func AsChunked(src exec.Source) Chunked {
-	if c, ok := src.(Chunked); ok {
-		return c
-	}
-	return SliceSource(exec.Tuples(src))
 }
 
 // mergeListsRecycle combines per-morsel partial lists in morsel order,

@@ -256,7 +256,7 @@ func TestWorkersOneIsExactlySerial(t *testing.T) {
 	tbl := exec.BuildStageTable(r2, 0, 0, &sm)
 	p := exec.NewPipeline(exec.PipelineSpec{Slots: 2, Discard: true, Meter: &sm,
 		Stages: []exec.StageSpec{{Table: tbl, BuildSlot: 1, ProbeSlot: 0}}})
-	exec.ScanBatches(r1, nil, p.Feed)
+	r1.ScanBatches(nil, p.Feed)
 	p.Flush()
 	p.Release()
 	radix.PutTable(tbl)

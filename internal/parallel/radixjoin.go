@@ -34,16 +34,15 @@ import (
 // (inherently sequential early exit) or an empty side delegates to the
 // serial exec.HashJoin. Returns the result list plus the build side's
 // partitioning stats for traces and EXPLAIN ANALYZE.
-func RadixHashJoin(outer, inner exec.Source, spec exec.JoinSpec, bits []uint, workers int) (*storage.TempList, radix.Stats) {
+func RadixHashJoin(outer, inner Chunked, spec exec.JoinSpec, bits []uint, workers int) (*storage.TempList, radix.Stats) {
 	pl := radix.Plan{Bits: bits}
 	if spec.Limit > 0 || pl.Fanout() <= 1 {
 		return exec.HashJoin(outer, inner, spec), radix.Stats{}
 	}
 	w := Degree(workers)
-	innerC, outerC := AsChunked(inner), AsChunked(outer)
-	ni, no := innerC.Len(), outerC.Len()
+	ni, no := inner.Len(), outer.Len()
 	if ni == 0 || no == 0 {
-		return exec.HashJoin(outerC, innerC, spec), radix.Stats{}
+		return exec.HashJoin(outer, inner, spec), radix.Stats{}
 	}
 
 	// Phase 1 — hash both sides into the pooled partitioners' entry
@@ -56,8 +55,8 @@ func RadixHashJoin(outer, inner exec.Source, spec exec.JoinSpec, bits []uint, wo
 	// probe phase finishes (their arrays hold the partitioned layouts).
 	pi := radix.GetTuplePartitioner()
 	po := radix.GetTuplePartitioner()
-	ie := hashEntries(spec.Sched, innerC, pi.Entries(ni), spec.InnerField, spec.Meter, spec.Prog, w)
-	oe := hashEntries(spec.Sched, outerC, po.Entries(no), spec.OuterField, spec.Meter, spec.Prog, w)
+	ie := hashEntries(spec.Sched, inner, pi.Entries(ni), spec.InnerField, spec.Meter, spec.Prog, w)
+	oe := hashEntries(spec.Sched, outer, po.Entries(no), spec.OuterField, spec.Meter, spec.Prog, w)
 	ie, ioffs := pi.Partition(ie, pl, spec.Meter)
 	oe, ooffs := po.Partition(oe, pl, spec.Meter)
 	stats := radix.StatsOf(pl, ioffs)
@@ -346,7 +345,7 @@ func hashEntries(sq *sched.Query, src Chunked, es []radix.TupleEntry, field int,
 		for _, prev := range chunks[:c] {
 			i += prev.Len()
 		}
-		exec.ScanBatches(chunks[c], sc.buf, func(block storage.TupleBatch) bool {
+		chunks[c].ScanBatches(sc.buf, func(block storage.TupleBatch) bool {
 			sc.ctr.AddBatch(1)
 			sc.ctr.AddHash(int64(len(block)))
 			sc.rows += int64(len(block))

@@ -27,7 +27,7 @@ func SelectScan(src Chunked, pred func(*storage.Tuple) bool, spec exec.SelectSpe
 	total := run(spec.Sched, spec.Prog, "scan", w, len(chunks), func(m int, sc *scratch) {
 		local := storage.MustTempListHint(desc, chunks[m].Len())
 		keep := sc.keep
-		exec.ScanBatches(chunks[m], sc.buf, func(block storage.TupleBatch) bool {
+		chunks[m].ScanBatches(sc.buf, func(block storage.TupleBatch) bool {
 			sc.ctr.AddCompare(int64(len(block)))
 			sc.ctr.AddBatch(1)
 			sc.rows += int64(len(block))

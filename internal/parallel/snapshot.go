@@ -16,19 +16,8 @@ type SnapshotSource struct{ Snap *storage.Snapshot }
 // Len returns the snapshot's tuple count.
 func (s SnapshotSource) Len() int { return s.Snap.Rows() }
 
-// Scan visits every snapshot tuple in partition order.
-func (s SnapshotSource) Scan(fn func(*storage.Tuple) bool) {
-	for i := 0; i < s.Snap.NumParts(); i++ {
-		for _, t := range s.Snap.Part(i) {
-			if !fn(t) {
-				return
-			}
-		}
-	}
-}
-
-// ScanBatches implements exec.BatchSource zero-copy over the clone
-// arrays. fn must not retain or mutate a block.
+// ScanBatches hands out every snapshot tuple in partition order,
+// zero-copy over the clone arrays. fn must not retain or mutate a block.
 func (s SnapshotSource) ScanBatches(buf storage.TupleBatch, fn func(storage.TupleBatch) bool) {
 	for i := 0; i < s.Snap.NumParts(); i++ {
 		if !scanPartBatches(s.Snap.Part(i), fn) {
@@ -72,18 +61,8 @@ func (r snapshotRun) Len() int {
 	return n
 }
 
-func (r snapshotRun) Scan(fn func(*storage.Tuple) bool) {
-	for _, part := range r {
-		for _, t := range part {
-			if !fn(t) {
-				return
-			}
-		}
-	}
-}
-
-// ScanBatches implements exec.BatchSource zero-copy; blocks are
-// subslices of the immutable clone arrays.
+// ScanBatches hands out the run zero-copy; blocks are subslices of the
+// immutable clone arrays.
 func (r snapshotRun) ScanBatches(buf storage.TupleBatch, fn func(storage.TupleBatch) bool) {
 	for _, part := range r {
 		if !scanPartBatches(part, fn) {

@@ -322,9 +322,8 @@ func recordCrashWorkload(t *testing.T) []fsOp {
 		}
 		tx := tm.Begin()
 		for _, p := range rel.Partitions() {
-			var first *storage.Tuple
-			p.Scan(func(tp *storage.Tuple) bool { first = tp; return false })
-			if err := tx.Update(rel, first, 1, storage.IntValue(int64(round))); err != nil {
+			block, _ := p.Gather(nil, func(storage.TupleBatch) bool { return false })
+			if err := tx.Update(rel, block[0], 1, storage.IntValue(int64(round))); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -116,14 +116,34 @@ func (p *Partition) remove(t *Tuple) {
 	p.snapDirty, p.snapReshaped = true, true
 }
 
-// Scan visits every live tuple in the partition until fn returns false;
-// it reports whether the scan ran to completion. This is the
-// partition-granularity scan API the parallel executor consumes: each
+// Gather appends the partition's live tuples to the block buf (a
+// BatchSize block when buf has no capacity), handing buf to fn each time
+// it fills. It returns the block with the tuples not yet handed out, and
+// false once fn stops the scan; a caller scanning several partitions
+// passes the block on, so blocks run full across partition boundaries.
+// This is the partition-granularity scan the executor consumes: each
 // partition is an independently scannable morsel, so workers can divide a
 // relation at partition boundaries without coordinating per tuple.
 // Callers must hold at least a shared lock on the relation (or partition)
 // for the duration of the scan.
-func (p *Partition) Scan(fn func(*Tuple) bool) bool { return p.scan(fn) }
+func (p *Partition) Gather(buf TupleBatch, fn func(TupleBatch) bool) (TupleBatch, bool) {
+	if cap(buf) == 0 {
+		buf = make(TupleBatch, 0, BatchSize)
+	}
+	for _, t := range p.slots {
+		if !visible(t) {
+			continue
+		}
+		buf = append(buf, t)
+		if len(buf) == cap(buf) {
+			if !fn(buf) {
+				return buf, false
+			}
+			buf = buf[:0]
+		}
+	}
+	return buf, true
+}
 
 // visible reports whether the slot holds a tuple a scan yields: not empty,
 // not deleted, not the forwarding stub of a tuple that moved away.

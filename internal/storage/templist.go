@@ -586,8 +586,7 @@ func (l *TempList) Scan(fn func(i int, row Row) bool) {
 }
 
 // ScanColumnBatches visits one source column of every row in blocks — the
-// batched counterpart of scanning a ListColumn tuple by tuple. For
-// single-source lists the arena chunks are handed out directly (zero
+// scan behind exec.ListColumn. For single-source lists the arena chunks are handed out directly (zero
 // copy); wider rows gather the column into buf (a pooled batch is used
 // when buf has no capacity). Blocks are views; they are invalid after fn
 // returns false or the scan ends.

@@ -4,6 +4,11 @@
 // hashes dereference the indexed field on demand. Entry identity is
 // pointer identity, so deleting a tuple removes exactly its pointer even
 // among key-equal duplicates.
+//
+// Tuples leave a tuple index through the block methods of index.Ordered
+// and index.Hashed. storage.TupleBatch is []*storage.Tuple, so every
+// tuple index is an exec.Source as it stands: operators call its
+// ScanBatches, SearchAllAppend and SearchKeyAppend directly.
 package tupleindex
 
 import (
@@ -285,7 +290,7 @@ func CompositeConfig(fields []int, o Options) index.Config[*storage.Tuple] {
 // CompositePos returns the ordered-search position function for a
 // composite key. keys may be a strict prefix of fields, which makes the
 // function a prefix bound: every tuple matching the prefix compares equal,
-// so SearchAll and Range serve prefix scans.
+// so SearchAllAppend and Range serve prefix scans.
 func CompositePos(keys []storage.Value, fields []int) index.Pos[*storage.Tuple] {
 	if len(keys) > len(fields) {
 		panic("tupleindex: more key values than indexed fields")

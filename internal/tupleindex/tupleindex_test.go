@@ -181,10 +181,9 @@ func TestCompositeIndex(t *testing.T) {
 	// Prefix scan: all three rows with a=7, in b order.
 	prefix := CompositePos([]storage.Value{storage.IntValue(7)}, fields)
 	var bs []string
-	tt.SearchAll(prefix, func(tp *storage.Tuple) bool {
+	for _, tp := range tt.SearchAllAppend(prefix, nil) {
 		bs = append(bs, tp.Field(1).Str())
-		return true
-	})
+	}
 	if len(bs) != 3 || bs[0] != "x" || bs[1] != "y" || bs[2] != "z" {
 		t.Fatalf("prefix scan = %v", bs)
 	}
@@ -204,12 +203,7 @@ func TestCompositeIndex(t *testing.T) {
 	rel.ScanPhysical(func(tp *storage.Tuple) bool { mh.Insert(tp); return true })
 	cfg := CompositeConfig(fields, Options{})
 	probe, _ := rel.Insert([]storage.Value{storage.IntValue(4), storage.StringValue("y"), storage.IntValue(-1)})
-	n := 0
-	mh.SearchKeyAll(cfg.Hash(probe), func(x *storage.Tuple) bool { return cfg.Eq(x, probe) }, func(*storage.Tuple) bool {
-		n++
-		return true
-	})
-	if n != 1 {
+	if n := len(mh.SearchKeyAppend(cfg.Hash(probe), func(x *storage.Tuple) bool { return cfg.Eq(x, probe) }, nil)); n != 1 {
 		t.Fatalf("composite hash probe found %d", n)
 	}
 	if err := rel.Delete(probe); err != nil {

@@ -1550,7 +1550,7 @@ func (q *Query) runScan(x *execution, spec exec.SelectSpec, sp selPlan) *storage
 		list := storage.MustTempListHint(desc, min(sp.limit, sp.rows))
 		if sp.limit > 0 {
 			buf := storage.GetBatch()
-			exec.ScanBatches(t.scanSource(), buf, func(block storage.TupleBatch) bool {
+			t.scanSource().ScanBatches(buf, func(block storage.TupleBatch) bool {
 				m.AddBatch(1)
 				for _, tp := range block {
 					if pred != nil {
@@ -1591,7 +1591,7 @@ func (q *Query) runScan(x *execution, spec exec.SelectSpec, sp selPlan) *storage
 	// Row headers.
 	list := storage.MustTempListHint(desc, sp.rows)
 	buf := storage.GetBatch()
-	exec.ScanBatches(serial, buf, func(block storage.TupleBatch) bool {
+	serial.ScanBatches(buf, func(block storage.TupleBatch) bool {
 		m.AddBatch(1)
 		list.AppendBatch(block)
 		return true

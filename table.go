@@ -261,12 +261,13 @@ func (t *Table) indexOn(field int, ordered bool) *Index {
 }
 
 // scanSource returns the table's cheapest full-scan source: the paper
-// scans relations through an index; any index serves.
+// scans relations through an index; any index serves, and every tuple
+// index is an exec.Source.
 func (t *Table) scanSource() exec.Source {
 	if t.primary.ordered != nil {
-		return exec.OrderedScan{Index: t.primary.ordered}
+		return t.primary.ordered
 	}
-	return exec.HashedScan{Index: t.primary.hashed}
+	return t.primary.hashed
 }
 
 // Insert stores a row in its own transaction.
