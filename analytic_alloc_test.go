@@ -110,6 +110,19 @@ func TestWarmGroupBytesPerGroup(t *testing.T) {
 	}
 }
 
+// quiesced returns the objects and bytes fn allocates, counted as
+// testing.AllocsPerRun counts them: with GOMAXPROCS at 1 while fn runs,
+// so that no goroutine allocates in parallel with fn into the
+// process-wide counts. A goroutine fn waits on still runs, and counts.
+func quiesced(fn func()) (objects, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
 // TestResultAllocsIndependentOfRows: a result leaves the engine settled
 // into one slab and its pooled chunks go back at once, so a warm full
 // ORDER BY, a radix join and a high-NDV GROUP BY allocate the same at 25k
@@ -141,8 +154,9 @@ func TestResultAllocsIndependentOfRows(t *testing.T) {
 	measure := func(rows int) []float64 {
 		// A 16 KiB partition target reaches the 4-bit cap at both sizes, so
 		// the join runs the same 16 partition pairs (each pair's private
-		// list costs a few objects).
-		db := tuned(openKeyed(t, Options{}, rows, rows/2), tuning{radix: plan.RadixConfig{L2Bytes: 16 << 10, MaxBits: 4}})
+		// list costs a few objects). The degree is the machine's, fixed
+		// here, because the runs are measured at GOMAXPROCS 1.
+		db := tuned(openKeyed(t, Options{Parallelism: runtime.GOMAXPROCS(0)}, rows, rows/2), tuning{radix: plan.RadixConfig{L2Bytes: 16 << 10, MaxBits: 4}})
 		b, err := db.CreateTable("b", []Field{{Name: "id", Type: TypeInt}}, "id", TTree)
 		if err != nil {
 			t.Fatal(err)
@@ -169,11 +183,8 @@ func TestResultAllocsIndependentOfRows(t *testing.T) {
 			// The least over several runs: a run after the collector emptied
 			// a pool pays for refilling it.
 			for r := 0; r < 8; r++ {
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				run()
-				runtime.ReadMemStats(&after)
-				if n := float64(after.Mallocs - before.Mallocs); r == 0 || n < allocs[i] {
+				objects, _ := quiesced(run)
+				if n := float64(objects); r == 0 || n < allocs[i] {
 					allocs[i] = n
 				}
 			}

@@ -71,10 +71,14 @@ func TestPutClearsWhatTheRunWrote(t *testing.T) {
 		t.Fatalf("a keys-only run leaves Put %d cells to clear, want 0", g.cellsHW)
 	}
 	Put(g)
+	// Counted as testing.AllocsPerRun counts, at GOMAXPROCS 1, so that no
+	// other goroutine allocates in parallel into the process-wide count.
+	prev := runtime.GOMAXPROCS(1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	big()
 	runtime.ReadMemStats(&after)
+	runtime.GOMAXPROCS(prev)
 	if n := after.Mallocs - before.Mallocs; n > 0 {
 		t.Errorf("the large run after Put allocated %d objects, want its scratch reused", n)
 	}

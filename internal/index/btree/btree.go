@@ -24,6 +24,7 @@ type Tree[E any] struct {
 	same     func(a, b E) bool
 	m        *meter.Counters
 	root     *node[E]
+	height   int // levels from the root to the leaves; 0 when empty
 	size     int
 	maxItems int
 	minItems int
@@ -91,6 +92,7 @@ func (t *Tree[E]) lowerBoundIn(n *node[E], pos index.Pos[E]) int {
 func (t *Tree[E]) Insert(e E) bool {
 	if t.root == nil {
 		t.root = t.newNode(true)
+		t.height = 1
 	}
 	ok := t.insert(t.root, e)
 	if !ok {
@@ -104,6 +106,7 @@ func (t *Tree[E]) Insert(e E) bool {
 		newRoot.items = append(newRoot.items, mid)
 		newRoot.children = append(newRoot.children, t.root, right)
 		t.root = newRoot
+		t.height++
 	}
 	return true
 }
@@ -169,6 +172,7 @@ func (t *Tree[E]) Delete(e E) bool {
 		} else {
 			t.root = t.root.children[0]
 		}
+		t.height--
 	}
 	return true
 }
@@ -342,9 +346,10 @@ func (it *iter[E]) next() (E, bool) {
 }
 
 // lowerBound builds an iterator positioned at the first entry with
-// pos(e) >= 0.
+// pos(e) >= 0. The iterator stacks at most one frame per level, so the
+// stack is sized once for the tree's height.
 func (t *Tree[E]) lowerBound(pos index.Pos[E]) iter[E] {
-	var it iter[E]
+	it := iter[E]{stack: make([]frame[E], 0, t.height)}
 	n := t.root
 	for n != nil {
 		t.m.AddNode(1)
@@ -445,8 +450,8 @@ func (t *Tree[E]) Stats() index.Stats {
 // checkInvariants verifies B Tree structure; exported to tests.
 func (t *Tree[E]) checkInvariants() error {
 	if t.root == nil {
-		if t.size != 0 {
-			return fmt.Errorf("empty tree with size %d", t.size)
+		if t.size != 0 || t.height != 0 {
+			return fmt.Errorf("empty tree with size %d, height %d", t.size, t.height)
 		}
 		return nil
 	}
@@ -501,6 +506,9 @@ func (t *Tree[E]) checkInvariants() error {
 	}
 	if err := walk(t.root, 0, true); err != nil {
 		return err
+	}
+	if depth+1 != t.height {
+		return fmt.Errorf("leaves at depth %d, height %d", depth, t.height)
 	}
 	if count != t.size {
 		return fmt.Errorf("size %d but %d items", t.size, count)

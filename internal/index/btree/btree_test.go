@@ -15,6 +15,7 @@ func TestConformance(t *testing.T) {
 			return New(cfg)
 		},
 		indextest.Options{
+			ProbeAllocs: 2, // the key closure and the height-sized iterator stack
 			Validate: func(impl index.Ordered[indextest.Entry]) error {
 				return impl.(*Tree[indextest.Entry]).checkInvariants()
 			},

@@ -13,7 +13,7 @@ func TestConformance(t *testing.T) {
 		func(cfg index.Config[indextest.Entry]) index.Hashed[indextest.Entry] {
 			return New(cfg)
 		},
-		indextest.HashedOptions{Static: true})
+		indextest.HashedOptions{Static: true, ProbeAllocs: 1})
 }
 
 func intTable(nodeSize, capacity int, m *meter.Counters) *Table[int64] {

@@ -149,6 +149,9 @@ type Options struct {
 	// UpdateHeavyQuadratic marks structures (the array) whose updates are
 	// O(n); the soak shrinks to keep test time sane.
 	UpdateHeavyQuadratic bool
+	// ProbeAllocs is the most objects one SearchAllAppend into a presized
+	// slice may allocate, the harness's key closure (one) included.
+	ProbeAllocs float64
 }
 
 func (o Options) nodeSizes() []int {
@@ -306,7 +309,7 @@ func RunOrdered(t *testing.T, factory OrderedFactory, opts Options) {
 			fill(t, ix.Insert, n)
 			return ix
 		}
-		checkBlocks(t, mk, true, func(ix index.Ordered[Entry], k int64, out []Entry) []Entry {
+		checkBlocks(t, mk, true, opts.ProbeAllocs, func(ix index.Ordered[Entry], k int64, out []Entry) []Entry {
 			return ix.SearchAllAppend(keyPos(k), out)
 		})
 	})
@@ -440,6 +443,9 @@ type HashedOptions struct {
 	// Static marks structures (Chained Bucket Hashing) sized once at
 	// creation; the harness passes a capacity hint.
 	Static bool
+	// ProbeAllocs is the most objects one SearchKeyAppend into a presized
+	// slice may allocate, the harness's match closure (one) included.
+	ProbeAllocs float64
 }
 
 func (o HashedOptions) nodeSizes() []int {
@@ -562,7 +568,7 @@ func RunHashed(t *testing.T, factory HashedFactory, opts HashedOptions) {
 			fill(t, ix.Insert, n)
 			return ix
 		}
-		checkBlocks(t, mk, false, func(ix index.Hashed[Entry], k int64, out []Entry) []Entry {
+		checkBlocks(t, mk, false, opts.ProbeAllocs, func(ix index.Hashed[Entry], k int64, out []Entry) []Entry {
 			return ix.SearchKeyAppend(HashKey(k), func(e Entry) bool { return e.Key == k }, out)
 		})
 	})
@@ -669,8 +675,9 @@ type blockIndex interface {
 // operator relies on: a scan yields the model's entry set (ascending when
 // ordered) in full cap(buf) blocks except the last, stops when fn returns
 // false, and allocates nothing per entry; a probe with a presized output
-// slice allocates no more on a larger index.
-func checkBlocks[I blockIndex](t *testing.T, mk func(n int) I, ordered bool, probe func(ix I, k int64, out []Entry) []Entry) {
+// slice allocates no more on a larger index, and at most maxProbeAllocs
+// objects.
+func checkBlocks[I blockIndex](t *testing.T, mk func(n int) I, ordered bool, maxProbeAllocs float64, probe func(ix I, k int64, out []Entry) []Entry) {
 	t.Helper()
 	const n = 5000
 	ix := mk(n)
@@ -711,8 +718,12 @@ func checkBlocks[I blockIndex](t *testing.T, mk func(n int) I, ordered bool, pro
 	probeAllocs := func(ix I) float64 {
 		return testing.AllocsPerRun(10, func() { out = probe(ix, 123, out[:0]) })
 	}
-	if s, b := probeAllocs(small), probeAllocs(big); b > s {
+	s, b := probeAllocs(small), probeAllocs(big)
+	if b > s {
 		t.Fatalf("probe allocates with the index size: %.0f allocs at 2k entries, %.0f at 8k", s, b)
+	}
+	if b > maxProbeAllocs {
+		t.Fatalf("a warm probe allocates %.0f objects, ceiling %.0f", b, maxProbeAllocs)
 	}
 }
 

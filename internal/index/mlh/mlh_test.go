@@ -15,6 +15,7 @@ func TestConformance(t *testing.T) {
 			return New(cfg)
 		},
 		indextest.HashedOptions{
+			ProbeAllocs: 1,
 			Validate: func(impl index.Hashed[indextest.Entry]) error {
 				return impl.(*Table[indextest.Entry]).checkInvariants()
 			},

@@ -18,6 +18,7 @@ func TestConformance(t *testing.T) {
 		indextest.Options{
 			NodeSizes:            []int{0}, // arrays have no node size
 			UpdateHeavyQuadratic: true,
+			ProbeAllocs:          1,
 			Validate: func(impl index.Ordered[indextest.Entry]) error {
 				return nil // sortedness is checked by the scan comparisons
 			},

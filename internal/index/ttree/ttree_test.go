@@ -18,6 +18,7 @@ func factory(cfg index.Config[indextest.Entry]) index.Ordered[indextest.Entry] {
 
 func TestConformance(t *testing.T) {
 	indextest.RunOrdered(t, factory, indextest.Options{
+		ProbeAllocs: 1,
 		Validate: func(impl index.Ordered[indextest.Entry]) error {
 			return impl.(*Tree[indextest.Entry]).Validate()
 		},

@@ -241,7 +241,9 @@ func (s RelationSource) ScanBatches(buf storage.TupleBatch, fn func(storage.Tupl
 }
 
 // Chunks groups the relation's partitions into at most n contiguous runs
-// of near-equal partition count.
+// of near-equal partition count. The runs are carved from one array and
+// handed out by pointer, as every Chunks here does: boxing each into a
+// Source would allocate once a morsel.
 func (s RelationSource) Chunks(n int) []exec.Source {
 	parts := s.Rel.Partitions()
 	if len(parts) == 0 {
@@ -250,10 +252,10 @@ func (s RelationSource) Chunks(n int) []exec.Source {
 	if n > len(parts) {
 		n = len(parts)
 	}
-	out := make([]exec.Source, 0, n)
-	for i := 0; i < n; i++ {
-		lo, hi := len(parts)*i/n, len(parts)*(i+1)/n
-		out = append(out, partitionRun(parts[lo:hi]))
+	out, runs := make([]exec.Source, n), make([]partitionRun, n)
+	for i := range out {
+		runs[i] = parts[len(parts)*i/n : len(parts)*(i+1)/n]
+		out[i] = &runs[i]
 	}
 	return out
 }
@@ -310,10 +312,10 @@ func (s ListSource) Chunks(n int) []exec.Source {
 	if n > total {
 		n = total
 	}
-	out := make([]exec.Source, 0, n)
-	for i := 0; i < n; i++ {
-		lo, hi := total*i/n, total*(i+1)/n
-		out = append(out, listRange{list: s.List, col: s.Column, lo: lo, hi: hi})
+	out, ranges := make([]exec.Source, n), make([]listRange, n)
+	for i := range out {
+		ranges[i] = listRange{list: s.List, col: s.Column, lo: total * i / n, hi: total * (i + 1) / n}
+		out[i] = &ranges[i]
 	}
 	return out
 }
@@ -368,10 +370,10 @@ func (s SliceSource) Chunks(n int) []exec.Source {
 	if n > len(s) {
 		n = len(s)
 	}
-	out := make([]exec.Source, 0, n)
-	for i := 0; i < n; i++ {
-		lo, hi := len(s)*i/n, len(s)*(i+1)/n
-		out = append(out, s[lo:hi])
+	out, runs := make([]exec.Source, n), make([]SliceSource, n)
+	for i := range out {
+		runs[i] = s[len(s)*i/n : len(s)*(i+1)/n]
+		out[i] = &runs[i]
 	}
 	return out
 }

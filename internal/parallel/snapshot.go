@@ -38,14 +38,13 @@ func (s SnapshotSource) Chunks(n int) []exec.Source {
 	if n > np {
 		n = np
 	}
-	out := make([]exec.Source, 0, n)
-	for i := 0; i < n; i++ {
-		lo, hi := np*i/n, np*(i+1)/n
-		run := make(snapshotRun, 0, hi-lo)
-		for j := lo; j < hi; j++ {
-			run = append(run, s.Snap.Part(j))
-		}
-		out = append(out, run)
+	out, runs, arrays := make([]exec.Source, n), make([]snapshotRun, n), make([][]*storage.Tuple, np)
+	for j := range arrays {
+		arrays[j] = s.Snap.Part(j)
+	}
+	for i := range out {
+		runs[i] = arrays[np*i/n : np*(i+1)/n]
+		out[i] = &runs[i]
 	}
 	return out
 }

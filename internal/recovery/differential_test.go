@@ -1,6 +1,7 @@
 package recovery_test
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -312,13 +313,30 @@ func TestRowRecordWordsMatchVals(t *testing.T) {
 		storage.StringValue("abcde"), storage.StringValue("abcdefgh"), storage.NullValue,
 		storage.RefValue(target), storage.BoolValue(true),
 	}
-	vals := make([]storage.ValueImage, len(row))
-	for f, v := range row {
-		vals[f] = storage.ImageOf(v)
-	}
-	byRef := recovery.Record{Op: recovery.OpInsert, Row: row}
-	byVal := recovery.Record{Op: recovery.OpInsert, Vals: vals}
-	if got, want := byRef.Words(), byVal.Words(); got != want {
-		t.Fatalf("a Row record counts %d words, its Vals form %d", got, want)
+	// The same values as an all-scalar row, which a relation stores in cells.
+	cells := []storage.Value{storage.IntValue(7), storage.FloatValue(math.NaN()), storage.NullValue, storage.BoolValue(true)}
+	for _, row := range [][]storage.Value{row, cells} {
+		vals := make([]storage.ValueImage, len(row))
+		defs := make([]storage.FieldDef, len(row))
+		for f, v := range row {
+			vals[f] = storage.ImageOf(v)
+			defs[f] = storage.FieldDef{Name: fmt.Sprint("f", f), Type: v.Type()}
+			if v.IsNull() {
+				defs[f].Type = storage.Int
+			}
+		}
+		rel, err := storage.NewRelation("row", storage.MustSchema(defs...), storage.Config{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tp, err := rel.Insert(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byRef := recovery.Record{Op: recovery.OpInsert, Row: tp.FieldArray()}
+		byVal := recovery.Record{Op: recovery.OpInsert, Vals: vals}
+		if got, want := byRef.Words(), byVal.Words(); got != want {
+			t.Fatalf("a Row record counts %d words, its Vals form %d", got, want)
+		}
 	}
 }

@@ -68,7 +68,7 @@ type Record struct {
 	From  int    // OpMove: the partition the tuple left
 	Tuple uint64 // tuple ID
 	Vals  []storage.ValueImage
-	Row   []storage.Value // never written through
+	Row   storage.Version
 }
 
 // PartKey names one partition of one relation.
@@ -99,8 +99,8 @@ func (r *Record) Words() int {
 	for _, v := range r.Vals {
 		w += 3 + (len(v.Str)+3)/4
 	}
-	for _, v := range r.Row {
-		w += 3 + (v.HeapBytes()+3)/4
+	for i := range r.Row.Len() {
+		w += 3 + (r.Row.At(i).HeapBytes()+3)/4
 	}
 	return w
 }

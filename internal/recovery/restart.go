@@ -116,12 +116,12 @@ func applyToImage(img *storage.PartitionImage, rec *Record) {
 	case i < 0:
 	case rec.Op == OpUpdate:
 		t := &img.Tuples[i]
-		if t.Row != nil { // a logged row, never written: image it first
-			t.Vals = make([]storage.ValueImage, len(t.Row))
-			for f, v := range t.Row {
-				t.Vals[f] = storage.ImageOf(v)
+		if t.Row.Len() > 0 { // a logged row, never written: image it first
+			t.Vals = make([]storage.ValueImage, t.Row.Len())
+			for f := range t.Vals {
+				t.Vals[f] = storage.ImageOf(t.Row.At(f))
 			}
-			t.Row = nil
+			t.Row = storage.Version{}
 		}
 		t.Vals[rec.Field] = rec.Vals[0]
 	default: // a delete, or a move out of this partition

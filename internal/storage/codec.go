@@ -21,11 +21,12 @@ type ValueImage struct {
 // TupleImage is the on-disk form of a Tuple. Its values are Vals, or Row:
 // a tuple's installed field array, held by reference — as the recovery
 // log holds an inserted row — and imaged only as it is encoded or loaded.
-// Row is never written; to change a value, image the row into Vals first.
+// A Version cannot be written; to change a value, image the row into Vals
+// first.
 type TupleImage struct {
 	ID   uint64
 	Vals []ValueImage
-	Row  []Value
+	Row  Version
 }
 
 // PartitionImage is the on-disk form of one partition — the paper's unit
@@ -57,10 +58,10 @@ func ImageOf(v Value) ValueImage {
 func (p *Partition) Snapshot() PartitionImage {
 	img := PartitionImage{Relation: p.rel.name, PartID: p.id, LSN: p.LSN()}
 	p.scan(func(t *Tuple) bool {
-		row := t.row()
-		ti := TupleImage{ID: t.id, Vals: make([]ValueImage, len(row))}
-		for i, v := range row {
-			ti.Vals[i] = ImageOf(v)
+		row := t.version()
+		ti := TupleImage{ID: t.id, Vals: make([]ValueImage, row.Len())}
+		for i := range ti.Vals {
+			ti.Vals[i] = ImageOf(row.At(i))
 		}
 		img.Tuples = append(img.Tuples, ti)
 		return true
@@ -84,7 +85,7 @@ func AppendPartition(buf []byte, img PartitionImage) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(img.Tuples)))
 	for _, t := range img.Tuples {
 		buf = binary.BigEndian.AppendUint64(buf, t.ID)
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(t.Vals)+len(t.Row)))
+		buf = binary.BigEndian.AppendUint16(buf, uint16(len(t.Vals)+t.Row.Len()))
 		for _, v := range t.Vals {
 			buf = append(buf, byte(v.Type))
 			switch v.Type {
@@ -98,7 +99,8 @@ func AppendPartition(buf []byte, img PartitionImage) []byte {
 			}
 		}
 		// A Row encodes as its ImageOf values would.
-		for _, v := range t.Row {
+		for i := range t.Row.Len() {
+			v := t.Row.At(i)
 			buf = append(buf, byte(v.typ))
 			switch v.typ {
 			case Null:
@@ -311,7 +313,8 @@ func (ld *Loader) LoadPartition(img PartitionImage) error {
 		for _, vi := range ti.Vals {
 			ld.row = append(ld.row, valueFromImage(vi))
 		}
-		for _, v := range ti.Row {
+		for i := range ti.Row.Len() {
+			v := ti.Row.At(i)
 			if v.typ == Ref {
 				v = NullValue // patched by Loader.Finish
 			}
@@ -327,8 +330,8 @@ func (ld *Loader) LoadPartition(img PartitionImage) error {
 				ld.pending = append(ld.pending, pendingRef{t: t, field: i, refID: vi.RefID})
 			}
 		}
-		for i, v := range ti.Row {
-			if v.typ == Ref {
+		for i := range ti.Row.Len() {
+			if v := ti.Row.At(i); v.typ == Ref {
 				ld.pending = append(ld.pending, pendingRef{t: t, field: i, refID: v.ref().id})
 			}
 		}
@@ -353,7 +356,8 @@ func (ld *Loader) Finish() error {
 		if !ok {
 			return fmt.Errorf("storage: tuple %d field %d references missing tuple %d", p.t.id, p.field, p.refID)
 		}
-		p.t.row()[p.field] = RefValue(target)
+		// A Ref field makes the relation's arrays Values, not cells.
+		p.t.vals.values(int(p.t.arity))[p.field] = RefValue(target)
 	}
 	ld.pending = nil
 	return nil

@@ -39,10 +39,9 @@ type Observer interface {
 	// still carries its old values — the window in which an index can
 	// locate the entry by its current key.
 	TupleUpdating(t *Tuple, f int, v Value)
-	// TupleUpdated fires after the change; old is the array of field values
-	// the tuple carried before, which snapshots may still share: read it,
-	// keep it, never write it.
-	TupleUpdated(t *Tuple, old []Value)
+	// TupleUpdated fires after the change; old is the field array the
+	// tuple carried before, which snapshots may still share.
+	TupleUpdated(t *Tuple, old Version)
 }
 
 // Relation is a memory-resident relation: a schema plus a set of
@@ -72,9 +71,9 @@ type Relation struct {
 	// A transaction stages its inserts here (Stage); an abort rewinds the
 	// cursor to where its first staged row went (Rewind).
 	slab SlabMark
-	// scalar is set when every field is Int, Float or Bool: the field
-	// arrays are then pointer-free memory (newValues in value.go).
-	scalar bool
+	// cells is set when every field is Int, Float or Bool: the field
+	// arrays are then cell arrays (cells.go).
+	cells bool
 
 	// stats caches the sampled statistics snapshot (see stats.go).
 	stats relStats
@@ -117,11 +116,11 @@ func NewRelation(name string, schema *Schema, cfg Config, ids *IDGen) (*Relation
 	if ids == nil {
 		ids = NewIDGen()
 	}
-	scalar := true
+	cells := true
 	for _, f := range schema.fields {
-		scalar = scalar && isScalar(f.Type)
+		cells = cells && isScalar(f.Type)
 	}
-	return &Relation{name: name, schema: schema, cfg: cfg.withDefaults(), ids: ids, scalar: scalar}, nil
+	return &Relation{name: name, schema: schema, cfg: cfg.withDefaults(), ids: ids, cells: cells}, nil
 }
 
 // Name returns the relation name.
@@ -138,17 +137,22 @@ func (r *Relation) Cardinality() int { return r.count }
 func (r *Relation) Partitions() []*Partition { return r.parts }
 
 // storedBytes estimates the memory the relation's rows occupy, from counters
-// alone: every live tuple's header and field array, each partition's slot
-// array, free list and heap space in use (the string payloads, counted
-// once however many values share them), and the clone headers and pointers
-// of the published snapshot, if there is one. Left out: the unused tail of
-// the last slab chunk, slab space deleted or updated rows leave behind, and
-// the indices, which index.Stats prices, and rows a transaction has
-// staged but not committed (an abort gives their slab space back). Callers
-// hold at least a shared lock on the relation.
+// alone: every live tuple's header and field array (cells or Values), the
+// unused tail of the open slab chunk, each partition's slot array, free
+// list and heap space in use (the string payloads, counted once however
+// many values share them), and the clone headers and pointers of the
+// published snapshot, if there is one. Left out: slab space deleted or
+// updated rows leave behind, the indices, which index.Stats prices, and
+// rows a transaction has staged but not committed (an abort gives their
+// slab space back to the tail). Callers hold at least a shared lock on the
+// relation.
 func (r *Relation) storedBytes() int64 {
 	const ptrBytes, slotNoBytes = 8, 4
-	n := int64(r.count) * (tupleHeaderBytes + int64(r.schema.Arity())*valueBytes)
+	row := tupleHeaderBytes + int64(r.schema.Arity())*valueBytes
+	if r.cells {
+		row = tupleHeaderBytes + int64(cellWords(r.schema.Arity()))*cellBytes
+	}
+	n := int64(r.count+cap(r.slab.tslab)-len(r.slab.tslab)) * row
 	for _, p := range r.parts {
 		n += int64(cap(p.slots))*ptrBytes + int64(cap(p.free))*slotNoBytes + int64(p.heapUsed)
 	}
@@ -170,12 +174,14 @@ const (
 )
 
 // SlabMark is a position of a relation's slab cursor: the open chunks of
-// tuple headers and of field values, cut where the next tuple goes, and
-// the size of the chunk after them. Every tuple takes one header and
-// arity values, so the two chunks fill together.
+// tuple headers and of field arrays — Values, or cells on an all-scalar
+// relation, the other chunk staying nil — cut where the next tuple goes,
+// and the size of the chunk after them. Every tuple takes one header and
+// one field array, so the chunks fill together.
 type SlabMark struct {
 	tslab  []Tuple
 	varena []Value
+	carena []uint64
 	rows   int // chunk size in tuples, doubling up to slabMaxRows
 }
 
@@ -196,20 +202,32 @@ func (r *Relation) newTuple(id uint64, vals []Value) *Tuple {
 			}
 		}
 		s.tslab = make([]Tuple, 0, s.rows)
-		s.varena = newValues(s.rows*r.schema.Arity(), r.scalar)[:0]
+		if r.cells {
+			s.carena = make([]uint64, 0, s.rows*cellWords(r.schema.Arity()))
+		} else {
+			s.varena = make([]Value, 0, s.rows*r.schema.Arity())
+		}
 	}
-	off := len(s.varena)
-	s.varena = append(s.varena, vals...)
-	s.tslab = append(s.tslab, Tuple{id: id, arity: uint16(len(vals)), vals: &s.varena[off]})
+	var f fields
+	if r.cells {
+		off := len(s.carena)
+		s.carena = s.carena[:off+cellWords(len(vals))]
+		f = putCells(s.carena[off:], vals)
+	} else {
+		off := len(s.varena)
+		s.varena = append(s.varena, vals...)
+		f = valueFields(s.varena[off:])
+	}
+	s.tslab = append(s.tslab, Tuple{id: id, arity: uint16(len(vals)), cells: r.cells, vals: f})
 	return &s.tslab[len(s.tslab)-1]
 }
 
 // Stage copies vals into the relation's slabs and returns the tuple they
 // form, not yet in the relation: it has no ID and no slot, no reader can
 // reach it, and Install makes it a member. vals must have passed
-// Schema.Validate — on an all-scalar relation a pointer copied into the
-// slab would be hidden from the collector — and the caller must hold the
-// relation exclusively until it installs the tuple or rewinds past it.
+// Schema.Validate — a cell array has no room for a string or a pointer —
+// and the caller must hold the relation exclusively until it installs the
+// tuple or rewinds past it.
 func (r *Relation) Stage(vals []Value) *Tuple { return r.newTuple(0, vals) }
 
 // Install enters a tuple Stage returned into the relation — an ID, a slot
@@ -235,12 +253,13 @@ func (r *Relation) SlabMark() SlabMark { return r.slab }
 // tuple carved since may have been installed.
 func (r *Relation) Rewind(m SlabMark) {
 	cur := r.slab
-	th, vh := cap(m.tslab), cap(m.varena)
+	th, vh, ch := cap(m.tslab), cap(m.varena), cap(m.carena)
 	if sameArray(m.tslab, cur.tslab) {
-		th, vh = len(cur.tslab), len(cur.varena)
+		th, vh, ch = len(cur.tslab), len(cur.varena), len(cur.carena)
 	}
 	clear(m.tslab[len(m.tslab):th])
 	clear(m.varena[len(m.varena):vh])
+	clear(m.carena[len(m.carena):ch])
 	r.slab = m
 }
 
@@ -341,17 +360,14 @@ func (r *Relation) Update(t *Tuple, f int, v Value) error {
 	for _, o := range r.observers {
 		o.TupleUpdating(t, f, v)
 	}
-	old := t.row()
-	delta := v.HeapBytes() - old[f].HeapBytes()
+	old := t.version()
+	delta := v.HeapBytes() - old.At(f).HeapBytes()
 	if delta > 0 && t.part.heapUsed+delta > t.part.heapCap {
 		r.moveTuple(t, f, v)
 	} else {
-		next := newValues(len(old), r.scalar)
-		copy(next, old)
-		next[f] = v
 		t.part.heapUsed += delta
 		t.part.snapDirty = true
-		t.vals = &next[0]
+		t.vals = nextVersion(t, f, v)
 	}
 	for _, o := range r.observers {
 		o.TupleUpdated(t.Resolve(), old)
@@ -360,19 +376,38 @@ func (r *Relation) Update(t *Tuple, f int, v Value) error {
 	return nil
 }
 
+// nextVersion returns a fresh copy of t's field array with field f set
+// to v: the array Update installs.
+func nextVersion(t *Tuple, f int, v Value) fields {
+	n := int(t.arity)
+	if t.cells {
+		next := make([]uint64, cellWords(n))
+		copy(next, t.vals.cells(n))
+		nf := cellFields(next, n)
+		nf.setCell(f, n, v)
+		return nf
+	}
+	next := make([]Value, n)
+	copy(next, t.vals.values(n))
+	next[f] = v
+	return valueFields(next)
+}
+
 // moveTuple relocates t (with field f set to v) to a partition with room,
 // leaving a forwarding stub in the old position. The logical tuple keeps
 // its ID. The moved copy's array is fresh from the slab, so setting the
 // field before the tuple is placed writes nothing anyone else can reach.
+// Only a growing Str value moves a tuple, so t holds Values, not cells.
 func (r *Relation) moveTuple(t *Tuple, f int, v Value) {
-	moved := r.newTuple(t.id, t.row())
-	moved.row()[f] = v
+	n := int(t.arity)
+	moved := r.newTuple(t.id, t.vals.values(n))
+	moved.vals.values(n)[f] = v
 	// Free the old copy's heap usage but keep its slot occupied by the
 	// forwarding stub, mirroring the paper's "forwarding address left in
 	// its old position".
 	t.part.heapUsed -= t.heapBytes()
 	t.part.snapDirty, t.part.snapReshaped = true, true
-	t.vals = nil
+	t.vals = fields{}
 	t.forward = moved
 	r.placeTuple(moved)
 }

@@ -266,7 +266,7 @@ func TestUpdateErrors(t *testing.T) {
 type recordingObserver struct {
 	inserted, deleted, updating, updated int
 	preValue                             Value // field value observed during TupleUpdating
-	lastOld                              []Value
+	lastOld                              Version
 }
 
 func (o *recordingObserver) TupleInserted(*Tuple) { o.inserted++ }
@@ -277,7 +277,7 @@ func (o *recordingObserver) TupleUpdating(t *Tuple, f int, _ Value) {
 	o.preValue = t.Field(f)
 }
 
-func (o *recordingObserver) TupleUpdated(_ *Tuple, old []Value) {
+func (o *recordingObserver) TupleUpdated(_ *Tuple, old Version) {
 	o.updated++
 	o.lastOld = old
 }
@@ -292,8 +292,8 @@ func TestObserverNotifications(t *testing.T) {
 	if obs.inserted != 1 || obs.updating != 1 || obs.updated != 1 || obs.deleted != 1 {
 		t.Fatalf("observer saw %+v", obs)
 	}
-	if len(obs.lastOld) != 2 || obs.lastOld[1].Str() != "a" {
-		t.Fatalf("old values wrong: %v", obs.lastOld)
+	if obs.lastOld.Len() != 2 || obs.lastOld.At(1).Str() != "a" {
+		t.Fatalf("old values wrong: %v", obs.lastOld.appendTo(nil))
 	}
 	// TupleUpdating must run pre-mutation: the observed value is the old one.
 	if obs.preValue.Str() != "a" {

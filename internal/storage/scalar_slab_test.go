@@ -9,42 +9,39 @@ import (
 	"testing"
 )
 
-// nilPointers reports the first value of vals whose pointer word is set.
-func nilPointers(vals []Value) (int, bool) {
-	for i := range vals {
-		if vals[i].ptr != nil {
-			return i, false
-		}
-	}
-	return -1, true
-}
-
-// checkPointerFree asserts that every field array r stores — each live
-// tuple's, each clone's in the published snapshot, and the whole open
-// slab chunk, staged and unused cells included — holds only nil pointer
-// words, as the collector's blindness to them requires.
-func checkPointerFree(t *testing.T, when string, r *Relation) {
+// checkCells asserts that r, an all-scalar relation, stores every field
+// array as a cell array — each live tuple's, each clone's in the published
+// snapshot, the open slab chunk's, with no Value chunk beside it — and
+// that every live tuple reads back want's values for it, bit for bit.
+func checkCells(t *testing.T, when string, r *Relation, want map[*Tuple][]Value) {
 	t.Helper()
-	if !r.scalar {
+	if !r.cells {
 		t.Fatalf("%s: relation %s is not all-scalar", when, r.name)
 	}
-	check := func(what string, vals []Value) {
-		if i, ok := nilPointers(vals); !ok {
-			t.Fatalf("%s: %s holds a pointer at value %d (%v)", when, what, i, vals[i].Type())
-		}
+	if cap(r.slab.varena) != 0 {
+		t.Fatalf("%s: the slab has a Value chunk of %d", when, cap(r.slab.varena))
 	}
+	n := 0
 	r.ScanPhysical(func(tu *Tuple) bool {
-		check(fmt.Sprintf("tuple %d", tu.id), tu.row())
+		n++
+		if !tu.cells {
+			t.Fatalf("%s: tuple %d holds Values", when, tu.id)
+		}
+		checkRow(t, fmt.Sprintf("%s: tuple %d", when, tu.id), tu, want[tu]...)
 		return true
 	})
+	if n != len(want) {
+		t.Fatalf("%s: %d live tuples, want %d", when, n, len(want))
+	}
 	if s := r.snap.Load(); s != nil {
 		for p := 0; p < s.NumParts(); p++ {
 			for _, c := range s.Part(p) {
-				check(fmt.Sprintf("snapshot clone %d", c.id), c.row())
+				if !c.cells {
+					t.Fatalf("%s: snapshot clone %d holds Values", when, c.id)
+				}
 			}
 		}
 	}
-	check("the open slab chunk", r.slab.varena[:cap(r.slab.varena)])
 }
 
 func intSchema(t *testing.T, arity int) *Schema {
@@ -56,12 +53,12 @@ func intSchema(t *testing.T, arity int) *Schema {
 	return MustSchema(defs...)
 }
 
-// An all-Int relation keeps only nil pointer words in its field arrays
-// through every way a row is written, versioned, cloned and reloaded:
-// inserts, updates (in place, with a published snapshot holding the old
-// version), deletes and slot reuse, staged rows rewound, snapshot
-// publication and refresh, and a checkpoint image reloaded into a fresh
-// relation.
+// An all-Int relation keeps every field array in cells, and every row
+// reads back what was written, through every way a row is written,
+// versioned, cloned and reloaded: inserts, updates (in place, with a
+// published snapshot holding the old version, to NULL and back), deletes
+// and slot reuse, staged rows rewound, snapshot publication and refresh,
+// and a checkpoint image reloaded into a fresh relation.
 func TestScalarArraysStayPointerFree(t *testing.T) {
 	const arity = 4
 	schema := intSchema(t, arity)
@@ -71,38 +68,45 @@ func TestScalarArraysStayPointerFree(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	var live []*Tuple
+	want := map[*Tuple][]Value{}
 	row := func() []Value {
 		vals := make([]Value, arity)
 		for c := range vals {
 			if rng.Intn(8) == 0 {
 				continue // Null
 			}
-			vals[c] = IntValue(rng.Int63())
+			vals[c] = IntValue(rng.Int63() - rng.Int63())
 		}
 		return vals
 	}
 	for step := 0; step < 4000; step++ {
 		switch k := rng.Intn(10); {
 		case k < 4 || len(live) == 0:
-			tu, err := r.Insert(row())
+			vals := row()
+			tu, err := r.Insert(vals)
 			if err != nil {
 				t.Fatal(err)
 			}
 			live = append(live, tu)
+			want[tu] = vals
 		case k < 6:
 			tu := live[rng.Intn(len(live))]
 			v := IntValue(rng.Int63())
 			if rng.Intn(4) == 0 {
 				v = NullValue
 			}
-			if err := r.Update(tu, rng.Intn(arity), v); err != nil {
+			f := rng.Intn(arity)
+			if err := r.Update(tu, f, v); err != nil {
 				t.Fatal(err)
 			}
+			want[tu] = append([]Value(nil), want[tu]...)
+			want[tu][f] = v
 		case k < 7:
 			i := rng.Intn(len(live))
 			if err := r.Delete(live[i]); err != nil {
 				t.Fatal(err)
 			}
+			delete(want, live[i])
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
 		case k < 8:
@@ -115,11 +119,11 @@ func TestScalarArraysStayPointerFree(t *testing.T) {
 			r.PublishSnapshot()
 		}
 		if step%500 == 0 {
-			checkPointerFree(t, fmt.Sprintf("step %d", step), r)
+			checkCells(t, fmt.Sprintf("step %d", step), r, want)
 		}
 	}
 	r.PublishSnapshot()
-	checkPointerFree(t, "after the mix", r)
+	checkCells(t, "after the mix", r, want)
 
 	reloaded, err := NewRelation("fact", schema, Config{SlotsPerPartition: 32}, nil)
 	if err != nil {
@@ -138,15 +142,21 @@ func TestScalarArraysStayPointerFree(t *testing.T) {
 	if err := ld.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if reloaded.Cardinality() != len(live) {
-		t.Fatalf("reloaded %d rows, want %d", reloaded.Cardinality(), len(live))
+	back := map[*Tuple][]Value{}
+	for tu, vals := range want {
+		re, ok := ld.TupleByID(tu.ID())
+		if !ok {
+			t.Fatalf("tuple %d was not reloaded", tu.ID())
+		}
+		back[re] = vals
 	}
-	checkPointerFree(t, "after reload", reloaded)
+	checkCells(t, "after reload", reloaded, back)
 }
 
 // Every write path into a relation rejects a Str or a Ref value for an
-// Int field before it copies anything: the slab cursor does not move and
-// the tuple keeps its field array.
+// Int field before it copies anything — a cell would keep the payload and
+// lose the type: the slab cursor does not move and the tuple keeps its
+// field array.
 func TestScalarWritePathsRejectPointers(t *testing.T) {
 	r, err := NewRelation("fact", intSchema(t, 2), Config{}, nil)
 	if err != nil {
@@ -162,7 +172,7 @@ func TestScalarWritePathsRejectPointers(t *testing.T) {
 		sameCursor := func(path string) {
 			t.Helper()
 			now := r.SlabMark()
-			if !sameArray(before.tslab, now.tslab) || len(before.tslab) != len(now.tslab) || len(before.varena) != len(now.varena) {
+			if !sameArray(before.tslab, now.tslab) || len(before.tslab) != len(now.tslab) || len(before.carena) != len(now.carena) {
 				t.Errorf("%s with a %s value moved the slab cursor", path, bad.Type())
 			}
 		}
@@ -181,11 +191,11 @@ func TestScalarWritePathsRejectPointers(t *testing.T) {
 			t.Errorf("a rejected Update with a %s value installed a new field array", bad.Type())
 		}
 	}
-	checkPointerFree(t, "after the rejected writes", r)
+	checkCells(t, "after the rejected writes", r, map[*Tuple][]Value{tu: {IntValue(1), IntValue(2)}})
 }
 
-// Only an all-scalar schema gets pointer-free arrays. A relation with a
-// Str (or Ref) field keeps arrays the collector scans, so its string
+// Only an all-scalar schema gets cell arrays. A relation with a Str (or
+// Ref) field keeps Value arrays, which the collector scans, so its string
 // payloads survive collections through the slab and through the version
 // arrays Update installs.
 func TestPointerFieldsKeepScannedArrays(t *testing.T) {
@@ -201,8 +211,8 @@ func TestPointerFieldsKeepScannedArrays(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.scalar != c.scalar {
-			t.Errorf("schema %v: scalar = %v, want %v", c.fields, r.scalar, c.scalar)
+		if r.cells != c.scalar {
+			t.Errorf("schema %v: cells = %v, want %v", c.fields, r.cells, c.scalar)
 		}
 	}
 

@@ -7,17 +7,19 @@ package storage
 // during the scan, and see a transaction-consistent image. Two invariants
 // carry the design:
 //
-//   - A []Value reachable from a Tuple is never written after it is
+//   - A field array reachable from a Tuple — a []Value, or a cell array on
+//     an all-scalar relation (cells.go) — is never written after it is
 //     installed. Relation.Update installs a fresh array; the previous one
-//     stays as it was for whoever still holds it. A snapshot clone is
-//     therefore a tuple header pointing at the array the live tuple had
-//     at publication — the values themselves are not copied — and version
-//     identity is array identity: a clone is current exactly while its
-//     array is the live tuple's. The recovery log is the invariant's
-//     second user: an insert's log record holds the installed array by
-//     reference (Tuple.FieldArray) until the log device folds it into the
-//     disk copy, so the array must read the same then as at commit. Only
-//     Rewind reuses slab space, and only for tuples never installed.
+//     stays as it was for whoever still holds it, as a Version. A snapshot
+//     clone is therefore a tuple header pointing at the array the live
+//     tuple had at publication — the values themselves are not copied —
+//     and version identity is array identity: a clone is current exactly
+//     while its array is the live tuple's. The recovery log is the
+//     invariant's second user: an insert's log record holds the installed
+//     array's Version (Tuple.FieldArray) until the log device folds it
+//     into the disk copy, so the array must read the same then as at
+//     commit. Only Rewind reuses slab space, and only for tuples never
+//     installed.
 //   - Publication is paid by the first reader of a newer epoch, under
 //     S(relation), never by Commit. A commit only advances the epoch and
 //     marks the partitions it touched; a reader that finds the published
@@ -130,7 +132,7 @@ func (r *Relation) PublishSnapshotStats() (*Snapshot, RefreshStats) {
 // cloneOf returns the header a snapshot holds for live tuple t: marked
 // dead so write paths reject it, sharing t's current field array.
 func cloneOf(t *Tuple) Tuple {
-	return Tuple{id: t.id, part: t.part, slot: -1, arity: t.arity, dead: true, vals: t.vals}
+	return Tuple{id: t.id, part: t.part, slot: -1, arity: t.arity, dead: true, cells: t.cells, vals: t.vals}
 }
 
 // clonePartition builds p's clone array from scratch: one header block

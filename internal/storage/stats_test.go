@@ -125,9 +125,10 @@ func TestStatsSkipsNulls(t *testing.T) {
 	}
 }
 
-// Bytes is arithmetic over counters: live tuples × (header + fields), the
-// partitions' slot arrays and free lists, string payloads once, and the
-// published snapshot's clone headers and pointers.
+// Bytes is arithmetic over counters: live tuples and the open slab chunk's
+// unused rows × (header + fields), the partitions' slot arrays and free
+// lists, string payloads once, and the published snapshot's clone headers
+// and pointers.
 func TestBytesFromCounters(t *testing.T) {
 	r := newTestRelation(t, Config{SlotsPerPartition: 64})
 	const rows, strLen = 200, 10
@@ -141,7 +142,11 @@ func TestBytesFromCounters(t *testing.T) {
 	}
 	rowBytes := tupleHeaderBytes + 2*valueBytes
 	parts := int64(len(r.Partitions()))
-	want := rows*(rowBytes+strLen) + parts*64*8
+	tail := int64(cap(r.slab.tslab) - len(r.slab.tslab)) // 16+32+64+128 rows of chunks hold 200
+	want := rows*(rowBytes+strLen) + tail*rowBytes + parts*64*8
+	if tail != 40 {
+		t.Fatalf("the open slab chunk has %d unused rows, want 40", tail)
+	}
 	if got := r.storedBytes(); got != want {
 		t.Fatalf("Bytes = %d, want %d", got, want)
 	}

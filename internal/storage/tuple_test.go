@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -64,8 +65,14 @@ func checkRow(t *testing.T, form string, tu *Tuple, want ...Value) {
 // Every form a tuple takes reads the same through Field, Arity and Values:
 // carved from the slabs, updated onto a heap array, moved and reached
 // through its forwarding stub, cloned into a snapshot (before and after the
-// live tuple changes), and recovered with a swizzled Ref.
+// live tuple changes), and recovered with a swizzled Ref. Every scalar
+// value class reads back bit for bit in both layouts — cells, and Values
+// beside a Str field — slab-carved, updated, set to NULL and back, in a
+// snapshot clone, reloaded from a partition image, and folded from a
+// logged row into an image and reloaded, as a restart does.
 func TestTupleFormsReadThrough(t *testing.T) {
+	t.Run("value classes", checkValueClassForms)
+
 	r := newTestRelation(t, Config{SlotsPerPartition: 4, HeapPerPartition: 20})
 	carved, err := r.Insert([]Value{IntValue(1), StringValue("abc")})
 	if err != nil {
@@ -106,7 +113,7 @@ func TestTupleFormsReadThrough(t *testing.T) {
 	if carved.Resolve() == carved {
 		t.Fatal("the growing update did not move the tuple")
 	}
-	if carved.row() != nil {
+	if !carved.vals.isNil() {
 		t.Fatal("the forwarding stub still holds a field array")
 	}
 	checkRow(t, "moved, through its stub", carved, IntValue(1), StringValue(long))
@@ -128,6 +135,93 @@ func TestTupleFormsReadThrough(t *testing.T) {
 	dave2, _ := ld.TupleByID(dave.ID())
 	toy2, _ := ld.TupleByID(toy.ID())
 	checkRow(t, "recovered", dave2, StringValue("Dave"), IntValue(23), IntValue(24), RefValue(toy2))
+}
+
+// valueClasses is one value of every scalar class with an edge in its bits.
+var valueClasses = []Value{
+	IntValue(math.MinInt64), IntValue(math.MaxInt64), IntValue(-1), IntValue(0),
+	FloatValue(0), FloatValue(math.Copysign(0, -1)), FloatValue(math.Inf(1)), FloatValue(math.Inf(-1)),
+	FloatValue(math.NaN()), FloatValue(math.Float64frombits(0xfff8dead00000001)), FloatValue(math.SmallestNonzeroFloat64),
+	BoolValue(true), BoolValue(false), NullValue,
+}
+
+func checkValueClassForms(t *testing.T) {
+	for _, layout := range []string{"cells", "values"} {
+		defs := make([]FieldDef, len(valueClasses))
+		for f, v := range valueClasses {
+			defs[f] = FieldDef{Name: fmt.Sprint("f", f), Type: v.Type()}
+			if v.IsNull() {
+				defs[f].Type = Float
+			}
+		}
+		row := append([]Value(nil), valueClasses...)
+		if layout == "values" {
+			defs = append(defs, FieldDef{Name: "pad", Type: Str})
+			row = append(row, StringValue("pad"))
+		}
+		schema := MustSchema(defs...)
+		r, err := NewRelation("classes", schema, Config{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.cells != (layout == "cells") {
+			t.Fatalf("%s: the relation stores cells = %v", layout, r.cells)
+		}
+		tu, err := r.Insert(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		form := func(what string) string { return layout + ", " + what }
+		checkRow(t, form("slab-carved"), tu, row...)
+		var held *Tuple
+		for _, c := range r.PublishSnapshot().Part(0) {
+			held = c
+		}
+		for f := range valueClasses {
+			if err := r.Update(tu, f, row[f]); err != nil {
+				t.Fatal(err)
+			}
+			checkRow(t, form(fmt.Sprintf("updated field %d", f)), tu, row...)
+			if err := r.Update(tu, f, NullValue); err != nil {
+				t.Fatal(err)
+			}
+			nulled := append([]Value(nil), row...)
+			nulled[f] = NullValue
+			checkRow(t, form(fmt.Sprintf("field %d set to NULL", f)), tu, nulled...)
+			if err := r.Update(tu, f, row[f]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkRow(t, form("updated back"), tu, row...)
+		checkRow(t, form("snapshot clone"), held, row...)
+		for _, c := range r.PublishSnapshot().Part(0) {
+			checkRow(t, form("clone published after the updates"), c, row...)
+		}
+
+		reload := func(img PartitionImage) *Tuple {
+			t.Helper()
+			dec, err := DecodePartition(EncodePartition(img))
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := NewRelation("classes", schema, Config{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ld := NewLoader(back)
+			if err := ld.LoadPartition(dec); err != nil {
+				t.Fatal(err)
+			}
+			if err := ld.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			got, _ := ld.TupleByID(tu.ID())
+			return got
+		}
+		checkRow(t, form("reloaded from a partition image"), reload(tu.Partition().Snapshot()), row...)
+		logged := PartitionImage{Relation: "classes", Tuples: []TupleImage{{ID: tu.ID(), Row: tu.FieldArray()}}}
+		checkRow(t, form("folded from a logged row"), reload(logged), row...)
+	}
 }
 
 // A recovered tuple is carved from the relation's slabs, as an inserted one

@@ -60,13 +60,11 @@ func (t Type) String() string {
 // the collector traces it like any other pointer and whatever it points
 // into stays reachable through the Value alone.
 //
-// The one exception to that tracing: a relation whose fields are all Int,
-// Float or Bool keeps its field arrays — slab chunks and the versions
-// Update installs — in pointer-free memory (newValues), which the
-// collector marks live but never scans. The second invariant makes that
-// safe: such an array only ever holds Int, Float, Bool and Null values,
-// whose ptr is nil, because every write path into a relation validates
-// each value's type against the schema before it copies it in.
+// A relation whose fields are all Int, Float or Bool does not store
+// Values at all: its field arrays are cell arrays (cells.go), an 8-byte
+// cell a field holding a value's num word and a one-byte tag holding its
+// typ, with no pointer word, which would always be nil there. A Value is
+// rebuilt from the two as a field is read.
 //
 // With a data pointer in place of a string, == on two Values would compare
 // string addresses, not contents; the zero-size func array makes the type
@@ -78,36 +76,57 @@ type Value struct {
 	typ Type
 }
 
-// The two sizes a stored row is made of; storedBytes estimates from them.
+// The sizes a stored row is made of; storedBytes estimates from them.
 const (
 	valueBytes       = int64(unsafe.Sizeof(Value{}))
+	cellBytes        = int64(unsafe.Sizeof(uint64(0)))
 	tupleHeaderBytes = int64(unsafe.Sizeof(Tuple{}))
 )
 
-// scalarCell has Value's layout without its pointer word, so an array of
-// them is allocated as memory the collector never scans.
-type scalarCell struct {
-	ptr uintptr // Value.ptr: nil in every value a cell array holds
-	num uint64
-	typ Type
+// fields is a tuple's field array, held by its first element: of a
+// []Value, or of the cells of a cell array (cells.go), whose type tags sit
+// in the bytes before it. The tuple header carries the length and which of
+// the two it is. The zero fields is no array (a forwarding stub). Two
+// fields are the same version exactly when they are ==.
+type fields struct{ p unsafe.Pointer }
+
+// valueFields holds vals, which must not be empty, as a field array.
+func valueFields(vals []Value) fields { return fields{unsafe.Pointer(unsafe.SliceData(vals))} }
+
+// cellFields holds w, a cell array of n fields (cellWords(n) words).
+func cellFields(w []uint64, n int) fields { return fields{unsafe.Pointer(&w[tagWords(n)])} }
+
+// values is the field array as the n values it starts; f came from
+// valueFields over at least n values.
+func (f fields) values(n int) []Value { return unsafe.Slice((*Value)(f.p), n) }
+
+// cells is the cell array of n fields f came from, tag words included.
+func (f fields) cells(n int) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Add(f.p, -8*tagWords(n))), cellWords(n))
 }
 
-// newValues returns an array of n Null values. With scalar set it is an
-// array of scalarCells viewed as values: pointer-free memory, which may
-// only ever hold values whose ptr is nil (see Value).
-func newValues(n int, scalar bool) []Value {
-	if !scalar {
-		return make([]Value, n)
+// tags is the type tags of the n-field cell array f: the last n bytes
+// before its first cell.
+func (f fields) tags(n int) []Type { return unsafe.Slice((*Type)(unsafe.Add(f.p, -n)), n) }
+
+// at returns field i of f, an array of n fields: of cells, its tag (whose
+// bounds check is the field's) and its cell, or else its Value.
+func (f fields) at(i, n int, cells bool) Value {
+	if cells {
+		return Value{typ: f.tags(n)[i], num: *(*uint64)(unsafe.Add(f.p, 8*i))}
 	}
-	cells := make([]scalarCell, n)
-	return unsafe.Slice((*Value)(unsafe.Pointer(unsafe.SliceData(cells))), n)
+	return f.values(n)[i]
 }
 
-// valueArray is the array of n values starting at *first: a tuple keeps its
-// field array as a pointer to the first element and the length as its
-// arity, so Tuple.row rebuilds the slice here. first points into an array
-// of at least n values.
-func valueArray(first *Value, n int) []Value { return unsafe.Slice(first, n) }
+// setCell stores v, an Int, Float, Bool or Null value, as field i of the
+// n-field cell array f.
+func (f fields) setCell(i, n int, v Value) {
+	f.tags(n)[i] = v.typ
+	*(*uint64)(unsafe.Add(f.p, 8*i)) = v.num
+}
+
+// isNil reports whether f is no array.
+func (f fields) isNil() bool { return f.p == nil }
 
 // NullValue is the Null constant.
 var NullValue = Value{}

@@ -228,11 +228,11 @@ func (m *Maintainer) TupleUpdating(t *storage.Tuple, f int, v storage.Value) {
 // TupleUpdated implements storage.Observer: after an indexed field
 // changed, the entry (removed by TupleUpdating) is re-inserted at its new
 // position.
-func (m *Maintainer) TupleUpdated(t *storage.Tuple, old []storage.Value) {
+func (m *Maintainer) TupleUpdated(t *storage.Tuple, old storage.Version) {
 	if m.Field == SelfField {
 		return // identity never changes on update
 	}
-	if storage.Equal(old[m.Field], t.Field(m.Field)) {
+	if storage.Equal(old.At(m.Field), t.Field(m.Field)) {
 		return
 	}
 	m.Insert(t)

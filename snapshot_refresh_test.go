@@ -3,10 +3,11 @@ package mmdb
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/storage"
 )
 
 // TestExplainNamesExecutedScanPath: Explain decides the snapshot path with
@@ -298,14 +299,11 @@ func TestRefreshAllocsFollowChanges(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, built := tab.rel.PublishSnapshotStats()
-		runtime.ReadMemStats(&after)
+		var built storage.RefreshStats
+		allocs, bytes := quiesced(func() { _, built = tab.rel.PublishSnapshotStats() })
 		if built.Patched != k || built.Cloned != 0 || built.Tuples != k {
 			t.Fatalf("k=%d: refresh did %+v", k, built)
 		}
-		allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
 		// Directory: a slice header per partition. Per change: a pointer
 		// per slot of its partition (2,304 B in its size class) and the
 		// 64-byte clone header.
@@ -322,11 +320,8 @@ func TestRefreshAllocsFollowChanges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, built := tab.rel.PublishSnapshotStats()
-	runtime.ReadMemStats(&after)
-	if allocs := after.Mallocs - before.Mallocs; built.Patched != 1 || built.Tuples != 100 || allocs > 4 {
+	var built storage.RefreshStats
+	if allocs, _ := quiesced(func() { _, built = tab.rel.PublishSnapshotStats() }); built.Patched != 1 || built.Tuples != 100 || allocs > 4 {
 		t.Errorf("refresh after 100 updates in one partition: %+v, %d allocations; want 1 patched, 100 tuples, at most 4", built, allocs)
 	}
 }

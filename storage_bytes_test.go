@@ -83,9 +83,10 @@ func TestBytesPerStoredRow(t *testing.T) {
 			vals[0] = Int(int64(i))
 			return vals
 		})
-		// 40 header + 8×24 fields + 8 slot + T Tree entry and slab slack.
-		if perRow > 275 {
-			t.Errorf("a row of 8 Int columns costs %.1f B of live heap, ceiling 275", perRow)
+		// 40 header + 8 cells and a mask word (72) + 8 slot + T Tree entry
+		// and slab slack.
+		if perRow > 150 {
+			t.Errorf("a row of 8 Int columns costs %.1f B of live heap, ceiling 150", perRow)
 		}
 	})
 	t.Run("strings", func(t *testing.T) {
@@ -108,8 +109,9 @@ func TestTableBytesExported(t *testing.T) {
 	for _, opts := range []Options{{}, {DisableMetrics: true}} {
 		db := openKeyed(t, opts, 1000, 10)
 		tables := db.Stats().Tables
-		// 40-byte header + 3 × 24-byte fields + an 8-byte slot.
-		if len(tables) != 1 || tables[0].Name != "a" || tables[0].BytesPerRow() < 120 || tables[0].BytesPerRow() > 134 {
+		// 40-byte header + 3 Int cells and their NULL mask word + an
+		// 8-byte slot, and the open slab chunk's 8 unused rows.
+		if len(tables) != 1 || tables[0].Name != "a" || tables[0].BytesPerRow() < 80 || tables[0].BytesPerRow() > 88 {
 			t.Fatalf("DisableMetrics=%v: Stats().Tables = %+v", opts.DisableMetrics, tables)
 		}
 		rec := httptest.NewRecorder()
@@ -133,10 +135,10 @@ func scannableHeap() uint64 {
 }
 
 // TestScalarRowsAreNotScanned is the scan budget of a stored row. A table
-// whose columns are all Int keeps its field arrays in memory the
+// whose columns are all Int keeps its field arrays as cells, memory the
 // collector never scans, so what it scans of a row is the tuple header,
-// the slot pointer and the row's share of the index — not the 192 bytes
-// of its eight fields. A table with a Str column is scanned in full.
+// the slot pointer and the row's share of the index — not its fields. A
+// table with a Str column is scanned in full.
 func TestScalarRowsAreNotScanned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector pads heap objects")
