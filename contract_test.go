@@ -4,8 +4,11 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
+	"path"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -70,5 +73,88 @@ func TestOneReadContract(t *testing.T) {
 				return true
 			})
 		}
+	}
+}
+
+// TestEveryInternalFunctionHasACaller: no exported package-level function
+// in internal/ is reached from tests alone. Every one must be referenced
+// from a non-test file somewhere in the tree — its own package, another
+// internal package, the root package, cmd/, examples/ or the benchmark
+// module. internal/index/indextest is test support: its functions need
+// no caller, and its calls do not count as callers.
+func TestEveryInternalFunctionHasACaller(t *testing.T) {
+	type pkg struct {
+		path  string // import path
+		files map[string]*ast.File
+	}
+	var pkgs []pkg
+	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if dir != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") || dir == filepath.FromSlash("internal/index/indextest") {
+			return filepath.SkipDir
+		}
+		if files := parsePackage(t, dir); len(files) > 0 {
+			pkgs = append(pkgs, pkg{path.Join("repro", filepath.ToSlash(dir)), files})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	referenced := map[string]bool{} // "import/path.Name"
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			imports := map[string]string{} // local name → import path
+			for _, im := range f.Imports {
+				ip, _ := strconv.Unquote(im.Path.Value)
+				name := path.Base(ip)
+				if im.Name != nil {
+					name = im.Name.Name
+				}
+				imports[name] = ip
+			}
+			var visit func(n ast.Node) bool
+			visit = func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					// Only a body can refer to a function; the declared
+					// name is not a reference.
+					if n.Body != nil {
+						ast.Inspect(n.Body, visit)
+					}
+					return false
+				case *ast.SelectorExpr:
+					if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+						referenced[imports[x.Name]+"."+n.Sel.Name] = true
+						return false
+					}
+					ast.Inspect(n.X, visit)
+					return false
+				case *ast.Ident:
+					referenced[p.path+"."+n.Name] = true
+				}
+				return true
+			}
+			ast.Inspect(f, visit)
+		}
+	}
+	var orphans []string
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.path, "repro/internal/") {
+			continue
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.IsExported() && !referenced[p.path+"."+fd.Name.Name] {
+					orphans = append(orphans, strings.TrimPrefix(p.path, "repro/")+"."+fd.Name.Name)
+				}
+			}
+		}
+	}
+	slices.Sort(orphans)
+	for _, o := range orphans {
+		t.Errorf("%s has no caller outside tests", o)
 	}
 }

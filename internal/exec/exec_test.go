@@ -631,153 +631,3 @@ func TestDiscardCountsWithoutMaterializing(t *testing.T) {
 		}
 	}
 }
-
-func TestNonEquiJoins(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	col1, _ := workload.Build(workload.Spec{Cardinality: 150, DuplicatePct: 30, Sigma: workload.NearUniform}, rng)
-	col2, _ := workload.Build(workload.Spec{Cardinality: 120, DuplicatePct: 30, Sigma: workload.NearUniform}, rng)
-	ids := storage.NewIDGen()
-	r1 := buildRelation(t, ids, "r1", col1.Values)
-	r2 := buildRelation(t, ids, "r2", col2.Values)
-	s1, s2 := arrayOn(r1, 0), arrayOn(r2, 0)
-	t2 := ttreeOn(r2, 0)
-	spec := JoinSpec{OuterName: "r1", InnerName: "r2", OuterField: 0, InnerField: 0}
-
-	for _, op := range []NonEquiOp{JoinLt, JoinLe, JoinGt, JoinGe} {
-		// Reference count.
-		want := 0
-		for _, a := range col1.Values {
-			for _, b := range col2.Values {
-				ok := false
-				switch op {
-				case JoinLt:
-					ok = a < b
-				case JoinLe:
-					ok = a <= b
-				case JoinGt:
-					ok = a > b
-				default:
-					ok = a >= b
-				}
-				if ok {
-					want++
-				}
-			}
-		}
-		byTree := NonEquiTreeJoin(s1, t2, op, spec)
-		byLoop := NonEquiNestedLoopsJoin(s1, s2, op, spec)
-		if byTree.Len() != want {
-			t.Fatalf("op %v: tree join %d rows, want %d", op, byTree.Len(), want)
-		}
-		if byLoop.Len() != want {
-			t.Fatalf("op %v: nested loops %d rows, want %d", op, byLoop.Len(), want)
-		}
-		// Every emitted pair satisfies the predicate.
-		byTree.Scan(func(_ int, row storage.Row) bool {
-			a, b := row[0].Field(0).Int(), row[1].Field(0).Int()
-			ok := false
-			switch op {
-			case JoinLt:
-				ok = a < b
-			case JoinLe:
-				ok = a <= b
-			case JoinGt:
-				ok = a > b
-			default:
-				ok = a >= b
-			}
-			if !ok {
-				t.Fatalf("op %v: pair (%d, %d) violates predicate", op, a, b)
-			}
-			return true
-		})
-	}
-}
-
-func TestNonEquiJoinEdges(t *testing.T) {
-	ids := storage.NewIDGen()
-	r1 := buildRelation(t, ids, "r1", []int64{5, 5, 5})
-	r2 := buildRelation(t, ids, "r2", []int64{5, 5})
-	s1 := arrayOn(r1, 0)
-	t2 := ttreeOn(r2, 0)
-	spec := JoinSpec{OuterName: "r1", InnerName: "r2", OuterField: 0, InnerField: 0}
-	// All-equal inputs: strict ops empty, non-strict full cross product.
-	if got := NonEquiTreeJoin(s1, t2, JoinLt, spec).Len(); got != 0 {
-		t.Fatalf("Lt on equal keys = %d", got)
-	}
-	if got := NonEquiTreeJoin(s1, t2, JoinLe, spec).Len(); got != 6 {
-		t.Fatalf("Le on equal keys = %d", got)
-	}
-	if got := NonEquiTreeJoin(s1, t2, JoinGe, spec).Len(); got != 6 {
-		t.Fatalf("Ge on equal keys = %d", got)
-	}
-}
-
-func TestListIndex(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	col, _ := workload.Build(workload.Spec{Cardinality: 500, DuplicatePct: 40, Sigma: workload.Moderate}, rng)
-	ids := storage.NewIDGen()
-	rel := buildRelation(t, ids, "r", col.Values)
-	list := storage.MustTempList(storage.Descriptor{
-		Sources: []string{"r"},
-		Cols:    []storage.ColRef{{Source: 0, Field: 0, Name: "val"}},
-	})
-	rel.ScanPhysical(func(tp *storage.Tuple) bool { list.Append(storage.Row{tp}); return true })
-
-	li := BuildListIndex(list, 0, nil)
-	if li.Len() != list.Len() {
-		t.Fatalf("indexed %d of %d rows", li.Len(), list.Len())
-	}
-	// Exact lookup matches a linear count.
-	key := storage.IntValue(col.Distinct[3])
-	want := 0
-	for _, v := range col.Values {
-		if v == col.Distinct[3] {
-			want++
-		}
-	}
-	got := 0
-	li.SearchAll(key, func(_ int, row storage.Row) bool {
-		if !storage.Equal(row[0].Field(0), key) {
-			t.Fatal("wrong row from list index")
-		}
-		got++
-		return true
-	})
-	if got != want {
-		t.Fatalf("SearchAll found %d, want %d", got, want)
-	}
-	// Sorted materialization is ordered and complete.
-	sorted := li.Sorted()
-	if sorted.Len() != list.Len() {
-		t.Fatalf("Sorted dropped rows: %d of %d", sorted.Len(), list.Len())
-	}
-	prev := int64(-1 << 62)
-	sorted.Scan(func(_ int, row storage.Row) bool {
-		v := row[0].Field(0).Int()
-		if v < prev {
-			t.Fatal("Sorted out of order")
-		}
-		prev = v
-		return true
-	})
-	// Range over the list.
-	lo, hi := storage.IntValue(prev/2), storage.IntValue(prev)
-	n := 0
-	li.Range(&lo, &hi, func(_ int, row storage.Row) bool { n++; return true })
-	wantRange := 0
-	for _, v := range col.Values {
-		if v >= prev/2 && v <= prev {
-			wantRange++
-		}
-	}
-	if n != wantRange {
-		t.Fatalf("Range found %d, want %d", n, wantRange)
-	}
-	// Open bounds scan everything.
-	n = 0
-	li.Range(nil, nil, func(_ int, _ storage.Row) bool { n++; return true })
-	if n != list.Len() {
-		t.Fatalf("open range found %d", n)
-	}
-}

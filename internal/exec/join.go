@@ -136,20 +136,10 @@ func NestedLoopsJoin(outer, inner Source, spec JoinSpec) *storage.TempList {
 		}
 		return true
 	}
-	return nestedLoops(outer, inner, out, func(t *storage.Tuple) bool {
-		o, ko = t, tupleindex.KeyOf(t, spec.OuterField)
-		return !ko.IsNull()
-	}, probe)
-}
-
-// nestedLoops drives a nested-loops join block by block: every outer
-// tuple that bind accepts is followed by a full scan of inner through
-// probe, until the emitter stops accepting rows.
-func nestedLoops(outer, inner Source, out *emitter, bind func(*storage.Tuple) bool, probe func(storage.TupleBatch) bool) *storage.TempList {
 	obuf, ibuf := storage.GetBatch(), storage.GetBatch()
 	outer.ScanBatches(obuf, func(block storage.TupleBatch) bool {
 		for _, t := range block {
-			if bind(t) {
+			if o, ko = t, tupleindex.KeyOf(t, spec.OuterField); !ko.IsNull() {
 				inner.ScanBatches(ibuf, probe)
 			}
 			if !out.more() {
@@ -392,112 +382,4 @@ func mergeJoin(a, b joinCursor, spec JoinSpec, out *emitter) {
 			}
 		}
 	}
-}
-
-// NonEquiOp is a non-equality join comparison.
-type NonEquiOp int
-
-// Non-equijoin operators: outer.field OP inner.field. §3.3.5: such joins
-// "can make use of ordering of the data, so the Tree Join should be used".
-const (
-	JoinLt NonEquiOp = iota
-	JoinLe
-	JoinGt
-	JoinGe
-)
-
-// String renders the operator.
-func (o NonEquiOp) String() string {
-	switch o {
-	case JoinLt:
-		return "<"
-	case JoinLe:
-		return "<="
-	case JoinGt:
-		return ">"
-	default:
-		return ">="
-	}
-}
-
-// NonEquiTreeJoin joins outer with inner on outer.field OP inner.field
-// using an existing ordered index on the inner join column: each outer
-// tuple turns into one range scan of the index.
-func NonEquiTreeJoin(outer Source, inner tupleindex.Ordered, op NonEquiOp, spec JoinSpec) *storage.TempList {
-	out := spec.newEmitter()
-	// The bounds and the emit closure are built once for the whole join,
-	// capturing the mutable outer tuple and key. The inner entries
-	// matching "ko OP inner" form one contiguous key range of the index.
-	var o *storage.Tuple
-	var ko storage.Value
-	fi := spec.InnerField
-	pos := func(t *storage.Tuple) int { return storage.Compare(tupleindex.KeyOf(t, fi), ko) }
-	all := func(*storage.Tuple) int { return 0 }
-	lo, hi := all, all
-	switch op {
-	case JoinLt: // inner > ko
-		lo = func(t *storage.Tuple) int {
-			if pos(t) > 0 {
-				return 0 // at or above the first strictly-greater entry
-			}
-			return -1
-		}
-	case JoinLe: // inner >= ko
-		lo = pos
-	case JoinGt: // inner < ko
-		hi = func(t *storage.Tuple) int {
-			if pos(t) < 0 {
-				return 0 // still below ko: inside the range
-			}
-			return 1
-		}
-	default: // JoinGe: inner <= ko
-		hi = pos
-	}
-	emit := func(i *storage.Tuple) bool { return out.emit(o, i) }
-	buf := storage.GetBatch()
-	outer.ScanBatches(buf, func(block storage.TupleBatch) bool {
-		for _, t := range block {
-			o, ko = t, tupleindex.KeyOf(t, spec.OuterField)
-			inner.Range(lo, hi, emit)
-			if !out.more() {
-				return false
-			}
-		}
-		return true
-	})
-	storage.PutBatch(buf)
-	return out.done()
-}
-
-// NonEquiNestedLoopsJoin is the fallback when no ordered index exists.
-func NonEquiNestedLoopsJoin(outer, inner Source, op NonEquiOp, spec JoinSpec) *storage.TempList {
-	out := spec.newEmitter()
-	var o *storage.Tuple
-	var ko storage.Value
-	probe := func(block storage.TupleBatch) bool {
-		for _, i := range block {
-			spec.Meter.AddCompare(1)
-			c := storage.Compare(ko, tupleindex.KeyOf(i, spec.InnerField))
-			match := false
-			switch op {
-			case JoinLt:
-				match = c < 0
-			case JoinLe:
-				match = c <= 0
-			case JoinGt:
-				match = c > 0
-			default:
-				match = c >= 0
-			}
-			if match && !out.emit(o, i) {
-				return false
-			}
-		}
-		return true
-	}
-	return nestedLoops(outer, inner, out, func(t *storage.Tuple) bool {
-		o, ko = t, tupleindex.KeyOf(t, spec.OuterField)
-		return true
-	}, probe)
 }

@@ -36,26 +36,14 @@ func TestJoinLimitEarlyExit(t *testing.T) {
 			Limit: limit, RowsOut: &rows,
 		}
 		for name, join := range map[string]func() *storage.TempList{
-			"nested":     func() *storage.TempList { return NestedLoopsJoin(s1, s2, spec) },
-			"hash":       func() *storage.TempList { return HashJoin(s1, s2, spec) },
-			"tree":       func() *storage.TempList { return TreeJoin(s1, t2, spec) },
-			"sortmerge":  func() *storage.TempList { return SortMergeJoin(s1, s2, spec) },
-			"treemerge":  func() *storage.TempList { return TreeMergeJoin(t1, t2, spec) },
-			"nonequi-lt": func() *storage.TempList { return NonEquiTreeJoin(s1, t2, JoinLt, spec) },
-			"nonequi-nl": func() *storage.TempList { return NonEquiNestedLoopsJoin(s1, s2, JoinGe, spec) },
+			"nested":    func() *storage.TempList { return NestedLoopsJoin(s1, s2, spec) },
+			"hash":      func() *storage.TempList { return HashJoin(s1, s2, spec) },
+			"tree":      func() *storage.TempList { return TreeJoin(s1, t2, spec) },
+			"sortmerge": func() *storage.TempList { return SortMergeJoin(s1, s2, spec) },
+			"treemerge": func() *storage.TempList { return TreeMergeJoin(t1, t2, spec) },
 		} {
 			rows = -1
 			l := join()
-			if name == "nonequi-lt" || name == "nonequi-nl" {
-				// Different full count; only the early-exit contract matters.
-				if l.Len() > limit {
-					t.Fatalf("%s limit=%d: emitted %d rows", name, limit, l.Len())
-				}
-				if rows != l.Len() {
-					t.Fatalf("%s limit=%d: RowsOut=%d but %d rows emitted", name, limit, rows, l.Len())
-				}
-				continue
-			}
 			if l.Len() != want {
 				t.Fatalf("%s limit=%d: %d rows, want %d", name, limit, l.Len(), want)
 			}

@@ -197,10 +197,6 @@ func (p *Pipeline) Emitted() int { return p.emitted }
 // forecast is audited against.
 func (p *Pipeline) StageRows(k int) int { return p.stages[k].rows }
 
-// More reports whether the pipeline still accepts input (false once a
-// Limit has been reached).
-func (p *Pipeline) More() bool { return !p.stopped }
-
 // Feed streams one block of driver tuples into the pipeline. It returns
 // false once the Limit is reached; callers should stop feeding then.
 func (p *Pipeline) Feed(block []*storage.Tuple) bool {

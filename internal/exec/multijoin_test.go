@@ -136,7 +136,7 @@ func TestPipelineLimitEarlyExit(t *testing.T) {
 	if p.Emitted() != 7 || out.Len() != 7 {
 		t.Fatalf("limit 7: emitted %d, list %d", p.Emitted(), out.Len())
 	}
-	if p.More() {
+	if p.Feed(nil) {
 		t.Fatal("pipeline still accepting input after limit")
 	}
 }

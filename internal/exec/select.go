@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"math"
+
 	"repro/internal/meter"
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -31,6 +33,9 @@ type SelectSpec struct {
 	// Hint, when positive, is the expected result cardinality; the output
 	// list is presized so no chunk growth happens during the scan.
 	Hint int
+	// Limit, when positive, is a pushed-down LIMIT: SelectScan stops once
+	// that many tuples are selected. The index paths ignore it.
+	Limit int
 	// Prog, when non-nil, receives live rows-processed progress and
 	// worker saturation from the parallel executor (the serial operators
 	// in this package ignore it). Nil is the disabled state; every
@@ -128,26 +133,53 @@ func SelectRange(ix tupleindex.Ordered, field int, lo, hi *storage.Value, spec S
 // SelectScan selects by predicate with a sequential scan through an index
 // — possibly one on an unrelated attribute, the fallback access path when
 // no index covers the selection column. The source is drained in blocks
-// (zero-copy when they are views of its storage); each block is
-// filtered into a survivors block that is block-copied into the output.
-// One comparison is metered per tuple, exactly as the per-tuple loop did.
+// (zero-copy when they are views of its storage). A nil pred selects every
+// tuple: whole blocks are block-copied into the output and no comparison
+// is metered. Otherwise each block is filtered into a survivors block that
+// is block-copied into the output, with one comparison metered per tuple
+// examined. A positive spec.Limit ends the scan at the tuple that fills
+// the limit.
 func SelectScan(src Source, pred func(*storage.Tuple) bool, spec SelectSpec) *storage.TempList {
 	out := spec.newList()
+	limit := spec.Limit
+	if limit <= 0 {
+		limit = math.MaxInt
+	}
+	var keep storage.TupleBatch
+	if pred != nil {
+		keep = storage.GetBatch()
+	}
 	buf := storage.GetBatch()
-	keep := storage.GetBatch()
 	src.ScanBatches(buf, func(block storage.TupleBatch) bool {
-		spec.Meter.AddCompare(int64(len(block)))
 		spec.Meter.AddBatch(1)
-		keep = keep[:0]
-		for _, t := range block {
-			if pred(t) {
-				keep = append(keep, t)
-			}
+		want := limit - out.Len()
+		if pred != nil {
+			var n int
+			keep, n = filter(block, keep[:0], pred, want)
+			spec.Meter.AddCompare(int64(n))
+			block = keep
 		}
-		out.AppendBatch(keep)
+		if len(block) >= want {
+			out.AppendBatch(block[:want])
+			return false
+		}
+		out.AppendBatch(block)
 		return true
 	})
-	storage.PutBatch(keep)
 	storage.PutBatch(buf)
+	storage.PutBatch(keep) // nil without a predicate: PutBatch ignores it
 	return out
+}
+
+// filter appends to keep the tuples of block that pred selects, up to the
+// want-th, and returns them with the number of tuples it examined.
+func filter(block, keep storage.TupleBatch, pred func(*storage.Tuple) bool, want int) (storage.TupleBatch, int) {
+	for i, t := range block {
+		if pred(t) {
+			if keep = append(keep, t); len(keep) == want {
+				return keep, i + 1
+			}
+		}
+	}
+	return keep, len(block)
 }

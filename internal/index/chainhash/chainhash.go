@@ -78,13 +78,6 @@ func New[E any](cfg index.Config[E]) *Table[E] {
 // Len returns the number of entries.
 func (t *Table[E]) Len() int { return t.size }
 
-// SetMeter replaces the table's operation meter. The parallel hash join
-// builds each partition table with its build worker's private counters,
-// then detaches them (SetMeter(nil)) before the table is probed by many
-// workers at once — a non-nil meter is single-goroutine state and would
-// be a data race under concurrent SearchKeyAppend.
-func (t *Table[E]) SetMeter(m *meter.Counters) { t.m = m }
-
 func (t *Table[E]) slot(h uint64) int { return int(h & t.mask) }
 
 // Insert adds e; false when unique and a key-equal entry exists.

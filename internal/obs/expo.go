@@ -3,7 +3,6 @@ package obs
 import (
 	"cmp"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -369,15 +368,4 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		r.WritePrometheus(w)
 	})
-}
-
-// Expvar returns the registry as an expvar.Func for callers that publish
-// into the process-wide expvar map, e.g.
-//
-//	expvar.Publish("mmdb", reg.Expvar())
-//
-// (Publishing is left to the caller because expvar panics on duplicate
-// names — one process may open several databases.)
-func (r *Registry) Expvar() expvar.Func {
-	return expvar.Func(func() any { return r.Snapshot() })
 }

@@ -17,8 +17,6 @@
 // Projection: hashing is the dominant duplicate-elimination method.
 package plan
 
-import "fmt"
-
 // CmpOp is a selection predicate operator.
 type CmpOp int
 
@@ -204,11 +202,6 @@ func ChooseJoin(in JoinInput) JoinMethod {
 		return JoinTree
 	}
 	return JoinHash
-}
-
-// Explain renders a one-line plan description.
-func Explain(kind string, choice fmt.Stringer, why string) string {
-	return fmt.Sprintf("%s: %s (%s)", kind, choice, why)
 }
 
 // MinRowsPerWorker is the floor under which an operator is not worth
@@ -401,21 +394,12 @@ func budgetMaxBits(budget int64) uint {
 // MaxRadixHardBits mirrors the kernel's hard fanout cap.
 const MaxRadixHardBits = 16
 
-// BudgetedRadixBits is ChooseRadixBits under a memory grant of budget
-// bytes: the cache-geometry plan, with its total width clamped so the
-// scatter staging fits budget/8. The boolean reports whether the clamp
-// actually narrowed the plan — true is the signal query tracing audits
-// as a budget-forced decision. budget <= 0 means unbudgeted and defers
-// entirely to ChooseRadixBits.
-func BudgetedRadixBits(buildRows int, cfg RadixConfig, budget int64) ([]uint, bool) {
-	return ClampRadixBits(ChooseRadixBits(buildRows, cfg), cfg, budget)
-}
-
 // ClampRadixBits narrows an existing radix plan to the widest total
 // width whose scatter staging fits budget/8, re-splitting the clamped
 // width into passes under the config's per-pass cap. It reports whether
-// the plan actually narrowed. nil plans and budget <= 0 pass through
-// untouched.
+// the plan actually narrowed — true is the signal query tracing audits as
+// a budget-forced decision. nil plans and budget <= 0 (unbudgeted) pass
+// through untouched.
 func ClampRadixBits(bits []uint, cfg RadixConfig, budget int64) ([]uint, bool) {
 	if budget <= 0 || bits == nil {
 		return bits, false

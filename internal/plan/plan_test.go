@@ -161,17 +161,17 @@ func TestBudgetedRadixBits(t *testing.T) {
 		t.Fatal("1M rows should be over the radix crossover")
 	}
 	// No budget: pass-through, not clamped.
-	bits, clamped := BudgetedRadixBits(1<<20, cfg, 0)
+	bits, clamped := ClampRadixBits(ChooseRadixBits(1<<20, cfg), cfg, 0)
 	if clamped || len(bits) != len(base) {
 		t.Fatalf("unbudgeted = %v clamped=%v, want %v", bits, clamped, base)
 	}
 	// Huge budget: plan unchanged.
-	bits, clamped = BudgetedRadixBits(1<<20, cfg, 1<<30)
+	bits, clamped = ClampRadixBits(ChooseRadixBits(1<<20, cfg), cfg, 1<<30)
 	if clamped {
 		t.Fatalf("1GiB budget clamped a %v plan to %v", base, bits)
 	}
 	// 64 KiB budget: staging allowance 64Ki/8/2048 = 4 partitions → 2 bits.
-	bits, clamped = BudgetedRadixBits(1<<20, cfg, 64<<10)
+	bits, clamped = ClampRadixBits(ChooseRadixBits(1<<20, cfg), cfg, 64<<10)
 	if !clamped {
 		t.Fatal("64KiB budget did not clamp a 1M-row plan")
 	}
@@ -183,11 +183,11 @@ func TestBudgetedRadixBits(t *testing.T) {
 		t.Fatalf("64KiB budget: total bits = %d (%v), want 2", total, bits)
 	}
 	// Below the crossover the chained join runs budget or not.
-	if bits, clamped = BudgetedRadixBits(100, cfg, 64<<10); bits != nil || clamped {
+	if bits, clamped = ClampRadixBits(ChooseRadixBits(100, cfg), cfg, 64<<10); bits != nil || clamped {
 		t.Fatalf("tiny build: %v %v", bits, clamped)
 	}
 	// Clamp floor: even a 1-byte budget keeps 2 bits of fanout.
-	bits, _ = BudgetedRadixBits(1<<20, cfg, 1)
+	bits, _ = ClampRadixBits(ChooseRadixBits(1<<20, cfg), cfg, 1)
 	total = 0
 	for _, b := range bits {
 		total += b

@@ -409,7 +409,7 @@ func checkReopen(t *testing.T, name string, fs *memFS, want diskState) {
 		if !bytes.Equal(img, want.images[k]) {
 			t.Fatalf("%s: partition %v holds a %d-byte image, want the %d-byte one its last complete frame wrote", name, k, len(img), len(want.images[k]))
 		}
-		got := storage.EncodePartition(rel.Partitions()[k.Part].Snapshot())
+		got := storage.AppendPartition(nil, rel.Partitions()[k.Part].Snapshot())
 		if !bytes.Equal(got, img) {
 			t.Fatalf("%s: partition %v restarted to something other than its image", name, k)
 		}

@@ -202,6 +202,3 @@ func (r *Restart) LoadRemainingAsync() <-chan error {
 func (r *Restart) Finish() error {
 	return r.loader.Finish()
 }
-
-// Loaded reports whether partition k is in memory yet.
-func (r *Restart) Loaded(k PartKey) bool { return r.loaded[k] }

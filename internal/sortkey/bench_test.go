@@ -34,7 +34,7 @@ func BenchmarkComparatorSort1M(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, master)
-		sortutil.Sort(work, storage.Compare)
+		sortutil.SortMetered(work, storage.Compare, nil)
 	}
 }
 

@@ -3,8 +3,9 @@
 //
 // The paper sorted its array indices "using quicksort with an insertion
 // sort for subarrays of ten elements or less" and notes (footnote 5) that
-// 10 was measured to be the optimal cutoff. Sort is that algorithm; the
-// cutoff is a parameter so the ablation benchmark can sweep it.
+// 10 was measured to be the optimal cutoff. SortMetered is that
+// algorithm; SortCutoff takes the cutoff as a parameter so the ablation
+// benchmark can sweep it.
 package sortutil
 
 import "repro/internal/meter"
@@ -13,14 +14,9 @@ import "repro/internal/meter"
 // measured to be optimal.
 const DefaultCutoff = 10
 
-// Sort sorts s in place with quicksort, switching to insertion sort for
-// subarrays of DefaultCutoff elements or fewer. cmp follows the usual
-// negative/zero/positive contract.
-func Sort[E any](s []E, cmp func(a, b E) int) {
-	SortCutoff(s, cmp, DefaultCutoff, nil)
-}
-
-// SortMetered is Sort with operation counting.
+// SortMetered sorts s in place with quicksort, switching to insertion
+// sort for subarrays of DefaultCutoff elements or fewer. cmp follows the
+// usual negative/zero/positive contract; m may be nil.
 func SortMetered[E any](s []E, cmp func(a, b E) int, m *meter.Counters) {
 	SortCutoff(s, cmp, DefaultCutoff, m)
 }
@@ -119,16 +115,6 @@ func insertionSort[E any](s []E, cmp func(a, b E) int, m *meter.Counters) {
 	}
 }
 
-// IsSorted reports whether s is in nondecreasing order under cmp.
-func IsSorted[E any](s []E, cmp func(a, b E) int) bool {
-	for i := 1; i < len(s); i++ {
-		if cmp(s[i-1], s[i]) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Search returns the smallest index i in [0, len(s)] such that
 // pos(s[i]) <= 0, i.e. the first element not less than the key encoded in
 // pos, using binary search. pos returns <0 when the probed element is less
@@ -147,22 +133,4 @@ func Search[E any](s []E, pos func(e E) int, m *meter.Counters) int {
 		}
 	}
 	return lo
-}
-
-// SearchLast returns the largest index i in [-1, len(s)-1] such that
-// pos(s[i]) <= 0 under the same pos contract as Search; that is, the last
-// element not greater than the key. Returns -1 if every element exceeds
-// the key.
-func SearchLast[E any](s []E, pos func(e E) int, m *meter.Counters) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		m.AddCompare(1)
-		if pos(s[mid]) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo - 1
 }

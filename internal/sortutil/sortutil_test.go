@@ -2,6 +2,7 @@ package sortutil
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -22,9 +23,9 @@ func intCmp(a, b int) int {
 
 func TestSortEmptyAndSingle(t *testing.T) {
 	var empty []int
-	Sort(empty, intCmp)
+	SortMetered(empty, intCmp, nil)
 	one := []int{42}
-	Sort(one, intCmp)
+	SortMetered(one, intCmp, nil)
 	if one[0] != 42 {
 		t.Fatalf("single-element sort corrupted slice: %v", one)
 	}
@@ -44,9 +45,9 @@ func TestSortSmallFixed(t *testing.T) {
 		in := append([]int(nil), c...)
 		want := append([]int(nil), c...)
 		sort.Ints(want)
-		Sort(in, intCmp)
+		SortMetered(in, intCmp, nil)
 		if !equal(in, want) {
-			t.Errorf("Sort(%v) = %v, want %v", c, in, want)
+			t.Errorf("SortMetered(%v) = %v, want %v", c, in, want)
 		}
 	}
 }
@@ -61,7 +62,7 @@ func TestSortMatchesStdlibRandom(t *testing.T) {
 		}
 		want := append([]int(nil), in...)
 		sort.Ints(want)
-		Sort(in, intCmp)
+		SortMetered(in, intCmp, nil)
 		if !equal(in, want) {
 			t.Fatalf("trial %d: mismatch for n=%d", trial, n)
 		}
@@ -76,8 +77,8 @@ func TestSortPropertySortedPermutation(t *testing.T) {
 			s[i] = int(v)
 			counts[int(v)]++
 		}
-		Sort(s, intCmp)
-		if !IsSorted(s, intCmp) {
+		SortMetered(s, intCmp, nil)
+		if !slices.IsSortedFunc(s, intCmp) {
 			return false
 		}
 		for _, v := range s {
@@ -149,8 +150,8 @@ func TestSortAdversarialShapes(t *testing.T) {
 func TestSortStabilityNotRequiredButDeterministic(t *testing.T) {
 	a := []int{3, 1, 2}
 	b := []int{3, 1, 2}
-	Sort(a, intCmp)
-	Sort(b, intCmp)
+	SortMetered(a, intCmp, nil)
+	SortMetered(b, intCmp, nil)
 	if !equal(a, b) {
 		t.Fatal("same input sorted differently")
 	}
@@ -172,28 +173,9 @@ func TestSearchFindsFirstNotLess(t *testing.T) {
 	}
 }
 
-func TestSearchLastFindsLastNotGreater(t *testing.T) {
-	s := []int{1, 3, 3, 3, 5, 9}
-	cases := []struct {
-		key  int
-		want int
-	}{
-		{0, -1}, {1, 0}, {2, 0}, {3, 3}, {4, 3}, {5, 4}, {8, 4}, {9, 5}, {10, 5},
-	}
-	for _, c := range cases {
-		got := SearchLast(s, func(e int) int { return intCmp(e, c.key) }, nil)
-		if got != c.want {
-			t.Errorf("SearchLast(%d) = %d, want %d", c.key, got, c.want)
-		}
-	}
-}
-
 func TestSearchEmpty(t *testing.T) {
 	if got := Search(nil, func(e int) int { return 0 }, nil); got != 0 {
 		t.Fatalf("Search(empty) = %d", got)
-	}
-	if got := SearchLast(nil, func(e int) int { return 0 }, nil); got != -1 {
-		t.Fatalf("SearchLast(empty) = %d", got)
 	}
 }
 
@@ -227,18 +209,6 @@ func TestMeterCountsSomething(t *testing.T) {
 	}
 }
 
-func TestIsSorted(t *testing.T) {
-	if !IsSorted([]int{1, 2, 2, 3}, intCmp) {
-		t.Error("sorted slice reported unsorted")
-	}
-	if IsSorted([]int{2, 1}, intCmp) {
-		t.Error("unsorted slice reported sorted")
-	}
-	if !IsSorted([]int{}, intCmp) || !IsSorted([]int{5}, intCmp) {
-		t.Error("trivial slices must be sorted")
-	}
-}
-
 func equal(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -261,6 +231,6 @@ func BenchmarkSortRandom10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(s, base)
-		Sort(s, intCmp)
+		SortMetered(s, intCmp, nil)
 	}
 }

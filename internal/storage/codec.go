@@ -71,11 +71,6 @@ func (p *Partition) Snapshot() PartitionImage {
 
 const codecMagic = uint32(0x4d4d4442) // "MMDB"
 
-// EncodePartition serializes a partition image.
-func EncodePartition(img PartitionImage) []byte {
-	return AppendPartition(make([]byte, 0, 64+len(img.Tuples)*32), img)
-}
-
 // AppendPartition appends the serialization of img to buf.
 func AppendPartition(buf []byte, img PartitionImage) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, codecMagic)

@@ -49,7 +49,7 @@ func TestPartitionImageRoundTrip(t *testing.T) {
 	}
 	var decoded []PartitionImage
 	for _, img := range images {
-		got, err := DecodePartition(EncodePartition(img))
+		got, err := DecodePartition(AppendPartition(nil, img))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	// Truncation anywhere in a valid image must error, not panic.
 	emp, _, _ := buildEmpDept(t)
 	emp.Insert([]Value{StringValue("abc"), IntValue(1), IntValue(2), NullValue})
-	full := EncodePartition(emp.Partitions()[0].Snapshot())
+	full := AppendPartition(nil, emp.Partitions()[0].Snapshot())
 	for cut := 0; cut < len(full); cut++ {
 		if _, err := DecodePartition(full[:cut]); err == nil {
 			t.Fatalf("truncated image (%d of %d bytes) accepted", cut, len(full))
@@ -195,7 +195,7 @@ func TestCodecPropertyRoundTrip(t *testing.T) {
 				{Type: Float, Num: 0x400921fb54442d18},
 			}}},
 		}
-		got, err := DecodePartition(EncodePartition(img))
+		got, err := DecodePartition(AppendPartition(nil, img))
 		if err != nil {
 			return false
 		}

@@ -68,9 +68,6 @@ func (p *Partition) Live() int { return p.live }
 // HeapUsed returns the heap-space bytes in use.
 func (p *Partition) HeapUsed() int { return p.heapUsed }
 
-// HeapCap returns the heap-space capacity in bytes.
-func (p *Partition) HeapCap() int { return p.heapCap }
-
 // LSN returns the highest log sequence number applied to this partition.
 func (p *Partition) LSN() uint64 { return atomic.LoadUint64(&p.lsn) }
 

@@ -131,7 +131,7 @@ func TestScalarArraysStayPointerFree(t *testing.T) {
 	}
 	ld := NewLoader(reloaded)
 	for _, p := range r.Partitions() {
-		img, err := DecodePartition(EncodePartition(p.Snapshot()))
+		img, err := DecodePartition(AppendPartition(nil, p.Snapshot()))
 		if err != nil {
 			t.Fatal(err)
 		}

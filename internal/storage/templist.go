@@ -107,8 +107,8 @@ const (
 //
 // Concurrency contract: a TempList is single-writer. Parallel operators
 // must not share one list across workers — each worker appends to a
-// private list and the lists are combined with MergeLists (or Absorb)
-// after the workers join. Freeze seals a list against further appends,
+// private list and the lists are combined with MergeListsRecycle after
+// the workers join. Freeze seals a list against further appends,
 // after which Rows is a safe zero-copy view.
 type TempList struct {
 	desc   Descriptor
@@ -486,50 +486,10 @@ func (l *TempList) Release() {
 	l.n = 0
 }
 
-// Absorb appends every row of other (block copies, chunk by chunk). Both
-// lists must have the same source arity and neither may have computed
-// columns; the descriptor columns are taken from l. The per-worker
-// parallel append path builds one private TempList per worker and absorbs
-// them in worker order, so no mutex ever guards an Append.
-func (l *TempList) Absorb(other *TempList) {
-	l.mustAppend()
-	if other.arity != l.arity {
-		panic(fmt.Sprintf("storage: absorb arity %d does not match %d sources",
-			other.arity, l.arity))
-	}
-	if other.comp != nil {
-		panic("storage: absorb of a TempList with computed columns")
-	}
-	for _, c := range other.chunks {
-		l.appendFlat(c)
-	}
-}
-
-// MergeLists combines per-worker partial results into one list with the
-// given descriptor, in slice order, pre-sizing the arena once. Nil
-// partials are skipped. The partials remain valid and untouched; use
-// MergeListsRecycle when they are private scratch that can be recycled.
-func MergeLists(desc Descriptor, parts []*TempList) (*TempList, error) {
-	n := 0
-	for _, p := range parts {
-		if p != nil {
-			n += p.n
-		}
-	}
-	out, err := NewTempListHint(desc, n)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range parts {
-		if p != nil {
-			out.Absorb(p)
-		}
-	}
-	return out, nil
-}
-
-// MergeListsRecycle is MergeLists for partials that are private worker
-// scratch. A full chunk that lands on a chunk boundary of the result is
+// MergeListsRecycle combines per-worker partial results into one list
+// with the given descriptor, in slice order, pre-sizing the arena once.
+// Nil partials are skipped. The partials are private worker scratch: a
+// full chunk that lands on a chunk boundary of the result is
 // adopted — it changes owner instead of being copied and pooled; every
 // other chunk is block-copied and goes back to the pool. Each partial is
 // left empty. The parts must have no outstanding row views and no

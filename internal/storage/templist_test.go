@@ -178,15 +178,6 @@ func TestFreezeSealsList(t *testing.T) {
 		}()
 		l.Append(Row{emps["Suzan"]})
 	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Absorb into frozen list did not panic")
-			}
-		}()
-		other := MustTempList(Descriptor{Sources: []string{"emp"}})
-		l.Absorb(other)
-	}()
 }
 
 func TestMergeLists(t *testing.T) {
@@ -197,7 +188,7 @@ func TestMergeLists(t *testing.T) {
 	a.Append(Row{emps["Suzan"]})
 	b := MustTempList(desc)
 	b.Append(Row{emps["Jane"]})
-	merged, err := MergeLists(desc, []*TempList{a, nil, b, MustTempList(desc)})
+	merged, err := MergeListsRecycle(desc, []*TempList{a, nil, b, MustTempList(desc)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,15 +199,15 @@ func TestMergeLists(t *testing.T) {
 	if merged.Row(0)[0] != emps["Dave"] || merged.Row(2)[0] != emps["Jane"] {
 		t.Fatal("merge order broken")
 	}
-	// Arity mismatch panics via Absorb.
+	// Arity mismatch panics.
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("arity mismatch absorbed silently")
+				t.Fatal("arity mismatch merged silently")
 			}
 		}()
 		wide := MustTempList(Descriptor{Sources: []string{"emp", "dept"}})
-		merged.Absorb(wide)
+		_, _ = MergeListsRecycle(desc, []*TempList{wide})
 	}()
 }
 
@@ -564,9 +555,6 @@ func TestComputedListRejectsAppends(t *testing.T) {
 		"Append":            func() { l.Append(Row{tuples[0]}) },
 		"AppendOne":         func() { l.AppendOne(tuples[0]) },
 		"AppendBatch":       func() { l.AppendBatch(tuples[:2]) },
-		"Absorb into":       func() { l.Absorb(plain()) },
-		"Absorb of":         func() { plain().Absorb(l) },
-		"MergeLists":        func() { _, _ = MergeLists(singleDesc(), []*TempList{plain(), l}) },
 		"MergeListsRecycle": func() { _, _ = MergeListsRecycle(singleDesc(), []*TempList{plain(), l}) },
 		"SetComputed past the end": func() {
 			p := plain()
@@ -615,7 +603,7 @@ func TestParallelAppendMerge(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	merged, err := MergeLists(desc, parts)
+	merged, err := MergeListsRecycle(desc, parts)
 	if err != nil {
 		t.Fatal(err)
 	}

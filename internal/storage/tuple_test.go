@@ -200,7 +200,7 @@ func checkValueClassForms(t *testing.T) {
 
 		reload := func(img PartitionImage) *Tuple {
 			t.Helper()
-			dec, err := DecodePartition(EncodePartition(img))
+			dec, err := DecodePartition(AppendPartition(nil, img))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -376,7 +376,7 @@ func allTypesRelation(t *testing.T) *Relation {
 func TestCodecImageUnchanged(t *testing.T) {
 	rel := allTypesRelation(t)
 	img := rel.Partitions()[0].Snapshot()
-	got := EncodePartition(img)
+	got := AppendPartition(nil, img)
 	want, err := os.ReadFile("testdata/partition_all_types.golden")
 	if err != nil {
 		t.Fatal(err)
@@ -400,7 +400,7 @@ func TestCodecImageUnchanged(t *testing.T) {
 	if err := ld.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if again := EncodePartition(back.Partitions()[0].Snapshot()); !bytes.Equal(again, want) {
+	if again := AppendPartition(nil, back.Partitions()[0].Snapshot()); !bytes.Equal(again, want) {
 		t.Fatalf("image after a reload differs:\n got %x\nwant %x", again, want)
 	}
 	var orig []*Tuple

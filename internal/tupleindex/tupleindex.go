@@ -195,16 +195,6 @@ type Maintainer struct {
 	Remove func(*storage.Tuple) bool
 }
 
-// NewOrderedMaintainer wires an ordered index to relation changes.
-func NewOrderedMaintainer(ix Ordered, field int) *Maintainer {
-	return &Maintainer{Field: field, Insert: ix.Insert, Remove: ix.Delete}
-}
-
-// NewHashedMaintainer wires a hash index to relation changes.
-func NewHashedMaintainer(ix Hashed, field int) *Maintainer {
-	return &Maintainer{Field: field, Insert: ix.Insert, Remove: ix.Delete}
-}
-
 // TupleInserted implements storage.Observer.
 func (m *Maintainer) TupleInserted(t *storage.Tuple) { m.Insert(t) }
 
@@ -236,73 +226,4 @@ func (m *Maintainer) TupleUpdated(t *storage.Tuple, old storage.Version) {
 		return
 	}
 	m.Insert(t)
-}
-
-// CompositeKeyOf extracts the multi-attribute key of a tuple.
-func CompositeKeyOf(t *storage.Tuple, fields []int) []storage.Value {
-	out := make([]storage.Value, len(fields))
-	for i, f := range fields {
-		out[i] = KeyOf(t, f)
-	}
-	return out
-}
-
-// CompositeConfig builds an index configuration over several fields
-// compared lexicographically. §2.2: "since a single tuple pointer provides
-// access to any field in the tuple, multi-attribute indices will need less
-// in the way of special mechanisms" — the entries are still plain tuple
-// pointers; only the comparison changes.
-func CompositeConfig(fields []int, o Options) index.Config[*storage.Tuple] {
-	fs := append([]int(nil), fields...)
-	return index.Config[*storage.Tuple]{
-		Cmp: func(a, b *storage.Tuple) int {
-			for _, f := range fs {
-				if c := storage.Compare(KeyOf(a, f), KeyOf(b, f)); c != 0 {
-					return c
-				}
-			}
-			return 0
-		},
-		Hash: func(t *storage.Tuple) uint64 {
-			h := uint64(14695981039346656037)
-			for _, f := range fs {
-				h ^= storage.Hash(KeyOf(t, f))
-				h *= 1099511628211
-			}
-			return h
-		},
-		Eq: func(a, b *storage.Tuple) bool {
-			for _, f := range fs {
-				if !storage.Equal(KeyOf(a, f), KeyOf(b, f)) {
-					return false
-				}
-			}
-			return true
-		},
-		Same:         func(a, b *storage.Tuple) bool { return a.Canonical() == b.Canonical() },
-		Unique:       o.Unique,
-		NodeSize:     o.NodeSize,
-		CapacityHint: o.Capacity,
-		Meter:        o.Meter,
-	}
-}
-
-// CompositePos returns the ordered-search position function for a
-// composite key. keys may be a strict prefix of fields, which makes the
-// function a prefix bound: every tuple matching the prefix compares equal,
-// so SearchAllAppend and Range serve prefix scans.
-func CompositePos(keys []storage.Value, fields []int) index.Pos[*storage.Tuple] {
-	if len(keys) > len(fields) {
-		panic("tupleindex: more key values than indexed fields")
-	}
-	ks := append([]storage.Value(nil), keys...)
-	fs := append([]int(nil), fields[:len(ks)]...)
-	return func(t *storage.Tuple) int {
-		for i, f := range fs {
-			if c := storage.Compare(KeyOf(t, f), ks[i]); c != 0 {
-				return c
-			}
-		}
-		return 0
-	}
 }

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/index"
-	"repro/internal/index/mlh"
-	"repro/internal/index/ttree"
 	"repro/internal/storage"
 )
 
@@ -25,7 +23,7 @@ func newRel(t *testing.T) *storage.Relation {
 func TestMaintainerKeepsTTreeInSync(t *testing.T) {
 	rel := newRel(t)
 	tt := NewTTree(Options{Field: 0})
-	rel.Observe(NewOrderedMaintainer(tt, 0))
+	rel.Observe(&Maintainer{Field: 0, Insert: tt.Insert, Remove: tt.Delete})
 
 	var tuples []*storage.Tuple
 	for i := int64(0); i < 100; i++ {
@@ -71,7 +69,7 @@ func TestMaintainerKeepsTTreeInSync(t *testing.T) {
 func TestMaintainerHashIndex(t *testing.T) {
 	rel := newRel(t)
 	mh := NewMLH(Options{Field: 0})
-	rel.Observe(NewHashedMaintainer(mh, 0))
+	rel.Observe(&Maintainer{Field: 0, Insert: mh.Insert, Remove: mh.Delete})
 	tp, _ := rel.Insert([]storage.Value{storage.IntValue(7), storage.StringValue("a")})
 	if mh.Len() != 1 {
 		t.Fatal("insert not propagated")
@@ -92,7 +90,7 @@ func TestMaintainerHashIndex(t *testing.T) {
 func TestSelfFieldIdentityIndex(t *testing.T) {
 	rel := newRel(t)
 	mh := NewMLH(Options{Field: SelfField})
-	rel.Observe(NewHashedMaintainer(mh, SelfField))
+	rel.Observe(&Maintainer{Field: SelfField, Insert: mh.Insert, Remove: mh.Delete})
 	tp, _ := rel.Insert([]storage.Value{storage.IntValue(1), storage.StringValue("a")})
 	key := storage.RefValue(tp)
 	if _, ok := mh.SearchKey(storage.Hash(key), func(x *storage.Tuple) bool {
@@ -137,7 +135,7 @@ func TestForwardedTupleStaysIndexed(t *testing.T) {
 	)
 	rel, _ := storage.NewRelation("r", schema, storage.Config{SlotsPerPartition: 4, HeapPerPartition: 16}, storage.NewIDGen())
 	tt := NewTTree(Options{Field: 0})
-	rel.Observe(NewOrderedMaintainer(tt, 0))
+	rel.Observe(&Maintainer{Field: 0, Insert: tt.Insert, Remove: tt.Delete})
 	tp, _ := rel.Insert([]storage.Value{storage.IntValue(1), storage.StringValue("0123456789")})
 	// Grow the string past the heap: tuple moves, forwarding left behind.
 	if err := rel.Update(tp, 1, storage.StringValue("0123456789abcdef")); err != nil {
@@ -150,86 +148,4 @@ func TestForwardedTupleStaysIndexed(t *testing.T) {
 	if got.Field(1).Str() != "0123456789abcdef" {
 		t.Fatal("lookup returned stale data")
 	}
-}
-
-func TestCompositeIndex(t *testing.T) {
-	schema := storage.MustSchema(
-		storage.FieldDef{Name: "a", Type: storage.Int},
-		storage.FieldDef{Name: "b", Type: storage.Str},
-		storage.FieldDef{Name: "c", Type: storage.Int},
-	)
-	rel, _ := storage.NewRelation("r", schema, storage.Config{}, storage.NewIDGen())
-	fields := []int{0, 1}
-	tt := ttreeNewComposite(fields)
-	for a := int64(0); a < 10; a++ {
-		for _, b := range []string{"x", "y", "z"} {
-			tp, err := rel.Insert([]storage.Value{storage.IntValue(a), storage.StringValue(b), storage.IntValue(a * 100)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !tt.Insert(tp) {
-				t.Fatal("composite insert rejected")
-			}
-		}
-	}
-	// Exact composite lookup.
-	pos := CompositePos([]storage.Value{storage.IntValue(4), storage.StringValue("y")}, fields)
-	got, ok := tt.Search(pos)
-	if !ok || got.Field(0).Int() != 4 || got.Field(1).Str() != "y" {
-		t.Fatalf("composite search: %v %v", got, ok)
-	}
-	// Prefix scan: all three rows with a=7, in b order.
-	prefix := CompositePos([]storage.Value{storage.IntValue(7)}, fields)
-	var bs []string
-	for _, tp := range tt.SearchAllAppend(prefix, nil) {
-		bs = append(bs, tp.Field(1).Str())
-	}
-	if len(bs) != 3 || bs[0] != "x" || bs[1] != "y" || bs[2] != "z" {
-		t.Fatalf("prefix scan = %v", bs)
-	}
-	// Unique composite rejects only full-key duplicates.
-	uniq := ttreeNewCompositeUnique(fields)
-	tp1, _ := rel.Insert([]storage.Value{storage.IntValue(100), storage.StringValue("x"), storage.IntValue(0)})
-	tp2, _ := rel.Insert([]storage.Value{storage.IntValue(100), storage.StringValue("y"), storage.IntValue(0)})
-	tp3, _ := rel.Insert([]storage.Value{storage.IntValue(100), storage.StringValue("x"), storage.IntValue(1)})
-	if !uniq.Insert(tp1) || !uniq.Insert(tp2) {
-		t.Fatal("distinct composite keys rejected")
-	}
-	if uniq.Insert(tp3) {
-		t.Fatal("duplicate composite key accepted")
-	}
-	// Hash structure over a composite key.
-	mh := mlhNewComposite(fields)
-	rel.ScanPhysical(func(tp *storage.Tuple) bool { mh.Insert(tp); return true })
-	cfg := CompositeConfig(fields, Options{})
-	probe, _ := rel.Insert([]storage.Value{storage.IntValue(4), storage.StringValue("y"), storage.IntValue(-1)})
-	if n := len(mh.SearchKeyAppend(cfg.Hash(probe), func(x *storage.Tuple) bool { return cfg.Eq(x, probe) }, nil)); n != 1 {
-		t.Fatalf("composite hash probe found %d", n)
-	}
-	if err := rel.Delete(probe); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCompositePosTooManyKeysPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	CompositePos([]storage.Value{storage.IntValue(1), storage.IntValue(2)}, []int{0})
-}
-
-type ttreeT = ttree.Tree[*storage.Tuple]
-
-func ttreeNewComposite(fields []int) *ttreeT {
-	return ttree.New(CompositeConfig(fields, Options{}))
-}
-
-func ttreeNewCompositeUnique(fields []int) *ttreeT {
-	return ttree.New(CompositeConfig(fields, Options{Unique: true}))
-}
-
-func mlhNewComposite(fields []int) *mlh.Table[*storage.Tuple] {
-	return mlh.New(CompositeConfig(fields, Options{}))
 }

@@ -22,7 +22,7 @@ func uniqueRel(t *testing.T) *storage.Relation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel.Observe(tupleindex.NewOrderedMaintainer(ix, 0))
+	rel.Observe(&tupleindex.Maintainer{Field: 0, Insert: ix.Insert, Remove: ix.Delete})
 	rel.AddUniqueKey(storage.UniqueKey{Name: "pk", Field: 0, Lookup: func(k storage.Value) (*storage.Tuple, bool) {
 		return ix.Search(tupleindex.PosFor(k, 0))
 	}})

@@ -205,25 +205,6 @@ func DuplicateCDF(counts []int, points int) []CDFPoint {
 	return out
 }
 
-// SemijoinSelectivity measures the fraction (percent) of a's tuples whose
-// value appears in b — the quantity the paper's Test 6 varies.
-func SemijoinSelectivity(a, b Column) float64 {
-	inB := make(map[int64]bool, len(b.Distinct))
-	for _, v := range b.Distinct {
-		inB[v] = true
-	}
-	n := 0
-	for _, v := range a.Values {
-		if inB[v] {
-			n++
-		}
-	}
-	if len(a.Values) == 0 {
-		return 0
-	}
-	return 100 * float64(n) / float64(len(a.Values))
-}
-
 // ZipfSpec describes a Zipf-skewed join column — the adversarial
 // counterpart of the paper's truncated-normal duplicate procedure. A
 // Zipf exponent of 1.2 over a million-key domain puts roughly 18% of

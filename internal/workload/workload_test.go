@@ -134,12 +134,24 @@ func TestDerivedSemijoinSelectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	inBase := make(map[int64]bool, len(base.Distinct))
+	for _, v := range base.Distinct {
+		inBase[v] = true
+	}
 	for _, want := range []float64{0, 25, 50, 75, 100} {
 		col, err := BuildDerived(Spec{Cardinality: 30000, DuplicatePct: 50, Sigma: NearUniform}, base, want, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := SemijoinSelectivity(col, base)
+		// The semijoin selectivity: the percentage of col's tuples whose
+		// value appears in base.
+		n := 0
+		for _, v := range col.Values {
+			if inBase[v] {
+				n++
+			}
+		}
+		got := 100 * float64(n) / float64(len(col.Values))
 		// Near-uniform duplicates: tuple-level selectivity tracks the
 		// value-level parameter within a few points.
 		if got < want-6 || got > want+6 {

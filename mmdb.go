@@ -107,7 +107,7 @@ type Options struct {
 	// table would overflow the grant, and only overcommits (recorded in
 	// mmdb_mem_forced_total) for partitions that cannot shrink — e.g.
 	// all-equal join keys. The radix plan itself is also clamped so the
-	// scatter's staging fits the budget (plan.BudgetedRadixBits). 0, the
+	// scatter's staging fits the budget (plan.ClampRadixBits). 0, the
 	// default, disables budgeting entirely: the pre-budget execution
 	// paths run byte-identical.
 	MemoryBudget int64

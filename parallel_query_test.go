@@ -188,3 +188,78 @@ func TestSmallInputsStaySerial(t *testing.T) {
 		}
 	}
 }
+
+// TestScanCountsEqualAtEveryDegree: a sequential scan records the same
+// §3.1 comparisons whatever its degree — none without a WHERE clause, one
+// per tuple examined with one — on the snapshot path and on the S-lock
+// path alike, so counted work does not depend on the worker count.
+func TestScanCountsEqualAtEveryDegree(t *testing.T) {
+	const rows, limit = 50_000, 100
+	// v = id mod 10 is unindexed, so Where("v", Lt, 5) is a scan that keeps
+	// half the rows; under LIMIT it examines the ids up to the limit-th
+	// match, in primary-key order.
+	examined := 0
+	for kept := 0; kept < limit; examined++ {
+		if examined%10 < 5 {
+			kept++
+		}
+	}
+	for _, locked := range []bool{false, true} {
+		db, err := Open(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		tuned(db, tuning{noSnapshots: locked})
+		s, err := db.CreateTable("s", []Field{{Name: "id", Type: TypeInt}, {Name: "v", Type: TypeInt}}, "id", TTree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx := db.Begin()
+		for i := 0; i < rows; i++ {
+			if err := tx.Insert(s, Int(int64(i)), Int(int64(i%10))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name      string
+			q         func() *Query
+			out, cmps int
+			limited   bool // a LIMIT scan runs serially and takes the S lock
+		}{
+			{"unfiltered", func() *Query { return db.Query("s") }, rows, 0, false},
+			{"filtered", func() *Query { return db.Query("s").Where("v", Lt, Int(5)) }, rows / 2, rows, false},
+			{"limit", func() *Query { return db.Query("s").Limit(limit) }, limit, 0, true},
+			{"filtered limit", func() *Query { return db.Query("s").Where("v", Lt, Int(5)).Limit(limit) }, limit, examined, true},
+		} {
+			for _, w := range []int{1, 4} {
+				res, tr, err := c.q().Parallel(w).Analyze()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sel := tr.Root.Children[0]
+				if sel.Op != "select" {
+					t.Fatalf("first trace node is %q, not the selection", sel.Op)
+				}
+				path := "" // the scan the case must run
+				switch {
+				case c.limited:
+				case !locked:
+					path = "snapshot scan"
+				case w > 1:
+					path = "parallel partition scan"
+				}
+				if !strings.HasPrefix(sel.AccessPath, path) {
+					t.Fatalf("locked=%v %s Parallel(%d) runs %q, not a %s", locked, c.name, w, sel.AccessPath, path)
+				}
+				if res.Len() != c.out || sel.Ops.Comparisons != int64(c.cmps) {
+					t.Errorf("locked=%v %s Parallel(%d) via %q: %d rows and %d comparisons, want %d and %d",
+						locked, c.name, w, sel.AccessPath, res.Len(), sel.Ops.Comparisons, c.out, c.cmps)
+				}
+			}
+		}
+	}
+}

@@ -1537,67 +1537,31 @@ func (q *Query) residual(list *storage.TempList, sp selPlan, m *meter.Counters) 
 // runScan is the sequential-scan access path over the planned rows of
 // the from-table or, when the execution reads one, of its snapshot (every
 // tuple then comes from the epoch-published clone arrays, with no lock
-// held; the live relation is never touched). The conjunction of all
-// predicates runs inside the scan, so no pass over the output follows.
+// held; the live relation is never touched). A serial scan of the live
+// relation reads the primary index, a parallel one the relation's
+// partitions. The conjunction of all predicates runs inside the scan, so
+// no pass over the output follows, and a pushed-down LIMIT ends it.
 func (q *Query) runScan(x *execution, spec exec.SelectSpec, sp selPlan) *storage.TempList {
 	t := q.from
-	m := spec.Meter
-	desc := t.sel
 	pred := q.conjunction()
-	if sp.limit >= 0 {
-		// LIMIT pushed into the scan: append row-at-a-time and cut the
-		// batch stream the moment the limit is reached.
-		list := storage.MustTempListHint(desc, min(sp.limit, sp.rows))
-		if sp.limit > 0 {
-			buf := storage.GetBatch()
-			t.scanSource().ScanBatches(buf, func(block storage.TupleBatch) bool {
-				m.AddBatch(1)
-				for _, tp := range block {
-					if pred != nil {
-						m.AddCompare(1)
-						if !pred(tp) {
-							continue
-						}
-					}
-					list.AppendOne(tp)
-					if list.Len() >= sp.limit {
-						return false
-					}
-				}
-				return true
-			})
-			storage.PutBatch(buf)
-		}
-		return list
-	}
-
-	var src parallel.Chunked = parallel.RelationSource{Rel: t.rel}
-	serial := t.scanSource()
-	if x.snap != nil {
-		src = parallel.SnapshotSource{Snap: x.snap}
-		serial = src
-	}
 	switch {
-	case sp.workers > 1:
-		if pred == nil {
-			pred = func(*storage.Tuple) bool { return true }
-		}
-		return parallel.SelectScan(src, pred, spec, sp.workers)
-	case pred != nil:
-		return exec.SelectScan(serial, pred, spec)
+	case sp.limit == 0:
+		return storage.MustTempList(t.sel)
+	case sp.limit > 0:
+		spec.Limit, spec.Hint = sp.limit, min(sp.limit, sp.rows)
+	case pred == nil:
+		spec.Hint = sp.rows
 	}
-	// Serial full scan: whole pointer blocks move from the primary index
-	// (or the clone arrays) into the presized temp list — no per-tuple
-	// Row headers.
-	list := storage.MustTempListHint(desc, sp.rows)
-	buf := storage.GetBatch()
-	serial.ScanBatches(buf, func(block storage.TupleBatch) bool {
-		m.AddBatch(1)
-		list.AppendBatch(block)
-		return true
-	})
-	storage.PutBatch(buf)
-	return list
+	var src parallel.Chunked
+	switch {
+	case x.snap != nil:
+		src = parallel.SnapshotSource{Snap: x.snap}
+	case sp.workers > 1:
+		src = parallel.RelationSource{Rel: t.rel}
+	default:
+		return exec.SelectScan(t.scanSource(), pred, spec)
+	}
+	return parallel.SelectScan(src, pred, spec, sp.workers)
 }
 
 // conjunction returns the WHERE clause as one tuple predicate, or nil
