@@ -145,7 +145,7 @@ func TestResultAllocsIndependentOfRows(t *testing.T) {
 			return db.Query("a").Select("k", "id").OrderBy("k", true).OrderBy("id", false)
 		}},
 		{"radix join", func(rows int) int { return rows }, func(db *Database) *Query {
-			return db.Query("a").Join("b", "k", "id").Select("a.id", "b.id").JoinMethod(JoinRadix).Parallel(2)
+			return db.Query("a").Join("b", "k", "id").Select("a.id", "b.id").Parallel(2)
 		}},
 		{"high-NDV GROUP BY", func(rows int) int { return rows / 2 }, func(db *Database) *Query {
 			return db.Query("a").GroupBy("k").Agg(AggCount, "*").Agg(AggSum, "id")
@@ -156,7 +156,7 @@ func TestResultAllocsIndependentOfRows(t *testing.T) {
 		// the join runs the same 16 partition pairs (each pair's private
 		// list costs a few objects). The degree is the machine's, fixed
 		// here, because the runs are measured at GOMAXPROCS 1.
-		db := tuned(openKeyed(t, Options{Parallelism: runtime.GOMAXPROCS(0)}, rows, rows/2), tuning{radix: plan.RadixConfig{L2Bytes: 16 << 10, MaxBits: 4}})
+		db := tuned(openKeyed(t, Options{Parallelism: runtime.GOMAXPROCS(0)}, rows, rows/2), tuning{radix: plan.RadixConfig{L2Bytes: 16 << 10, MaxBits: 4, MinBuildRows: 1}})
 		b, err := db.CreateTable("b", []Field{{Name: "id", Type: TypeInt}}, "id", TTree)
 		if err != nil {
 			t.Fatal(err)
@@ -249,6 +249,7 @@ func TestWarmJoinBytesFollowOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	tuned(db, tuning{radix: plan.RadixConfig{MinBuildRows: 1}})
 	l, err := db.CreateTable("l", []Field{{Name: "id", Type: TypeInt}, {Name: "k", Type: TypeInt}}, "id", TTree)
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +272,7 @@ func TestWarmJoinBytesFollowOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() {
-		res, err := db.Query("l").Join("r", "k", "id").Select("l.id", "r.id").JoinMethod(JoinRadix).Parallel(2).Run()
+		res, err := db.Query("l").Join("r", "k", "id").Select("l.id", "r.id").Parallel(2).Run()
 		if err != nil || res.Len() != rows {
 			t.Fatalf("join returned %d rows, %v", res.Len(), err)
 		}

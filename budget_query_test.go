@@ -16,10 +16,10 @@ func TestMemoryBudgetJoinMatchesUnbudgeted(t *testing.T) {
 	const rows = 6000
 	mk := func(db *Database) *Query {
 		return db.Query("a").Where("id", Gt, Int(-1)).Join("b", "k", "k").
-			Select("a.id", "b.id").Parallel(4).JoinMethod(JoinRadix)
+			Select("a.id", "b.id").Parallel(4)
 	}
 
-	free := openBig(t, Options{}, rows)
+	free := tuned(openBig(t, Options{}, rows), tuning{radix: plan.RadixConfig{MinBuildRows: 1}})
 	want, err := mk(free).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +28,7 @@ func TestMemoryBudgetJoinMatchesUnbudgeted(t *testing.T) {
 	// A small L2 target makes the unclamped plan want 16+ partitions for
 	// the 3000-row build, so the 16KiB budget (floor: 4 partitions) must
 	// visibly narrow it.
-	tight := tuned(openBig(t, Options{MemoryBudget: 16 << 10}, rows), tuning{radix: plan.RadixConfig{L2Bytes: 4 << 10}})
+	tight := tuned(openBig(t, Options{MemoryBudget: 16 << 10}, rows), tuning{radix: plan.RadixConfig{L2Bytes: 4 << 10, MinBuildRows: 1}})
 	got, tr, err := mk(tight).Analyze()
 	if err != nil {
 		t.Fatal(err)
@@ -82,6 +82,7 @@ func TestMemoryBudgetSkewDefenseCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tuned(db, tuning{radix: plan.RadixConfig{MinBuildRows: 1}})
 	a, err := db.CreateTable("a", []Field{
 		{Name: "id", Type: TypeInt}, {Name: "k", Type: TypeInt},
 	}, "id", TTree)
@@ -112,7 +113,7 @@ func TestMemoryBudgetSkewDefenseCounters(t *testing.T) {
 		}
 	}
 	_, tr, err := db.Query("a").Where("id", Gt, Int(-1)).Join("b", "k", "k").
-		Select("a.id", "b.id").Parallel(4).JoinMethod(JoinRadix).Analyze()
+		Select("a.id", "b.id").Parallel(4).Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}

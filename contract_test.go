@@ -158,3 +158,43 @@ func TestEveryInternalFunctionHasACaller(t *testing.T) {
 		t.Errorf("%s has no caller outside tests", o)
 	}
 }
+
+// TestQueryHasNoStrategyHints: the planner picks every method from the
+// indices that exist and the sizes it sees, so a caller can pin nothing
+// but the join order (ForceJoinOrder). *Query exports exactly the
+// methods below, and the package exports no *Strategy type to choose a
+// join, sort or order method with.
+func TestQueryHasNoStrategyHints(t *testing.T) {
+	want := []string{
+		"Agg", "Analyze", "As", "Distinct", "Explain", "ForceJoinOrder",
+		"GroupBy", "In", "Join", "JoinAs", "Limit", "On", "OrderBy",
+		"Parallel", "Priority", "Run", "Select", "String", "Where",
+		"WithContext",
+	}
+	var got []string
+	for name, f := range parsePackage(t, ".") {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil || !d.Name.IsExported() {
+					continue
+				}
+				if star, ok := d.Recv.List[0].Type.(*ast.StarExpr); ok {
+					if id, ok := star.X.(*ast.Ident); ok && id.Name == "Query" {
+						got = append(got, d.Name.Name)
+					}
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.IsExported() && strings.HasSuffix(ts.Name.Name, "Strategy") {
+						t.Errorf("%s exports type %s", name, ts.Name.Name)
+					}
+				}
+			}
+		}
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("*Query methods = %v, want %v", got, want)
+	}
+}

@@ -50,36 +50,34 @@ func distinctLine(t *testing.T, plan string) string {
 
 // TestExplainNamesExecutedDistinctPath: Explain prints the DISTINCT path
 // from the planner the executor runs, so on either side of the aggregation
-// crossover, serial or parallel, hashed or sort-scanned, the planned line
-// is the executed line and the trace node's access path.
+// crossover, serial or parallel, the planned line is the executed line and
+// the trace node's access path.
 func TestExplainNamesExecutedDistinctPath(t *testing.T) {
 	for _, rows := range []int{1000, 300000} {
 		db := openKeyed(t, Options{}, rows, 97)
 		for _, par := range []int{1, 4} {
-			for _, sm := range []SortStrategy{SortAuto, SortRadix} {
-				mk := func() *Query {
-					return db.Query("a").Select("k").Distinct().Parallel(par).SortMethod(sm)
+			mk := func() *Query {
+				return db.Query("a").Select("k").Distinct().Parallel(par)
+			}
+			planned, err := mk().Explain()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, tr, err := mk().Analyze()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := estimateNote.ReplaceAllString(distinctLine(t, planned), "")
+			if got := distinctLine(t, res.Plan()); got != want {
+				t.Fatalf("rows=%d par=%d: Explain says %q, Analyze ran %q", rows, par, want, got)
+			}
+			for _, n := range tr.Root.Children {
+				if n.Op == "distinct" && "distinct: "+n.AccessPath != want {
+					t.Fatalf("rows=%d par=%d: trace node path %q, Explain %q", rows, par, n.AccessPath, want)
 				}
-				planned, err := mk().Explain()
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, tr, err := mk().Analyze()
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := estimateNote.ReplaceAllString(distinctLine(t, planned), "")
-				if got := distinctLine(t, res.Plan()); got != want {
-					t.Fatalf("rows=%d par=%d sort=%v: Explain says %q, Analyze ran %q", rows, par, sm, want, got)
-				}
-				for _, n := range tr.Root.Children {
-					if n.Op == "distinct" && "distinct: "+n.AccessPath != want {
-						t.Fatalf("rows=%d par=%d sort=%v: trace node path %q, Explain %q", rows, par, sm, n.AccessPath, want)
-					}
-				}
-				if res.Len() != 97 {
-					t.Fatalf("rows=%d par=%d sort=%v: %d distinct rows, want 97", rows, par, sm, res.Len())
-				}
+			}
+			if res.Len() != 97 {
+				t.Fatalf("rows=%d par=%d: %d distinct rows, want 97", rows, par, res.Len())
 			}
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/plan"
 )
 
 // GROUP BY differential: every grouped query of a seeded generator, under
@@ -414,7 +416,8 @@ func gdCheck(t *testing.T, what string, g gdQuery, res *Result, full, cut [][]Va
 
 // TestGroupByDifferential runs the generator's queries over every data set
 // under the knob product Parallel(1|4) × MemoryBudget off/128 KiB ×
-// snapshots on/off × SortMethod auto/radix/quicksort against the naive
+// snapshots on/off × the ORDER BY sort crossover at its default and at 1
+// row (every full sort on the radix-key kernel) against the naive
 // reference.
 func TestGroupByDifferential(t *testing.T) {
 	data := gdGenerate(1986)
@@ -430,9 +433,9 @@ func TestGroupByDifferential(t *testing.T) {
 		{"locked+budget", Options{MemoryBudget: 128 << 10}, true},
 	}
 	pars := []int{1, 4}
-	sorts := []SortStrategy{SortAuto, SortRadix, SortQuicksort}
+	sortMinRows := []int{0, 1} // tuning.sort.MinRows; 0 = the default
 	if testing.Short() {
-		dbs, sorts = dbs[:2], sorts[:2]
+		dbs = dbs[:2]
 	}
 	queries := gdQueries()
 	for _, d := range data {
@@ -442,12 +445,13 @@ func TestGroupByDifferential(t *testing.T) {
 			refs[i] = [2][][]Value{full, cut}
 		}
 		for _, k := range dbs {
-			db := tuned(gdOpen(t, k.opts, d), tuning{noSnapshots: k.locked})
-			for qi, g := range queries {
-				for _, p := range pars {
-					for _, s := range sorts {
-						what := fmt.Sprintf("%s/%s/%s/par=%d/sort=%d", d.name, k.name, g.name, p, s)
-						res, err := g.build(db).Parallel(p).SortMethod(s).Run()
+			db := gdOpen(t, k.opts, d)
+			for _, s := range sortMinRows {
+				tuned(db, tuning{noSnapshots: k.locked, sort: plan.SortConfig{MinRows: s}})
+				for qi, g := range queries {
+					for _, p := range pars {
+						what := fmt.Sprintf("%s/%s/%s/par=%d/sortMinRows=%d", d.name, k.name, g.name, p, s)
+						res, err := g.build(db).Parallel(p).Run()
 						if err != nil {
 							t.Fatalf("%s: %v", what, err)
 						}

@@ -124,7 +124,7 @@ func TestHotKeyRadixJoin(t *testing.T) {
 		for _, par := range []int{1, 4} {
 			what := fmt.Sprintf("budget=%d par=%d", budget, par)
 			res, tr, err := db.Query("a").Join("b", "k", "k").Select("a.id", "b.id").
-				JoinMethod(JoinRadix).Parallel(par).Analyze()
+				Parallel(par).Analyze()
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/index/sortedarray"
 	"repro/internal/index/ttree"
 	"repro/internal/meter"
-	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/tupleindex"
 	"repro/internal/workload"
@@ -157,45 +156,6 @@ func TestAllJoinMethodsAgree(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSortMergeJoinSubstratesAgree: the Sort Merge join's array builds on
-// the normalized-key radix kernel yield exactly the comparator
-// quicksort's result multiset, and only the radix substrate counts kernel
-// passes and encoded key bytes.
-func TestSortMergeJoinSubstratesAgree(t *testing.T) {
-	ids := storage.NewIDGen()
-	vals := func(n int) []int64 {
-		v := make([]int64, n)
-		for i := range v {
-			v[i] = int64(i*7919) % 97 // unsorted, every key duplicated
-		}
-		return v
-	}
-	r1, r2 := buildRelation(t, ids, "r1", vals(4000)), buildRelation(t, ids, "r2", vals(2000))
-	want := referenceJoin(vals(4000), vals(2000))
-	join := func(sm plan.SortMethod) (map[[4]int64]int, meter.Counters) {
-		var m meter.Counters
-		var outer, inner SliceSource
-		r1.ScanPhysical(func(tp *storage.Tuple) bool { outer = append(outer, tp); return true })
-		r2.ScanPhysical(func(tp *storage.Tuple) bool { inner = append(inner, tp); return true })
-		l := SortMergeJoin(outer, inner, JoinSpec{OuterName: "r1", InnerName: "r2", Meter: &m, SortMethod: sm})
-		if l.Len() != want {
-			t.Fatalf("%s builds: %d rows, want %d", sm, l.Len(), want)
-		}
-		return joinResultSet(t, l), m
-	}
-	quick, qm := join(plan.SortQuick)
-	radix, rm := join(plan.SortRadixKey)
-	if !sameResults(quick, radix) {
-		t.Fatal("radix-key builds disagree with quicksort builds")
-	}
-	if qm.SortPasses != 0 || qm.SortRuns != 0 || qm.KeyBytes != 0 {
-		t.Fatalf("comparator quicksort recorded radix-kernel work: %+v", qm)
-	}
-	if rm.SortPasses == 0 || rm.KeyBytes == 0 {
-		t.Fatalf("radix-key builds recorded no scatter passes or key bytes: %+v", rm)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/meter"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/sched"
 	"repro/internal/storage"
 	"repro/internal/tupleindex"
@@ -35,12 +34,6 @@ type JoinSpec struct {
 	// Hint, when positive, is the expected result cardinality; the output
 	// list is presized so no chunk growth happens while the join emits.
 	Hint int
-	// SortMethod selects the sort substrate for the Sort Merge join's
-	// array builds. The zero value (plan.SortQuick) keeps the faithful
-	// §3.1 comparator quicksort; plan.SortRadixKey routes the builds
-	// through the normalized-key radix kernel (internal/sortkey). The
-	// merge phase is identical either way.
-	SortMethod plan.SortMethod
 	// Prog, when non-nil, receives live rows-processed progress and
 	// worker saturation from the parallel executor (the serial operators
 	// in this package ignore it). Nil is the disabled state; every
@@ -262,12 +255,8 @@ func TreeJoin(outer Source, inner tupleindex.Ordered, spec JoinSpec) *storage.Te
 // on both join columns (append + quicksort with the insertion-sort
 // cutoff), then merge. The build cost is part of the method.
 func SortMergeJoin(outer, inner Source, spec JoinSpec) *storage.TempList {
-	build := tupleindex.BuildArray
-	if spec.SortMethod == plan.SortRadixKey {
-		build = tupleindex.BuildArrayRadix
-	}
-	ao := build(tupleindex.Options{Field: spec.OuterField, Meter: spec.Meter}, Tuples(outer))
-	ai := build(tupleindex.Options{Field: spec.InnerField, Meter: spec.Meter}, Tuples(inner))
+	ao := tupleindex.BuildArray(tupleindex.Options{Field: spec.OuterField, Meter: spec.Meter}, Tuples(outer))
+	ai := tupleindex.BuildArray(tupleindex.Options{Field: spec.InnerField, Meter: spec.Meter}, Tuples(inner))
 	return MergeJoinArrays(ao, ai, spec)
 }
 

@@ -8,11 +8,10 @@ import (
 	"repro/internal/storage"
 )
 
-// ORDER BY and top-k. The sort substrate is the same normalized-key
-// machinery as the sort-merge join and Sort Scan (internal/sortkey):
-// every row's key columns encode into an order-preserving byte string
-// whose first 8 bytes drive the MSD radix kernel, with the value
-// comparator breaking equal-prefix ties. DESC columns invert the bytes
+// ORDER BY and top-k. The radix-key substrate is the normalized-key
+// machinery of internal/sortkey: every row's key columns encode into an
+// order-preserving byte string whose first 8 bytes drive the MSD radix
+// kernel, with the value comparator breaking equal-prefix ties. DESC columns invert the bytes
 // of their (self-delimiting, prefix-free) encoding — bytewise inversion
 // reverses lexicographic order and preserves prefix-freeness, so mixed
 // ASC/DESC composite keys concatenate exactly like all-ASC ones.

@@ -2,8 +2,6 @@ package exec
 
 import (
 	"repro/internal/meter"
-	"repro/internal/plan"
-	"repro/internal/sortkey"
 	"repro/internal/sortutil"
 	"repro/internal/storage"
 )
@@ -109,102 +107,6 @@ func ProjectSortScan(list *storage.TempList, m *meter.Counters) *storage.TempLis
 			continue
 		}
 		keep = append(keep, rows[i].row)
-	}
-	return list.Take(keep)
-}
-
-// ProjectSort eliminates duplicates by sort-and-scan using the given
-// sort substrate: the faithful comparator path (ProjectSortScan) for
-// plan.SortQuick, the normalized-key radix kernel for plan.SortRadixKey.
-// Both produce the distinct rows in ascending projected-key order.
-func ProjectSort(list *storage.TempList, m *meter.Counters, method plan.SortMethod) *storage.TempList {
-	if method == plan.SortRadixKey {
-		return ProjectSortScanRadix(list, m)
-	}
-	return ProjectSortScan(list, m)
-}
-
-// ProjectSortScanRadix is the cache-conscious Sort Scan: instead of
-// quicksorting []Value vectors through a comparator closure, it encodes
-// each row's projected key into a fixed-width order-preserving prefix
-// (internal/sortkey) and MSD-radix-sorts (prefix, row-ordinal) pairs.
-// Single-column projections read keys straight out of the tuple with no
-// per-row materialization at all; multi-column projections encode the
-// composite key once and tie-break equal prefixes with the comparator.
-// The scan-and-drop-adjacent-equals phase is the same as §3.4.
-func ProjectSortScanRadix(list *storage.TempList, m *meter.Counters) *storage.TempList {
-	n := list.Len()
-	if n == 0 {
-		return list.Take(nil)
-	}
-	cols := len(list.Descriptor().Cols)
-	s := sortkey.GetRowSorter()
-	defer sortkey.PutRowSorter(s)
-	ent := s.Entries(n)
-
-	var tie sortkey.Tie[int32]
-	var keys [][]storage.Value // multi-column only
-	allDecisive := true
-	if cols == 1 {
-		for i := 0; i < n; i++ {
-			k, dec := sortkey.Prefix(list.Value(i, 0))
-			if !dec {
-				allDecisive = false
-			}
-			ent[i] = sortkey.Entry[int32]{K: k, P: int32(i)}
-		}
-		m.AddKeyBytes(int64(n) * sortkey.PrefixBytes)
-		if !allDecisive {
-			tie = func(a, b int32) int {
-				return storage.Compare(list.Value(int(a), 0), list.Value(int(b), 0))
-			}
-		}
-	} else {
-		// Composite key: encode the full order-preserving byte string,
-		// sort on its first 8 bytes, tie-break with the comparator. The
-		// key vectors are materialized once (the faithful path does the
-		// same) so ties never re-decode tuples.
-		keys = make([][]storage.Value, n)
-		var buf []byte
-		var keyBytes int64
-		for i := 0; i < n; i++ {
-			keys[i] = list.RowValues(i)
-			buf = sortkey.AppendKey(buf[:0], keys[i])
-			keyBytes += int64(len(buf))
-			ent[i] = sortkey.Entry[int32]{K: sortkey.PrefixOfBytes(buf), P: int32(i)}
-		}
-		m.AddKeyBytes(keyBytes)
-		allDecisive = false
-		tie = func(a, b int32) int {
-			return keysCompare(keys[a], keys[b], nil)
-		}
-	}
-
-	s.Sort(ent, tie, m)
-	m.AddMove(int64(n))
-
-	// Scan in sorted order, dropping adjacent equals. With decisive
-	// prefixes equal K means equal key; otherwise equal K demands a
-	// value check before dropping.
-	keep := make([]int32, 0, n)
-	for i := range ent {
-		if i > 0 && ent[i].K == ent[i-1].K {
-			if allDecisive {
-				m.AddCompare(1)
-				continue
-			}
-			var dup bool
-			if cols == 1 {
-				m.AddCompare(1)
-				dup = storage.Equal(list.Value(int(ent[i].P), 0), list.Value(int(ent[i-1].P), 0))
-			} else {
-				dup = KeysEqual(keys[ent[i].P], keys[ent[i-1].P], m)
-			}
-			if dup {
-				continue
-			}
-		}
-		keep = append(keep, ent[i].P)
 	}
 	return list.Take(keep)
 }

@@ -46,20 +46,6 @@ func Build[E any](cfg index.Config[E], entries []E) *Array[E] {
 	return a
 }
 
-// FromSorted wraps an already-sorted entry slice as an array index,
-// taking ownership of the slice. It is the zero-copy landing point for
-// bulk builds that sort elsewhere (the normalized-key radix sort of
-// internal/sortkey): the sort kernel orders (key, pointer) pairs, the
-// caller extracts the pointers in order, and the index adopts them
-// without re-sorting. Entries must be sorted by cfg.Cmp order — the
-// caller's sort must agree with the comparator, which is exactly the
-// order-preservation property the sortkey encoder guarantees.
-func FromSorted[E any](cfg index.Config[E], entries []E) *Array[E] {
-	a := New(cfg)
-	a.items = entries
-	return a
-}
-
 // Len returns the number of entries.
 func (a *Array[E]) Len() int { return len(a.items) }
 

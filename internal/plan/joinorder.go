@@ -61,7 +61,7 @@ type JoinOrderResult struct {
 	Order     []int
 	EstRows   []float64
 	Cost      float64
-	Algorithm string // "dp", "greedy", or "as-written"
+	Algorithm string // "dp", "greedy", "as-written" or "forced"
 }
 
 // ChooseJoinOrder picks a join order for the graph: exact DP for small
@@ -98,12 +98,12 @@ func ChooseJoinOrder(g JoinGraph, cfg RadixConfig) JoinOrderResult {
 	return r
 }
 
-// ForecastOrder prices a caller-supplied order (the as-written or a
-// forced order) with the same model the enumerator uses, so EXPLAIN and
-// the decision audit can report forecast rows for any execution order.
+// ForecastOrder prices a forced order with the same model the
+// enumerator uses, so EXPLAIN and the decision audit can report forecast
+// rows for any execution order.
 func ForecastOrder(g JoinGraph, cfg RadixConfig, order []int) JoinOrderResult {
 	r := forecast(g, cfg.withDefaults(), order)
-	r.Algorithm = "as-written"
+	r.Algorithm = "forced"
 	return r
 }
 

@@ -321,8 +321,10 @@ func ChooseRadixBits(buildRows int, cfg RadixConfig) []uint {
 }
 
 // ForceRadixBits sizes a radix plan for the given build cardinality
-// ignoring the crossover — the "always radix" knob. Tiny builds still
-// get a minimal 2-bit plan so the forced path genuinely partitions.
+// ignoring the crossover, for callers that run the radix kernels
+// directly at any size (the layer benchmarks); the planner itself uses
+// ChooseRadixBits. Tiny builds still get a minimal 2-bit plan so the
+// plan genuinely partitions.
 func ForceRadixBits(buildRows int, cfg RadixConfig) []uint {
 	return forcedRadixBits(buildRows, cfg.withDefaults())
 }
@@ -428,9 +430,9 @@ func splitPasses(total, maxPassBits uint) []uint {
 	return bits
 }
 
-// SortMethod is a sort-substrate strategy for the sort-based operators
-// (ORDER BY, Sort Scan duplicate elimination, the Sort Merge join's
-// array builds, bulk index builds).
+// SortMethod is the substrate of ORDER BY's full sort (exec.OrderRows),
+// which ChooseSortMethod picks from the input size. The §3.4 Sort Scan
+// and the Sort Merge join's array builds always run SortQuick.
 type SortMethod int
 
 const (

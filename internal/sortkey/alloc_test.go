@@ -90,8 +90,7 @@ func TestConcurrentSorters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := GetTupleSorter()
-			defer PutTupleSorter(s)
+			s := NewSorter[*storage.Tuple]()
 			for {
 				seg := int(next.Add(1)) - 1
 				if seg >= segments {

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/meter"
-	"repro/internal/storage"
 )
 
 // The kernel sorts (prefix, payload) pairs: a fixed-width uint64
@@ -265,34 +264,15 @@ func (s *Sorter[P]) quickTie(e []Entry[P], tie Tie[P], m *meter.Counters) {
 	s.runSort(e, tie, m)
 }
 
-// Pools. Payload-typed sorters are recycled like the radix partitioner's
-// scratch; Put clears pointer-holding buffers so recycled scratch does
-// not retain tuples.
-
-var tupleSorterPool = sync.Pool{
-	New: func() any { return NewSorter[*storage.Tuple]() },
-}
-
-// GetTupleSorter borrows a pooled sorter for tuple-pointer payloads.
-func GetTupleSorter() *Sorter[*storage.Tuple] {
-	return tupleSorterPool.Get().(*Sorter[*storage.Tuple])
-}
-
-// PutTupleSorter returns a sorter to the pool, clearing every buffer that
-// holds tuple pointers so the pool does not pin tuple memory.
-func PutTupleSorter(s *Sorter[*storage.Tuple]) {
-	clearEntries(s.wc)
-	clearEntries(s.buf)
-	clearEntries(s.ent)
-	tupleSorterPool.Put(s)
-}
+// Pool. Row-ordinal sorters are recycled like the radix partitioner's
+// scratch.
 
 var rowSorterPool = sync.Pool{
 	New: func() any { return NewSorter[int32]() },
 }
 
-// GetRowSorter borrows a pooled sorter for row-ordinal payloads (the
-// sort-scan projection sorts row numbers, not pointers).
+// GetRowSorter borrows a pooled sorter for row-ordinal payloads (ORDER
+// BY sorts row numbers, not pointers).
 func GetRowSorter() *Sorter[int32] {
 	return rowSorterPool.Get().(*Sorter[int32])
 }
@@ -301,11 +281,4 @@ func GetRowSorter() *Sorter[int32] {
 // pointers, so nothing needs clearing.
 func PutRowSorter(s *Sorter[int32]) {
 	rowSorterPool.Put(s)
-}
-
-func clearEntries[P any](e []Entry[P]) {
-	var zero Entry[P]
-	for i := range e {
-		e[i] = zero
-	}
 }

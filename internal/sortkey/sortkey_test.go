@@ -347,12 +347,11 @@ func TestSortNullAndMinInt(t *testing.T) {
 	}
 }
 
-// TestSorterReuse runs several different-sized sorts through one pooled
-// sorter, verifying scratch reuse does not leak state between sorts.
+// TestSorterReuse runs several different-sized sorts through one sorter,
+// verifying scratch reuse does not leak state between sorts.
 func TestSorterReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	s := GetTupleSorter()
-	defer PutTupleSorter(s)
+	s := NewSorter[*storage.Tuple]()
 	tp := testTuples(t, "reuse", 1)[0]
 	for _, n := range []int{100, 70000, 10, 3000} {
 		ent := s.Entries(n)

@@ -24,7 +24,6 @@ import (
 	"repro/internal/index/sortedarray"
 	"repro/internal/index/ttree"
 	"repro/internal/meter"
-	"repro/internal/sortkey"
 	"repro/internal/storage"
 )
 
@@ -101,46 +100,6 @@ func NewArray(o Options) *sortedarray.Array[*storage.Tuple] { return sortedarray
 // construction path of the Sort Merge join.
 func BuildArray(o Options, tuples []*storage.Tuple) *sortedarray.Array[*storage.Tuple] {
 	return sortedarray.Build(Config(o), tuples)
-}
-
-// BuildArrayRadix bulk-loads a sorted-array index through the
-// normalized-key radix sort (internal/sortkey): encode each tuple's key
-// into a fixed-width order-preserving prefix, MSD-radix-sort the
-// (prefix, pointer) pairs, and adopt the ordered pointers without
-// re-sorting. When any prefix is non-decisive (long strings, nulls
-// colliding with minimal keys) the kernel tie-breaks equal-prefix runs
-// with the real comparator, so the result key order is exactly the order
-// BuildArray produces — only the work to get there changes. (Neither
-// build is stable among key-equal duplicates; the merge join's cross
-// products are insensitive to that.)
-func BuildArrayRadix(o Options, tuples []*storage.Tuple) *sortedarray.Array[*storage.Tuple] {
-	n := len(tuples)
-	s := sortkey.GetTupleSorter()
-	ent := s.Entries(n)
-	allDecisive := true
-	for i, t := range tuples {
-		k, dec := sortkey.Prefix(KeyOf(t, o.Field))
-		if !dec {
-			allDecisive = false
-		}
-		ent[i] = sortkey.Entry[*storage.Tuple]{K: k, P: t}
-	}
-	o.Meter.AddKeyBytes(int64(n) * sortkey.PrefixBytes)
-	var tie sortkey.Tie[*storage.Tuple]
-	if !allDecisive {
-		f := o.Field
-		tie = func(a, b *storage.Tuple) int {
-			return storage.Compare(KeyOf(a, f), KeyOf(b, f))
-		}
-	}
-	s.Sort(ent, tie, o.Meter)
-	out := make([]*storage.Tuple, n)
-	for i := range ent {
-		out[i] = ent[i].P
-	}
-	o.Meter.AddMove(int64(n))
-	sortkey.PutTupleSorter(s)
-	return sortedarray.FromSorted(Config(o), out)
 }
 
 // NewChainHash builds a static chained-bucket hash table over tuples.

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/plan"
 )
 
 // findDecision returns the first audit record with the given name, or nil.
@@ -23,9 +25,9 @@ func findDecision(tr *QueryTrace, name string) *Decision {
 // the observed actual.
 func TestDecisionAuditInTrace(t *testing.T) {
 	const rows = 12000
-	db := openBig(t, Options{}, rows)
+	db := tuned(openBig(t, Options{}, rows), tuning{radix: plan.RadixConfig{MinBuildRows: 1}})
 	_, tr, err := db.Query("a").Where("id", Gt, Int(-1)).Join("b", "k", "k").
-		Select("a.id", "b.id").Parallel(4).JoinMethod(JoinRadix).Analyze()
+		Select("a.id", "b.id").Parallel(4).Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +98,10 @@ func TestMispredictCounter(t *testing.T) {
 // join pipeline.
 func TestParallelCountersSurviveFolding(t *testing.T) {
 	const rows = 12000
-	db := openBig(t, Options{}, rows)
+	db := tuned(openBig(t, Options{}, rows), tuning{radix: plan.RadixConfig{MinBuildRows: 1}})
 
 	_, tr, err := db.Query("a").Where("id", Gt, Int(-1)).Join("b", "k", "k").
-		Select("a.id", "b.id").Parallel(4).JoinMethod(JoinRadix).Analyze()
+		Select("a.id", "b.id").Parallel(4).Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +134,8 @@ func TestParallelCountersSurviveFolding(t *testing.T) {
 		t.Fatalf("parallel distinct counters lost in fold: %+v", dn)
 	}
 
-	_, trp, err := db.Query("a").Where("id", Gt, Int(-1)).Join("b", "k", "k").
+	// At the default crossover the same join runs as the pipeline.
+	_, trp, err := tuned(db, tuning{}).Query("a").Where("id", Gt, Int(-1)).Join("b", "k", "k").
 		Select("a.id", "b.id").Parallel(4).Analyze()
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +153,7 @@ func TestParallelCountersSurviveFolding(t *testing.T) {
 // only ever grows.
 func TestActiveQueriesLiveVisibility(t *testing.T) {
 	const rows = 12000
-	db := openBig(t, Options{}, rows)
+	db := tuned(openBig(t, Options{}, rows), tuning{radix: plan.RadixConfig{MinBuildRows: 1}})
 	if got := db.ActiveQueries(); len(got) != 0 {
 		t.Fatalf("idle database lists %d active queries", len(got))
 	}
@@ -167,7 +170,7 @@ func TestActiveQueriesLiveVisibility(t *testing.T) {
 			default:
 			}
 			if _, err := db.Query("a").Where("id", Gt, Int(-1)).Join("b", "k", "k").
-				Select("a.id", "b.id").Parallel(4).JoinMethod(JoinRadix).Run(); err != nil {
+				Select("a.id", "b.id").Parallel(4).Run(); err != nil {
 				t.Error(err)
 				return
 			}
@@ -270,7 +273,7 @@ func TestIntrospectionDisabled(t *testing.T) {
 // -race guard for the live registry and the slow ring.
 func TestIntrospectionUnderParallelQueries(t *testing.T) {
 	const rows = 8000
-	db := openBig(t, Options{SlowQueryThreshold: time.Nanosecond}, rows)
+	db := tuned(openBig(t, Options{SlowQueryThreshold: time.Nanosecond}, rows), tuning{radix: plan.RadixConfig{MinBuildRows: 1}})
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for r := 0; r < 2; r++ {
@@ -296,7 +299,7 @@ func TestIntrospectionUnderParallelQueries(t *testing.T) {
 			defer writers.Done()
 			for i := 0; i < 5; i++ {
 				if _, err := db.Query("a").Where("id", Gt, Int(-1)).Join("b", "k", "k").
-					Select("a.id").Parallel(4).JoinMethod(JoinRadix).Run(); err != nil {
+					Select("a.id").Parallel(4).Run(); err != nil {
 					t.Error(err)
 					return
 				}
@@ -321,11 +324,11 @@ func TestIntrospectionUnderParallelQueries(t *testing.T) {
 // phases planned, so extending the Query after Run does not change it.
 func TestIntrospectionRendersTextOnRead(t *testing.T) {
 	const want = "SELECT b.grp, COUNT(*), SUM(a.id) FROM a JOIN b ON a.k=b.k WHERE id > -1 AND k < 90 GROUP BY b.grp ORDER BY 2 DESC LIMIT 3"
-	db := openBig(t, Options{SlowQueryThreshold: time.Nanosecond}, 12000)
+	db := tuned(openBig(t, Options{SlowQueryThreshold: time.Nanosecond}, 12000), tuning{radix: plan.RadixConfig{MinBuildRows: 1}})
 	query := func() *Query {
 		return db.Query("a").Where("id", Gt, Int(-1)).Where("k", Lt, Int(90)).Join("b", "k", "k").
 			GroupBy("b.grp").Agg(AggCount, "").Agg(AggSum, "a.id").OrderBy("2", true).Limit(3).
-			Parallel(4).JoinMethod(JoinRadix)
+			Parallel(4)
 	}
 
 	stop := make(chan struct{})

@@ -113,72 +113,6 @@ type Options struct {
 	MemoryBudget int64
 }
 
-// JoinStrategy selects how a two-relation equijoin that has to build
-// its own hash table runs: the cache-conscious radix hash join, a
-// one-stage pipeline over a pooled flat table, or the paper's §3.3
-// chained-bucket join (an existing hash index is always probed directly
-// regardless). Joins of more relations always build flat stage tables.
-type JoinStrategy int
-
-// Join strategies for Query.JoinMethod.
-const (
-	// JoinAuto applies the cost-based crossover: radix when the build
-	// side is large enough that cache misses dominate
-	// (plan.ChooseRadixBits), a one-stage pipeline over a pooled flat
-	// table otherwise.
-	JoinAuto JoinStrategy = iota
-	// JoinChained always runs the paper's §3.3 chained-bucket hash join,
-	// serially.
-	JoinChained
-	// JoinRadix forces the radix paths whenever legal (equijoin
-	// without an early-exit limit), sizing a minimal plan even for
-	// builds below the crossover.
-	JoinRadix
-)
-
-// JoinOrderStrategy selects how the multi-join planner orders the
-// joins of a query over three or more relations. Whatever the order,
-// the result multiset is identical — only the intermediate-result
-// sizes (and so the run time) differ.
-type JoinOrderStrategy int
-
-// Join-order strategies for Query.JoinOrder.
-const (
-	// JoinOrderAuto runs the cost-forecasted enumerator: exact dynamic
-	// programming over connected subgraphs up to plan.DPMaxRels
-	// relations, greedy min-cost-edge expansion beyond.
-	JoinOrderAuto JoinOrderStrategy = iota
-	// JoinOrderLeftDeep executes the joins in the order the query wrote
-	// them (the classic as-written left-deep pipeline), skipping the
-	// enumerator entirely.
-	JoinOrderLeftDeep
-	// JoinOrderForced executes the order given to Query.ForceJoinOrder;
-	// a query without one fails.
-	JoinOrderForced
-)
-
-// SortStrategy selects between the paper-faithful comparator quicksort
-// and the normalized-key radix sort (internal/sortkey) for operators
-// that sort: ORDER BY's full sort and sort-scan duplicate elimination.
-// Both substrates produce the same key order; only the work to get
-// there differs.
-type SortStrategy int
-
-// Sort strategies for Query.SortMethod.
-const (
-	// SortAuto applies the cost-based crossover: the radix kernel when
-	// the input is large enough that comparator indirection dominates
-	// (plan.ChooseSortMethod), the §3.1 quicksort otherwise — so the
-	// paper-scale reproductions always run the original algorithm.
-	SortAuto SortStrategy = iota
-	// SortQuicksort always runs the paper-faithful comparator quicksort
-	// with the insertion-sort cutoff.
-	SortQuicksort
-	// SortRadix forces the normalized-key radix sort even below the
-	// crossover.
-	SortRadix
-)
-
 // Database is a main-memory database: a set of tables, a partition-level
 // lock manager, and (optionally) the recovery machinery.
 type Database struct {

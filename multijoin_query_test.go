@@ -577,27 +577,25 @@ func TestMultiJoinSQL(t *testing.T) {
 	}
 }
 
-// TestJoinOrderKnob: the leftdeep strategy pins the as-written order,
-// also on a freshly seeded database, and the forced strategy demands an
-// explicit order.
+// TestJoinOrderKnob: ForceJoinOrder with the names as written pins the
+// as-written order, also on a freshly seeded database, and an order that
+// does not name every relation exactly once fails.
 func TestJoinOrderKnob(t *testing.T) {
+	asWritten := []string{"fact", "dima", "dimb", "dimc"}
 	db := openStar4(t, 500)
-	res, err := starQuery(db).JoinOrder(JoinOrderLeftDeep).Run()
+	res, err := starQuery(db).ForceJoinOrder(asWritten...).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := res.Plan()
-	if !strings.Contains(p, "(leftdeep)") {
-		t.Fatalf("leftdeep strategy not reported:\n%s", p)
+	if !strings.Contains(p, "(forced)") {
+		t.Fatalf("forced order not reported:\n%s", p)
 	}
 	if !strings.Contains(p, "fact ⋈ dima ⋈ dimb ⋈ dimc") {
-		t.Fatalf("leftdeep did not keep the as-written order:\n%s", p)
-	}
-	if _, err := starQuery(db).JoinOrder(JoinOrderForced).Run(); err == nil ||
-		!strings.Contains(err.Error(), "ForceJoinOrder") {
-		t.Fatalf("forced without an order: %v", err)
+		t.Fatalf("the as-written order did not run:\n%s", p)
 	}
 	for _, bad := range [][]string{
+		{},                               // no names
 		{"fact", "dima"},                 // wrong count
 		{"fact", "dima", "dimb", "nope"}, // unknown name
 		{"fact", "dima", "dima", "dimc"}, // duplicate
@@ -612,12 +610,12 @@ func TestJoinOrderKnob(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedStarInto(t, dbl, 500)
-	res2, err := starQuery(dbl).JoinOrder(JoinOrderLeftDeep).Run()
+	res2, err := starQuery(dbl).ForceJoinOrder(asWritten...).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res2.Plan(), "(leftdeep)") {
-		t.Fatalf("JoinOrder(JoinOrderLeftDeep) ignored:\n%s", res2.Plan())
+	if !strings.Contains(res2.Plan(), "fact ⋈ dima ⋈ dimb ⋈ dimc (forced)") {
+		t.Fatalf("ForceJoinOrder ignored:\n%s", res2.Plan())
 	}
 }
 

@@ -3,14 +3,16 @@ package mmdb
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/plan"
 )
 
 // TestNullJoinKeyMatchesNothing: a(1,NULL),(2,5) ⋈ b(1,NULL),(2,5) on k
 // returns one row — SQL's NULL equals nothing, not even NULL — under
 // every join method the planner can run: Tree Merge, Tree Join, an
-// existing hash index, a built stage table, the chained and the radix
-// hash join, the precomputed join, and a closing edge checked as a
-// residual, at 1 and 4 workers. b carries filler rows so its T Tree is
+// existing hash index, a built stage table, the radix hash join (a
+// lowered crossover), the precomputed join, and a closing edge checked as
+// a residual, at 1 and 4 workers. b carries filler rows so its T Tree is
 // more than twice a filtered a, which is what picks Tree Join.
 func TestNullJoinKeyMatchesNothing(t *testing.T) {
 	db, err := Open(Options{})
@@ -69,14 +71,17 @@ func TestNullJoinKeyMatchesNothing(t *testing.T) {
 		{"hash index", head, func() *Query { return db.Query("a").Join("b", "k", "h") }},
 		{"built table", head, func() *Query { return db.Query("a").Join("b", "k", "c") }},
 		{"pointer", head, func() *Query { return db.Query("a").Join("b", "r", Self) }},
-		{"closing edge", "join ⋈ b: ", func() *Query { return db.Query("a").Join("b", "id", "id").On("a.k", "b.k") }},
+		{"closing edge", "join ⋈ b: ", func() *Query {
+			return db.Query("a").Join("b", "id", "id").On("a.k", "b.k").ForceJoinOrder("a", "b")
+		}},
 	}
 	ran := map[string]bool{}
 	for _, s := range shapes {
-		for _, strat := range []JoinStrategy{JoinAuto, JoinChained, JoinRadix} {
+		for _, radixMin := range []int{0, 1} { // tuning.radix.MinBuildRows; 0 = the default
+			tuned(db, tuning{radix: plan.RadixConfig{MinBuildRows: radixMin}})
 			for _, par := range []int{1, 4} {
-				what := fmt.Sprintf("%s strategy=%d par=%d", s.name, strat, par)
-				res, err := s.query().Select("a.id", "b.id").JoinMethod(strat).Parallel(par).Run()
+				what := fmt.Sprintf("%s radixMinBuildRows=%d par=%d", s.name, radixMin, par)
+				res, err := s.query().Select("a.id", "b.id").Parallel(par).Run()
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}

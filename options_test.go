@@ -19,8 +19,8 @@ func tuned(db *Database, tu tuning) *Database {
 }
 
 // TestOptionsFields pins the fields a caller can set. A planner
-// crossover is a plan.Default* constant, a per-query choice is a Query
-// hint, and a crossover a test must move is the unexported tuning.
+// crossover is a plan.Default* constant, the planner picks every method,
+// and a crossover a test must move is the unexported tuning.
 func TestOptionsFields(t *testing.T) {
 	want := []string{
 		"Dir", "DeviceInterval", "SlotsPerPartition", "HeapPerPartition",

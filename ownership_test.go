@@ -59,7 +59,6 @@ func TestHeldResultsSurviveChunkRecycling(t *testing.T) {
 		{"topk", 10, func() *Query { return db.Query("a").Select("id").OrderBy("id", true).Limit(10) }},
 		{"distinct", 97, func() *Query { return db.Query("a").Select("k").Distinct() }},
 		{"distinct-head", 5, func() *Query { return db.Query("a").Select("k").Distinct().Limit(5) }},
-		{"sort-distinct", 7, func() *Query { return db.Query("a").Select("g").Distinct().SortMethod(SortRadix) }},
 	}
 	held := make([]*Result, len(kinds))
 	want := make([]string, len(kinds))

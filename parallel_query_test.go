@@ -192,7 +192,9 @@ func TestSmallInputsStaySerial(t *testing.T) {
 // TestScanCountsEqualAtEveryDegree: a sequential scan records the same
 // §3.1 comparisons whatever its degree — none without a WHERE clause, one
 // per tuple examined with one — on the snapshot path and on the S-lock
-// path alike, so counted work does not depend on the worker count.
+// path alike, so counted work does not depend on the worker count. Its
+// trace's rows in and Stats().RowsScanned are the tuples it examined,
+// also when a LIMIT ends a filtered scan early.
 func TestScanCountsEqualAtEveryDegree(t *testing.T) {
 	const rows, limit = 50_000, 100
 	// v = id mod 10 is unindexed, so Where("v", Lt, 5) is a scan that keeps
@@ -225,20 +227,25 @@ func TestScanCountsEqualAtEveryDegree(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, c := range []struct {
-			name      string
-			q         func() *Query
-			out, cmps int
-			limited   bool // a LIMIT scan runs serially and takes the S lock
+			name          string
+			q             func() *Query
+			in, out, cmps int
+			limited       bool // a LIMIT scan runs serially and takes the S lock
 		}{
-			{"unfiltered", func() *Query { return db.Query("s") }, rows, 0, false},
-			{"filtered", func() *Query { return db.Query("s").Where("v", Lt, Int(5)) }, rows / 2, rows, false},
-			{"limit", func() *Query { return db.Query("s").Limit(limit) }, limit, 0, true},
-			{"filtered limit", func() *Query { return db.Query("s").Where("v", Lt, Int(5)).Limit(limit) }, limit, examined, true},
+			{"unfiltered", func() *Query { return db.Query("s") }, rows, rows, 0, false},
+			{"filtered", func() *Query { return db.Query("s").Where("v", Lt, Int(5)) }, rows, rows / 2, rows, false},
+			{"limit", func() *Query { return db.Query("s").Limit(limit) }, limit, limit, 0, true},
+			{"filtered limit", func() *Query { return db.Query("s").Where("v", Lt, Int(5)).Limit(limit) }, examined, limit, examined, true},
 		} {
 			for _, w := range []int{1, 4} {
+				before := db.Stats().RowsScanned
 				res, tr, err := c.q().Parallel(w).Analyze()
 				if err != nil {
 					t.Fatal(err)
+				}
+				if scanned := db.Stats().RowsScanned - before; scanned != int64(c.in) {
+					t.Errorf("locked=%v %s Parallel(%d): RowsScanned grew by %d, want the %d tuples examined",
+						locked, c.name, w, scanned, c.in)
 				}
 				sel := tr.Root.Children[0]
 				if sel.Op != "select" {
@@ -254,6 +261,10 @@ func TestScanCountsEqualAtEveryDegree(t *testing.T) {
 				}
 				if !strings.HasPrefix(sel.AccessPath, path) {
 					t.Fatalf("locked=%v %s Parallel(%d) runs %q, not a %s", locked, c.name, w, sel.AccessPath, path)
+				}
+				if sel.RowsIn != c.in {
+					t.Errorf("locked=%v %s Parallel(%d): rows in=%d, want the %d tuples examined",
+						locked, c.name, w, sel.RowsIn, c.in)
 				}
 				if res.Len() != c.out || sel.Ops.Comparisons != int64(c.cmps) {
 					t.Errorf("locked=%v %s Parallel(%d) via %q: %d rows and %d comparisons, want %d and %d",

@@ -94,7 +94,6 @@ func TestExplainMatchesExecutedPlan(t *testing.T) {
 			{"filtered scan", true, func() *Query { return a().Where("g", Eq, Int(3)).Where("id", Ne, Int(5)).Select("k") }},
 			{"group by", false, func() *Query { return a().GroupBy("k").Agg(AggCount, "") }},
 			{"distinct", false, func() *Query { return a().Select("k").Distinct() }},
-			{"distinct sort-scan", false, func() *Query { return a().Select("k").Distinct().SortMethod(SortRadix) }},
 			{"order by", false, func() *Query { return a().Select("id", "k").OrderBy("id", true) }},
 			{"order by limit", false, func() *Query { return a().Select("id").OrderBy("id", true).Limit(10) }},
 			{"limit", false, func() *Query { return a().Select("k").Limit(10) }},
@@ -184,7 +183,6 @@ func executedPlanQueries(t *testing.T) []namedQuery {
 		}},
 		{"limit", func() *Query { return a().Select("k").Limit(7) }},
 		{"distinct hash", func() *Query { return a().Select("k").Distinct() }},
-		{"distinct sort", func() *Query { return a().Select("k").Distinct().SortMethod(SortRadix) }},
 		{"order full", func() *Query { return a().Select("id", "k").OrderBy("k", true).OrderBy("id", false) }},
 		{"top-k", func() *Query { return a().Select("id").OrderBy("id", true).Limit(5) }},
 		{"group order limit", func() *Query {
@@ -195,7 +193,6 @@ func executedPlanQueries(t *testing.T) []namedQuery {
 		{"tree join", func() *Query { return joins.Query("s").Join("d", "k", "id").Select("s.id", "d.id") }},
 		{"hash index join", func() *Query { return joins.Query("f").Join("d", "k", "h").Select("f.id", "d.id") }},
 		{"built table join", func() *Query { return fd(joins, "k") }},
-		{"chained join", func() *Query { return fd(joins, "k").JoinMethod(JoinChained) }},
 		{"filtered join limit", func() *Query { return fd(joins, "k").Where("id", Lt, Int(4500)).Limit(25) }},
 		{"radix join", func() *Query { return fd(radixJoins, "k") }},
 		{"budgeted radix join group", func() *Query {

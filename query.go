@@ -46,26 +46,23 @@ const Self = "__self__"
 // the expected choices, Analyze runs the query and reports what
 // actually executed.
 type Query struct {
-	db        *Database
-	from      *Table
-	tx        *Txn
-	rels      []qrel // rels[0] is the from-table; Join/JoinAs append
-	joins     []qjoin
-	preds     []qpred
-	cols      []string
-	distinct  bool
-	groupBy   []string
-	aggs      []qagg
-	orderBy   []qorder
-	limit     int               // -1 = no limit; 0 is a real (empty-result) limit
-	par       int               // requested parallelism; 0 = database default
-	strategy  JoinStrategy      // JoinMethod hint
-	sortStrat SortStrategy      // SortMethod hint
-	ordStrat  JoinOrderStrategy // JoinOrder hint
-	forced    []string          // ForceJoinOrder relation names
-	prio      int               // scheduler admission tiebreak (Priority)
-	ctx       context.Context   // cancellation scope (WithContext); nil = background
-	err       error
+	db       *Database
+	from     *Table
+	tx       *Txn
+	rels     []qrel // rels[0] is the from-table; Join/JoinAs append
+	joins    []qjoin
+	preds    []qpred
+	cols     []string
+	distinct bool
+	groupBy  []string
+	aggs     []qagg
+	orderBy  []qorder
+	limit    int             // -1 = no limit; 0 is a real (empty-result) limit
+	par      int             // requested parallelism; 0 = database default
+	forced   []string        // ForceJoinOrder relation names; nil = the planner's order
+	prio     int             // scheduler admission tiebreak (Priority)
+	ctx      context.Context // cancellation scope (WithContext); nil = background
+	err      error
 }
 
 // In runs the query inside an existing transaction: its shared locks are
@@ -208,8 +205,8 @@ func (q *Query) Where(column string, op Op, v Value) *Query {
 // in scope); either column may be Self to join on tuple identity,
 // enabling pointer-compare joins against Ref columns. Chaining Join
 // calls builds an n-way join graph; with three or more relations the
-// planner picks the execution order by cost forecast (Query.JoinOrder
-// and Query.ForceJoinOrder override it).
+// planner picks the execution order by cost forecast (Query.ForceJoinOrder
+// pins it).
 func (q *Query) Join(table, leftColumn, rightColumn string) *Query {
 	return q.JoinAs(table, "", leftColumn, rightColumn)
 }
@@ -328,25 +325,15 @@ func (q *Query) resolveJoinLeft(column string) (rel, field int, err error) {
 	return 0, 0, fmt.Errorf("mmdb: no in-scope table has column %q", column)
 }
 
-// JoinOrder sets how this query orders its joins: JoinOrderAuto (the
-// default) runs the cost-forecasted enumerator (exact DP up to plan.DPMaxRels
-// relations, greedy beyond), JoinOrderLeftDeep executes the joins in
-// the order they were written, JoinOrderForced executes the order given
-// to ForceJoinOrder. Only queries with three or more relations are
-// affected — a two-way join has no order to choose.
-func (q *Query) JoinOrder(s JoinOrderStrategy) *Query {
-	q.ordStrat = s
-	return q
-}
-
 // ForceJoinOrder pins the multi-join execution order to the named
-// relations (scope names — aliases where given), driver first. The list
-// must name every relation exactly once, and each relation after the
-// first must share a join edge with the ones before it (the pipeline
-// cannot execute cross products). Implies JoinOrder(JoinOrderForced).
+// relations (scope names — aliases where given), driver first, in place
+// of the cost-forecasted enumerator's (exact DP up to plan.DPMaxRels
+// relations, greedy beyond). The list must name every relation exactly
+// once, and each relation after the first must share a join edge with
+// the ones before it (the pipeline cannot execute cross products). A
+// query with a single join edge has no order to choose and ignores it.
 func (q *Query) ForceJoinOrder(names ...string) *Query {
-	q.forced = names
-	q.ordStrat = JoinOrderForced
+	q.forced = append([]string{}, names...)
 	return q
 }
 
@@ -501,55 +488,14 @@ func (q *Query) pushedLimit() int {
 	return -1
 }
 
-// JoinMethod sets how this query's hash join runs: JoinAuto (the
-// default) applies the cost-based crossover between the radix join and the
-// pipeline's flat table, JoinChained pins the paper's serial §3.3 hash
-// join, JoinRadix forces the radix join whenever legal. It affects hash
-// joins that build their own table (an existing hash index is always
-// probed directly).
-func (q *Query) JoinMethod(s JoinStrategy) *Query {
-	q.strategy = s
-	return q
-}
-
-// SortMethod sets this query's sort substrate: SortAuto (the default)
-// applies the cost-based quicksort-vs-radix crossover, SortQuicksort
-// pins the paper-faithful §3.1 comparator quicksort, SortRadix forces
-// the normalized-key radix kernel. It affects ORDER BY's full sort and,
-// set to SortQuicksort or SortRadix, switches DISTINCT from hashing to
-// the §3.4 Sort Scan on the chosen substrate.
-func (q *Query) SortMethod(s SortStrategy) *Query {
-	q.sortStrat = s
-	return q
-}
-
-// sortMethodFor resolves the sort substrate for a sort of rows elements
-// with keyBytes-wide encoded keys: forced strategies map directly, and
-// SortAuto asks the planner's crossover — which keeps every paper-scale
-// sort on the faithful §3.1 quicksort.
-func (q *Query) sortMethodFor(rows, keyBytes int) plan.SortMethod {
-	switch q.sortStrat {
-	case SortQuicksort:
-		return plan.SortQuick
-	case SortRadix:
-		return plan.SortRadixKey
-	default:
-		return plan.ChooseSortMethod(rows, keyBytes, q.db.tune.sort)
-	}
-}
-
 // radixBits resolves the radix plan for a join that would build a hash
 // table over buildRows rows, narrowed to a per-query budget of that many
 // bytes (plan.ClampRadixBits; 0 = unbudgeted), and the narrowing, zero
-// when the budget did not narrow it. nil bits mean "no radix join": under
-// JoinAuto, whenever the build fits comfortably in cache
-// (plan.ChooseRadixBits's crossover).
+// when the budget did not narrow it. nil bits mean "no radix join":
+// whenever the build fits comfortably in cache (plan.ChooseRadixBits's
+// crossover).
 func (q *Query) radixBits(buildRows int, budget int64) ([]uint, budgetClamp) {
-	choose := plan.ChooseRadixBits
-	if q.strategy == JoinRadix {
-		choose = plan.ForceRadixBits
-	}
-	bits := choose(buildRows, q.db.tune.radix)
+	bits := plan.ChooseRadixBits(buildRows, q.db.tune.radix)
 	clamped, did := plan.ClampRadixBits(bits, q.db.tune.radix, budget)
 	if !did {
 		return clamped, budgetClamp{}
@@ -1157,7 +1103,7 @@ func (q *Query) Explain() (string, error) {
 		p.group = &ap
 	}
 	if q.distinct {
-		dp := q.planDistinct(rows, 0)
+		dp := q.planAgg(rows, 0)
 		p.distinct = &dp
 	}
 	if len(q.orderBy) > 0 {
@@ -1175,10 +1121,10 @@ func (q *Query) Explain() (string, error) {
 type queryPlan struct {
 	head     headPlan
 	sel      selPlan
-	join     *joinPlan     // nil: a single relation
-	group    *aggPlan      // nil: not grouped
-	distinct *distinctPlan // nil: no DISTINCT
-	order    *orderPlan    // nil: no ORDER BY
+	join     *joinPlan  // nil: a single relation
+	group    *aggPlan   // nil: not grouped
+	distinct *aggPlan   // nil: no DISTINCT; else its keys-only agg run
+	order    *orderPlan // nil: no ORDER BY
 }
 
 // text renders the plan, one line per decision in the order the phases
@@ -1218,7 +1164,7 @@ func (p *queryPlan) text(estimate int) string {
 		phase("group", p.group.path())
 	}
 	if p.distinct != nil {
-		phase("distinct", p.distinct.path())
+		phase("distinct", distinctPath(p.distinct))
 	}
 	if p.order != nil {
 		phase("order", p.order.path())
@@ -1434,10 +1380,16 @@ func (q *Query) runSelection(x *execution, sp selPlan) step {
 	m := x.m
 	spec := exec.SelectSpec{RelName: t.Name(), Schema: t.rel.Schema(), Desc: t.sel, Meter: m, Prog: x.pg, Sched: x.sq}
 	if sp.path == plan.PathSequentialScan {
+		var cmps int64
+		if m != nil {
+			cmps = m.Comparisons
+		}
 		s.list = q.runScan(x, spec, sp)
 		s.node.RowsIn = s.list.Len()
-		if len(q.preds) > 0 {
-			s.node.RowsIn = sp.rows
+		if len(q.preds) > 0 && m != nil {
+			// A filtered scan meters one comparison per tuple it examined,
+			// which under a LIMIT is fewer than the relation holds.
+			s.node.RowsIn = int(m.Comparisons - cmps)
 		}
 	} else {
 		p := q.preds[sp.pred]
@@ -1621,19 +1573,18 @@ type joinPlan struct {
 	method       plan.JoinMethod
 	bits         []uint      // JoinRadixHash: the radix plan
 	clamp        budgetClamp // the budget's narrowing of bits
-	chained      bool        // JoinHash under JoinChained with no hash index to probe
 	innerHash    bool        // JoinHash: the inner's hash index is probed in place
 	outerTT      *ttree.Tree[*storage.Tuple]
 	innerTT      *ttree.Tree[*storage.Tuple]
 	innerOrdered *Index
-	// More edges: how the order was chosen ("dp", "greedy", "leftdeep",
-	// "forced") and the forecast rows after each prefix of it. estRows is
-	// nil for a single edge.
+	// More edges: how the order was chosen ("dp", "greedy" or "forced")
+	// and the forecast rows after each prefix of it. estRows is nil for a
+	// single edge.
 	algorithm  string
 	estRows    []float64
 	driverRows int // rows the driver streams
 	workers    int
-	stages     []stagePlan // the pipeline, in execution order; none for the precomputed, tree, radix and chained joins
+	stages     []stagePlan // the pipeline, in execution order; none for the precomputed, tree and radix joins
 }
 
 // stagePlan is one pipeline stage: how it binds its relation — following
@@ -1714,14 +1665,14 @@ func (q *Query) planJoin(rel0Rows int, locked bool, limit int, budget int64) (jo
 	switch {
 	case limit > 0:
 		p.workers = 1 // the early exit does not decompose
-	case p.method == plan.JoinRadixHash, p.method == plan.JoinHash && !p.chained && !p.innerHash:
+	case p.method == plan.JoinRadixHash, p.method == plan.JoinHash && !p.innerHash:
 	default:
-		// A pointer per row, one walk of an index, a hash index probed in
-		// place (never traded for a parallel build over the whole inner), or
-		// the serial §3.3 join: the §4 methods run as the paper ran them.
+		// A pointer per row, one walk of an index, or a hash index probed
+		// in place (never traded for a parallel build over the whole
+		// inner): the §4 methods run as the paper ran them.
 		p.workers = 1
 	}
-	if p.method == plan.JoinHash && !p.chained {
+	if p.method == plan.JoinHash {
 		return p, q.planStages(&p)
 	}
 	return p, nil
@@ -1766,8 +1717,7 @@ func (q *Query) chooseJoin(p *joinPlan, outerRows, limit int, budget int64) {
 	if p.innerHash = innerHash != nil; p.innerHash {
 		return
 	}
-	p.chained = q.strategy == JoinChained
-	if !p.chained && limit <= 0 {
+	if limit <= 0 {
 		if p.bits, p.clamp = q.radixBits(innerRows, budget); p.bits != nil {
 			p.method = plan.JoinRadixHash
 		}
@@ -1878,9 +1828,6 @@ func (q *Query) runJoin(x *execution, left *storage.TempList, limit int) (step, 
 		if x.res != nil && rs.Fanout > 0 {
 			s.node.GrantBytes, s.node.Reversed, s.node.Resplits = x.res.Peak(), rs.Reversed, rs.Repartitions
 		}
-	case p.chained:
-		s.list = exec.HashJoin(outer, jt.scanSource(), spec)
-		s.scanned = int64(innerRows)
 	default: // hash joins, and every multi-join
 		s.list, stageRows, s.scanned = q.runPipeline(x, left, &p, limit)
 		for k, st := range p.stages {
@@ -2005,41 +1952,26 @@ func (q *Query) joinGraph(rel0Rows int, locked bool) plan.JoinGraph {
 	return g
 }
 
-// chooseOrder resolves the execution order for a multi-join under the
-// effective JoinOrderStrategy, pricing whatever order wins with the
-// plan package's cost model so forecast cardinalities are always
-// available for the audit.
+// chooseOrder resolves the execution order for a multi-join: the
+// enumerator's, or the one ForceJoinOrder pinned, priced with the plan
+// package's cost model so forecast cardinalities are always available
+// for the audit.
 func (q *Query) chooseOrder(g plan.JoinGraph) (plan.JoinOrderResult, error) {
 	cfg := q.db.tune.radix
-	switch q.ordStrat {
-	case JoinOrderLeftDeep:
-		order := make([]int, len(q.rels))
-		for i := range order {
-			order[i] = i
-		}
-		res := plan.ForecastOrder(g, cfg, order)
-		res.Algorithm = "leftdeep"
-		return res, nil
-	case JoinOrderForced:
-		order, err := q.forcedOrder()
-		if err != nil {
-			return plan.JoinOrderResult{}, err
-		}
-		res := plan.ForecastOrder(g, cfg, order)
-		res.Algorithm = "forced"
-		return res, nil
-	default:
+	if q.forced == nil {
 		return plan.ChooseJoinOrder(g, cfg), nil
 	}
+	order, err := q.forcedOrder()
+	if err != nil {
+		return plan.JoinOrderResult{}, err
+	}
+	return plan.ForecastOrder(g, cfg, order), nil
 }
 
 // forcedOrder validates ForceJoinOrder's names: every relation exactly
 // once, and each one after the driver connected by a join edge to the
 // ones before it (the pipeline cannot execute cross products).
 func (q *Query) forcedOrder() ([]int, error) {
-	if len(q.forced) == 0 {
-		return nil, fmt.Errorf("mmdb: JoinOrderForced requires ForceJoinOrder")
-	}
 	if len(q.forced) != len(q.rels) {
 		return nil, fmt.Errorf("mmdb: ForceJoinOrder must name all %d relations exactly once (got %d)",
 			len(q.rels), len(q.forced))
@@ -2370,66 +2302,35 @@ func (x *execution) closeAgg(ar aggExec) {
 	x.res.Release(ar.grant) // nil- and zero-safe
 }
 
-// distinctPlan is how DISTINCT will run over an input. Explain prints
-// path and runDistinct executes the plan, so the two cannot disagree.
-type distinctPlan struct {
-	sortScan bool            // explicit SortMethod: §3.4 Sort Scan on sort
-	sort     plan.SortMethod // meaningful with sortScan
-	agg      aggPlan         // otherwise: keys-only run of the agg engine
-}
-
-// path names what runs.
-func (p *distinctPlan) path() string {
-	if p.sortScan {
-		return fmt.Sprintf("sort-scan duplicate elimination (%s)", p.sort)
-	}
-	return "hash duplicate elimination, keys-only " + p.agg.path()
-}
-
-// planDistinct picks the duplicate-elimination path for rows input rows
-// under a per-query memory budget (0 = unbudgeted). An explicit sort
-// strategy switches DISTINCT to the §3.4 Sort Scan on the chosen
-// substrate — the knob that lets the sort engine be compared end to end.
-// SortAuto keeps the paper's conclusion, hashing dominates: a keys-only
-// run of the aggregation engine.
-func (q *Query) planDistinct(rows int, budget int64) distinctPlan {
-	if ss := q.sortStrat; ss != SortAuto {
-		sm := plan.SortQuick
-		if ss == SortRadix {
-			sm = plan.SortRadixKey
-		}
-		return distinctPlan{sortScan: true, sort: sm}
-	}
-	return distinctPlan{agg: q.planAgg(rows, budget)}
+// distinctPath names how DISTINCT runs: §3.4's conclusion, hashing
+// dominates, as a keys-only run of the aggregation engine.
+func distinctPath(p *aggPlan) string {
+	return "hash duplicate elimination, keys-only " + p.path()
 }
 
 // runDistinct eliminates duplicate rows of list — first occurrences, in
-// input order, on the hash path — and releases it.
+// input order — and releases it.
 func (q *Query) runDistinct(x *execution, list *storage.TempList) (step, error) {
-	dp := q.planDistinct(list.Len(), x.budget())
+	dp := q.planAgg(list.Len(), x.budget())
 	x.plan.distinct = &dp
-	s := step{node: obs.TraceNode{Op: "distinct", RowsIn: list.Len(), Workers: 1}}
+	s := step{node: obs.TraceNode{Op: "distinct", RowsIn: list.Len()}}
 	if x.tracing() {
-		s.node.AccessPath = dp.path()
+		s.node.AccessPath = distinctPath(&dp)
 	}
-	if dp.sortScan {
-		s.list = exec.ProjectSort(list, x.m, dp.sort)
-	} else {
-		ar, err := x.beginAgg(dp.agg, list.Len())
-		if err != nil {
-			return step{}, err
+	ar, err := x.beginAgg(dp, list.Len())
+	if err != nil {
+		return step{}, err
+	}
+	var rs radix.Stats
+	s.list, rs = parallel.Distinct(x.sq, x.pg, ar.g, list, ar.bits, ar.workers, x.m)
+	s.node.Workers, s.node.GrantBytes = ar.workers, ar.grant
+	traceRadix(&s.node, rs)
+	x.closeAgg(ar)
+	if x.m != nil {
+		if rs.Fanout > 0 {
+			x.auditRadixBalance(rs)
 		}
-		var rs radix.Stats
-		s.list, rs = parallel.Distinct(x.sq, x.pg, ar.g, list, ar.bits, ar.workers, x.m)
-		s.node.Workers, s.node.GrantBytes = ar.workers, ar.grant
-		traceRadix(&s.node, rs)
-		x.closeAgg(ar)
-		if x.m != nil {
-			if rs.Fanout > 0 {
-				x.auditRadixBalance(rs)
-			}
-			dp.agg.auditClamp(x)
-		}
+		dp.auditClamp(x)
 	}
 	list.Release()
 	return s, nil
@@ -2464,7 +2365,7 @@ func (q *Query) planOrder(rows int) orderPlan {
 		p.workers = plan.ChooseWorkers(q.parallelism(), rows)
 		return p
 	}
-	p.sort = q.sortMethodFor(rows, len(q.orderBy)*plan.DefaultSortPrefixBytes)
+	p.sort = plan.ChooseSortMethod(rows, len(q.orderBy)*plan.DefaultSortPrefixBytes, q.db.tune.sort)
 	return p
 }
 

@@ -7,27 +7,26 @@ import (
 	"repro/internal/plan"
 )
 
-// TestRadixJoinMatchesChained: forcing the cache-conscious radix hash
-// join must yield exactly the paper-faithful chained-bucket join's
-// result multiset, and EXPLAIN ANALYZE must attribute the method and
-// its partitioning stats.
-func TestRadixJoinMatchesChained(t *testing.T) {
+// TestRadixJoinMatchesHashJoin: the cache-conscious radix hash join (a
+// lowered crossover) must yield exactly the result multiset of the Hash
+// Join the default crossover runs, and EXPLAIN ANALYZE must attribute the
+// method and its partitioning stats.
+func TestRadixJoinMatchesHashJoin(t *testing.T) {
 	const rows = 12000
-	db := openBig(t, Options{}, rows)
-	mk := func(s JoinStrategy) *Query {
+	mk := func(db *Database) *Query {
 		return db.Query("a").Where("id", Gt, Int(-1)).Join("b", "k", "k").
-			Select("a.id", "b.id").Parallel(4).JoinMethod(s)
+			Select("a.id", "b.id").Parallel(4)
 	}
 
-	chained, trc, err := mk(JoinChained).Analyze()
+	hash, trc, err := mk(openBig(t, Options{}, rows)).Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	radix, trr, err := mk(JoinRadix).Analyze()
+	radix, trr, err := mk(tuned(openBig(t, Options{}, rows), tuning{radix: plan.RadixConfig{MinBuildRows: 1}})).Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameMultiset(t, "radix-vs-chained", multiset(t, chained), multiset(t, radix))
+	sameMultiset(t, "radix-vs-hash", multiset(t, hash), multiset(t, radix))
 
 	var cj, rj *TraceNode
 	for _, n := range trc.Root.Children {
@@ -41,10 +40,10 @@ func TestRadixJoinMatchesChained(t *testing.T) {
 		}
 	}
 	if cj == nil || cj.AccessPath != "Hash Join" {
-		t.Fatalf("chained join node = %+v, want Hash Join", cj)
+		t.Fatalf("default join node = %+v, want Hash Join", cj)
 	}
 	if cj.Partitions != 0 {
-		t.Fatalf("chained join reports radix partitions: %+v", cj)
+		t.Fatalf("Hash Join reports radix partitions: %+v", cj)
 	}
 	if rj == nil || rj.AccessPath != "Radix Hash Join" {
 		t.Fatalf("radix join node = %+v, want Radix Hash Join", rj)
@@ -66,8 +65,8 @@ func TestRadixJoinMatchesChained(t *testing.T) {
 
 // TestPartitionedDistinctMatchesFlat: past the aggregation crossover the
 // serial keys-only run radix-partitions its input; it must keep exactly
-// the rows the flat table keeps, the trace must attribute the partitioning,
-// and the join-method knob must not fork DISTINCT.
+// the rows the flat table keeps, and the trace must attribute the
+// partitioning.
 func TestPartitionedDistinctMatchesFlat(t *testing.T) {
 	const rows = 12000
 	flatDB := openBig(t, Options{}, rows)
@@ -75,11 +74,11 @@ func TestPartitionedDistinctMatchesFlat(t *testing.T) {
 	mk := func(db *Database) *Query {
 		return db.Query("a").Select("k").Distinct().Parallel(1)
 	}
-	flat, trf, err := mk(flatDB).JoinMethod(JoinRadix).Analyze()
+	flat, trf, err := mk(flatDB).Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, trp, err := mk(partDB).JoinMethod(JoinChained).Analyze()
+	part, trp, err := mk(partDB).Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,9 +107,9 @@ func TestPartitionedDistinctMatchesFlat(t *testing.T) {
 	}
 }
 
-// TestJoinAutoCrossover: under JoinAuto the chooser must keep
-// paper-scale builds on the original chained algorithm and upgrade to
-// radix only past the configured crossover — here lowered so the same
+// TestJoinAutoCrossover: the chooser must keep paper-scale builds on the
+// one-stage Hash Join and upgrade to radix only past the configured
+// crossover — here lowered so the same
 // 6000-row build flips sides.
 func TestJoinAutoCrossover(t *testing.T) {
 	const rows = 12000
@@ -120,7 +119,7 @@ func TestJoinAutoCrossover(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(tr.Format(), "Hash Join") || strings.Contains(tr.Format(), "Radix") {
-		t.Fatalf("below crossover should run chained Hash Join:\n%s", tr.Format())
+		t.Fatalf("below crossover should run the Hash Join:\n%s", tr.Format())
 	}
 
 	above := tuned(openBig(t, Options{}, rows), tuning{radix: plan.RadixConfig{MinBuildRows: 1}})
@@ -133,49 +132,28 @@ func TestJoinAutoCrossover(t *testing.T) {
 	}
 }
 
-// TestJoinMethodDatabaseDefault: there is no database-wide join method;
-// the per-query hint steers a join both ways.
-func TestJoinMethodDatabaseDefault(t *testing.T) {
-	const rows = 12000
-	db := openBig(t, Options{}, rows)
-	q := func() *Query {
-		return db.Query("a").Where("id", Gt, Int(-1)).Join("b", "k", "k")
-	}
-	_, tr, err := q().JoinMethod(JoinRadix).Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(tr.Format(), "Radix Hash Join") {
-		t.Fatalf("per-query JoinRadix ignored:\n%s", tr.Format())
-	}
-	_, tr2, err := q().JoinMethod(JoinChained).Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(tr2.Format(), "Radix") {
-		t.Fatalf("per-query JoinChained did not override:\n%s", tr2.Format())
-	}
-}
-
-// TestRadixJoinSerialWorker: JoinRadix at Parallel(1) still runs the
-// partitioned algorithm (serially) and still matches the serial join.
+// TestRadixJoinSerialWorker: the radix join at Parallel(1) still runs
+// the partitioned algorithm (serially) and still matches the nested-loop
+// reference.
 func TestRadixJoinSerialWorker(t *testing.T) {
 	const rows = 12000
-	db := openBig(t, Options{}, rows)
-	mk := func(s JoinStrategy) *Query {
-		return db.Query("a").Where("id", Gt, Int(-1)).Join("b", "k", "k").
-			Select("a.id", "b.id").Parallel(1).JoinMethod(s)
-	}
-	serial, err := mk(JoinChained).Run()
+	db := tuned(openBig(t, Options{}, rows), tuning{radix: plan.RadixConfig{MinBuildRows: 1}})
+	radix, tr, err := db.Query("a").Where("id", Gt, Int(-1)).Join("b", "k", "k").
+		Select("a.id", "b.id").Parallel(1).Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	radix, tr, err := mk(JoinRadix).Analyze()
-	if err != nil {
-		t.Fatal(err)
+	// openBig's a(id=i, k=i%97) and b(id=j, k=j%97) as reference columns.
+	col := func(n int) twoWayCol {
+		c := twoWayCol{ids: make([]int64, n), keys: make([]int64, n)}
+		for i := range c.ids {
+			c.ids[i], c.keys[i] = int64(i), int64(i%97)
+		}
+		return c
 	}
-	sameMultiset(t, "serial-radix", multiset(t, serial), multiset(t, radix))
+	want := nestedLoop(col(rows), col(rows/2), func(int) bool { return true })
+	sameMultiset(t, "serial-radix", want, multiset(t, radix))
 	if !strings.Contains(tr.Format(), "Radix Hash Join") {
-		t.Fatalf("Parallel(1) JoinRadix did not run radix:\n%s", tr.Format())
+		t.Fatalf("Parallel(1) did not run radix:\n%s", tr.Format())
 	}
 }

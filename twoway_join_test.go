@@ -8,11 +8,10 @@ import (
 
 // Every join of two relations runs through one runner: the §4 choice
 // between the from-table (driver) and the joined table (build side),
-// executed as Tree Merge, Tree Join, the radix join, the serial chained
-// join JoinChained pins, or a one-stage pipeline. These tests hold every
-// shape the planner can pick to a nested-loop reference, under every
-// knob that changes how it runs, and hold Explain to the method the
-// executor runs.
+// executed as Tree Merge, Tree Join, the radix join or a one-stage
+// pipeline. These tests hold every shape the planner can pick to a
+// nested-loop reference, under every knob that changes how it runs, and
+// hold Explain to the method the executor runs.
 
 // nullKey marks a NULL key in twoWayData. Under SQL a NULL key equals
 // nothing, not even another NULL, so the reference never matches it.
@@ -147,18 +146,18 @@ type twoWayShape struct {
 	query func(db *Database) *Query
 	ref   map[string]int
 	limit int // > 0: the query's LIMIT, checked as a row count
-	// method names what runs under strategy s; radixSized is whether the
-	// database's crossover makes the build radix-sized.
-	method func(s JoinStrategy, radixSized bool) string
+	// method names what runs; radixSized is whether the database's
+	// crossover makes the build radix-sized.
+	method func(radixSized bool) string
 }
 
 func twoWayShapes(w twoWayData) []twoWayShape {
 	all := func(int) bool { return true }
-	fixed := func(m string) func(JoinStrategy, bool) string {
-		return func(JoinStrategy, bool) string { return m }
+	fixed := func(m string) func(bool) string {
+		return func(bool) string { return m }
 	}
-	builds := func(s JoinStrategy, radixSized bool) string {
-		if s == JoinRadix || (s == JoinAuto && radixSized) {
+	builds := func(radixSized bool) string {
+		if radixSized {
 			return "Radix Hash Join"
 		}
 		return "Hash Join"
@@ -212,8 +211,8 @@ func joinMethodIn(t *testing.T, text, head string) string {
 // TestTwoRelationJoinDifferential runs every two-relation shape — a Ref
 // dereference, Tree Merge, Tree Join, an existing hash index, a built
 // table, the radix join (a lowered crossover), a filtered from-table and
-// a LIMIT, over duplicate and NULL keys — under JoinAuto, JoinChained and
-// JoinRadix × Parallel(1)/(4) × MemoryBudget off/128 KiB. Every result
+// a LIMIT, over duplicate and NULL keys — under the default and a lowered
+// radix crossover × Parallel(1)/(4) × MemoryBudget off/128 KiB. Every result
 // must equal the nested-loop reference (a LIMIT result: the right number
 // of reference rows), Explain must name the method the executor ran, and
 // no two-relation join may consult the order planner's statistics.
@@ -234,39 +233,37 @@ func TestTwoRelationJoinDifferential(t *testing.T) {
 			}
 			db := tuned(w.open(t, Options{MemoryBudget: budget}), tu)
 			for _, s := range shapes {
-				for _, strat := range []JoinStrategy{JoinAuto, JoinChained, JoinRadix} {
-					for _, par := range []int{1, 4} {
-						what := fmt.Sprintf("%s budget=%d radixSized=%v strategy=%d par=%d", s.name, budget, radixSized, strat, par)
-						planned, err := s.query(db).JoinMethod(strat).Parallel(par).Explain()
-						if err != nil {
-							t.Fatalf("%s: %v", what, err)
+				for _, par := range []int{1, 4} {
+					what := fmt.Sprintf("%s budget=%d radixSized=%v par=%d", s.name, budget, radixSized, par)
+					planned, err := s.query(db).Parallel(par).Explain()
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					res, err := s.query(db).Parallel(par).Run()
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					executed := joinMethodIn(t, res.Plan(), s.head)
+					if want := s.method(radixSized); executed != want {
+						t.Fatalf("%s: ran %s, want %s\n%s", what, executed, want, res.Plan())
+					}
+					if explained := joinMethodIn(t, planned, s.head); explained != executed {
+						t.Fatalf("%s: Explain names %s, the executor ran %s\n%s", what, explained, executed, planned)
+					}
+					ran[executed] = true
+					got := multiset(t, res)
+					if s.limit == 0 {
+						if diff := multisetDiff(s.ref, got); diff != "" {
+							t.Fatalf("%s: %s", what, diff)
 						}
-						res, err := s.query(db).JoinMethod(strat).Parallel(par).Run()
-						if err != nil {
-							t.Fatalf("%s: %v", what, err)
-						}
-						executed := joinMethodIn(t, res.Plan(), s.head)
-						if want := s.method(strat, radixSized); executed != want {
-							t.Fatalf("%s: ran %s, want %s\n%s", what, executed, want, res.Plan())
-						}
-						if explained := joinMethodIn(t, planned, s.head); explained != executed {
-							t.Fatalf("%s: Explain names %s, the executor ran %s\n%s", what, explained, executed, planned)
-						}
-						ran[executed] = true
-						got := multiset(t, res)
-						if s.limit == 0 {
-							if diff := multisetDiff(s.ref, got); diff != "" {
-								t.Fatalf("%s: %s", what, diff)
-							}
-							continue
-						}
-						if res.Len() != s.limit {
-							t.Fatalf("%s: LIMIT %d returned %d rows", what, s.limit, res.Len())
-						}
-						for row, n := range got {
-							if n > s.ref[row] {
-								t.Fatalf("%s: LIMIT row %q %d times, reference %d", what, row, n, s.ref[row])
-							}
+						continue
+					}
+					if res.Len() != s.limit {
+						t.Fatalf("%s: LIMIT %d returned %d rows", what, s.limit, res.Len())
+					}
+					for row, n := range got {
+						if n > s.ref[row] {
+							t.Fatalf("%s: LIMIT row %q %d times, reference %d", what, row, n, s.ref[row])
 						}
 					}
 				}
@@ -289,41 +286,29 @@ func TestTwoRelationJoinDifferential(t *testing.T) {
 // TestTwoRelationHashJoinStages: a Hash Join probes an existing hash
 // index in place, serially whatever the requested parallelism (a probe
 // costs O(outer); a parallel build would cost O(inner)), and otherwise
-// builds a pooled table that a parallel run splits; JoinChained runs the
-// paper's serial chained-bucket join, no pipeline.
+// builds a pooled table that a parallel run splits.
 func TestTwoRelationHashJoinStages(t *testing.T) {
 	db := newTwoWayData().open(t, Options{})
 	for _, c := range []struct {
-		strat   JoinStrategy
 		par     int
 		on      string
-		stage   string // the pipeline stage's plan line; "" = no pipeline
+		stage   string // the pipeline stage's plan line
 		workers int    // the join node's workers
 	}{
-		{JoinAuto, 1, "h", "join ⋈ d: hash probe (Mod Linear Hash index)", 1},
-		{JoinAuto, 4, "h", "join ⋈ d: hash probe (Mod Linear Hash index)", 1},
-		{JoinChained, 4, "h", "join ⋈ d: hash probe (Mod Linear Hash index)", 1},
-		{JoinAuto, 4, "k", "join ⋈ d: hash probe (built table)", 4},
-		{JoinChained, 4, "k", "", 1},
+		{1, "h", "join ⋈ d: hash probe (Mod Linear Hash index)", 1},
+		{4, "h", "join ⋈ d: hash probe (Mod Linear Hash index)", 1},
+		{4, "k", "join ⋈ d: hash probe (built table)", 4},
 	} {
-		res, tr, err := db.Query("f").Join("d", "k", c.on).JoinMethod(c.strat).Parallel(c.par).Analyze()
+		res, tr, err := db.Query("f").Join("d", "k", c.on).Parallel(c.par).Analyze()
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan := res.Plan()
-		if c.stage == "" {
-			if strings.Contains(plan, "join ⋈ d:") {
-				t.Errorf("strategy %d on %s: a pipeline ran\n%s", c.strat, c.on, plan)
-			}
-			if jn := joinNode(t, tr); len(jn.Children) != 0 {
-				t.Errorf("strategy %d on %s: the chained join ran staged: %s", c.strat, c.on, jn.Line())
-			}
-		} else if !strings.Contains(plan, c.stage) {
-			t.Errorf("strategy %d par %d on %s: plan lacks %q\n%s", c.strat, c.par, c.on, c.stage, plan)
+		if plan := res.Plan(); !strings.Contains(plan, c.stage) {
+			t.Errorf("par %d on %s: plan lacks %q\n%s", c.par, c.on, c.stage, plan)
 		}
 		if jn := joinNode(t, tr); max(jn.Workers, 1) != c.workers {
-			t.Errorf("strategy %d par %d on %s: join ran on %d workers, want %d: %s",
-				c.strat, c.par, c.on, jn.Workers, c.workers, jn.Line())
+			t.Errorf("par %d on %s: join ran on %d workers, want %d: %s",
+				c.par, c.on, jn.Workers, c.workers, jn.Line())
 		}
 	}
 }
