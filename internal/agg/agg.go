@@ -924,36 +924,12 @@ func appendValueKey(b []byte, v storage.Value) []byte {
 	return b
 }
 
-// emitBatch is how many key values Emit gathers at a time.
-const emitBatch = 256
-
-// Emit builds the aggregation's output from the working list it ran over:
-// one row per group — the group's representative input row, taken from
-// work by res.Reps over work's sources — whose columns are all computed:
-// the group keys first, then one per aggregate holding Final of its cell.
-// Nothing is inserted anywhere, and the output names no relation of its
-// own.
-//
-// Keys are copied into their vectors rather than read through the
-// representative tuple: a locked-path result points at live tuples, and
-// a later UPDATE of a key would otherwise drift away from the aggregates
-// computed under it. A held grouped result reads the same forever.
-//
-// Global aggregation (no group columns) over empty input still yields one
-// row, per SQL: COUNT 0, the rest NULL. It has no representative, so its
-// row pointers are nil; no column reads through them.
-func Emit(work *storage.TempList, groupCols []int, specs []Spec, res Result) (*storage.TempList, error) {
-	out := work.Take(res.Reps)
-	groups := res.Groups()
-	if len(groupCols) == 0 && groups == 0 {
-		out.Append(make(storage.Row, out.Arity()))
-		groups = 1
-		res.Cells = make([]Cell, len(specs))
-	}
-	nspec := len(specs)
-	ncols := len(groupCols) + nspec
-	used := make(map[string]bool, ncols)
-	uniq := func(n string) string {
+// Names names a grouped output's columns: the group keys, then the
+// aggregates, each made unique by a _2, _3, … suffix ("col" when empty).
+func Names(keys []string, specs []Spec) []string {
+	names := make([]string, 0, len(keys)+len(specs))
+	used := make(map[string]bool, cap(names))
+	add := func(n string) {
 		if n == "" {
 			n = "col"
 		}
@@ -963,16 +939,44 @@ func Emit(work *storage.TempList, groupCols []int, specs []Spec, res Result) (*s
 			k++
 		}
 		used[n] = true
-		return n
+		names = append(names, n)
 	}
-	desc := work.Descriptor()
-	names := make([]string, 0, ncols)
-	for _, c := range groupCols {
-		names = append(names, uniq(desc.Cols[c].Name))
+	for _, n := range keys {
+		add(n)
 	}
-	for s := range specs {
-		names = append(names, uniq(specs[s].Name))
+	for _, s := range specs {
+		add(s.Name)
 	}
+	return names
+}
+
+// emitBatch is how many key values Emit gathers at a time.
+const emitBatch = 256
+
+// Emit builds the aggregation's output from the working list it ran over:
+// one row per group — the group's representative input row, taken from
+// work by res.Reps over work's sources — whose columns are all computed:
+// the group keys first, then one per aggregate holding Final of its cell,
+// named by names (Names over the keys and specs). Nothing is inserted
+// anywhere, and the output names no relation of its own.
+//
+// Keys are copied into their vectors rather than read through the
+// representative tuple: a locked-path result points at live tuples, and
+// a later UPDATE of a key would otherwise drift away from the aggregates
+// computed under it. A held grouped result reads the same forever.
+//
+// Global aggregation (no group columns) over empty input still yields one
+// row, per SQL: COUNT 0, the rest NULL. It has no representative, so its
+// row pointers are nil; no column reads through them.
+func Emit(work *storage.TempList, groupCols []int, specs []Spec, names []string, res Result) *storage.TempList {
+	out := work.Take(res.Reps)
+	groups := res.Groups()
+	if len(groupCols) == 0 && groups == 0 {
+		out.Append(make(storage.Row, out.Arity()))
+		groups = 1
+		res.Cells = make([]Cell, len(specs))
+	}
+	nspec := len(specs)
 	cols := out.AddComputed(names...)
 	// Keys are gathered a batch at a time, never through a group-sized
 	// buffer of values.
@@ -993,5 +997,5 @@ func Emit(work *storage.TempList, groupCols []int, specs []Spec, res Result) (*s
 			out.SetComputed(f, g, Final(specs[s].Kind, res.Cells[g*nspec+s]))
 		}
 	}
-	return out.Redescribe(storage.Descriptor{Sources: desc.Sources, Cols: cols})
+	return out.Redescribe(storage.Descriptor{Sources: work.Descriptor().Sources, Cols: cols})
 }

@@ -77,7 +77,7 @@ func TestHashJoinProbeSteadyStateAllocs(t *testing.T) {
 	for _, tp := range tuples {
 		ix.Insert(tp)
 	}
-	desc := exec.PairDescriptor("r1", "r2", nil)
+	desc := exec.PairDescriptor("r1", "r2")
 	// Probe-only: a one-stage pipeline over the existing index (the build
 	// phase's chain nodes are inherent allocations).
 	run := func() {

@@ -159,18 +159,20 @@ func TestAllJoinMethodsAgree(t *testing.T) {
 	}
 }
 
+// project moves a join result under the given output columns, as a
+// query's projection does.
+func project(l *storage.TempList, cols ...storage.ColRef) *storage.TempList {
+	return l.Redescribe(storage.Descriptor{Sources: l.Descriptor().Sources, Cols: cols})
+}
+
 func TestJoinOutputDescriptor(t *testing.T) {
 	ids := storage.NewIDGen()
 	r1 := buildRelation(t, ids, "r1", []int64{1, 2})
 	r2 := buildRelation(t, ids, "r2", []int64{2, 3})
-	spec := JoinSpec{
-		OuterName: "r1", InnerName: "r2", OuterField: 0, InnerField: 0,
-		Cols: []storage.ColRef{
-			{Source: 0, Field: 1, Name: "r1.seq"},
-			{Source: 1, Field: 1, Name: "r2.seq"},
-		},
-	}
-	l := HashJoin(arrayOn(r1, 0), arrayOn(r2, 0), spec)
+	spec := JoinSpec{OuterName: "r1", InnerName: "r2", OuterField: 0, InnerField: 0}
+	l := project(HashJoin(arrayOn(r1, 0), arrayOn(r2, 0), spec),
+		storage.ColRef{Source: 0, Field: 1, Name: "r1.seq"},
+		storage.ColRef{Source: 1, Field: 1, Name: "r2.seq"})
 	if l.Len() != 1 {
 		t.Fatalf("rows=%d", l.Len())
 	}
@@ -288,13 +290,10 @@ func TestPrecomputedAndPointerJoin(t *testing.T) {
 	spec := SelectSpec{RelName: "emp", Schema: empSchema}
 	lo := storage.IntValue(66)
 	over65 := SelectRange(empAge, 1, &lo, nil, spec)
-	q1 := PrecomputedJoin(ListColumn{List: over65, Column: 0}, 2, JoinSpec{
-		OuterName: "emp", InnerName: "dept", Cols: []storage.ColRef{
-			{Source: 0, Field: 0, Name: "Emp.Name"},
-			{Source: 0, Field: 1, Name: "Emp.Age"},
-			{Source: 1, Field: 0, Name: "Dept.Name"},
-		},
-	})
+	q1 := project(PrecomputedJoin(ListColumn{List: over65, Column: 0}, 2, JoinSpec{OuterName: "emp", InnerName: "dept"}),
+		storage.ColRef{Source: 0, Field: 0, Name: "Emp.Name"},
+		storage.ColRef{Source: 0, Field: 1, Name: "Emp.Age"},
+		storage.ColRef{Source: 1, Field: 0, Name: "Dept.Name"})
 	if q1.Len() != 2 {
 		t.Fatalf("Query 1 rows = %d", q1.Len())
 	}
@@ -317,11 +316,10 @@ func TestPrecomputedAndPointerJoin(t *testing.T) {
 		l.Scan(func(_ int, row storage.Row) bool { toyShoe.Append(row); return true })
 	}
 	empScan := arrayOn(emp, 1)
-	q2 := HashJoin(ListColumn{List: toyShoe, Column: 0}, empScan, JoinSpec{
+	q2 := project(HashJoin(ListColumn{List: toyShoe, Column: 0}, empScan, JoinSpec{
 		OuterName: "dept", InnerName: "emp",
 		OuterField: tupleindex.SelfField, InnerField: 2,
-		Cols: []storage.ColRef{{Source: 1, Field: 0, Name: "Emp.Name"}},
-	})
+	}), storage.ColRef{Source: 1, Field: 0, Name: "Emp.Name"})
 	if q2.Len() != 3 {
 		t.Fatalf("Query 2 rows = %d", q2.Len())
 	}

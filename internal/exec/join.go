@@ -16,9 +16,7 @@ import (
 // of (outer, inner) tuple-pointer rows.
 type JoinSpec struct {
 	OuterName, InnerName   string
-	OuterField, InnerField int              // join columns; SelfField joins on tuple identity
-	Cols                   []storage.ColRef // output columns (may be empty: rows only)
-	NodeSize               int              // node size for indices the join builds
+	OuterField, InnerField int // join columns; SelfField joins on tuple identity
 	Meter                  *meter.Counters
 	// Discard counts result rows without materializing them — for
 	// benchmark sweeps whose cross-product outputs would not fit in
@@ -93,16 +91,9 @@ func (e *emitter) done() *storage.TempList {
 
 func (s JoinSpec) newList() *storage.TempList {
 	if s.Hint > 0 {
-		return storage.MustTempListHint(PairDescriptor(s.OuterName, s.InnerName, s.Cols), s.Hint)
+		return storage.MustTempListHint(PairDescriptor(s.OuterName, s.InnerName), s.Hint)
 	}
-	return storage.MustTempList(PairDescriptor(s.OuterName, s.InnerName, s.Cols))
-}
-
-func (s JoinSpec) buildNodeSize() int {
-	if s.NodeSize > 0 {
-		return s.NodeSize
-	}
-	return 4
+	return storage.MustTempList(PairDescriptor(s.OuterName, s.InnerName))
 }
 
 // Every equijoin here follows the SQL rule: a NULL key equals nothing,
@@ -151,7 +142,7 @@ func NestedLoopsJoin(outer, inner Source, spec JoinSpec) *storage.TempList {
 // index is less likely to exist than a T Tree index" (§3.3.2) — then
 // probes it with each outer tuple.
 func HashJoin(outer, inner Source, spec JoinSpec) *storage.TempList {
-	ns := spec.buildNodeSize()
+	const ns = 4 // the chain node size of the table the join builds
 	ht := tupleindex.NewChainHash(tupleindex.Options{
 		Field:    spec.InnerField,
 		NodeSize: ns,

@@ -66,8 +66,8 @@ func SingleDescriptor(relName string, schema *storage.Schema) storage.Descriptor
 	return d
 }
 
-// PairDescriptor builds the descriptor for a two-source join result; cols
-// name the output columns as (source, field, name) triples.
-func PairDescriptor(outerName, innerName string, cols []storage.ColRef) storage.Descriptor {
-	return storage.Descriptor{Sources: []string{outerName, innerName}, Cols: cols}
+// PairDescriptor builds the descriptor for a two-source join result: its
+// rows only, no output columns (a projection names them).
+func PairDescriptor(outerName, innerName string) storage.Descriptor {
+	return storage.Descriptor{Sources: []string{outerName, innerName}}
 }

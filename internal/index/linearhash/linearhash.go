@@ -281,9 +281,3 @@ func (t *Table[E]) Stats() index.Stats {
 	}
 	return s
 }
-
-// Buckets exposes the bucket count for tests.
-func (t *Table[E]) Buckets() int { return len(t.buckets) }
-
-// Utilization exposes the current storage utilization for tests.
-func (t *Table[E]) Utilization() float64 { return t.utilization() }

@@ -61,7 +61,7 @@ func TestGrowsAndContracts(t *testing.T) {
 	for i := int64(0); i < 10000; i++ {
 		tb.Insert(i)
 	}
-	grown := tb.Buckets()
+	grown := len(tb.buckets)
 	if grown < 100 {
 		t.Fatalf("only %d buckets after 10k inserts", grown)
 	}
@@ -73,8 +73,8 @@ func TestGrowsAndContracts(t *testing.T) {
 			t.Fatalf("delete %d failed", i)
 		}
 	}
-	if tb.Buckets() >= grown/2 {
-		t.Fatalf("buckets did not contract: %d of %d", tb.Buckets(), grown)
+	if len(tb.buckets) >= grown/2 {
+		t.Fatalf("buckets did not contract: %d of %d", len(tb.buckets), grown)
 	}
 	if err := tb.checkInvariants(); err != nil {
 		t.Fatal(err)
@@ -104,8 +104,8 @@ func TestUtilizationStaysInBand(t *testing.T) {
 				break
 			}
 		}
-		if len(live) > 500 && (tb.Utilization() > 0.95 || tb.Utilization() < 0.35) {
-			t.Fatalf("op %d: utilization %.2f escaped the control band", i, tb.Utilization())
+		if len(live) > 500 && (tb.utilization() > 0.95 || tb.utilization() < 0.35) {
+			t.Fatalf("op %d: utilization %.2f escaped the control band", i, tb.utilization())
 		}
 	}
 }

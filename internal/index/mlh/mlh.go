@@ -241,6 +241,3 @@ func (t *Table[E]) Stats() index.Stats {
 	}
 	return s
 }
-
-// DirSize exposes the directory size for tests.
-func (t *Table[E]) DirSize() int { return len(t.dir) }

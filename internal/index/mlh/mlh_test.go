@@ -54,7 +54,7 @@ func TestChainLengthTracksTarget(t *testing.T) {
 		for i := int64(0); i < 10000; i++ {
 			tb.Insert(i)
 		}
-		avg := float64(tb.Len()) / float64(tb.DirSize())
+		avg := float64(tb.Len()) / float64(len(tb.dir))
 		if avg > float64(target)*1.01 {
 			t.Fatalf("target %d: average chain %.2f exceeds target", target, avg)
 		}
@@ -76,7 +76,7 @@ func TestNoReorganizationAtConstantSize(t *testing.T) {
 	for i := int64(0); i < 5000; i++ {
 		tb.Insert(i)
 	}
-	dirBefore := tb.DirSize()
+	dirBefore := len(tb.dir)
 	m.Reset()
 	next := int64(5000)
 	for i := 0; i < 10000; i++ {
@@ -87,7 +87,7 @@ func TestNoReorganizationAtConstantSize(t *testing.T) {
 			tb.Delete(next - 2500) // keep size constant
 		}
 	}
-	if got := tb.DirSize(); got < dirBefore/2 || got > dirBefore*2 {
+	if got := len(tb.dir); got < dirBefore/2 || got > dirBefore*2 {
 		t.Fatalf("directory moved from %d to %d at constant size", dirBefore, got)
 	}
 	// Moves should be close to zero: single-item nodes are relinked on

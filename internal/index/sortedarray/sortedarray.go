@@ -49,14 +49,9 @@ func Build[E any](cfg index.Config[E], entries []E) *Array[E] {
 // Len returns the number of entries.
 func (a *Array[E]) Len() int { return len(a.items) }
 
-// At returns entry i in sorted order; with Seek it supports the merge
-// join's direct positional access.
+// At returns entry i in sorted order: the merge join's direct positional
+// access.
 func (a *Array[E]) At(i int) E { return a.items[i] }
-
-// Seek returns the position of the first entry with pos(e) >= 0.
-func (a *Array[E]) Seek(pos index.Pos[E]) int {
-	return sortutil.Search(a.items, pos, a.m)
-}
 
 // Insert adds e, shifting the tail — O(n) data movement.
 func (a *Array[E]) Insert(e E) bool {

@@ -55,22 +55,6 @@ func TestBuildSortsBulkLoad(t *testing.T) {
 	}
 }
 
-func TestSeekAndAt(t *testing.T) {
-	a := Build(index.Config[int64]{Cmp: intCmp}, []int64{10, 20, 20, 30})
-	pos := func(k int64) index.Pos[int64] {
-		return func(e int64) int { return intCmp(e, k) }
-	}
-	if i := a.Seek(pos(20)); i != 1 {
-		t.Fatalf("Seek(20)=%d", i)
-	}
-	if i := a.Seek(pos(25)); i != 3 {
-		t.Fatalf("Seek(25)=%d", i)
-	}
-	if i := a.Seek(pos(99)); i != 4 {
-		t.Fatalf("Seek(99)=%d", i)
-	}
-}
-
 func TestUpdateCostIsLinear(t *testing.T) {
 	// "Every update requires moving half of the array, on the average"
 	// (§3.2.2): measure data movement for mid-array inserts.

@@ -95,9 +95,6 @@ func NewWithGap[E any](cfg index.Config[E], gap int) *Tree[E] {
 // Len returns the number of entries.
 func (t *Tree[E]) Len() int { return t.size }
 
-// NodeBounds returns the configured (minCount, maxCount) occupancy bounds.
-func (t *Tree[E]) NodeBounds() (min, max int) { return t.minCount, t.maxCount }
-
 func (n *node[E]) min() E { return n.items[0] }
 func (n *node[E]) max() E { return n.items[len(n.items)-1] }
 
@@ -674,12 +671,6 @@ func (t *Tree[E]) First() Cursor[E] {
 		n = n.left
 	}
 	return Cursor[E]{cursor[E]{n: n, i: 0}}
-}
-
-// LowerBoundCursor returns a cursor at the first entry not below the key
-// described by pos.
-func (t *Tree[E]) LowerBoundCursor(pos index.Pos[E]) Cursor[E] {
-	return Cursor[E]{t.lowerBound(pos)}
 }
 
 // Valid reports whether the cursor addresses an entry.

@@ -199,14 +199,6 @@ func TestCursorCoIteration(t *testing.T) {
 			t.Fatalf("cursor out of order at %d: %d", i, k)
 		}
 	}
-	lb := tr.LowerBoundCursor(posOf(51))
-	if !lb.Valid() || lb.Entry() != 52 {
-		t.Fatalf("LowerBoundCursor(51) = %v", lb)
-	}
-	lb = tr.LowerBoundCursor(posOf(1000))
-	if lb.Valid() {
-		t.Fatal("LowerBoundCursor past end should be invalid")
-	}
 }
 
 func TestRotationsAreRareWithGap(t *testing.T) {
@@ -298,13 +290,12 @@ func TestStatsShape(t *testing.T) {
 
 func TestNodeBoundsDefaulting(t *testing.T) {
 	tr := intTree(0, false)
-	min, max := tr.NodeBounds()
-	if max != DefaultNodeSize || min != DefaultNodeSize-DefaultMinGap {
-		t.Fatalf("bounds = (%d,%d)", min, max)
+	if tr.maxCount != DefaultNodeSize || tr.minCount != DefaultNodeSize-DefaultMinGap {
+		t.Fatalf("bounds = (%d,%d)", tr.minCount, tr.maxCount)
 	}
 	tr = intTree(1, false)
-	if _, max := tr.NodeBounds(); max < 2 {
-		t.Fatalf("max %d < 2", max)
+	if tr.maxCount < 2 {
+		t.Fatalf("max %d < 2", tr.maxCount)
 	}
 }
 

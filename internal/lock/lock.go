@@ -387,27 +387,6 @@ func (m *Manager) cycleVictim(target, cur TxnID, seen map[TxnID]bool) (TxnID, bo
 	return victim, found
 }
 
-// Unlock releases one resource held by txn and wakes eligible waiters.
-func (m *Manager) Unlock(txn TxnID, res Resource) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ts := m.txns[txn]
-	if ts == nil {
-		return
-	}
-	for i, r := range ts.held {
-		if r == res {
-			last := len(ts.held) - 1
-			ts.held[i] = ts.held[last]
-			ts.held[last] = nil
-			ts.held = ts.held[:last]
-			m.release(txn, res)
-			break
-		}
-	}
-	m.dropIfIdle(txn, ts)
-}
-
 // ReleaseAll releases every lock txn holds and removes it from the wait
 // bookkeeping — the commit/abort path of strict two-phase locking.
 func (m *Manager) ReleaseAll(txn TxnID) {

@@ -307,12 +307,11 @@ func TestStatsCountsGrants(t *testing.T) {
 	if s := m.Stats(); s.Grants != 3 || s.Resources != 2 || s.Txns != 1 {
 		t.Fatalf("stats = %+v, want 3 grants on 2 resources by 1 txn", s)
 	}
-	m.Unlock(1, "a")
+	m.ReleaseAll(1)
 	if _, ok := m.Holds(1, "a"); ok {
-		t.Fatal("Unlock left the lock held")
+		t.Fatal("ReleaseAll left the lock held")
 	}
-	m.Unlock(1, "b")
 	if s := m.Stats(); s.Resources != 0 || s.Txns != 0 {
-		t.Fatalf("manager not empty after Unlock: %+v", s)
+		t.Fatalf("manager not empty after ReleaseAll: %+v", s)
 	}
 }

@@ -78,14 +78,6 @@ func NewManager(total int64) *Manager {
 	return m
 }
 
-// Total returns the configured budget (0 on nil).
-func (m *Manager) Total() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.total
-}
-
 // Snapshot returns current stats. Safe on a nil receiver (zero Stats).
 func (m *Manager) Snapshot() Stats {
 	if m == nil {
@@ -130,7 +122,6 @@ type Reservation struct {
 	m      *Manager
 	held   atomic.Int64
 	peak   atomic.Int64
-	forced atomic.Int64
 	closed atomic.Bool
 
 	// Notify, when non-nil, is called (unsynchronized, possibly from
@@ -237,7 +228,6 @@ func (r *Reservation) Grant(ctx context.Context, n int64) error {
 			m.granted += n
 			m.mu.Unlock()
 			m.forced.Add(1)
-			r.forced.Add(1)
 			r.noteHeld(n)
 			return nil
 		}
@@ -284,7 +274,6 @@ func (r *Reservation) Force(n int64) {
 	m.mu.Unlock()
 	if over {
 		m.forced.Add(1)
-		r.forced.Add(1)
 	}
 	r.noteHeld(n)
 }
@@ -312,14 +301,6 @@ func (r *Reservation) Peak() int64 {
 		return 0
 	}
 	return r.peak.Load()
-}
-
-// Forced returns how many of this reservation's grants overcommitted.
-func (r *Reservation) Forced() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.forced.Load()
 }
 
 // Close releases everything the reservation still holds and retires it

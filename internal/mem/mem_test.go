@@ -11,9 +11,6 @@ import (
 
 func TestNilManagerUnlimited(t *testing.T) {
 	var m *Manager
-	if m.Total() != 0 {
-		t.Fatalf("nil Total = %d", m.Total())
-	}
 	if s := m.Snapshot(); s != (Stats{}) {
 		t.Fatalf("nil Snapshot = %+v", s)
 	}
@@ -32,7 +29,7 @@ func TestNilManagerUnlimited(t *testing.T) {
 	r.NoteReversal(1)
 	r.NoteRepartition(1)
 	r.Close()
-	if r.Held() != 0 || r.Forced() != 0 {
+	if r.Held() != 0 {
 		t.Fatal("nil reservation tracked state")
 	}
 	if r.FairShare() < 1<<61 {
@@ -141,16 +138,13 @@ func TestGrantForcedOvercommit(t *testing.T) {
 	if err := r.Grant(context.Background(), 150); err != nil {
 		t.Fatalf("oversized Grant: %v", err)
 	}
-	if r.Held() != 150 || r.Forced() != 1 {
-		t.Fatalf("held=%d forced=%d", r.Held(), r.Forced())
+	if r.Held() != 150 || m.Snapshot().Forced != 1 {
+		t.Fatalf("held=%d forced=%d", r.Held(), m.Snapshot().Forced)
 	}
 	// Request beyond what siblings could ever return (total - own held
 	// is negative now): again immediate.
 	if err := r.Grant(context.Background(), 10); err != nil {
 		t.Fatalf("second Grant: %v", err)
-	}
-	if r.Forced() != 2 {
-		t.Fatalf("forced = %d", r.Forced())
 	}
 	s := m.Snapshot()
 	if s.Granted != 160 || s.Forced != 2 {
@@ -163,12 +157,12 @@ func TestForce(t *testing.T) {
 	r := m.Reserve()
 	defer r.Close()
 	r.Force(60) // within budget: not an overcommit
-	if r.Forced() != 0 {
+	if m.Snapshot().Forced != 0 {
 		t.Fatal("in-budget Force counted as overcommit")
 	}
 	r.Force(60) // 120 > 100
-	if r.Forced() != 1 {
-		t.Fatalf("forced = %d", r.Forced())
+	if f := m.Snapshot().Forced; f != 1 {
+		t.Fatalf("forced = %d", f)
 	}
 	if m.Snapshot().Granted != 120 {
 		t.Fatalf("granted = %d", m.Snapshot().Granted)

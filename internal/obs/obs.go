@@ -150,9 +150,6 @@ func NewRegistry() *Registry {
 	return r
 }
 
-// Enabled reports whether the registry records anything.
-func (r *Registry) Enabled() bool { return r != nil }
-
 // RecordQuery accumulates one executed query: its plan shape (a compact
 // label like "hash lookup→Hash Join"), base-relation tuples fetched, rows
 // returned, total wall time, and the §3.1 operation counters its operators

@@ -43,11 +43,7 @@ func over(t testing.TB, list *storage.TempList, fields ...int) *storage.TempList
 	for i, f := range fields {
 		cols[i] = storage.ColRef{Source: 0, Field: f, Name: fmt.Sprintf("c%d", f)}
 	}
-	out, err := list.Redescribe(storage.Descriptor{Sources: []string{"d"}, Cols: cols})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return list.Redescribe(storage.Descriptor{Sources: []string{"d"}, Cols: cols})
 }
 
 // TestDistinctMatchesProjectHash: the keys-only aggregation run is

@@ -69,7 +69,7 @@ func RadixHashJoin(outer, inner Chunked, spec exec.JoinSpec, bits []uint, worker
 	// grant the table, and degrade (reverse, re-split, force) when the
 	// grant or the forecast is wrong — see joinPair.
 	fanout := pl.Fanout()
-	desc := exec.PairDescriptor(spec.OuterName, spec.InnerName, spec.Cols)
+	desc := exec.PairDescriptor(spec.OuterName, spec.InnerName)
 	results := make([]*storage.TempList, fanout)
 	counts := make([]int, fanout)
 	var reversals, resplits atomic.Int64

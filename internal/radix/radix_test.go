@@ -344,7 +344,7 @@ func TestTableBytes(t *testing.T) {
 	}
 	var tb Table
 	tb.Reset(100)
-	if got := int64(tb.Slots()) * 16; got != SlotBytes(100) {
+	if got := int64(len(tb.slots)) * 16; got != SlotBytes(100) {
 		t.Fatalf("SlotBytes(100)=%d but Reset(100) sized %d", SlotBytes(100), got)
 	}
 }

@@ -63,9 +63,6 @@ type dupEntry struct {
 // Len is the number of entries inserted since the last Reset.
 func (t *Table) Len() int { return t.n }
 
-// Slots is the current slot-array size (for tests and sizing checks).
-func (t *Table) Slots() int { return len(t.slots) }
-
 // InsertSteps is the work Insert did since the last Reset: one step per
 // slot visited, plus one per entry linked onto a duplicate chain. A
 // duplicate-free build at load factor ≤ 0.5 takes about 1.5 steps an

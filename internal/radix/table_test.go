@@ -11,8 +11,8 @@ import (
 func TestTableInsertProbe(t *testing.T) {
 	var tbl Table
 	tbl.Reset(100)
-	if tbl.Slots() != 256 {
-		t.Fatalf("Reset(100) sized %d slots, want 256 (pow2 ≥ 2·100)", tbl.Slots())
+	if len(tbl.slots) != 256 {
+		t.Fatalf("Reset(100) sized %d slots, want 256 (pow2 ≥ 2·100)", len(tbl.slots))
 	}
 	tuples := make([]*storage.Tuple, 100)
 	for i := range tuples {
@@ -75,8 +75,8 @@ func TestTableGrowsPastUndersizedHint(t *testing.T) {
 	if tbl.Len() != 1000 {
 		t.Fatalf("Len = %d, want 1000", tbl.Len())
 	}
-	if 2*tbl.Len() > tbl.Slots() {
-		t.Fatalf("load factor above 1/2 after growth: %d entries in %d slots", tbl.Len(), tbl.Slots())
+	if 2*tbl.Len() > len(tbl.slots) {
+		t.Fatalf("load factor above 1/2 after growth: %d entries in %d slots", tbl.Len(), len(tbl.slots))
 	}
 	all := func(*storage.Tuple) bool { return true }
 	var out storage.TupleBatch
@@ -108,7 +108,7 @@ func TestTableHashFirstFilter(t *testing.T) {
 	var tbl Table
 	tbl.Reset(4)
 	// Two entries that collide on the slot mask but differ in full hash.
-	mask := uint64(tbl.Slots() - 1)
+	mask := uint64(len(tbl.slots) - 1)
 	h1 := uint64(5)
 	h2 := h1 + (mask + 1) // same low bits, different hash
 	tbl.Insert(h1, &storage.Tuple{})
@@ -255,8 +255,8 @@ func TestTableDuplicateOrderSurvivesGrowth(t *testing.T) {
 			tbl.Insert(h, tp)
 		}
 	}
-	if tbl.Len() != keys*copies || 2*keys > tbl.Slots() {
-		t.Fatalf("Len %d in %d slots after growth", tbl.Len(), tbl.Slots())
+	if tbl.Len() != keys*copies || 2*keys > len(tbl.slots) {
+		t.Fatalf("Len %d in %d slots after growth", tbl.Len(), len(tbl.slots))
 	}
 	all := func(*storage.Tuple) bool { return true }
 	var out storage.TupleBatch

@@ -175,9 +175,6 @@ func newManager(dir string, fs fileSystem) (*Manager, error) {
 	return m, nil
 }
 
-// Dir returns the disk-copy directory.
-func (m *Manager) Dir() string { return m.dir }
-
 // Close releases the disk copy's file. Call it once nothing writes: a
 // later image write or restart read fails.
 func (m *Manager) Close() error {

@@ -227,28 +227,9 @@ func (p *Pool) grow(n int) {
 	}
 }
 
-// Resize sets the worker count. Shrinking is cooperative: excess
-// workers finish their queued morsels and exit at their next idle
-// point, so in-flight work is never dropped.
-func (p *Pool) Resize(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	p.mu.Lock()
-	if n >= len(p.workers) {
-		p.grow(n)
-	} else {
-		for _, w := range p.workers[n:] {
-			w.quit.Store(true)
-		}
-		p.workers = p.workers[:n]
-		p.cond.Broadcast()
-	}
-	p.mu.Unlock()
-}
-
-// Stop terminates every worker (cooperatively, as Resize does) and
-// rejects future submissions. Only pools from NewPool are stopped; the
+// Stop terminates every worker and rejects future submissions. It is
+// cooperative: each worker finishes its queued morsels and exits at its
+// next idle point, so in-flight work is never dropped. Only pools from NewPool are stopped; the
 // Shared pool lives as long as the process.
 func (p *Pool) Stop() {
 	p.mu.Lock()
@@ -316,14 +297,6 @@ func (q *Query) SetMemBytes(n int64) {
 		return
 	}
 	q.memBytes.Store(n)
-}
-
-// MemBytes returns the last published grant gauge (0 on nil).
-func (q *Query) MemBytes() int64 {
-	if q == nil {
-		return 0
-	}
-	return q.memBytes.Load()
 }
 
 // Err returns the context's error, if any.

@@ -334,12 +334,6 @@ func (ld *Loader) LoadPartition(img PartitionImage) error {
 	return nil
 }
 
-// TupleByID returns a loaded tuple by its ID.
-func (ld *Loader) TupleByID(id uint64) (*Tuple, bool) {
-	t, ok := ld.byID[id]
-	return t, ok
-}
-
 // Finish resolves all pending Ref fields. Every referenced tuple must have
 // been loaded. The swizzle is the one write into an installed field array
 // (everywhere else a change installs a fresh one, see Relation.Update). It

@@ -65,9 +65,6 @@ func (p *Partition) Relation() *Relation { return p.rel }
 // Live returns the number of live tuples in the partition.
 func (p *Partition) Live() int { return p.live }
 
-// HeapUsed returns the heap-space bytes in use.
-func (p *Partition) HeapUsed() int { return p.heapUsed }
-
 // LSN returns the highest log sequence number applied to this partition.
 func (p *Partition) LSN() uint64 { return atomic.LoadUint64(&p.lsn) }
 

@@ -422,18 +422,3 @@ func (r *Relation) ScanPhysical(fn func(*Tuple) bool) {
 		}
 	}
 }
-
-// InsertLoaded re-creates a tuple with a known ID during recovery reload.
-// It bypasses observers (indices are rebuilt after load) but performs
-// normal schema validation and placement.
-func (r *Relation) InsertLoaded(id uint64, vals []Value) (*Tuple, error) {
-	if err := r.schema.Validate(vals); err != nil {
-		return nil, fmt.Errorf("load into %s: %w", r.name, err)
-	}
-	t := r.newTuple(id, vals)
-	r.placeTuple(t)
-	r.count++
-	r.noteDML()
-	r.ids.Reserve(id)
-	return t, nil
-}

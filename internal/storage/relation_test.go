@@ -180,8 +180,8 @@ func TestHeapAccountingAndOverflowForwarding(t *testing.T) {
 		t.Fatal(err)
 	}
 	p0 := t1.Partition()
-	if p0.HeapUsed() != 10 {
-		t.Fatalf("heap used = %d", p0.HeapUsed())
+	if p0.heapUsed != 10 {
+		t.Fatalf("heap used = %d", p0.heapUsed)
 	}
 	t2, err := r.Insert([]Value{IntValue(2), StringValue("abcdefgh")}) // 8 more
 	if err != nil {
@@ -204,8 +204,8 @@ func TestHeapAccountingAndOverflowForwarding(t *testing.T) {
 	if t2.ID() != t2.Resolve().ID() {
 		t.Fatal("move changed the tuple ID")
 	}
-	if p0.HeapUsed() != 10 {
-		t.Fatalf("old partition should only hold t1's 10 bytes, has %d", p0.HeapUsed())
+	if p0.heapUsed != 10 {
+		t.Fatalf("old partition should only hold t1's 10 bytes, has %d", p0.heapUsed)
 	}
 	// The old pointer still works for reads and further updates.
 	if err := r.Update(t2, 0, IntValue(99)); err != nil {
@@ -243,7 +243,7 @@ func TestUpdateShrinkReleasesHeap(t *testing.T) {
 	if err := r.Update(tp, 1, StringValue("01")); err != nil {
 		t.Fatal(err)
 	}
-	if got := tp.Partition().HeapUsed(); got != 2 {
+	if got := tp.Partition().heapUsed; got != 2 {
 		t.Fatalf("heap used = %d, want 2", got)
 	}
 }

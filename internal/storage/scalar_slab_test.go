@@ -144,7 +144,7 @@ func TestScalarArraysStayPointerFree(t *testing.T) {
 	}
 	back := map[*Tuple][]Value{}
 	for tu, vals := range want {
-		re, ok := ld.TupleByID(tu.ID())
+		re, ok := ld.byID[tu.ID()]
 		if !ok {
 			t.Fatalf("tuple %d was not reloaded", tu.ID())
 		}
@@ -180,10 +180,6 @@ func TestScalarWritePathsRejectPointers(t *testing.T) {
 			t.Errorf("Insert accepted a %s value for an Int field", bad.Type())
 		}
 		sameCursor("Insert")
-		if _, err := r.InsertLoaded(1000, []Value{bad, IntValue(3)}); err == nil {
-			t.Errorf("InsertLoaded accepted a %s value for an Int field", bad.Type())
-		}
-		sameCursor("InsertLoaded")
 		if err := r.Update(tu, 1, bad); err == nil {
 			t.Errorf("Update accepted a %s value for an Int field", bad.Type())
 		}

@@ -58,20 +58,10 @@ func (d Descriptor) validFor(ncomp int) error {
 	return nil
 }
 
-// ColIndex returns the position of the named output column, or -1.
-func (d Descriptor) ColIndex(name string) int {
-	for i, c := range d.Cols {
-		if c.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Row is one entry of a temporary list: a vector of tuple pointers, one
 // per source relation (a selection result has one, a two-way join result
 // has two, and so on). Rows handed out by a TempList are views into its
-// arena chunks: valid until the list is Reset or Released.
+// arena chunks: valid until the list is Released.
 type Row []*Tuple
 
 // ChunkRows is the number of rows per TempList arena chunk. It equals
@@ -108,18 +98,15 @@ const (
 // Concurrency contract: a TempList is single-writer. Parallel operators
 // must not share one list across workers — each worker appends to a
 // private list and the lists are combined with MergeListsRecycle after
-// the workers join. Freeze seals a list against further appends,
-// after which Rows is a safe zero-copy view.
+// the workers join.
 type TempList struct {
 	desc   Descriptor
 	arity  int
 	chunks [][]*Tuple // all full chunks hold exactly ChunkRows rows; only the last may be partial
 	n      int        // total rows
-	frozen bool
 	// settled: the chunks are windows of one slab (see Settle), so none
 	// of them may go to the pool.
 	settled bool
-	flat    []Row    // row-header view, materialized by Freeze
 	comp    []vector // computed column vectors, each n long; never pooled
 }
 
@@ -216,13 +203,9 @@ func (l *TempList) room() int {
 	return last + 1
 }
 
-// mustAppend panics unless rows may be appended: a frozen list is sealed,
-// and a row appended to a list with computed columns would have no value
-// in its vectors.
+// mustAppend panics unless rows may be appended: a row appended to a list
+// with computed columns would have no value in its vectors.
 func (l *TempList) mustAppend() {
-	if l.frozen {
-		panic("storage: append to frozen TempList")
-	}
 	if l.comp != nil {
 		panic("storage: append to a TempList with computed columns (build it with Take)")
 	}
@@ -231,8 +214,8 @@ func (l *TempList) mustAppend() {
 // Append adds a row, copying its tuple pointers into the arena. The row
 // must have one pointer per source; the caller keeps ownership of the
 // slice (it is not retained, so stack-allocated rows never escape).
-// Appending to a frozen list, or to one with computed columns, is a
-// programming error and panics.
+// Appending to a list with computed columns is a programming error and
+// panics.
 func (l *TempList) Append(row Row) {
 	l.mustAppend()
 	if len(row) != l.arity {
@@ -329,9 +312,6 @@ func (l *TempList) Take(rows []int32) *TempList {
 // they never come from or go to the chunk pool. Once a list has a computed
 // column it takes no appends.
 func (l *TempList) AddComputed(names ...string) []ColRef {
-	if l.frozen {
-		panic("storage: computed column added to frozen TempList")
-	}
 	n := l.n
 	slab := make([]uint64, n*len(names))
 	refs := make([]ColRef, len(names))
@@ -346,82 +326,14 @@ func (l *TempList) AddComputed(names ...string) []ColRef {
 // SetComputed stores v as row i's value of computed column f (a ColRef's
 // Field, as AddComputed returned it).
 func (l *TempList) SetComputed(f, i int, v Value) {
-	if l.frozen {
-		panic("storage: computed column set on frozen TempList")
-	}
 	l.comp[f].set(i, v)
 }
 
-// Row returns row i as a view into the arena (valid until Reset/Release).
+// Row returns row i as a view into the arena (valid until Release).
 func (l *TempList) Row(i int) Row {
 	c := l.chunks[i>>chunkShift]
 	off := (i & chunkMask) * l.arity
 	return c[off : off+l.arity : off+l.arity]
-}
-
-// Rows returns a stable view of the rows. For a frozen list this is the
-// materialized backing slice (zero copy); otherwise it is a snapshot,
-// so a caller never observes a view that a later Append could disturb.
-func (l *TempList) Rows() []Row {
-	if l.frozen {
-		return l.flat
-	}
-	return l.Snapshot()
-}
-
-// Snapshot returns a copy of the current row headers that later Appends
-// cannot disturb. (The headers view arena chunks, and chunks never move:
-// appending past a full chunk starts a new one instead of reallocating.)
-func (l *TempList) Snapshot() []Row {
-	out := make([]Row, 0, l.n)
-	a := l.arity
-	for _, c := range l.chunks {
-		for off := 0; off < len(c); off += a {
-			out = append(out, c[off:off+a:off+a])
-		}
-	}
-	return out
-}
-
-// Freeze seals the list: further Appends panic, and Rows becomes a safe
-// zero-copy view (the row-header slice is materialized once, here, so
-// concurrent readers of a frozen list never race on lazy state).
-// Operators freeze their output before handing it to concurrent readers.
-// Freeze is idempotent; it returns the list for chaining.
-func (l *TempList) Freeze() *TempList {
-	if !l.frozen {
-		l.flat = l.Snapshot()
-		l.frozen = true
-	}
-	return l
-}
-
-// Frozen reports whether the list has been sealed.
-func (l *TempList) Frozen() bool { return l.frozen }
-
-// Reset empties an unfrozen list for reuse, recycling its arena chunks
-// back to the pool (a settled list's slab is left to the collector). All
-// outstanding row views become invalid.
-func (l *TempList) Reset() {
-	if l.frozen {
-		panic("storage: reset of frozen TempList")
-	}
-	l.dropChunks()
-	l.chunks = l.chunks[:0]
-	l.n = 0
-}
-
-// dropChunks pools every chunk of the directory and clears its entries; a
-// settled list's windows are only cleared, and the list stops being
-// settled, since chunks it gets from now on are pooled ones.
-func (l *TempList) dropChunks() {
-	for i, c := range l.chunks {
-		if !l.settled {
-			putChunk(c, l.arity)
-		}
-		l.chunks[i] = nil
-	}
-	l.settled = false
 }
 
 // Settle readies the list to leave the engine as a query result: a list
@@ -431,11 +343,11 @@ func (l *TempList) dropChunks() {
 // and the computed vectors, its old chunks go back to the pool at once,
 // and l is left empty. A result of n rows thus costs one allocation
 // instead of one pooled chunk per ChunkRows rows that would never be
-// returned. A list of at most one chunk, or a frozen one (its row view is
-// out), is returned as it is. Release and Reset of a settled list pool
-// nothing, so no later list is handed a window of the slab.
+// returned. A list of at most one chunk is returned as it is. Release of
+// a settled list pools nothing, so no later list is handed a window of
+// the slab.
 func (l *TempList) Settle() *TempList {
-	if len(l.chunks) <= 1 || l.frozen || l.settled {
+	if len(l.chunks) <= 1 || l.settled {
 		return l
 	}
 	slab := make([]*Tuple, l.n*l.arity)
@@ -454,36 +366,38 @@ func (l *TempList) Settle() *TempList {
 // Redescribe moves the list's rows under a new descriptor over the same
 // sources — §2.3's projection, which only ever rewrites the descriptor.
 // It is O(1) and consuming: the returned list takes over the chunk
-// directory, the computed vectors and the frozen row view, if any, and l
-// is left empty, so a later Release or Reset of l returns nothing to the
-// pool.
-func (l *TempList) Redescribe(desc Descriptor) (*TempList, error) {
+// directory and the computed vectors, and l is left empty, so a later
+// Release of l returns nothing to the pool. A descriptor that does not fit
+// the list — another number of sources, a column of a source or a
+// computed vector it lacks — is a programming error and panics.
+func (l *TempList) Redescribe(desc Descriptor) *TempList {
 	if err := desc.validFor(len(l.comp)); err != nil {
-		return nil, err
+		panic(err)
 	}
 	if len(desc.Sources) != l.arity {
-		return nil, fmt.Errorf("storage: redescribe to %d sources, list has %d", len(desc.Sources), l.arity)
+		panic(fmt.Sprintf("storage: redescribe to %d sources, list has %d", len(desc.Sources), l.arity))
 	}
-	out := &TempList{desc: desc, arity: l.arity, chunks: l.chunks, n: l.n, frozen: l.frozen, settled: l.settled, flat: l.flat, comp: l.comp}
-	l.chunks, l.n, l.frozen, l.settled, l.flat, l.comp = nil, 0, false, false, nil, nil
-	return out, nil
+	out := &TempList{desc: desc, arity: l.arity, chunks: l.chunks, n: l.n, settled: l.settled, comp: l.comp}
+	l.chunks, l.n, l.settled, l.comp = nil, 0, false, nil
+	return out
 }
 
 // Release recycles the list's arena chunks back to the pool, drops its
 // computed vectors (they are the collector's, never the pool's) and
 // empties it; a settled list's slab, too, is left to the collector. The
-// caller asserts that no row views (Row, Rows, Scan callbacks,
+// caller asserts that no row views (Row, Scan callbacks,
 // ScanColumnBatches blocks) are outstanding — the pooled memory will be
 // reused by other lists. Ownership rule: whoever holds the only reference
 // to a list may move it (Redescribe), have its chunks adopted
 // (MergeListsRecycle), settle it or release it; a list handed to a caller
 // is never released.
 func (l *TempList) Release() {
-	l.dropChunks()
-	l.chunks = nil
-	l.flat = nil
-	l.comp = nil
-	l.n = 0
+	if !l.settled {
+		for _, c := range l.chunks {
+			putChunk(c, l.arity)
+		}
+	}
+	l.chunks, l.comp, l.n, l.settled = nil, nil, 0, false
 }
 
 // MergeListsRecycle combines per-worker partial results into one list

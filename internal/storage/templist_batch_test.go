@@ -69,9 +69,6 @@ func TestTempListChunkBoundaries(t *testing.T) {
 		}
 	}
 	checkOrder(t, l, tuples)
-	if rows := l.Snapshot(); len(rows) != n {
-		t.Fatalf("Snapshot len = %d, want %d", len(rows), n)
-	}
 }
 
 func TestTempListRowViewsStableAcrossAppends(t *testing.T) {
@@ -133,19 +130,20 @@ func TestTempListHintExactFitAndOverrun(t *testing.T) {
 	checkOrder(t, big, tuples)
 }
 
+// TestTempListResetReuse: a list Release empties takes appends again.
 func TestTempListResetReuse(t *testing.T) {
 	tuples := batchTestRelation(t, "r", ChunkRows+3)
 	l := MustTempList(singleDesc())
 	l.AppendBatch(tuples)
-	l.Reset()
+	l.Release()
 	if l.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", l.Len())
+		t.Fatalf("Len after Release = %d", l.Len())
 	}
 	l.AppendBatch(tuples[:5])
 	checkOrder(t, l, tuples[:5])
 	l.Release()
 	if l.Len() != 0 {
-		t.Fatalf("Len after Release = %d", l.Len())
+		t.Fatalf("Len after the second Release = %d", l.Len())
 	}
 }
 
@@ -218,8 +216,8 @@ func scribblePool(t *testing.T, n int) {
 
 // TestRedescribeMovesInConstantSpace: projection moves the chunk directory
 // — the same few allocations at 1k and at 100k rows — and leaves the
-// source empty, so releasing or resetting it afterwards returns nothing
-// of the new list's to the pool.
+// source empty, so releasing it afterwards returns nothing of the new
+// list's to the pool. A descriptor over another number of sources panics.
 func TestRedescribeMovesInConstantSpace(t *testing.T) {
 	desc := Descriptor{Sources: []string{"r"}, Cols: []ColRef{{Source: 0, Field: 0, Name: "renamed"}}}
 	var allocs [2]float64
@@ -228,30 +226,25 @@ func TestRedescribeMovesInConstantSpace(t *testing.T) {
 		l := MustTempList(singleDesc())
 		l.AppendBatch(tuples)
 		allocs[i] = testing.AllocsPerRun(10, func() {
-			moved, err := l.Redescribe(desc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			l = moved
+			l = l.Redescribe(desc)
 		})
-		moved, err := l.Redescribe(desc)
-		if err != nil {
-			t.Fatal(err)
-		}
+		moved := l.Redescribe(desc)
 		if l.Len() != 0 || moved.Descriptor().Cols[0].Name != "renamed" {
 			t.Fatalf("source keeps %d rows; moved list described as %+v", l.Len(), moved.Descriptor())
 		}
 		l.Release()
-		l.Reset()
 		scribblePool(t, 2*len(moved.chunks))
 		checkOrder(t, moved, tuples)
 	}
 	if allocs[0] != allocs[1] || allocs[0] > 4 {
 		t.Fatalf("Redescribe allocates %.0f times at 1k rows and %.0f at 100k", allocs[0], allocs[1])
 	}
-	if _, err := MustTempList(pairDesc()).Redescribe(desc); err == nil {
-		t.Fatal("redescribing a two-source list over one source did not fail")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("redescribing a two-source list over one source did not panic")
+		}
+	}()
+	MustTempList(pairDesc()).Redescribe(desc)
 }
 
 func TestScanColumnBatches(t *testing.T) {

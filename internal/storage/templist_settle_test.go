@@ -39,11 +39,7 @@ func settleList(t *testing.T, arity, n int) (*TempList, [][]*Tuple) {
 		{Source: 0, Field: 0, Name: "val"}, refs[0], refs[1],
 		{Source: arity - 1, Field: 0, Name: "val2"}, refs[2], refs[3],
 	}
-	out, err := l.Redescribe(Descriptor{Sources: names, Cols: cols})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out, srcs
+	return l.Redescribe(Descriptor{Sources: names, Cols: cols}), srcs
 }
 
 // checkSettled asserts s holds rows 0..n-1 of settleList in order: every
@@ -120,17 +116,11 @@ func TestSettleKeepsRowsInOneSlab(t *testing.T) {
 	if one.Settle() != one {
 		t.Fatal("a one-chunk list was copied")
 	}
-	frozen := MustTempList(singleDesc())
-	frozen.AppendBatch(batchTestRelation(t, "r", 2*ChunkRows))
-	frozen.Freeze()
-	if frozen.Settle() != frozen {
-		t.Fatal("a frozen list was copied under its row view")
-	}
 }
 
-// TestReleaseOfSettledListPoolsNothing: Release and Reset of a settled
-// list return none of its windows to the pool — scribbling over
-// everything the pool hands out afterwards leaves the slab intact.
+// TestReleaseOfSettledListPoolsNothing: Release of a settled list returns
+// none of its windows to the pool — scribbling over everything the pool
+// hands out afterwards leaves the slab intact.
 func TestReleaseOfSettledListPoolsNothing(t *testing.T) {
 	n := 4*ChunkRows + 9
 	tuples := batchTestRelation(t, "r", n)
@@ -157,10 +147,6 @@ func TestReleaseOfSettledListPoolsNothing(t *testing.T) {
 	s, windows := settle()
 	s.Release()
 	intact("Release", windows)
-
-	s, windows = settle()
-	s.Reset()
-	intact("Reset", windows)
 	// The emptied list is no longer settled: its new chunks are pooled ones.
 	s.AppendBatch(tuples[:ChunkRows+1])
 	checkOrder(t, s, tuples[:ChunkRows+1])

@@ -132,8 +132,8 @@ func TestTupleFormsReadThrough(t *testing.T) {
 	if err := ld.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	dave2, _ := ld.TupleByID(dave.ID())
-	toy2, _ := ld.TupleByID(toy.ID())
+	dave2 := ld.byID[dave.ID()]
+	toy2 := ld.byID[toy.ID()]
 	checkRow(t, "recovered", dave2, StringValue("Dave"), IntValue(23), IntValue(24), RefValue(toy2))
 }
 
@@ -215,7 +215,7 @@ func checkValueClassForms(t *testing.T) {
 			if err := ld.Finish(); err != nil {
 				t.Fatal(err)
 			}
-			got, _ := ld.TupleByID(tu.ID())
+			got := ld.byID[tu.ID()]
 			return got
 		}
 		checkRow(t, form("reloaded from a partition image"), reload(tu.Partition().Snapshot()), row...)

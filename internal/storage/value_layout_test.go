@@ -357,7 +357,7 @@ func allTypesRelation(t *testing.T) *Relation {
 		if i == 1 {
 			vals[4] = RefValue(first)
 		}
-		tu, err := rel.InsertLoaded(uint64(i+1), vals)
+		tu, err := rel.Insert(vals)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -257,23 +257,12 @@ func BuildZipf(spec ZipfSpec, rng *rand.Rand) (Column, error) {
 // same partitions stay permanently dirty).
 type UpdateSpec struct {
 	Rows int // table cardinality the indices address
-	// S is the Zipf exponent (> 1; larger = more skew). 0 selects the
-	// default 1.2 — roughly "10% of rows take ~80% of writes".
-	S float64
-	// V is the Zipf value offset (>= 1). 0 selects 1.
-	V float64
 }
 
-// Stream returns a generator of row indices in [0, spec.Rows) following
-// the spec's Zipf distribution, driven by rng.
+// Stream returns a generator of row indices in [0, spec.Rows) following a
+// Zipf distribution of exponent 1.2 — roughly "10% of rows take ~80% of
+// writes" — driven by rng.
 func (u UpdateSpec) Stream(rng *rand.Rand) func() int {
-	s, v := u.S, u.V
-	if s <= 1 {
-		s = 1.2
-	}
-	if v < 1 {
-		v = 1
-	}
-	z := rand.NewZipf(rng, s, v, uint64(u.Rows-1))
+	z := rand.NewZipf(rng, 1.2, 1, uint64(u.Rows-1))
 	return func() int { return int(z.Uint64()) }
 }

@@ -184,9 +184,9 @@ func TestPointSelectAllocsIndependentOfTableSize(t *testing.T) {
 	t.Logf("pk SELECT %.0f / %.0f (one text), %.0f / %.0f (new ids) allocations at 1k / 100k rows",
 		smallSame, largeSame, smallFresh, largeFresh)
 	// A build that walked the relation allocated ≈1.3 times per partition
-	// here (the 100k table has ≈400). The statement allocates 12 times: its
-	// shape's template comes from the statement cache, a copy of its query
-	// takes the literal, and the plan, the decision audit and the query's
+	// here (the 100k table has ≈400). The statement allocates 11 times: its
+	// shape's template, bound output columns included, comes from the
+	// statement cache, a copy of its query takes the literal, and the plan, the decision audit and the query's
 	// text are values formatted only when read. The ceiling leaves room
 	// for the race detector, which drops pooled entries, and for nothing
 	// else: a parse or a plan line on the hit path would cross it.

@@ -63,6 +63,7 @@ type Query struct {
 	prio     int             // scheduler admission tiebreak (Priority)
 	ctx      context.Context // cancellation scope (WithContext); nil = background
 	err      error
+	bound    *boundQuery // a statement template's query comes bound; nil = bind on each run
 }
 
 // In runs the query inside an existing transaction: its shared locks are
@@ -339,7 +340,9 @@ func (q *Query) ForceJoinOrder(names ...string) *Query {
 
 // Select names the output columns: "col" (resolved against the from-table
 // first, then the joined table) or "table.col". Without Select, every
-// column of every involved table is output.
+// column of every involved table is output. The names resolve when the
+// query runs or is explained, before it takes any lock; a name that does
+// not resolve fails Run, Analyze and Explain alike.
 func (q *Query) Select(columns ...string) *Query {
 	q.cols = append(q.cols, columns...)
 	return q
@@ -355,7 +358,8 @@ func (q *Query) Distinct() *Query {
 // GroupBy groups the query's rows by the named columns ("col" or
 // "table.col"). A grouped query's output is the group-key columns followed
 // by one column per Agg call; the Select list is not used. GroupBy without
-// Agg degenerates to DISTINCT over the group columns.
+// Agg degenerates to DISTINCT over the group columns. The columns, and the
+// Agg inputs, resolve as Select's do: before the query takes any lock.
 func (q *Query) GroupBy(columns ...string) *Query {
 	q.groupBy = append(q.groupBy, columns...)
 	return q
@@ -383,7 +387,8 @@ func (f AggFunc) String() string { return aggKind(f).String() }
 // 1-based output ordinal as digits — SQL's "ORDER BY 2") and its
 // direction. Terms compose left to right; ties beyond the last term break
 // deterministically on input order. ORDER BY with a small Limit runs the
-// bounded-heap top-k operator instead of a full sort.
+// bounded-heap top-k operator instead of a full sort. The terms resolve
+// against the output columns before the query takes any lock.
 func (q *Query) OrderBy(column string, desc bool) *Query {
 	q.orderBy = append(q.orderBy, qorder{col: column, desc: desc})
 	return q
@@ -686,8 +691,9 @@ func (x *execution) budget() int64 {
 // overhead is a handful of nil checks and no allocations beyond Run's
 // own.
 func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
-	if q.err != nil {
-		return nil, nil, q.err
+	b, err := q.bind()
+	if err != nil {
+		return nil, nil, err
 	}
 	reg := q.db.obs
 	slow := q.db.slow
@@ -770,7 +776,7 @@ func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
 	}
 	if len(q.joins) > 0 {
 		aq.SetPhase(obs.PhaseJoin)
-		if list, err = x.record(q.runJoin(&x, list, x.plan.head.joinLimit)); err != nil {
+		if list, err = x.record(q.runJoin(&x, list, x.plan.head.joinLimit, b.forced), nil); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -780,10 +786,10 @@ func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
 		// Aggregation replaces projection: the output columns are the
 		// group keys followed by the aggregates.
 		aq.SetPhase(obs.PhaseGroup)
-		s, err = q.runGroup(&x, list)
+		s, err = q.runGroup(&x, list, &b)
 	} else {
 		aq.SetPhase(obs.PhaseProject)
-		s, err = q.runProject(&x, list)
+		s = q.runProject(&x, list, b.cols)
 	}
 	if list, err = x.record(s, err); err != nil {
 		return nil, nil, err
@@ -796,7 +802,7 @@ func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
 	}
 	if ordered {
 		aq.SetPhase(obs.PhaseOrder)
-		if list, err = x.record(q.runOrder(&x, list)); err != nil {
+		if list, err = x.record(q.runOrder(&x, list, b.order), nil); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -1074,16 +1080,18 @@ func (q *Query) orderByText() string {
 
 // Explain plans the query and prints the plan without executing it: no
 // locks are taken, no tuples are fetched, nothing is built or published,
-// and no memory is reserved. It calls each phase's planner — the ones
-// the executor calls — on catalog estimates, so after its header every
-// line is the one Result.Plan records for the same query, planned on the
-// size the executor will see. Where that size is only estimated — the
+// and no memory is reserved. It binds the query's names first, as Run
+// does, so a name Run would reject fails Explain with the same error. It
+// calls each phase's planner — the ones the executor calls — on catalog
+// estimates, so after its header every line is the one Result.Plan
+// records for the same query, planned on the size the executor will see. Where that size is only estimated — the
 // from-table's cardinality is an upper bound once predicates or a join
 // stand between it and the phase — the line says so: "(… estimated ≤ N
 // rows)". For the executed plan use Result.Plan or Query.Analyze.
 func (q *Query) Explain() (string, error) {
-	if q.err != nil {
-		return "", q.err
+	b, err := q.bind()
+	if err != nil {
+		return "", err
 	}
 	rows := q.from.Cardinality()
 	p := queryPlan{head: q.planHead(rows)}
@@ -1092,10 +1100,7 @@ func (q *Query) Explain() (string, error) {
 	snap := q.snapshotShapeOK() && rows >= snapshotMinRows
 	p.sel = q.planSelection(rows, snap, q.from.rel.SnapshotEpoch(), p.head.selLimit)
 	if len(q.joins) > 0 {
-		jp, err := q.planJoin(rows, false, p.head.joinLimit, 0)
-		if err != nil {
-			return "", err
-		}
+		jp := q.planJoin(rows, false, p.head.joinLimit, 0, b.forced)
 		p.join = &jp
 	}
 	if len(q.groupBy) > 0 || len(q.aggs) > 0 {
@@ -1635,18 +1640,16 @@ func (p *joinPlan) stagePath(k int) string {
 // rel0Rows rows, under a pushed-down LIMIT (0 = none) and a per-query
 // memory budget (0 = unbudgeted). locked means the caller holds shared
 // locks on every relation, so the order planner may refresh statistics;
-// Explain plans lock-free. A single edge consults no order planner and no
+// Explain plans lock-free. forced is the bound ForceJoinOrder order (nil:
+// the planner's). A single edge consults no order planner and no
 // statistics.
-func (q *Query) planJoin(rel0Rows int, locked bool, limit int, budget int64) (joinPlan, error) {
+func (q *Query) planJoin(rel0Rows int, locked bool, limit int, budget int64, forced []int) joinPlan {
 	p := joinPlan{method: plan.JoinHash}
 	if len(q.joins) == 1 {
 		p.order = []int{0, 1}
 		q.chooseJoin(&p, rel0Rows, limit, budget)
 	} else {
-		res, err := q.chooseOrder(q.joinGraph(rel0Rows, locked))
-		if err != nil {
-			return joinPlan{}, err
-		}
+		res := q.chooseOrder(q.joinGraph(rel0Rows, locked), forced)
 		p.order, p.algorithm, p.estRows = res.Order, res.Algorithm, res.EstRows
 	}
 	p.names = make([]string, len(p.order))
@@ -1673,9 +1676,9 @@ func (q *Query) planJoin(rel0Rows int, locked bool, limit int, budget int64) (jo
 		p.workers = 1
 	}
 	if p.method == plan.JoinHash {
-		return p, q.planStages(&p)
+		q.planStages(&p)
 	}
-	return p, nil
+	return p
 }
 
 // chooseJoin makes the §4 choice for the single join edge from the
@@ -1732,8 +1735,9 @@ func (q *Query) chooseJoin(p *joinPlan, outerRows, limit int, budget int64) {
 // their probes, which would race across workers), and otherwise builds a
 // pooled flat hash table. A further edge into bound relations — the
 // closing edge of a cyclic graph — is checked as a residual once the
-// stage matches.
-func (q *Query) planStages(p *joinPlan) error {
+// stage matches. Every order is connected: the planner's by construction,
+// a forced one because bind checked it.
+func (q *Query) planStages(p *joinPlan) {
 	bound := make([]bool, len(q.rels))
 	bound[p.order[0]] = true
 	p.stages = make([]stagePlan, 0, len(p.order)-1)
@@ -1759,10 +1763,6 @@ func (q *Query) planStages(p *joinPlan) error {
 				})
 			}
 		}
-		if st.ProbeSlot < 0 {
-			return fmt.Errorf("mmdb: join order %s leaves %s unconnected (cross product)",
-				p.orderText(), q.rels[r].name)
-		}
 		rt := q.rels[r].t
 		filtered := r == 0 && len(q.preds) > 0 // build side is the filtered from-table
 		if buildField == tupleindex.SelfField && !filtered && q.refInto(st.ProbeSlot, st.ProbeField, rt) {
@@ -1776,18 +1776,15 @@ func (q *Query) planStages(p *joinPlan) error {
 		p.stages = append(p.stages, st)
 		bound[r] = true
 	}
-	return nil
 }
 
 // runJoin plans the join phase over the selection result left on its
 // live size, runs it and releases left (the join output points at
 // tuples, not at the selection's rows). limit > 0 is a pushed-down
-// LIMIT: the join stops after that many rows.
-func (q *Query) runJoin(x *execution, left *storage.TempList, limit int) (step, error) {
-	p, err := q.planJoin(left.Len(), true, limit, x.budget())
-	if err != nil {
-		return step{}, err
-	}
+// LIMIT: the join stops after that many rows. forced is the bound
+// ForceJoinOrder order.
+func (q *Query) runJoin(x *execution, left *storage.TempList, limit int, forced []int) step {
+	p := q.planJoin(left.Len(), true, limit, x.budget(), forced)
 	x.plan.join = &p
 	s := step{node: obs.TraceNode{Op: "join", AccessPath: p.method.String(), RowsIn: left.Len(), Workers: p.workers}}
 	if x.tracing() {
@@ -1902,7 +1899,7 @@ func (q *Query) runJoin(x *execution, left *storage.TempList, limit int) (step, 
 		}
 		x.auditClamp("radix budget clamp", p.clamp, p.bits)
 	}
-	return s, nil
+	return s
 }
 
 // joinGraph builds the planning view of the query's join graph:
@@ -1953,19 +1950,14 @@ func (q *Query) joinGraph(rel0Rows int, locked bool) plan.JoinGraph {
 }
 
 // chooseOrder resolves the execution order for a multi-join: the
-// enumerator's, or the one ForceJoinOrder pinned, priced with the plan
-// package's cost model so forecast cardinalities are always available
-// for the audit.
-func (q *Query) chooseOrder(g plan.JoinGraph) (plan.JoinOrderResult, error) {
-	cfg := q.db.tune.radix
-	if q.forced == nil {
-		return plan.ChooseJoinOrder(g, cfg), nil
+// enumerator's, or forced, the bound ForceJoinOrder order, priced with the
+// plan package's cost model so forecast cardinalities are always
+// available for the audit.
+func (q *Query) chooseOrder(g plan.JoinGraph, forced []int) plan.JoinOrderResult {
+	if forced == nil {
+		return plan.ChooseJoinOrder(g, q.db.tune.radix)
 	}
-	order, err := q.forcedOrder()
-	if err != nil {
-		return plan.JoinOrderResult{}, err
-	}
-	return plan.ForecastOrder(g, cfg, order), nil
+	return plan.ForecastOrder(g, q.db.tune.radix, forced)
 }
 
 // forcedOrder validates ForceJoinOrder's names: every relation exactly
@@ -2090,57 +2082,130 @@ func (q *Query) refInto(probeRel, probeField int, rt *Table) bool {
 	return def.Type == storage.Ref && def.ForeignKey == rt.Name()
 }
 
-// runProject moves the temp list under a descriptor of the selected
-// columns (§2.3: projection is the descriptor); list is left empty.
-func (q *Query) runProject(x *execution, list *storage.TempList) (step, error) {
-	var cols []storage.ColRef
-	if len(q.cols) == 0 {
-		// All columns of all relations, qualified by scope name (the
-		// alias where one was given) so self-joined uses stay distinct.
-		for si, r := range q.rels {
-			for fi, f := range r.t.Schema() {
-				cols = append(cols, storage.ColRef{Source: si, Field: fi, Name: r.name + "." + f.Name})
+// boundQuery is what the query's names resolve to, decided before it
+// takes any lock: the output columns, or a grouped query's working
+// columns, keys and aggregates; the ORDER BY terms; and a forced join
+// order. Nothing writes it once bound, so a statement template's one
+// bound query serves every run of its shape, concurrent ones included.
+type boundQuery struct {
+	cols []storage.ColRef // the projection's output columns; nil when grouped
+	// Grouped: the working projection (group keys, then aggregate inputs),
+	// the keys' ordinals in it, the aggregates and the output names.
+	wcols  []storage.ColRef
+	gcols  []int
+	specs  []agg.Spec
+	names  []string
+	order  []exec.OrderKey // the ORDER BY terms as output-column ordinals
+	forced []int           // ForceJoinOrder as relation indices; nil = the planner's order
+}
+
+// bind resolves every name the query's phases use: the Select list (every
+// column of every relation without one) or the GROUP BY keys and
+// aggregate inputs, the ORDER BY terms against the output those produce,
+// and, with more than one join edge, ForceJoinOrder's names. An error the
+// fluent calls recorded comes first. A template's query returns its bound
+// value.
+func (q *Query) bind() (b boundQuery, err error) {
+	if q.err != nil {
+		return b, q.err
+	}
+	if q.bound != nil {
+		return *q.bound, nil
+	}
+	var out []storage.ColRef // the output columns ORDER BY resolves against, by name
+	if len(q.groupBy) > 0 || len(q.aggs) > 0 {
+		// Working projection: group columns first, aggregate inputs after,
+		// so the operator addresses both as ordinals of one descriptor.
+		if b.wcols, err = q.resolveColumns(make([]storage.ColRef, 0, len(q.groupBy)+len(q.aggs)), q.groupBy); err != nil {
+			return b, err
+		}
+		b.gcols = make([]int, len(q.groupBy))
+		for i := range b.gcols {
+			b.gcols[i] = i
+		}
+		b.specs = make([]agg.Spec, len(q.aggs))
+		for i, a := range q.aggs {
+			b.specs[i] = agg.Spec{Kind: aggKind(a.fn), Col: -1, Name: a.name}
+			if a.col != "" && a.col != "*" {
+				b.specs[i].Col = len(b.wcols)
+				if b.wcols, err = q.resolveColumns(b.wcols, []string{a.col}); err != nil {
+					return b, err
+				}
+			} else if a.fn != AggCount {
+				return b, fmt.Errorf("mmdb: %s requires a column", a.fn)
+			}
+		}
+		b.names = agg.Names(q.groupBy, b.specs)
+		if len(q.orderBy) > 0 {
+			out = make([]storage.ColRef, len(b.names))
+			for i, name := range b.names {
+				out[i].Name = name
 			}
 		}
 	} else {
-		cols = make([]storage.ColRef, 0, len(q.cols))
-		for _, name := range q.cols {
-			ref, err := q.resolveColumn(name)
-			if err != nil {
-				return step{}, err
-			}
-			cols = append(cols, ref)
+		if b.cols, err = q.resolveColumns(make([]storage.ColRef, 0, len(q.cols)), q.cols); err != nil {
+			return b, err
 		}
+		if len(q.cols) == 0 {
+			// All columns of all relations, qualified by scope name (the
+			// alias where one was given) so self-joined uses stay distinct.
+			for si, r := range q.rels {
+				for fi, f := range r.t.Schema() {
+					b.cols = append(b.cols, storage.ColRef{Source: si, Field: fi, Name: r.name + "." + f.Name})
+				}
+			}
+		}
+		out = b.cols
 	}
+	b.order = make([]exec.OrderKey, len(q.orderBy))
+	for i, o := range q.orderBy {
+		c, err := resolveOrderColumn(out, o.col)
+		if err != nil {
+			return b, err
+		}
+		b.order[i] = exec.OrderKey{Col: c, Desc: o.desc}
+	}
+	if len(q.joins) > 1 && q.forced != nil {
+		// A single edge has no order to choose, so it ignores the names.
+		b.forced, err = q.forcedOrder()
+	}
+	return b, err
+}
+
+// runProject moves the temp list under a descriptor of the bound output
+// columns (§2.3: projection is the descriptor); list is left empty.
+func (q *Query) runProject(x *execution, list *storage.TempList, cols []storage.ColRef) step {
 	s := step{node: obs.TraceNode{Op: "project", AccessPath: "descriptor rewrite", RowsIn: list.Len()}}
-	var err error
-	if s.list, err = list.Redescribe(storage.Descriptor{Sources: list.Descriptor().Sources, Cols: cols}); err != nil {
-		return step{}, err
-	}
+	s.list = list.Redescribe(storage.Descriptor{Sources: list.Descriptor().Sources, Cols: cols})
 	if x.tracing() {
 		s.node.Detail = fmt.Sprintf("%d column(s)", len(cols))
 	}
-	return s, nil
+	return s
 }
 
-// resolveColumn maps "col" or "name.col" (name = a scope name: the
-// alias where one was given, else the table name) to a column reference
-// over the query's relations. An unqualified column resolves against
-// the relations in declaration order, first match wins.
-func (q *Query) resolveColumn(name string) (storage.ColRef, error) {
-	table, col := "", name
-	if i := strings.IndexByte(name, '.'); i >= 0 {
-		table, col = name[:i], name[i+1:]
-	}
-	for si, r := range q.rels {
-		if table != "" && r.name != table {
-			continue
+// resolveColumns appends to refs a column reference over the query's
+// relations for each name: "col" or "name.col" (name = a scope name: the
+// alias where one was given, else the table name). An unqualified column
+// resolves against the relations in declaration order, first match wins.
+func (q *Query) resolveColumns(refs []storage.ColRef, names []string) ([]storage.ColRef, error) {
+next:
+	for _, name := range names {
+		table, col := "", name
+		if i := strings.IndexByte(name, '.'); i >= 0 {
+			table, col = name[:i], name[i+1:]
 		}
-		if f := r.t.ColumnIndex(col); f >= 0 {
-			return storage.ColRef{Source: si, Field: f, Name: name}, nil
+		for si, r := range q.rels {
+			if table != "" && r.name != table {
+				continue
+			}
+			if f := r.t.ColumnIndex(col); f >= 0 {
+				refs = append(refs, storage.ColRef{Source: si, Field: f, Name: name})
+				continue next
+			}
 		}
+		return nil, fmt.Errorf("mmdb: cannot resolve column %q", name)
 	}
-	return storage.ColRef{}, fmt.Errorf("mmdb: cannot resolve column %q", name)
+	return refs, nil
 }
 
 // runGroup executes GROUP BY + aggregates: project the group-key and
@@ -2149,51 +2214,18 @@ func (q *Query) resolveColumn(name string) (storage.ColRef, error) {
 // radix-partitioned above; per-worker partial tables merged at the
 // barrier when the worker chooser grants parallelism), and emit one
 // output row per group: its representative input row, with the keys and
-// aggregates as computed columns (agg.Emit).
-func (q *Query) runGroup(x *execution, list *storage.TempList) (step, error) {
-	// Working projection: group columns first, aggregate inputs after, so
-	// the operator addresses both as ordinals of one descriptor.
-	wcols := make([]storage.ColRef, 0, len(q.groupBy)+len(q.aggs))
-	gcols := make([]int, len(q.groupBy))
-	for i, name := range q.groupBy {
-		ref, err := q.resolveColumn(name)
-		if err != nil {
-			return step{}, err
-		}
-		ref.Name = name
-		gcols[i] = i
-		wcols = append(wcols, ref)
-	}
-	specs := make([]agg.Spec, len(q.aggs))
-	for i, a := range q.aggs {
-		col := -1
-		if a.col != "" && a.col != "*" {
-			ref, err := q.resolveColumn(a.col)
-			if err != nil {
-				return step{}, err
-			}
-			col = len(wcols)
-			wcols = append(wcols, ref)
-		} else if a.fn != AggCount {
-			return step{}, fmt.Errorf("mmdb: %s requires a column", a.fn)
-		}
-		specs[i] = agg.Spec{Kind: aggKind(a.fn), Col: col, Name: a.name}
-	}
-	work, err := list.Redescribe(storage.Descriptor{Sources: list.Descriptor().Sources, Cols: wcols})
-	if err != nil {
-		return step{}, err
-	}
+// aggregates as computed columns (agg.Emit). b holds the bound working
+// projection, keys, aggregates and output names.
+func (q *Query) runGroup(x *execution, list *storage.TempList, b *boundQuery) (step, error) {
+	work := list.Redescribe(storage.Descriptor{Sources: list.Descriptor().Sources, Cols: b.wcols})
 	n := work.Len()
 	ar, err := x.beginAgg(q.planAgg(n, x.budget()), n)
 	if err != nil {
 		return step{}, err
 	}
 	defer x.closeAgg(ar)
-	groups := parallel.HashAgg(x.sq, x.pg, ar.g, work, gcols, specs, ar.bits, ar.workers, x.m)
-	out, err := agg.Emit(work, gcols, specs, groups)
-	if err != nil {
-		return step{}, err
-	}
+	groups := parallel.HashAgg(x.sq, x.pg, ar.g, work, b.gcols, b.specs, ar.bits, ar.workers, x.m)
+	out := agg.Emit(work, b.gcols, b.specs, b.names, groups)
 	work.Release() // the output took its representative rows and copied every key and aggregate
 	gp := ar.aggPlan
 	x.plan.group = &gp
@@ -2369,15 +2401,11 @@ func (q *Query) planOrder(rows int) orderPlan {
 	return p
 }
 
-// runOrder executes ORDER BY (+ LIMIT): resolve the key terms against the
-// output descriptor, run the plan, and rebuild the list in output order,
-// cut to the limit; the input list is released. Both shapes produce the
-// identical deterministic order (ordinal tie-break).
-func (q *Query) runOrder(x *execution, list *storage.TempList) (step, error) {
-	keys, err := q.resolveOrderKeys(list)
-	if err != nil {
-		return step{}, err
-	}
+// runOrder executes ORDER BY (+ LIMIT) on the bound keys: run the plan
+// and rebuild the list in output order, cut to the limit; the input list
+// is released. Both shapes produce the identical deterministic order
+// (ordinal tie-break).
+func (q *Query) runOrder(x *execution, list *storage.TempList, keys []exec.OrderKey) step {
 	n := list.Len()
 	p := q.planOrder(n)
 	x.plan.order = &p
@@ -2403,22 +2431,7 @@ func (q *Query) runOrder(x *execution, list *storage.TempList) (step, error) {
 		s.node.AccessPath = p.path()
 		s.node.Detail = "BY " + q.orderByText()
 	}
-	return s, nil
-}
-
-// resolveOrderKeys maps the ORDER BY terms to output-column ordinals of
-// the list being ordered.
-func (q *Query) resolveOrderKeys(list *storage.TempList) ([]exec.OrderKey, error) {
-	cols := list.Descriptor().Cols
-	keys := make([]exec.OrderKey, len(q.orderBy))
-	for i, o := range q.orderBy {
-		c, err := resolveOrderColumn(cols, o.col)
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = exec.OrderKey{Col: c, Desc: o.desc}
-	}
-	return keys, nil
+	return s
 }
 
 // resolveOrderColumn resolves one ORDER BY term against the output

@@ -166,25 +166,26 @@ func (db *Database) execCreateIndex(s *sqlparser.CreateIndex) (*ExecResult, erro
 	return &ExecResult{}, nil
 }
 
-// A statement template is a statement built once: the fluent query of a
+// A statement template is a statement built once: the bound query of a
 // SELECT, UPDATE or DELETE, or the target table of an INSERT, with every
 // value the statement supplies named by the literal it comes from. Exec
 // runs every statement through one: a miss builds it, then runs it with
 // the statement's literals; a hit only runs it. Running instantiates the
-// template — a copy of the query with its own predicates, fresh value
-// storage for the rows — so a cached template, shared by concurrent
-// Execs, is never written.
+// template — a copy of the query with its own predicates, sharing the
+// bound names, and fresh value storage for the rows — so a cached
+// template, shared by concurrent Execs, is never written.
 type stmtTemplate struct {
 	verb stmtVerb
-	// q is the selection of a SELECT, UPDATE or DELETE; preds[i] is
+	// q is the bound selection of a SELECT, UPDATE or DELETE; preds[i] is
 	// where its predicate i takes its value from.
 	q     *Query
 	preds []arg
 	t     *Table // the target of an INSERT, UPDATE or DELETE
-	// column and set are an UPDATE's SET.
-	column string
-	set    arg
-	rows   [][]arg // an INSERT's rows
+	// field and set are an UPDATE's SET: the column's field ordinal and
+	// its value.
+	field int
+	set   arg
+	rows  [][]arg // an INSERT's rows
 	// cacheable is false when a value came from a REF lookup, which
 	// every run of the statement must make again.
 	cacheable bool
@@ -272,13 +273,16 @@ func (db *Database) resolveExpr(e sqlparser.Expr) (Value, error) {
 	}
 }
 
-// build makes the template of a parsed SELECT, INSERT, UPDATE or DELETE.
-// Its errors are the statement's. A template that builds may still fail
-// when run — the query meets a bad output column only then — so Exec
-// caches a template only after it ran without error.
+// build makes the template of a parsed SELECT, INSERT, UPDATE or DELETE
+// and binds its query: a name that does not resolve fails the build,
+// before any lock is taken. Its errors are the statement's. A template
+// that builds may still fail when run — a value of the wrong type fails
+// only at the write — so Exec caches a template only after it ran without
+// error.
 func (db *Database) build(st sqlparser.Statement) (*stmtTemplate, error) {
 	tm := &stmtTemplate{cacheable: true}
 	var err error
+	var column string // an UPDATE's SET column, resolved once the query binds
 	switch s := st.(type) {
 	case *sqlparser.Select:
 		switch {
@@ -290,7 +294,6 @@ func (db *Database) build(st sqlparser.Statement) (*stmtTemplate, error) {
 		if err = tm.selection(db, s.From, s.FromAlias, s.Where, s.Joins, s.Cols, s.Distinct); err == nil {
 			tm.q, err = applySelectShape(tm.q, s)
 		}
-		return tm, err
 	case *sqlparser.Insert:
 		tm.verb = verbInsert
 		if tm.t, err = db.target(s.Table); err != nil {
@@ -307,22 +310,37 @@ func (db *Database) build(st sqlparser.Statement) (*stmtTemplate, error) {
 		}
 		return tm, nil
 	case *sqlparser.Update:
-		tm.verb, tm.column = verbUpdate, s.Column
+		tm.verb, column = verbUpdate, s.Column
 		if tm.t, err = db.target(s.Table); err != nil {
 			return nil, err
 		}
 		if tm.set, err = tm.arg(db, s.Value); err != nil {
 			return nil, err
 		}
-		return tm, tm.selection(db, s.Table, "", s.Where, nil, nil, false)
+		err = tm.selection(db, s.Table, "", s.Where, nil, nil, false)
 	case *sqlparser.Delete:
 		tm.verb = verbDelete
 		if tm.t, err = db.target(s.Table); err != nil {
 			return nil, err
 		}
-		return tm, tm.selection(db, s.Table, "", s.Where, nil, nil, false)
+		err = tm.selection(db, s.Table, "", s.Where, nil, nil, false)
+	default:
+		return nil, fmt.Errorf("mmdb: unsupported statement %T", st)
 	}
-	return nil, fmt.Errorf("mmdb: unsupported statement %T", st)
+	if err == nil {
+		var b boundQuery
+		b, err = tm.q.bind()
+		tm.q.bound = &b
+	}
+	if err == nil && tm.verb == verbUpdate {
+		if tm.field = tm.t.ColumnIndex(column); tm.field < 0 {
+			err = fmt.Errorf("mmdb: table %s has no column %q", tm.t.Name(), column)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return tm, nil
 }
 
 // target is the table a DML statement writes.
@@ -340,19 +358,16 @@ func (db *Database) run(tm *stmtTemplate, lits []sqlparser.Expr) (*ExecResult, e
 	switch tm.verb {
 	case verbInsert:
 		return db.execInsert(tm, lits)
-	case verbUpdate:
-		return db.execUpdate(tm, lits)
-	case verbDelete:
-		return db.execDelete(tm, lits)
+	case verbUpdate, verbDelete:
+		return db.execWrite(tm, lits)
 	}
 	return db.execSelect(tm, lits)
 }
 
 // query instantiates the template's query: a copy whose predicates hold
-// this statement's values.
+// this statement's values and which shares the template's bound names.
 func (tm *stmtTemplate) query(lits []sqlparser.Expr) *Query {
 	q := *tm.q
-	// A query whose build failed holds the predicates before its error.
 	q.preds = make([]qpred, len(tm.q.preds))
 	for i, p := range tm.q.preds {
 		p.val = tm.preds[i].value(lits)
@@ -402,7 +417,7 @@ func sqlOp(op string) (Op, error) {
 // selection builds the template's query: the fluent query of a parsed
 // SELECT, or the selection of an UPDATE or DELETE, with an arg for each
 // WHERE comparand. An error the fluent API records in the query is left
-// there for the run to return.
+// there for bind to return.
 func (tm *stmtTemplate) selection(db *Database, from, fromAlias string, where []sqlparser.Cond, joins []sqlparser.Join, cols []string, distinct bool) error {
 	q := db.Query(from)
 	if fromAlias != "" {
@@ -551,58 +566,29 @@ func (db *Database) execSelect(tm *stmtTemplate, lits []sqlparser.Expr) (*ExecRe
 	return &ExecResult{Result: res, RowsAffected: res.Len()}, nil
 }
 
-// selectForWrite starts the transaction of an UPDATE or DELETE and runs
-// its selection inside it. The target's exclusive relation lock is taken
-// before the read: had the selection taken the shared lock first, two
-// concurrent statements on one table would both hold it, both ask to
-// upgrade, and one would come back as a deadlock victim. On error the
-// transaction is already aborted.
-func (db *Database) selectForWrite(t *Table, q *Query) (*Txn, *Result, error) {
+// execWrite runs an UPDATE or DELETE: its selection and its writes inside
+// one transaction, so no other writer can slip between finding the rows
+// and writing them. The target's exclusive relation lock is taken before
+// the read: had the selection taken the shared lock first, two concurrent
+// statements on one table would both hold it, both ask to upgrade, and
+// one would come back as a deadlock victim.
+func (db *Database) execWrite(tm *stmtTemplate, lits []sqlparser.Expr) (*ExecResult, error) {
+	v := tm.set.value(lits)
 	tx := db.Begin()
-	if err := tx.inner.LockRelationExclusive(t.rel); err != nil {
-		return nil, nil, err
+	if err := tx.inner.LockRelationExclusive(tm.t.rel); err != nil {
+		return nil, err
 	}
-	res, err := q.In(tx).Run()
+	res, err := tm.query(lits).In(tx).Run()
+	for i := 0; err == nil && i < res.Len(); i++ {
+		if tm.verb == verbUpdate {
+			err = tx.inner.Update(tm.t.rel, res.Tuples(i)[0], tm.field, v)
+		} else {
+			err = tx.inner.Delete(tm.t.rel, res.Tuples(i)[0])
+		}
+	}
 	if err != nil {
 		tx.Abort()
-		return nil, nil, err
-	}
-	return tx, res, nil
-}
-
-func (db *Database) execUpdate(tm *stmtTemplate, lits []sqlparser.Expr) (*ExecResult, error) {
-	v := tm.set.value(lits)
-	// Read and write inside ONE transaction: the selection runs through
-	// the txn's locks, so no other writer can slip between finding the
-	// rows and updating them.
-	tx, res, err := db.selectForWrite(tm.t, tm.query(lits))
-	if err != nil {
 		return nil, err
-	}
-	for i := 0; i < res.Len(); i++ {
-		if err := tx.Update(tm.t, res.Tuples(i)[0], tm.column, v); err != nil {
-			tx.Abort()
-			return nil, err
-		}
-	}
-	if _, err := tx.Commit(); err != nil {
-		return nil, err
-	}
-	return &ExecResult{RowsAffected: res.Len()}, nil
-}
-
-func (db *Database) execDelete(tm *stmtTemplate, lits []sqlparser.Expr) (*ExecResult, error) {
-	// As in execUpdate: select and delete under the same transaction so
-	// the victim set cannot change between the read and the writes.
-	tx, res, err := db.selectForWrite(tm.t, tm.query(lits))
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < res.Len(); i++ {
-		if err := tx.Delete(tm.t, res.Tuples(i)[0]); err != nil {
-			tx.Abort()
-			return nil, err
-		}
 	}
 	if _, err := tx.Commit(); err != nil {
 		return nil, err

@@ -232,14 +232,14 @@ func TestStmtCacheDecodesLikeColdPath(t *testing.T) {
 }
 
 // TestStmtCacheSkipsFailures: a statement that fails is never cached and
-// fails the same way every time, whether it fails while built or while
-// run; a literal out of range fails as the parser fails on it, also when
-// its shape is cached.
+// fails the same way every time, whether it fails while built (a name
+// that does not bind) or while run; a literal out of range fails as the
+// parser fails on it, also when its shape is cached.
 func TestStmtCacheSkipsFailures(t *testing.T) {
 	db := protoDB(t, 100, 0)
 	for _, s := range []string{
 		"SELECT id FROM fact WHERE nope = 1",   // built into the query's error
-		"SELECT nope FROM fact",                // fails after the selection ran
+		"SELECT nope FROM fact",                // fails to bind, before any lock
 		"SELECT id FROM nope WHERE id = 1",     // no such table
 		"SELECT g, v FROM fact GROUP BY g",     // select list against GROUP BY
 		"UPDATE fact SET v = 'x' WHERE id = 1", // wrong type at the write
