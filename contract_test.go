@@ -152,7 +152,6 @@ func recvName(e ast.Expr) string {
 var probeMethods = map[string]string{
 	"internal/index/exthash.Table.GlobalDepth": "the directory-doubling tests read the depth the table grew to",
 	"internal/lock.Manager.Holds":              "txn and storage tests check which locks a transaction still holds",
-	"internal/mem.Reservation.Held":            "budget tests check an operator returned every granted byte",
 	"internal/obs.Registry.MispredictCount":    "lifecycle tests check the audit counts a misprediction once",
 	"internal/recovery.Manager.PendingRecords": "recovery tests bound the committed records not yet propagated",
 }

@@ -217,18 +217,17 @@ func TreeJoin(outer Source, inner tupleindex.Ordered, spec JoinSpec) *storage.Te
 	out := spec.newEmitter()
 	buf := storage.GetBatch()
 	matches := storage.GetBatch()
-	// One position closure for the whole probe (tupleindex.PosFor would
+	// One position function for the whole probe (tupleindex.PosFor would
 	// allocate a fresh closure per outer tuple).
-	var ko storage.Value
-	fi := spec.InnerField
-	pos := func(t *storage.Tuple) int { return storage.Compare(tupleindex.KeyOf(t, fi), ko) }
+	kp := tupleindex.GetKeyPos(storage.NullValue, spec.InnerField)
+	defer tupleindex.PutKeyPos(kp)
 	outer.ScanBatches(buf, func(block storage.TupleBatch) bool {
 		spec.Meter.AddBatch(1)
 		for _, o := range block {
-			if ko = tupleindex.KeyOf(o, spec.OuterField); ko.IsNull() {
+			if kp.Key = tupleindex.KeyOf(o, spec.OuterField); kp.Key.IsNull() {
 				continue
 			}
-			matches = inner.SearchAllAppend(pos, matches[:0])
+			matches = inner.SearchAllAppend(kp.Pos, matches[:0])
 			for _, i := range matches {
 				if !out.emit(o, i) {
 					return false

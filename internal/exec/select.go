@@ -89,7 +89,9 @@ func SelectEqHash(ix tupleindex.Hashed, field int, key storage.Value, spec Selec
 // (§3.3.4), returned as one block and block-copied into the output.
 func SelectEqTree(ix tupleindex.Ordered, field int, key storage.Value, spec SelectSpec) *storage.TempList {
 	out := spec.newList()
-	buf := ix.SearchAllAppend(tupleindex.PosFor(key, field), storage.GetBatch())
+	p := tupleindex.GetKeyPos(key, field)
+	buf := ix.SearchAllAppend(p.Pos, storage.GetBatch())
+	tupleindex.PutKeyPos(p)
 	if len(buf) > 0 {
 		out.AppendBatch(buf)
 		spec.Meter.AddBatch(1)
@@ -106,11 +108,15 @@ func SelectRange(ix tupleindex.Ordered, field int, lo, hi *storage.Value, spec S
 	out := spec.newList()
 	loPos := func(*storage.Tuple) int { return 0 } // everything >= -inf
 	if lo != nil {
-		loPos = tupleindex.PosFor(*lo, field)
+		p := tupleindex.GetKeyPos(*lo, field)
+		defer tupleindex.PutKeyPos(p)
+		loPos = p.Pos
 	}
 	hiPos := func(*storage.Tuple) int { return 0 } // everything <= +inf
 	if hi != nil {
-		hiPos = tupleindex.PosFor(*hi, field)
+		p := tupleindex.GetKeyPos(*hi, field)
+		defer tupleindex.PutKeyPos(p)
+		hiPos = p.Pos
 	}
 	buf := storage.GetBatch()
 	ix.Range(loPos, hiPos, func(t *storage.Tuple) bool {

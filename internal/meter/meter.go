@@ -10,10 +10,11 @@
 // is legal and free, which is the moral equivalent of the paper compiling
 // the counters out for the timed runs.
 //
-// Counters.At is the one list of the counters: Add and String loop over
-// it, and so do the registry's deltas, the trace's counter list and the
-// metrics exposition in internal/obs. A new counter is a struct field,
-// its Add* method and one row of At.
+// Counters.At is the one list of the counters: String loops over it, and
+// so do the registry's deltas, the trace's counter list and the metrics
+// exposition in internal/obs. Add reads the struct as an array of its
+// NumFields counters. A new counter is a struct field, its Add* method
+// and one row of At.
 //
 // Concurrency contract: a Counters value is single-goroutine — the
 // goroutine executing an operator owns its Counters exclusively for that
@@ -29,6 +30,7 @@ package meter
 import (
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Counters accumulates the operation counts the paper tracked, plus the
@@ -246,15 +248,23 @@ func (c *Counters) At(i int) (*int64, Field) {
 	panic("meter: no counter " + strconv.Itoa(i))
 }
 
-// Add accumulates other into c. Safe on a nil receiver.
+// counterArray is Counters as the array of its NumFields int64 fields, in
+// declaration order: the layout Go gives a struct of int64 fields alone.
+type counterArray = [NumFields]int64
+
+// The conversions in Add are sound only while Counters is exactly its
+// NumFields int64 fields; a field of another size fails this line.
+var _ = [1]struct{}{}[unsafe.Sizeof(Counters{})-unsafe.Sizeof(counterArray{})]
+
+// Add accumulates other into c, one loop over the counters as an array.
+// Safe on a nil receiver.
 func (c *Counters) Add(other Counters) {
 	if c == nil {
 		return
 	}
-	for i := range NumFields {
-		p, _ := c.At(i)
-		q, _ := other.At(i)
-		*p += *q
+	dst, src := (*counterArray)(unsafe.Pointer(c)), (*counterArray)(unsafe.Pointer(&other))
+	for i := range dst {
+		dst[i] += src[i]
 	}
 }
 

@@ -86,17 +86,19 @@ func (r *Relation) Stats() TableStats {
 // CachedStats returns the last-taken snapshot without refreshing it —
 // planning paths that must stay lock-free (EXPLAIN) use it, accepting
 // staleness over taking table locks. ok is false when no snapshot has
-// ever been taken; no tuples are touched either way.
-func (r *Relation) CachedStats() (TableStats, bool) {
+// ever been taken; fresh reports that the DML since it was taken stays
+// under the refresh threshold, so Stats would return it as it is. No
+// tuples are touched either way, and no lock is needed.
+func (r *Relation) CachedStats() (st TableStats, ok, fresh bool) {
 	s := &r.stats
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.valid {
-		return TableStats{Name: r.name}, false
+		return TableStats{Name: r.name}, false, false
 	}
 	out := s.cache
 	out.NDV = append([]float64(nil), s.cache.NDV...)
-	return out, true
+	return out, true, !statsDirty(s.cache.Rows, s.dml.Load()-s.dmlAt)
 }
 
 // sampleHit decides whether physical row i joins the sample: roughly

@@ -84,6 +84,15 @@ const (
 // across appends, and the single-row fast paths (AppendOne, AppendPair)
 // write straight into the current chunk without allocating a Row header.
 //
+// One-row form: a single-source list hinted at one row (NewTempListHint
+// with hint 1, the selection of a key a unique index holds at most once)
+// is one allocation — header, chunk directory and row slot — and takes no
+// pooled chunk, so a point lookup's result costs its caller no 2 KiB
+// chunk that would never go back to the pool. It is an ordinary list:
+// whoever may append to it may grow it past its row, which then moves to
+// a pooled chunk as an exact-fit chunk's rows do (room), and Release pools
+// only that chunk, never the slot.
+//
 // Computed columns: a value no source tuple holds (a group key copied out
 // at aggregation time, an aggregate) lives in a vector the list owns, one
 // value per row, named by a ColRef with Source Computed. A vector whose
@@ -122,14 +131,32 @@ func NewTempList(desc Descriptor) (*TempList, error) {
 // rows: the chunk directory is allocated once (appends never regrow it),
 // and a hint below ChunkRows gets a single exact-fit chunk so small
 // results — point lookups, LIMIT queries — do not pin a full pooled
-// chunk. Lists overrun their hint gracefully; it is a hint, not a cap.
+// chunk. A single-source list hinted at one row is the one-row form (see
+// TempList). Lists overrun their hint gracefully; it is a hint, not a cap.
 func NewTempListHint(desc Descriptor, hint int) (*TempList, error) {
+	if hint == 1 && len(desc.Sources) == 1 {
+		if err := desc.validFor(0); err != nil {
+			return nil, err
+		}
+		o := &oneRow{l: TempList{desc: desc, arity: 1}}
+		o.dir[0] = o.slot[:0]
+		o.l.chunks = o.dir[:]
+		return &o.l, nil
+	}
 	l, err := NewTempList(desc)
 	if err != nil {
 		return nil, err
 	}
 	l.presize(hint)
 	return l, nil
+}
+
+// oneRow is the one-row form of a single-source list: the header with its
+// chunk directory and its one row's slot, allocated together.
+type oneRow struct {
+	l    TempList
+	dir  [1][]*Tuple
+	slot [1]*Tuple
 }
 
 // presize sizes an empty list's arena for hint rows (see NewTempListHint).

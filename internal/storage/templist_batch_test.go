@@ -130,6 +130,39 @@ func TestTempListHintExactFitAndOverrun(t *testing.T) {
 	checkOrder(t, big, tuples)
 }
 
+// TestOneRowList: a single-source list hinted at one row holds its row
+// in one allocation and takes no pooled chunk, and settling it leaves it
+// as it is; appended past its row, by one tuple or by a batch, it grows
+// like any list, and once released it takes appends again.
+func TestOneRowList(t *testing.T) {
+	tuples := batchTestRelation(t, "r", 2*ChunkRows+5)
+	desc := singleDesc()
+	if n := testing.AllocsPerRun(100, func() {
+		l := MustTempListHint(desc, 1)
+		l.AppendOne(tuples[0])
+		if l.Settle() != l || l.Len() != 1 || l.Row(0)[0] != tuples[0] {
+			t.Fatal("one-row list lost its row")
+		}
+	}); n != 1 {
+		t.Fatalf("a one-row list allocates %.0f times, want 1", n)
+	}
+	for _, batch := range []bool{false, true} {
+		l := MustTempListHint(desc, 1)
+		if batch {
+			l.AppendOne(tuples[0])
+			l.AppendBatch(tuples[1:])
+		} else {
+			for _, tp := range tuples {
+				l.AppendOne(tp)
+			}
+		}
+		checkOrder(t, l, tuples)
+		l.Release()
+		l.AppendBatch(tuples)
+		checkOrder(t, l, tuples)
+	}
+}
+
 // TestTempListResetReuse: a list Release empties takes appends again.
 func TestTempListResetReuse(t *testing.T) {
 	tuples := batchTestRelation(t, "r", ChunkRows+3)

@@ -13,6 +13,7 @@ package tupleindex
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/index"
 	"repro/internal/index/avltree"
@@ -82,6 +83,46 @@ func PosFor(k storage.Value, f int) index.Pos[*storage.Tuple] {
 	return func(t *storage.Tuple) int {
 		return storage.Compare(KeyOf(t, f), k)
 	}
+}
+
+// KeyPos is PosFor's position function bound once to a reusable value
+// instead of built as a closure per key: Pos compares a tuple's field
+// with Key, which the owner sets before each search. Searches through
+// one KeyPos must not overlap, and an owner clears Key after a search so
+// that it holds no string past it. GetKeyPos lends one for a single
+// probe.
+type KeyPos struct {
+	Key   storage.Value
+	Pos   index.Pos[*storage.Tuple] // p.compare, bound by NewKeyPos
+	field int
+}
+
+// NewKeyPos returns a KeyPos over field f with a NULL key.
+func NewKeyPos(f int) *KeyPos {
+	p := &KeyPos{field: f}
+	p.Pos = p.compare
+	return p
+}
+
+func (p *KeyPos) compare(t *storage.Tuple) int {
+	return storage.Compare(KeyOf(t, p.field), p.Key)
+}
+
+var keyPosPool = sync.Pool{New: func() any { return NewKeyPos(0) }}
+
+// GetKeyPos takes a pooled KeyPos for key k on field f; PutKeyPos
+// returns it once the search is over (an index keeps no position
+// function past its search).
+func GetKeyPos(k storage.Value, f int) *KeyPos {
+	p := keyPosPool.Get().(*KeyPos)
+	p.Key, p.field = k, f
+	return p
+}
+
+// PutKeyPos clears p's key and returns p to the pool.
+func PutKeyPos(p *KeyPos) {
+	p.Key = storage.NullValue
+	keyPosPool.Put(p)
 }
 
 // NewTTree builds an empty T Tree over tuples.

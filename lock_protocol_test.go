@@ -184,13 +184,18 @@ func TestPointSelectAllocsIndependentOfTableSize(t *testing.T) {
 	t.Logf("pk SELECT %.0f / %.0f (one text), %.0f / %.0f (new ids) allocations at 1k / 100k rows",
 		smallSame, largeSame, smallFresh, largeFresh)
 	// A build that walked the relation allocated ≈1.3 times per partition
-	// here (the 100k table has ≈400). The statement allocates 11 times: its
-	// shape's template, bound output columns included, comes from the
-	// statement cache, a copy of its query takes the literal, and the plan, the decision audit and the query's
-	// text are values formatted only when read. The ceiling leaves room
-	// for the race detector, which drops pooled entries, and for nothing
-	// else: a parse or a plan line on the hit path would cross it.
-	ceiling := 13
+	// here (the 100k table has ≈400). The statement allocates 3 times: the
+	// copy of its query with its predicate, which takes the literal; the
+	// one-row list of the key its unique index holds; and the statement's
+	// outcome with its Result. Its shape's template — bound output columns
+	// and access path included — comes from the statement cache; the
+	// phase counters and the index probe's position function are pooled;
+	// a serial lookup makes no scheduler handle; and the plan, the
+	// decision audit and the query's text are values formatted only when
+	// read. The ceiling is that count, with room for the race detector,
+	// which drops pooled entries, and for nothing else: a parse, a plan
+	// line or a pooled chunk on the hit path would cross it.
+	ceiling := 3
 	if raceEnabled {
 		ceiling += 5
 	}
@@ -249,10 +254,16 @@ func TestStatementAllocsIndependentOfTableSize(t *testing.T) {
 	small, large := measure(1_000), measure(100_000)
 	t.Logf("range SELECT %.0f / %.0f (one text), %.0f / %.0f (new ranges), DELETE %.0f / %.0f, INSERT %.0f / %.0f allocations at 1k / 100k rows",
 		small.rng, large.rng, small.freshRng, large.freshRng, small.del, large.del, small.ins, large.ins)
-	// Ceilings: 17, 20 and 4 measured on a hit of the statement cache
-	// (the DELETE at 26 on an 8-column table), plus the race detector's
-	// slack.
-	rangeCeiling, delCeiling, insCeiling := 19, 27, 4
+	// Ceilings: the counts measured on a hit of the statement cache, plus
+	// the race detector's slack. The range SELECT's 9 are the query copy
+	// and the outcome with its Result; the probe's list header and chunk
+	// directory (its chunk is pooled); the range visitor and the block it
+	// gathers into; and the residual filter's list — header, directory
+	// and exact-fit chunk — for the strict upper bound. The DELETE's 5 are
+	// the query copy, the transaction and its handle, the one-row list of
+	// the key and the outcome; the INSERT's 4 its values, its
+	// transaction, the committed tuples and the outcome.
+	rangeCeiling, delCeiling, insCeiling := 9, 5, 4
 	if raceEnabled {
 		rangeCeiling, delCeiling, insCeiling = rangeCeiling+5, delCeiling+5, insCeiling+5
 	}

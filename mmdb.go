@@ -279,7 +279,7 @@ func (db *Database) CreateTable(name string, fields []Field, primaryColumn strin
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{db: db, rel: rel, indices: make(map[string]*Index), sel: exec.SingleDescriptor(name, schema)}
+	t := &Table{db: db, rel: rel, byField: make([]fieldIndices, schema.Arity()), sel: exec.SingleDescriptor(name, schema)}
 	if _, err := t.createIndexLocked("primary", primaryColumn, kind, true); err != nil {
 		return nil, err
 	}

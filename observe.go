@@ -39,7 +39,10 @@ type TableStat = obs.TableStat
 // Stats snapshots the engine metrics plus per-relation statistics. With
 // metrics disabled (Options.DisableMetrics) the registry portion is the
 // zero Stats, but Tables is still populated — the planner's statistics
-// live in storage, not in the metrics registry.
+// live in storage, not in the metrics registry. The counters are read
+// without a lock, and so is a table's statistics snapshot while it is
+// fresh; only a missing or stale one is refreshed, under the shared lock
+// Table.Stats tries for.
 func (db *Database) Stats() Stats {
 	s := db.obs.Snapshot() // Tables included: Open wired tableStats as the registry's source
 	if db.obs == nil {
@@ -48,8 +51,7 @@ func (db *Database) Stats() Stats {
 	return s
 }
 
-// tableStats snapshots every relation's statistics under shared table
-// locks, the same protocol queries read under.
+// tableStats snapshots every relation's statistics (Table.Stats).
 func (db *Database) tableStats() []obs.TableStat {
 	var stats []obs.TableStat
 	for _, name := range db.Tables() {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/agg"
@@ -466,19 +467,14 @@ const snapshotMinRows = 2 * plan.MinRowsPerWorker
 // snapshotMinRows rows, so small tables — whose results are routinely fed
 // back into updates — stay on locked scans of live tuples. Explain asks
 // the same two questions, so it names the path the executor takes.
-func (q *Query) snapshotShapeOK() bool {
+func (q *Query) snapshotShapeOK(ap accessPath) bool {
 	if q.tx != nil || q.db.tune.noSnapshots || len(q.joins) > 0 || q.from == nil {
 		return false
 	}
 	if q.pushedLimit() >= 0 {
 		return false // the limit pushes an early exit into the selection
 	}
-	if len(q.preds) > 0 {
-		if q.chooseSelectionPath().path != plan.PathSequentialScan {
-			return false
-		}
-	}
-	return true
+	return ap.path == plan.PathSequentialScan
 }
 
 // pushedLimit is the LIMIT the producing operator may stop at — the
@@ -562,8 +558,11 @@ func (r *Result) Plan() string { return r.plan.text(-1) }
 // snapshot, never while it scans; it sees every commit that returned
 // before Run was called.
 func (q *Query) Run() (*Result, error) {
-	res, _, err := q.execute(false)
-	return res, err
+	res := new(Result)
+	if _, err := q.execute(false, res); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // Analyze runs the query exactly as Run does and additionally returns its
@@ -572,8 +571,12 @@ func (q *Query) Run() (*Result, error) {
 // data moves, hash calls, …) that operator accumulated. The SQL form is
 // EXPLAIN ANALYZE SELECT ….
 func (q *Query) Analyze() (*Result, *QueryTrace, error) {
-	res, tr, err := q.execute(true)
-	return res, tr, err
+	res := new(Result)
+	tr, err := q.execute(true, res)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, tr, nil
 }
 
 // execution is one run's state, owned by execute and handed to each
@@ -583,13 +586,14 @@ func (q *Query) Analyze() (*Result, *QueryTrace, error) {
 type execution struct {
 	snap    *storage.Snapshot // scanned with no lock held; nil = the locked relations
 	refresh obs.SnapRefresh   // what republishing a stale snapshot cost; zero = it was fresh
-	sq      *sched.Query
+	sq      *sched.Query      // nil until an operator asks for it (sched)
+	prio    int               // the scheduler priority sched admits it at
 	ctx     context.Context
 	res     *mem.Reservation // nil = unbudgeted
 	pg      *obs.Progress    // the live query's gauges; nil when the registry is off
 	reg     *obs.Registry
 
-	m         *meter.Counters // the running phase's §3.1 counters; nil unless collecting
+	m         *meter.Counters // the running phase's §3.1 counters, pooled; nil unless collecting
 	total     meter.Counters  // rollup across phases
 	scanned   int64           // base-relation tuples fetched
 	shape     string          // the registry's plan-shape label, built while collecting
@@ -636,8 +640,29 @@ func (x *execution) record(s step, err error) (*storage.TempList, error) {
 		x.root.Add(&n)
 		x.t0 = now
 	}
-	return s.list, x.sq.Err()
+	return s.list, x.ctx.Err()
 }
+
+// sched is the execution's admission handle on the shared morsel
+// scheduler, made when the first operator that may submit morsels asks
+// for it: a serial selection, a point lookup's whole plan, never does. A
+// budgeted execution's reservation mirrors its grant into the handle from
+// then on.
+func (x *execution) sched() *sched.Query {
+	if x.sq == nil {
+		x.sq = sched.NewQuery(sched.Shared(), x.ctx, x.prio)
+		if x.res != nil {
+			x.res.Notify = x.sq.SetMemBytes
+			x.sq.SetMemBytes(x.res.Held())
+		}
+	}
+	return x.sq
+}
+
+// countersPool recycles the executions' phase counters: an execution
+// takes one while it runs and folds it into its total at every phase, so
+// none is read after its query returns.
+var countersPool = sync.Pool{New: func() any { return new(meter.Counters) }}
 
 // tracing reports whether this execution builds a trace: the only reader
 // of a decision's Chosen and Inputs text, which audits fill only then.
@@ -685,16 +710,17 @@ func (x *execution) budget() int64 {
 }
 
 // execute is the shared Run/Analyze engine: it plans each phase on the
-// live size of its input, runs it and records it. With analyze set it
-// builds the operator trace; whenever the database's metrics registry is
-// enabled it also accumulates per-query metrics. With both disabled the
-// overhead is a handful of nil checks and no allocations beyond Run's
-// own.
-func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
+// live size of its input, runs it and records it, and leaves the result
+// in res. With analyze set it builds the operator trace; whenever the
+// database's metrics registry is enabled it also accumulates per-query
+// metrics. With both disabled the overhead is a handful of nil checks and
+// no allocations beyond the result's own.
+func (q *Query) execute(analyze bool, res *Result) (*QueryTrace, error) {
 	b, err := q.bind()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	ap := q.choosePath()
 	reg := q.db.obs
 	slow := q.db.slow
 	// A configured slow-query log needs the full trace — with the
@@ -715,7 +741,7 @@ func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
 		aq = q.db.active.Register(q)
 		defer q.db.active.Deregister(aq)
 	}
-	x := execution{reg: reg, pg: aq.Progress(), ctx: q.ctx}
+	x := execution{reg: reg, pg: aq.Progress(), ctx: q.ctx, prio: q.prio}
 	if x.ctx == nil {
 		x.ctx = context.Background()
 	}
@@ -727,16 +753,15 @@ func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
 		reader = &Txn{db: q.db, inner: q.db.txns.BeginUntracked()}
 		defer reader.Abort() // releases the shared locks
 	}
-	if err := q.lockOrSnapshot(&x, reader); err != nil {
-		return nil, nil, err
+	if err := q.lockOrSnapshot(&x, reader, ap); err != nil {
+		return nil, err
 	}
 
-	// Scheduler admission handle for this execution: parallel operators
-	// submit their morsels through it onto the shared work-stealing pool,
-	// and it carries the context for morsel-boundary cancellation.
-	x.sq = sched.NewQuery(sched.Shared(), x.ctx, q.prio)
-	if err := x.sq.Err(); err != nil {
-		return nil, nil, err
+	// A context cancelled before the first phase fails the query here;
+	// parallel operators observe it at morsel boundaries through the
+	// scheduler handle (sched), the recorder at every phase boundary.
+	if err := x.ctx.Err(); err != nil {
+		return nil, err
 	}
 
 	// Memory-budget reservation: the fair-share unit every scratch-hungry
@@ -744,14 +769,15 @@ func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
 	// so admission prefers memory-light queries at equal priority. nil
 	// (no budget) keeps every downstream path on its pre-budget behavior.
 	if x.res = q.db.mem.Reserve(); x.res != nil {
-		x.res.Notify = x.sq.SetMemBytes
 		defer x.res.Close()
 	}
 
 	var start time.Time
 	if collect {
 		start = time.Now()
-		x.m = new(meter.Counters)
+		x.m = countersPool.Get().(*meter.Counters)
+		*x.m = meter.Counters{} // a failed phase returns without folding its counts
+		defer countersPool.Put(x.m)
 	}
 	if buildTrace {
 		x.root = &obs.TraceNode{Op: "query", Detail: q.from.Name()}
@@ -770,14 +796,15 @@ func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
 	x.plan.head = q.planHead(card)
 
 	aq.SetPhase(obs.PhaseSelect)
-	list, err := x.record(q.runSelection(&x, q.planSelection(card, x.snap != nil, epoch, x.plan.head.selLimit)), nil)
+	sp := q.planSelection(ap, card, x.snap != nil, epoch, x.plan.head.selLimit)
+	list, err := x.record(q.runSelection(&x, sp, q.selectionDesc(&b)), nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(q.joins) > 0 {
 		aq.SetPhase(obs.PhaseJoin)
 		if list, err = x.record(q.runJoin(&x, list, x.plan.head.joinLimit, b.forced), nil); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	grouped, ordered := len(q.groupBy) > 0 || len(q.aggs) > 0, len(q.orderBy) > 0
@@ -792,18 +819,18 @@ func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
 		s = q.runProject(&x, list, b.cols)
 	}
 	if list, err = x.record(s, err); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if q.distinct {
 		aq.SetPhase(obs.PhaseDistinct)
 		if list, err = x.record(q.runDistinct(&x, list)); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	if ordered {
 		aq.SetPhase(obs.PhaseOrder)
 		if list, err = x.record(q.runOrder(&x, list, b.order), nil); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 
@@ -845,7 +872,8 @@ func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
 	}
 	// Settle: the result leaves in one allocation and its pooled chunks go
 	// back to the pool now, not with the caller's last reference.
-	return &Result{list: list.Settle(), plan: x.plan}, trace, nil
+	*res = Result{list: list.Settle(), plan: x.plan}
+	return trace, nil
 }
 
 // lockOrSnapshot readies the execution's read of its tables. Epoch
@@ -859,8 +887,8 @@ func (q *Query) execute(analyze bool) (*Result, *QueryTrace, error) {
 // image — republishes what changed, releases at once and scans the
 // result. Every other query takes a shared lock on each distinct table
 // it names, in name order, and holds them until reader ends.
-func (q *Query) lockOrSnapshot(x *execution, reader *Txn) error {
-	snapOK := q.snapshotShapeOK()
+func (q *Query) lockOrSnapshot(x *execution, reader *Txn, ap accessPath) error {
+	snapOK := q.snapshotShapeOK(ap)
 	if snapOK {
 		if s := q.from.rel.Snapshot(); s != nil && s.Rows() >= snapshotMinRows {
 			x.snap = s
@@ -1097,8 +1125,9 @@ func (q *Query) Explain() (string, error) {
 	p := queryPlan{head: q.planHead(rows)}
 	// The executor's own snapshot test; the epoch is the one a snapshot
 	// published now would carry, read without locking or publishing.
-	snap := q.snapshotShapeOK() && rows >= snapshotMinRows
-	p.sel = q.planSelection(rows, snap, q.from.rel.SnapshotEpoch(), p.head.selLimit)
+	ap := q.choosePath()
+	snap := q.snapshotShapeOK(ap) && rows >= snapshotMinRows
+	p.sel = q.planSelection(ap, rows, snap, q.from.rel.SnapshotEpoch(), p.head.selLimit)
 	if len(q.joins) > 0 {
 		jp := q.planJoin(rows, false, p.head.joinLimit, 0, b.forced)
 		p.join = &jp
@@ -1182,8 +1211,7 @@ func (p *queryPlan) text(estimate int) string {
 // Explain prints its line and runSelection executes it, so the planned
 // and the executed path cannot disagree.
 type selPlan struct {
-	pred int // index in q.preds of the predicate served through the index
-	path plan.AccessPath
+	accessPath
 	// PathTreeRange only: every range predicate on the indexed column
 	// folded into the one inclusive interval the index is probed with.
 	// A NULL bound (the zero Value) is open. Strict bounds (<, >) fold
@@ -1196,6 +1224,9 @@ type selPlan struct {
 	// them: the Eq a lookup served, and the inclusive bounds of a folded
 	// range.
 	exact uint64
+	// unique: a lookup of a non-NULL key in a unique index, which returns
+	// at most one row.
+	unique bool
 
 	rows    int    // the from-table's tuples: the snapshot's when it reads one
 	limit   int    // pushed-down LIMIT; -1 = none
@@ -1218,27 +1249,53 @@ func (sp selPlan) guarantees(i int) bool {
 	return i < 64 && sp.exact&(1<<uint(i)) != 0
 }
 
-// chooseSelectionPath picks the indexable predicate with the best access
-// path by the §4 preference order; pure planning, no execution.
-func (q *Query) chooseSelectionPath() selPlan {
+// accessPath is the selection's access path: the predicate an index
+// serves and the index it probes, or a sequential scan. A run chooses it
+// once (choosePath) and hands it to the lock-or-snapshot decision and to
+// planSelection, so both see the same path.
+type accessPath struct {
+	pred int // index in q.preds of the predicate served through the index; -1 = none
+	path plan.AccessPath
+	ix   *Index // the index probed; nil for a sequential scan
+}
+
+// choosePath picks the indexable predicate with the best access path by
+// the §4 preference order; pure planning, no execution. It reads the
+// table's per-field index slots (Table.indexOn) and allocates nothing.
+func (q *Query) choosePath() accessPath {
 	t := q.from
-	sp := selPlan{pred: -1, path: plan.PathSequentialScan,
-		table: t.Name(), primary: t.primary.kind, preds: len(q.preds)}
+	ap := accessPath{pred: -1, path: plan.PathSequentialScan}
 	for i, p := range q.preds {
 		if p.op == Eq && !p.val.IsNull() && p.val.Type() != t.rel.Schema().Field(p.field).Type {
 			// A key of another type than its column's cannot probe the
 			// column's index; the residual filter rejects every row.
 			continue
 		}
-		path := plan.ChooseSelection(plan.SelectionInput{
-			Op:      p.op,
-			HasHash: t.indexOn(p.field, false) != nil,
-			HasTree: t.indexOn(p.field, true) != nil,
-		})
-		if sp.pred == -1 || path < sp.path {
-			sp.pred, sp.path = i, path
+		hash, tree := t.indexOn(p.field, false), t.indexOn(p.field, true)
+		path := plan.ChooseSelection(plan.SelectionInput{Op: p.op, HasHash: hash != nil, HasTree: tree != nil})
+		if ap.pred == -1 || path < ap.path {
+			ap.pred, ap.path, ap.ix = i, path, nil
+			switch path {
+			case plan.PathHashLookup:
+				ap.ix = hash
+			case plan.PathTreeLookup, plan.PathTreeRange:
+				ap.ix = tree
+			}
 		}
 	}
+	return ap
+}
+
+// planSelection plans the selection over the access path and the
+// from-table's rows tuples — of the snapshot of the given epoch when snap
+// is set, of the locked relation otherwise — under a pushed-down LIMIT
+// (-1 = none): the served predicate's column, a range's folded interval,
+// the predicates the probe guarantees and, for a sequential scan, its
+// workers. An early exit is inherently sequential, so a limited scan runs
+// serially.
+func (q *Query) planSelection(ap accessPath, rows int, snap bool, epoch uint64, limit int) selPlan {
+	t := q.from
+	sp := selPlan{accessPath: ap, table: t.Name(), primary: t.primary.kind, preds: len(q.preds)}
 	if sp.pred >= 0 {
 		sp.column = q.preds[sp.pred].column
 	}
@@ -1250,6 +1307,17 @@ func (q *Query) chooseSelectionPath() selPlan {
 		// for a NULL key, which the predicate (never true on NULL) rejects.
 		if !q.preds[sp.pred].val.IsNull() {
 			sp.exact = 1 << uint(sp.pred)
+			sp.unique = sp.ix.unique
+		}
+	}
+	sp.rows, sp.limit = rows, limit
+	if sp.path == plan.PathSequentialScan && limit < 0 {
+		w := plan.ChooseWorkers(q.parallelism(), rows)
+		switch {
+		case snap:
+			sp.workers, sp.snap, sp.epoch = w, true, epoch
+		case w > 1:
+			sp.workers = w
 		}
 	}
 	return sp
@@ -1346,25 +1414,6 @@ func (sp *selPlan) access() string {
 	return desc
 }
 
-// planSelection plans the selection over the from-table's rows tuples —
-// of the snapshot of the given epoch when snap is set, of the locked
-// relation otherwise — under a pushed-down LIMIT (-1 = none). An early
-// exit is inherently sequential, so a limited scan runs serially.
-func (q *Query) planSelection(rows int, snap bool, epoch uint64, limit int) selPlan {
-	sp := q.chooseSelectionPath()
-	sp.rows, sp.limit = rows, limit
-	if sp.path == plan.PathSequentialScan && limit < 0 {
-		w := plan.ChooseWorkers(q.parallelism(), rows)
-		switch {
-		case snap:
-			sp.workers, sp.snap, sp.epoch = w, true, epoch
-		case w > 1:
-			sp.workers = w
-		}
-	}
-	return sp
-}
-
 // runSelection runs the planned selection, producing a single-source temp
 // list. The meter, when collecting, accumulates the §3.1 operation counts
 // of the index probe and the residual filter; a pushed-down limit stops
@@ -1375,7 +1424,7 @@ func (q *Query) planSelection(rows int, snap bool, epoch uint64, limit int) selP
 // output is final. An index path's output is final too when the probe
 // already guarantees every predicate (selPlan.exact); only otherwise does
 // a residual pass filter it once into a fresh list and release it.
-func (q *Query) runSelection(x *execution, sp selPlan) step {
+func (q *Query) runSelection(x *execution, sp selPlan, desc storage.Descriptor) step {
 	t := q.from
 	x.plan.sel = sp
 	s := step{node: obs.TraceNode{Op: "select", Detail: t.Name(), Workers: sp.workers, Refresh: x.refresh}}
@@ -1383,7 +1432,7 @@ func (q *Query) runSelection(x *execution, sp selPlan) step {
 		s.node.AccessPath = sp.access()
 	}
 	m := x.m
-	spec := exec.SelectSpec{RelName: t.Name(), Schema: t.rel.Schema(), Desc: t.sel, Meter: m, Prog: x.pg, Sched: x.sq}
+	spec := exec.SelectSpec{RelName: t.Name(), Schema: t.rel.Schema(), Desc: desc, Meter: m, Prog: x.pg}
 	if sp.path == plan.PathSequentialScan {
 		var cmps int64
 		if m != nil {
@@ -1397,23 +1446,23 @@ func (q *Query) runSelection(x *execution, sp selPlan) step {
 			s.node.RowsIn = int(m.Comparisons - cmps)
 		}
 	} else {
-		p := q.preds[sp.pred]
+		p, ix := q.preds[sp.pred], sp.ix
+		if sp.unique {
+			spec.Hint = 1 // the one-row list: no pooled chunk for one tuple
+		}
 		switch sp.path {
 		case plan.PathHashLookup:
-			ix := t.indexOn(p.field, false)
 			s.list = exec.SelectEqHash(ix.hashed, p.field, p.val, spec)
-			s.probeKind, s.probes = ix.kind.String(), 1
 		case plan.PathTreeLookup:
-			ix := t.indexOn(p.field, true)
 			s.list = exec.SelectEqTree(ix.ordered, p.field, p.val, spec)
-			s.probeKind, s.probes = ix.kind.String(), 1
 		default: // plan.PathTreeRange
 			if sp.empty {
-				s.list = storage.MustTempListHint(t.sel, 0)
+				s.list = storage.MustTempList(desc)
 				break
 			}
-			ix := t.indexOn(p.field, true)
 			s.list = exec.SelectRange(ix.ordered, p.field, rangeBound(sp.lo), rangeBound(sp.hi), spec)
+		}
+		if !sp.empty {
 			s.probeKind, s.probes = ix.kind.String(), 1
 		}
 		s.node.RowsIn = s.list.Len()
@@ -1503,7 +1552,7 @@ func (q *Query) runScan(x *execution, spec exec.SelectSpec, sp selPlan) *storage
 	pred := q.conjunction()
 	switch {
 	case sp.limit == 0:
-		return storage.MustTempList(t.sel)
+		return storage.MustTempList(spec.Desc)
 	case sp.limit > 0:
 		spec.Limit, spec.Hint = sp.limit, min(sp.limit, sp.rows)
 	case pred == nil:
@@ -1518,6 +1567,7 @@ func (q *Query) runScan(x *execution, spec exec.SelectSpec, sp selPlan) *storage
 	default:
 		return exec.SelectScan(t.scanSource(), pred, spec)
 	}
+	spec.Sched = x.sched()
 	return parallel.SelectScan(src, pred, spec, sp.workers)
 }
 
@@ -1799,7 +1849,7 @@ func (q *Query) runJoin(x *execution, left *storage.TempList, limit int, forced 
 	spec := exec.JoinSpec{
 		OuterName: q.rels[0].name, InnerName: q.rels[1].name,
 		OuterField: j.leftField, InnerField: j.rightField,
-		Meter: x.m, Prog: x.pg, Limit: limit, Sched: x.sq, Mem: x.res,
+		Meter: x.m, Prog: x.pg, Limit: limit, Sched: x.sched(), Mem: x.res,
 	}
 	switch {
 	case p.method == plan.JoinPrecomputed:
@@ -1925,7 +1975,7 @@ func (q *Query) joinGraph(rel0Rows int, locked bool) plan.JoinGraph {
 		var vals []float64
 		if locked {
 			vals = q.rels[rel].t.rel.Stats().NDV
-		} else if st, ok := q.rels[rel].t.rel.CachedStats(); ok {
+		} else if st, ok, _ := q.rels[rel].t.rel.CachedStats(); ok {
 			// Explain runs lock-free: use whatever snapshot exists rather
 			// than refreshing (which would scan under a table lock).
 			vals = st.NDV
@@ -2062,7 +2112,7 @@ func (q *Query) runPipeline(x *execution, left *storage.TempList, p *joinPlan, l
 		Limit:      limit,
 		Meter:      x.m,
 		Prog:       x.pg,
-		Sched:      x.sq,
+		Sched:      x.sched(),
 	}
 	hint := 0 // one edge: no forecast
 	if e := len(p.estRows) - 1; e >= 0 && p.estRows[e] >= 0 && p.estRows[e] <= 1<<30 {
@@ -2172,11 +2222,33 @@ func (q *Query) bind() (b boundQuery, err error) {
 	return b, err
 }
 
-// runProject moves the temp list under a descriptor of the bound output
-// columns (§2.3: projection is the descriptor); list is left empty.
+// selectionProjects reports whether the selection emits under the bound
+// output columns, so that the projection has nothing left to rewrite: a
+// single relation's ungrouped query. selectionDesc and runProject both
+// follow it.
+func (q *Query) selectionProjects() bool {
+	return len(q.joins) == 0 && len(q.groupBy) == 0 && len(q.aggs) == 0
+}
+
+// selectionDesc is the descriptor the selection emits under: the output
+// columns when the selection projects (selectionProjects), else every
+// column of the from-table.
+func (q *Query) selectionDesc(b *boundQuery) storage.Descriptor {
+	if !q.selectionProjects() {
+		return q.from.sel
+	}
+	return storage.Descriptor{Sources: q.from.sel.Sources, Cols: b.cols}
+}
+
+// runProject puts the temp list under a descriptor of the bound output
+// columns (§2.3: projection is the descriptor). A list the selection
+// already emitted under them (selectionProjects) passes on as it is;
+// any other moves under them (Redescribe), leaving list empty.
 func (q *Query) runProject(x *execution, list *storage.TempList, cols []storage.ColRef) step {
-	s := step{node: obs.TraceNode{Op: "project", AccessPath: "descriptor rewrite", RowsIn: list.Len()}}
-	s.list = list.Redescribe(storage.Descriptor{Sources: list.Descriptor().Sources, Cols: cols})
+	s := step{list: list, node: obs.TraceNode{Op: "project", AccessPath: "descriptor rewrite", RowsIn: list.Len()}}
+	if !q.selectionProjects() {
+		s.list = list.Redescribe(storage.Descriptor{Sources: list.Descriptor().Sources, Cols: cols})
+	}
 	if x.tracing() {
 		s.node.Detail = fmt.Sprintf("%d column(s)", len(cols))
 	}
@@ -2224,7 +2296,7 @@ func (q *Query) runGroup(x *execution, list *storage.TempList, b *boundQuery) (s
 		return step{}, err
 	}
 	defer x.closeAgg(ar)
-	groups := parallel.HashAgg(x.sq, x.pg, ar.g, work, b.gcols, b.specs, ar.bits, ar.workers, x.m)
+	groups := parallel.HashAgg(x.sched(), x.pg, ar.g, work, b.gcols, b.specs, ar.bits, ar.workers, x.m)
 	out := agg.Emit(work, b.gcols, b.specs, b.names, groups)
 	work.Release() // the output took its representative rows and copied every key and aggregate
 	gp := ar.aggPlan
@@ -2354,7 +2426,7 @@ func (q *Query) runDistinct(x *execution, list *storage.TempList) (step, error) 
 		return step{}, err
 	}
 	var rs radix.Stats
-	s.list, rs = parallel.Distinct(x.sq, x.pg, ar.g, list, ar.bits, ar.workers, x.m)
+	s.list, rs = parallel.Distinct(x.sched(), x.pg, ar.g, list, ar.bits, ar.workers, x.m)
 	s.node.Workers, s.node.GrantBytes = ar.workers, ar.grant
 	traceRadix(&s.node, rs)
 	x.closeAgg(ar)
@@ -2411,7 +2483,7 @@ func (q *Query) runOrder(x *execution, list *storage.TempList, keys []exec.Order
 	x.plan.order = &p
 	var rows []int32
 	if p.method == plan.TopKHeap {
-		rows = parallel.TopK(x.sq, x.pg, list, keys, p.k, p.workers, x.m)
+		rows = parallel.TopK(x.sched(), x.pg, list, keys, p.k, p.workers, x.m)
 	} else {
 		rows = exec.OrderRows(list, keys, p.sort, x.m)
 		if q.limit >= 0 && len(rows) > q.limit {

@@ -366,14 +366,27 @@ func (db *Database) run(tm *stmtTemplate, lits []sqlparser.Expr) (*ExecResult, e
 
 // query instantiates the template's query: a copy whose predicates hold
 // this statement's values and which shares the template's bound names.
+// The copy and its predicates are one allocation for the one or two
+// predicates of a point or range statement.
 func (tm *stmtTemplate) query(lits []sqlparser.Expr) *Query {
-	q := *tm.q
-	q.preds = make([]qpred, len(tm.q.preds))
+	var q *Query
+	var preds []qpred
+	if n := len(tm.q.preds); n <= 2 {
+		r := new(struct {
+			q Query
+			p [2]qpred
+		})
+		q, preds = &r.q, r.p[:n]
+	} else {
+		q, preds = new(Query), make([]qpred, n)
+	}
+	*q = *tm.q
+	q.preds = preds
 	for i, p := range tm.q.preds {
 		p.val = tm.preds[i].value(lits)
 		q.preds[i] = p
 	}
-	return &q
+	return q
 }
 
 func (db *Database) execInsert(tm *stmtTemplate, lits []sqlparser.Expr) (*ExecResult, error) {
@@ -559,11 +572,16 @@ func (db *Database) execSelect(tm *stmtTemplate, lits []sqlparser.Expr) (*ExecRe
 		}
 		return &ExecResult{explain: planned}, nil
 	}
-	res, err := q.Run()
-	if err != nil {
+	// The statement's outcome and its query result are one allocation.
+	r := new(struct {
+		ExecResult
+		res Result
+	})
+	if _, err := q.execute(false, &r.res); err != nil {
 		return nil, err
 	}
-	return &ExecResult{Result: res, RowsAffected: res.Len()}, nil
+	r.Result, r.RowsAffected = &r.res, r.res.Len()
+	return &r.ExecResult, nil
 }
 
 // execWrite runs an UPDATE or DELETE: its selection and its writes inside
@@ -578,7 +596,8 @@ func (db *Database) execWrite(tm *stmtTemplate, lits []sqlparser.Expr) (*ExecRes
 	if err := tx.inner.LockRelationExclusive(tm.t.rel); err != nil {
 		return nil, err
 	}
-	res, err := tm.query(lits).In(tx).Run()
+	var res Result
+	_, err := tm.query(lits).In(tx).execute(false, &res)
 	for i := 0; err == nil && i < res.Len(); i++ {
 		if tm.verb == verbUpdate {
 			err = tx.inner.Update(tm.t.rel, res.Tuples(i)[0], tm.field, v)

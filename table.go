@@ -15,7 +15,10 @@ import (
 type Table struct {
 	db      *Database
 	rel     *storage.Relation
-	indices map[string]*Index
+	indices []*Index // in creation order
+	// byField[f] is the index a selection or join on field f probes: of
+	// each structure family the first created, a unique one preferred.
+	byField []fieldIndices
 	primary *Index
 	// sel is what every selection of the table emits under: all columns
 	// under the table's name. Built once and shared read-only by the lists.
@@ -37,15 +40,19 @@ func (t *Table) ColumnIndex(name string) int { return t.rel.Schema().FieldIndex(
 // Stats returns the table's sampled statistics — row count plus
 // per-column distinct-value estimates. The snapshot refreshes lazily:
 // it is reused until enough DML lands to plausibly move it (10% of the
-// rows, floored at a few hundred writes). A refresh scans under a
-// shared table lock, but never blocks behind a writer: when the lock
-// is not immediately grantable, the previous snapshot is returned
-// as-is (stale statistics beat a stalled metrics endpoint).
+// rows, floored at a few hundred writes), and reading it until then
+// takes no lock. A refresh scans under a shared table lock, but never
+// blocks behind a writer: when the lock is not immediately grantable,
+// the previous snapshot is returned as-is (stale statistics beat a
+// stalled metrics endpoint).
 func (t *Table) Stats() (TableStat, error) {
+	st, _, fresh := t.rel.CachedStats()
+	if fresh {
+		return TableStat(st), nil
+	}
 	tx := &Txn{db: t.db, inner: t.db.txns.BeginUntracked()}
 	defer tx.Abort()
 	if !tx.inner.TryLockRelationShared(t.rel) {
-		st, _ := t.rel.CachedStats()
 		return TableStat(st), nil
 	}
 	return TableStat(t.rel.Stats()), nil
@@ -103,8 +110,10 @@ func (t *Table) CreateUniqueIndex(name, column string, kind IndexKind) (*Index, 
 }
 
 func (t *Table) createIndexLocked(name, column string, kind IndexKind, unique bool) (*Index, error) {
-	if _, dup := t.indices[name]; dup {
-		return nil, fmt.Errorf("mmdb: index %q exists on %s", name, t.Name())
+	for _, ix := range t.indices {
+		if ix.name == name {
+			return nil, fmt.Errorf("mmdb: index %q exists on %s", name, t.Name())
+		}
 	}
 	field := t.rel.Schema().FieldIndex(column)
 	if field < 0 {
@@ -117,11 +126,23 @@ func (t *Table) createIndexLocked(name, column string, kind IndexKind, unique bo
 	if unique && field != tupleindex.SelfField {
 		t.registerUniqueKey(ix)
 	}
-	t.indices[name] = ix
+	t.indices = append(t.indices, ix)
+	slot := &t.byField[field].hash
+	if ix.ordered != nil {
+		slot = &t.byField[field].tree
+	}
+	if *slot == nil || unique && !(*slot).unique {
+		*slot = ix
+	}
 	if t.primary == nil {
 		t.primary = ix
 	}
 	return ix, nil
+}
+
+// fieldIndices is the index of each structure family over one field.
+type fieldIndices struct {
+	hash, tree *Index
 }
 
 // registerUniqueKey hands the unique index to the relation's writers:
@@ -129,39 +150,34 @@ func (t *Table) createIndexLocked(name, column string, kind IndexKind, unique bo
 // against it before applying any of them. Null keys are exempt (no value
 // to collide).
 func (t *Table) registerUniqueKey(ix *Index) {
-	p := &keyProbe{ix: ix}
-	p.pos, p.match = p.compare, p.equal
+	p := &keyProbe{ix: ix, KeyPos: tupleindex.NewKeyPos(ix.field)}
+	p.match = p.equal
 	t.rel.AddUniqueKey(storage.UniqueKey{Name: ix.name, Field: ix.field, Lookup: p.lookup})
 }
 
 // keyProbe looks keys up in one unique index without allocating: the
-// comparators the index calls are bound once, and each lookup sets the key
-// they compare against. Keys are only checked by a transaction holding the
-// relation's X lock, so one probe per index never serves two lookups at
-// once.
+// comparators the index calls are bound once (the ordered one is the
+// embedded KeyPos), and each lookup sets the key they compare against.
+// Keys are only checked by a transaction holding the relation's X lock,
+// so one probe per index never serves two lookups at once.
 type keyProbe struct {
+	*tupleindex.KeyPos
 	ix    *Index
-	key   storage.Value
-	pos   index.Pos[*storage.Tuple]
 	match func(*storage.Tuple) bool
 }
 
-func (p *keyProbe) compare(x *storage.Tuple) int {
-	return storage.Compare(tupleindex.KeyOf(x, p.ix.field), p.key)
-}
-
 func (p *keyProbe) equal(x *storage.Tuple) bool {
-	return storage.Equal(tupleindex.KeyOf(x, p.ix.field), p.key)
+	return storage.Equal(tupleindex.KeyOf(x, p.ix.field), p.Key)
 }
 
 func (p *keyProbe) lookup(key storage.Value) (tp *storage.Tuple, ok bool) {
-	p.key = key
+	p.Key = key
 	if p.ix.ordered != nil {
-		tp, ok = p.ix.ordered.Search(p.pos)
+		tp, ok = p.ix.ordered.Search(p.Pos)
 	} else {
 		tp, ok = p.ix.hashed.SearchKey(storage.Hash(key), p.match)
 	}
-	p.key = storage.NullValue // hold no string past the lookup
+	p.Key = storage.NullValue // hold no string past the lookup
 	return tp, ok
 }
 
@@ -243,21 +259,17 @@ func (t *Table) Indexes() []*Index {
 	return out
 }
 
-// indexOn finds an index over the column: ordered=true restricts to
-// order-preserving structures, false to hash structures.
+// indexOn returns the index over the field that a probe uses (see
+// byField), or nil: ordered=true an order-preserving structure, false a
+// hash structure. Tuple identity (tupleindex.SelfField) is never indexed.
 func (t *Table) indexOn(field int, ordered bool) *Index {
-	for _, ix := range t.indices {
-		if ix.field != field {
-			continue
-		}
-		if ordered && ix.ordered != nil {
-			return ix
-		}
-		if !ordered && ix.hashed != nil {
-			return ix
-		}
+	if field == tupleindex.SelfField {
+		return nil
 	}
-	return nil
+	if ordered {
+		return t.byField[field].tree
+	}
+	return t.byField[field].hash
 }
 
 // scanSource returns the table's cheapest full-scan source: the paper

@@ -270,7 +270,7 @@ func TestTwoRelationJoinDifferential(t *testing.T) {
 			}
 			for _, name := range []string{"f", "d", "s"} {
 				tb, _ := db.Table(name)
-				if _, ok := tb.rel.CachedStats(); ok {
+				if _, ok, _ := tb.rel.CachedStats(); ok {
 					t.Fatalf("a two-relation join took statistics of %s: the order planner ran", name)
 				}
 			}
