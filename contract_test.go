@@ -274,6 +274,28 @@ func TestQueryHasNoStrategyHints(t *testing.T) {
 	}
 }
 
+// TestFluentCallsResolveNoNames: the fluent calls only record the names
+// they are given, and bind resolves them all before the query takes a
+// lock. So no *Query method but bind and the resolver it calls looks a
+// column up (ColumnIndex) or calls the resolver.
+func TestFluentCallsResolveNoNames(t *testing.T) {
+	binders := map[string]bool{"bind": true, "resolve": true}
+	for name, f := range parsePackage(t, ".") {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil || recvName(fd.Recv.List[0].Type) != "Query" || binders[fd.Name.Name] {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if se, ok := n.(*ast.SelectorExpr); ok && (se.Sel.Name == "ColumnIndex" || se.Sel.Name == "resolve") {
+					t.Errorf("%s: (*Query).%s resolves a name (%s); only bind may", name, fd.Name.Name, se.Sel.Name)
+				}
+				return true
+			})
+		}
+	}
+}
+
 // fieldAllowList are exported fields of internal/ structs that no non-test
 // file sets, each kept for the reason given.
 var fieldAllowList = map[string]string{

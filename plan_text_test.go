@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/plan"
 )
@@ -257,6 +258,63 @@ func TestStatsDeltaMatchesTrace(t *testing.T) {
 			if got, want := db.Stats().Sub(before).Ops, tr.TotalOps(); got != want {
 				t.Errorf("%s par=%d: Stats delta ops\n %s\nwant the trace's\n %s", c.name, par, got.String(), want.String())
 			}
+		}
+	}
+}
+
+// TestQueryTextJoinSides: Query.String — the text ActiveQueries and the
+// slow log show — renders each join side as its call wrote it, SELF for
+// tuple identity, and qualifies a bare side only by the one relation it
+// can name: a Join's right side by the table it joins, its left side by
+// the from-table while that is all that is in scope. A side written
+// qualified keeps its one scope name, through the fluent API and through
+// Exec, whose joins arrive qualified.
+func TestQueryTextJoinSides(t *testing.T) {
+	db, err := Open(Options{SlowQueryThreshold: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stmt := range []string{
+		`CREATE TABLE dept (name STRING, id INT, PRIMARY KEY id)`,
+		`CREATE TABLE emp (name STRING, id INT, boss INT, works REF(dept), PRIMARY KEY id)`,
+		`INSERT INTO dept VALUES ('Toy', 1), ('Shoe', 2)`,
+		`INSERT INTO emp VALUES ('Ann', 1, 1, REF(dept, id, 1)), ('Bo', 2, 1, REF(dept, id, 2)), ('Cy', 3, 2, REF(dept, id, 2))`,
+	} {
+		db.MustExec(stmt)
+	}
+	cases := []struct {
+		name string
+		q    *Query
+		sql  string // "" when SQL cannot say it
+		want string
+	}{
+		{"qualified side", db.Query("emp").Join("dept", "emp.works", Self).Select("emp.name"),
+			"SELECT emp.name FROM emp JOIN dept ON emp.works = dept.SELF",
+			"SELECT emp.name FROM emp JOIN dept ON emp.works=dept.SELF"},
+		{"bare side", db.Query("emp").Join("dept", "works", Self), "",
+			"SELECT * FROM emp JOIN dept ON emp.works=dept.SELF"},
+		{"Self side", db.Query("dept").Join("emp", Self, "works").Select("emp.name"),
+			"SELECT emp.name FROM dept JOIN emp ON dept.SELF = emp.works",
+			"SELECT emp.name FROM dept JOIN emp ON dept.SELF=emp.works"},
+		{"JoinAs alias", db.Query("emp").As("e").JoinAs("emp", "m", "e.boss", "id").Select("e.name", "m.name"),
+			"SELECT e.name, m.name FROM emp e JOIN emp m ON e.boss = m.id",
+			"SELECT e.name, m.name FROM emp e JOIN emp m ON e.boss=m.id"},
+		{"On edge", db.Query("emp").As("e").JoinAs("emp", "m", "e.boss", "id").Join("dept", "works", Self).On("m.works", "dept."+Self), "",
+			"SELECT * FROM emp e JOIN emp m ON e.boss=m.id JOIN dept ON works=dept.SELF AND m.works=dept.SELF"},
+	}
+	for _, c := range cases {
+		if got := c.q.String(); got != c.want {
+			t.Errorf("%s: String()\n got %q\nwant %q", c.name, got, c.want)
+		}
+		if _, err := c.q.Run(); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+		if c.sql == "" {
+			continue
+		}
+		db.MustExec(c.sql)
+		if got := db.SlowQueries()[0].Text; got != c.want {
+			t.Errorf("%s: Exec's slow-log text\n got %q\nwant %q", c.name, got, c.want)
 		}
 	}
 }

@@ -75,14 +75,14 @@ func pointDB(t *testing.T, workers int) (*Database, []string) {
 func scanIDs(t *testing.T, db *Database, table, column string, v Value) []int64 {
 	t.Helper()
 	tbl, _ := db.Table(table)
-	p := qpred{column: column, field: tbl.ColumnIndex(column), op: Eq, val: v}
+	f, p := tbl.ColumnIndex(column), qpred{column: column, op: Eq, val: v}
 	all, err := db.Query(table).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	ids := []int64{}
 	for i := 0; i < all.Len(); i++ {
-		if tp := all.Tuples(i)[0]; predHolds(tp, &p) {
+		if tp := all.Tuples(i)[0]; predHolds(tp.Field(f), &p) {
 			ids = append(ids, tp.Field(0).Int())
 		}
 	}

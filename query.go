@@ -82,7 +82,6 @@ func (q *Query) In(tx *Txn) *Query {
 
 type qpred struct {
 	column string
-	field  int
 	op     Op
 	val    Value
 }
@@ -96,16 +95,15 @@ type qrel struct {
 	name string
 }
 
-// qjoin is one join edge: rels[rightRel] (joined at this step) equi-
-// joined to the earlier rels[leftRel]. A field of tupleindex.SelfField
-// joins on tuple identity. closing marks an edge added by On between
-// two relations already in scope — the cycle-closing predicate of a
-// cyclic join graph.
+// qjoin is one join edge as its call recorded it. scope is how many
+// relations were in scope at the call: a Join edge relates rels[scope],
+// the relation it added, to one of rels[:scope]; an On edge (closing: the
+// cycle-closing predicate of a cyclic join graph) relates two of
+// rels[:scope]. bind resolves both columns within those relations.
 type qjoin struct {
-	leftRel, rightRel     int
-	leftCol, rightCol     string
-	leftField, rightField int
-	closing               bool
+	scope             int
+	leftCol, rightCol string
+	closing           bool
 }
 
 // AggFunc identifies an aggregate function for Query.Agg.
@@ -154,67 +152,51 @@ type qorder struct {
 // Query starts a query over the named table.
 func (db *Database) Query(table string) *Query {
 	t, ok := db.Table(table)
+	q := &Query{db: db, from: t, rels: []qrel{{t: t, name: table}}, limit: -1}
 	if !ok {
-		return &Query{db: db, err: fmt.Errorf("mmdb: no table %q", table), limit: -1}
+		q.err = fmt.Errorf("mmdb: no table %q", table)
 	}
-	return &Query{db: db, from: t, rels: []qrel{{t: t, name: table}}, limit: -1}
+	return q
 }
 
 // As renames the from-table's scope name (a table alias), so qualified
 // columns and join conditions can tell multiple uses of one table
 // apart: db.Query("emp").As("a").JoinAs("emp", "b", "a.boss", Self).
-// Call it before any Join.
+// Names resolve when the query binds, so As may come before or after
+// any Join.
 func (q *Query) As(alias string) *Query {
-	if q.err != nil {
-		return q
-	}
-	if len(q.rels) > 1 {
-		q.err = fmt.Errorf("mmdb: As must be called before Join")
-		return q
-	}
 	q.rels[0].name = alias
 	return q
 }
 
 // Where adds a predicate on a column of the from-table, named "col" or
-// "table.col" (the table part must be the from-table — predicates on the
-// joined table are not supported). Multiple predicates are conjunctive;
-// the planner serves the most selective indexable one through an index
-// and filters the rest during the scan.
+// "table.col" (the table part must be the from-table's scope name —
+// predicates on a joined table are not supported). Multiple predicates
+// are conjunctive; the planner serves the most selective indexable one
+// through an index and filters the rest during the scan. The column
+// resolves when the query binds, before it takes any lock.
 func (q *Query) Where(column string, op Op, v Value) *Query {
-	if q.err != nil {
-		return q
-	}
-	if tbl, col, ok := strings.Cut(column, "."); ok {
-		if tbl != q.rels[0].name {
-			q.err = fmt.Errorf("mmdb: WHERE %s: predicates must be on the from-table %s", column, q.rels[0].name)
-			return q
-		}
-		column = col
-	}
-	f := q.from.ColumnIndex(column)
-	if f < 0 {
-		q.err = fmt.Errorf("mmdb: table %s has no column %q", q.from.Name(), column)
-		return q
-	}
-	q.preds = append(q.preds, qpred{column: column, field: f, op: op, val: v})
+	q.preds = append(q.preds, qpred{column: column, op: op, val: v})
 	return q
 }
 
 // Join equijoins an already-joined relation (left) with another table
-// (right). leftColumn is "col" (resolved against the in-scope relations
-// in declaration order) or "name.col" (name = a table or alias already
-// in scope); either column may be Self to join on tuple identity,
-// enabling pointer-compare joins against Ref columns. Chaining Join
-// calls builds an n-way join graph; with three or more relations the
-// planner picks the execution order by cost forecast (Query.ForceJoinOrder
-// pins it).
+// (right). leftColumn is "col" (resolved against the relations in scope
+// at this call, in declaration order) or "name.col" (name = a table or
+// alias in scope at this call); rightColumn is a column of the joined
+// table. Either column may be Self to join on tuple identity, enabling
+// pointer-compare joins against Ref columns. The columns resolve when the
+// query binds, before it takes any lock. Chaining Join calls builds an
+// n-way join graph; with three or more relations the planner picks the
+// execution order by cost forecast (Query.ForceJoinOrder pins it).
 func (q *Query) Join(table, leftColumn, rightColumn string) *Query {
 	return q.JoinAs(table, "", leftColumn, rightColumn)
 }
 
 // JoinAs is Join with an alias for the newly joined table, required
-// when the same table participates more than once (self-joins).
+// when the same table participates more than once (self-joins). It looks
+// the table up at once; its columns, and the alias's uniqueness, are
+// checked when the query binds.
 func (q *Query) JoinAs(table, alias, leftColumn, rightColumn string) *Query {
 	if q.err != nil {
 		return q
@@ -228,103 +210,20 @@ func (q *Query) JoinAs(table, alias, leftColumn, rightColumn string) *Query {
 	if alias != "" {
 		name = alias
 	}
-	for _, r := range q.rels {
-		if r.name == name {
-			q.err = fmt.Errorf("mmdb: relation name %q already in scope; use JoinAs with a distinct alias", name)
-			return q
-		}
-	}
-	j := qjoin{rightRel: len(q.rels), leftCol: leftColumn, rightCol: rightColumn,
-		leftField: tupleindex.SelfField, rightField: tupleindex.SelfField}
-	if rel, field, err := q.resolveJoinLeft(leftColumn); err != nil {
-		q.err = err
-		return q
-	} else {
-		j.leftRel, j.leftField = rel, field
-	}
-	if rightColumn != Self {
-		if j.rightField = t.ColumnIndex(rightColumn); j.rightField < 0 {
-			q.err = fmt.Errorf("mmdb: table %s has no column %q", table, rightColumn)
-			return q
-		}
-	}
+	q.joins = append(q.joins, qjoin{scope: len(q.rels), leftCol: leftColumn, rightCol: rightColumn})
 	q.rels = append(q.rels, qrel{t: t, name: name})
-	q.joins = append(q.joins, j)
 	return q
 }
 
-// On adds an extra equijoin edge between two relations already in
-// scope — the closing edge of a cyclic join graph. Each side is "col",
+// On adds an extra equijoin edge between two relations in scope at this
+// call — the closing edge of a cyclic join graph. Each side is "col",
 // "name.col", or "name.SELF" (resolved like Join's left side); the two
-// sides must land on different relations. The pipeline enforces
-// closing edges after the hash match of whichever stage binds their
-// second relation, whatever order the planner picks.
+// sides must land on different relations, which bind checks. The
+// pipeline enforces closing edges after the hash match of whichever
+// stage binds their second relation, whatever order the planner picks.
 func (q *Query) On(leftColumn, rightColumn string) *Query {
-	if q.err != nil {
-		return q
-	}
-	if len(q.rels) < 2 {
-		q.err = fmt.Errorf("mmdb: On needs at least two relations in scope")
-		return q
-	}
-	j := qjoin{leftCol: leftColumn, rightCol: rightColumn, closing: true}
-	var err error
-	if j.leftRel, j.leftField, err = q.resolveJoinLeft(leftColumn); err != nil {
-		q.err = err
-		return q
-	}
-	if j.rightRel, j.rightField, err = q.resolveJoinLeft(rightColumn); err != nil {
-		q.err = err
-		return q
-	}
-	if j.leftRel == j.rightRel {
-		q.err = fmt.Errorf("mmdb: On must relate two different relations (both sides resolve to %s)",
-			q.rels[j.leftRel].name)
-		return q
-	}
-	q.joins = append(q.joins, j)
+	q.joins = append(q.joins, qjoin{scope: len(q.rels), leftCol: leftColumn, rightCol: rightColumn, closing: true})
 	return q
-}
-
-// resolveJoinLeft resolves a join's left side against the in-scope
-// relations: Self and "name.SELF" mean tuple identity (of rels[0] when
-// unqualified); "name.col" resolves name as a scope name; a bare column
-// matches the first in-scope relation that has it.
-func (q *Query) resolveJoinLeft(column string) (rel, field int, err error) {
-	relName := ""
-	if n, col, ok := strings.Cut(column, "."); ok {
-		relName, column = n, col
-	}
-	rel = -1
-	if relName != "" {
-		for i, r := range q.rels {
-			if r.name == relName {
-				rel = i
-				break
-			}
-		}
-		if rel < 0 {
-			return 0, 0, fmt.Errorf("mmdb: join references %q, which is not in scope", relName)
-		}
-	}
-	if column == Self {
-		if rel < 0 {
-			rel = 0
-		}
-		return rel, tupleindex.SelfField, nil
-	}
-	if rel >= 0 {
-		if f := q.rels[rel].t.ColumnIndex(column); f >= 0 {
-			return rel, f, nil
-		}
-		return 0, 0, fmt.Errorf("mmdb: table %s has no column %q", q.rels[rel].name, column)
-	}
-	for i, r := range q.rels {
-		if f := r.t.ColumnIndex(column); f >= 0 {
-			return i, f, nil
-		}
-	}
-	return 0, 0, fmt.Errorf("mmdb: no in-scope table has column %q", column)
 }
 
 // ForceJoinOrder pins the multi-join execution order to the named
@@ -720,7 +619,7 @@ func (q *Query) execute(analyze bool, res *Result) (*QueryTrace, error) {
 	if err != nil {
 		return nil, err
 	}
-	ap := q.choosePath()
+	ap := q.choosePath(&b)
 	reg := q.db.obs
 	slow := q.db.slow
 	// A configured slow-query log needs the full trace — with the
@@ -796,14 +695,14 @@ func (q *Query) execute(analyze bool, res *Result) (*QueryTrace, error) {
 	x.plan.head = q.planHead(card)
 
 	aq.SetPhase(obs.PhaseSelect)
-	sp := q.planSelection(ap, card, x.snap != nil, epoch, x.plan.head.selLimit)
-	list, err := x.record(q.runSelection(&x, sp, q.selectionDesc(&b)), nil)
+	sp := q.planSelection(&b, ap, card, x.snap != nil, epoch, x.plan.head.selLimit)
+	list, err := x.record(q.runSelection(&x, &b, sp), nil)
 	if err != nil {
 		return nil, err
 	}
 	if len(q.joins) > 0 {
 		aq.SetPhase(obs.PhaseJoin)
-		if list, err = x.record(q.runJoin(&x, list, x.plan.head.joinLimit, b.forced), nil); err != nil {
+		if list, err = x.record(q.runJoin(&x, &b, list, x.plan.head.joinLimit), nil); err != nil {
 			return nil, err
 		}
 	}
@@ -963,18 +862,6 @@ func (q *Query) planHead(card int) headPlan {
 	return h
 }
 
-// lines appends the head's plan lines.
-func (h headPlan) lines(out []string) []string {
-	out = append(out, fmt.Sprintf("batch: %d-tuple pointer blocks", h.batch))
-	switch {
-	case h.selLimit > 0:
-		out = append(out, fmt.Sprintf("limit: %d pushed into selection", h.selLimit))
-	case h.joinLimit > 0:
-		out = append(out, fmt.Sprintf("limit: %d pushed into join (early exit)", h.joinLimit))
-	}
-	return out
-}
-
 // auditWorkers audits a worker count: the chooser assumed rows split
 // evenly; the live registry's max-rows-per-worker gauge is what one
 // worker actually absorbed (0 when the registry is off — the decision
@@ -1014,98 +901,6 @@ func traceRadix(n *obs.TraceNode, st radix.Stats) {
 	}
 }
 
-// String renders the query in a compact SQL-ish form: the text the live
-// registry and the slow-query log show. Neither builds it while the query
-// runs; the registry renders it when a snapshot is taken, the slow log
-// when the query crossed its threshold.
-func (q *Query) String() string {
-	if q.from == nil {
-		return "invalid query: " + q.err.Error()
-	}
-	var b strings.Builder
-	b.WriteString("SELECT ")
-	if q.distinct {
-		b.WriteString("DISTINCT ")
-	}
-	switch {
-	case len(q.groupBy) > 0 || len(q.aggs) > 0:
-		// Grouped output: group keys then aggregates, Select list unused.
-		items := make([]string, 0, len(q.groupBy)+len(q.aggs))
-		items = append(items, q.groupBy...)
-		for _, a := range q.aggs {
-			items = append(items, a.name)
-		}
-		b.WriteString(strings.Join(items, ", "))
-	case len(q.cols) == 0:
-		b.WriteString("*")
-	default:
-		b.WriteString(strings.Join(q.cols, ", "))
-	}
-	b.WriteString(" FROM ")
-	b.WriteString(q.from.Name())
-	if q.rels[0].name != q.from.Name() {
-		b.WriteString(" " + q.rels[0].name)
-	}
-	for _, j := range q.joins {
-		r := q.rels[j.rightRel]
-		if j.closing {
-			// Closing edge of a cycle: continuation of the last JOIN clause.
-			fmt.Fprintf(&b, " AND %s.%s=%s.%s",
-				q.rels[j.leftRel].name, colOrSelf(j.leftCol), r.name, colOrSelf(j.rightCol))
-			continue
-		}
-		fmt.Fprintf(&b, " JOIN %s", r.t.Name())
-		if r.name != r.t.Name() {
-			b.WriteString(" " + r.name)
-		}
-		fmt.Fprintf(&b, " ON %s.%s=%s.%s",
-			q.rels[j.leftRel].name, colOrSelf(j.leftCol), r.name, colOrSelf(j.rightCol))
-	}
-	for i, p := range q.preds {
-		if i == 0 {
-			b.WriteString(" WHERE ")
-		} else {
-			b.WriteString(" AND ")
-		}
-		fmt.Fprintf(&b, "%s %s %s", p.column, p.op, p.val)
-	}
-	if len(q.groupBy) > 0 {
-		b.WriteString(" GROUP BY ")
-		b.WriteString(strings.Join(q.groupBy, ", "))
-	}
-	if len(q.orderBy) > 0 {
-		b.WriteString(" ORDER BY ")
-		b.WriteString(q.orderByText())
-	}
-	if q.limit >= 0 {
-		fmt.Fprintf(&b, " LIMIT %d", q.limit)
-	}
-	return b.String()
-}
-
-// colOrSelf renders a join column for display ("SELF" for identity).
-func colOrSelf(col string) string {
-	if col == Self {
-		return "SELF"
-	}
-	return col
-}
-
-// orderByText renders the ORDER BY list ("sal DESC, name").
-func (q *Query) orderByText() string {
-	var b strings.Builder
-	for i, o := range q.orderBy {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(o.col)
-		if o.desc {
-			b.WriteString(" DESC")
-		}
-	}
-	return b.String()
-}
-
 // Explain plans the query and prints the plan without executing it: no
 // locks are taken, no tuples are fetched, nothing is built or published,
 // and no memory is reserved. It binds the query's names first, as Run
@@ -1125,11 +920,11 @@ func (q *Query) Explain() (string, error) {
 	p := queryPlan{head: q.planHead(rows)}
 	// The executor's own snapshot test; the epoch is the one a snapshot
 	// published now would carry, read without locking or publishing.
-	ap := q.choosePath()
+	ap := q.choosePath(&b)
 	snap := q.snapshotShapeOK(ap) && rows >= snapshotMinRows
-	p.sel = q.planSelection(ap, rows, snap, q.from.rel.SnapshotEpoch(), p.head.selLimit)
+	p.sel = q.planSelection(&b, ap, rows, snap, q.from.rel.SnapshotEpoch(), p.head.selLimit)
 	if len(q.joins) > 0 {
-		jp := q.planJoin(rows, false, p.head.joinLimit, 0, b.forced)
+		jp := q.planJoin(&b, rows, false, p.head.joinLimit, 0)
 		p.join = &jp
 	}
 	if len(q.groupBy) > 0 || len(q.aggs) > 0 {
@@ -1159,51 +954,6 @@ type queryPlan struct {
 	group    *aggPlan   // nil: not grouped
 	distinct *aggPlan   // nil: no DISTINCT; else its keys-only agg run
 	order    *orderPlan // nil: no ORDER BY
-}
-
-// text renders the plan, one line per decision in the order the phases
-// run: the lines Result.Plan returns (estimate < 0) and, after its
-// header, the ones Explain prints. Explain passes the from-table's
-// catalog cardinality, and a line planned on a size that is only
-// estimated — a phase after a filter or a join — says so: "(… estimated
-// ≤ N rows)".
-func (p *queryPlan) text(estimate int) string {
-	explain := estimate >= 0
-	lines := p.head.lines(make([]string, 0, 8))
-	lines = append(lines, "access "+p.sel.table+": "+p.sel.access())
-	estimated := explain && p.sel.preds > 0
-	if j := p.join; j != nil {
-		head := j.head()
-		switch {
-		case !estimated:
-		case j.estRows == nil:
-			head += fmt.Sprintf(" (outer estimated ≤ %d rows; runtime may switch methods on the live size)", estimate)
-		default:
-			head += fmt.Sprintf(" (driver estimated ≤ %d rows)", estimate)
-		}
-		lines = append(lines, head)
-		for k := range j.stages {
-			lines = append(lines, "join ⋈ "+j.names[k+1]+": "+j.stagePath(k))
-		}
-		estimated = explain
-	}
-	// A phase after the first consumes an earlier phase's output.
-	phase := func(name, path string) {
-		if estimated {
-			path += fmt.Sprintf(" (input estimated ≤ %d rows)", estimate)
-		}
-		lines, estimated = append(lines, name+": "+path), explain
-	}
-	if p.group != nil {
-		phase("group", p.group.path())
-	}
-	if p.distinct != nil {
-		phase("distinct", distinctPath(p.distinct))
-	}
-	if p.order != nil {
-		phase("order", p.order.path())
-	}
-	return strings.Join(lines, "\n")
 }
 
 // selPlan is the selection's plan: the access path, and for a sequential
@@ -1261,17 +1011,19 @@ type accessPath struct {
 
 // choosePath picks the indexable predicate with the best access path by
 // the §4 preference order; pure planning, no execution. It reads the
-// table's per-field index slots (Table.indexOn) and allocates nothing.
-func (q *Query) choosePath() accessPath {
+// table's per-field index slots (Table.indexOn) at the bound predicate
+// columns and allocates nothing.
+func (q *Query) choosePath(b *boundQuery) accessPath {
 	t := q.from
 	ap := accessPath{pred: -1, path: plan.PathSequentialScan}
 	for i, p := range q.preds {
-		if p.op == Eq && !p.val.IsNull() && p.val.Type() != t.rel.Schema().Field(p.field).Type {
+		f := b.preds[i]
+		if p.op == Eq && !p.val.IsNull() && p.val.Type() != t.rel.Schema().Field(f).Type {
 			// A key of another type than its column's cannot probe the
 			// column's index; the residual filter rejects every row.
 			continue
 		}
-		hash, tree := t.indexOn(p.field, false), t.indexOn(p.field, true)
+		hash, tree := t.indexOn(f, false), t.indexOn(f, true)
 		path := plan.ChooseSelection(plan.SelectionInput{Op: p.op, HasHash: hash != nil, HasTree: tree != nil})
 		if ap.pred == -1 || path < ap.path {
 			ap.pred, ap.path, ap.ix = i, path, nil
@@ -1293,7 +1045,7 @@ func (q *Query) choosePath() accessPath {
 // the predicates the probe guarantees and, for a sequential scan, its
 // workers. An early exit is inherently sequential, so a limited scan runs
 // serially.
-func (q *Query) planSelection(ap accessPath, rows int, snap bool, epoch uint64, limit int) selPlan {
+func (q *Query) planSelection(b *boundQuery, ap accessPath, rows int, snap bool, epoch uint64, limit int) selPlan {
 	t := q.from
 	sp := selPlan{accessPath: ap, table: t.Name(), primary: t.primary.kind, preds: len(q.preds)}
 	if sp.pred >= 0 {
@@ -1301,7 +1053,7 @@ func (q *Query) planSelection(ap accessPath, rows int, snap bool, epoch uint64, 
 	}
 	switch sp.path {
 	case plan.PathTreeRange:
-		q.foldRange(&sp)
+		q.foldRange(b, &sp)
 	case plan.PathHashLookup, plan.PathTreeLookup:
 		// A lookup matches by equality, so it returns NULL-keyed tuples
 		// for a NULL key, which the predicate (never true on NULL) rejects.
@@ -1327,13 +1079,13 @@ func (q *Query) planSelection(ap accessPath, rows int, snap bool, epoch uint64, 
 // the tightest lower bound from >, >= and the tightest upper bound from
 // <, <=. A bound whose type is not the column's stays a residual
 // predicate (storage.Compare rejects mixed types).
-func (q *Query) foldRange(sp *selPlan) {
-	field := q.preds[sp.pred].field
+func (q *Query) foldRange(b *boundQuery, sp *selPlan) {
+	field := b.preds[sp.pred]
 	colType := q.from.rel.Schema().Field(field).Type
 	var inclusive uint64
 	for i := range q.preds {
 		p := &q.preds[i]
-		if p.field != field || p.op == Eq || p.op == Ne {
+		if b.preds[i] != field || p.op == Eq || p.op == Ne {
 			continue
 		}
 		if p.val.IsNull() {
@@ -1369,51 +1121,6 @@ func (q *Query) foldRange(sp *selPlan) {
 	}
 }
 
-// access renders the selection's access path, the text after "access
-// <table>: " on its plan line and its trace node's path: what runs (the
-// planned path's name, or what the executor runs in its place — a
-// parallel or snapshot scan), then with predicates the column, the
-// folded interval and how many predicates are left to the residual
-// filter, and a pushed LIMIT's early exit.
-func (sp *selPlan) access() string {
-	desc := sp.path.String()
-	switch {
-	case sp.snap:
-		desc = fmt.Sprintf("snapshot scan @ epoch %d (%d workers, no lock held)", sp.epoch, sp.workers)
-	case sp.workers > 1:
-		desc = fmt.Sprintf("parallel partition scan (%d workers)", sp.workers)
-	}
-	switch {
-	case sp.preds > 0:
-		desc = fmt.Sprintf("%s on %q", desc, sp.column)
-		served := 1
-		if sp.path == plan.PathTreeRange {
-			served = sp.folded
-			lo, hi := "(-inf", "+inf)"
-			if !sp.lo.IsNull() {
-				lo = "[" + sp.lo.String()
-			}
-			if !sp.hi.IsNull() {
-				hi = sp.hi.String() + "]"
-			}
-			if sp.empty {
-				desc += " (empty interval)"
-			} else {
-				desc += " " + lo + ", " + hi
-			}
-		}
-		if n := sp.preds - served; n > 0 {
-			desc += fmt.Sprintf(" + %d residual filter(s)", n)
-		}
-	case sp.workers == 0:
-		desc = fmt.Sprintf("full scan via %s index", sp.primary)
-	}
-	if sp.limit >= 0 {
-		desc += fmt.Sprintf(" (early exit at LIMIT %d)", sp.limit)
-	}
-	return desc
-}
-
 // runSelection runs the planned selection, producing a single-source temp
 // list. The meter, when collecting, accumulates the §3.1 operation counts
 // of the index probe and the residual filter; a pushed-down limit stops
@@ -1424,21 +1131,21 @@ func (sp *selPlan) access() string {
 // output is final. An index path's output is final too when the probe
 // already guarantees every predicate (selPlan.exact); only otherwise does
 // a residual pass filter it once into a fresh list and release it.
-func (q *Query) runSelection(x *execution, sp selPlan, desc storage.Descriptor) step {
+func (q *Query) runSelection(x *execution, b *boundQuery, sp selPlan) step {
 	t := q.from
 	x.plan.sel = sp
 	s := step{node: obs.TraceNode{Op: "select", Detail: t.Name(), Workers: sp.workers, Refresh: x.refresh}}
 	if x.tracing() {
 		s.node.AccessPath = sp.access()
 	}
-	m := x.m
+	m, desc := x.m, q.selectionDesc(b)
 	spec := exec.SelectSpec{RelName: t.Name(), Schema: t.rel.Schema(), Desc: desc, Meter: m, Prog: x.pg}
 	if sp.path == plan.PathSequentialScan {
 		var cmps int64
 		if m != nil {
 			cmps = m.Comparisons
 		}
-		s.list = q.runScan(x, spec, sp)
+		s.list = q.runScan(x, b, spec, sp)
 		s.node.RowsIn = s.list.Len()
 		if len(q.preds) > 0 && m != nil {
 			// A filtered scan meters one comparison per tuple it examined,
@@ -1446,27 +1153,27 @@ func (q *Query) runSelection(x *execution, sp selPlan, desc storage.Descriptor) 
 			s.node.RowsIn = int(m.Comparisons - cmps)
 		}
 	} else {
-		p, ix := q.preds[sp.pred], sp.ix
+		p, f, ix := q.preds[sp.pred], b.preds[sp.pred], sp.ix
 		if sp.unique {
 			spec.Hint = 1 // the one-row list: no pooled chunk for one tuple
 		}
 		switch sp.path {
 		case plan.PathHashLookup:
-			s.list = exec.SelectEqHash(ix.hashed, p.field, p.val, spec)
+			s.list = exec.SelectEqHash(ix.hashed, f, p.val, spec)
 		case plan.PathTreeLookup:
-			s.list = exec.SelectEqTree(ix.ordered, p.field, p.val, spec)
+			s.list = exec.SelectEqTree(ix.ordered, f, p.val, spec)
 		default: // plan.PathTreeRange
 			if sp.empty {
 				s.list = storage.MustTempList(desc)
 				break
 			}
-			s.list = exec.SelectRange(ix.ordered, p.field, rangeBound(sp.lo), rangeBound(sp.hi), spec)
+			s.list = exec.SelectRange(ix.ordered, f, rangeBound(sp.lo), rangeBound(sp.hi), spec)
 		}
 		if !sp.empty {
 			s.probeKind, s.probes = ix.kind.String(), 1
 		}
 		s.node.RowsIn = s.list.Len()
-		s.list = q.residual(s.list, sp, m)
+		s.list = q.residual(b, s.list, sp, m)
 	}
 	s.scanned = int64(s.node.RowsIn)
 	if m != nil {
@@ -1505,7 +1212,7 @@ func rangeBound(v Value) *Value {
 // releases the probe's. A pushed-down limit stops the filter — and with
 // it the whole selection — once enough rows qualify. With nothing to
 // filter or cut, the probe's list is the selection's output.
-func (q *Query) residual(list *storage.TempList, sp selPlan, m *meter.Counters) *storage.TempList {
+func (q *Query) residual(b *boundQuery, list *storage.TempList, sp selPlan, m *meter.Counters) *storage.TempList {
 	limit, rows := sp.limit, list.Len()
 	residual := false
 	for i := range q.preds {
@@ -1529,7 +1236,7 @@ func (q *Query) residual(list *storage.TempList, sp selPlan, m *meter.Counters) 
 				continue
 			}
 			m.AddCompare(1)
-			if !predHolds(tp, &q.preds[i]) {
+			if !predHolds(tp.Field(b.preds[i]), &q.preds[i]) {
 				return true
 			}
 		}
@@ -1547,9 +1254,9 @@ func (q *Query) residual(list *storage.TempList, sp selPlan, m *meter.Counters) 
 // relation reads the primary index, a parallel one the relation's
 // partitions. The conjunction of all predicates runs inside the scan, so
 // no pass over the output follows, and a pushed-down LIMIT ends it.
-func (q *Query) runScan(x *execution, spec exec.SelectSpec, sp selPlan) *storage.TempList {
+func (q *Query) runScan(x *execution, b *boundQuery, spec exec.SelectSpec, sp selPlan) *storage.TempList {
 	t := q.from
-	pred := q.conjunction()
+	pred := q.conjunction(b)
 	switch {
 	case sp.limit == 0:
 		return storage.MustTempList(spec.Desc)
@@ -1574,14 +1281,14 @@ func (q *Query) runScan(x *execution, spec exec.SelectSpec, sp selPlan) *storage
 // conjunction returns the WHERE clause as one tuple predicate, or nil
 // when the query has none. It touches no meter, so scan workers may call
 // it concurrently.
-func (q *Query) conjunction() func(*storage.Tuple) bool {
+func (q *Query) conjunction(b *boundQuery) func(*storage.Tuple) bool {
 	if len(q.preds) == 0 {
 		return nil
 	}
-	preds := q.preds
+	preds, fields := q.preds, b.preds
 	return func(tp *storage.Tuple) bool {
 		for i := range preds {
-			if !predHolds(tp, &preds[i]) {
+			if !predHolds(tp.Field(fields[i]), &preds[i]) {
 				return false
 			}
 		}
@@ -1589,11 +1296,10 @@ func (q *Query) conjunction() func(*storage.Tuple) bool {
 	}
 }
 
-// predHolds evaluates one predicate on a tuple. It never holds on NULL,
-// nor on a value of another type than the field's: such values do not
-// compare (storage.Compare rejects them).
-func predHolds(tp *storage.Tuple, p *qpred) bool {
-	v := tp.Field(p.field)
+// predHolds evaluates one predicate on its column's value v. It never
+// holds on NULL, nor on a value of another type than the field's: such
+// values do not compare (storage.Compare rejects them).
+func predHolds(v Value, p *qpred) bool {
 	if v.IsNull() || p.val.IsNull() || v.Type() != p.val.Type() {
 		return false
 	}
@@ -1652,54 +1358,20 @@ type stagePlan struct {
 	index *Index // the hash index probed in place; nil otherwise
 }
 
-// orderText renders the join order by scope names: "fact ⋈ d1 ⋈ d2".
-func (p *joinPlan) orderText() string { return strings.Join(p.names, " ⋈ ") }
-
-// head is the join phase's first plan line: the method between two
-// relations, or the order of several.
-func (p *joinPlan) head() string {
-	if p.estRows == nil {
-		return fmt.Sprintf("join %s: %s", p.orderText(), p.method)
-	}
-	return fmt.Sprintf("join order: %s (%s)", p.orderText(), p.algorithm)
-}
-
-// stageMethod names how stage k binds its relation: "pointer deref",
-// "hash probe (<kind> index)" or "hash probe (built table)".
-func (p *joinPlan) stageMethod(k int) string {
-	switch st := p.stages[k]; {
-	case st.Deref:
-		return "pointer deref"
-	case st.index != nil:
-		return "hash probe (" + st.index.kind.String() + " index)"
-	}
-	return "hash probe (built table)"
-}
-
-// stagePath is stage k's access path, the text after "join ⋈ <name>: "
-// on its plan line: its method and, for a multi-join, the rows forecast
-// after it.
-func (p *joinPlan) stagePath(k int) string {
-	if p.estRows == nil {
-		return p.stageMethod(k)
-	}
-	return fmt.Sprintf("%s (forecast %s rows)", p.stageMethod(k), obs.FmtCount(p.estRows[k+1]))
-}
-
 // planJoin plans the join phase for a from-table that enters with
 // rel0Rows rows, under a pushed-down LIMIT (0 = none) and a per-query
 // memory budget (0 = unbudgeted). locked means the caller holds shared
 // locks on every relation, so the order planner may refresh statistics;
-// Explain plans lock-free. forced is the bound ForceJoinOrder order (nil:
-// the planner's). A single edge consults no order planner and no
+// Explain plans lock-free. b holds the bound join edges and
+// ForceJoinOrder order. A single edge consults no order planner and no
 // statistics.
-func (q *Query) planJoin(rel0Rows int, locked bool, limit int, budget int64, forced []int) joinPlan {
+func (q *Query) planJoin(b *boundQuery, rel0Rows int, locked bool, limit int, budget int64) joinPlan {
 	p := joinPlan{method: plan.JoinHash}
 	if len(q.joins) == 1 {
 		p.order = []int{0, 1}
-		q.chooseJoin(&p, rel0Rows, limit, budget)
+		q.chooseJoin(b.joins[0], &p, rel0Rows, limit, budget)
 	} else {
-		res := q.chooseOrder(q.joinGraph(rel0Rows, locked), forced)
+		res := q.chooseOrder(q.joinGraph(b.joins, rel0Rows, locked), b.forced)
 		p.order, p.algorithm, p.estRows = res.Order, res.Algorithm, res.EstRows
 	}
 	p.names = make([]string, len(p.order))
@@ -1726,19 +1398,19 @@ func (q *Query) planJoin(rel0Rows int, locked bool, limit int, budget int64, for
 		p.workers = 1
 	}
 	if p.method == plan.JoinHash {
-		q.planStages(&p)
+		q.planStages(b.joins, &p)
 	}
 	return p
 }
 
-// chooseJoin makes the §4 choice for the single join edge from the
-// indices on its columns: a precomputed pointer join, Tree Merge when
+// chooseJoin makes the §4 choice for j, the single bound join edge, from
+// the indices on its columns: a precomputed pointer join, Tree Merge when
 // both columns carry a T Tree, Tree Join when the inner's T Tree is over
 // twice the outer's size, and Hash otherwise — probing an existing hash
 // index, or building a table, which a radix-sized build without a LIMIT
 // upgrades to the radix join.
-func (q *Query) chooseJoin(p *joinPlan, outerRows, limit int, budget int64) {
-	j, jt := q.joins[0], q.rels[1].t
+func (q *Query) chooseJoin(j boundEdge, p *joinPlan, outerRows, limit int, budget int64) {
+	jt := q.rels[1].t
 	if len(q.preds) == 0 && j.leftField >= 0 {
 		// Only an unfiltered outer is its index's whole key order.
 		if ix := q.from.indexOn(j.leftField, true); ix != nil {
@@ -1778,8 +1450,8 @@ func (q *Query) chooseJoin(p *joinPlan, outerRows, limit int, budget int64) {
 }
 
 // planStages plans the pipeline: one stage per relation after the driver,
-// in plan order, each probed by the first edge into the relations bound
-// before it. A stage follows the probe column when it is a Ref into the
+// in plan order, each probed by the first of the bound edges joins into
+// the relations bound before it. A stage follows the probe column when it is a Ref into the
 // stage's relation (§2.1's precomputed join), probes an existing hash
 // index in place when the run is serial (shared index structures meter
 // their probes, which would race across workers), and otherwise builds a
@@ -1787,14 +1459,14 @@ func (q *Query) chooseJoin(p *joinPlan, outerRows, limit int, budget int64) {
 // closing edge of a cyclic graph — is checked as a residual once the
 // stage matches. Every order is connected: the planner's by construction,
 // a forced one because bind checked it.
-func (q *Query) planStages(p *joinPlan) {
+func (q *Query) planStages(joins []boundEdge, p *joinPlan) {
 	bound := make([]bool, len(q.rels))
 	bound[p.order[0]] = true
 	p.stages = make([]stagePlan, 0, len(p.order)-1)
 	for _, r := range p.order[1:] {
 		st := stagePlan{StageSpec: exec.StageSpec{BuildSlot: r, ProbeSlot: -1}}
 		buildField := 0
-		for _, j := range q.joins {
+		for _, j := range joins {
 			var probeRel, probeField, bf int
 			switch {
 			case j.rightRel == r && bound[j.leftRel]:
@@ -1831,10 +1503,9 @@ func (q *Query) planStages(p *joinPlan) {
 // runJoin plans the join phase over the selection result left on its
 // live size, runs it and releases left (the join output points at
 // tuples, not at the selection's rows). limit > 0 is a pushed-down
-// LIMIT: the join stops after that many rows. forced is the bound
-// ForceJoinOrder order.
-func (q *Query) runJoin(x *execution, left *storage.TempList, limit int, forced []int) step {
-	p := q.planJoin(left.Len(), true, limit, x.budget(), forced)
+// LIMIT: the join stops after that many rows.
+func (q *Query) runJoin(x *execution, b *boundQuery, left *storage.TempList, limit int) step {
+	p := q.planJoin(b, left.Len(), true, limit, x.budget())
 	x.plan.join = &p
 	s := step{node: obs.TraceNode{Op: "join", AccessPath: p.method.String(), RowsIn: left.Len(), Workers: p.workers}}
 	if x.tracing() {
@@ -1843,7 +1514,7 @@ func (q *Query) runJoin(x *execution, left *storage.TempList, limit int, forced 
 	workRows, buildEst := p.driverRows, 0
 	var rs radix.Stats    // radix join only
 	var stageRows []int64 // rows each pipeline stage emitted
-	j, jt := q.joins[0], q.rels[1].t
+	j, jt := b.joins[0], q.rels[1].t
 	outer := exec.ListColumn{List: left, Column: 0}
 	innerRows := jt.Cardinality()
 	spec := exec.JoinSpec{
@@ -1952,13 +1623,13 @@ func (q *Query) runJoin(x *execution, left *storage.TempList, limit int, forced 
 	return s
 }
 
-// joinGraph builds the planning view of the query's join graph:
-// per-relation cardinalities (the filtered from-table enters with
+// joinGraph builds the planning view of the query's join graph, the
+// bound edges joins: per-relation cardinalities (the filtered from-table enters with
 // rel0Rows) and per-edge distinct-value estimates from the sampled
 // table statistics. locked means the caller already holds shared locks
 // on every relation (execute does) and may refresh stats; Explain runs
 // lock-free and only reads cached snapshots.
-func (q *Query) joinGraph(rel0Rows int, locked bool) plan.JoinGraph {
+func (q *Query) joinGraph(joins []boundEdge, rel0Rows int, locked bool) plan.JoinGraph {
 	g := plan.JoinGraph{Rels: make([]plan.JoinGraphRel, len(q.rels))}
 	rows := make([]int, len(q.rels))
 	for i, r := range q.rels {
@@ -1989,7 +1660,7 @@ func (q *Query) joinGraph(rel0Rows int, locked bool) plan.JoinGraph {
 		// A filtered from-table cannot carry more distinct values than rows.
 		return float64(rows[rel])
 	}
-	for _, j := range q.joins {
+	for _, j := range joins {
 		g.Edges = append(g.Edges, plan.JoinGraphEdge{
 			A: j.leftRel, B: j.rightRel,
 			NDVA: ndv(j.leftRel, j.leftField),
@@ -2008,52 +1679,6 @@ func (q *Query) chooseOrder(g plan.JoinGraph, forced []int) plan.JoinOrderResult
 		return plan.ChooseJoinOrder(g, q.db.tune.radix)
 	}
 	return plan.ForecastOrder(g, q.db.tune.radix, forced)
-}
-
-// forcedOrder validates ForceJoinOrder's names: every relation exactly
-// once, and each one after the driver connected by a join edge to the
-// ones before it (the pipeline cannot execute cross products).
-func (q *Query) forcedOrder() ([]int, error) {
-	if len(q.forced) != len(q.rels) {
-		return nil, fmt.Errorf("mmdb: ForceJoinOrder must name all %d relations exactly once (got %d)",
-			len(q.rels), len(q.forced))
-	}
-	order := make([]int, 0, len(q.forced))
-	used := make([]bool, len(q.rels))
-	for _, name := range q.forced {
-		idx := -1
-		for i, r := range q.rels {
-			if r.name == name {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			return nil, fmt.Errorf("mmdb: ForceJoinOrder: no relation %q in scope", name)
-		}
-		if used[idx] {
-			return nil, fmt.Errorf("mmdb: ForceJoinOrder names %q twice", name)
-		}
-		used[idx] = true
-		order = append(order, idx)
-	}
-	var mask uint32 = 1 << uint(order[0])
-	for _, r := range order[1:] {
-		connected := false
-		for _, j := range q.joins {
-			if (j.leftRel == r && mask&(1<<uint(j.rightRel)) != 0) ||
-				(j.rightRel == r && mask&(1<<uint(j.leftRel)) != 0) {
-				connected = true
-				break
-			}
-		}
-		if !connected {
-			return nil, fmt.Errorf("mmdb: ForceJoinOrder: %s does not join any earlier relation (cross product)",
-				q.rels[r].name)
-		}
-		mask |= 1 << uint(r)
-	}
-	return order, nil
 }
 
 // putStageTable returns a pipeline stage table to the pool; a variable
@@ -2132,96 +1757,6 @@ func (q *Query) refInto(probeRel, probeField int, rt *Table) bool {
 	return def.Type == storage.Ref && def.ForeignKey == rt.Name()
 }
 
-// boundQuery is what the query's names resolve to, decided before it
-// takes any lock: the output columns, or a grouped query's working
-// columns, keys and aggregates; the ORDER BY terms; and a forced join
-// order. Nothing writes it once bound, so a statement template's one
-// bound query serves every run of its shape, concurrent ones included.
-type boundQuery struct {
-	cols []storage.ColRef // the projection's output columns; nil when grouped
-	// Grouped: the working projection (group keys, then aggregate inputs),
-	// the keys' ordinals in it, the aggregates and the output names.
-	wcols  []storage.ColRef
-	gcols  []int
-	specs  []agg.Spec
-	names  []string
-	order  []exec.OrderKey // the ORDER BY terms as output-column ordinals
-	forced []int           // ForceJoinOrder as relation indices; nil = the planner's order
-}
-
-// bind resolves every name the query's phases use: the Select list (every
-// column of every relation without one) or the GROUP BY keys and
-// aggregate inputs, the ORDER BY terms against the output those produce,
-// and, with more than one join edge, ForceJoinOrder's names. An error the
-// fluent calls recorded comes first. A template's query returns its bound
-// value.
-func (q *Query) bind() (b boundQuery, err error) {
-	if q.err != nil {
-		return b, q.err
-	}
-	if q.bound != nil {
-		return *q.bound, nil
-	}
-	var out []storage.ColRef // the output columns ORDER BY resolves against, by name
-	if len(q.groupBy) > 0 || len(q.aggs) > 0 {
-		// Working projection: group columns first, aggregate inputs after,
-		// so the operator addresses both as ordinals of one descriptor.
-		if b.wcols, err = q.resolveColumns(make([]storage.ColRef, 0, len(q.groupBy)+len(q.aggs)), q.groupBy); err != nil {
-			return b, err
-		}
-		b.gcols = make([]int, len(q.groupBy))
-		for i := range b.gcols {
-			b.gcols[i] = i
-		}
-		b.specs = make([]agg.Spec, len(q.aggs))
-		for i, a := range q.aggs {
-			b.specs[i] = agg.Spec{Kind: aggKind(a.fn), Col: -1, Name: a.name}
-			if a.col != "" && a.col != "*" {
-				b.specs[i].Col = len(b.wcols)
-				if b.wcols, err = q.resolveColumns(b.wcols, []string{a.col}); err != nil {
-					return b, err
-				}
-			} else if a.fn != AggCount {
-				return b, fmt.Errorf("mmdb: %s requires a column", a.fn)
-			}
-		}
-		b.names = agg.Names(q.groupBy, b.specs)
-		if len(q.orderBy) > 0 {
-			out = make([]storage.ColRef, len(b.names))
-			for i, name := range b.names {
-				out[i].Name = name
-			}
-		}
-	} else {
-		if b.cols, err = q.resolveColumns(make([]storage.ColRef, 0, len(q.cols)), q.cols); err != nil {
-			return b, err
-		}
-		if len(q.cols) == 0 {
-			// All columns of all relations, qualified by scope name (the
-			// alias where one was given) so self-joined uses stay distinct.
-			for si, r := range q.rels {
-				for fi, f := range r.t.Schema() {
-					b.cols = append(b.cols, storage.ColRef{Source: si, Field: fi, Name: r.name + "." + f.Name})
-				}
-			}
-		}
-		out = b.cols
-	}
-	b.order = make([]exec.OrderKey, len(q.orderBy))
-	for i, o := range q.orderBy {
-		c, err := resolveOrderColumn(out, o.col)
-		if err != nil {
-			return b, err
-		}
-		b.order[i] = exec.OrderKey{Col: c, Desc: o.desc}
-	}
-	if len(q.joins) > 1 && q.forced != nil {
-		// A single edge has no order to choose, so it ignores the names.
-		b.forced, err = q.forcedOrder()
-	}
-	return b, err
-}
-
 // selectionProjects reports whether the selection emits under the bound
 // output columns, so that the projection has nothing left to rewrite: a
 // single relation's ungrouped query. selectionDesc and runProject both
@@ -2253,31 +1788,6 @@ func (q *Query) runProject(x *execution, list *storage.TempList, cols []storage.
 		s.node.Detail = fmt.Sprintf("%d column(s)", len(cols))
 	}
 	return s
-}
-
-// resolveColumns appends to refs a column reference over the query's
-// relations for each name: "col" or "name.col" (name = a scope name: the
-// alias where one was given, else the table name). An unqualified column
-// resolves against the relations in declaration order, first match wins.
-func (q *Query) resolveColumns(refs []storage.ColRef, names []string) ([]storage.ColRef, error) {
-next:
-	for _, name := range names {
-		table, col := "", name
-		if i := strings.IndexByte(name, '.'); i >= 0 {
-			table, col = name[:i], name[i+1:]
-		}
-		for si, r := range q.rels {
-			if table != "" && r.name != table {
-				continue
-			}
-			if f := r.t.ColumnIndex(col); f >= 0 {
-				refs = append(refs, storage.ColRef{Source: si, Field: f, Name: name})
-				continue next
-			}
-		}
-		return nil, fmt.Errorf("mmdb: cannot resolve column %q", name)
-	}
-	return refs, nil
 }
 
 // runGroup executes GROUP BY + aggregates: project the group-key and
@@ -2354,16 +1864,6 @@ func (q *Query) planAgg(n int, budget int64) aggPlan {
 	return p
 }
 
-// path names what runs: workers > 1 fold per-worker flat tables and
-// merge them in one hash partition per worker, whatever the crossover
-// picked.
-func (p *aggPlan) path() string {
-	if p.workers > 1 {
-		return fmt.Sprintf("parallel partial agg, %d-partition merge (%d workers)", p.workers, p.workers)
-	}
-	return p.method.String()
-}
-
 // auditClamp records the budget's narrowing of the radix plan, when one
 // ran: the parallel path takes no radix plan, so it clamps nothing.
 func (p *aggPlan) auditClamp(x *execution) {
@@ -2406,12 +1906,6 @@ func (x *execution) closeAgg(ar aggExec) {
 	x.res.Release(ar.grant) // nil- and zero-safe
 }
 
-// distinctPath names how DISTINCT runs: §3.4's conclusion, hashing
-// dominates, as a keys-only run of the aggregation engine.
-func distinctPath(p *aggPlan) string {
-	return "hash duplicate elimination, keys-only " + p.path()
-}
-
 // runDistinct eliminates duplicate rows of list — first occurrences, in
 // input order — and releases it.
 func (q *Query) runDistinct(x *execution, list *storage.TempList) (step, error) {
@@ -2448,14 +1942,6 @@ type orderPlan struct {
 	k       int             // the heap's bound: the LIMIT, or 0
 	sort    plan.SortMethod // the full sort's substrate
 	workers int             // the heap's workers; 0 for a full sort
-}
-
-// path names what runs: "bounded-heap top-k (k=10)" or "full sort (…)".
-func (p *orderPlan) path() string {
-	if p.method == plan.TopKHeap {
-		return fmt.Sprintf("bounded-heap top-k (k=%d)", p.k)
-	}
-	return "full sort (" + p.sort.String() + ")"
 }
 
 // planOrder picks between bounded-heap top-k and a full sort for rows
@@ -2504,53 +1990,6 @@ func (q *Query) runOrder(x *execution, list *storage.TempList, keys []exec.Order
 		s.node.Detail = "BY " + q.orderByText()
 	}
 	return s
-}
-
-// resolveOrderColumn resolves one ORDER BY term against the output
-// descriptor: a string of digits is SQL's 1-based output ordinal
-// ("ORDER BY 2"); a name matches an output column exactly, or — as the
-// unqualified form of a qualified output name — the part after its dot,
-// if unambiguous.
-func resolveOrderColumn(cols []storage.ColRef, name string) (int, error) {
-	if n, ok := parseOrdinal(name); ok {
-		if n < 1 || n > len(cols) {
-			return 0, fmt.Errorf("mmdb: ORDER BY ordinal %d out of range (1..%d)", n, len(cols))
-		}
-		return n - 1, nil
-	}
-	for i, c := range cols {
-		if c.Name == name {
-			return i, nil
-		}
-	}
-	match := -1
-	for i, c := range cols {
-		if j := strings.IndexByte(c.Name, '.'); j >= 0 && c.Name[j+1:] == name {
-			if match >= 0 {
-				return 0, fmt.Errorf("mmdb: ORDER BY column %q is ambiguous", name)
-			}
-			match = i
-		}
-	}
-	if match < 0 {
-		return 0, fmt.Errorf("mmdb: ORDER BY column %q is not an output column", name)
-	}
-	return match, nil
-}
-
-// parseOrdinal parses an all-digits ORDER BY ordinal.
-func parseOrdinal(s string) (int, bool) {
-	if s == "" || len(s) > 6 {
-		return 0, false
-	}
-	n := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] < '0' || s[i] > '9' {
-			return 0, false
-		}
-		n = n*10 + int(s[i]-'0')
-	}
-	return n, true
 }
 
 // headList cuts list to its first n rows: they are taken into a fresh
