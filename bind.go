@@ -11,13 +11,15 @@ import (
 )
 
 // boundQuery is what the query's names resolve to, decided before it
-// takes any lock: the predicate columns and join edges; the output
+// takes any lock: the predicate columns, and whether a predicate's value
+// rules out every row; the join edges; the output
 // columns, or a grouped query's working columns, keys and aggregates; the
 // ORDER BY terms; and a forced join order. Nothing writes it once bound,
 // so a statement template's one bound query serves every run of its
 // shape, concurrent ones included.
 type boundQuery struct {
 	preds []int            // each predicate's field of the from-table, in q.preds order
+	empty bool             // a predicate's value is NULL or not of its column's type: no row qualifies
 	joins []boundEdge      // each join edge, in q.joins order
 	cols  []storage.ColRef // the projection's output columns; nil when grouped
 	// Grouped: the working projection (group keys, then aggregate inputs),
@@ -38,7 +40,8 @@ type boundEdge struct {
 }
 
 // bind resolves every name the query's phases use: the scope names, which
-// must be distinct; each predicate's column in the from-table; both sides
+// must be distinct; each predicate's column in the from-table, against
+// whose type it checks the predicate's value; both sides
 // of each join edge in the relations in scope at its call; the Select list
 // (every column of every relation without one) or the GROUP BY keys and
 // aggregate inputs; the ORDER BY terms against the output those produce;
@@ -62,6 +65,9 @@ func (q *Query) bind() (b boundQuery, err error) {
 		if _, b.preds[i], err = q.resolve(0, 1, p.column, false); err != nil {
 			return b, err
 		}
+		// A NULL value, or one of another type, compares with no value of
+		// the column: the conjunction cannot hold. Nothing is coerced.
+		b.empty = b.empty || p.val.IsNull() || p.val.Type() != q.from.rel.Schema().Field(b.preds[i]).Type
 	}
 	b.joins = make([]boundEdge, len(q.joins))
 	for i, j := range q.joins {

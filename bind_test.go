@@ -42,9 +42,9 @@ func TestNamesBindBeforeAnyLock(t *testing.T) {
 		{"On within one relation", func() *Query { return db.Query("fact").Join("peer", "g", "id").On("fact.g", "v") },
 			"", "mmdb: On must relate two different relations (both sides resolve to fact)"},
 		{"duplicate scope name", func() *Query { return db.Query("fact").Join("fact", "g", "id") },
-			"", `mmdb: relation name "fact" already in scope; use JoinAs with a distinct alias`},
+			"SELECT * FROM fact JOIN fact ON fact.g = fact.id", `mmdb: relation name "fact" already in scope; use JoinAs with a distinct alias`},
 		{"duplicate alias by As after Join", func() *Query { return db.Query("fact").Join("peer", "g", "id").As("peer") },
-			"", `mmdb: relation name "peer" already in scope; use JoinAs with a distinct alias`},
+			"SELECT * FROM fact peer JOIN peer ON peer.g = peer.id", `mmdb: relation name "peer" already in scope; use JoinAs with a distinct alias`},
 		{"select column", func() *Query { return db.Query("fact").Join("peer", "g", "id").Select("id", "nope") },
 			"SELECT id, nope FROM fact JOIN peer ON fact.g = peer.id", unresolved},
 		{"group key", func() *Query { return db.Query("fact").GroupBy("nope").Agg(AggCount, "") },

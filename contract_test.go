@@ -296,6 +296,37 @@ func TestFluentCallsResolveNoNames(t *testing.T) {
 	}
 }
 
+// TestOnlyBindReadsLiteralTypes: bind decides what a predicate's value
+// means — NULL, or of another type than its column, and the conjunction
+// can never hold — so no other file of the package asks a predicate's
+// val for its Type or whether it IsNull: the planners and the residual
+// filter take a bound query's values as its columns' type.
+func TestOnlyBindReadsLiteralTypes(t *testing.T) {
+	for name, f := range parsePackage(t, ".") {
+		if filepath.Base(name) == "bind.go" {
+			continue
+		}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if se, ok := call.Fun.(*ast.SelectorExpr); ok && (se.Sel.Name == "Type" || se.Sel.Name == "IsNull") {
+					if v, ok := se.X.(*ast.SelectorExpr); ok && v.Sel.Name == "val" {
+						t.Errorf("%s: %s reads a predicate value's %s; only bind may", name, fd.Name.Name, se.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
 // fieldAllowList are exported fields of internal/ structs that no non-test
 // file sets, each kept for the reason given.
 var fieldAllowList = map[string]string{

@@ -549,8 +549,11 @@ func clauseKeyword(s string) bool {
 // join parses one chain step: table [[AS] alias] ON side = side, where
 // a side is name.column or name.SELF. The side naming the newly joined
 // relation becomes RightCol; the other side must name an earlier
-// relation of scope and becomes LeftTable/LeftCol ("" = SELF). Returns
-// the step and the new relation's scope name.
+// relation of scope and becomes LeftTable/LeftCol ("" = SELF). A new
+// relation whose scope name is already in scope leaves both sides naming
+// it; they are taken in written order, and the binder rejects the
+// duplicate name as it does the fluent Join's. Returns the step and the
+// new relation's scope name.
 func (p *parser) join(scope []string) (Join, string, error) {
 	table, err := p.ident()
 	if err != nil {
@@ -590,7 +593,7 @@ func (p *parser) join(scope []string) (Join, string, error) {
 	switch {
 	case t1 == name && t2 != name && in(t2):
 		j.LeftTable, j.LeftCol, j.RightCol = t2, c2, c1
-	case t2 == name && t1 != name && in(t1):
+	case t2 == name && in(t1):
 		j.LeftTable, j.LeftCol, j.RightCol = t1, c1, c2
 	default:
 		return Join{}, "", p.errf("join condition must relate %s to an earlier table (%s)",

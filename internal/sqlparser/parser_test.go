@@ -162,6 +162,23 @@ func TestJoinChainErrors(t *testing.T) {
 	}
 }
 
+// TestJoinOfNameInScope: a joined table whose scope name is already in
+// scope is no fault of the join condition. Both sides name it, so they
+// are taken in written order; the binder, which knows the scope, rejects
+// the duplicate name.
+func TestJoinOfNameInScope(t *testing.T) {
+	for src, want := range map[string]Join{
+		`SELECT * FROM fact JOIN fact ON fact.g = fact.id`:           {Table: "fact", LeftTable: "fact", LeftCol: "g", RightCol: "id"},
+		`SELECT * FROM fact peer JOIN peer ON peer.g = peer.id`:      {Table: "peer", LeftTable: "peer", LeftCol: "g", RightCol: "id"},
+		`SELECT * FROM a JOIN b ON a.x = b.y JOIN b ON b.SELF = b.z`: {Table: "b", LeftTable: "b", RightCol: "z"},
+	} {
+		sel := parse(t, src).(*Select)
+		if j := sel.Joins[len(sel.Joins)-1]; j != want {
+			t.Errorf("Parse(%q): last join %+v, want %+v", src, j, want)
+		}
+	}
+}
+
 func TestUpdateDelete(t *testing.T) {
 	u := parse(t, `UPDATE emp SET age = 25 WHERE id = 23`).(*Update)
 	if u.Table != "emp" || u.Column != "age" || u.Value.Int != 25 || len(u.Where) != 1 {

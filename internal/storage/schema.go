@@ -82,18 +82,25 @@ func (s *Schema) FieldIndex(name string) int {
 }
 
 // Validate checks that vals conforms to the schema: correct arity and each
-// non-null value of the declared type (Ref for foreign keys).
+// value one its field may hold (CheckField).
 func (s *Schema) Validate(vals []Value) error {
 	if len(vals) != len(s.fields) {
 		return fmt.Errorf("storage: got %d values for %d fields", len(vals), len(s.fields))
 	}
 	for i, v := range vals {
-		if v.IsNull() {
-			continue
-		}
-		if v.Type() != s.fields[i].Type {
-			return fmt.Errorf("storage: field %q wants %s, got %s", s.fields[i].Name, s.fields[i].Type, v.Type())
+		if err := s.CheckField(i, v); err != nil {
+			return fmt.Errorf("storage: %w", err)
 		}
 	}
 	return nil
+}
+
+// CheckField checks that field i may hold v: v is NULL or of the field's
+// declared type (Ref for foreign keys). The error names the field and
+// both types; the caller prefixes it with its package.
+func (s *Schema) CheckField(i int, v Value) error {
+	if v.IsNull() || v.Type() == s.fields[i].Type {
+		return nil
+	}
+	return fmt.Errorf("field %q wants %s, got %s", s.fields[i].Name, s.fields[i].Type, v.Type())
 }

@@ -245,9 +245,8 @@ func (t *Txn) Update(rel *storage.Relation, tp *storage.Tuple, field int, v stor
 	if field < 0 || field >= rel.Schema().Arity() {
 		return fmt.Errorf("txn: field %d out of range", field)
 	}
-	def := rel.Schema().Field(field)
-	if !v.IsNull() && v.Type() != def.Type {
-		return fmt.Errorf("txn: field %q wants %s, got %s", def.Name, def.Type, v.Type())
+	if err := rel.Schema().CheckField(field, v); err != nil {
+		return fmt.Errorf("txn: %w", err)
 	}
 	// The relation lock covers the index repositioning the update causes;
 	// the partition lock covers the tuple itself.

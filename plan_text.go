@@ -69,8 +69,9 @@ func (h headPlan) lines(out []string) []string {
 // <table>: " on its plan line and its trace node's path: what runs (the
 // planned path's name, or what the executor runs in its place — a
 // parallel or snapshot scan), then with predicates the column, the
-// folded interval and how many predicates are left to the residual
-// filter, and a pushed LIMIT's early exit.
+// folded interval — "(empty interval)" when no row can qualify — and how
+// many predicates are left to the residual filter, and a pushed LIMIT's
+// early exit.
 func (sp *selPlan) access() string {
 	desc := sp.path.String()
 	switch {
@@ -83,7 +84,10 @@ func (sp *selPlan) access() string {
 	case sp.preds > 0:
 		desc = fmt.Sprintf("%s on %q", desc, sp.column)
 		served := 1
-		if sp.path == plan.PathTreeRange {
+		switch {
+		case sp.empty:
+			desc, served = desc+" (empty interval)", sp.preds // nothing is left to filter
+		case sp.path == plan.PathTreeRange:
 			served = sp.folded
 			lo, hi := "(-inf", "+inf)"
 			if !sp.lo.IsNull() {
@@ -92,11 +96,7 @@ func (sp *selPlan) access() string {
 			if !sp.hi.IsNull() {
 				hi = sp.hi.String() + "]"
 			}
-			if sp.empty {
-				desc += " (empty interval)"
-			} else {
-				desc += " " + lo + ", " + hi
-			}
+			desc += " " + lo + ", " + hi
 		}
 		if n := sp.preds - served; n > 0 {
 			desc += fmt.Sprintf(" + %d residual filter(s)", n)

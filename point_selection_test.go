@@ -70,19 +70,20 @@ func pointDB(t *testing.T, workers int) (*Database, []string) {
 }
 
 // scanIDs is the reference: the ids of the table's rows on which column
-// = v holds, found by a full scan and the predicate the residual filter
-// evaluates.
+// = v holds, found by a full scan and SQL's rule: the column's value is
+// not NULL, v is of its type, and the two compare equal.
 func scanIDs(t *testing.T, db *Database, table, column string, v Value) []int64 {
 	t.Helper()
 	tbl, _ := db.Table(table)
-	f, p := tbl.ColumnIndex(column), qpred{column: column, op: Eq, val: v}
+	f := tbl.ColumnIndex(column)
 	all, err := db.Query(table).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	ids := []int64{}
 	for i := 0; i < all.Len(); i++ {
-		if tp := all.Tuples(i)[0]; predHolds(tp.Field(f), &p) {
+		tp := all.Tuples(i)[0]
+		if c := tp.Field(f); !c.IsNull() && c.Type() == v.Type() && storage.Compare(c, v) == 0 {
 			ids = append(ids, tp.Field(0).Int())
 		}
 	}

@@ -967,15 +967,17 @@ type selPlan struct {
 	// A NULL bound (the zero Value) is open. Strict bounds (<, >) fold
 	// like inclusive ones; the residual filter drops the endpoint.
 	lo, hi Value
-	folded int  // predicates the interval stands for
-	empty  bool // no key can qualify: lo > hi, or a comparison with NULL
+	folded int // predicates the interval stands for
+	// empty, on every path: no row can qualify — a predicate's value rules
+	// out every row (boundQuery.empty), or a folded range has lo > hi — so
+	// the selection reads nothing and probes nothing.
+	empty bool
 	// exact is the set of predicates (bit i = q.preds[i]) that hold for
 	// every tuple the index probe returns, so the residual filter skips
 	// them: the Eq a lookup served, and the inclusive bounds of a folded
 	// range.
 	exact uint64
-	// unique: a lookup of a non-NULL key in a unique index, which returns
-	// at most one row.
+	// unique: a lookup in a unique index, which returns at most one row.
 	unique bool
 
 	rows    int    // the from-table's tuples: the snapshot's when it reads one
@@ -1018,11 +1020,6 @@ func (q *Query) choosePath(b *boundQuery) accessPath {
 	ap := accessPath{pred: -1, path: plan.PathSequentialScan}
 	for i, p := range q.preds {
 		f := b.preds[i]
-		if p.op == Eq && !p.val.IsNull() && p.val.Type() != t.rel.Schema().Field(f).Type {
-			// A key of another type than its column's cannot probe the
-			// column's index; the residual filter rejects every row.
-			continue
-		}
 		hash, tree := t.indexOn(f, false), t.indexOn(f, true)
 		path := plan.ChooseSelection(plan.SelectionInput{Op: p.op, HasHash: hash != nil, HasTree: tree != nil})
 		if ap.pred == -1 || path < ap.path {
@@ -1041,29 +1038,27 @@ func (q *Query) choosePath(b *boundQuery) accessPath {
 // planSelection plans the selection over the access path and the
 // from-table's rows tuples — of the snapshot of the given epoch when snap
 // is set, of the locked relation otherwise — under a pushed-down LIMIT
-// (-1 = none): the served predicate's column, a range's folded interval,
-// the predicates the probe guarantees and, for a sequential scan, its
-// workers. An early exit is inherently sequential, so a limited scan runs
-// serially.
+// (-1 = none): the served predicate's column, whether no row can
+// qualify, a range's folded interval, the predicates the probe guarantees
+// and, for a sequential scan, its workers. An early exit is inherently
+// sequential, so a limited scan runs serially.
 func (q *Query) planSelection(b *boundQuery, ap accessPath, rows int, snap bool, epoch uint64, limit int) selPlan {
 	t := q.from
-	sp := selPlan{accessPath: ap, table: t.Name(), primary: t.primary.kind, preds: len(q.preds)}
+	sp := selPlan{accessPath: ap, empty: b.empty, table: t.Name(), primary: t.primary.kind, preds: len(q.preds)}
 	if sp.pred >= 0 {
 		sp.column = q.preds[sp.pred].column
 	}
-	switch sp.path {
-	case plan.PathTreeRange:
+	switch {
+	case sp.empty:
+	case sp.path == plan.PathTreeRange:
 		q.foldRange(b, &sp)
-	case plan.PathHashLookup, plan.PathTreeLookup:
-		// A lookup matches by equality, so it returns NULL-keyed tuples
-		// for a NULL key, which the predicate (never true on NULL) rejects.
-		if !q.preds[sp.pred].val.IsNull() {
-			sp.exact = 1 << uint(sp.pred)
-			sp.unique = sp.ix.unique
-		}
+	case sp.path != plan.PathSequentialScan:
+		// A lookup returns exactly the tuples whose key equals the value.
+		sp.exact = 1 << uint(sp.pred)
+		sp.unique = sp.ix.unique
 	}
 	sp.rows, sp.limit = rows, limit
-	if sp.path == plan.PathSequentialScan && limit < 0 {
+	if sp.path == plan.PathSequentialScan && limit < 0 && !sp.empty {
 		w := plan.ChooseWorkers(q.parallelism(), rows)
 		switch {
 		case snap:
@@ -1077,23 +1072,13 @@ func (q *Query) planSelection(b *boundQuery, ap accessPath, rows int, snap bool,
 
 // foldRange intersects all range predicates on the indexed column:
 // the tightest lower bound from >, >= and the tightest upper bound from
-// <, <=. A bound whose type is not the column's stays a residual
-// predicate (storage.Compare rejects mixed types).
+// <, <=. Every bound is of the column's type: bind found no other.
 func (q *Query) foldRange(b *boundQuery, sp *selPlan) {
 	field := b.preds[sp.pred]
-	colType := q.from.rel.Schema().Field(field).Type
 	var inclusive uint64
 	for i := range q.preds {
 		p := &q.preds[i]
 		if b.preds[i] != field || p.op == Eq || p.op == Ne {
-			continue
-		}
-		if p.val.IsNull() {
-			sp.folded++
-			sp.empty = true
-			continue
-		}
-		if p.val.Type() != colType {
 			continue
 		}
 		sp.folded++
@@ -1140,7 +1125,10 @@ func (q *Query) runSelection(x *execution, b *boundQuery, sp selPlan) step {
 	}
 	m, desc := x.m, q.selectionDesc(b)
 	spec := exec.SelectSpec{RelName: t.Name(), Schema: t.rel.Schema(), Desc: desc, Meter: m, Prog: x.pg}
-	if sp.path == plan.PathSequentialScan {
+	switch {
+	case sp.empty:
+		s.list = storage.MustTempList(desc)
+	case sp.path == plan.PathSequentialScan:
 		var cmps int64
 		if m != nil {
 			cmps = m.Comparisons
@@ -1152,7 +1140,7 @@ func (q *Query) runSelection(x *execution, b *boundQuery, sp selPlan) step {
 			// which under a LIMIT is fewer than the relation holds.
 			s.node.RowsIn = int(m.Comparisons - cmps)
 		}
-	} else {
+	default:
 		p, f, ix := q.preds[sp.pred], b.preds[sp.pred], sp.ix
 		if sp.unique {
 			spec.Hint = 1 // the one-row list: no pooled chunk for one tuple
@@ -1163,15 +1151,9 @@ func (q *Query) runSelection(x *execution, b *boundQuery, sp selPlan) step {
 		case plan.PathTreeLookup:
 			s.list = exec.SelectEqTree(ix.ordered, f, p.val, spec)
 		default: // plan.PathTreeRange
-			if sp.empty {
-				s.list = storage.MustTempList(desc)
-				break
-			}
 			s.list = exec.SelectRange(ix.ordered, f, rangeBound(sp.lo), rangeBound(sp.hi), spec)
 		}
-		if !sp.empty {
-			s.probeKind, s.probes = ix.kind.String(), 1
-		}
+		s.probeKind, s.probes = ix.kind.String(), 1
 		s.node.RowsIn = s.list.Len()
 		s.list = q.residual(b, s.list, sp, m)
 	}
@@ -1297,10 +1279,11 @@ func (q *Query) conjunction(b *boundQuery) func(*storage.Tuple) bool {
 }
 
 // predHolds evaluates one predicate on its column's value v. It never
-// holds on NULL, nor on a value of another type than the field's: such
-// values do not compare (storage.Compare rejects them).
+// holds on NULL. A non-NULL v is of the predicate value's type: the
+// schema fixes the column's, and bind empties the selection of a query
+// whose value is NULL or of another type.
 func predHolds(v Value, p *qpred) bool {
-	if v.IsNull() || p.val.IsNull() || v.Type() != p.val.Type() {
+	if v.IsNull() {
 		return false
 	}
 	c := storage.Compare(v, p.val)
@@ -1323,9 +1306,10 @@ func predHolds(v Value, p *qpred) bool {
 // joinPlan is the join phase's plan. A single join edge keeps the
 // paper's §4 choice between the two relations — the from-table drives,
 // the joined table builds; more edges run the order the cost-forecasted
-// planner picks. Either way a hash join runs as a pipeline whose stages
-// the plan names. Explain prints the plan's lines and runJoin executes
-// it, so the planned and the executed join cannot disagree.
+// planner picks. Either way a hash join, and a precomputed join's pointer
+// dereference, runs as a pipeline whose stages the plan names. Explain
+// prints the plan's lines and runJoin executes it, so the planned and the
+// executed join cannot disagree.
 type joinPlan struct {
 	order []int    // execution order by relation index, driver first
 	names []string // the order by scope names, copied when planned
@@ -1345,7 +1329,7 @@ type joinPlan struct {
 	estRows    []float64
 	driverRows int // rows the driver streams
 	workers    int
-	stages     []stagePlan // the pipeline, in execution order; none for the precomputed, tree and radix joins
+	stages     []stagePlan // the pipeline, in execution order; none for the tree and radix joins
 }
 
 // stagePlan is one pipeline stage: how it binds its relation — following
@@ -1397,18 +1381,19 @@ func (q *Query) planJoin(b *boundQuery, rel0Rows int, locked bool, limit int, bu
 		// inner): the §4 methods run as the paper ran them.
 		p.workers = 1
 	}
-	if p.method == plan.JoinHash {
+	if p.method == plan.JoinHash || p.method == plan.JoinPrecomputed {
 		q.planStages(b.joins, &p)
 	}
 	return p
 }
 
 // chooseJoin makes the §4 choice for j, the single bound join edge, from
-// the indices on its columns: a precomputed pointer join, Tree Merge when
-// both columns carry a T Tree, Tree Join when the inner's T Tree is over
-// twice the outer's size, and Hash otherwise — probing an existing hash
-// index, or building a table, which a radix-sized build without a LIMIT
-// upgrades to the radix join.
+// the indices on its columns: a precomputed pointer join, whose one
+// pipeline stage follows the Ref (planStages), Tree Merge when both
+// columns carry a T Tree, Tree Join when the inner's T Tree is over twice
+// the outer's size, and Hash otherwise — probing an existing hash index,
+// or building a table, which a radix-sized build without a LIMIT upgrades
+// to the radix join.
 func (q *Query) chooseJoin(j boundEdge, p *joinPlan, outerRows, limit int, budget int64) {
 	jt := q.rels[1].t
 	if len(q.preds) == 0 && j.leftField >= 0 {
@@ -1523,10 +1508,6 @@ func (q *Query) runJoin(x *execution, b *boundQuery, left *storage.TempList, lim
 		Meter: x.m, Prog: x.pg, Limit: limit, Sched: x.sched(), Mem: x.res,
 	}
 	switch {
-	case p.method == plan.JoinPrecomputed:
-		spec.Hint = outer.Len() // at most one row per outer tuple
-		s.list = exec.PrecomputedJoin(outer, j.leftField, spec)
-		s.scanned = int64(s.list.Len()) // one pointer dereference per match
 	case p.method == plan.JoinTreeMerge:
 		s.list = exec.TreeMergeJoin(p.outerTT, p.innerTT, spec)
 		s.scanned = int64(innerRows) // a full ordered merge of the inner index
@@ -1546,7 +1527,7 @@ func (q *Query) runJoin(x *execution, b *boundQuery, left *storage.TempList, lim
 		if x.res != nil && rs.Fanout > 0 {
 			s.node.GrantBytes, s.node.Reversed, s.node.Resplits = x.res.Peak(), rs.Reversed, rs.Repartitions
 		}
-	default: // hash joins, and every multi-join
+	default: // hash joins, the precomputed join, and every multi-join
 		s.list, stageRows, s.scanned = q.runPipeline(x, left, &p, limit)
 		for k, st := range p.stages {
 			if st.Deref || st.index != nil {
@@ -1739,8 +1720,11 @@ func (q *Query) runPipeline(x *execution, left *storage.TempList, p *joinPlan, l
 		Prog:       x.pg,
 		Sched:      x.sched(),
 	}
-	hint := 0 // one edge: no forecast
-	if e := len(p.estRows) - 1; e >= 0 && p.estRows[e] >= 0 && p.estRows[e] <= 1<<30 {
+	hint := 0 // one hash edge: no forecast
+	switch e := len(p.estRows) - 1; {
+	case p.method == plan.JoinPrecomputed:
+		hint = p.driverRows // a pointer per driver tuple: at most one row each
+	case e >= 0 && p.estRows[e] >= 0 && p.estRows[e] <= 1<<30:
 		hint = int(p.estRows[e])
 	}
 	list, stageRows, _ := parallel.RunPipeline(driver, spec, storage.Descriptor{Sources: names}, hint, p.workers)

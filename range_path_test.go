@@ -184,13 +184,14 @@ func TestExactAccessPathIsFinal(t *testing.T) {
 }
 
 // TestFoldedRangeLeavesMistypedBoundToResidual: a bound whose type is not
-// the column's cannot be ordered against the keys, so it is not folded;
-// the plan shows the interval it leaves.
+// the column's cannot be ordered against the keys, and no row satisfies
+// it, so bind empties the selection: the plan shows the empty interval,
+// which nothing is left to filter.
 func TestFoldedRangeLeavesMistypedBoundToResidual(t *testing.T) {
 	db := rangeDB(t, 20)
 	for where, want := range map[string]string{
-		"id > 'x'":            `tree range scan on "id" (-inf, +inf) + 1 residual filter(s)`,
-		"id > 'x' AND id < 7": `tree range scan on "id" (-inf, 7] + 1 residual filter(s)`,
+		"id > 'x'":            `tree range scan on "id" (empty interval)`,
+		"id > 'x' AND id < 7": `tree range scan on "id" (empty interval)`,
 	} {
 		planned, err := db.Exec("EXPLAIN SELECT k FROM ranged WHERE " + where)
 		if err != nil {

@@ -55,8 +55,7 @@ func (db *Database) Exec(sql string) (*ExecResult, error) {
 	}
 	defer x.Release()
 	tm := db.stmts.lookup(x)
-	miss := tm == nil
-	if miss {
+	if tm == nil {
 		st, err := x.Parse()
 		if err != nil {
 			return nil, err
@@ -70,16 +69,15 @@ func (db *Database) Exec(sql string) (*ExecResult, error) {
 		if tm, err = db.build(st); err != nil {
 			return nil, err
 		}
+		if tm.cacheable {
+			db.stmts.add(x, tm)
+		}
 	}
 	lits, err := x.Literals()
 	if err != nil {
 		return nil, err
 	}
-	res, err := db.run(tm, lits)
-	if err == nil && miss && tm.cacheable {
-		db.stmts.add(x, tm)
-	}
-	return res, err
+	return db.run(tm, lits)
 }
 
 // MustExec is Exec that panics on error; for tests and examples.
@@ -207,7 +205,7 @@ const (
 // (NULL, TRUE, FALSE, or the tuple a REF found).
 type arg struct {
 	slot int   // 1-based into the statement's literals; 0 = fixed
-	v    Value // the fixed value
+	v    Value // the fixed value; a slot's placeholder: the building statement's literal
 }
 
 func (a arg) value(lits []sqlparser.Expr) Value {
@@ -218,10 +216,13 @@ func (a arg) value(lits []sqlparser.Expr) Value {
 }
 
 // arg names where a parsed expression's value comes from; a REF is
-// resolved now and makes the template uncacheable.
+// resolved now and makes the template uncacheable. A slot keeps its
+// literal as a placeholder of the value's type, which the build checks:
+// every statement of the template's shape has a literal of that kind
+// there (sqlparser's Matches).
 func (tm *stmtTemplate) arg(db *Database, e sqlparser.Expr) (arg, error) {
 	if e.Slot > 0 {
-		return arg{slot: e.Slot}, nil
+		return arg{slot: e.Slot, v: literalValue(e)}, nil
 	}
 	if e.Kind == sqlparser.ExprRef {
 		tm.cacheable = false
@@ -273,12 +274,13 @@ func (db *Database) resolveExpr(e sqlparser.Expr) (Value, error) {
 	}
 }
 
-// build makes the template of a parsed SELECT, INSERT, UPDATE or DELETE
-// and binds its query: a name that does not resolve fails the build,
-// before any lock is taken. Its errors are the statement's. A template
-// that builds may still fail when run — a value of the wrong type fails
-// only at the write — so Exec caches a template only after it ran without
-// error.
+// build makes the template of a parsed SELECT, INSERT, UPDATE or DELETE,
+// binds its query and checks each value it writes against the target's
+// schema: a name that does not resolve, or a value its column cannot
+// hold, fails the build, before any lock is taken, with the error the run
+// would have given. A template that builds is complete: a run of its
+// shape fails only on the data (a duplicate key) or the lock manager
+// (a deadlock), so Exec caches it as soon as it is built.
 func (db *Database) build(st sqlparser.Statement) (*stmtTemplate, error) {
 	tm := &stmtTemplate{cacheable: true}
 	var err error
@@ -302,10 +304,15 @@ func (db *Database) build(st sqlparser.Statement) (*stmtTemplate, error) {
 		tm.rows = make([][]arg, len(s.Rows))
 		for i, row := range s.Rows {
 			tm.rows[i] = make([]arg, len(row))
+			vals := make([]Value, len(row))
 			for j, e := range row {
 				if tm.rows[i][j], err = tm.arg(db, e); err != nil {
 					return nil, err
 				}
+				vals[j] = tm.rows[i][j].v
+			}
+			if err := tm.t.rel.Schema().Validate(vals); err != nil {
+				return nil, err
 			}
 		}
 		return tm, nil
@@ -335,6 +342,8 @@ func (db *Database) build(st sqlparser.Statement) (*stmtTemplate, error) {
 	if err == nil && tm.verb == verbUpdate {
 		if tm.field = tm.t.ColumnIndex(column); tm.field < 0 {
 			err = fmt.Errorf("mmdb: table %s has no column %q", tm.t.Name(), column)
+		} else if err = tm.t.rel.Schema().CheckField(tm.field, tm.set.v); err != nil {
+			err = fmt.Errorf("txn: %w", err) // as the write, txn.Update, words it
 		}
 	}
 	if err != nil {
@@ -445,7 +454,7 @@ func (tm *stmtTemplate) selection(db *Database, from, fromAlias string, where []
 		if tm.preds[i], err = tm.arg(db, c.Value); err != nil {
 			return err
 		}
-		q = q.Where(c.Column, op, tm.preds[i].v) // a slot's value comes when run
+		q = q.Where(c.Column, op, tm.preds[i].v) // bind checks a slot's placeholder; each run brings its value
 	}
 	for _, j := range joins {
 		// The parser records SELF as an empty column; the fluent API

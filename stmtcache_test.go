@@ -231,10 +231,11 @@ func TestStmtCacheDecodesLikeColdPath(t *testing.T) {
 	}
 }
 
-// TestStmtCacheSkipsFailures: a statement that fails is never cached and
-// fails the same way every time, whether it fails while built (a name
-// that does not bind) or while run; a literal out of range fails as the
-// parser fails on it, also when its shape is cached.
+// TestStmtCacheSkipsFailures: a statement that fails to build — a name
+// that does not bind, a select list against its GROUP BY, a value its
+// column cannot hold — is never cached and fails the same way every time;
+// a literal out of range fails as the parser fails on it, also when its
+// shape is cached.
 func TestStmtCacheSkipsFailures(t *testing.T) {
 	db := protoDB(t, 100, 0)
 	for _, s := range []string{
@@ -242,7 +243,7 @@ func TestStmtCacheSkipsFailures(t *testing.T) {
 		"SELECT nope FROM fact",                // fails to bind, before any lock
 		"SELECT id FROM nope WHERE id = 1",     // no such table
 		"SELECT g, v FROM fact GROUP BY g",     // select list against GROUP BY
-		"UPDATE fact SET v = 'x' WHERE id = 1", // wrong type at the write
+		"UPDATE fact SET v = 'x' WHERE id = 1", // wrong type for the column
 	} {
 		var first string
 		for i := 0; i < 3; i++ {
@@ -265,6 +266,68 @@ func TestStmtCacheSkipsFailures(t *testing.T) {
 	_, cold := sqlparser.Parse(big)
 	if _, err := db.Exec(big); cold == nil || err == nil || err.Error() != cold.Error() {
 		t.Errorf("%s: Exec says %v, Parse %v", big, err, cold)
+	}
+}
+
+// TestStmtCacheTypeChecksWritesAtBuild: an INSERT or UPDATE value its
+// column cannot hold fails the statement's build, with the error the
+// write gives (storage's for an INSERT row, txn's for an UPDATE's SET),
+// before any lock is granted and whether or not a row would be written;
+// the statement is not cached.
+func TestStmtCacheTypeChecksWritesAtBuild(t *testing.T) {
+	db := protoDB(t, 100, 0)
+	for s, want := range map[string]string{
+		"INSERT INTO fact VALUES (500, 'x', 1)":              `storage: field "g" wants int, got string`,
+		"INSERT INTO fact VALUES (500, 1, 2), (501, 2.5, 3)": `storage: field "g" wants int, got float`,
+		"INSERT INTO fact VALUES (500, 1)":                   "storage: got 2 values for 3 fields",
+		"UPDATE fact SET v = 'x' WHERE id = 1":               `txn: field "v" wants int, got string`,
+		"UPDATE fact SET g = 1.5 WHERE id >= 3":              `txn: field "g" wants int, got float`,
+		"UPDATE fact SET g = 1.5 WHERE id = -1":              `txn: field "g" wants int, got float`,
+	} {
+		st, err := sqlparser.Parse(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.build(st); err == nil || err.Error() != want {
+			t.Errorf("%s: build error %v, want %q", s, err, want)
+		}
+		grants := db.locks.Stats().Grants
+		if _, err := db.Exec(s); err == nil || err.Error() != want {
+			t.Errorf("%s: Exec error %v, want %q", s, err, want)
+		}
+		if g := db.locks.Stats().Grants - grants; g != 0 {
+			t.Errorf("%s: took %d lock grants", s, g)
+		}
+		if cached(t, db, s) {
+			t.Errorf("%s: cached", s)
+		}
+	}
+	if n := db.MustExec("SELECT id FROM fact WHERE id >= 100").Result.Len(); n != 0 {
+		t.Errorf("%d rows inserted", n)
+	}
+}
+
+// TestStmtCacheAdmitsAtBuild: a template that builds is complete, so Exec
+// caches it before it runs: an INSERT that fails on a duplicate primary
+// key is cached, and the next statement of its shape, with a fresh key,
+// is a hit that succeeds.
+func TestStmtCacheAdmitsAtBuild(t *testing.T) {
+	db := protoDB(t, 100, 0)
+	const dup, fresh = "INSERT INTO fact VALUES (5, 1, 2)", "INSERT INTO fact VALUES (500, 1, 2)"
+	if _, err := db.Exec(dup); err == nil {
+		t.Fatalf("%s: no error", dup)
+	}
+	if !cached(t, db, dup) || !cached(t, db, fresh) {
+		t.Fatalf("%s failed on its data and was not cached", dup)
+	}
+	if r, err := db.Exec(fresh); err != nil || r.RowsAffected != 1 {
+		t.Fatalf("%s: %v", fresh, err)
+	}
+	if got := rowsText(db.MustExec("SELECT id, g, v FROM fact WHERE id = 500")); got != "[500 1 2]\n" {
+		t.Errorf("the hit inserted %q", got)
+	}
+	if db.stmts.n != 2 {
+		t.Errorf("%d cache entries, want the INSERT's and the SELECT's", db.stmts.n)
 	}
 }
 
