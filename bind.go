@@ -57,7 +57,7 @@ func (q *Query) bind() (b boundQuery, err error) {
 	}
 	for i, r := range q.rels {
 		if q.relNamed(r.name) != i {
-			return b, fmt.Errorf("mmdb: relation name %q already in scope; use JoinAs with a distinct alias", r.name)
+			return b, &scopeError{name: r.name, table: r.t.Name()}
 		}
 	}
 	b.preds = make([]int, len(q.preds))
@@ -159,6 +159,15 @@ func (q *Query) bind() (b boundQuery, err error) {
 		b.forced, err = q.forcedOrder(b.joins)
 	}
 	return b, err
+}
+
+// scopeError is bind's answer to a scope name given twice: name, the
+// second time to a relation of table. Its text names the fluent remedy;
+// a SQL statement's build names the SQL one.
+type scopeError struct{ name, table string }
+
+func (e *scopeError) Error() string {
+	return fmt.Sprintf("mmdb: relation name %q already in scope; use JoinAs with a distinct alias", e.name)
 }
 
 // resolve resolves a column name in rels[lo:hi], the relations in its

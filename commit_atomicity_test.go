@@ -137,3 +137,57 @@ func TestUniqueKeyCheckAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestUniqueIndexKeepsNullKeys: NULL is no value, so NULL keys never
+// collide in a unique index, as the primary key or as a secondary index
+// of any of the eight structures. Every NULL-keyed row stays in both
+// indices — a full scan through the primary one returns it, and a DELETE
+// takes exactly its entry out — a unique index builds over a column that
+// holds two NULLs, and a duplicate value is still refused.
+func TestUniqueIndexKeepsNullKeys(t *testing.T) {
+	for _, kind := range []IndexKind{Array, AVLTree, BTree, TTree, ChainedHash, Extendible, LinearHash, ModLinearHash} {
+		t.Run(kind.String(), func(t *testing.T) {
+			db := openEmpty(t)
+			u, err := db.CreateTable("u", []Field{{Name: "id", Type: TypeInt}, {Name: "s", Type: TypeString}}, "id", kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := u.CreateUniqueIndex("u_s", "s", kind); err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range [][2]Value{{Int(0), Null}, {Int(1), Null}, {Int(2), Str("a")}, {Null, Str("b")}, {Null, Str("c")}} {
+				if _, err := u.Insert(row[0], row[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check := func(when string, rows int) {
+				t.Helper()
+				if n := u.Cardinality(); n != rows {
+					t.Errorf("%s: cardinality %d, want %d", when, n, rows)
+				}
+				if n := db.MustExec("SELECT id FROM u").Result.Len(); n != rows {
+					t.Errorf("%s: a full scan returned %d rows, want %d", when, n, rows)
+				}
+				for _, ix := range u.Indexes() {
+					if ix.Len() != rows {
+						t.Errorf("%s: index %s holds %d entries, want %d", when, ix.Name(), ix.Len(), rows)
+					}
+				}
+			}
+			check("after the inserts", 5)
+			if _, err := u.CreateUniqueIndex("u_s_again", "s", kind); err != nil {
+				t.Errorf("a unique index over two NULLs: %v", err)
+			}
+			check("after building a unique index", 5)
+			if _, err := db.Exec("INSERT INTO u VALUES (3, 'a')"); err == nil {
+				t.Error("a duplicate 'a' was accepted")
+			}
+			db.MustExec("DELETE FROM u WHERE s = 'b'") // NULL id
+			db.MustExec("DELETE FROM u WHERE id = 0")  // NULL s
+			check("after the deletes", 3)
+			if got := rowsText(db.MustExec("SELECT id, s FROM u WHERE s = 'c'")); got != "[NULL c]\n" {
+				t.Errorf("the other NULL id's row reads %q", got)
+			}
+		})
+	}
+}

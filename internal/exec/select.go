@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/meter"
 	"repro/internal/obs"
@@ -103,7 +104,8 @@ func SelectEqTree(ix tupleindex.Ordered, field int, key storage.Value, spec Sele
 // SelectRange selects lo <= field <= hi through an ordered index; hash
 // structures cannot serve range queries (§3.2.2: "range queries (hash
 // structures excluded)"). Nil bounds are open. Matches are gathered into a
-// pooled block and flushed block-wise.
+// pooled block and flushed block-wise by a pooled rangeSink, so the probe
+// allocates no visitor.
 func SelectRange(ix tupleindex.Ordered, field int, lo, hi *storage.Value, spec SelectSpec) *storage.TempList {
 	out := spec.newList()
 	loPos := func(*storage.Tuple) int { return 0 } // everything >= -inf
@@ -118,22 +120,48 @@ func SelectRange(ix tupleindex.Ordered, field int, lo, hi *storage.Value, spec S
 		defer tupleindex.PutKeyPos(p)
 		hiPos = p.Pos
 	}
-	buf := storage.GetBatch()
-	ix.Range(loPos, hiPos, func(t *storage.Tuple) bool {
-		buf = append(buf, t)
-		if len(buf) == cap(buf) {
-			out.AppendBatch(buf)
-			spec.Meter.AddBatch(1)
-			buf = buf[:0]
-		}
-		return true
-	})
-	if len(buf) > 0 {
-		out.AppendBatch(buf)
-		spec.Meter.AddBatch(1)
-	}
-	storage.PutBatch(buf)
+	s := rangeSinks.Get().(*rangeSink)
+	s.buf, s.out, s.meter = storage.GetBatch(), out, spec.Meter
+	ix.Range(loPos, hiPos, s.visit)
+	s.flush()
+	storage.PutBatch(s.buf)
+	s.buf, s.out, s.meter = nil, nil, nil
+	rangeSinks.Put(s)
 	return out
+}
+
+// rangeSink is SelectRange's visitor: it gathers the tuples the index
+// visits into buf and flushes each full block into out. Its visit is the
+// add method bound once, when the sink is made (tupleindex.KeyPos's
+// idiom), and sinks are pooled, so a range probe hands the index a visitor
+// without building a closure or boxing its block.
+type rangeSink struct {
+	buf   storage.TupleBatch
+	out   *storage.TempList
+	meter *meter.Counters
+	visit func(*storage.Tuple) bool // add
+}
+
+var rangeSinks = sync.Pool{New: func() any {
+	s := new(rangeSink)
+	s.visit = s.add
+	return s
+}}
+
+func (s *rangeSink) add(t *storage.Tuple) bool {
+	if s.buf = append(s.buf, t); len(s.buf) == cap(s.buf) {
+		s.flush()
+	}
+	return true
+}
+
+// flush appends the gathered block to out and empties it.
+func (s *rangeSink) flush() {
+	if len(s.buf) > 0 {
+		s.out.AppendBatch(s.buf)
+		s.meter.AddBatch(1)
+		s.buf = s.buf[:0]
+	}
 }
 
 // SelectScan selects by predicate with a sequential scan through an index

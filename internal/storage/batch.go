@@ -75,12 +75,18 @@ func getChunk(arity int) []*Tuple {
 	return make([]*Tuple, 0, ChunkRows*arity)
 }
 
+// pooledChunk reports whether c is a chunk of its arity's pool: one
+// getChunk handed out, which putChunk takes back.
+func pooledChunk(c []*Tuple, arity int) bool {
+	return arity >= 1 && arity <= len(chunkPools) && cap(c) == ChunkRows*arity
+}
+
 // putChunk clears a chunk and returns it to its arity pool. Chunks that
 // are not full-size (the exact-fit chunks small CapacityHints allocate)
 // are left for the GC — pooling them would poison the pool with short
 // blocks.
 func putChunk(c []*Tuple, arity int) {
-	if arity < 1 || arity > len(chunkPools) || cap(c) != ChunkRows*arity {
+	if !pooledChunk(c, arity) {
 		return
 	}
 	c = c[:cap(c)]

@@ -370,11 +370,20 @@ func (l *TempList) Row(i int) Row {
 // and the computed vectors, its old chunks go back to the pool at once,
 // and l is left empty. A result of n rows thus costs one allocation
 // instead of one pooled chunk per ChunkRows rows that would never be
-// returned. A list of at most one chunk is returned as it is. Release of
-// a settled list pools nothing, so no later list is handed a window of
-// the slab.
+// returned. A list of one pooled chunk it does not fill gets an exact-fit
+// copy of its rows in place of the chunk, which goes back to the pool: a
+// 100-row range leaves in 800 bytes, not in a 2 KiB chunk. Any other list
+// of at most one chunk is returned as it is. Release of a settled list
+// pools nothing, so no later list is handed a window of the slab.
 func (l *TempList) Settle() *TempList {
-	if len(l.chunks) <= 1 || l.settled {
+	if l.settled || len(l.chunks) == 0 {
+		return l
+	}
+	if len(l.chunks) == 1 {
+		if c := l.chunks[0]; len(c) < cap(c) && pooledChunk(c, l.arity) {
+			l.chunks[0] = append(make([]*Tuple, 0, len(c)), c...)
+			putChunk(c, l.arity)
+		}
 		return l
 	}
 	slab := make([]*Tuple, l.n*l.arity)

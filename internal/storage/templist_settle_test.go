@@ -77,7 +77,8 @@ func checkSettled(t *testing.T, s *TempList, srcs [][]*Tuple, n int) {
 // ChunkRows-row windows, in at most two allocations (the slab and the list
 // header); the rows, their order and every computed value read as before,
 // and the source is left empty. A one-chunk list and a frozen list are
-// returned as they are.
+// returned as they are, the rows of a one-chunk list that does not fill
+// its pooled chunk copied to an exact fit.
 func TestSettleKeepsRowsInOneSlab(t *testing.T) {
 	n := 3*ChunkRows + 17
 	for _, arity := range []int{1, 2, 4} {
@@ -113,9 +114,16 @@ func TestSettleKeepsRowsInOneSlab(t *testing.T) {
 	}
 
 	one, _ := settleList(t, 2, ChunkRows)
-	if one.Settle() != one {
-		t.Fatal("a one-chunk list was copied")
+	if one.Settle() != one || cap(one.chunks[0]) != 2*ChunkRows {
+		t.Fatal("a full one-chunk list was copied")
 	}
+	// A pooled chunk the list does not fill is copied to an exact fit in
+	// place, so the result does not keep a whole chunk.
+	part, srcs := settleList(t, 2, 100)
+	if part.Settle() != part || cap(part.chunks[0]) != 2*100 {
+		t.Fatalf("a 100-row list settled into a chunk of %d pointers, want 200", cap(part.chunks[0]))
+	}
+	checkSettled(t, part, srcs, 100)
 }
 
 // TestReleaseOfSettledListPoolsNothing: Release of a settled list returns

@@ -12,6 +12,7 @@
 package tupleindex
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 
@@ -57,18 +58,27 @@ type Options struct {
 	Meter    *meter.Counters
 }
 
-// Config builds the generic index configuration for the options.
+// Config builds the generic index configuration for the options. In a
+// unique index two NULL keys never compare equal — NULL is no value, so
+// it cannot collide — and the structure keeps every NULL-keyed tuple:
+// Cmp breaks a tie between NULL keys on tuple ID, which keeps them
+// adjacent, and Eq calls no NULL key equal to another.
 func Config(o Options) index.Config[*storage.Tuple] {
-	f := o.Field
+	f, unique := o.Field, o.Unique
 	return index.Config[*storage.Tuple]{
 		Cmp: func(a, b *storage.Tuple) int {
-			return storage.Compare(KeyOf(a, f), KeyOf(b, f))
+			ka := KeyOf(a, f)
+			if c := storage.Compare(ka, KeyOf(b, f)); c != 0 || !unique || !ka.IsNull() {
+				return c
+			}
+			return cmp.Compare(a.ID(), b.ID())
 		},
 		Hash: func(t *storage.Tuple) uint64 {
 			return storage.Hash(KeyOf(t, f))
 		},
 		Eq: func(a, b *storage.Tuple) bool {
-			return storage.Equal(KeyOf(a, f), KeyOf(b, f))
+			ka := KeyOf(a, f)
+			return storage.Equal(ka, KeyOf(b, f)) && !(unique && ka.IsNull())
 		},
 		Same:         func(a, b *storage.Tuple) bool { return a.Canonical() == b.Canonical() },
 		Unique:       o.Unique,

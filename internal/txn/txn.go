@@ -38,6 +38,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/lock"
@@ -78,20 +79,53 @@ func NewManager(locks *lock.Manager, log *recovery.Manager) *Manager {
 	return &Manager{Locks: locks, Log: log}
 }
 
-// Begin starts a transaction. Its first four buffered ops and the first
-// relation it writes live in the same allocation as the transaction
-// itself; more spill by append.
-func (m *Manager) Begin() *Txn {
+// txnBox is a transaction with room for its first four buffered ops and
+// the first relation it writes, so that they live in the transaction's own
+// allocation; more spill by append.
+type txnBox struct {
+	Txn
+	ops   [4]op
+	xrels [1]xrel
+}
+
+// boxes pools the transactions BeginPooled starts.
+var boxes = sync.Pool{New: func() any { return new(txnBox) }}
+
+// Begin starts a transaction.
+func (m *Manager) Begin() *Txn { return m.begin(new(txnBox)) }
+
+// BeginPooled is Begin for a transaction that does not outlive its
+// caller: once it has committed or aborted, the caller hands it back with
+// Recycle and keeps no reference to it. Nothing else does either — the
+// lock manager and the log know a transaction by its ID — so a statement
+// that runs in one allocates no transaction.
+func (m *Manager) BeginPooled() *Txn {
+	w := boxes.Get().(*txnBox)
+	t := m.begin(w)
+	t.box = w
+	return t
+}
+
+func (m *Manager) begin(w *txnBox) *Txn {
 	if m.Obs != nil {
 		m.Obs.TxnBegin()
 	}
-	w := &struct {
-		Txn
-		ops   [4]op
-		xrels [1]xrel
-	}{Txn: Txn{m: m, id: atomic.AddUint64(&m.next, 1)}}
-	w.Txn.ops, w.Txn.xrels = w.ops[:0], w.xrels[:0]
+	w.Txn = Txn{m: m, id: atomic.AddUint64(&m.next, 1), ops: w.ops[:0], xrels: w.xrels[:0]}
 	return &w.Txn
+}
+
+// Recycle hands a transaction BeginPooled started back to the pool,
+// aborting it first if it is still running (a caller returning an error
+// or unwinding from a panic), so no lock outlives it. Recycling a transaction Begin started is
+// a bug.
+func (t *Txn) Recycle() {
+	w := t.box
+	if w == nil {
+		panic("txn: Recycle of a transaction BeginPooled did not start")
+	}
+	t.Abort()
+	*w = txnBox{} // drop every tuple and value the ops held
+	boxes.Put(w)
 }
 
 // BeginUntracked starts a transaction that bypasses the observer — for
@@ -148,7 +182,8 @@ type Txn struct {
 	xrels     []xrel
 	inserts   int // insert ops in ops
 	done      bool
-	untracked bool // ephemeral reader: skip observer events
+	untracked bool    // ephemeral reader: skip observer events
+	box       *txnBox // the pooled allocation of a BeginPooled transaction; nil otherwise
 }
 
 // ID returns the transaction identifier.

@@ -378,7 +378,7 @@ func TestIntrospectionRendersTextOnRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	executed := res.Plan()
-	if !strings.Contains(executed, `access a: tree range scan on "id" [-1, +inf) + 1 residual filter(s)`) {
+	if !strings.Contains(executed, `access a: tree range scan on "id" [0, +inf) + 1 residual filter(s)`) {
 		t.Fatalf("unexpected executed plan:\n%s", executed)
 	}
 	q.Where("id", Lt, Int(5))

@@ -3,6 +3,8 @@ package mmdb
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -184,18 +186,18 @@ func TestPointSelectAllocsIndependentOfTableSize(t *testing.T) {
 	t.Logf("pk SELECT %.0f / %.0f (one text), %.0f / %.0f (new ids) allocations at 1k / 100k rows",
 		smallSame, largeSame, smallFresh, largeFresh)
 	// A build that walked the relation allocated ≈1.3 times per partition
-	// here (the 100k table has ≈400). The statement allocates 3 times: the
-	// copy of its query with its predicate, which takes the literal; the
-	// one-row list of the key its unique index holds; and the statement's
+	// here (the 100k table has ≈400). The statement allocates twice: the
+	// one-row list of the key its unique index holds, and the statement's
 	// outcome with its Result. Its shape's template — bound output columns
-	// and access path included — comes from the statement cache; the
-	// phase counters and the index probe's position function are pooled;
-	// a serial lookup makes no scheduler handle; and the plan, the
-	// decision audit and the query's text are values formatted only when
-	// read. The ceiling is that count, with room for the race detector,
-	// which drops pooled entries, and for nothing else: a parse, a plan
-	// line or a pooled chunk on the hit path would cross it.
-	ceiling := 3
+	// and access path included — comes from the statement cache, and runs
+	// uncopied beside the literal, in a pooled run; the phase counters and
+	// the index probe's position function are pooled; a serial lookup
+	// makes no scheduler handle; and the plan, the decision audit and the
+	// query's text are values formatted only when read. The ceiling is
+	// that count, with room for the race detector, which drops pooled
+	// entries, and for nothing else: a parse, a plan line, a query copy or
+	// a pooled chunk on the hit path would cross it.
+	ceiling := 2
 	if raceEnabled {
 		ceiling += 5
 	}
@@ -255,15 +257,15 @@ func TestStatementAllocsIndependentOfTableSize(t *testing.T) {
 	t.Logf("range SELECT %.0f / %.0f (one text), %.0f / %.0f (new ranges), DELETE %.0f / %.0f, INSERT %.0f / %.0f allocations at 1k / 100k rows",
 		small.rng, large.rng, small.freshRng, large.freshRng, small.del, large.del, small.ins, large.ins)
 	// Ceilings: the counts measured on a hit of the statement cache, plus
-	// the race detector's slack. The range SELECT's 9 are the query copy
-	// and the outcome with its Result; the probe's list header and chunk
-	// directory (its chunk is pooled); the range visitor and the block it
-	// gathers into; and the residual filter's list — header, directory
-	// and exact-fit chunk — for the strict upper bound. The DELETE's 5 are
-	// the query copy, the transaction and its handle, the one-row list of
-	// the key and the outcome; the INSERT's 4 its values, its
-	// transaction, the committed tuples and the outcome.
-	rangeCeiling, delCeiling, insCeiling := 9, 5, 4
+	// the race detector's slack. The range SELECT's 4 are the outcome with
+	// its Result, and the probe's list: header, chunk directory and the
+	// exact-fit copy its pooled chunk is settled into. The strict upper
+	// bound folds into the probe, so no residual filter copies the list,
+	// and the range visitor is pooled. The DELETE's 2 are the one-row list
+	// of the key and the outcome; the INSERT's 2 the committed tuples and
+	// the outcome. The writes' transactions are pooled, and an INSERT
+	// stages its values from the stack.
+	rangeCeiling, delCeiling, insCeiling := 4, 2, 2
 	if raceEnabled {
 		rangeCeiling, delCeiling, insCeiling = rangeCeiling+5, delCeiling+5, insCeiling+5
 	}
@@ -282,6 +284,88 @@ func TestStatementAllocsIndependentOfTableSize(t *testing.T) {
 		}
 		if c.large > float64(c.ceiling) {
 			t.Errorf("%s allocates %.0f times, ceiling %d", c.what, c.large, c.ceiling)
+		}
+	}
+}
+
+// TestStatementHitBytes pins the bytes a hit of the statement cache
+// allocates — a primary-key SELECT, a 100-row range SELECT, a primary-key
+// DELETE and an INSERT, each bringing new literals — and checks they are
+// the same at 1k and at 100k rows. A statement's bytes are the median of
+// its runs' runtime.MemStats.TotalAlloc deltas: the storage an INSERT
+// adds to the table in steps (a slab chunk, an index node) lands on a few
+// runs, and is the table's, not the statement's.
+func TestStatementHitBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads 100k-row tables")
+	}
+	if raceEnabled {
+		t.Skip("the race detector drops pooled entries at random, so a hit's bytes vary")
+	}
+	const runs = 301 // DELETE ids 1..2*runs+1 stay below 1k
+	type bytes struct{ point, rng, del, ins uint64 }
+	// each is the median bytes a run of the statements allocates; every
+	// statement is built before the measurement, and a run of the shape
+	// before it builds the template.
+	each := func(db *Database, format string, arg func(i int) []any, check func(*ExecResult) bool) uint64 {
+		stmts := make([]string, runs+1)
+		for i := range stmts {
+			stmts[i] = fmt.Sprintf(format, arg(i)...)
+		}
+		exec := func(s string) {
+			if r, err := db.Exec(s); err != nil || !check(r) {
+				t.Fatalf("%s: %v", s, err)
+			}
+		}
+		exec(stmts[runs])
+		deltas := make([]uint64, runs)
+		var before, after runtime.MemStats
+		for i, s := range stmts[:runs] {
+			runtime.ReadMemStats(&before)
+			exec(s)
+			runtime.ReadMemStats(&after)
+			deltas[i] = after.TotalAlloc - before.TotalAlloc
+		}
+		slices.Sort(deltas)
+		return deltas[runs/2]
+	}
+	measure := func(rows int) (b bytes) {
+		db := protoDB(t, rows, 0)
+		hundred := func(r *ExecResult) bool { return r.Result.Len() == 100 }
+		one := func(r *ExecResult) bool { return r.RowsAffected == 1 }
+		b.point = each(db, "SELECT id, v FROM fact WHERE id = %d", func(i int) []any { return []any{i * 37 % rows} }, one)
+		b.rng = each(db, "SELECT id, v FROM fact WHERE id >= %d AND id < %d",
+			func(i int) []any { lo := i * 3 % (rows - 100); return []any{lo, lo + 100} }, hundred)
+		b.del = each(db, "DELETE FROM fact WHERE id = %d", func(i int) []any { return []any{2*i + 1} }, one)
+		b.ins = each(db, "INSERT INTO fact VALUES (%d, %d, %d)", func(i int) []any { return []any{rows + i, i, -i} }, one)
+		return b
+	}
+	small, large := measure(1_000), measure(100_000)
+	t.Logf("bytes a hit at 1k / 100k rows: pk SELECT %d / %d, 100-row range SELECT %d / %d, DELETE %d / %d, INSERT %d / %d",
+		small.point, large.point, small.rng, large.rng, small.del, large.del, small.ins, large.ins)
+	// Ceilings: the bytes measured. A hit allocates only its answer. The
+	// SELECTs' outcome with its Result is 320 bytes; a point SELECT adds
+	// its one-row list (160); a 100-row range its list header (128), chunk
+	// directory (24) and 100 settled row pointers (896, the size class of
+	// 800). The writes' outcome is 48 bytes; a DELETE adds the one-row list
+	// of its key, an INSERT its committed tuple's pointer (8). A query copy,
+	// a residual copy, a pooled chunk left in a result or a transaction
+	// would cross them.
+	for _, c := range []struct {
+		what         string
+		small, large uint64
+		ceiling      uint64
+	}{
+		{"pk SELECT", small.point, large.point, 480},
+		{"100-row range SELECT", small.rng, large.rng, 1368},
+		{"pk DELETE", small.del, large.del, 208},
+		{"INSERT", small.ins, large.ins, 56},
+	} {
+		if c.small != c.large {
+			t.Errorf("%s allocates %d bytes at 1k rows and %d at 100k", c.what, c.small, c.large)
+		}
+		if c.large > c.ceiling {
+			t.Errorf("%s allocates %d bytes, ceiling %d", c.what, c.large, c.ceiling)
 		}
 	}
 }

@@ -168,11 +168,19 @@ func (p *orderPlan) path() string {
 	return "full sort (" + p.sort.String() + ")"
 }
 
-// String renders the query in a compact SQL-ish form: the text the live
-// registry and the slow-query log show. Neither builds it while the query
-// runs; the registry renders it when a snapshot is taken, the slow log
-// when the query crossed its threshold.
+// String renders the query in a compact SQL-ish form, with the values
+// Where gave it.
 func (q *Query) String() string {
+	r := q.ownRun()
+	defer r.release()
+	return r.String()
+}
+
+// text renders the query with vals[i] as predicate i's value: Query.String,
+// and a run's text, which the live registry and the slow-query log show.
+// Neither builds it while the query runs; the registry renders it when a
+// snapshot is taken, the slow log when the query crossed its threshold.
+func (q *Query) text(vals []Value) string {
 	if q.from == nil {
 		return "invalid query: " + q.err.Error()
 	}
@@ -222,7 +230,7 @@ func (q *Query) String() string {
 		} else {
 			b.WriteString(" AND ")
 		}
-		fmt.Fprintf(&b, "%s %s %s", p.column, p.op, p.val)
+		fmt.Fprintf(&b, "%s %s %s", p.column, p.op, vals[i])
 	}
 	if len(q.groupBy) > 0 {
 		b.WriteString(" GROUP BY ")

@@ -3,6 +3,7 @@ package mmdb
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/storage"
 	"repro/internal/tupleindex"
+	"repro/internal/txn"
 )
 
 // Op is a predicate operator.
@@ -80,11 +82,62 @@ func (q *Query) In(tx *Txn) *Query {
 	return q
 }
 
+// qpred is one WHERE predicate as Where recorded it. val is the value a
+// run of the query itself compares with; a statement template's is its
+// building statement's literal, and each hit runs with its own (run).
 type qpred struct {
 	column string
 	op     Op
 	val    Value
 }
+
+// A run is one execution of a query: the value each predicate compares
+// with on this run, and the transaction the run reads in, kept beside the
+// query, which no run writes. A fluent query runs with the values Where
+// gave it, in the transaction In gave it; a statement-cache hit runs its
+// template's one bound query with the statement's own values, so
+// concurrent hits share the template and none copies it. Runs are pooled:
+// the live registry holds one while it executes, and nothing holds it
+// after release.
+type run struct {
+	q    *Query
+	vals []Value  // vals[i] is q.preds[i]'s value on this run
+	tx   *txn.Txn // nil: the run reads under an ephemeral reader of its own
+}
+
+var runs = sync.Pool{New: func() any { return new(run) }}
+
+// newRun takes a pooled run of q in tx with no values yet; the caller
+// appends one to vals for each predicate.
+func newRun(q *Query, tx *txn.Txn) *run {
+	r := runs.Get().(*run)
+	r.q, r.tx = q, tx
+	return r
+}
+
+// ownRun is a run of q with its own values and transaction.
+func (q *Query) ownRun() *run {
+	var tx *txn.Txn
+	if q.tx != nil {
+		tx = q.tx.inner
+	}
+	r := newRun(q, tx)
+	for _, p := range q.preds {
+		r.vals = append(r.vals, p.val)
+	}
+	return r
+}
+
+// release returns the run to the pool, keeping its value storage.
+func (r *run) release() {
+	clear(r.vals) // hold no string past the run
+	r.q, r.vals, r.tx = nil, r.vals[:0], nil
+	runs.Put(r)
+}
+
+// String renders the query with this run's values: the text the live
+// registry and the slow-query log show.
+func (r *run) String() string { return r.q.text(r.vals) }
 
 // qrel is one relation in the query's scope: the from-table at index 0,
 // then one entry per Join/JoinAs in declaration order. name is the scope
@@ -366,8 +419,9 @@ const snapshotMinRows = 2 * plan.MinRowsPerWorker
 // snapshotMinRows rows, so small tables — whose results are routinely fed
 // back into updates — stay on locked scans of live tuples. Explain asks
 // the same two questions, so it names the path the executor takes.
-func (q *Query) snapshotShapeOK(ap accessPath) bool {
-	if q.tx != nil || q.db.tune.noSnapshots || len(q.joins) > 0 || q.from == nil {
+func (r *run) snapshotShapeOK(ap accessPath) bool {
+	q := r.q
+	if r.tx != nil || q.db.tune.noSnapshots || len(q.joins) > 0 || q.from == nil {
 		return false
 	}
 	if q.pushedLimit() >= 0 {
@@ -457,8 +511,10 @@ func (r *Result) Plan() string { return r.plan.text(-1) }
 // snapshot, never while it scans; it sees every commit that returned
 // before Run was called.
 func (q *Query) Run() (*Result, error) {
+	r := q.ownRun()
+	defer r.release()
 	res := new(Result)
-	if _, err := q.execute(false, res); err != nil {
+	if _, err := r.execute(false, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -470,8 +526,10 @@ func (q *Query) Run() (*Result, error) {
 // data moves, hash calls, …) that operator accumulated. The SQL form is
 // EXPLAIN ANALYZE SELECT ….
 func (q *Query) Analyze() (*Result, *QueryTrace, error) {
+	r := q.ownRun()
+	defer r.release()
 	res := new(Result)
-	tr, err := q.execute(true, res)
+	tr, err := r.execute(true, res)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -614,7 +672,8 @@ func (x *execution) budget() int64 {
 // database's metrics registry is enabled it also accumulates per-query
 // metrics. With both disabled the overhead is a handful of nil checks and
 // no allocations beyond the result's own.
-func (q *Query) execute(analyze bool, res *Result) (*QueryTrace, error) {
+func (r *run) execute(analyze bool, res *Result) (*QueryTrace, error) {
+	q := r.q
 	b, err := q.bind()
 	if err != nil {
 		return nil, err
@@ -631,13 +690,13 @@ func (q *Query) execute(analyze bool, res *Result) (*QueryTrace, error) {
 
 	// Live-query registration: the query is visible in ActiveQueries from
 	// here until execute returns, with its phase and rows-processed gauges
-	// updated as the operators run. The registry holds q itself and
+	// updated as the operators run. The registry holds the run itself and
 	// renders its text only when a snapshot asks. aq is nil when the
 	// registry is off; every downstream use is nil-safe, so the disabled
 	// path costs one comparison per call site.
 	var aq *obs.ActiveQuery
 	if q.db.active != nil {
-		aq = q.db.active.Register(q)
+		aq = q.db.active.Register(r)
 		defer q.db.active.Deregister(aq)
 	}
 	x := execution{reg: reg, pg: aq.Progress(), ctx: q.ctx, prio: q.prio}
@@ -645,14 +704,14 @@ func (q *Query) execute(analyze bool, res *Result) (*QueryTrace, error) {
 		x.ctx = context.Background()
 	}
 
-	reader := q.tx
+	reader := r.tx
 	if reader == nil {
 		// Untracked: the ephemeral lock-holder's begin/abort pair is not a
 		// user transaction and would distort txn metrics.
-		reader = &Txn{db: q.db, inner: q.db.txns.BeginUntracked()}
+		reader = q.db.txns.BeginUntracked()
 		defer reader.Abort() // releases the shared locks
 	}
-	if err := q.lockOrSnapshot(&x, reader, ap); err != nil {
+	if err := r.lockOrSnapshot(&x, reader, ap); err != nil {
 		return nil, err
 	}
 
@@ -695,8 +754,8 @@ func (q *Query) execute(analyze bool, res *Result) (*QueryTrace, error) {
 	x.plan.head = q.planHead(card)
 
 	aq.SetPhase(obs.PhaseSelect)
-	sp := q.planSelection(&b, ap, card, x.snap != nil, epoch, x.plan.head.selLimit)
-	list, err := x.record(q.runSelection(&x, &b, sp), nil)
+	sp := r.planSelection(&b, ap, card, x.snap != nil, epoch, x.plan.head.selLimit)
+	list, err := x.record(r.runSelection(&x, &b, sp), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -760,7 +819,7 @@ func (q *Query) execute(analyze bool, res *Result) (*QueryTrace, error) {
 		}
 		if slow != nil && wall >= slow.Threshold() {
 			slow.Record(obs.SlowQuery{
-				ID: aq.ID(), Text: q.String(), Start: start, Wall: wall,
+				ID: aq.ID(), Text: r.String(), Start: start, Wall: wall,
 				Rows: int64(list.Len()), Trace: trace,
 				SchedSteals: x.sq.Steals(), SchedWait: x.sq.WaitTime(),
 			})
@@ -786,8 +845,9 @@ func (q *Query) execute(analyze bool, res *Result) (*QueryTrace, error) {
 // image — republishes what changed, releases at once and scans the
 // result. Every other query takes a shared lock on each distinct table
 // it names, in name order, and holds them until reader ends.
-func (q *Query) lockOrSnapshot(x *execution, reader *Txn, ap accessPath) error {
-	snapOK := q.snapshotShapeOK(ap)
+func (r *run) lockOrSnapshot(x *execution, reader *txn.Txn, ap accessPath) error {
+	q := r.q
+	snapOK := r.snapshotShapeOK(ap)
 	if snapOK {
 		if s := q.from.rel.Snapshot(); s != nil && s.Rows() >= snapshotMinRows {
 			x.snap = s
@@ -802,17 +862,17 @@ func (q *Query) lockOrSnapshot(x *execution, reader *Txn, ap accessPath) error {
 	// array, since a query names a handful of tables.
 	var buf [4]*Table
 	tables := buf[:0]
-	for _, r := range q.rels {
-		if slices.Contains(tables, r.t) {
+	for _, rel := range q.rels {
+		if slices.Contains(tables, rel.t) {
 			continue
 		}
-		tables = append(tables, r.t)
+		tables = append(tables, rel.t)
 		for i := len(tables) - 1; i > 0 && tables[i].Name() < tables[i-1].Name(); i-- {
 			tables[i], tables[i-1] = tables[i-1], tables[i]
 		}
 	}
 	for _, t := range tables {
-		if err := reader.inner.LockRelationShared(t.rel); err != nil {
+		if err := reader.LockRelationShared(t.rel); err != nil {
 			return err
 		}
 	}
@@ -912,6 +972,14 @@ func traceRadix(n *obs.TraceNode, st radix.Stats) {
 // stand between it and the phase — the line says so: "(… estimated ≤ N
 // rows)". For the executed plan use Result.Plan or Query.Analyze.
 func (q *Query) Explain() (string, error) {
+	r := q.ownRun()
+	defer r.release()
+	return r.explain()
+}
+
+// explain is Explain with the run's values.
+func (r *run) explain() (string, error) {
+	q := r.q
 	b, err := q.bind()
 	if err != nil {
 		return "", err
@@ -921,8 +989,8 @@ func (q *Query) Explain() (string, error) {
 	// The executor's own snapshot test; the epoch is the one a snapshot
 	// published now would carry, read without locking or publishing.
 	ap := q.choosePath(&b)
-	snap := q.snapshotShapeOK(ap) && rows >= snapshotMinRows
-	p.sel = q.planSelection(&b, ap, rows, snap, q.from.rel.SnapshotEpoch(), p.head.selLimit)
+	snap := r.snapshotShapeOK(ap) && rows >= snapshotMinRows
+	p.sel = r.planSelection(&b, ap, rows, snap, q.from.rel.SnapshotEpoch(), p.head.selLimit)
 	if len(q.joins) > 0 {
 		jp := q.planJoin(&b, rows, false, p.head.joinLimit, 0)
 		p.join = &jp
@@ -963,19 +1031,18 @@ type queryPlan struct {
 type selPlan struct {
 	accessPath
 	// PathTreeRange only: every range predicate on the indexed column
-	// folded into the one inclusive interval the index is probed with.
-	// A NULL bound (the zero Value) is open. Strict bounds (<, >) fold
-	// like inclusive ones; the residual filter drops the endpoint.
+	// folded into the one inclusive interval the index is probed with
+	// (foldRange). A NULL bound (the zero Value) is open.
 	lo, hi Value
 	folded int // predicates the interval stands for
 	// empty, on every path: no row can qualify — a predicate's value rules
-	// out every row (boundQuery.empty), or a folded range has lo > hi — so
+	// out every row (boundQuery.empty), or a folded range is empty — so
 	// the selection reads nothing and probes nothing.
 	empty bool
 	// exact is the set of predicates (bit i = q.preds[i]) that hold for
 	// every tuple the index probe returns, so the residual filter skips
-	// them: the Eq a lookup served, and the inclusive bounds of a folded
-	// range.
+	// them: the Eq a lookup served, and the bounds a folded range with a
+	// lower bound holds exactly.
 	exact uint64
 	// unique: a lookup in a unique index, which returns at most one row.
 	unique bool
@@ -1042,8 +1109,8 @@ func (q *Query) choosePath(b *boundQuery) accessPath {
 // qualify, a range's folded interval, the predicates the probe guarantees
 // and, for a sequential scan, its workers. An early exit is inherently
 // sequential, so a limited scan runs serially.
-func (q *Query) planSelection(b *boundQuery, ap accessPath, rows int, snap bool, epoch uint64, limit int) selPlan {
-	t := q.from
+func (r *run) planSelection(b *boundQuery, ap accessPath, rows int, snap bool, epoch uint64, limit int) selPlan {
+	q, t := r.q, r.q.from
 	sp := selPlan{accessPath: ap, empty: b.empty, table: t.Name(), primary: t.primary.kind, preds: len(q.preds)}
 	if sp.pred >= 0 {
 		sp.column = q.preds[sp.pred].column
@@ -1051,7 +1118,7 @@ func (q *Query) planSelection(b *boundQuery, ap accessPath, rows int, snap bool,
 	switch {
 	case sp.empty:
 	case sp.path == plan.PathTreeRange:
-		q.foldRange(b, &sp)
+		r.foldRange(b, &sp)
 	case sp.path != plan.PathSequentialScan:
 		// A lookup returns exactly the tuples whose key equals the value.
 		sp.exact = 1 << uint(sp.pred)
@@ -1070,29 +1137,46 @@ func (q *Query) planSelection(b *boundQuery, ap accessPath, rows int, snap bool,
 	return sp
 }
 
-// foldRange intersects all range predicates on the indexed column:
-// the tightest lower bound from >, >= and the tightest upper bound from
-// <, <=. Every bound is of the column's type: bind found no other.
-func (q *Query) foldRange(b *boundQuery, sp *selPlan) {
+// foldRange intersects all range predicates on the indexed column into
+// one inclusive interval: the tightest lower bound from >, >= and the
+// tightest upper bound from <, <=. Every bound is of the column's type:
+// bind found no other. On an Int column a strict bound folds as the
+// inclusive one next to it — x < c as x <= c-1, x > c as x >= c+1 — so the
+// probe holds it exactly, and one past MinInt64 or MaxInt64 empties the
+// interval. A Float or Str strict bound has no next value: it folds as
+// the inclusive one, and the residual filter drops the endpoint.
+func (r *run) foldRange(b *boundQuery, sp *selPlan) {
 	field := b.preds[sp.pred]
-	var inclusive uint64
-	for i := range q.preds {
-		p := &q.preds[i]
+	var exact uint64
+	for i, p := range r.q.preds {
 		if b.preds[i] != field || p.op == Eq || p.op == Ne {
 			continue
 		}
 		sp.folded++
-		if p.op == Ge || p.op == Le {
-			inclusive |= 1 << uint(i)
+		v, inclusive := r.vals[i], true
+		switch {
+		case p.op == Ge || p.op == Le:
+		case v.Type() != TypeInt:
+			inclusive = false
+		case p.op == Gt && v.Int() < math.MaxInt64:
+			v = Int(v.Int() + 1)
+		case p.op == Lt && v.Int() > math.MinInt64:
+			v = Int(v.Int() - 1)
+		default: // x > MaxInt64, x < MinInt64
+			sp.empty = true
+			continue
+		}
+		if inclusive {
+			exact |= 1 << uint(i)
 		}
 		switch p.op {
 		case Gt, Ge:
-			if sp.lo.IsNull() || storage.Compare(p.val, sp.lo) > 0 {
-				sp.lo = p.val
+			if sp.lo.IsNull() || storage.Compare(v, sp.lo) > 0 {
+				sp.lo = v
 			}
 		case Lt, Le:
-			if sp.hi.IsNull() || storage.Compare(p.val, sp.hi) < 0 {
-				sp.hi = p.val
+			if sp.hi.IsNull() || storage.Compare(v, sp.hi) < 0 {
+				sp.hi = v
 			}
 		}
 	}
@@ -1102,7 +1186,7 @@ func (q *Query) foldRange(b *boundQuery, sp *selPlan) {
 	if !sp.lo.IsNull() {
 		// NULL sorts before every key, so only a lower bound keeps
 		// NULL-keyed tuples — on which no predicate holds — out of the range.
-		sp.exact = inclusive
+		sp.exact = exact
 	}
 }
 
@@ -1116,8 +1200,8 @@ func (q *Query) foldRange(b *boundQuery, sp *selPlan) {
 // output is final. An index path's output is final too when the probe
 // already guarantees every predicate (selPlan.exact); only otherwise does
 // a residual pass filter it once into a fresh list and release it.
-func (q *Query) runSelection(x *execution, b *boundQuery, sp selPlan) step {
-	t := q.from
+func (r *run) runSelection(x *execution, b *boundQuery, sp selPlan) step {
+	q, t := r.q, r.q.from
 	x.plan.sel = sp
 	s := step{node: obs.TraceNode{Op: "select", Detail: t.Name(), Workers: sp.workers, Refresh: x.refresh}}
 	if x.tracing() {
@@ -1133,7 +1217,7 @@ func (q *Query) runSelection(x *execution, b *boundQuery, sp selPlan) step {
 		if m != nil {
 			cmps = m.Comparisons
 		}
-		s.list = q.runScan(x, b, spec, sp)
+		s.list = r.runScan(x, b, spec, sp)
 		s.node.RowsIn = s.list.Len()
 		if len(q.preds) > 0 && m != nil {
 			// A filtered scan meters one comparison per tuple it examined,
@@ -1141,21 +1225,21 @@ func (q *Query) runSelection(x *execution, b *boundQuery, sp selPlan) step {
 			s.node.RowsIn = int(m.Comparisons - cmps)
 		}
 	default:
-		p, f, ix := q.preds[sp.pred], b.preds[sp.pred], sp.ix
+		v, f, ix := r.vals[sp.pred], b.preds[sp.pred], sp.ix
 		if sp.unique {
 			spec.Hint = 1 // the one-row list: no pooled chunk for one tuple
 		}
 		switch sp.path {
 		case plan.PathHashLookup:
-			s.list = exec.SelectEqHash(ix.hashed, f, p.val, spec)
+			s.list = exec.SelectEqHash(ix.hashed, f, v, spec)
 		case plan.PathTreeLookup:
-			s.list = exec.SelectEqTree(ix.ordered, f, p.val, spec)
+			s.list = exec.SelectEqTree(ix.ordered, f, v, spec)
 		default: // plan.PathTreeRange
 			s.list = exec.SelectRange(ix.ordered, f, rangeBound(sp.lo), rangeBound(sp.hi), spec)
 		}
 		s.probeKind, s.probes = ix.kind.String(), 1
 		s.node.RowsIn = s.list.Len()
-		s.list = q.residual(b, s.list, sp, m)
+		s.list = r.residual(b, s.list, sp, m)
 	}
 	s.scanned = int64(s.node.RowsIn)
 	if m != nil {
@@ -1190,11 +1274,13 @@ func rangeBound(v Value) *Value {
 }
 
 // residual filters an index path's output by the predicates the probe did
-// not guarantee (strict bounds, extra conjuncts, Ne) into a fresh list and
-// releases the probe's. A pushed-down limit stops the filter — and with
-// it the whole selection — once enough rows qualify. With nothing to
-// filter or cut, the probe's list is the selection's output.
-func (q *Query) residual(b *boundQuery, list *storage.TempList, sp selPlan, m *meter.Counters) *storage.TempList {
+// not guarantee (a Float or Str strict bound, an upper bound without a
+// lower one, extra conjuncts, Ne) into a fresh list and releases the
+// probe's. A pushed-down limit stops the filter — and with it the whole
+// selection — once enough rows qualify. With nothing to filter or cut,
+// the probe's list is the selection's output.
+func (r *run) residual(b *boundQuery, list *storage.TempList, sp selPlan, m *meter.Counters) *storage.TempList {
+	q := r.q
 	limit, rows := sp.limit, list.Len()
 	residual := false
 	for i := range q.preds {
@@ -1218,7 +1304,7 @@ func (q *Query) residual(b *boundQuery, list *storage.TempList, sp selPlan, m *m
 				continue
 			}
 			m.AddCompare(1)
-			if !predHolds(tp.Field(b.preds[i]), &q.preds[i]) {
+			if !predHolds(tp.Field(b.preds[i]), q.preds[i].op, r.vals[i]) {
 				return true
 			}
 		}
@@ -1236,9 +1322,9 @@ func (q *Query) residual(b *boundQuery, list *storage.TempList, sp selPlan, m *m
 // relation reads the primary index, a parallel one the relation's
 // partitions. The conjunction of all predicates runs inside the scan, so
 // no pass over the output follows, and a pushed-down LIMIT ends it.
-func (q *Query) runScan(x *execution, b *boundQuery, spec exec.SelectSpec, sp selPlan) *storage.TempList {
-	t := q.from
-	pred := q.conjunction(b)
+func (r *run) runScan(x *execution, b *boundQuery, spec exec.SelectSpec, sp selPlan) *storage.TempList {
+	t := r.q.from
+	pred := r.conjunction(b)
 	switch {
 	case sp.limit == 0:
 		return storage.MustTempList(spec.Desc)
@@ -1263,14 +1349,14 @@ func (q *Query) runScan(x *execution, b *boundQuery, spec exec.SelectSpec, sp se
 // conjunction returns the WHERE clause as one tuple predicate, or nil
 // when the query has none. It touches no meter, so scan workers may call
 // it concurrently.
-func (q *Query) conjunction(b *boundQuery) func(*storage.Tuple) bool {
-	if len(q.preds) == 0 {
+func (r *run) conjunction(b *boundQuery) func(*storage.Tuple) bool {
+	if len(r.q.preds) == 0 {
 		return nil
 	}
-	preds, fields := q.preds, b.preds
+	preds, fields, vals := r.q.preds, b.preds, r.vals
 	return func(tp *storage.Tuple) bool {
 		for i := range preds {
-			if !predHolds(tp.Field(fields[i]), &preds[i]) {
+			if !predHolds(tp.Field(fields[i]), preds[i].op, vals[i]) {
 				return false
 			}
 		}
@@ -1278,16 +1364,16 @@ func (q *Query) conjunction(b *boundQuery) func(*storage.Tuple) bool {
 	}
 }
 
-// predHolds evaluates one predicate on its column's value v. It never
-// holds on NULL. A non-NULL v is of the predicate value's type: the
-// schema fixes the column's, and bind empties the selection of a query
-// whose value is NULL or of another type.
-func predHolds(v Value, p *qpred) bool {
+// predHolds evaluates one predicate, v op val, on its column's value v.
+// It never holds on NULL. A non-NULL v is of val's type: the schema fixes
+// the column's, and bind empties the selection of a query whose value is
+// NULL or of another type.
+func predHolds(v Value, op Op, val Value) bool {
 	if v.IsNull() {
 		return false
 	}
-	c := storage.Compare(v, p.val)
-	switch p.op {
+	c := storage.Compare(v, val)
+	switch op {
 	case Eq:
 		return c == 0
 	case Ne:

@@ -1,11 +1,13 @@
 package mmdb
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 
 	"repro/internal/sqlparser"
+	"repro/internal/txn"
 )
 
 // ExecResult is the outcome of Exec: a query Result for SELECT, a
@@ -168,10 +170,11 @@ func (db *Database) execCreateIndex(s *sqlparser.CreateIndex) (*ExecResult, erro
 // SELECT, UPDATE or DELETE, or the target table of an INSERT, with every
 // value the statement supplies named by the literal it comes from. Exec
 // runs every statement through one: a miss builds it, then runs it with
-// the statement's literals; a hit only runs it. Running instantiates the
-// template — a copy of the query with its own predicates, sharing the
-// bound names, and fresh value storage for the rows — so a cached
-// template, shared by concurrent Execs, is never written.
+// the statement's literals; a hit only runs it. A run of a SELECT, UPDATE
+// or DELETE executes the template's one query with the statement's
+// predicate values beside it (runWith), and an INSERT stages fresh value
+// storage for its rows, so a cached template, shared by concurrent Execs,
+// is never copied or written.
 type stmtTemplate struct {
 	verb stmtVerb
 	// q is the bound selection of a SELECT, UPDATE or DELETE; preds[i] is
@@ -338,6 +341,10 @@ func (db *Database) build(st sqlparser.Statement) (*stmtTemplate, error) {
 		var b boundQuery
 		b, err = tm.q.bind()
 		tm.q.bound = &b
+		var dup *scopeError
+		if errors.As(err, &dup) { // SQL has no JoinAs
+			err = fmt.Errorf("mmdb: relation name %q already in scope; use JOIN %s AS <alias> with a distinct alias", dup.name, dup.table)
+		}
 	}
 	if err == nil && tm.verb == verbUpdate {
 		if tm.field = tm.t.ColumnIndex(column); tm.field < 0 {
@@ -373,41 +380,29 @@ func (db *Database) run(tm *stmtTemplate, lits []sqlparser.Expr) (*ExecResult, e
 	return db.execSelect(tm, lits)
 }
 
-// query instantiates the template's query: a copy whose predicates hold
-// this statement's values and which shares the template's bound names.
-// The copy and its predicates are one allocation for the one or two
-// predicates of a point or range statement.
-func (tm *stmtTemplate) query(lits []sqlparser.Expr) *Query {
-	var q *Query
-	var preds []qpred
-	if n := len(tm.q.preds); n <= 2 {
-		r := new(struct {
-			q Query
-			p [2]qpred
-		})
-		q, preds = &r.q, r.p[:n]
-	} else {
-		q, preds = new(Query), make([]qpred, n)
+// runWith takes a pooled run of the template's query with this
+// statement's predicate values, in tx (nil: a reader of its own).
+func (tm *stmtTemplate) runWith(lits []sqlparser.Expr, tx *txn.Txn) *run {
+	r := newRun(tm.q, tx)
+	for _, a := range tm.preds {
+		r.vals = append(r.vals, a.value(lits))
 	}
-	*q = *tm.q
-	q.preds = preds
-	for i, p := range tm.q.preds {
-		p.val = tm.preds[i].value(lits)
-		q.preds[i] = p
-	}
-	return q
+	return r
 }
 
+// execInsert runs an INSERT in a pooled transaction: neither it nor
+// anything holding it leaves Exec.
 func (db *Database) execInsert(tm *stmtTemplate, lits []sqlparser.Expr) (*ExecResult, error) {
-	tx := db.Begin()
+	tx := db.txns.BeginPooled()
+	defer tx.Recycle()
+	var buf [8]Value // Insert copies a row's values, so one of up to 8 columns is staged from here
 	for _, row := range tm.rows {
-		vals := make([]Value, len(row))
-		for i, a := range row {
-			vals[i] = a.value(lits)
+		vals := buf[:0]
+		for _, a := range row {
+			vals = append(vals, a.value(lits))
 		}
-		if err := tx.Insert(tm.t, vals...); err != nil {
-			tx.Abort()
-			return nil, err
+		if err := tx.Insert(tm.t.rel, vals); err != nil {
+			return nil, err // Recycle aborts
 		}
 	}
 	ins, err := tx.Commit()
@@ -563,34 +558,35 @@ func applySelectShape(q *Query, s *sqlparser.Select) (*Query, error) {
 }
 
 func (db *Database) execSelect(tm *stmtTemplate, lits []sqlparser.Expr) (*ExecResult, error) {
-	q := tm.query(lits)
+	r := tm.runWith(lits, nil)
+	defer r.release()
 	switch tm.verb {
 	case verbAnalyze:
 		// EXPLAIN ANALYZE: execute and report the operator trace — per
 		// operator rows in/out, wall time, and §3.1 counters.
-		_, trace, err := q.Analyze()
+		trace, err := r.execute(true, new(Result))
 		if err != nil {
 			return nil, err
 		}
 		return &ExecResult{trace: trace}, nil
 	case verbExplain:
 		// Plain EXPLAIN: describe the planned choices without executing.
-		planned, err := q.Explain()
+		planned, err := r.explain()
 		if err != nil {
 			return nil, err
 		}
 		return &ExecResult{explain: planned}, nil
 	}
 	// The statement's outcome and its query result are one allocation.
-	r := new(struct {
+	out := new(struct {
 		ExecResult
 		res Result
 	})
-	if _, err := q.execute(false, &r.res); err != nil {
+	if _, err := r.execute(false, &out.res); err != nil {
 		return nil, err
 	}
-	r.Result, r.RowsAffected = &r.res, r.res.Len()
-	return &r.ExecResult, nil
+	out.Result, out.RowsAffected = &out.res, out.res.Len()
+	return &out.ExecResult, nil
 }
 
 // execWrite runs an UPDATE or DELETE: its selection and its writes inside
@@ -598,25 +594,28 @@ func (db *Database) execSelect(tm *stmtTemplate, lits []sqlparser.Expr) (*ExecRe
 // and writing them. The target's exclusive relation lock is taken before
 // the read: had the selection taken the shared lock first, two concurrent
 // statements on one table would both hold it, both ask to upgrade, and
-// one would come back as a deadlock victim.
+// one would come back as a deadlock victim. The transaction is pooled, as
+// an INSERT's is.
 func (db *Database) execWrite(tm *stmtTemplate, lits []sqlparser.Expr) (*ExecResult, error) {
 	v := tm.set.value(lits)
-	tx := db.Begin()
-	if err := tx.inner.LockRelationExclusive(tm.t.rel); err != nil {
+	tx := db.txns.BeginPooled()
+	defer tx.Recycle()
+	if err := tx.LockRelationExclusive(tm.t.rel); err != nil {
 		return nil, err
 	}
+	r := tm.runWith(lits, tx)
+	defer r.release()
 	var res Result
-	_, err := tm.query(lits).In(tx).execute(false, &res)
+	_, err := r.execute(false, &res)
 	for i := 0; err == nil && i < res.Len(); i++ {
 		if tm.verb == verbUpdate {
-			err = tx.inner.Update(tm.t.rel, res.Tuples(i)[0], tm.field, v)
+			err = tx.Update(tm.t.rel, res.Tuples(i)[0], tm.field, v)
 		} else {
-			err = tx.inner.Delete(tm.t.rel, res.Tuples(i)[0])
+			err = tx.Delete(tm.t.rel, res.Tuples(i)[0])
 		}
 	}
 	if err != nil {
-		tx.Abort()
-		return nil, err
+		return nil, err // Recycle aborts
 	}
 	if _, err := tx.Commit(); err != nil {
 		return nil, err

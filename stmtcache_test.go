@@ -21,30 +21,6 @@ func openEmpty(t testing.TB) *Database {
 	return db
 }
 
-// builtQuery is the query Exec runs for a SELECT: its template,
-// instantiated with the statement's own literals.
-func builtQuery(t *testing.T, db *Database, sql string) *Query {
-	t.Helper()
-	x, err := sqlparser.Lex(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer x.Release()
-	st, err := x.Parse()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tm, err := db.build(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lits, err := x.Literals()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tm.query(lits)
-}
-
 // clear empties the cache, so the next Exec of any statement is cold.
 func (c *stmtCache) clear() {
 	c.mu.Lock()
